@@ -26,7 +26,6 @@
 use crate::setup::TrainSetup;
 use std::collections::HashMap;
 use wp_comm::{CommError, Communicator, Request};
-use wp_metrics::{Counter, Gauge, Hist, RankMetrics};
 use wp_nn::block::{
     block_backward_data, block_backward_full, block_backward_recompute, block_backward_weight,
     block_forward, BPassCtx, BlockCtx,
@@ -39,7 +38,7 @@ use wp_nn::{ComponentState, TrainState};
 use wp_optim::{MasterWeights, Optimizer};
 use wp_sched::{MsgKey, MsgKind, OpKind, Schedule, Strategy, NO_MB};
 use wp_tensor::ops::RopeTable;
-use wp_trace::{RankTracer, SpanKind, NO_ID};
+use wp_trace::SpanKind;
 
 /// A fully assembled model: `(embed, per-layer blocks, head)`.
 pub type AssembledModel = (Vec<f32>, Vec<Vec<f32>>, Vec<f32>);
@@ -552,8 +551,6 @@ impl RankRuntime {
 
     fn exec_update(&mut self, chunk: usize) {
         let lr = self.lr();
-        let tracer = self.comm.tracer().cloned();
-        let metrics = self.comm.metrics().cloned();
         if self.strategy == Strategy::Fsdp {
             let mut grads = self
                 .shard_grads
@@ -569,14 +566,7 @@ impl RankRuntime {
                     optim.build(shard.len()),
                 )
             });
-            master.step_observed(
-                opt.as_mut(),
-                shard,
-                &grads,
-                lr,
-                tracer.as_ref(),
-                metrics.as_ref(),
-            );
+            master.step_observed(opt.as_mut(), shard, &grads, lr, self.comm.probe());
             return;
         }
         let key = self.weight_slot_key(&[], chunk, FLOW_FWD);
@@ -592,14 +582,7 @@ impl RankRuntime {
             .chunk_opt
             .entry(chunk)
             .or_insert_with(|| (MasterWeights::capture(slot, wire), optim.build(slot.len())));
-        master.step_observed(
-            opt.as_mut(),
-            slot,
-            &grads,
-            lr,
-            tracer.as_ref(),
-            metrics.as_ref(),
-        );
+        master.step_observed(opt.as_mut(), slot, &grads, lr, self.comm.probe());
     }
 
     // ---- communication ops --------------------------------------------------
@@ -609,18 +592,14 @@ impl RankRuntime {
         let tag = tag_of(k);
         match k.kind {
             MsgKind::Weights => {
-                let slot = self
-                    .slots
-                    .get(&(k.chunk, k.mb))
-                    .unwrap_or_else(|| {
-                        panic!(
-                            "rank {}: sending unknown weight slot {:?}",
-                            self.rank,
-                            (k.chunk, k.mb)
-                        )
-                    })
-                    .clone();
-                self.comm.send(k.dst, tag, &slot, wire)?;
+                let slot = self.slots.get(&(k.chunk, k.mb)).unwrap_or_else(|| {
+                    panic!(
+                        "rank {}: sending unknown weight slot {:?}",
+                        self.rank,
+                        (k.chunk, k.mb)
+                    )
+                });
+                self.comm.send(k.dst, tag, slot, wire)?;
             }
             MsgKind::WeightGrads => {
                 let buf = self
@@ -707,8 +686,8 @@ impl RankRuntime {
 
     fn exec_all_gather(&mut self, chunk: usize) -> Result<(), CommError> {
         let wire = self.setup.wire;
-        let shard = self.shards.get(&chunk).expect("FSDP shard").clone();
-        let mut full = self.comm.all_gather(&shard, wire)?;
+        let shard = self.shards.get(&chunk).expect("FSDP shard");
+        let mut full = self.comm.all_gather(shard, wire)?;
         full.truncate(self.lpc * self.block_len);
         self.slots.insert((chunk, RESIDENT), full);
         Ok(())
@@ -752,51 +731,6 @@ impl RankRuntime {
 
     // ---- driver --------------------------------------------------------------
 
-    /// The histogram a compute span's duration lands in. `BwdFull` and
-    /// `BwdData` are both "B" work; `BwdWeight` is the split-backward "W".
-    fn hist_for(kind: SpanKind) -> Hist {
-        match kind {
-            SpanKind::Fwd => Hist::FwdNs,
-            SpanKind::BwdFull | SpanKind::BwdData => Hist::BwdNs,
-            SpanKind::BwdWeight => Hist::WgradNs,
-            SpanKind::Update => Hist::UpdateNs,
-            other => unreachable!("not a compute op: {other:?}"),
-        }
-    }
-
-    /// Close a compute span on this rank's track and/or observe its duration
-    /// into the matching metrics histogram (no-op when neither is attached).
-    ///
-    /// When both sinks are attached the histogram observes the *identical*
-    /// duration the span records (returned by `end_span`), so the trace's
-    /// `busy_ns` equals the compute histograms' mass exactly — the
-    /// consistency suite asserts it. `t0` is from the tracer's clock when
-    /// tracing, else from the metrics clock.
-    fn observe_compute(
-        tracer: &Option<RankTracer>,
-        metrics: &Option<RankMetrics>,
-        kind: SpanKind,
-        t0: Option<u64>,
-        mb: usize,
-        chunk: usize,
-    ) {
-        match (tracer.as_ref(), t0) {
-            (Some(tr), Some(start)) => {
-                let mb = if mb >= NO_MB - 15 { NO_ID } else { mb as u32 };
-                let dur = tr.end_span(kind, start, mb, chunk as u32, 0, 0);
-                if let Some(m) = metrics {
-                    m.observe(Self::hist_for(kind), dur);
-                }
-            }
-            (None, Some(start)) => {
-                if let Some(m) = metrics {
-                    m.observe_since(Self::hist_for(kind), start);
-                }
-            }
-            _ => {}
-        }
-    }
-
     /// Execute one iteration of the schedule.
     ///
     /// # Errors
@@ -813,46 +747,39 @@ impl RankRuntime {
         self.loss_sum = 0.0;
         self.loss_count = 0;
 
-        // One cheap clone of the rank's tracer and metrics handles up front:
-        // compute ops close their spans here, comm ops record inside wp-comm.
-        let tracer = self.comm.tracer().cloned();
-        let metrics = self.comm.metrics().cloned();
-        let iter_t0 = tracer.as_ref().map(|t| t.now_ns());
-        let iter_m0 = metrics.as_ref().map(|m| m.now_ns());
-
-        let ops = schedule.ops[self.rank].clone();
-        for op in &ops {
-            // Compute-op start stamp: tracer clock when tracing (so the
-            // metrics histogram can mirror the span exactly), else the
-            // metrics clock. `None` when the op is untimed.
-            let t0 = match (&tracer, &metrics) {
-                (Some(t), _) => Some(t.now_ns()),
-                (None, Some(m)) => Some(m.now_ns()),
-                (None, None) => None,
-            };
+        let iter_t0 = self.comm.probe().now();
+        for op in &schedule.ops[self.rank] {
+            // Start mark of a compute op: those report to the rank's probe
+            // here, comm ops report inside wp-comm.
+            let t0 = self.comm.probe().now();
             match &op.kind {
                 OpKind::Fwd { mb, chunk } => {
                     self.exec_fwd(*mb, *chunk, &op.needs, schedule.recompute);
-                    Self::observe_compute(&tracer, &metrics, SpanKind::Fwd, t0, *mb, *chunk);
-                    if let Some(m) = &metrics {
-                        m.incr(Counter::MicrobatchesFwd);
-                    }
+                    self.comm.probe().compute(SpanKind::Fwd, *mb, *chunk, t0);
                 }
                 OpKind::BwdFull { mb, chunk } => {
                     self.exec_bwd_full(*mb, *chunk, &op.needs);
-                    Self::observe_compute(&tracer, &metrics, SpanKind::BwdFull, t0, *mb, *chunk);
+                    self.comm
+                        .probe()
+                        .compute(SpanKind::BwdFull, *mb, *chunk, t0);
                 }
                 OpKind::BwdData { mb, chunk } => {
                     self.exec_bwd_data(*mb, *chunk, &op.needs);
-                    Self::observe_compute(&tracer, &metrics, SpanKind::BwdData, t0, *mb, *chunk);
+                    self.comm
+                        .probe()
+                        .compute(SpanKind::BwdData, *mb, *chunk, t0);
                 }
                 OpKind::BwdWeight { mb, chunk } => {
                     self.exec_bwd_weight(*mb, *chunk);
-                    Self::observe_compute(&tracer, &metrics, SpanKind::BwdWeight, t0, *mb, *chunk);
+                    self.comm
+                        .probe()
+                        .compute(SpanKind::BwdWeight, *mb, *chunk, t0);
                 }
                 OpKind::Update { chunk } => {
                     self.exec_update(*chunk);
-                    Self::observe_compute(&tracer, &metrics, SpanKind::Update, t0, NO_MB, *chunk);
+                    self.comm
+                        .probe()
+                        .compute(SpanKind::Update, NO_MB, *chunk, t0);
                 }
                 OpKind::Send(k) => self.exec_send(k)?,
                 OpKind::Recv(k) => self.exec_recv(k)?,
@@ -888,38 +815,24 @@ impl RankRuntime {
                 optim.build(embed.len()),
             )
         });
-        master.step_observed(
-            opt.as_mut(),
-            embed,
-            &eg,
-            lr,
-            tracer.as_ref(),
-            metrics.as_ref(),
-        );
+        master.step_observed(opt.as_mut(), embed, &eg, lr, self.comm.probe());
         let head = &mut self.head;
         let (master, opt) = self
             .head_opt
             .get_or_insert_with(|| (MasterWeights::capture(head, wire), optim.build(head.len())));
-        master.step_observed(
-            opt.as_mut(),
-            head,
-            &hg,
-            lr,
-            tracer.as_ref(),
-            metrics.as_ref(),
-        );
+        master.step_observed(opt.as_mut(), head, &hg, lr, self.comm.probe());
 
         // Replicated-parameter gradient norm (embed + head, post-reduce,
         // unscaled) — a cheap per-iteration training-health signal. Computed
         // only when metered; a pure read, so it cannot perturb the result.
-        if let Some(m) = &metrics {
+        self.comm.probe().grad_norm(|| {
             let sq: f64 = eg
                 .iter()
                 .chain(hg.iter())
                 .map(|&g| g as f64 * g as f64)
                 .sum();
-            m.set(Gauge::GradNorm, sq.sqrt());
-        }
+            sq.sqrt()
+        });
 
         // Mean loss across ranks.
         let mut stats = [self.loss_sum as f32, self.loss_count as f32];
@@ -929,22 +842,12 @@ impl RankRuntime {
             stats[1] as usize, self.setup.microbatches,
             "every microbatch must contribute exactly one loss"
         );
-        // Outermost marker span wrapping the whole iteration (mb = iter).
-        if let (Some(tr), Some(t0)) = (tracer.as_ref(), iter_t0) {
-            tr.end_span(SpanKind::Iteration, t0, iter as u32, NO_ID, 0, 0);
-        }
         let mean_loss = stats[0] / stats[1];
-        if let (Some(m), Some(start)) = (metrics.as_ref(), iter_m0) {
-            let dur = m.now_ns().saturating_sub(start);
-            m.observe(Hist::StepWallNs, dur);
-            m.incr(Counter::StepsCompleted);
-            let tokens = self.setup.tokens_per_iter() as u64;
-            m.add(Counter::TokensProcessed, tokens);
-            m.set(Gauge::Loss, mean_loss as f64);
-            if dur > 0 {
-                m.set(Gauge::TokensPerSec, tokens as f64 / (dur as f64 * 1e-9));
-            }
-        }
+        // Outermost marker span wrapping the whole iteration (mb = iter).
+        let tokens = self.setup.tokens_per_iter() as u64;
+        self.comm
+            .probe()
+            .iteration(iter, iter_t0, tokens, mean_loss);
         Ok(mean_loss)
     }
 

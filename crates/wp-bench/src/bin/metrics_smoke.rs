@@ -11,7 +11,7 @@
 //!    assembled weight) to an unmetered one.
 //! 2. **Trace agreement**: with tracing and metrics both on, the compute
 //!    histograms' total mass equals the trace's summed `busy_ns` exactly —
-//!    both sides are fed the same measured durations.
+//!    each span and its observation are one `Probe` measurement.
 //! 3. **Export validity**: the Prometheus and JSON exports of the world
 //!    snapshot pass their own validators and parse back bit-exactly.
 //!

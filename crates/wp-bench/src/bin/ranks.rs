@@ -999,8 +999,9 @@ fn check_world(
         ));
     }
 
-    // The metrics registry and the traffic meter count the same wire
-    // independently; across process boundaries they must still agree
+    // Inside a worker the metrics registry and the traffic meter read the
+    // same slots, but they reach the launcher through two different line
+    // codecs: after crossing the process boundary they must still agree
     // per rank and per class.
     for rep in reports {
         if let Some(m) = &rep.metrics {

@@ -1,12 +1,11 @@
 //! CI plumbing for the bench binaries: machine-readable reports, the
 //! perf-regression floor check, and one-line failure exits.
 //!
-//! The workspace is built offline with no JSON crate vendored, so this
-//! module carries a deliberately small hand-rolled JSON subset: enough to
-//! write flat bench reports (`{"name": ..., "metrics": {...}, "notes":
-//! {...}}`) and to read them plus the checked-in floors file back. It is
-//! not a general JSON library — no arrays, no nested depth beyond what the
-//! report schema uses — and tests pin the exact wire format.
+//! The workspace is built offline with no JSON crate vendored, so flat
+//! bench reports (`{"name": ..., "metrics": {...}, "notes": {...}}`) are
+//! written by hand here and read back — like the checked-in floors file —
+//! through the workspace's one reader, `wp_trace::json`. Tests pin the
+//! exact wire format.
 //!
 //! The regression contract: every bench binary writes
 //! `results/bench_<name>.json`; `ci/bench_floors.json` holds `min` and
@@ -16,6 +15,7 @@
 
 use std::fmt::Write as _;
 use std::path::{Path, PathBuf};
+use wp_trace::json::{escape, Json};
 
 /// One bench binary's machine-readable output.
 #[derive(Debug, Clone, Default, PartialEq)]
@@ -71,28 +71,13 @@ impl Report {
 
     /// Parse a report written by [`Self::to_json`].
     pub fn parse(json: &str) -> Result<Report, String> {
-        let mut p = Parser::new(json);
         let mut report = Report::default();
-        p.expect('{')?;
-        loop {
-            let key = p.string()?;
-            p.expect(':')?;
+        for (key, v) in members(&Json::parse(json)?)? {
             match key.as_str() {
-                "name" => report.name = p.string()?,
-                "metrics" => {
-                    for (k, v) in p.object_of_numbers()? {
-                        report.metrics.push((k, v));
-                    }
-                }
-                "notes" => {
-                    for (k, v) in p.object_of_strings()? {
-                        report.notes.push((k, v));
-                    }
-                }
+                "name" => report.name = string(v)?,
+                "metrics" => report.metrics = object_of(v, number)?,
+                "notes" => report.notes = object_of(v, string)?,
                 other => return Err(format!("unknown report key {other:?}")),
-            }
-            if !p.comma_or_close('}')? {
-                break;
             }
         }
         Ok(report)
@@ -125,136 +110,32 @@ fn fmt_num(v: f64) -> String {
     }
 }
 
-fn escape(s: &str) -> String {
-    s.chars()
-        .flat_map(|c| match c {
-            '"' => vec!['\\', '"'],
-            '\\' => vec!['\\', '\\'],
-            '\n' => vec!['\\', 'n'],
-            c => vec![c],
-        })
+fn members(v: &Json) -> Result<&[(String, Json)], String> {
+    v.as_obj()
+        .ok_or_else(|| format!("expected an object, found {v:?}"))
+}
+
+fn number(v: &Json) -> Result<f64, String> {
+    v.as_f64()
+        .ok_or_else(|| format!("expected a number, found {v:?}"))
+}
+
+fn string(v: &Json) -> Result<String, String> {
+    let s = v
+        .as_str()
+        .ok_or_else(|| format!("expected a string, found {v:?}"))?;
+    Ok(s.to_string())
+}
+
+/// `{ "k": <value>, ... }` — possibly empty — with every value read by `value`.
+fn object_of<T>(
+    v: &Json,
+    value: impl Fn(&Json) -> Result<T, String>,
+) -> Result<Vec<(String, T)>, String> {
+    members(v)?
+        .iter()
+        .map(|(k, v)| Ok((k.clone(), value(v)?)))
         .collect()
-}
-
-/// Minimal recursive-descent parser over the report/floors subset.
-struct Parser<'a> {
-    src: &'a [u8],
-    pos: usize,
-}
-
-impl<'a> Parser<'a> {
-    fn new(src: &'a str) -> Self {
-        Parser {
-            src: src.as_bytes(),
-            pos: 0,
-        }
-    }
-
-    fn skip_ws(&mut self) {
-        while self.pos < self.src.len() && self.src[self.pos].is_ascii_whitespace() {
-            self.pos += 1;
-        }
-    }
-
-    fn peek(&mut self) -> Result<u8, String> {
-        self.skip_ws();
-        self.src
-            .get(self.pos)
-            .copied()
-            .ok_or_else(|| "unexpected end of input".into())
-    }
-
-    fn expect(&mut self, c: char) -> Result<(), String> {
-        let got = self.peek()?;
-        if got != c as u8 {
-            return Err(format!(
-                "expected {c:?} at byte {}, found {:?}",
-                self.pos, got as char
-            ));
-        }
-        self.pos += 1;
-        Ok(())
-    }
-
-    /// After a member: consume `,` (returning true) or `close` (false).
-    fn comma_or_close(&mut self, close: char) -> Result<bool, String> {
-        let got = self.peek()?;
-        self.pos += 1;
-        match got {
-            b',' => Ok(true),
-            c if c == close as u8 => Ok(false),
-            c => Err(format!("expected ',' or {close:?}, found {:?}", c as char)),
-        }
-    }
-
-    fn string(&mut self) -> Result<String, String> {
-        self.expect('"')?;
-        let mut out = String::new();
-        loop {
-            let c = *self.src.get(self.pos).ok_or("unterminated string")?;
-            self.pos += 1;
-            match c {
-                b'"' => return Ok(out),
-                b'\\' => {
-                    let e = *self.src.get(self.pos).ok_or("unterminated escape")?;
-                    self.pos += 1;
-                    out.push(match e {
-                        b'"' => '"',
-                        b'\\' => '\\',
-                        b'n' => '\n',
-                        other => return Err(format!("unsupported escape \\{}", other as char)),
-                    });
-                }
-                c => out.push(c as char),
-            }
-        }
-    }
-
-    fn number(&mut self) -> Result<f64, String> {
-        self.skip_ws();
-        let start = self.pos;
-        while self
-            .src
-            .get(self.pos)
-            .is_some_and(|c| c.is_ascii_digit() || matches!(c, b'-' | b'+' | b'.' | b'e' | b'E'))
-        {
-            self.pos += 1;
-        }
-        let text = std::str::from_utf8(&self.src[start..self.pos]).unwrap();
-        text.parse::<f64>()
-            .map_err(|e| format!("bad number {text:?}: {e}"))
-    }
-
-    /// `{ "k": 1.5, ... }` — possibly empty.
-    fn object_of_numbers(&mut self) -> Result<Vec<(String, f64)>, String> {
-        self.object(|p| p.number())
-    }
-
-    /// `{ "k": "v", ... }` — possibly empty.
-    fn object_of_strings(&mut self) -> Result<Vec<(String, String)>, String> {
-        self.object(|p| p.string())
-    }
-
-    fn object<T>(
-        &mut self,
-        mut value: impl FnMut(&mut Self) -> Result<T, String>,
-    ) -> Result<Vec<(String, T)>, String> {
-        self.expect('{')?;
-        let mut out = Vec::new();
-        if self.peek()? == b'}' {
-            self.pos += 1;
-            return Ok(out);
-        }
-        loop {
-            let k = self.string()?;
-            self.expect(':')?;
-            let v = value(self)?;
-            out.push((k, v));
-            if !self.comma_or_close('}')? {
-                return Ok(out);
-            }
-        }
-    }
 }
 
 /// The checked-in regression bounds: `min` floors and `max` ceilings, both
@@ -270,19 +151,12 @@ pub struct Floors {
 impl Floors {
     /// Parse `ci/bench_floors.json`.
     pub fn parse(json: &str) -> Result<Floors, String> {
-        let mut p = Parser::new(json);
         let mut floors = Floors::default();
-        p.expect('{')?;
-        loop {
-            let key = p.string()?;
-            p.expect(':')?;
+        for (key, v) in members(&Json::parse(json)?)? {
             match key.as_str() {
-                "min" => floors.min = p.object_of_numbers()?,
-                "max" => floors.max = p.object_of_numbers()?,
+                "min" => floors.min = object_of(v, number)?,
+                "max" => floors.max = object_of(v, number)?,
                 other => return Err(format!("unknown floors key {other:?}")),
-            }
-            if !p.comma_or_close('}')? {
-                break;
             }
         }
         Ok(floors)

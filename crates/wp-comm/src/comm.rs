@@ -44,12 +44,10 @@ use crate::transport::{
 use std::collections::VecDeque;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
-use wp_metrics::{Counter, Gauge, MetricsRegistry, RankMetrics};
+use wp_metrics::{Counter, MetricsRegistry, Probe, RankMetrics};
 use wp_tensor::dtype::quantize_slice;
 use wp_tensor::DType;
-use wp_trace::{
-    fault_aux, recv_aux, send_aux, FaultFlags, RankTracer, SpanKind, TraceCollector, NO_ID,
-};
+use wp_trace::{FaultFlags, RankTracer, SpanKind, TraceCollector};
 
 /// Tags ≥ this value are reserved for collectives.
 pub(crate) const COLLECTIVE_TAG_BASE: u64 = 1 << 48;
@@ -121,7 +119,6 @@ pub struct Communicator {
     /// Tag-mismatched frames parked per source.
     pending: Vec<VecDeque<Frame>>,
     link: LinkModel,
-    meter: TrafficMeter,
     /// Sequence number for collectives; advances identically on every rank
     /// because collectives are bulk-synchronous SPMD calls.
     coll_seq: u64,
@@ -138,12 +135,9 @@ pub struct Communicator {
     /// getting a private wire. `None` until the link is first used (or
     /// always, for instant links).
     link_busy: Vec<Option<Instant>>,
-    /// Span recorder for this rank's track, when the world is traced.
-    tracer: Option<RankTracer>,
-    /// Metric recorder for this rank's slots, when the world is metered.
-    /// Byte/message counters mirror the [`TrafficMeter`] calls exactly —
-    /// the consistency suite asserts equality per class.
-    metrics: Option<RankMetrics>,
+    /// This rank's telemetry: every instrumented site below reports
+    /// through it, and it counts the traffic [`meter`](Self::meter) reads.
+    probe: Probe,
     /// Whether this rank has already forwarded the world's abort cause to
     /// its peers (see [`Communicator::standing_cause`]).
     abort_relayed: bool,
@@ -162,7 +156,7 @@ pub struct Communicator {
 /// Send requests follow buffered-isend semantics: the payload is on the wire
 /// — and the meter charged — before `isend` returns, so a send request is
 /// complete at creation and `wait` never blocks on it. Receive requests
-/// record the post instant and the reorder-buffer depth observed at post
+/// record the post mark and the reorder-buffer depth observed at post
 /// time; the match happens at `wait`, so the `RecvWait` trace span covers
 /// the full post→complete interval.
 #[derive(Debug)]
@@ -179,7 +173,7 @@ enum ReqInner {
     Recv {
         src: usize,
         tag: u64,
-        t0: Option<u64>,
+        t0: u64,
         depth: usize,
     },
 }
@@ -252,8 +246,8 @@ impl Communicator {
     }
 
     /// The traffic meter shared by the whole world.
-    pub fn meter(&self) -> &TrafficMeter {
-        &self.meter
+    pub fn meter(&self) -> TrafficMeter {
+        TrafficMeter::over(self.probe.registry())
     }
 
     /// The timeout/retry policy this rank operates under.
@@ -261,20 +255,23 @@ impl Communicator {
         &self.config
     }
 
+    /// This rank's telemetry handle. Runtimes layered on top clone it to
+    /// report their own compute and step events on the same track and into
+    /// the same slots.
+    pub fn probe(&self) -> &Probe {
+        &self.probe
+    }
+
     /// This rank's span recorder, when the world was built with a
-    /// [`TraceCollector`] (see [`WorldBuilder::trace`]). Runtimes layered on
-    /// top clone this handle to record their own compute spans on the same
-    /// track.
+    /// [`TraceCollector`] (see [`WorldBuilder::trace`]).
     pub fn tracer(&self) -> Option<&RankTracer> {
-        self.tracer.as_ref()
+        self.probe.tracer()
     }
 
     /// This rank's metric recorder, when the world was built with a
-    /// [`MetricsRegistry`] (see [`WorldBuilder::metrics`]). Runtimes layered
-    /// on top clone this handle to record their own step/compute metrics in
-    /// the same rank's slots.
+    /// [`MetricsRegistry`] (see [`WorldBuilder::metrics`]).
     pub fn metrics(&self) -> Option<&RankMetrics> {
-        self.metrics.as_ref()
+        self.probe.metrics()
     }
 
     /// Whether an arriving frame belongs to another configuration epoch.
@@ -286,19 +283,8 @@ impl Communicator {
         if msg.epoch == self.epoch {
             return false;
         }
-        if let Some(m) = &self.metrics {
-            m.incr(Counter::StaleFramesDropped);
-        }
+        self.probe.event(Counter::StaleFramesDropped);
         true
-    }
-
-    /// Sample the reorder-buffer depth for `src` into the depth gauges.
-    fn note_reorder_depth(&self, src: usize) {
-        if let Some(m) = &self.metrics {
-            let d = self.pending[src].len() as f64;
-            m.set(Gauge::ReorderDepth, d);
-            m.set_max(Gauge::ReorderDepthMax, d);
-        }
     }
 
     /// Record a fatal failure: poison the world so every other rank unwinds.
@@ -352,21 +338,15 @@ impl Communicator {
         if let Some(inj) = self.faults.as_mut() {
             if inj.op_kills_rank() {
                 let e = CommError::PeerDead { rank: self.rank };
-                self.meter.record_faults(self.rank, 1);
-                if let Some(m) = &self.metrics {
-                    m.incr(Counter::FaultsInjected);
-                }
-                if let Some(tr) = self.tracer.as_ref() {
-                    tr.instant(
-                        SpanKind::Fault,
-                        fault_aux(FaultFlags {
-                            delay: false,
-                            hold: false,
-                            corrupt: false,
-                            dead: true,
-                        }),
-                    );
-                }
+                self.probe.fault(
+                    FaultFlags {
+                        delay: false,
+                        hold: false,
+                        corrupt: false,
+                        dead: true,
+                    },
+                    1,
+                );
                 self.fail(&e);
                 return Err(e);
             }
@@ -422,6 +402,8 @@ impl Communicator {
         self.wait(req).map(|_| ())
     }
 
+    /// One send call: on success, counted and spanned by the probe with the
+    /// wire size [`send_inner`](Self::send_inner) put on the frame.
     fn send_internal(
         &mut self,
         dst: usize,
@@ -430,24 +412,11 @@ impl Communicator {
         dtype: DType,
         class: TrafficClass,
     ) -> Result<(), CommError> {
-        let t0 = self.tracer.as_ref().map(|t| t.now_ns());
-        let r = self.send_inner(dst, tag, data, dtype, class);
-        if r.is_ok() {
-            if let (Some(tr), Some(start)) = (self.tracer.as_ref(), t0) {
-                // Quantization preserves length, so the wire size is
-                // recomputable here without threading it out of send_inner.
-                let bytes = (data.len() * dtype.size_bytes()) as u64;
-                tr.end_span(
-                    SpanKind::Send,
-                    start,
-                    NO_ID,
-                    NO_ID,
-                    bytes,
-                    send_aux(dst, class == TrafficClass::Collective),
-                );
-            }
-        }
-        r
+        let t0 = self.probe.now();
+        let collective = class == TrafficClass::Collective;
+        let bytes = self.send_inner(dst, tag, data, dtype, collective)?;
+        self.probe.sent(collective, dst, bytes, t0);
+        Ok(())
     }
 
     fn send_inner(
@@ -456,8 +425,8 @@ impl Communicator {
         tag: u64,
         data: &[f32],
         dtype: DType,
-        class: TrafficClass,
-    ) -> Result<(), CommError> {
+        collective: bool,
+    ) -> Result<u64, CommError> {
         assert!(dst < self.world, "dst {dst} out of range");
         assert_ne!(dst, self.rank, "self-send is not supported");
         self.precheck()?;
@@ -466,19 +435,6 @@ impl Communicator {
         // the transfer would do to the values.
         quantize_slice(&mut payload, dtype);
         let bytes = (payload.len() * dtype.size_bytes()) as u64;
-        self.meter.record_send(self.rank, bytes, class);
-        if let Some(m) = &self.metrics {
-            match class {
-                TrafficClass::P2p => {
-                    m.add(Counter::P2pBytesSent, bytes);
-                    m.incr(Counter::P2pMsgsSent);
-                }
-                TrafficClass::Collective => {
-                    m.add(Counter::CollBytesSent, bytes);
-                    m.incr(Counter::CollMsgsSent);
-                }
-            }
-        }
         let mut deliver_at = if self.link.is_instant() {
             None
         } else {
@@ -500,21 +456,15 @@ impl Communicator {
         if let Some(inj) = self.faults.as_mut() {
             let f = inj.on_send(dst);
             if f.injected > 0 {
-                self.meter.record_faults(self.rank, f.injected);
-                if let Some(m) = &self.metrics {
-                    m.add(Counter::FaultsInjected, f.injected);
-                }
-                if let Some(tr) = self.tracer.as_ref() {
-                    tr.instant(
-                        SpanKind::Fault,
-                        fault_aux(FaultFlags {
-                            delay: !f.extra_delay.is_zero(),
-                            hold: f.hold,
-                            corrupt: f.corrupt,
-                            dead: false,
-                        }),
-                    );
-                }
+                self.probe.fault(
+                    FaultFlags {
+                        delay: !f.extra_delay.is_zero(),
+                        hold: f.hold,
+                        corrupt: f.corrupt,
+                        dead: false,
+                    },
+                    f.injected,
+                );
             }
             if !f.extra_delay.is_zero() {
                 deliver_at = Some(deliver_at.unwrap_or_else(Instant::now) + f.extra_delay);
@@ -530,7 +480,7 @@ impl Communicator {
             data: payload,
             deliver_at,
             wire_bytes: bytes,
-            collective: class == TrafficClass::Collective,
+            collective,
             epoch: self.epoch,
         };
         if corrupt {
@@ -541,14 +491,14 @@ impl Communicator {
         }
         if hold && self.held[dst].is_none() {
             self.held[dst] = Some(msg);
-            return Ok(());
+            return Ok(bytes);
         }
         self.wire_send(dst, msg)?;
         // Flushing after the newer message is what performs the swap.
         if let Some(h) = self.held[dst].take() {
             self.wire_send(dst, h)?;
         }
-        Ok(())
+        Ok(bytes)
     }
 
     /// Put one frame on the wire; a closed endpoint means the peer is gone.
@@ -571,8 +521,8 @@ impl Communicator {
     /// deadlock a delivery.
     fn flush_held(&mut self) -> Result<(), CommError> {
         for dst in 0..self.world {
-            if let Some(m) = self.held[dst].take() {
-                self.wire_send(dst, m)?;
+            if let Some(h) = self.held[dst].take() {
+                self.wire_send(dst, h)?;
             }
         }
         Ok(())
@@ -589,7 +539,8 @@ impl Communicator {
     pub fn irecv(&self, src: usize, tag: u64) -> Request {
         assert!(src < self.world, "src {src} out of range");
         assert_ne!(src, self.rank, "self-recv is not supported");
-        self.note_reorder_depth(src);
+        let depth = self.pending[src].len();
+        self.probe.reorder_depth(depth);
         Request {
             inner: ReqInner::Recv {
                 src,
@@ -597,8 +548,8 @@ impl Communicator {
                 // Trace bookkeeping: the blocked-wait span starts when the
                 // receive is posted, and the queue depth recorded is the
                 // reorder-buffer depth observed at post time.
-                t0: self.tracer.as_ref().map(|t| t.now_ns()),
-                depth: self.pending[src].len(),
+                t0: self.probe.now(),
+                depth,
             },
         }
     }
@@ -685,7 +636,7 @@ impl Communicator {
                         return Err(e);
                     }
                     self.pending[src].push_back(msg);
-                    self.note_reorder_depth(src);
+                    self.probe.reorder_depth(self.pending[src].len());
                 }
                 RecvPoll::Empty => break,
                 RecvPoll::Closed => {
@@ -733,7 +684,7 @@ impl Communicator {
         &mut self,
         src: usize,
         tag: u64,
-        t0: Option<u64>,
+        t0: u64,
         depth: usize,
     ) -> Result<Vec<f32>, CommError> {
         self.precheck()?;
@@ -772,7 +723,7 @@ impl Communicator {
                             return Ok(self.deliver(src, depth, t0, msg));
                         }
                         self.pending[src].push_back(msg);
-                        self.note_reorder_depth(src);
+                        self.probe.reorder_depth(self.pending[src].len());
                     }
                     RecvWait::TimedOut => {}
                     RecvWait::Closed => {
@@ -791,64 +742,30 @@ impl Communicator {
                     tag,
                     waited_ms: started.elapsed().as_millis() as u64,
                 };
-                if let Some(m) = &self.metrics {
-                    m.incr(Counter::RecvTimeouts);
-                }
+                self.probe.event(Counter::RecvTimeouts);
                 self.fail(&e);
                 return Err(e);
             }
             attempt += 1;
-            if let Some(m) = &self.metrics {
-                m.incr(Counter::RecvRetries);
-            }
+            self.probe.event(Counter::RecvRetries);
             window = window.mul_f64(self.config.backoff.max(1.0));
         }
     }
 
-    /// Sleep until the link model says the message has fully arrived,
-    /// charging the slept nanoseconds to the pacing-stall counter.
-    fn pace(&self, msg: &Frame) {
-        if let Some(at) = msg.deliver_at {
-            let now = Instant::now();
-            if at > now {
-                let stall = at - now;
-                std::thread::sleep(stall);
-                if let Some(m) = &self.metrics {
-                    m.add(Counter::PacingStallNs, stall.as_nanos() as u64);
-                }
-            }
+    /// Consume a matched message: count it and close the blocked-wait span
+    /// (post → match), sleep out the link-model transfer under its own span
+    /// (match → fully arrived), and hand back the payload.
+    fn deliver(&mut self, src: usize, depth: usize, t0: u64, msg: Frame) -> Vec<f32> {
+        let bytes = msg.wire_bytes;
+        let x0 = self.probe.received(msg.collective, src, depth, bytes, t0);
+        let stall = msg.deliver_at.map_or(Duration::ZERO, |at| {
+            at.saturating_duration_since(Instant::now())
+        });
+        if !stall.is_zero() {
+            std::thread::sleep(stall);
         }
-    }
-
-    /// Consume a matched message: charge the receive-side meter, close the
-    /// blocked-wait span (post → match), pace out the link-model transfer
-    /// under its own span (match → fully arrived), and hand back the payload.
-    fn deliver(&mut self, src: usize, depth: usize, t0: Option<u64>, msg: Frame) -> Vec<f32> {
-        let class = if msg.collective {
-            TrafficClass::Collective
-        } else {
-            TrafficClass::P2p
-        };
-        self.meter.record_recv(self.rank, msg.wire_bytes, class);
-        if let Some(m) = &self.metrics {
-            match class {
-                TrafficClass::P2p => m.add(Counter::P2pBytesRecv, msg.wire_bytes),
-                TrafficClass::Collective => m.add(Counter::CollBytesRecv, msg.wire_bytes),
-            }
-            m.incr(Counter::MsgsRecv);
-        }
-        match self.tracer.as_ref() {
-            Some(tr) => {
-                let aux = recv_aux(src, depth);
-                if let Some(start) = t0 {
-                    tr.end_span(SpanKind::RecvWait, start, NO_ID, NO_ID, msg.wire_bytes, aux);
-                }
-                let x0 = tr.now_ns();
-                self.pace(&msg);
-                tr.end_span(SpanKind::RecvXfer, x0, NO_ID, NO_ID, msg.wire_bytes, aux);
-            }
-            None => self.pace(&msg),
-        }
+        self.probe
+            .transferred(src, depth, bytes, x0, stall.as_nanos() as u64);
         msg.data
     }
 
@@ -918,18 +835,10 @@ impl Communicator {
         kind: SpanKind,
         f: impl FnOnce(&mut Self) -> Result<T, CommError>,
     ) -> Result<T, CommError> {
-        let Some(t0) = self.tracer.as_ref().map(|t| t.now_ns()) else {
-            return f(self);
-        };
-        let before = self.meter.rank(self.rank).collective_bytes;
-        let r = f(self);
-        if r.is_ok() {
-            let bytes = self.meter.rank(self.rank).collective_bytes - before;
-            if let Some(tr) = self.tracer.as_ref() {
-                tr.end_span(kind, t0, NO_ID, NO_ID, bytes, 0);
-            }
-        }
-        r
+        let mark = self.probe.collective_begin();
+        let out = f(self)?;
+        self.probe.collective(kind, mark);
+        Ok(out)
     }
 
     /// Chunk boundaries splitting `n` elements into `world` near-equal parts.
@@ -1140,8 +1049,8 @@ impl Drop for Communicator {
         // link. Errors are moot here: a closed endpoint means the receiver
         // is already gone.
         for dst in 0..self.world {
-            if let Some(m) = self.held[dst].take() {
-                let _ = self.transport.send(dst, m);
+            if let Some(h) = self.held[dst].take() {
+                let _ = self.transport.send(dst, h);
             }
         }
         // Announce the close so remote peers can tell this clean exit from
@@ -1256,9 +1165,10 @@ impl WorldBuilder {
 
     /// Record every rank's communication metrics into `registry` (must
     /// cover at least `p` ranks). Each rank writes its own slots; the caller
-    /// keeps the registry and snapshots it after the run. The transport
-    /// endpoint is instrumented too, so transport-internal accounting (wire
-    /// frames, writer queue depth) lands in the same slots.
+    /// keeps the registry and snapshots it after the run. The world's
+    /// [`TrafficMeter`] then reads the registry's own traffic counters, and
+    /// the transport endpoint is instrumented too, so transport-internal
+    /// accounting (wire frames, writer queue depth) lands in the same slots.
     pub fn metrics(mut self, registry: MetricsRegistry) -> Self {
         self.metrics = Some(registry);
         self
@@ -1271,20 +1181,31 @@ impl WorldBuilder {
         self
     }
 
+    /// The meter a world built from this builder counts into: a view of the
+    /// caller's registry when metered (one copy of every count), else of
+    /// slots of its own.
+    fn meter(&self) -> TrafficMeter {
+        match &self.metrics {
+            Some(registry) => TrafficMeter::over(registry.clone()),
+            None => TrafficMeter::new(self.p),
+        }
+    }
+
     /// Wrap one transport endpoint in a [`Communicator`] carrying this
-    /// builder's link, timeout, fault, trace, and metrics policy, charging
-    /// `meter`.
+    /// builder's link, timeout, fault, trace, and metrics policy, counting
+    /// into `meter`.
     fn make_endpoint(
         &self,
         mut transport: Box<dyn Transport>,
-        meter: TrafficMeter,
+        meter: &TrafficMeter,
     ) -> Communicator {
         let rank = transport.rank();
         let p = transport.world_size();
         let abort = transport.abort_cell().clone();
-        let metrics = self.metrics.as_ref().map(|reg| reg.handle(rank));
-        if let Some(m) = &metrics {
-            transport.instrument(m.clone());
+        let tracer = self.trace.as_ref().map(|tc| tc.tracer(rank));
+        let probe = meter.probe(rank, self.metrics.is_some(), tracer);
+        if let Some(metrics) = probe.metrics() {
+            transport.instrument(metrics.clone());
         }
         Communicator {
             rank,
@@ -1292,7 +1213,6 @@ impl WorldBuilder {
             transport,
             pending: (0..p).map(|_| VecDeque::new()).collect(),
             link: self.link,
-            meter,
             coll_seq: 0,
             config: self.config,
             abort,
@@ -1302,8 +1222,7 @@ impl WorldBuilder {
                 .map(|plan| RankInjector::new(plan, rank, p)),
             held: (0..p).map(|_| None).collect(),
             link_busy: (0..p).map(|_| None).collect(),
-            tracer: self.trace.as_ref().map(|tc| tc.tracer(rank)),
-            metrics,
+            probe,
             abort_relayed: false,
             epoch: self.epoch,
         }
@@ -1312,9 +1231,9 @@ impl WorldBuilder {
     /// Wrap an externally-established transport endpoint — e.g. a
     /// [`TcpTransport`](crate::tcp::TcpTransport) living in its own worker
     /// process — in a [`Communicator`] with this builder's policy. The
-    /// endpoint gets its own [`TrafficMeter`]; a multi-process launcher
-    /// merges the per-process meters afterwards (see
-    /// [`TrafficMeter::merge_rank`]).
+    /// endpoint gets its own [`TrafficMeter`] (over the builder's registry,
+    /// when it has one); a multi-process launcher merges the per-process
+    /// meters afterwards (see [`TrafficMeter::merge_rank`]).
     ///
     /// # Panics
     /// Panics if the endpoint's world size disagrees with the builder's.
@@ -1324,15 +1243,14 @@ impl WorldBuilder {
             self.p,
             "endpoint world size must match the builder's"
         );
-        let meter = TrafficMeter::new(self.p);
-        self.make_endpoint(transport, meter)
+        self.make_endpoint(transport, &self.meter())
     }
 
     /// Materialise the communicators without running anything.
     pub fn build(self) -> Vec<Communicator> {
         let p = self.p;
         assert!(p >= 1, "world size must be at least 1");
-        let meter = TrafficMeter::new(p);
+        let meter = self.meter();
         let transports: Vec<Box<dyn Transport>> = match self.transport {
             TransportKind::InProcess => ChannelTransport::mesh(p)
                 .into_iter()
@@ -1345,7 +1263,7 @@ impl WorldBuilder {
         };
         transports
             .into_iter()
-            .map(|t| self.make_endpoint(t, meter.clone()))
+            .map(|t| self.make_endpoint(t, &meter))
             .collect()
     }
 
@@ -1359,7 +1277,7 @@ impl WorldBuilder {
         F: Fn(Communicator) -> Result<T, CommError> + Send + Sync,
     {
         let comms = self.build();
-        let meter = comms[0].meter().clone();
+        let meter = comms[0].meter();
         let f = &f;
         let results = std::thread::scope(|s| {
             let handles: Vec<_> = comms
@@ -1399,7 +1317,7 @@ impl WorldBuilder {
         F: Fn(Communicator) -> T + Send + Sync,
     {
         let comms = self.build();
-        let meter = comms[0].meter().clone();
+        let meter = comms[0].meter();
         let f = &f;
         let results = std::thread::scope(|s| {
             let handles: Vec<_> = comms

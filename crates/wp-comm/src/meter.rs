@@ -1,12 +1,12 @@
 //! Byte-exact communication accounting.
 //!
-//! Every send in the stack is charged here with its *wire* size (element
-//! count × storage dtype width). Tests use the meter to prove the paper's
+//! Every send in the stack is counted with its *wire* size (element count ×
+//! storage dtype width) by the sending rank's `Probe`; the meter reads those
+//! counts back. Tests use the meter to prove the paper's
 //! headline property: WeiPipe's traffic is independent of microbatch size
 //! and sequence length, while activation-passing traffic scales with both.
 
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
+use wp_metrics::{Counter, MetricsRegistry, Probe};
 
 /// Traffic class of a message.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -17,23 +17,28 @@ pub enum TrafficClass {
     Collective,
 }
 
-#[derive(Debug, Default)]
-struct RankCounters {
-    p2p_bytes: AtomicU64,
-    p2p_msgs: AtomicU64,
-    coll_bytes: AtomicU64,
-    coll_msgs: AtomicU64,
-    p2p_recv_bytes: AtomicU64,
-    coll_recv_bytes: AtomicU64,
-    recv_msgs: AtomicU64,
-    faults: AtomicU64,
-}
-
-/// Shared, lock-free per-rank traffic counters.
+/// Per-rank traffic counters: a read/merge view over the eight traffic
+/// slots of a [`MetricsRegistry`] — the slots every rank's [`Probe`] counts
+/// into, whether or not the world is otherwise metered. A metered world's
+/// meter views the caller's registry, so the two cannot disagree.
 #[derive(Debug, Clone)]
 pub struct TrafficMeter {
-    ranks: Arc<Vec<RankCounters>>,
+    slots: MetricsRegistry,
 }
+
+/// The slot behind each independent [`RankTraffic`] field (`recv_bytes` is
+/// derived).
+type Field = (Counter, fn(&mut RankTraffic) -> &mut u64);
+const FIELDS: [Field; 8] = [
+    (Counter::P2pBytesSent, |t| &mut t.p2p_bytes),
+    (Counter::P2pMsgsSent, |t| &mut t.p2p_msgs),
+    (Counter::CollBytesSent, |t| &mut t.collective_bytes),
+    (Counter::CollMsgsSent, |t| &mut t.collective_msgs),
+    (Counter::P2pBytesRecv, |t| &mut t.p2p_recv_bytes),
+    (Counter::CollBytesRecv, |t| &mut t.collective_recv_bytes),
+    (Counter::MsgsRecv, |t| &mut t.recv_msgs),
+    (Counter::FaultsInjected, |t| &mut t.faults_injected),
+];
 
 /// Immutable snapshot of one rank's counters.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -76,64 +81,58 @@ impl RankTraffic {
 impl TrafficMeter {
     /// Meter for a world of `p` ranks.
     pub fn new(p: usize) -> Self {
-        TrafficMeter {
-            ranks: Arc::new((0..p).map(|_| RankCounters::default()).collect()),
-        }
+        TrafficMeter::over(MetricsRegistry::new(p))
+    }
+
+    /// The meter reading `slots`' traffic counters.
+    pub(crate) fn over(slots: MetricsRegistry) -> Self {
+        TrafficMeter { slots }
+    }
+
+    /// The probe `rank` records through: traffic into this meter's slots,
+    /// the remaining metrics too when `metered`, spans into `tracer`.
+    pub(crate) fn probe(
+        &self,
+        rank: usize,
+        metered: bool,
+        tracer: Option<wp_trace::RankTracer>,
+    ) -> Probe {
+        Probe::new(self.slots.handle(rank), metered, tracer)
     }
 
     /// Record a message of `bytes` sent by `rank`.
     pub fn record_send(&self, rank: usize, bytes: u64, class: TrafficClass) {
-        let c = &self.ranks[rank];
-        match class {
-            TrafficClass::P2p => {
-                c.p2p_bytes.fetch_add(bytes, Ordering::Relaxed);
-                c.p2p_msgs.fetch_add(1, Ordering::Relaxed);
-            }
-            TrafficClass::Collective => {
-                c.coll_bytes.fetch_add(bytes, Ordering::Relaxed);
-                c.coll_msgs.fetch_add(1, Ordering::Relaxed);
-            }
-        }
+        self.probe(rank, false, None)
+            .sent(class == TrafficClass::Collective, 0, bytes, 0);
     }
 
     /// Record a message of `bytes` received by `rank`. Charged once per
     /// message at delivery (when the receive matches), with the same wire
     /// size — and the same traffic class — the sender was charged.
     pub fn record_recv(&self, rank: usize, bytes: u64, class: TrafficClass) {
-        let c = &self.ranks[rank];
-        match class {
-            TrafficClass::P2p => c.p2p_recv_bytes.fetch_add(bytes, Ordering::Relaxed),
-            TrafficClass::Collective => c.coll_recv_bytes.fetch_add(bytes, Ordering::Relaxed),
-        };
-        c.recv_msgs.fetch_add(1, Ordering::Relaxed);
+        self.probe(rank, false, None)
+            .received(class == TrafficClass::Collective, 0, 0, bytes, 0);
     }
 
     /// Record `n` injected fault events charged to `rank`.
     pub fn record_faults(&self, rank: usize, n: u64) {
-        self.ranks[rank].faults.fetch_add(n, Ordering::Relaxed);
+        self.slots.handle(rank).add(Counter::FaultsInjected, n);
     }
 
     /// Snapshot of one rank.
     pub fn rank(&self, rank: usize) -> RankTraffic {
-        let c = &self.ranks[rank];
-        let p2p_recv = c.p2p_recv_bytes.load(Ordering::Relaxed);
-        let coll_recv = c.coll_recv_bytes.load(Ordering::Relaxed);
-        RankTraffic {
-            p2p_bytes: c.p2p_bytes.load(Ordering::Relaxed),
-            p2p_msgs: c.p2p_msgs.load(Ordering::Relaxed),
-            collective_bytes: c.coll_bytes.load(Ordering::Relaxed),
-            collective_msgs: c.coll_msgs.load(Ordering::Relaxed),
-            p2p_recv_bytes: p2p_recv,
-            collective_recv_bytes: coll_recv,
-            recv_bytes: p2p_recv + coll_recv,
-            recv_msgs: c.recv_msgs.load(Ordering::Relaxed),
-            faults_injected: c.faults.load(Ordering::Relaxed),
+        let m = self.slots.handle(rank);
+        let mut t = RankTraffic::default();
+        for (c, field) in FIELDS {
+            *field(&mut t) = m.get(c);
         }
+        t.recv_bytes = t.p2p_recv_bytes + t.collective_recv_bytes;
+        t
     }
 
     /// Snapshot of all ranks.
     pub fn all(&self) -> Vec<RankTraffic> {
-        (0..self.ranks.len()).map(|r| self.rank(r)).collect()
+        (0..self.world_size()).map(|r| self.rank(r)).collect()
     }
 
     /// Sum of bytes sent by every rank.
@@ -148,17 +147,13 @@ impl TrafficMeter {
         self.all().iter().map(|r| r.recv_bytes).sum()
     }
 
-    /// Reset every counter to zero.
+    /// Reset every traffic counter to zero.
     pub fn reset(&self) {
-        for c in self.ranks.iter() {
-            c.p2p_bytes.store(0, Ordering::Relaxed);
-            c.p2p_msgs.store(0, Ordering::Relaxed);
-            c.coll_bytes.store(0, Ordering::Relaxed);
-            c.coll_msgs.store(0, Ordering::Relaxed);
-            c.p2p_recv_bytes.store(0, Ordering::Relaxed);
-            c.coll_recv_bytes.store(0, Ordering::Relaxed);
-            c.recv_msgs.store(0, Ordering::Relaxed);
-            c.faults.store(0, Ordering::Relaxed);
+        for r in 0..self.world_size() {
+            let m = self.slots.handle(r);
+            for (c, _) in FIELDS {
+                m.clear(c);
+            }
         }
     }
 
@@ -167,18 +162,11 @@ impl TrafficMeter {
     /// [`RankTraffic`] and merges them into one world-wide meter, so the
     /// same conservation checks run unchanged against multi-process runs.
     pub fn merge_rank(&self, rank: usize, t: &RankTraffic) {
-        let c = &self.ranks[rank];
-        c.p2p_bytes.fetch_add(t.p2p_bytes, Ordering::Relaxed);
-        c.p2p_msgs.fetch_add(t.p2p_msgs, Ordering::Relaxed);
-        c.coll_bytes
-            .fetch_add(t.collective_bytes, Ordering::Relaxed);
-        c.coll_msgs.fetch_add(t.collective_msgs, Ordering::Relaxed);
-        c.p2p_recv_bytes
-            .fetch_add(t.p2p_recv_bytes, Ordering::Relaxed);
-        c.coll_recv_bytes
-            .fetch_add(t.collective_recv_bytes, Ordering::Relaxed);
-        c.recv_msgs.fetch_add(t.recv_msgs, Ordering::Relaxed);
-        c.faults.fetch_add(t.faults_injected, Ordering::Relaxed);
+        let m = self.slots.handle(rank);
+        let mut t = *t;
+        for (c, field) in FIELDS {
+            m.add(c, *field(&mut t));
+        }
     }
 
     /// Total fault events injected across all ranks.
@@ -188,7 +176,7 @@ impl TrafficMeter {
 
     /// World size this meter covers.
     pub fn world_size(&self) -> usize {
-        self.ranks.len()
+        self.slots.world_size()
     }
 }
 

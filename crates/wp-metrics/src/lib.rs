@@ -1,14 +1,16 @@
-//! # wp-metrics — lock-free per-rank metrics for the WeiPipe runtime
+//! # wp-metrics — per-rank telemetry for the WeiPipe runtime
 //!
 //! `wp-trace` records *events* (spans on a timeline); this crate records
-//! *aggregates*: monotonic counters, last-value gauges, and power-of-two
-//! log-bucketed histograms, one fixed slot array per rank. Instrumented
-//! sites in `wp-comm`, `tcp`, `weipipe`, and `wp-optim` hold a cheap
-//! [`RankMetrics`] handle and update slots with single relaxed atomic
-//! operations — **no locks, no allocation, no string lookup** on the hot
-//! path. Metric identity is a typed enum ([`Counter`], [`Gauge`],
-//! [`Hist`]), so a metric's slot index, Prometheus name, and type are all
-//! resolved at compile time.
+//! *aggregates* — monotonic counters, last-value gauges, and power-of-two
+//! log-bucketed histograms, one fixed slot array per rank — and hosts the
+//! [`Probe`], the single handle instrumented code in `wp-comm`, `weipipe`
+//! and `wp-optim` records through. A site makes one call; the probe feeds
+//! the span ring, the histograms and the byte counters from it, on one
+//! clock, so the views agree by construction. Slot updates are single
+//! relaxed atomic operations — **no locks, no allocation, no string
+//! lookup** on the hot path. Metric identity is a typed enum ([`Counter`],
+//! [`Gauge`], [`Hist`]), so a metric's slot index, Prometheus name, and
+//! type are all resolved at compile time.
 //!
 //! After a run, a [`MetricsSnapshot`] feeds three consumers:
 //!
@@ -19,7 +21,7 @@
 //!    [`validate_json`] / parsed by [`parse_json`];
 //! 3. the `wp-bench ranks` launcher, which ships per-rank snapshots across
 //!    process boundaries with the hex-exact line codec
-//!    ([`RankSnapshot::to_text`] / [`RankSnapshot::from_text`]) and merges
+//!    ([`RankSnapshot::to_line`] / [`RankSnapshot::from_line`]) and merges
 //!    them with [`MetricsSnapshot::merge_rank`].
 //!
 //! ## Hot-path contract
@@ -28,17 +30,19 @@
 //! construction: all slot arrays are sized at [`MetricsRegistry::new`] time,
 //! and every update is one `fetch_add` / `store` / bounded CAS (proved by
 //! the counting-allocator test in `tests/alloc.rs`). Metrics are
-//! default-off via [`MetricsConfig`]: a disabled config builds no registry,
-//! so instrumented sites cost one `Option` branch and training output is
-//! bit-identical to an uninstrumented build.
+//! default-off via [`MetricsConfig`]: a disabled config records only the
+//! traffic counters the communicator's byte meter reads, every other site
+//! costs one branch, and training output is bit-identical to an
+//! uninstrumented build.
 //!
-//! This crate intentionally depends on nothing (not even the workspace's
-//! vendored crates), so every other crate can depend on it.
+//! The only dependency is `wp-trace` (which depends on nothing), so every
+//! other crate can depend on this one.
 
 #![warn(missing_docs)]
 
 mod export;
 mod id;
+mod probe;
 mod registry;
 
 pub use export::{
@@ -46,6 +50,7 @@ pub use export::{
     validate_prometheus, ExportStats,
 };
 pub use id::{Counter, Gauge, Hist, MetricKind};
+pub use probe::{CollectiveMark, Probe};
 pub use registry::{
     HistSnapshot, MetricsConfig, MetricsRegistry, MetricsSnapshot, RankMetrics, RankSnapshot,
     HIST_BUCKETS,

@@ -2,10 +2,11 @@
 //!
 //! A [`MetricsRegistry`] owns one slot block per rank — an array of
 //! counters, an array of gauges, and an array of histograms, all sized by
-//! the typed-id enums at construction. Each instrumented site holds a cheap
-//! [`RankMetrics`] handle (an `Arc` plus a rank index) and updates slots
-//! with single relaxed atomic operations — **no locks, no allocation, no
-//! syscalls** on the hot path beyond reading the monotonic clock.
+//! the typed-id enums at construction. A rank writes its block through a
+//! cheap [`RankMetrics`] handle (an `Arc` plus a rank index) — held by the
+//! rank's [`Probe`](crate::Probe) — with single relaxed atomic operations:
+//! **no locks, no allocation, no syscalls** on the hot path beyond reading
+//! the monotonic clock.
 //!
 //! ## Consistency
 //!
@@ -91,8 +92,9 @@ struct Inner {
 }
 
 /// Whether (and that's all) metrics are recorded. Mirrors `TraceConfig`:
-/// the default is off, and off means no registry is built at all — every
-/// instrumented site costs one `Option` branch.
+/// the default is off, and off means a rank counts only its traffic (the
+/// eight slots the communicator's byte meter reads) — every other
+/// instrumented site costs one branch.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct MetricsConfig {
     /// Record metrics when true.
@@ -207,11 +209,29 @@ impl RankMetrics {
         self.rank
     }
 
-    /// Nanoseconds since the registry's epoch. Use as a duration's start
-    /// mark for [`observe_since`](Self::observe_since).
+    /// The registry this handle writes into.
+    pub fn registry(&self) -> MetricsRegistry {
+        MetricsRegistry {
+            inner: self.inner.clone(),
+        }
+    }
+
+    /// Nanoseconds since the registry's epoch: the [`Probe`](crate::Probe)'s
+    /// clock when the world is metered but not traced.
     #[inline]
-    pub fn now_ns(&self) -> u64 {
+    pub(crate) fn now_ns(&self) -> u64 {
         self.inner.epoch.elapsed().as_nanos() as u64
+    }
+
+    /// Current value of a counter. One relaxed load.
+    #[inline]
+    pub fn get(&self, c: Counter) -> u64 {
+        self.inner.ranks[self.rank].counters[c.index()].load(Ordering::Relaxed)
+    }
+
+    /// Zero a counter. One relaxed store.
+    pub fn clear(&self, c: Counter) {
+        self.inner.ranks[self.rank].counters[c.index()].store(0, Ordering::Relaxed);
     }
 
     /// Add `v` to a counter. One relaxed `fetch_add`.
@@ -255,15 +275,6 @@ impl RankMetrics {
         slots.buckets[bucket_index(v)].fetch_add(1, Ordering::Relaxed);
         slots.count.fetch_add(1, Ordering::Relaxed);
         slots.sum.fetch_add(v, Ordering::Relaxed);
-    }
-
-    /// Record the duration since `start_ns` (from [`now_ns`](Self::now_ns))
-    /// into a histogram, returning the observed nanoseconds.
-    #[inline]
-    pub fn observe_since(&self, h: Hist, start_ns: u64) -> u64 {
-        let dur = self.now_ns().saturating_sub(start_ns);
-        self.observe(h, dur);
-        dur
     }
 }
 
@@ -480,7 +491,7 @@ impl MetricsSnapshot {
     /// Total nanoseconds recorded in the compute histograms (forward,
     /// backward, weight-grad, update) across all ranks. When tracing and
     /// metrics run side by side this equals the trace's summed `busy_ns`
-    /// exactly, because both are fed the same measured durations.
+    /// exactly: each span and its observation are one measurement.
     pub fn compute_mass_ns(&self) -> u64 {
         [Hist::FwdNs, Hist::BwdNs, Hist::WgradNs, Hist::UpdateNs]
             .iter()
@@ -622,16 +633,5 @@ mod tests {
         m.observe(Hist::StepWallNs, 1000); // not compute
         m.observe(Hist::OptimStepNs, 500); // not compute
         assert_eq!(reg.snapshot().compute_mass_ns(), 100);
-    }
-
-    #[test]
-    fn observe_since_is_monotonic() {
-        let reg = MetricsRegistry::new(1);
-        let m = reg.handle(0);
-        let t0 = m.now_ns();
-        let dur = m.observe_since(Hist::StepWallNs, t0);
-        let h = reg.snapshot_rank(0).hist(Hist::StepWallNs).clone();
-        assert_eq!(h.count, 1);
-        assert_eq!(h.sum, dur);
     }
 }

@@ -8,10 +8,9 @@
 
 use crate::scaler::GradScaler;
 use crate::Optimizer;
-use wp_metrics::{Counter, Gauge, Hist, RankMetrics};
+use wp_metrics::Probe;
 use wp_tensor::dtype::quantize_slice;
 use wp_tensor::DType;
-use wp_trace::{RankTracer, SpanKind, NO_ID};
 
 /// fp32 master copy of a (possibly lower-precision) working buffer.
 #[derive(Debug, Clone)]
@@ -61,45 +60,24 @@ impl MasterWeights {
         quantize_slice(working, self.working_dtype);
     }
 
-    /// Like [`step`](Self::step), but records the optimizer step proper as
-    /// an [`SpanKind::OptimStep`] span when a tracer is attached. The caller
-    /// (the runtime's update op) supplies identity context via its own
-    /// enclosing `Update` span; this one measures just the math.
-    pub fn step_traced<O: Optimizer + ?Sized>(
-        &mut self,
-        opt: &mut O,
-        working: &mut [f32],
-        grads: &[f32],
-        lr: f32,
-        tracer: Option<&RankTracer>,
-    ) {
-        self.step_observed(opt, working, grads, lr, tracer, None);
-    }
-
-    /// Like [`step_traced`](Self::step_traced), but additionally feeds an
-    /// attached metrics handle: the step duration lands in
-    /// [`Hist::OptimStepNs`] and the applied learning rate in
-    /// [`Gauge::CurrentLr`]. Both sinks are strictly observational — the
-    /// numeric update is [`step`](Self::step) either way.
+    /// [`step`](Self::step), reported to the rank's telemetry: one
+    /// `OptimStep` span whose duration is also the
+    /// [`OptimStepNs`](wp_metrics::Hist::OptimStepNs) observation, plus the
+    /// applied learning rate. Strictly observational — the numeric update
+    /// is `step` either way. The caller (the runtime's update op) supplies
+    /// identity context via its own enclosing `Update` span; this one
+    /// measures just the math.
     pub fn step_observed<O: Optimizer + ?Sized>(
         &mut self,
         opt: &mut O,
         working: &mut [f32],
         grads: &[f32],
         lr: f32,
-        tracer: Option<&RankTracer>,
-        metrics: Option<&RankMetrics>,
+        probe: &Probe,
     ) {
-        let t0 = tracer.map(|t| t.now_ns());
-        let m0 = metrics.map(|m| m.now_ns());
+        let t0 = probe.now();
         self.step(opt, working, grads, lr);
-        if let (Some(tr), Some(start)) = (tracer, t0) {
-            tr.end_span(SpanKind::OptimStep, start, NO_ID, NO_ID, 0, 0);
-        }
-        if let (Some(m), Some(start)) = (metrics, m0) {
-            m.observe_since(Hist::OptimStepNs, start);
-            m.set(Gauge::CurrentLr, lr as f64);
-        }
+        probe.optim_step(t0, lr);
     }
 
     /// One mixed-precision step under dynamic loss scaling.
@@ -112,6 +90,10 @@ impl MasterWeights {
     /// off applied steps (e.g. [`AdamW::steps`](crate::AdamW::steps)), not
     /// attempted iterations, so a skip does not consume a schedule step
     /// either. Returns `true` if the step was applied.
+    ///
+    /// An applied step is reported like [`step_observed`](Self::step_observed)
+    /// and a skip is counted; the trajectory — skip decisions and scale
+    /// dynamics included — does not depend on what `probe` records.
     pub fn step_scaled<O: Optimizer + ?Sized>(
         &mut self,
         opt: &mut O,
@@ -119,40 +101,14 @@ impl MasterWeights {
         grads: &mut [f32],
         lr: f32,
         scaler: &mut GradScaler,
+        probe: &Probe,
     ) -> bool {
         let finite = scaler.unscale(grads);
         let apply = scaler.update(!finite);
         if apply {
-            self.step(opt, working, grads, lr);
-        }
-        apply
-    }
-
-    /// Like [`step_scaled`](Self::step_scaled), but counts overflow-skipped
-    /// steps into [`Counter::OverflowSkipped`] and records the applied
-    /// step's duration/LR like [`step_observed`](Self::step_observed). The
-    /// numeric trajectory — including skip decisions and scale dynamics —
-    /// is bit-identical to the unobserved variant.
-    pub fn step_scaled_observed<O: Optimizer + ?Sized>(
-        &mut self,
-        opt: &mut O,
-        working: &mut [f32],
-        grads: &mut [f32],
-        lr: f32,
-        scaler: &mut GradScaler,
-        metrics: Option<&RankMetrics>,
-    ) -> bool {
-        let finite = scaler.unscale(grads);
-        let apply = scaler.update(!finite);
-        if apply {
-            let m0 = metrics.map(|m| m.now_ns());
-            self.step(opt, working, grads, lr);
-            if let (Some(m), Some(start)) = (metrics, m0) {
-                m.observe_since(Hist::OptimStepNs, start);
-                m.set(Gauge::CurrentLr, lr as f64);
-            }
-        } else if let Some(m) = metrics {
-            m.incr(Counter::OverflowSkipped);
+            self.step_observed(opt, working, grads, lr, probe);
+        } else {
+            probe.overflow_skipped();
         }
         apply
     }
@@ -168,6 +124,13 @@ mod tests {
     use super::*;
     use crate::adam::{AdamConfig, AdamW};
     use crate::sgd::{Sgd, SgdConfig};
+    use wp_metrics::{Counter, Gauge, Hist, MetricsRegistry};
+    use wp_trace::{SpanKind, TraceCollector};
+
+    /// A probe with neither sink attached.
+    fn bare() -> Probe {
+        Probe::new(MetricsRegistry::new(1).handle(0), false, None)
+    }
 
     #[test]
     fn small_updates_survive_through_master() {
@@ -210,34 +173,39 @@ mod tests {
     }
 
     #[test]
-    fn step_traced_matches_step_and_records() {
-        let mut opt_a = Sgd::new(
-            1,
-            SgdConfig {
-                lr: 1.0,
-                ..Default::default()
-            },
-        );
-        let mut opt_b = Sgd::new(
-            1,
-            SgdConfig {
-                lr: 1.0,
-                ..Default::default()
-            },
-        );
+    fn step_observed_matches_step_and_records_one_measurement() {
+        let sgd = || {
+            Sgd::new(
+                1,
+                SgdConfig {
+                    lr: 1.0,
+                    ..Default::default()
+                },
+            )
+        };
+        let (mut opt_a, mut opt_b) = (sgd(), sgd());
         let mut wa = vec![1.0f32];
         let mut wb = vec![1.0f32];
         let mut ma = MasterWeights::capture(&wa, DType::F32);
         let mut mb = MasterWeights::capture(&wb, DType::F32);
-        let collector = wp_trace::TraceCollector::new(1, 8);
-        let tracer = collector.tracer(0);
-        ma.step(&mut opt_a, &mut wa, &[0.25], 1.0);
-        mb.step_traced(&mut opt_b, &mut wb, &[0.25], 1.0, Some(&tracer));
-        assert_eq!(wa, wb, "tracing must not perturb the update");
+        let registry = MetricsRegistry::new(1);
+        let collector = TraceCollector::new(1, 8);
+        let probe = Probe::new(registry.handle(0), true, Some(collector.tracer(0)));
+        ma.step(&mut opt_a, &mut wa, &[0.25], 0.5);
+        mb.step_observed(&mut opt_b, &mut wb, &[0.25], 0.5, &probe);
+        assert_eq!(wa, wb, "observation must not perturb the update");
+        assert_eq!(wb[0], 1.0 - 0.5 * 0.25);
         let trace = collector.snapshot();
-        assert!(trace.tracks[0].has_kind(SpanKind::OptimStep));
-        // And with no tracer it records nothing and still steps.
-        mb.step_traced(&mut opt_b, &mut wb, &[0.25], 1.0, None);
+        let span = trace.tracks[0]
+            .of_kind(SpanKind::OptimStep)
+            .next()
+            .expect("one optim-step span");
+        let snap = registry.snapshot_rank(0);
+        assert_eq!(snap.hist(Hist::OptimStepNs).count, 1);
+        assert_eq!(snap.hist(Hist::OptimStepNs).sum, span.dur_ns());
+        assert_eq!(snap.gauge(Gauge::CurrentLr), 0.5);
+        // And with no sink attached it records nothing and still steps.
+        mb.step_observed(&mut opt_b, &mut wb, &[0.25], 0.5, &bare());
         assert_eq!(collector.snapshot().span_count(), 1);
     }
 
@@ -254,7 +222,7 @@ mod tests {
 
         // One clean step so the optimizer has non-trivial state.
         let mut g = vec![0.8f32, -1.6];
-        assert!(mw.step_scaled(&mut opt, &mut working, &mut g, 1e-3, &mut scaler));
+        assert!(mw.step_scaled(&mut opt, &mut working, &mut g, 1e-3, &mut scaler, &bare()));
         assert_eq!(opt.steps(), 1);
 
         let opt_before = opt.clone();
@@ -263,7 +231,7 @@ mod tests {
 
         // Overflowed gradients: the step must be skipped wholesale.
         let mut bad = vec![f32::INFINITY, 1.0];
-        assert!(!mw.step_scaled(&mut opt, &mut working, &mut bad, 1e-3, &mut scaler));
+        assert!(!mw.step_scaled(&mut opt, &mut working, &mut bad, 1e-3, &mut scaler, &bare()));
         assert_eq!(
             opt, opt_before,
             "optimizer state (m, v, t) must not move on a skip"
@@ -289,15 +257,15 @@ mod tests {
             let mut opt = AdamW::new(2, AdamConfig::default());
             let mut scaler = GradScaler::with_scale(4.0);
             let mut g1 = vec![0.4f32, -0.8];
-            mw.step_scaled(&mut opt, &mut working, &mut g1, 1e-3, &mut scaler);
+            mw.step_scaled(&mut opt, &mut working, &mut g1, 1e-3, &mut scaler, &bare());
             if with_skip {
                 let mut bad = vec![f32::NAN, 0.0];
-                mw.step_scaled(&mut opt, &mut working, &mut bad, 1e-3, &mut scaler);
+                mw.step_scaled(&mut opt, &mut working, &mut bad, 1e-3, &mut scaler, &bare());
             }
             // Same post-step scale so the unscaled gradients match: feed
             // pre-scaled values through a fresh scaler of the current scale.
             let mut g2 = vec![scaler.scale() * 0.2, scaler.scale() * -0.1];
-            mw.step_scaled(&mut opt, &mut working, &mut g2, 1e-3, &mut scaler);
+            mw.step_scaled(&mut opt, &mut working, &mut g2, 1e-3, &mut scaler, &bare());
             (opt, working)
         };
         let (opt_a, w_a) = run(false);
@@ -307,52 +275,18 @@ mod tests {
     }
 
     #[test]
-    fn step_observed_records_duration_and_lr() {
-        let registry = wp_metrics::MetricsRegistry::new(1);
-        let m = registry.handle(0);
-        let mut working = vec![1.0f32];
-        let mut mw = MasterWeights::capture(&working, DType::F32);
-        let mut opt = Sgd::new(
-            1,
-            SgdConfig {
-                lr: 1.0,
-                ..Default::default()
-            },
-        );
-        mw.step_observed(&mut opt, &mut working, &[0.25], 0.5, None, Some(&m));
-        assert_eq!(working[0], 1.0 - 0.5 * 0.25);
-        let snap = registry.snapshot();
-        assert_eq!(snap.ranks[0].hist(Hist::OptimStepNs).count, 1);
-        assert_eq!(snap.ranks[0].gauge(Gauge::CurrentLr), 0.5);
-    }
-
-    #[test]
-    fn step_scaled_observed_counts_skips_only_on_overflow() {
-        let registry = wp_metrics::MetricsRegistry::new(1);
-        let m = registry.handle(0);
+    fn step_scaled_counts_skips_only_on_overflow() {
+        let registry = MetricsRegistry::new(1);
+        let probe = Probe::new(registry.handle(0), true, None);
         let mut working = vec![1.0f32, -0.5];
         let mut mw = MasterWeights::capture(&working, DType::F32);
         let mut opt = AdamW::new(2, AdamConfig::default());
         let mut scaler = GradScaler::with_scale(8.0);
 
         let mut good = vec![0.8f32, -1.6];
-        assert!(mw.step_scaled_observed(
-            &mut opt,
-            &mut working,
-            &mut good,
-            1e-3,
-            &mut scaler,
-            Some(&m)
-        ));
+        assert!(mw.step_scaled(&mut opt, &mut working, &mut good, 1e-3, &mut scaler, &probe));
         let mut bad = vec![f32::INFINITY, 1.0];
-        assert!(!mw.step_scaled_observed(
-            &mut opt,
-            &mut working,
-            &mut bad,
-            1e-3,
-            &mut scaler,
-            Some(&m)
-        ));
+        assert!(!mw.step_scaled(&mut opt, &mut working, &mut bad, 1e-3, &mut scaler, &probe));
 
         let snap = registry.snapshot();
         assert_eq!(snap.ranks[0].counter(Counter::OverflowSkipped), 1);

@@ -31,8 +31,6 @@
 //! This models a rank as one compute stream plus full-duplex DMA — the
 //! `batch_isend_irecv`-style overlap the paper's implementation uses (§4.3).
 
-use serde::{Deserialize, Serialize};
-
 /// Sentinel microbatch index for ops that aren't tied to a microbatch.
 pub const NO_MB: usize = usize::MAX;
 
@@ -40,7 +38,7 @@ pub const NO_MB: usize = usize::MAX;
 pub const EMBED_HEAD: usize = usize::MAX;
 
 /// What a point-to-point message carries.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum MsgKind {
     /// A chunk of model weights (`W_j` in the paper).
     Weights,
@@ -57,7 +55,7 @@ pub enum MsgKind {
 /// `round` disambiguates repeated transfers of the same logical payload
 /// (e.g. `W_0` hops every turn of the WeiPipe ring); builders typically use
 /// the turn or microbatch-group index.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct MsgKey {
     /// Payload type.
     pub kind: MsgKind,
@@ -75,7 +73,7 @@ pub struct MsgKey {
 
 /// Memory pools the ledger tracks. Ops carry signed deltas in these units;
 /// the cost model converts a unit to bytes for a concrete (H, S, G, …).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum MemUnit {
     /// Saved forward activations of (one microbatch × one chunk).
     FwdCtx,
@@ -95,7 +93,7 @@ pub enum MemUnit {
 }
 
 /// One instruction.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub enum OpKind {
     /// Forward one microbatch through one chunk.
     Fwd {
@@ -190,7 +188,7 @@ impl OpKind {
 }
 
 /// One scheduled instruction with its dependencies and memory effects.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Op {
     /// The instruction.
     pub kind: OpKind,
@@ -296,7 +294,7 @@ impl Op {
 }
 
 /// Which training strategy a schedule encodes.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Strategy {
     /// All-forward-then-all-backward pipeline.
     GPipe,
@@ -361,7 +359,7 @@ impl Strategy {
 }
 
 /// A complete per-rank instruction schedule for one (or more) iterations.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct Schedule {
     /// Strategy that produced this schedule.
     pub strategy: Strategy,
@@ -381,7 +379,7 @@ pub struct Schedule {
 }
 
 /// Aggregate op counts of a schedule (see [`Schedule::stats`]).
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct ScheduleStats {
     /// Forward ops.
     pub fwd: usize,

@@ -24,11 +24,13 @@
 //! uninstrumented build.
 //!
 //! This crate intentionally depends on nothing (not even the workspace's
-//! vendored crates), so every other crate can depend on it.
+//! vendored crates), so every other crate can depend on it — which is also
+//! why the workspace's one JSON reader, [`json`], lives here.
 
 #![warn(missing_docs)]
 
 mod collector;
+pub mod json;
 mod perfetto;
 mod span;
 
