@@ -11,9 +11,11 @@
 //!    every `checkpoint_every` iterations (a collective, so every rank
 //!    holds the bit-identical state).
 //! 2. On failure, identify the victims from the survivors' typed
-//!    [`CommError::PeerDead`] diagnoses and [`Membership::shrink`] the
-//!    world: survivors keep their relative order, ranks renumber
-//!    contiguously, and the configuration epoch advances.
+//!    [`CommError::PeerDead`] diagnoses and ask [`next_epoch`] — the one
+//!    recovery policy, shared with the multi-process launcher — for the
+//!    shrunk world ([`Membership::shrink`]: survivors keep their relative
+//!    order, ranks renumber contiguously, the configuration epoch
+//!    advances) and the snapshot to resume from.
 //! 3. Re-form the smaller world at the new epoch — straggler frames from
 //!    the dead configuration are dropped on arrival — and prove agreement
 //!    with the [`agree_membership`](wp_comm::agree_membership) handshake
@@ -28,12 +30,10 @@
 //! lineage) rather than lockstep-replicated: iterations since the last
 //! snapshot are recomputed, never reconstructed from survivor state.
 
-use crate::runner::{build_schedule, run_rank_elastic};
+use crate::runner::{build_schedule, run_rank_elastic, TrainWorld};
 use crate::setup::{RunOutput, TrainSetup};
 use std::sync::Mutex;
-use std::time::Instant;
-use wp_comm::{CommError, FaultPlan, Membership, World};
-use wp_metrics::{Counter, Hist, MetricsRegistry};
+use wp_comm::{CommError, FaultPlan, Membership};
 use wp_nn::TrainState;
 use wp_sched::Strategy;
 
@@ -111,25 +111,54 @@ fn victims_of(errors: &[Option<CommError>]) -> Vec<usize> {
     dead
 }
 
-/// The newest snapshot present on *every* survivor: recovery must anchor on
-/// a state the whole shrunk world agrees on, so snapshots a fault left
-/// half-captured are skipped.
-fn common_checkpoint(stores: &[Mutex<Vec<TrainState>>], survivors: &[usize]) -> Option<TrainState> {
-    let first = stores[*survivors.first()?].lock().unwrap();
-    'outer: for cand in first.iter().rev() {
-        for &s in &survivors[1..] {
-            let theirs = stores[s].lock().unwrap();
-            match theirs.iter().find(|c| c.next_iter == cand.next_iter) {
-                Some(c) => assert_eq!(
-                    c, cand,
-                    "snapshots for one iteration must be bit-identical across ranks"
-                ),
-                None => continue 'outer,
-            }
-        }
-        return Some(cand.clone());
+/// The configuration that follows a failed epoch.
+#[derive(Debug, Clone, PartialEq)]
+pub struct NextEpoch {
+    /// The survivors, renumbered contiguously, one epoch on.
+    pub membership: Membership,
+    /// The newest snapshot every survivor holds bit-identically, to resume
+    /// from (`None` when the survivors share none).
+    pub anchor: Option<TrainState>,
+}
+
+/// The recovery policy, shared by every elastic driver (rank threads in
+/// [`run_elastic`], worker processes in the `ranks` launcher): given the
+/// failed epoch's `membership`, the ranks found `dead` in it (current-world
+/// ids) and the snapshots each rank captured (`snapshots[rank]`, any
+/// order; dead ranks' entries are ignored), which world trains next and
+/// from where.
+///
+/// `None` abandons the run: no diagnosable victim, fewer than two
+/// survivors (no ring), or no recovery left in the budget. Otherwise the
+/// survivors keep their relative order under contiguous renumbering, the
+/// epoch advances once however many ranks died, and the anchor is the
+/// newest snapshot present and equal on *every* survivor — one a fault left
+/// missing or half-captured on any of them is passed over for the next
+/// newest, because recovery must start from state the whole shrunk world
+/// agrees on.
+pub fn next_epoch(
+    membership: &Membership,
+    dead: &[usize],
+    snapshots: &[Vec<TrainState>],
+    recoveries_left: usize,
+) -> Option<NextEpoch> {
+    let survivors: Vec<usize> = (0..membership.world_size())
+        .filter(|r| !dead.contains(r))
+        .collect();
+    if dead.is_empty() || survivors.len() < 2 || recoveries_left == 0 {
+        return None;
     }
-    None
+    let (first, rest) = survivors.split_first()?;
+    let anchor = snapshots[*first]
+        .iter()
+        .filter(|cand| rest.iter().all(|&s| snapshots[s].contains(cand)))
+        .max_by_key(|cand| cand.next_iter)
+        .cloned();
+    let dead_ids: Vec<usize> = dead.iter().map(|&r| membership.members[r]).collect();
+    Some(NextEpoch {
+        membership: membership.shrink(&dead_ids),
+        anchor,
+    })
 }
 
 /// Train `setup` under `strategy`, surviving rank deaths by shrinking the
@@ -161,7 +190,6 @@ pub fn run_elastic(
         recoveries: 0,
         checkpoint: None,
     };
-    let mut reshard_started: Option<Instant> = None;
     loop {
         let p = membership.world_size();
         let mut epoch_setup = setup.clone();
@@ -175,76 +203,137 @@ pub fn run_elastic(
             epoch_setup.iters = total_iters - epoch_setup.start_iter;
         }
         let schedule = build_schedule(strategy, p, &epoch_setup);
-        let registry = epoch_setup.metrics.enabled.then(|| MetricsRegistry::new(p));
-        if let Some(t0) = reshard_started.take() {
-            if let Some(reg) = &registry {
-                let h = reg.handle(0);
-                h.incr(Counter::RecoveryEpochs);
-                h.observe(Hist::ReshardNs, t0.elapsed().as_nanos() as u64);
-            }
-        }
         let stores: Vec<Mutex<Vec<TrainState>>> = (0..p).map(|_| Mutex::new(Vec::new())).collect();
-        let m = membership.clone();
-        let es = &epoch_setup;
-        let sched = &schedule;
-        let st_ref = &stores;
-        let (outs, meter) = World::builder(p)
-            .link(epoch_setup.link)
-            .config(epoch_setup.comm)
-            .transport(epoch_setup.transport)
-            .epoch(m.epoch)
-            .maybe_faults(epoch_setup.faults.clone())
-            .maybe_metrics(registry.clone())
-            .try_run(|comm| {
-                let rank = comm.rank();
-                run_rank_elastic(es, sched, comm, Some(&m), opts.checkpoint_every, |st| {
-                    st_ref[rank].lock().unwrap().push(st.clone());
-                })
-            });
+        let mut outs = TrainWorld::new(&epoch_setup, p, membership.epoch).run(|comm| {
+            let rank = comm.rank();
+            run_rank_elastic(
+                &epoch_setup,
+                &schedule,
+                comm,
+                Some(&membership),
+                opts.checkpoint_every,
+                |st| {
+                    let mut store = stores[rank].lock().expect("no rank panics mid-push");
+                    store.push(st.clone());
+                },
+            )
+        });
         let errors: Vec<Option<CommError>> =
             outs.iter().map(|r| r.as_ref().err().cloned()).collect();
-        if errors.iter().all(|e| e.is_none()) {
-            let mut out = outs
+        let output = errors
+            .iter()
+            .all(Option::is_none)
+            .then(|| outs.swap_remove(0).expect("checked above"));
+        // On failure: diagnose the victims and decide whether to shrink on.
+        let next = if output.is_some() {
+            None
+        } else {
+            let snapshots: Vec<Vec<TrainState>> = stores
                 .into_iter()
-                .next()
-                .expect("world has ranks")
-                .expect("checked above");
-            out.bytes_sent = meter.total_bytes();
-            out.metrics = registry.map(|r| r.snapshot());
-            report.epochs.push(EpochOutcome {
-                membership,
-                resumed_from: resume.as_ref().map(|s| s.next_iter),
-                errors,
-                losses: out.losses.clone(),
-            });
-            report.checkpoint = resume;
-            report.output = Some(out);
-            return report;
-        }
-        // Failure: diagnose the victims and decide whether to shrink on.
-        let dead = victims_of(&errors);
+                .map(|s| s.into_inner().expect("no rank panics mid-push"))
+                .collect();
+            let left = opts.max_recoveries - report.recoveries as usize;
+            next_epoch(&membership, &victims_of(&errors), &snapshots, left)
+        };
         report.epochs.push(EpochOutcome {
             membership: membership.clone(),
             resumed_from: resume.as_ref().map(|s| s.next_iter),
             errors,
-            losses: Vec::new(),
+            losses: output.as_ref().map_or(Vec::new(), |o| o.losses.clone()),
         });
-        let survivors: Vec<usize> = (0..p).filter(|r| !dead.contains(r)).collect();
-        if dead.is_empty() || survivors.len() < 2 || report.recoveries >= opts.max_recoveries as u64
-        {
-            // No diagnosable victim, not enough survivors for a ring, or
-            // the recovery budget is spent: abandon with the record intact.
+        let Some(next) = next else {
+            // Finished — or abandoned, with the record (and the anchor a
+            // later restart can use) intact.
             report.checkpoint = resume;
+            report.output = output;
             return report;
-        }
-        reshard_started = Some(Instant::now());
-        resume = common_checkpoint(&stores, &survivors).or(resume);
-        membership = membership.shrink(
-            &dead
-                .iter()
-                .map(|&r| membership.members[r])
-                .collect::<Vec<_>>(),
-        );
+        };
+        // Iterations since an older anchor are recomputed when this epoch
+        // left no newer one the survivors share.
+        resume = next.anchor.or(resume);
+        membership = next.membership;
         report.recoveries += 1;
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use wp_nn::{ComponentState, ModelConfig};
+
+    /// A snapshot taken after `next_iter` iterations whose one weight is
+    /// `w` (the policy only compares snapshots, so shape is irrelevant).
+    fn snap(next_iter: u64, w: f32) -> TrainState {
+        let part = || ComponentState {
+            weights: vec![w],
+            master: vec![w],
+            opt_t: next_iter,
+            opt_bufs: Vec::new(),
+        };
+        TrainState {
+            config: ModelConfig::tiny(1),
+            seed: 42,
+            next_iter,
+            loss_scale: 1.0,
+            embed: part(),
+            blocks: Vec::new(),
+            head: part(),
+        }
+    }
+
+    /// Every rank of a `p`-rank world holds snapshots 1 and 2.
+    fn healthy_stores(p: usize) -> Vec<Vec<TrainState>> {
+        vec![vec![snap(1, 0.5), snap(2, 0.25)]; p]
+    }
+
+    #[test]
+    fn abandons_without_a_victim_a_ring_or_a_budget() {
+        let world = Membership::initial(4);
+        let stores = healthy_stores(4);
+        assert_eq!(next_epoch(&world, &[], &stores, 2), None, "no victim");
+        assert_eq!(
+            next_epoch(&world, &[0, 1, 3], &stores, 2),
+            None,
+            "one survivor is not a ring"
+        );
+        assert_eq!(next_epoch(&world, &[1], &stores, 0), None, "budget spent");
+        assert!(next_epoch(&world, &[1], &stores, 1).is_some());
+    }
+
+    #[test]
+    fn anchors_on_the_newest_snapshot_every_survivor_agrees_on() {
+        let world = Membership::initial(4);
+        let newest = |stores: &[Vec<TrainState>]| {
+            let next = next_epoch(&world, &[1], stores, 1).expect("recoverable");
+            next.anchor.map(|st| st.next_iter)
+        };
+        let mut stores = healthy_stores(4);
+        assert_eq!(newest(&stores), Some(2));
+        // The victim's store is never consulted.
+        stores[1].clear();
+        assert_eq!(newest(&stores), Some(2));
+        // Snapshot 2 never landed on rank 3: fall back to snapshot 1.
+        stores[3].pop();
+        assert_eq!(newest(&stores), Some(1));
+        // Rank 2 holds a different snapshot 1 (half-captured): no anchor.
+        stores[2][0] = snap(1, 0.75);
+        assert_eq!(newest(&stores), None);
+        // Capture order does not matter, only the data cursor does.
+        let mut stores = healthy_stores(4);
+        stores[0].reverse();
+        assert_eq!(newest(&stores), Some(2));
+    }
+
+    #[test]
+    fn double_death_renumbers_contiguously_and_bumps_the_epoch_once() {
+        let world = Membership::initial(8);
+        let next = next_epoch(&world, &[2, 5], &healthy_stores(8), 1).expect("recoverable");
+        assert_eq!(next.membership.epoch, 1);
+        assert_eq!(next.membership.members, [0, 1, 3, 4, 6, 7]);
+        // A later death is diagnosed in current-world ids: new rank 2 is
+        // original rank 3.
+        let after = next_epoch(&next.membership, &[2], &healthy_stores(6), 1).expect("recoverable");
+        assert_eq!(after.membership.epoch, 2);
+        assert_eq!(after.membership.members, [0, 1, 4, 6, 7]);
     }
 }

@@ -51,10 +51,12 @@ pub mod runner;
 pub mod setup;
 pub mod single;
 
-pub use elastic::{run_elastic, ElasticOptions, ElasticReport, EpochOutcome};
+pub use elastic::{
+    next_epoch, run_elastic, ElasticOptions, ElasticReport, EpochOutcome, NextEpoch,
+};
 pub use runner::{
     build_schedule, run, run_distributed, run_distributed_per_rank, run_rank, run_rank_elastic,
-    runtime_strategies,
+    runtime_strategies, TrainWorld,
 };
 pub use setup::{DataSource, OptimKind, RunOutput, TrainSetup};
 pub use single::run_single;

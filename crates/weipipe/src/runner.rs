@@ -4,7 +4,7 @@
 use crate::interp::RankRuntime;
 use crate::setup::{RunOutput, TrainSetup};
 use crate::single::run_single;
-use wp_comm::{agree_membership, CommError, Communicator, Membership, World};
+use wp_comm::{agree_membership, CommError, Communicator, Membership, World, WorldBuilder};
 use wp_metrics::MetricsRegistry;
 use wp_nn::TrainState;
 use wp_sched::{build, validate, PipelineSpec, Schedule, Strategy};
@@ -26,6 +26,72 @@ pub fn runtime_strategies() -> Vec<Strategy> {
     ]
 }
 
+/// The world a [`TrainSetup`] describes, before any rank runs — the one
+/// place a setup's link, timeout, transport, fault, trace and metrics
+/// policy is turned into a [`WorldBuilder`]. Every driver starts here: the
+/// thread drivers ([`run_distributed_per_rank`],
+/// [`run_elastic`](crate::run_elastic)) call [`run`](Self::run); a
+/// multi-process worker hands its own TCP endpoint to
+/// `builder.endpoint(..)`.
+#[derive(Debug)]
+pub struct TrainWorld {
+    /// The configured comm world, stamped with the configuration epoch.
+    pub builder: WorldBuilder,
+    /// Where every rank's spans land, when the setup traces.
+    pub collector: Option<TraceCollector>,
+    /// Where every rank's metrics land, when the setup meters.
+    pub registry: Option<MetricsRegistry>,
+}
+
+impl TrainWorld {
+    /// Assemble the `ranks`-rank world of `setup` at configuration `epoch`
+    /// (0 for anything but a re-formed elastic world).
+    pub fn new(setup: &TrainSetup, ranks: usize, epoch: u64) -> Self {
+        let collector = setup
+            .trace
+            .enabled
+            .then(|| TraceCollector::new(ranks, setup.trace.capacity_per_rank));
+        let registry = setup.metrics.enabled.then(|| MetricsRegistry::new(ranks));
+        let builder = World::builder(ranks)
+            .link(setup.link)
+            .config(setup.comm)
+            .transport(setup.transport)
+            .epoch(epoch)
+            .maybe_faults(setup.faults.clone())
+            .maybe_trace(collector.clone())
+            .maybe_metrics(registry.clone());
+        TrainWorld {
+            builder,
+            collector,
+            registry,
+        }
+    }
+
+    /// Run `body` on one thread per rank and return every rank's outcome
+    /// (rank order). The world-level aggregates are snapshotted once, after
+    /// every rank thread has joined (the race-free protocol), and each
+    /// successful rank carries the same view of them.
+    pub fn run(
+        self,
+        body: impl Fn(Communicator) -> Result<RunOutput, CommError> + Send + Sync,
+    ) -> Vec<Result<RunOutput, CommError>> {
+        let (outs, meter) = self.builder.try_run(body);
+        let bytes = meter.total_bytes();
+        let trace = self.collector.map(|c| c.snapshot());
+        let metrics = self.registry.map(|r| r.snapshot());
+        outs.into_iter()
+            .map(|r| {
+                r.map(|mut out| {
+                    out.bytes_sent = bytes;
+                    out.trace = trace.clone();
+                    out.metrics = metrics.clone();
+                    out
+                })
+            })
+            .collect()
+    }
+}
+
 /// Train `setup` under `strategy` across `ranks` worker threads, returning
 /// every rank's outcome (rank order). A healthy world yields `Ok` on every
 /// rank; under a destructive fault plan each rank reports the typed
@@ -42,35 +108,7 @@ pub fn run_distributed_per_rank(
     setup: &TrainSetup,
 ) -> Vec<Result<RunOutput, CommError>> {
     let schedule = build_schedule(strategy, ranks, setup);
-    let collector = setup
-        .trace
-        .enabled
-        .then(|| TraceCollector::new(ranks, setup.trace.capacity_per_rank));
-    let registry = setup.metrics.enabled.then(|| MetricsRegistry::new(ranks));
-    let (outs, meter) = World::builder(ranks)
-        .link(setup.link)
-        .config(setup.comm)
-        .transport(setup.transport)
-        .maybe_faults(setup.faults.clone())
-        .maybe_trace(collector.clone())
-        .maybe_metrics(registry.clone())
-        .try_run(|comm| run_rank(setup, &schedule, comm));
-    let bytes = meter.total_bytes();
-    // Snapshot once after every rank thread has joined (the race-free
-    // protocol); each successful rank carries the same world-wide trace
-    // and metrics view.
-    let trace = collector.map(|c| c.snapshot());
-    let metrics = registry.map(|r| r.snapshot());
-    outs.into_iter()
-        .map(|r| {
-            r.map(|mut out| {
-                out.bytes_sent = bytes;
-                out.trace = trace.clone();
-                out.metrics = metrics.clone();
-                out
-            })
-        })
-        .collect()
+    TrainWorld::new(setup, ranks, 0).run(|comm| run_rank(setup, &schedule, comm))
 }
 
 /// Build and validate the schedule `run_distributed_per_rank` executes.
@@ -158,10 +196,18 @@ pub fn run_rank_elastic(
     checkpoint_every: usize,
     mut on_checkpoint: impl FnMut(&TrainState),
 ) -> Result<RunOutput, CommError> {
+    let probe = comm.probe().clone();
+    let t0 = probe.now();
     if let Some(m) = membership {
         agree_membership(&mut comm, m)?;
     }
+    // A world past epoch 0 is a recovery: rank 0 marks it once the ring has
+    // agreed on its membership and re-sharded the resume snapshot.
+    let recovered = comm.epoch() > 0 && comm.rank() == 0;
     let mut rt = RankRuntime::new(setup, schedule, comm);
+    if recovered {
+        probe.recovered(t0);
+    }
     let mut losses = Vec::with_capacity(setup.iters);
     let t0 = std::time::Instant::now();
     let end = setup.start_iter + setup.iters;

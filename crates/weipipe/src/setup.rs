@@ -423,7 +423,7 @@ impl TrainSetup {
 
 /// The outcome of a run: per-iteration mean loss and the final parameters
 /// (assembled on every rank, returned from rank 0).
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct RunOutput {
     /// Mean training loss per iteration.
     pub losses: Vec<f32>,
@@ -458,6 +458,24 @@ impl RunOutput {
 }
 
 impl RunOutput {
+    /// Whether both runs produced the same losses and final parameters bit
+    /// for bit (`-0.0` and `0.0` differ, equal NaN payloads agree) — the
+    /// relation the bit-identity lattice is stated in.
+    pub fn bit_identical(&self, other: &RunOutput) -> bool {
+        fn f32_bits_eq(a: &[f32], b: &[f32]) -> bool {
+            a.len() == b.len() && a.iter().zip(b).all(|(x, y)| x.to_bits() == y.to_bits())
+        }
+        f32_bits_eq(&self.losses, &other.losses)
+            && f32_bits_eq(&self.embed, &other.embed)
+            && f32_bits_eq(&self.head, &other.head)
+            && self.blocks.len() == other.blocks.len()
+            && self
+                .blocks
+                .iter()
+                .zip(&other.blocks)
+                .all(|(a, b)| f32_bits_eq(a, b))
+    }
+
     /// Largest absolute parameter difference against another run.
     pub fn max_param_diff(&self, other: &RunOutput) -> f32 {
         let mut m = 0.0f32;

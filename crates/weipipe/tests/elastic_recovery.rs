@@ -7,10 +7,9 @@ use std::sync::Mutex;
 use std::time::Duration;
 use weipipe::{
     build_schedule, run_distributed, run_elastic, run_rank_elastic, run_single, CommConfig,
-    ElasticOptions, FaultPlan, MetricsConfig, OptimKind, RunOutput, TrainSetup, TrainState,
-    TransportKind,
+    ElasticOptions, FaultPlan, MetricsConfig, OptimKind, RunOutput, TraceConfig, TrainSetup,
+    TrainState, TrainWorld, TransportKind,
 };
-use wp_comm::World;
 use wp_metrics::{Counter, Hist};
 use wp_sched::tune::Candidate;
 use wp_sched::Strategy;
@@ -26,23 +25,13 @@ fn run_with_checkpoints(
 ) -> (RunOutput, Vec<TrainState>) {
     let schedule = build_schedule(strategy, ranks, setup);
     let stores: Vec<Mutex<Vec<TrainState>>> = (0..ranks).map(|_| Mutex::new(Vec::new())).collect();
-    let sched = &schedule;
-    let st_ref = &stores;
-    let (outs, _meter) = World::builder(ranks)
-        .link(setup.link)
-        .config(setup.comm)
-        .transport(setup.transport)
-        .try_run(|comm| {
-            let rank = comm.rank();
-            run_rank_elastic(setup, sched, comm, None, every, |st| {
-                st_ref[rank].lock().unwrap().push(st.clone());
-            })
-        });
-    let out = outs
-        .into_iter()
-        .next()
-        .expect("world has ranks")
-        .expect("healthy world must train");
+    let mut outs = TrainWorld::new(setup, ranks, 0).run(|comm| {
+        let rank = comm.rank();
+        run_rank_elastic(setup, &schedule, comm, None, every, |st| {
+            stores[rank].lock().unwrap().push(st.clone());
+        })
+    });
+    let out = outs.swap_remove(0).expect("healthy world must train");
     let snaps = stores[0].lock().unwrap().clone();
     for (r, s) in stores.iter().enumerate().skip(1) {
         assert_eq!(
@@ -108,6 +97,7 @@ fn shrink_setup() -> TrainSetup {
     s.optim = OptimKind::AdamW { lr: 0.01 };
     s.comm = CommConfig::fail_fast(Duration::from_millis(400));
     s.metrics = MetricsConfig::on();
+    s.trace = TraceConfig::on();
     s
 }
 
@@ -162,6 +152,21 @@ fn assert_shrink_recovers(setup: &TrainSetup, ranks: usize, plan: FaultPlan, sur
         0.0,
         "recovered weights must be bit-identical to the fresh resumed run"
     );
+
+    // The recovered world is assembled like any other: its trace carries
+    // compute spans from every rank of the final epoch.
+    let trace = out.trace.as_ref().expect("tracing was on");
+    assert_eq!(trace.tracks.len(), survivors.len());
+    for track in &trace.tracks {
+        assert!(
+            track
+                .spans
+                .iter()
+                .any(|s| s.kind == wp_trace::SpanKind::Fwd),
+            "rank {} of the recovered epoch recorded no forward span",
+            track.rank
+        );
+    }
 
     // Recovery telemetry: the final epoch's snapshot records the recovery
     // and the re-shard duration histogram saw the observation.

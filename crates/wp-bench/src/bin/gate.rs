@@ -12,22 +12,13 @@
 use std::path::Path;
 
 use wp_bench::ci::{self, Floors, Report};
+use wp_bench::flag_value;
 
 const BENCH: &str = "gate";
 
-fn arg_value(name: &str, default: &str) -> String {
-    let mut args = std::env::args();
-    while let Some(a) = args.next() {
-        if a == name {
-            return args.next().unwrap_or_else(|| default.to_string());
-        }
-    }
-    default.to_string()
-}
-
 fn main() {
-    let floors_path = arg_value("--floors", "ci/bench_floors.json");
-    let results_dir = arg_value("--results", "results");
+    let floors_path = flag_value("--floors").unwrap_or_else(|| "ci/bench_floors.json".into());
+    let results_dir = flag_value("--results").unwrap_or_else(|| "results".into());
 
     let floors_src = match std::fs::read_to_string(&floors_path) {
         Ok(s) => s,

@@ -30,16 +30,6 @@ use wp_sim::{simulate, ClusterSpec, CostModel, GpuSpec, ModelDims, SimOptions, S
 
 const BENCH: &str = "hier";
 
-fn arg_value(name: &str) -> Option<String> {
-    let mut args = std::env::args();
-    while let Some(a) = args.next() {
-        if a == name {
-            return args.next();
-        }
-    }
-    None
-}
-
 /// Build and simulate one candidate under the oracle's global-batch
 /// normalization, returning the full engine result (the tuner's
 /// `evaluate` only surfaces scalar costs; the cross-node byte counter
@@ -163,7 +153,7 @@ fn hier_point(
 
 fn main() {
     let smoke = std::env::args().any(|a| a == "--smoke");
-    let out_dir = arg_value("--out").unwrap_or_else(|| "results".to_string());
+    let out_dir = wp_bench::flag_value("--out").unwrap_or_else(|| "results".to_string());
     let mut report = Report::new(BENCH);
 
     println!(

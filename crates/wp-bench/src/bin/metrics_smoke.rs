@@ -20,10 +20,6 @@
 use weipipe::{run_distributed, MetricsConfig, Strategy, TraceConfig, TrainSetup};
 use wp_metrics::{Counter, Hist};
 
-fn f32_bits_eq(a: &[f32], b: &[f32]) -> bool {
-    a.len() == b.len() && a.iter().zip(b).all(|(x, y)| x.to_bits() == y.to_bits())
-}
-
 fn main() {
     let p = 4;
     let base = TrainSetup::tiny(p, 2 * p);
@@ -41,12 +37,10 @@ fn main() {
         &base.clone().with_metrics(MetricsConfig::on()),
     )
     .expect("healthy world");
-    assert!(f32_bits_eq(&plain.losses, &metered.losses), "losses differ");
-    assert!(f32_bits_eq(&plain.embed, &metered.embed), "embed differs");
-    assert!(f32_bits_eq(&plain.head, &metered.head), "head differs");
-    for (i, (a, b)) in plain.blocks.iter().zip(&metered.blocks).enumerate() {
-        assert!(f32_bits_eq(a, b), "block {i} differs");
-    }
+    assert!(
+        plain.bit_identical(&metered),
+        "metering changed the losses or the final weights"
+    );
     println!("    ok: metered run is bit-identical to the unmetered one");
 
     // 2. Trace busy time == compute histogram mass, per rank and in total.

@@ -193,10 +193,8 @@ fn main() {
     ci::check(
         "overlap",
         "bit-identity: overlapped == blocking (losses, params, bytes)",
-        if overlapped.losses != blocking.losses {
-            Err("overlap changed the losses".to_string())
-        } else if overlapped.max_param_diff(&blocking) != 0.0 {
-            Err("overlap changed the weights".to_string())
+        if !overlapped.bit_identical(&blocking) {
+            Err("overlap changed the losses or weights".to_string())
         } else if overlapped.bytes_sent != blocking.bytes_sent {
             Err("overlap changed traffic volume".to_string())
         } else {

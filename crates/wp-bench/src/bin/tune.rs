@@ -31,16 +31,6 @@ use wp_sim::{simulate, ClusterSpec, CostModel, GpuSpec, ModelDims, SimOptions};
 
 const BENCH: &str = "tune";
 
-fn arg_value(name: &str) -> Option<String> {
-    let mut args = std::env::args();
-    while let Some(a) = args.next() {
-        if a == name {
-            return args.next();
-        }
-    }
-    None
-}
-
 /// One (model, cluster) point to tune.
 struct Point {
     label: &'static str,
@@ -216,10 +206,10 @@ fn emit_setup_check(report: &mut Report) {
 
 fn main() {
     let smoke = std::env::args().any(|a| a == "--smoke");
-    let seed: u64 = arg_value("--seed")
+    let seed: u64 = wp_bench::flag_value("--seed")
         .map(|s| s.parse().unwrap_or(42))
         .unwrap_or(42);
-    let out_dir = arg_value("--out").unwrap_or_else(|| "results".to_string());
+    let out_dir = wp_bench::flag_value("--out").unwrap_or_else(|| "results".to_string());
     // The smoke report (`bench_tune.json`) is the one the regression gate
     // floors reference; a full sweep writes `bench_tune_full.json` so it
     // never clobbers the gated contract with ungated numbers.

@@ -7,9 +7,15 @@
 //! how busy time splits across op classes. This module profiles any
 //! [`SimResult`]-shaped timeline (simulated, or measured via
 //! [`wp_sim::measured_result`]) one way, and renders the side-by-side
-//! drift report the `trace` binary prints.
+//! drift report the `trace` binary and the `ranks` launcher print
+//! ([`print_against_sim`]).
 
-use wp_sim::SimResult;
+use wp_sched::{build, PipelineSpec, Strategy};
+use wp_sim::{
+    measured_result, render::ascii_timeline, simulate, ClusterSpec, CostModel, GpuSpec, ModelDims,
+    SimOptions, SimResult,
+};
+use wp_trace::Trace;
 
 /// The three pipeline phases, in timeline order.
 pub const PHASES: [&str; 3] = ["fill", "steady", "drain"];
@@ -97,7 +103,7 @@ pub fn profile(result: &SimResult) -> TimelineProfile {
 /// `None`. A truncated ring undercounts busy time, so every bubble and
 /// busy-share figure derived from it is skewed low — the drift report must
 /// say so instead of printing silently-wrong numbers.
-pub fn truncation_warning(trace: &wp_trace::Trace) -> Option<String> {
+pub fn truncation_warning(trace: &Trace) -> Option<String> {
     let dropped: Vec<(usize, u64)> = trace
         .tracks
         .iter()
@@ -204,7 +210,75 @@ pub fn drift_report(title: &str, sim: &SimResult, measured: &SimResult) -> Strin
     out
 }
 
-fn mib(bytes: u64) -> f64 {
+/// Print the drift report of a measured `trace` (one track per rank)
+/// against the simulator's timing of the *same schedule IR* — `strategy`
+/// over `microbatches` with the `overlap`ped or blocking ring, on A800s:
+/// the truncation warning if the trace lost spans, both ASCII timelines,
+/// then the side-by-side report under `title`.
+pub fn print_against_sim(
+    title: &str,
+    trace: &Trace,
+    strategy: Strategy,
+    microbatches: usize,
+    overlap: bool,
+) {
+    let ranks = trace.tracks.len();
+    let measured = measured_result(trace);
+    let spec = PipelineSpec::new(ranks, microbatches)
+        .without_recompute()
+        .with_overlap(overlap);
+    let sched = build(strategy, spec);
+    let dims = ModelDims::paper(1024, ranks, 4096, microbatches);
+    let cost = CostModel::for_schedule(dims, GpuSpec::a800(), &sched);
+    let cluster = ClusterSpec {
+        ranks,
+        node_size: ranks,
+        ..ClusterSpec::nvlink_16()
+    };
+    let sim = simulate(&sched, &cost, &cluster, SimOptions::default()).expect("fits");
+
+    if let Some(warn) = truncation_warning(trace) {
+        eprintln!("{warn}\n");
+    }
+    println!("measured timeline ({} spans):", trace.span_count());
+    println!("{}", ascii_timeline(&measured, 96));
+    println!("simulated timeline:");
+    println!("{}", ascii_timeline(&sim, 96));
+    println!("{}", drift_report(title, &sim, &measured));
+}
+
+/// Export `trace` as Chrome trace-event JSON: re-parse it through the
+/// validator when `validate` (printing the event counts), and write it to
+/// `path` when given.
+///
+/// # Errors
+/// The validator's complaint. The file is still written, for inspection.
+pub fn export_chrome_trace(
+    trace: &Trace,
+    validate: bool,
+    path: Option<&str>,
+) -> Result<(), String> {
+    let json = wp_trace::export_chrome_json(trace);
+    let checked = if validate {
+        wp_trace::validate_chrome_json(&json)
+            .map(|stats| {
+                println!(
+                    "validated export: {} events ({} spans, {} instants) on {} tracks",
+                    stats.events, stats.spans, stats.instants, stats.tracks
+                );
+            })
+            .map_err(|e| format!("trace export failed validation: {e}"))
+    } else {
+        Ok(())
+    };
+    if let Some(path) = path {
+        std::fs::write(path, &json).expect("write trace file");
+        println!("wrote {path} — open at https://ui.perfetto.dev or chrome://tracing");
+    }
+    checked
+}
+
+pub(crate) fn mib(bytes: u64) -> f64 {
     bytes as f64 / (1u64 << 20) as f64
 }
 

@@ -8,6 +8,24 @@ pub mod ranks;
 
 use wp_sim::experiments::{CellResult, RowConfig, ScalingPoint};
 
+/// The value following flag `name` on this process's command line, when
+/// the flag is given — the one flag reader the binaries share.
+///
+/// # Panics
+/// Panics if `name` is the last argument.
+pub fn flag_value(name: &str) -> Option<String> {
+    let mut args = std::env::args();
+    args.find(|a| a == name).map(|_| {
+        args.next()
+            .unwrap_or_else(|| panic!("{name} needs a value"))
+    })
+}
+
+/// Whether flag `name` is on this process's command line.
+pub fn has_flag(name: &str) -> bool {
+    std::env::args().any(|a| a == name)
+}
+
 /// Render one table in the paper's layout (model config columns, one
 /// throughput column per strategy, memory columns).
 pub fn format_table(

@@ -1,17 +1,27 @@
-//! Report codec for the `ranks` multi-process launcher.
+//! The `ranks` multi-process driver: one OS process per rank over
+//! localhost TCP — the [`worker`] each process runs, the [`launch`]er that
+//! spawns, watches, checks and (under `--recover`) re-forms a world, and
+//! the report codec between them.
 //!
-//! Each worker process trains one rank of a WeiPipe world over a real TCP
-//! endpoint and writes its outcome to a small line-oriented text file; the
-//! launcher parses the files back, merges the per-process traffic meters
-//! and trace tracks, and checks cross-transport bit-identity. Every float
-//! travels as its IEEE-754 bit pattern in hex, so the round trip is exact —
-//! the conformance suite compares multi-process results against in-process
-//! results bit-for-bit.
+//! Each worker trains one rank through the same `TrainWorld` assembly and
+//! rank body as the in-process drivers and writes its outcome to a small
+//! line-oriented text file; the launcher parses the files back, merges the
+//! per-process metric snapshots and trace tracks, and checks
+//! cross-transport bit-identity. Every float travels as its IEEE-754 bit
+//! pattern in hex, so the round trip is exact — the conformance suite
+//! compares multi-process results against in-process results bit-for-bit.
 
+use weipipe::RunOutput;
 use wp_comm::{CommError, RankTraffic};
 use wp_metrics::RankSnapshot;
 use wp_sched::Strategy;
-use wp_trace::{SpanKind, SpanRecord};
+use wp_trace::{RankTrack, SpanKind, SpanRecord};
+
+mod launcher;
+mod worker;
+
+pub use launcher::{launch, LaunchOpts};
+pub use worker::{worker, WorkerOpts, WorldOpts};
 
 /// How a worker's run ended.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -29,29 +39,21 @@ pub enum ReportStatus {
 }
 
 /// One worker's run outcome, as serialized to its `--out` file.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone)]
 pub struct RankReport {
     /// The rank this report belongs to.
     pub rank: usize,
     /// Outcome.
     pub status: ReportStatus,
-    /// Wall-clock seconds the training loop took.
-    pub wall_seconds: f64,
-    /// Per-iteration mean losses (empty on error).
-    pub losses: Vec<f32>,
-    /// Assembled embedding parameters (empty on error).
-    pub embed: Vec<f32>,
-    /// Assembled per-block parameters (empty on error).
-    pub blocks: Vec<Vec<f32>>,
-    /// Assembled head parameters (empty on error).
-    pub head: Vec<f32>,
-    /// This rank's traffic counters, snapshotted from the worker's meter.
-    pub traffic: RankTraffic,
-    /// Trace records lost to ring overwrite before the snapshot.
-    pub overwritten: u64,
-    /// This rank's trace spans (empty when tracing was off).
-    pub spans: Vec<SpanRecord>,
-    /// This rank's final metrics snapshot (`None` when metrics were off).
+    /// What this rank trained: losses, assembled parameters and loop wall
+    /// time (all empty on error; the world-level aggregates are never set).
+    pub out: RunOutput,
+    /// This rank's spans, on its own process-local clock (empty when
+    /// tracing was off; only `rank` above says whose they are).
+    pub track: RankTrack,
+    /// This rank's final metric slots — the traffic counters always, the
+    /// rest when the run was metered. `None` only for a rank that died
+    /// without reporting.
     pub metrics: Option<RankSnapshot>,
 }
 
@@ -71,18 +73,9 @@ pub fn err_kind(e: &CommError) -> &'static str {
 /// Parse a strategy by its table label (case-insensitive), e.g. `weipipe`,
 /// `1f1b`, `gpipe`. Only runtime-executable strategies are accepted.
 pub fn parse_strategy(name: &str) -> Option<Strategy> {
-    [
-        Strategy::GPipe,
-        Strategy::OneFOneB,
-        Strategy::Zb1,
-        Strategy::Zb2,
-        Strategy::Fsdp,
-        Strategy::Ddp,
-        Strategy::WeiPipeNaive,
-        Strategy::WeiPipeInterleave,
-    ]
-    .into_iter()
-    .find(|s| s.label().eq_ignore_ascii_case(name))
+    weipipe::runtime_strategies()
+        .into_iter()
+        .find(|s| s.label().eq_ignore_ascii_case(name))
 }
 
 fn push_f32_line(out: &mut String, key: &str, xs: &[f32]) {
@@ -109,77 +102,71 @@ impl RankReport {
                 kind: kind.to_string(),
                 detail: detail.to_string(),
             },
-            wall_seconds: 0.0,
-            losses: Vec::new(),
-            embed: Vec::new(),
-            blocks: Vec::new(),
-            head: Vec::new(),
-            traffic: RankTraffic::default(),
-            overwritten: 0,
-            spans: Vec::new(),
+            out: RunOutput::default(),
+            track: RankTrack::default(),
             metrics: None,
         }
     }
 
+    /// This rank's traffic counters: a view of its metric slots (all zero
+    /// for a rank that left none).
+    pub fn traffic(&self) -> RankTraffic {
+        self.metrics
+            .as_ref()
+            .map_or_else(RankTraffic::default, RankTraffic::of)
+    }
+
     /// Serialize to the line-oriented text format (exact float round trip).
+    /// The last line is `end <n>`, `n` counting the lines before it, so a
+    /// file cut anywhere is recognisably incomplete.
     pub fn to_text(&self) -> String {
         let mut out = String::new();
         out.push_str(&format!("rank {}\n", self.rank));
         match &self.status {
             ReportStatus::Ok => out.push_str("status ok\n"),
             ReportStatus::Err { kind, detail } => {
+                // One line per field: a panic message may span several.
+                let detail = detail.replace('\n', " ");
                 out.push_str(&format!("status err {kind} {detail}\n"));
             }
         }
-        out.push_str(&format!("wall {:016x}\n", self.wall_seconds.to_bits()));
-        push_f32_line(&mut out, "loss", &self.losses);
-        push_f32_line(&mut out, "embed", &self.embed);
-        for b in &self.blocks {
+        out.push_str(&format!("wall {:016x}\n", self.out.wall_seconds.to_bits()));
+        push_f32_line(&mut out, "loss", &self.out.losses);
+        push_f32_line(&mut out, "embed", &self.out.embed);
+        for b in &self.out.blocks {
             push_f32_line(&mut out, "block", b);
         }
-        push_f32_line(&mut out, "head", &self.head);
-        let t = &self.traffic;
-        out.push_str(&format!(
-            "traffic {} {} {} {} {} {} {} {} {}\n",
-            t.p2p_bytes,
-            t.p2p_msgs,
-            t.collective_bytes,
-            t.collective_msgs,
-            t.p2p_recv_bytes,
-            t.collective_recv_bytes,
-            t.recv_bytes,
-            t.recv_msgs,
-            t.faults_injected,
-        ));
-        out.push_str(&format!("overwritten {}\n", self.overwritten));
+        push_f32_line(&mut out, "head", &self.out.head);
+        out.push_str(&format!("overwritten {}\n", self.track.overwritten));
         if let Some(m) = &self.metrics {
             out.push_str(&format!("metrics {}\n", m.to_line()));
         }
-        for s in &self.spans {
+        for s in &self.track.spans {
             out.push_str(&format!(
                 "span {} {} {} {} {} {} {}\n",
                 s.kind as u8, s.start_ns, s.end_ns, s.mb, s.chunk, s.bytes, s.aux
             ));
         }
+        let lines = out.lines().count();
+        out.push_str(&format!("end {lines}\n"));
         out
     }
 
     /// Parse a report back from [`Self::to_text`] output. `None` on any
-    /// malformed or truncated line — a worker killed mid-write must not
-    /// parse as a clean result.
+    /// malformed line and on any text that does not finish with the
+    /// matching `end <n>` line — a worker killed mid-write must not parse
+    /// as a clean result, wherever the cut fell.
     pub fn from_text(text: &str) -> Option<RankReport> {
+        let (body, end) = text.strip_suffix('\n')?.rsplit_once('\n')?;
+        if end.strip_prefix("end ")?.parse::<usize>().ok()? != body.lines().count() {
+            return None;
+        }
         let mut rank = None;
         let mut status = None;
-        let mut wall = 0.0f64;
-        let mut losses = Vec::new();
-        let mut embed = Vec::new();
-        let mut blocks = Vec::new();
-        let mut head = Vec::new();
-        let mut traffic = RankTraffic::default();
-        let mut overwritten = 0u64;
-        let mut spans = Vec::new();
+        let mut out = RunOutput::default();
+        let mut track = RankTrack::default();
         let mut metrics = None;
-        for line in text.lines() {
+        for line in body.lines() {
             let (key, rest) = match line.split_once(' ') {
                 Some((k, r)) => (k, r),
                 None => (line, ""),
@@ -198,32 +185,12 @@ impl RankReport {
                         }
                     });
                 }
-                "wall" => wall = f64::from_bits(u64::from_str_radix(rest, 16).ok()?),
-                "loss" => losses = parse_f32s(rest)?,
-                "embed" => embed = parse_f32s(rest)?,
-                "block" => blocks.push(parse_f32s(rest)?),
-                "head" => head = parse_f32s(rest)?,
-                "traffic" => {
-                    let v: Vec<u64> = rest
-                        .split_whitespace()
-                        .map(|w| w.parse().ok())
-                        .collect::<Option<_>>()?;
-                    if v.len() != 9 {
-                        return None;
-                    }
-                    traffic = RankTraffic {
-                        p2p_bytes: v[0],
-                        p2p_msgs: v[1],
-                        collective_bytes: v[2],
-                        collective_msgs: v[3],
-                        p2p_recv_bytes: v[4],
-                        collective_recv_bytes: v[5],
-                        recv_bytes: v[6],
-                        recv_msgs: v[7],
-                        faults_injected: v[8],
-                    };
-                }
-                "overwritten" => overwritten = rest.parse().ok()?,
+                "wall" => out.wall_seconds = f64::from_bits(u64::from_str_radix(rest, 16).ok()?),
+                "loss" => out.losses = parse_f32s(rest)?,
+                "embed" => out.embed = parse_f32s(rest)?,
+                "block" => out.blocks.push(parse_f32s(rest)?),
+                "head" => out.head = parse_f32s(rest)?,
+                "overwritten" => track.overwritten = rest.parse().ok()?,
                 "metrics" => metrics = Some(RankSnapshot::from_line(rest)?),
                 "span" => {
                     let v: Vec<u64> = rest
@@ -233,7 +200,7 @@ impl RankReport {
                     if v.len() != 7 {
                         return None;
                     }
-                    spans.push(SpanRecord {
+                    track.spans.push(SpanRecord {
                         start_ns: v[1],
                         end_ns: v[2],
                         kind: SpanKind::from_u8(u8::try_from(v[0]).ok()?)?,
@@ -249,14 +216,8 @@ impl RankReport {
         Some(RankReport {
             rank: rank?,
             status: status?,
-            wall_seconds: wall,
-            losses,
-            embed,
-            blocks,
-            head,
-            traffic,
-            overwritten,
-            spans,
+            out,
+            track,
             metrics,
         })
     }
@@ -281,57 +242,63 @@ mod tests {
         RankReport {
             rank: 1,
             status: ReportStatus::Ok,
-            wall_seconds: 0.125,
-            losses: vec![1.5, std::f32::consts::PI, -0.0],
-            embed: vec![0.1, -2.5e-8],
-            blocks: vec![vec![1.0, 2.0], vec![]],
-            head: vec![f32::MAX],
-            traffic: RankTraffic {
-                p2p_bytes: 10,
-                p2p_msgs: 2,
-                collective_bytes: 30,
-                collective_msgs: 4,
-                p2p_recv_bytes: 10,
-                collective_recv_bytes: 30,
-                recv_bytes: 40,
-                recv_msgs: 6,
-                faults_injected: 1,
+            out: RunOutput {
+                wall_seconds: 0.125,
+                losses: vec![1.5, std::f32::consts::PI, -0.0],
+                embed: vec![0.1, -2.5e-8],
+                blocks: vec![vec![1.0, 2.0], vec![]],
+                head: vec![f32::MAX],
+                ..RunOutput::default()
             },
-            overwritten: 3,
-            spans: vec![SpanRecord {
-                start_ns: 5,
-                end_ns: 9,
-                kind: SpanKind::Send,
-                mb: 1,
-                chunk: NO_ID,
-                bytes: 64,
-                aux: 7,
-            }],
+            track: RankTrack {
+                rank: 1,
+                overwritten: 3,
+                spans: vec![SpanRecord {
+                    start_ns: 5,
+                    end_ns: 9,
+                    kind: SpanKind::Send,
+                    mb: 1,
+                    chunk: NO_ID,
+                    bytes: 64,
+                    aux: 7,
+                }],
+            },
             metrics: Some(sample_metrics()),
         }
+    }
+
+    /// Parse `text` and re-serialize it: equal text means every field —
+    /// each float's bit pattern included — survived the round trip.
+    fn reparsed(text: &str) -> Option<String> {
+        RankReport::from_text(text).map(|r| r.to_text())
     }
 
     #[test]
     fn report_round_trips_bit_exactly() {
         let r = sample();
         let parsed = RankReport::from_text(&r.to_text()).expect("parses");
-        assert_eq!(parsed, r);
+        assert_eq!(parsed.to_text(), r.to_text());
+        assert_eq!(parsed.out.blocks, r.out.blocks);
+        assert_eq!(parsed.track.spans, r.track.spans);
         // -0.0 == 0.0 under PartialEq; check the sign bits survived too.
-        assert_eq!(parsed.losses[2].to_bits(), (-0.0f32).to_bits());
-        let m = parsed.metrics.expect("metrics line survives");
+        assert_eq!(parsed.out.losses[2].to_bits(), (-0.0f32).to_bits());
+        let m = parsed.metrics.as_ref().expect("metrics line survives");
         assert_eq!(
             m.gauge(wp_metrics::Gauge::Loss).to_bits(),
             (-0.0f64).to_bits()
         );
+        // Traffic is a view of the metrics line, not a second copy.
+        assert_eq!(parsed.traffic().p2p_bytes, 10);
     }
 
     #[test]
-    fn metrics_free_report_round_trips_without_a_metrics_line() {
+    fn silent_rank_round_trips_without_a_metrics_line() {
         let mut r = sample();
         r.metrics = None;
         let text = r.to_text();
-        assert!(!text.contains("metrics"), "no metrics line when off");
-        assert_eq!(RankReport::from_text(&text), Some(r));
+        assert!(!text.contains("metrics"), "no metrics line without slots");
+        assert_eq!(reparsed(&text), Some(text));
+        assert_eq!(r.traffic(), RankTraffic::default());
     }
 
     #[test]
@@ -348,16 +315,16 @@ mod tests {
                 }
             })
             .collect();
-        assert_eq!(RankReport::from_text(&truncated), None);
+        assert!(RankReport::from_text(&truncated).is_none());
     }
 
     #[test]
     fn error_report_round_trips() {
         let e = CommError::PeerDead { rank: 2 };
         let mut r = RankReport::missing(0, err_kind(&e), &e.to_string());
-        r.wall_seconds = 1.0;
+        r.out.wall_seconds = 1.0;
         let parsed = RankReport::from_text(&r.to_text()).expect("parses");
-        assert_eq!(parsed, r);
+        assert_eq!(parsed.to_text(), r.to_text());
         match parsed.status {
             ReportStatus::Err { kind, .. } => assert_eq!(kind, "peer-dead"),
             ReportStatus::Ok => panic!("expected err"),
@@ -366,15 +333,23 @@ mod tests {
 
     #[test]
     fn truncated_reports_do_not_parse() {
-        let r = sample();
-        let text = r.to_text();
-        // Cut mid-line: a worker killed while writing must not parse.
-        let cut = &text[..text.len() - 3];
-        assert_eq!(RankReport::from_text(cut), None);
+        let text = sample().to_text();
+        // A worker killed while writing leaves a prefix of its report: cut
+        // at a line boundary, mid-number, or one byte short, none may parse.
+        for cut in 0..text.len() {
+            assert!(
+                RankReport::from_text(&text[..cut]).is_none(),
+                "report cut at byte {cut} of {} parsed",
+                text.len()
+            );
+        }
+        // A whole line lost from the middle breaks the count.
+        let gapped = text.replacen("overwritten 3\n", "", 1);
+        assert!(RankReport::from_text(&gapped).is_none());
         // Missing status line.
-        assert_eq!(RankReport::from_text("rank 0\n"), None);
+        assert!(RankReport::from_text("rank 0\nend 1\n").is_none());
         // Unknown key.
-        assert_eq!(RankReport::from_text("rank 0\nstatus ok\nbogus 1\n"), None);
+        assert!(RankReport::from_text("rank 0\nstatus ok\nbogus 1\nend 3\n").is_none());
     }
 
     #[test]

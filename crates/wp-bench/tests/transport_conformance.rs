@@ -20,20 +20,6 @@ use weipipe::{
     Strategy, TrainSetup, TransportKind,
 };
 
-fn f32_bits_eq(a: &[f32], b: &[f32]) -> bool {
-    a.len() == b.len() && a.iter().zip(b).all(|(x, y)| x.to_bits() == y.to_bits())
-}
-
-fn assert_bit_identical(a: &weipipe::RunOutput, b: &weipipe::RunOutput, what: &str) {
-    assert!(f32_bits_eq(&a.losses, &b.losses), "{what}: losses differ");
-    assert!(f32_bits_eq(&a.embed, &b.embed), "{what}: embed differs");
-    assert!(f32_bits_eq(&a.head, &b.head), "{what}: head differs");
-    assert_eq!(a.blocks.len(), b.blocks.len(), "{what}: block count");
-    for (i, (x, y)) in a.blocks.iter().zip(&b.blocks).enumerate() {
-        assert!(f32_bits_eq(x, y), "{what}: block {i} differs");
-    }
-}
-
 /// The overlap-equivalence battery over one transport: the overlapped and
 /// blocking weight rings compute the exact same floats, both match the
 /// single-process reference within reduction tolerance, and overlap does
@@ -45,10 +31,9 @@ fn conformance_battery(kind: TransportKind, p: usize, layers: usize, n: usize) {
             .unwrap_or_else(|e| panic!("{strat:?} {kind:?} P={p} overlapped: {e:?}"));
         let blocking = run_distributed(strat, p, &setup.clone().with_overlap(false))
             .unwrap_or_else(|e| panic!("{strat:?} {kind:?} P={p} blocking: {e:?}"));
-        assert_bit_identical(
-            &overlapped,
-            &blocking,
-            &format!("{strat:?} {kind:?} P={p} overlap vs blocking"),
+        assert!(
+            overlapped.bit_identical(&blocking),
+            "{strat:?} {kind:?} P={p}: overlap changed the losses or weights"
         );
         assert_eq!(
             overlapped.bytes_sent, blocking.bytes_sent,
@@ -80,7 +65,10 @@ fn cross_transport_identical(p: usize, layers: usize, n: usize) {
             &setup.clone().with_transport(TransportKind::TcpLocalhost),
         )
         .unwrap_or_else(|e| panic!("{strat:?} P={p} tcp: {e:?}"));
-        assert_bit_identical(&inproc, &tcp, &format!("{strat:?} P={p} in-process vs tcp"));
+        assert!(
+            inproc.bit_identical(&tcp),
+            "{strat:?} P={p}: in-process and tcp disagree on losses or weights"
+        );
         assert_eq!(
             inproc.bytes_sent, tcp.bytes_sent,
             "{strat:?} P={p}: transports moved different byte volumes"

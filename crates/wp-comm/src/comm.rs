@@ -274,17 +274,34 @@ impl Communicator {
         self.probe.metrics()
     }
 
-    /// Whether an arriving frame belongs to another configuration epoch.
-    /// Stale frames are dropped before checksum verification or tag
+    /// Admit one frame that arrived from `src`. A frame from another
+    /// configuration epoch is dropped before checksum verification or tag
     /// matching — a straggler from the pre-fault world must not complete a
     /// current receive, and its (possibly injected) corruption must not
-    /// fail the new world either.
-    fn stale(&self, msg: &Frame) -> bool {
-        if msg.epoch == self.epoch {
-            return false;
+    /// fail the new world either. A current-epoch frame that fails its
+    /// checksum fails the world. Otherwise the frame is handed back when it
+    /// carries the `want`ed tag, and parked in the reorder buffer when not.
+    fn intake(
+        &mut self,
+        src: usize,
+        msg: Frame,
+        want: Option<u64>,
+    ) -> Result<Option<Frame>, CommError> {
+        if msg.epoch != self.epoch {
+            self.probe.event(Counter::StaleFramesDropped);
+            return Ok(None);
         }
-        self.probe.event(Counter::StaleFramesDropped);
-        true
+        if !msg.verify() {
+            let e = CommError::Corrupt { src, tag: msg.tag };
+            self.fail(&e);
+            return Err(e);
+        }
+        if want == Some(msg.tag) {
+            return Ok(Some(msg));
+        }
+        self.pending[src].push_back(msg);
+        self.probe.reorder_depth(self.pending[src].len());
+        Ok(None)
     }
 
     /// Record a fatal failure: poison the world so every other rank unwinds.
@@ -627,16 +644,7 @@ impl Communicator {
         loop {
             match self.transport.try_recv(src) {
                 RecvPoll::Frame(msg) => {
-                    if self.stale(&msg) {
-                        continue;
-                    }
-                    if !msg.verify() {
-                        let e = CommError::Corrupt { src, tag: msg.tag };
-                        self.fail(&e);
-                        return Err(e);
-                    }
-                    self.pending[src].push_back(msg);
-                    self.probe.reorder_depth(self.pending[src].len());
+                    self.intake(src, msg, None)?;
                 }
                 RecvPoll::Empty => break,
                 RecvPoll::Closed => {
@@ -711,19 +719,9 @@ impl Communicator {
                 let slice = remaining.min(self.config.poll_interval);
                 match self.transport.recv_timeout(src, slice) {
                     RecvWait::Frame(msg) => {
-                        if self.stale(&msg) {
-                            continue;
-                        }
-                        if !msg.verify() {
-                            let e = CommError::Corrupt { src, tag: msg.tag };
-                            self.fail(&e);
-                            return Err(e);
-                        }
-                        if msg.tag == tag {
+                        if let Some(msg) = self.intake(src, msg, Some(tag))? {
                             return Ok(self.deliver(src, depth, t0, msg));
                         }
-                        self.pending[src].push_back(msg);
-                        self.probe.reorder_depth(self.pending[src].len());
                     }
                     RecvWait::TimedOut => {}
                     RecvWait::Closed => {
@@ -1233,7 +1231,7 @@ impl WorldBuilder {
     /// process — in a [`Communicator`] with this builder's policy. The
     /// endpoint gets its own [`TrafficMeter`] (over the builder's registry,
     /// when it has one); a multi-process launcher merges the per-process
-    /// meters afterwards (see [`TrafficMeter::merge_rank`]).
+    /// counters afterwards (see [`RankTraffic::of`](crate::RankTraffic::of)).
     ///
     /// # Panics
     /// Panics if the endpoint's world size disagrees with the builder's.
@@ -1309,45 +1307,22 @@ impl WorldBuilder {
         (results, meter)
     }
 
-    /// Run one infallible closure per rank; panics in any rank propagate
-    /// (after poisoning the world so peers unwind promptly too).
+    /// Run one infallible closure per rank; a panic in any rank poisons the
+    /// world (so peers unwind promptly too) and is re-raised here, naming
+    /// the rank and its panic message.
+    ///
+    /// # Panics
+    /// Panics if any rank's closure panicked.
     pub fn run<T, F>(self, f: F) -> (Vec<T>, TrafficMeter)
     where
         T: Send,
         F: Fn(Communicator) -> T + Send + Sync,
     {
-        let comms = self.build();
-        let meter = comms[0].meter();
-        let f = &f;
-        let results = std::thread::scope(|s| {
-            let handles: Vec<_> = comms
-                .into_iter()
-                .map(|c| {
-                    let abort = c.abort.clone();
-                    let rank = c.rank;
-                    s.spawn(move || {
-                        match std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| f(c))) {
-                            Ok(v) => v,
-                            Err(p) => {
-                                let reason = panic_reason(p.as_ref());
-                                abort.trip(
-                                    rank,
-                                    CommError::Aborted {
-                                        origin: rank,
-                                        reason,
-                                    },
-                                );
-                                std::panic::resume_unwind(p)
-                            }
-                        }
-                    })
-                })
-                .collect();
-            handles
-                .into_iter()
-                .map(|h| h.join().expect("rank thread panicked"))
-                .collect::<Vec<T>>()
-        });
+        let (results, meter) = self.try_run(|c| Ok(f(c)));
+        let results = results
+            .into_iter()
+            .map(|r| r.unwrap_or_else(|e| panic!("rank thread panicked: {e}")))
+            .collect();
         (results, meter)
     }
 }
@@ -1365,17 +1340,6 @@ impl World {
             transport: TransportKind::InProcess,
             epoch: 0,
         }
-    }
-
-    /// Create `p` communicators over instant links.
-    #[allow(clippy::new_ret_no_self)]
-    pub fn new(p: usize) -> Vec<Communicator> {
-        Self::builder(p).build()
-    }
-
-    /// Create `p` communicators whose deliveries are paced by `link`.
-    pub fn with_links(p: usize, link: LinkModel) -> Vec<Communicator> {
-        Self::builder(p).link(link).build()
     }
 
     /// Run one closure per rank on its own OS thread and collect the results
@@ -1799,7 +1763,7 @@ mod tests {
 
     #[test]
     fn reserved_tags_rejected() {
-        let mut comms = World::new(2);
+        let mut comms = World::builder(2).build();
         let mut c = comms.remove(0);
         let err = c
             .send(1, COLLECTIVE_TAG_BASE, &[0.0], DType::F32)

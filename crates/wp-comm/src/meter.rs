@@ -6,7 +6,7 @@
 //! headline property: WeiPipe's traffic is independent of microbatch size
 //! and sequence length, while activation-passing traffic scales with both.
 
-use wp_metrics::{Counter, MetricsRegistry, Probe};
+use wp_metrics::{Counter, MetricsRegistry, Probe, RankSnapshot};
 
 /// Traffic class of a message.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -72,6 +72,23 @@ pub struct RankTraffic {
 }
 
 impl RankTraffic {
+    /// Read the traffic fields through `get`, one call per slot.
+    fn read(get: impl Fn(Counter) -> u64) -> RankTraffic {
+        let mut t = RankTraffic::default();
+        for (c, field) in FIELDS {
+            *field(&mut t) = get(c);
+        }
+        t.recv_bytes = t.p2p_recv_bytes + t.collective_recv_bytes;
+        t
+    }
+
+    /// The traffic view of a rank's metrics snapshot — how a multi-process
+    /// launcher reads a worker's traffic: the snapshot line it already ships
+    /// carries the slots, so no second copy crosses the process boundary.
+    pub fn of(snap: &RankSnapshot) -> RankTraffic {
+        RankTraffic::read(|c| snap.counter(c))
+    }
+
     /// Total bytes sent by this rank.
     pub fn total_bytes(&self) -> u64 {
         self.p2p_bytes + self.collective_bytes
@@ -122,12 +139,7 @@ impl TrafficMeter {
     /// Snapshot of one rank.
     pub fn rank(&self, rank: usize) -> RankTraffic {
         let m = self.slots.handle(rank);
-        let mut t = RankTraffic::default();
-        for (c, field) in FIELDS {
-            *field(&mut t) = m.get(c);
-        }
-        t.recv_bytes = t.p2p_recv_bytes + t.collective_recv_bytes;
-        t
+        RankTraffic::read(|c| m.get(c))
     }
 
     /// Snapshot of all ranks.
@@ -154,18 +166,6 @@ impl TrafficMeter {
             for (c, _) in FIELDS {
                 m.clear(c);
             }
-        }
-    }
-
-    /// Fold one rank's counters (snapshotted in another process's meter)
-    /// into this meter. A multi-process launcher collects each worker's
-    /// [`RankTraffic`] and merges them into one world-wide meter, so the
-    /// same conservation checks run unchanged against multi-process runs.
-    pub fn merge_rank(&self, rank: usize, t: &RankTraffic) {
-        let m = self.slots.handle(rank);
-        let mut t = *t;
-        for (c, field) in FIELDS {
-            m.add(c, *field(&mut t));
         }
     }
 
@@ -248,23 +248,16 @@ mod tests {
     }
 
     #[test]
-    fn merge_rank_folds_a_remote_snapshot() {
-        let world = TrafficMeter::new(2);
-        // A worker process metered rank 1 in its own meter...
+    fn snapshot_view_equals_the_meter_view() {
+        // A worker process meters rank 1; the launcher reads the same
+        // counters back out of the rank's metrics snapshot.
         let worker = TrafficMeter::new(2);
         worker.record_send(1, 100, TrafficClass::P2p);
         worker.record_recv(1, 40, TrafficClass::Collective);
         worker.record_faults(1, 2);
-        // ...and the launcher folds the snapshot into the world meter.
-        world.merge_rank(1, &worker.rank(1));
-        let t = world.rank(1);
-        assert_eq!(t.p2p_bytes, 100);
-        assert_eq!(t.p2p_msgs, 1);
-        assert_eq!(t.collective_recv_bytes, 40);
-        assert_eq!(t.recv_bytes, 40);
-        assert_eq!(t.recv_msgs, 1);
-        assert_eq!(t.faults_injected, 2);
-        assert_eq!(world.rank(0), RankTraffic::default());
+        let t = RankTraffic::of(&worker.slots.snapshot_rank(1));
+        assert_eq!(t, worker.rank(1));
+        assert_eq!((t.p2p_bytes, t.recv_bytes, t.faults_injected), (100, 40, 2));
     }
 
     #[test]

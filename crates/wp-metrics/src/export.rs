@@ -55,6 +55,27 @@ fn parse_f64(s: &str) -> Option<f64> {
     }
 }
 
+/// Write `snap` to `path` — as JSON when the path ends in `.json`, as
+/// Prometheus text otherwise — after re-parsing the document through that
+/// format's validator.
+///
+/// # Errors
+/// The validator's complaint (the file is still written, for inspection),
+/// or the I/O error.
+pub fn write_export(snap: &MetricsSnapshot, path: &str) -> Result<ExportStats, String> {
+    let (text, checked) = if path.ends_with(".json") {
+        let json = export_json(snap);
+        let checked = validate_json(&json);
+        (json, checked)
+    } else {
+        let prom = export_prometheus(snap);
+        let checked = validate_prometheus(&prom);
+        (prom, checked)
+    };
+    std::fs::write(path, text).map_err(|e| format!("write {path}: {e}"))?;
+    checked.map_err(|e| format!("metrics export failed validation: {e}"))
+}
+
 // ---- Prometheus text exposition -------------------------------------------
 
 /// Render a snapshot in the Prometheus text exposition format: one

@@ -47,7 +47,7 @@ mod registry;
 
 pub use export::{
     export_json, export_prometheus, parse_json, parse_prometheus, validate_json,
-    validate_prometheus, ExportStats,
+    validate_prometheus, write_export, ExportStats,
 };
 pub use id::{Counter, Gauge, Hist, MetricKind};
 pub use probe::{CollectiveMark, Probe};

@@ -252,6 +252,16 @@ impl Probe {
         }
     }
 
+    /// This rank's world re-formed after a failure: the membership
+    /// handshake and the re-shard of the resume snapshot ran from `t0` to now.
+    pub fn recovered(&self, t0: u64) {
+        if self.metered {
+            self.slots.incr(Counter::RecoveryEpochs);
+            self.slots
+                .observe(Hist::ReshardNs, self.now().saturating_sub(t0));
+        }
+    }
+
     /// Training iteration `iter` ran from `t0` to now over `tokens` label
     /// tokens and ended at mean loss `loss`.
     pub fn iteration(&self, iter: usize, t0: u64, tokens: u64, loss: f32) {

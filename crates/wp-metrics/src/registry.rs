@@ -464,8 +464,7 @@ impl MetricsSnapshot {
     }
 
     /// Replace (or append) one rank's entry with a snapshot taken in
-    /// another process, growing the world as needed — the launcher-side
-    /// dual of `TrafficMeter::merge_rank`.
+    /// another process, growing the world as needed.
     pub fn merge_rank(&mut self, snap: RankSnapshot) {
         while self.ranks.len() <= snap.rank {
             self.ranks.push(RankSnapshot::empty(self.ranks.len()));

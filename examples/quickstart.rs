@@ -121,16 +121,7 @@ fn main() {
     if let Some(path) = metrics_out {
         use wp_metrics::Counter;
         let snap = wp.metrics.as_ref().expect("metrics were enabled");
-        let text = if path.ends_with(".json") {
-            let json = wp_metrics::export_json(snap);
-            wp_metrics::validate_json(&json).expect("JSON export must validate");
-            json
-        } else {
-            let prom = wp_metrics::export_prometheus(snap);
-            wp_metrics::validate_prometheus(&prom).expect("Prometheus export must validate");
-            prom
-        };
-        std::fs::write(&path, &text).expect("write metrics file");
+        wp_metrics::write_export(snap, &path).expect("export must validate");
         println!(
             "\nwrote metrics for {} ranks to {path}: {} steps, {} P2P bytes, {} collective bytes",
             snap.world_size(),
