@@ -128,24 +128,6 @@ pub fn table_csv(rows: &[(RowConfig, Vec<CellResult>)]) -> String {
     out
 }
 
-/// Serialize a scaling figure as CSV.
-pub fn scaling_csv(points: &[ScalingPoint]) -> String {
-    let mut out = String::from("gpus,batch,strategy,throughput_tokens_per_gpu,oom\n");
-    for p in points {
-        for c in &p.cells {
-            out.push_str(&format!(
-                "{},{},{},{:.1},{}\n",
-                p.gpus,
-                p.batch,
-                c.strategy.label(),
-                c.throughput,
-                c.oom
-            ));
-        }
-    }
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
