@@ -135,6 +135,18 @@ pub struct RankRuntime {
     iter: usize,
 }
 
+/// Rank `rank`'s FSDP shard of a flat chunk buffer: elements
+/// `[rank·shard_len, (rank+1)·shard_len)`, zero-padded past the end.
+fn fsdp_shard(full: &[f32], rank: usize, shard_len: usize) -> Vec<f32> {
+    let mut shard = vec![0.0f32; shard_len];
+    let start = rank * shard_len;
+    if start < full.len() {
+        let end = (start + shard_len).min(full.len());
+        shard[..end - start].copy_from_slice(&full[start..end]);
+    }
+    shard
+}
+
 impl RankRuntime {
     /// Initialise a rank: deterministic weights, strategy-specific seeding.
     /// When the setup carries a [`TrainState`] snapshot, weights, fp32
@@ -181,14 +193,7 @@ impl RankRuntime {
             }
             Strategy::Fsdp => {
                 for c in 0..chunks {
-                    let full = chunk_buf(c);
-                    let mut shard = vec![0.0f32; shard_len];
-                    let start = rank * shard_len;
-                    if start < full.len() {
-                        let end = (start + shard_len).min(full.len());
-                        shard[..end - start].copy_from_slice(&full[start..end]);
-                    }
-                    shards.insert(c, shard);
+                    shards.insert(c, fsdp_shard(&chunk_buf(c), rank, shard_len));
                 }
             }
             Strategy::Ddp => {
@@ -240,15 +245,7 @@ impl RankRuntime {
                     }
                 }
                 if schedule.strategy == Strategy::Fsdp {
-                    let slice = |full: &[f32]| -> Vec<f32> {
-                        let mut s = vec![0.0f32; shard_len];
-                        let start = rank * shard_len;
-                        if start < full.len() {
-                            let end = (start + shard_len).min(full.len());
-                            s[..end - start].copy_from_slice(&full[start..end]);
-                        }
-                        s
-                    };
+                    let slice = |full: &[f32]| fsdp_shard(full, rank, shard_len);
                     let sbufs: Vec<Vec<f32>> = bufs
                         .iter()
                         .map(|b| if b.is_empty() { Vec::new() } else { slice(b) })
@@ -357,7 +354,7 @@ impl RankRuntime {
             })
         };
         let key = self.weight_slot_key(needs, chunk, FLOW_FWD);
-        let w = self.slots.get(&key).expect("slot resolved").clone();
+        let w = self.slots.get(&key).expect("slot resolved");
         let mut saved_ctxs = Vec::new();
         let mut saved_inputs = Vec::new();
         for l in 0..self.lpc {
@@ -443,7 +440,7 @@ impl RankRuntime {
         let s = self.setup.seq;
         let mut dy = self.upstream_dy(mb, chunk);
         let key = self.weight_slot_key(needs, chunk, FLOW_BWD);
-        let w = self.slots.get(&key).expect("slot resolved").clone();
+        let w = self.slots.get(&key).expect("slot resolved");
         let saved = self
             .fwd_saved
             .remove(&(mb, chunk))
@@ -489,7 +486,7 @@ impl RankRuntime {
         let s = self.setup.seq;
         let mut dy = self.upstream_dy(mb, chunk);
         let key = self.weight_slot_key(needs, chunk, FLOW_BWD);
-        let w = self.slots.get(&key).expect("slot resolved").clone();
+        let w = self.slots.get(&key).expect("slot resolved");
         let saved = self
             .fwd_saved
             .get(&(mb, chunk))

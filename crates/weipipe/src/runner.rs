@@ -10,9 +10,10 @@ use wp_nn::TrainState;
 use wp_sched::{build, validate, PipelineSpec, Schedule, Strategy};
 use wp_trace::TraceCollector;
 
-/// Strategies the runtime executes (everything the builders produce except
-/// the conceptual WZB variants, which — as in the paper — exist only as
-/// schedules for the simulator).
+/// Strategies the runtime executes: everything the builders produce except
+/// the conceptual WZB variants (as in the paper) and the grouped
+/// `WeiPipeHier` rings, which exist only as schedules for the simulator.
+/// [`build_schedule`] rejects the rest.
 pub fn runtime_strategies() -> Vec<Strategy> {
     vec![
         Strategy::GPipe,
@@ -116,9 +117,9 @@ pub fn run_distributed_per_rank(
 /// its own address space.
 ///
 /// # Panics
-/// Panics if the configuration violates the strategy's constraints (layers
-/// divisible by ranks, WZB variants being simulator-only) or if the built
-/// schedule fails validation.
+/// Panics if `strategy` is not one of [`runtime_strategies`], if the
+/// configuration violates the strategy's constraints (layers divisible by
+/// ranks), or if the built schedule fails validation.
 pub fn build_schedule(strategy: Strategy, ranks: usize, setup: &TrainSetup) -> Schedule {
     assert!(
         setup.model.layers.is_multiple_of(ranks),
@@ -126,8 +127,9 @@ pub fn build_schedule(strategy: Strategy, ranks: usize, setup: &TrainSetup) -> S
         setup.model.layers
     );
     assert!(
-        !matches!(strategy, Strategy::Wzb1 | Strategy::Wzb2),
-        "WZB variants are simulator-only (as in the paper)"
+        runtime_strategies().contains(&strategy),
+        "{} is simulator-only: the runtime has no interpreter for it",
+        strategy.label()
     );
     if let Some(state) = &setup.resume {
         assert_eq!(
@@ -277,6 +279,26 @@ pub fn run(strategy: Strategy, ranks: usize, setup: &TrainSetup) -> Result<RunOu
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// One list decides what runs: a strategy is either in
+    /// `runtime_strategies()` (and builds), or `build_schedule` refuses it
+    /// by name before any rank thread exists — `WeiPipeHier` used to build,
+    /// validate, and then kill every rank mid-iteration.
+    #[test]
+    fn every_strategy_is_runnable_or_rejected_as_simulator_only() {
+        let setup = TrainSetup::tiny(4, 8).with_group(2);
+        assert_eq!(wp_sched::ALL_STRATEGIES.len(), 11);
+        for &strategy in wp_sched::ALL_STRATEGIES {
+            let built = std::panic::catch_unwind(|| build_schedule(strategy, 4, &setup));
+            if runtime_strategies().contains(&strategy) {
+                assert!(built.is_ok(), "{strategy:?} is a runtime strategy");
+                continue;
+            }
+            let panic = built.expect_err("simulator-only strategies must not build");
+            let msg = panic.downcast_ref::<String>().expect("formatted panic");
+            assert!(msg.contains("simulator-only"), "{strategy:?}: {msg}");
+        }
+    }
 
     /// Losses and final weights of every runtime strategy must match the
     /// single-process reference within float-reduction tolerance.

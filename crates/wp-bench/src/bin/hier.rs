@@ -23,7 +23,7 @@
 
 use wp_bench::ci::{self, Report};
 use wp_bench::drift::drift_report;
-use wp_sched::tune::{Candidate, GridScheduler, Scheduler, TuneSpace};
+use wp_sched::tune::{grid, Candidate, TuneSpace};
 use wp_sched::{build, validate, Strategy};
 use wp_sim::tune::DesOracle;
 use wp_sim::{simulate, ClusterSpec, CostModel, GpuSpec, ModelDims, SimOptions, SimResult};
@@ -100,7 +100,7 @@ fn hier_point(
         group_sizes: vec![node, p / 2],
         overlap: vec![true, false],
     };
-    let tuned = match GridScheduler.tune(&space, &oracle) {
+    let tuned = match grid(&space, &oracle) {
         Some(out) => out,
         None => ci::fail(BENCH, &format!("{label}: no feasible hier candidate")),
     };

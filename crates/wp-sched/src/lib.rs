@@ -36,8 +36,5 @@ pub mod validate;
 
 pub use builders::{build, PipelineSpec, ALL_STRATEGIES};
 pub use ir::{MemUnit, MsgKey, MsgKind, Op, OpKind, Schedule, Strategy, EMBED_HEAD, NO_MB};
-pub use tune::{
-    BeamScheduler, Candidate, CostOracle, GridScheduler, ScheduleCost, Scheduler, TuneOutcome,
-    TuneSpace,
-};
+pub use tune::{Candidate, CostOracle, ScheduleCost, TuneOutcome, TuneSpace};
 pub use validate::{validate, ValidationError};

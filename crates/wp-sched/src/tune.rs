@@ -1,4 +1,4 @@
-//! Schedule autotuning: candidate space, cost oracles, and search.
+//! Schedule autotuning: candidate space, cost oracle, and grid search.
 //!
 //! The paper's headline numbers depend on picking the right schedule shape
 //! for a given (model, cluster) point: strategy, microbatch count `N`,
@@ -10,19 +10,14 @@
 //! * [`TuneSpace`] — the grid of candidates, filtered to structurally
 //!   valid combinations (divisibility, even-`P` WZB1, per-strategy knobs).
 //! * [`CostOracle`] — prices a candidate. The real implementation lives in
-//!   `wp-sim` (`DesOracle`: analytic estimate + discrete-event simulation);
-//!   this crate only defines the interface so the IR layer stays free of
+//!   `wp-sim` (`DesOracle`: build, validate, discrete-event simulate); this
+//!   crate only defines the interface so the IR layer stays free of
 //!   simulator dependencies.
-//! * [`Scheduler`] — a search policy. [`GridScheduler`] exhaustively
-//!   evaluates the space; [`BeamScheduler`] ranks by the cheap estimate,
-//!   fully evaluates only the top of the beam plus a seeded random
-//!   exploration tail, and is deterministic for a fixed seed.
+//! * [`grid`] — the search: price every candidate, return the cheapest.
 //!
-//! All schedulers skip infeasible candidates (builder/validator rejection
-//! or simulated OOM) rather than failing, and break cost ties by earliest
+//! The search skips infeasible candidates (builder/validator rejection or
+//! simulated OOM) rather than failing, and breaks cost ties by earliest
 //! enumeration order, so results are reproducible across runs.
-
-use rand::{rngs::StdRng, Rng, SeedableRng};
 
 use crate::builders::PipelineSpec;
 use crate::ir::Strategy;
@@ -268,16 +263,10 @@ pub struct ScheduleCost {
     pub oom: bool,
 }
 
-/// Prices candidates. `estimate` is a cheap analytic proxy used only to
-/// rank candidates inside a beam; `evaluate` is the ground truth (in
-/// `wp-sim`, a full discrete-event simulation) and is what schedulers
-/// ultimately compare.
+/// Prices candidates (in `wp-sim`, with a full discrete-event simulation).
 pub trait CostOracle {
-    /// Cheap analytic cost proxy, seconds. Must be deterministic; need not
-    /// be accurate, only roughly monotone with `evaluate`.
-    fn estimate(&self, c: &Candidate) -> f64;
-    /// Ground-truth cost. `Err` marks a structurally invalid candidate
-    /// (builder or validator rejection) and is skipped by schedulers.
+    /// The candidate's cost. `Err` marks a structurally invalid candidate
+    /// (builder or validator rejection), which [`grid`] skips.
     fn evaluate(&self, c: &Candidate) -> Result<ScheduleCost, String>;
 }
 
@@ -288,138 +277,38 @@ pub struct TuneOutcome {
     pub best: Candidate,
     /// Its fully evaluated cost.
     pub cost: ScheduleCost,
-    /// Candidates priced with the full oracle.
+    /// Candidates the oracle priced.
     pub evaluated: usize,
     /// Candidates skipped as infeasible (oracle `Err` or OOM).
     pub infeasible: usize,
 }
 
-/// A search policy over a [`TuneSpace`]. Returns `None` when no feasible
-/// candidate exists.
-pub trait Scheduler {
-    /// Search `space`, pricing candidates through `oracle`.
-    fn tune(&mut self, space: &TuneSpace, oracle: &dyn CostOracle) -> Option<TuneOutcome>;
-}
-
-/// Pick the cheaper of `best` and `(c, cost)`, skipping OOM and keeping
-/// the earlier candidate on exact ties (strict `<`) so the result is
-/// independent of evaluation order refinements.
-fn fold_best(
-    best: &mut Option<(Candidate, ScheduleCost)>,
-    c: Candidate,
-    cost: ScheduleCost,
-) -> bool {
-    if cost.oom {
-        return false;
-    }
-    match best {
-        Some((_, b)) if cost.iter_s >= b.iter_s => {}
-        _ => *best = Some((c, cost)),
-    }
-    true
-}
-
-/// Exhaustive search: evaluates every candidate in the space with the full
-/// oracle. The gold standard for small grids and the reference the beam
-/// search is tested against.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct GridScheduler;
-
-impl Scheduler for GridScheduler {
-    fn tune(&mut self, space: &TuneSpace, oracle: &dyn CostOracle) -> Option<TuneOutcome> {
-        let mut best: Option<(Candidate, ScheduleCost)> = None;
-        let mut evaluated = 0usize;
-        let mut infeasible = 0usize;
-        for c in space.enumerate() {
-            match oracle.evaluate(&c) {
-                Ok(cost) => {
-                    evaluated += 1;
-                    if !fold_best(&mut best, c, cost) {
-                        infeasible += 1;
-                    }
+/// Exhaustive search: price every candidate of `space` through `oracle`
+/// and return the cheapest that fits in memory — the earliest in
+/// enumeration order on exact ties. `None` when no candidate is feasible.
+pub fn grid(space: &TuneSpace, oracle: &dyn CostOracle) -> Option<TuneOutcome> {
+    let mut best: Option<(Candidate, ScheduleCost)> = None;
+    let mut evaluated = 0usize;
+    let mut infeasible = 0usize;
+    for c in space.enumerate() {
+        match oracle.evaluate(&c) {
+            Ok(cost) => {
+                evaluated += 1;
+                if cost.oom {
+                    infeasible += 1;
+                } else if best.is_none_or(|(_, b)| cost.iter_s < b.iter_s) {
+                    best = Some((c, cost));
                 }
-                Err(_) => infeasible += 1,
             }
-        }
-        best.map(|(best, cost)| TuneOutcome {
-            best,
-            cost,
-            evaluated,
-            infeasible,
-        })
-    }
-}
-
-/// Beam search: ranks the whole space by the cheap [`CostOracle::estimate`],
-/// fully evaluates only the best `beam_width` candidates plus `explore`
-/// seeded-random picks from the remainder, and returns the evaluated
-/// minimum. For a fixed seed the outcome is fully deterministic.
-#[derive(Debug, Clone, Copy)]
-pub struct BeamScheduler {
-    /// How many estimate-ranked candidates get a full evaluation.
-    pub beam_width: usize,
-    /// How many additional candidates outside the beam are sampled (without
-    /// replacement) for full evaluation — insurance against a misleading
-    /// estimate.
-    pub explore: usize,
-    /// RNG seed for the exploration sample.
-    pub seed: u64,
-}
-
-impl BeamScheduler {
-    /// A beam of `beam_width` with a small fixed exploration tail.
-    pub fn new(beam_width: usize, seed: u64) -> Self {
-        BeamScheduler {
-            beam_width,
-            explore: beam_width / 2,
-            seed,
+            Err(_) => infeasible += 1,
         }
     }
-}
-
-impl Scheduler for BeamScheduler {
-    fn tune(&mut self, space: &TuneSpace, oracle: &dyn CostOracle) -> Option<TuneOutcome> {
-        let all = space.enumerate();
-        // Rank by estimate; ties break by enumeration order (stable sort).
-        let mut order: Vec<usize> = (0..all.len()).collect();
-        let scores: Vec<f64> = all.iter().map(|c| oracle.estimate(c)).collect();
-        order.sort_by(|&a, &b| scores[a].partial_cmp(&scores[b]).expect("estimate is NaN"));
-
-        let beam = self.beam_width.min(order.len());
-        let (head, tail) = order.split_at(beam);
-        let mut picks: Vec<usize> = head.to_vec();
-
-        // Seeded sample without replacement from the tail (partial
-        // Fisher–Yates over a copy).
-        let mut rng = StdRng::seed_from_u64(self.seed);
-        let mut tail: Vec<usize> = tail.to_vec();
-        for _ in 0..self.explore.min(tail.len()) {
-            let i = rng.random_range(0..tail.len());
-            picks.push(tail.swap_remove(i));
-        }
-
-        let mut best: Option<(Candidate, ScheduleCost)> = None;
-        let mut evaluated = 0usize;
-        let mut infeasible = 0usize;
-        for idx in picks {
-            let c = all[idx];
-            match oracle.evaluate(&c) {
-                Ok(cost) => {
-                    evaluated += 1;
-                    if !fold_best(&mut best, c, cost) {
-                        infeasible += 1;
-                    }
-                }
-                Err(_) => infeasible += 1,
-            }
-        }
-        best.map(|(best, cost)| TuneOutcome {
-            best,
-            cost,
-            evaluated,
-            infeasible,
-        })
-    }
+    best.map(|(best, cost)| TuneOutcome {
+        best,
+        cost,
+        evaluated,
+        infeasible,
+    })
 }
 
 #[cfg(test)]
@@ -455,9 +344,6 @@ mod tests {
     }
 
     impl CostOracle for FakeOracle {
-        fn estimate(&self, c: &Candidate) -> f64 {
-            Self::cost(c)
-        }
         fn evaluate(&self, c: &Candidate) -> Result<ScheduleCost, String> {
             Ok(ScheduleCost {
                 iter_s: Self::cost(c),
@@ -531,9 +417,7 @@ mod tests {
 
     #[test]
     fn grid_finds_global_argmin() {
-        let out = GridScheduler
-            .tune(&space4(), &FakeOracle { oom: vec![] })
-            .unwrap();
+        let out = grid(&space4(), &FakeOracle { oom: vec![] }).unwrap();
         // Closed-form argmin of FakeOracle::cost over the valid space.
         assert_eq!(out.best.strategy, Strategy::Wzb2);
         assert_eq!(out.best.microbatches, 8);
@@ -553,7 +437,7 @@ mod tests {
             .map(|c| c.label())
             .collect();
         let n_oom = oom.len();
-        let out = GridScheduler.tune(&space, &FakeOracle { oom }).unwrap();
+        let out = grid(&space, &FakeOracle { oom }).unwrap();
         assert_ne!(out.best.strategy, Strategy::Wzb2);
         assert_eq!(out.best.strategy, Strategy::WeiPipeInterleave);
         assert_eq!(out.infeasible, n_oom);
@@ -563,23 +447,7 @@ mod tests {
     fn no_feasible_candidate_returns_none() {
         let space = space4();
         let oom: Vec<String> = space.enumerate().iter().map(|c| c.label()).collect();
-        assert!(GridScheduler.tune(&space, &FakeOracle { oom }).is_none());
-    }
-
-    #[test]
-    fn beam_is_deterministic_and_matches_grid_on_honest_estimate() {
-        let space = space4();
-        let oracle = FakeOracle { oom: vec![] };
-        let grid = GridScheduler.tune(&space, &oracle).unwrap();
-        let a = BeamScheduler::new(8, 42).tune(&space, &oracle).unwrap();
-        let b = BeamScheduler::new(8, 42).tune(&space, &oracle).unwrap();
-        assert_eq!(a.best, b.best);
-        assert_eq!(a.cost, b.cost);
-        assert_eq!(a.evaluated, b.evaluated);
-        // With estimate == evaluate the true optimum leads the beam.
-        assert_eq!(a.best, grid.best);
-        // The beam evaluated far fewer candidates than the grid.
-        assert!(a.evaluated < grid.evaluated / 2);
+        assert!(grid(&space, &FakeOracle { oom }).is_none());
     }
 
     #[test]

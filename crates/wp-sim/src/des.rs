@@ -1,55 +1,57 @@
-//! The component/min-heap discrete-event core behind [`crate::engine::simulate`].
+//! The one place a schedule is priced: [`State::step`] prices the op at a
+//! rank's cursor, and two drivers decide which rank steps next.
 //!
-//! Every simulated hardware unit is a *component*: one compute engine per
-//! rank ([`RankComp`]) and one DMA path per directed ring link
-//! ([`LinkDma`]), each exposing a `next_tick`/`tick` interface. A global
-//! min-heap of `(time, component)` wake-ups drives execution: a component
-//! ticks only when one of its dependencies actually resolves. Compare the
-//! reference walk ([`crate::engine::simulate_reference`]), which re-scans
-//! every rank round-robin until a fixpoint — `O(rounds × P)` passes that
-//! make thousand-rank sweeps minutes-slow. The event core turns the same
-//! computation into `O(ops · log P)` heap traffic, so fleet-scale grids
-//! (P in the thousands) complete in seconds.
+//! ## What is shared: the step
 //!
-//! ## Equivalence contract
+//! [`State`] holds everything pricing reads or writes — message arrival
+//! times, per-rank compute/collective engine clocks, per-directed-link
+//! occupancy, open collective rendezvous, and the output accumulators
+//! (timeline, busy seconds, byte counters, memory events, makespan).
+//! [`State::step`] takes one rank: if every message the op at its cursor
+//! depends on has an arrival time, the op is priced (semantics in
+//! [`crate::engine`]'s module docs), its memory deltas are logged, the
+//! cursor advances and the step returns [`Step::Done`]; otherwise nothing
+//! changes and it returns [`Step::Blocked`] with the missing key.
+//! [`State::finish`] folds the accumulators into a [`SimResult`].
 //!
-//! This core computes **bit-identical** results to the reference walk —
-//! same timelines, busy seconds, bubble fractions, memory peaks and byte
-//! counts — enforced by the unit tests below, by
-//! `tests/engine_equivalence.rs`, and by the experiment-cell checks in CI.
-//! The argument:
+//! ## What the oracle varies: the driver
+//!
+//! * [`simulate_des`] (behind [`crate::engine::simulate`]) keeps a min-heap
+//!   of rank wake-ups: a blocked rank parks on its key and is re-queued
+//!   when some other rank's step resolves it — `O(ops · log P)` heap
+//!   traffic, so fleet-scale grids (P in the thousands) price in seconds.
+//! * [`crate::engine::simulate_reference`] re-scans every rank round-robin
+//!   until no cursor moves — `O(rounds × P)` passes, minutes-slow at fleet
+//!   scale, but with no queue, no waiter table and no wake-up to get wrong.
+//!
+//! The two visit ranks in very different orders, and the unit tests below,
+//! `tests/engine_equivalence.rs` and the experiment-cell checks assert the
+//! results are **bit-identical** — same timelines, busy seconds, bubble
+//! fractions, memory peaks and byte counts. That is a check that visit
+//! order cannot change a bit (and that the heap driver loses no wake-up),
+//! not a second opinion on the prices: those are pinned by the golden
+//! Table 2–4 CSVs (`wp-bench/tests/golden_tables.rs`) and the paper-claim
+//! tests. Why order cannot matter:
 //!
 //! * every op's start/end time is a `max`/`+` combination of (a) message
 //!   arrival times, (b) its own rank's engine state and (c) its own link's
 //!   occupancy — all fully determined *before* the op can run, whichever
-//!   order the engines visit ops in. `f64::max` is exact and
-//!   order-insensitive, and every sum has a fixed operand order, so the
-//!   fixpoint both engines reach is unique;
-//! * each directed ring link has a single writer (its source rank), so
-//!   link occupancy serializes in that rank's program order under both
-//!   engines;
+//!   order ranks are visited in. `f64::max` is exact and order-insensitive
+//!   and every sum has a fixed operand order, so the fixpoint is unique;
+//! * each directed link has a single writer (its source rank), so link
+//!   occupancy serializes in that rank's program order under any driver —
+//!   which is why a link is one `free` time, not a queue;
 //! * per-rank side effects (timeline pushes, busy accumulation, memory
-//!   events) happen in program order under both engines, so the stable
-//!   sorts and running sums in [`crate::engine::finalize_result`] see
-//!   identical sequences.
-//!
-//! Because a directed link is a single-writer FIFO, a transfer's issue
-//! time — `max(ready, link free)` — is fixed the moment its writer
-//! enqueues it. The core therefore ticks a link *inline at enqueue time*
-//! rather than bouncing through the heap: the result is identical to a
-//! heap-scheduled tick at the same timestamp, and the sender (which needs
-//! the link's occupancy for the non-overlap ablation) reads it back
-//! synchronously, exactly like the reference engine.
+//!   events) happen in program order under any driver, so the stable sort
+//!   and running sums in [`State::finish`] see identical sequences.
 
 use crate::cluster::ClusterSpec;
 use crate::cost::CostModel;
-use crate::engine::{
-    collective_pseudo_key, finalize_result, msg_bytes, SimError, SimOptions, SimResult, TimedOp,
-};
+use crate::engine::{SimError, SimOptions, SimResult, TimedOp};
 use std::cmp::Reverse;
-use std::collections::{BinaryHeap, HashMap, VecDeque};
+use std::collections::{BinaryHeap, HashMap};
 use std::hash::{BuildHasherDefault, Hasher};
-use wp_sched::{MsgKey, Op, OpKind, Schedule};
+use wp_sched::{MsgKey, MsgKind, Op, OpKind, Schedule};
 
 /// A fast, deterministic hasher (FxHash-style rotate-xor-multiply) for the
 /// hot arrival/waiter maps. The std SipHash dominates the profile at fleet
@@ -103,6 +105,369 @@ impl Hasher for FxHasher {
 
 pub(crate) type FxMap<K, V> = HashMap<K, V, BuildHasherDefault<FxHasher>>;
 
+/// What [`State::step`] did with the op at a rank's cursor.
+pub(crate) enum Step {
+    /// Priced it and advanced the cursor.
+    Done,
+    /// Could not price it yet: this message has no arrival time.
+    Blocked(MsgKey),
+}
+
+/// Everything pricing reads or writes; see the module docs.
+pub(crate) struct State<'a> {
+    schedule: &'a Schedule,
+    cost: &'a CostModel,
+    cluster: &'a ClusterSpec,
+    opts: SimOptions,
+    /// Per-rank index of the next op to price.
+    cursor: Vec<usize>,
+    /// Arrival time of every resolved message (write-once).
+    arrivals: FxMap<MsgKey, f64>,
+    /// Keys resolved since the driver last drained this, in resolution
+    /// order — what the heap driver wakes parked ranks from.
+    pub(crate) resolved: Vec<(MsgKey, f64)>,
+    /// When each directed link `(src, dst)`'s DMA path frees up.
+    link_free: FxMap<(usize, usize), f64>,
+    /// Per-rank compute-engine availability.
+    compute_free: Vec<f64>,
+    /// Per-rank end of the latest compute op.
+    last_compute_end: Vec<f64>,
+    /// Per-rank collective-engine availability.
+    coll_free: Vec<f64>,
+    /// Open collective rendezvous keyed by `(kind, chunk, round)`: how many
+    /// ranks have entered and the latest of their ready times.
+    coll_groups: FxMap<(u8, usize, usize), (usize, f64)>,
+    /// Per-rank compute-engine busy seconds.
+    busy: Vec<f64>,
+    /// Per-rank bytes sent point-to-point.
+    p2p_bytes: Vec<u64>,
+    /// Per-rank bytes sent in collectives (ring-charged).
+    collective_bytes: Vec<u64>,
+    /// Per-rank timed compute ops.
+    timeline: Vec<Vec<TimedOp>>,
+    /// Per-rank memory events `(time, signed bytes)` in program order.
+    mem_events: Vec<Vec<(f64, i64)>>,
+    /// Latest op end time seen.
+    makespan: f64,
+}
+
+impl<'a> State<'a> {
+    /// Every rank at op 0, every clock at `t = 0`.
+    ///
+    /// # Panics
+    /// Panics if the cluster and the schedule disagree on the world size.
+    pub(crate) fn new(
+        schedule: &'a Schedule,
+        cost: &'a CostModel,
+        cluster: &'a ClusterSpec,
+        opts: SimOptions,
+    ) -> Result<Self, SimError> {
+        let p = schedule.ranks;
+        assert_eq!(cluster.ranks, p, "cluster size must match schedule");
+        cluster.validate().map_err(|e| SimError(e.to_string()))?;
+        let sends = schedule
+            .ops
+            .iter()
+            .flatten()
+            .filter(|o| matches!(o.kind, OpKind::Send(_)))
+            .count();
+        let computes = |ops: &Vec<Op>| ops.iter().filter(|o| o.kind.is_compute()).count();
+        Ok(State {
+            schedule,
+            cost,
+            cluster,
+            opts,
+            cursor: vec![0; p],
+            // Sized up front: at fleet scale the arrival table holds
+            // millions of keys, and letting it grow by doubling would
+            // re-hash the multi-GB table ~20 times.
+            arrivals: FxMap::with_capacity_and_hasher(sends * 2, Default::default()),
+            resolved: Vec::new(),
+            link_free: FxMap::default(),
+            compute_free: vec![0.0; p],
+            last_compute_end: vec![0.0; p],
+            coll_free: vec![0.0; p],
+            coll_groups: FxMap::default(),
+            busy: vec![0.0; p],
+            p2p_bytes: vec![0; p],
+            collective_bytes: vec![0; p],
+            timeline: schedule
+                .ops
+                .iter()
+                .map(|ops| Vec::with_capacity(computes(ops)))
+                .collect(),
+            mem_events: vec![Vec::new(); p],
+            makespan: 0.0,
+        })
+    }
+
+    /// Index of the next op rank `r` will price.
+    pub(crate) fn cursor(&self, r: usize) -> usize {
+        self.cursor[r]
+    }
+
+    /// Step rank `r` until it blocks (returning the key it waits for) or
+    /// runs out of ops (`None`).
+    pub(crate) fn advance(&mut self, r: usize) -> Option<MsgKey> {
+        while self.cursor[r] < self.schedule.ops[r].len() {
+            if let Step::Blocked(key) = self.step(r) {
+                return Some(key);
+            }
+        }
+        None
+    }
+
+    /// Record a message's arrival time.
+    fn resolve(&mut self, key: MsgKey, t: f64) {
+        self.arrivals.insert(key, t);
+        self.resolved.push((key, t));
+    }
+
+    /// Price the op at rank `r`'s cursor if every message it depends on
+    /// has an arrival time; otherwise change nothing.
+    ///
+    /// # Panics
+    /// Panics if rank `r` has no op left.
+    pub(crate) fn step(&mut self, r: usize) -> Step {
+        let (schedule, cost, cluster, opts) = (self.schedule, self.cost, self.cluster, self.opts);
+        let p = schedule.ranks;
+        let op = &schedule.ops[r][self.cursor[r]];
+        let mut needs_t = 0.0f64;
+        for k in &op.needs {
+            match self.arrivals.get(k) {
+                Some(&a) => needs_t = needs_t.max(a),
+                None => return Step::Blocked(*k),
+            }
+        }
+
+        let end_time;
+        match &op.kind {
+            kind if kind.is_compute() => {
+                let (dur, class, mb, chunk) = match *kind {
+                    OpKind::Fwd { mb, chunk } => (cost.t_fwd(), 'F', mb, chunk),
+                    OpKind::BwdFull { mb, chunk } => (cost.t_bwd_full(), 'B', mb, chunk),
+                    OpKind::BwdData { mb, chunk } => (cost.t_bwd_data(), 'b', mb, chunk),
+                    OpKind::BwdWeight { mb, chunk } => (cost.t_bwd_weight(), 'w', mb, chunk),
+                    OpKind::Update { chunk } => (cost.t_update(), 'U', usize::MAX, chunk),
+                    _ => unreachable!(),
+                };
+                let dur = match opts.straggler {
+                    Some((sr, slow)) if sr == r => dur * slow,
+                    _ => dur,
+                };
+                let start = self.compute_free[r].max(needs_t);
+                let end = start + dur;
+                self.compute_free[r] = end;
+                self.last_compute_end[r] = end;
+                self.busy[r] += dur;
+                end_time = end;
+                // A checkpointed backward rematerialises the full
+                // forward ctx for its duration — a real peak-memory
+                // contributor (and why ZB gains nothing from
+                // recompute, §4.3).
+                if cost.recompute && matches!(kind, OpKind::BwdFull { .. }) {
+                    let t = cost.recompute_transient_bytes() as i64;
+                    self.mem_events[r].push((start, t));
+                    self.mem_events[r].push((end, -t));
+                }
+                self.timeline[r].push(TimedOp {
+                    start,
+                    end,
+                    class,
+                    mb,
+                    chunk,
+                });
+            }
+            OpKind::Send(k) => {
+                let bytes = msg_bytes(cost, k);
+                // Resolve the link from both endpoints: grouped schedules
+                // send between non-adjacent ranks (bridge hops, intra-node
+                // fan-out), so src's ring successor is not enough.
+                let link = cluster.link_between(k.src, k.dst);
+                let free = self.link_free.entry((k.src, k.dst)).or_insert(0.0);
+                let mut issue = needs_t.max(*free);
+                if op.after_compute {
+                    issue = issue.max(self.last_compute_end[r]);
+                }
+                if !opts.overlap {
+                    issue = issue.max(self.compute_free[r]);
+                }
+                let occupy = bytes as f64 / link.bandwidth;
+                *free = issue + occupy;
+                if !opts.overlap {
+                    self.compute_free[r] = issue + occupy;
+                }
+                let arrive = issue + occupy + link.latency;
+                self.resolve(*k, arrive);
+                self.p2p_bytes[r] += bytes;
+                end_time = arrive;
+            }
+            // A wait on a pre-posted request completes when the
+            // message lands, exactly like a blocking recv — the
+            // overlap win comes from *where the builder places* the
+            // wait, not from a cheaper wait.
+            OpKind::Recv(k) | OpKind::WaitReq(k) => match self.arrivals.get(k) {
+                Some(&a) => end_time = a,
+                None => return Step::Blocked(*k),
+            },
+            OpKind::PrePost(_) => {
+                // Posting the receive buffer is free and gates
+                // nothing; memory for the in-flight slot is already
+                // in the strategy's static footprint (cost.rs).
+                end_time = needs_t;
+            }
+            kind => {
+                // Collective: record entry; complete at rendezvous.
+                let (disc, payload) = match *kind {
+                    OpKind::AllGatherW { chunk, round } => {
+                        ((0u8, chunk, round), cost.weight_chunk_bytes())
+                    }
+                    OpKind::ReduceScatterD { chunk, round } => {
+                        ((1u8, chunk, round), cost.grad_chunk_bytes())
+                    }
+                    OpKind::AllReduceD { chunk, round } => {
+                        ((2u8, chunk, round), cost.grad_chunk_bytes())
+                    }
+                    _ => unreachable!(),
+                };
+                let all_reduce = matches!(kind, OpKind::AllReduceD { .. });
+                let mut ready = needs_t.max(self.coll_free[r]);
+                if op.after_compute {
+                    ready = ready.max(self.last_compute_end[r]);
+                }
+                if !opts.overlap {
+                    ready = ready.max(self.compute_free[r]);
+                }
+                let (entered, start) = self.coll_groups.entry(disc).or_insert((0, 0.0));
+                *entered += 1;
+                *start = start.max(ready);
+                let (entered, start) = (*entered, *start);
+                self.collective_bytes[r] +=
+                    if all_reduce { 2 * payload } else { payload } * (p as u64 - 1) / p as u64;
+                if entered == p {
+                    let dur = if all_reduce {
+                        cluster.all_reduce_s(payload)
+                    } else {
+                        cluster.gather_scatter_s(payload)
+                    };
+                    let done = start + dur;
+                    for rr in 0..p {
+                        self.coll_free[rr] = self.coll_free[rr].max(done);
+                        if !opts.overlap {
+                            self.compute_free[rr] = self.compute_free[rr].max(done);
+                        }
+                        self.resolve(collective_pseudo_key(kind, rr), done);
+                    }
+                    end_time = done;
+                } else {
+                    end_time = ready;
+                }
+            }
+        }
+
+        for &(unit, delta) in &op.mem {
+            self.mem_events[r].push((end_time, delta * cost.mem_unit_bytes(unit) as i64));
+        }
+        self.makespan = self.makespan.max(end_time);
+        self.cursor[r] += 1;
+        Step::Done
+    }
+
+    /// Fold the accumulators into a [`SimResult`] once no rank can step:
+    /// peak memory from the event ledger (stable time sort over
+    /// program-order events, running sum over the static footprint), the
+    /// global bubble fraction, and the cross-node byte count. `Err` when a
+    /// rank still has ops — it waits for a message nobody sends.
+    pub(crate) fn finish(mut self) -> Result<SimResult, SimError> {
+        let (schedule, cost, cluster) = (self.schedule, self.cost, self.cluster);
+        let p = schedule.ranks;
+        for (r, ops) in schedule.ops.iter().enumerate() {
+            if let Some(op) = ops.get(self.cursor[r]) {
+                return Err(SimError(format!(
+                    "rank {r} stalled at op {} ({:?})",
+                    self.cursor[r], op.kind
+                )));
+            }
+        }
+
+        let mut peak_mem = Vec::with_capacity(p);
+        for (r, events) in self.mem_events.iter_mut().enumerate() {
+            events.sort_by(|a, b| a.0.partial_cmp(&b.0).expect("finite times"));
+            let stat = cost.static_mem_bytes(schedule.strategy, r, p) as i64;
+            let mut cur = stat;
+            let mut peak = stat;
+            for &(_, d) in events.iter() {
+                cur += d;
+                peak = peak.max(cur);
+            }
+            peak_mem.push(peak.max(0) as u64);
+        }
+
+        let total_busy: f64 = self.busy.iter().sum();
+        let bubble_ratio = if self.makespan > 0.0 {
+            1.0 - total_busy / (p as f64 * self.makespan)
+        } else {
+            0.0
+        };
+
+        // Cross-node traffic is a property of the schedule and the
+        // topology, not of event ordering.
+        let mut cross_node_p2p_bytes = 0u64;
+        for op in schedule.ops.iter().flatten() {
+            if let OpKind::Send(k) = &op.kind {
+                if cluster.group_of(k.src) != cluster.group_of(k.dst) {
+                    cross_node_p2p_bytes += msg_bytes(cost, k);
+                }
+            }
+        }
+
+        Ok(SimResult {
+            makespan: self.makespan,
+            busy: self.busy,
+            bubble_ratio,
+            peak_mem,
+            p2p_bytes: self.p2p_bytes,
+            cross_node_p2p_bytes,
+            collective_bytes: self.collective_bytes,
+            timeline: self.timeline,
+        })
+    }
+}
+
+/// Wire bytes for one point-to-point message.
+fn msg_bytes(cost: &CostModel, k: &MsgKey) -> u64 {
+    match k.kind {
+        MsgKind::Weights => cost.weight_chunk_bytes(),
+        MsgKind::WeightGrads => cost.grad_chunk_bytes(),
+        MsgKind::Act => cost.act_boundary_bytes(),
+        MsgKind::ActGrad => cost.act_grad_boundary_bytes(),
+    }
+}
+
+/// The pseudo-key a collective registers on each rank (mirrors
+/// `wp_sched::validate`).
+fn collective_pseudo_key(kind: &OpKind, rank: usize) -> MsgKey {
+    match *kind {
+        OpKind::AllGatherW { chunk, round } => MsgKey {
+            kind: MsgKind::Weights,
+            chunk,
+            mb: wp_sched::NO_MB,
+            round,
+            src: rank,
+            dst: rank,
+        },
+        OpKind::ReduceScatterD { chunk, round } | OpKind::AllReduceD { chunk, round } => MsgKey {
+            kind: MsgKind::WeightGrads,
+            chunk,
+            mb: wp_sched::NO_MB,
+            round,
+            src: rank,
+            dst: rank,
+        },
+        _ => unreachable!("not a collective"),
+    }
+}
+
 /// One wake-up in the global event queue.
 #[derive(Debug, Clone, Copy)]
 struct Event {
@@ -112,8 +477,8 @@ struct Event {
     /// runs deterministic (results are order-insensitive regardless — see
     /// the module docs).
     seq: u64,
-    /// Component index to tick.
-    comp: usize,
+    /// Rank to advance.
+    rank: usize,
 }
 
 impl PartialEq for Event {
@@ -135,7 +500,7 @@ impl Ord for Event {
     }
 }
 
-/// Min-heap of component wake-ups keyed by `(next_tick, push order)`.
+/// Min-heap of rank wake-ups keyed by `(time, push order)`.
 #[derive(Default)]
 struct EventQueue {
     heap: BinaryHeap<Reverse<Event>>,
@@ -143,12 +508,12 @@ struct EventQueue {
 }
 
 impl EventQueue {
-    fn push(&mut self, time: f64, comp: usize) {
+    fn push(&mut self, time: f64, rank: usize) {
         self.seq += 1;
         self.heap.push(Reverse(Event {
             time,
             seq: self.seq,
-            comp,
+            rank,
         }));
     }
 
@@ -157,458 +522,34 @@ impl EventQueue {
     }
 }
 
-/// What a component reports back from [`Component::tick`].
-enum Tick {
-    /// All runnable work done; the component sleeps until re-woken.
-    Idle,
-    /// Blocked on a message: the core parks the component on the key's
-    /// waiter list and wakes it at the key's arrival time.
-    WaitingOn(MsgKey),
-}
-
-/// A simulated hardware unit driven by the event core.
-///
-/// [`RankComp`] implements this directly; [`LinkDma`] exposes the same
-/// `next_tick`/`tick` shape as inherent methods because its single-writer
-/// FIFO discipline lets the core tick it inline at enqueue time (see the
-/// module docs) — it never round-trips through the heap.
-trait Component {
-    /// When this component next wants to run, if it has runnable work.
-    fn next_tick(&self) -> Option<f64>;
-    /// Advance as far as dependencies allow. `now` is the wake-up time;
-    /// op timing derives from arrival/occupancy state, not from `now`.
-    fn tick(&mut self, now: f64, shared: &mut Shared<'_>) -> Tick;
-}
-
-/// One in-flight point-to-point transfer queued on a link.
-struct Transfer {
-    key: MsgKey,
-    /// Earliest issue time (needs arrivals plus program-order gates).
-    ready: f64,
-    /// Seconds the DMA path is occupied: `bytes / bandwidth`.
-    occupy: f64,
-    /// Wire latency added after occupancy.
-    latency: f64,
-}
-
-/// One directed ring link: a DMA path serializing transfers in FIFO
-/// order. Each directed link has exactly one writer (its source rank), so
-/// FIFO order *is* that rank's program order — matching the reference
-/// engine's occupancy accounting exactly.
-struct LinkDma {
-    /// Time the DMA path frees up.
-    free: f64,
-    /// Transfers enqueued and not yet started.
-    queue: VecDeque<Transfer>,
-}
-
-impl LinkDma {
-    fn new() -> Self {
-        LinkDma {
-            free: 0.0,
-            queue: VecDeque::new(),
-        }
-    }
-
-    /// When the head-of-line transfer would issue, if any is queued.
-    fn next_tick(&self) -> Option<f64> {
-        self.queue.front().map(|t| t.ready.max(self.free))
-    }
-
-    /// Drain the FIFO: each transfer issues at `max(ready, free)`,
-    /// occupies the path, and arrives one latency later. Completions are
-    /// appended to `completed` as `(key, arrival)`. Every queued transfer
-    /// is startable (its `ready` was resolved before enqueue), so
-    /// draining is total.
-    fn tick(&mut self, completed: &mut Vec<(MsgKey, f64)>) {
-        while let Some(t) = self.queue.pop_front() {
-            let issue = t.ready.max(self.free);
-            self.free = issue + t.occupy;
-            completed.push((t.key, issue + t.occupy + t.latency));
-        }
-    }
-}
-
-/// Collective rendezvous bookkeeping (mirrors the reference engine).
-struct CollGroup {
-    readies: Vec<(usize, f64)>,
-    kind: OpKind,
-}
-
-/// State shared between components: message arrivals, parked waiters,
-/// per-rank engine clocks, link DMA paths, collective groups and the
-/// output accumulators.
-struct Shared<'a> {
-    cost: &'a CostModel,
-    cluster: &'a ClusterSpec,
-    opts: SimOptions,
-    p: usize,
-    /// Arrival time of every resolved message (write-once).
-    arrivals: FxMap<MsgKey, f64>,
-    /// Components parked until a key resolves.
-    waiters: FxMap<MsgKey, Vec<usize>>,
-    /// Keys resolved during the current tick, for waiter wake-up. The
-    /// arrival is already in `arrivals` when a key lands here.
-    newly: Vec<(MsgKey, f64)>,
-    /// Directed link components, keyed by `(src, dst)`.
-    links: FxMap<(usize, usize), LinkDma>,
-    /// Scratch buffer for link completions (reused across sends).
-    link_done: Vec<(MsgKey, f64)>,
-    /// Per-rank compute-engine availability.
-    compute_free: Vec<f64>,
-    /// Per-rank end of the latest compute op.
-    last_compute_end: Vec<f64>,
-    /// Per-rank collective-engine availability.
-    coll_free: Vec<f64>,
-    /// Open collective groups keyed by `(kind, chunk, round)`.
-    coll_groups: FxMap<(u8, usize, usize), CollGroup>,
-    /// Per-rank compute-engine busy seconds.
-    busy: Vec<f64>,
-    /// Per-rank bytes sent point-to-point.
-    p2p_bytes: Vec<u64>,
-    /// Per-rank bytes sent in collectives (ring-charged).
-    collective_bytes: Vec<u64>,
-    /// Per-rank timed compute ops.
-    timeline: Vec<Vec<TimedOp>>,
-    /// Per-rank memory events `(time, signed bytes)` in program order.
-    mem_events: Vec<Vec<(f64, i64)>>,
-    /// Latest op end time seen.
-    makespan: f64,
-}
-
-impl<'a> Shared<'a> {
-    fn new(
-        cost: &'a CostModel,
-        cluster: &'a ClusterSpec,
-        opts: SimOptions,
-        p: usize,
-        sends: usize,
-    ) -> Self {
-        Shared {
-            cost,
-            cluster,
-            opts,
-            p,
-            // Sized up front: at fleet scale the arrival table holds
-            // millions of keys, and letting it grow by doubling would
-            // re-hash the multi-GB table ~20 times.
-            arrivals: FxMap::with_capacity_and_hasher(sends * 2, Default::default()),
-            waiters: FxMap::default(),
-            newly: Vec::new(),
-            links: FxMap::default(),
-            link_done: Vec::new(),
-            compute_free: vec![0.0; p],
-            last_compute_end: vec![0.0; p],
-            coll_free: vec![0.0; p],
-            coll_groups: FxMap::default(),
-            busy: vec![0.0; p],
-            p2p_bytes: vec![0; p],
-            collective_bytes: vec![0; p],
-            timeline: vec![Vec::new(); p],
-            mem_events: vec![Vec::new(); p],
-            makespan: 0.0,
-        }
-    }
-
-    /// Record a resolved message and queue its waiters for wake-up.
-    fn resolve(&mut self, key: MsgKey, t: f64) {
-        self.arrivals.insert(key, t);
-        self.newly.push((key, t));
-    }
-}
-
-/// One rank's compute engine: walks the rank's instruction stream in
-/// program order, parking on the first unresolved message dependency.
-struct RankComp<'a> {
-    rank: usize,
-    ops: &'a [Op],
-    cursor: usize,
-}
-
-impl Component for RankComp<'_> {
-    fn next_tick(&self) -> Option<f64> {
-        (self.cursor < self.ops.len()).then_some(0.0)
-    }
-
-    fn tick(&mut self, _now: f64, sh: &mut Shared<'_>) -> Tick {
-        let r = self.rank;
-        let p = sh.p;
-        while self.cursor < self.ops.len() {
-            let op = &self.ops[self.cursor];
-            // All explicit message dependencies must have known times.
-            let mut needs_t = 0.0f64;
-            let mut blocked = None;
-            for k in &op.needs {
-                match sh.arrivals.get(k) {
-                    Some(&a) => needs_t = needs_t.max(a),
-                    None => {
-                        blocked = Some(*k);
-                        break;
-                    }
-                }
-            }
-            if let Some(k) = blocked {
-                return Tick::WaitingOn(k);
-            }
-
-            let end_time;
-            match &op.kind {
-                kind if kind.is_compute() => {
-                    let dur = match kind {
-                        OpKind::Fwd { .. } => sh.cost.t_fwd(),
-                        OpKind::BwdFull { .. } => sh.cost.t_bwd_full(),
-                        OpKind::BwdData { .. } => sh.cost.t_bwd_data(),
-                        OpKind::BwdWeight { .. } => sh.cost.t_bwd_weight(),
-                        OpKind::Update { .. } => sh.cost.t_update(),
-                        _ => unreachable!(),
-                    };
-                    let dur = match sh.opts.straggler {
-                        Some((sr, slow)) if sr == r => dur * slow,
-                        _ => dur,
-                    };
-                    let start = sh.compute_free[r].max(needs_t);
-                    let end = start + dur;
-                    sh.compute_free[r] = end;
-                    sh.last_compute_end[r] = end;
-                    sh.busy[r] += dur;
-                    end_time = end;
-                    // A checkpointed backward rematerialises the full
-                    // forward ctx for its duration — a real peak-memory
-                    // contributor (and why ZB gains nothing from
-                    // recompute, §4.3).
-                    if sh.cost.recompute && matches!(kind, OpKind::BwdFull { .. }) {
-                        let t = sh.cost.recompute_transient_bytes() as i64;
-                        sh.mem_events[r].push((start, t));
-                        sh.mem_events[r].push((end, -t));
-                    }
-                    let (class, mb, chunk) = match *kind {
-                        OpKind::Fwd { mb, chunk } => ('F', mb, chunk),
-                        OpKind::BwdFull { mb, chunk } => ('B', mb, chunk),
-                        OpKind::BwdData { mb, chunk } => ('b', mb, chunk),
-                        OpKind::BwdWeight { mb, chunk } => ('w', mb, chunk),
-                        OpKind::Update { chunk } => ('U', usize::MAX, chunk),
-                        _ => unreachable!(),
-                    };
-                    sh.timeline[r].push(TimedOp {
-                        start,
-                        end,
-                        class,
-                        mb,
-                        chunk,
-                    });
-                }
-                OpKind::Send(k) => {
-                    let bytes = msg_bytes(sh.cost, k);
-                    // Resolve the link from both endpoints: grouped schedules
-                    // send between non-adjacent ranks (bridge hops, intra-node
-                    // fan-out), so src's ring successor is not enough.
-                    let link_spec = sh.cluster.link_between(k.src, k.dst);
-                    let mut ready = needs_t;
-                    if op.after_compute {
-                        ready = ready.max(sh.last_compute_end[r]);
-                    }
-                    if !sh.opts.overlap {
-                        ready = ready.max(sh.compute_free[r]);
-                    }
-                    // Enqueue on the directed link's DMA component and tick
-                    // it inline: single-writer FIFO, so the completion time
-                    // is already determined (see module docs).
-                    let link = sh.links.entry((k.src, k.dst)).or_insert_with(LinkDma::new);
-                    link.queue.push_back(Transfer {
-                        key: *k,
-                        ready,
-                        occupy: bytes as f64 / link_spec.bandwidth,
-                        latency: link_spec.latency,
-                    });
-                    link.tick(&mut sh.link_done);
-                    if !sh.opts.overlap {
-                        sh.compute_free[r] = link.free;
-                    }
-                    let (_, arrive) = *sh.link_done.last().expect("drained transfer");
-                    while let Some((key, t)) = sh.link_done.pop() {
-                        sh.resolve(key, t);
-                    }
-                    sh.p2p_bytes[r] += bytes;
-                    end_time = arrive;
-                }
-                // A wait on a pre-posted request completes when the
-                // message lands, exactly like a blocking recv — the
-                // overlap win comes from *where the builder places* the
-                // wait, not from a cheaper wait.
-                OpKind::Recv(k) | OpKind::WaitReq(k) => match sh.arrivals.get(k) {
-                    Some(&a) => end_time = a,
-                    None => return Tick::WaitingOn(*k),
-                },
-                OpKind::PrePost(_) => {
-                    // Posting the receive buffer is free and gates
-                    // nothing; memory for the in-flight slot is already
-                    // in the strategy's static footprint (cost.rs).
-                    end_time = needs_t;
-                }
-                kind => {
-                    // Collective: record entry; complete at rendezvous.
-                    let (disc, payload) = match *kind {
-                        OpKind::AllGatherW { chunk, round } => {
-                            ((0u8, chunk, round), sh.cost.weight_chunk_bytes())
-                        }
-                        OpKind::ReduceScatterD { chunk, round } => {
-                            ((1u8, chunk, round), sh.cost.grad_chunk_bytes())
-                        }
-                        OpKind::AllReduceD { chunk, round } => {
-                            ((2u8, chunk, round), sh.cost.grad_chunk_bytes())
-                        }
-                        _ => unreachable!(),
-                    };
-                    let mut ready = needs_t.max(sh.coll_free[r]);
-                    if op.after_compute {
-                        ready = ready.max(sh.last_compute_end[r]);
-                    }
-                    if !sh.opts.overlap {
-                        ready = ready.max(sh.compute_free[r]);
-                    }
-                    let group = sh.coll_groups.entry(disc).or_insert_with(|| CollGroup {
-                        readies: Vec::new(),
-                        kind: kind.clone(),
-                    });
-                    group.readies.push((r, ready));
-                    sh.collective_bytes[r] += match kind {
-                        OpKind::AllReduceD { .. } => 2 * payload * (p as u64 - 1) / p as u64,
-                        _ => payload * (p as u64 - 1) / p as u64,
-                    };
-                    if group.readies.len() == p {
-                        let start = group.readies.iter().fold(0.0f64, |m, &(_, t)| m.max(t));
-                        let dur = match group.kind {
-                            OpKind::AllReduceD { .. } => sh.cluster.all_reduce_s(payload),
-                            _ => sh.cluster.gather_scatter_s(payload),
-                        };
-                        let done = start + dur;
-                        let group_kind = group.kind.clone();
-                        for rr in 0..p {
-                            sh.coll_free[rr] = sh.coll_free[rr].max(done);
-                            if !sh.opts.overlap {
-                                sh.compute_free[rr] = sh.compute_free[rr].max(done);
-                            }
-                            let pseudo = collective_pseudo_key(&group_kind, rr);
-                            sh.resolve(pseudo, done);
-                        }
-                        end_time = done;
-                    } else {
-                        end_time = ready;
-                    }
-                }
-            }
-
-            for &(unit, delta) in &op.mem {
-                sh.mem_events[r].push((end_time, delta * sh.cost.mem_unit_bytes(unit) as i64));
-            }
-            sh.makespan = sh.makespan.max(end_time);
-            self.cursor += 1;
-        }
-        Tick::Idle
-    }
-}
-
-/// Execute `schedule` on `cluster` under `cost` with the event core.
-///
-/// The public entry point is [`crate::engine::simulate`], which delegates
-/// here; [`crate::engine::simulate_reference`] is the legacy walk kept as
-/// the equivalence oracle.
+/// The heap driver behind [`crate::engine::simulate`]: every rank starts
+/// runnable; a rank that blocks parks on its key and is woken, at the
+/// key's arrival time, by whichever step resolves it.
 pub(crate) fn simulate_des(
     schedule: &Schedule,
     cost: &CostModel,
     cluster: &ClusterSpec,
     opts: SimOptions,
 ) -> Result<SimResult, SimError> {
-    let p = schedule.ranks;
-    assert_eq!(cluster.ranks, p, "cluster size must match schedule");
-    if let Err(e) = cluster.validate() {
-        return Err(SimError(e.to_string()));
-    }
-
-    let sends: usize = schedule
-        .ops
-        .iter()
-        .map(|ops| {
-            ops.iter()
-                .filter(|o| matches!(o.kind, OpKind::Send(_)))
-                .count()
-        })
-        .sum();
-    let mut sh = Shared::new(cost, cluster, opts, p, sends);
-    for (r, ops) in schedule.ops.iter().enumerate() {
-        sh.timeline[r].reserve(ops.iter().filter(|o| o.kind.is_compute()).count());
-    }
+    let mut st = State::new(schedule, cost, cluster, opts)?;
     let mut queue = EventQueue::default();
-    let mut ranks: Vec<RankComp> = (0..p)
-        .map(|r| RankComp {
-            rank: r,
-            ops: &schedule.ops[r],
-            cursor: 0,
-        })
-        .collect();
-
-    // Seed: every rank component is runnable at t = 0, in rank order —
-    // the same first pass the reference walk makes.
-    for (r, comp) in ranks.iter().enumerate() {
-        if comp.next_tick().is_some() {
-            queue.push(0.0, r);
-        }
+    let mut waiters: FxMap<MsgKey, Vec<usize>> = FxMap::default();
+    for r in 0..schedule.ranks {
+        queue.push(0.0, r);
     }
-
     while let Some(ev) = queue.pop() {
-        match ranks[ev.comp].tick(ev.time, &mut sh) {
-            Tick::Idle => {}
-            Tick::WaitingOn(key) => {
-                // The key cannot have resolved during this same tick: the
-                // rank re-reads `arrivals` (which its own resolutions
-                // update inline) before parking.
-                sh.waiters.entry(key).or_default().push(ev.comp);
-            }
+        // A rank re-reads `arrivals` (which its own steps update) before
+        // it blocks, so the key it parks on cannot be in `resolved`.
+        if let Some(key) = st.advance(ev.rank) {
+            waiters.entry(key).or_default().push(ev.rank);
         }
-        // Wake everything parked on keys this tick resolved.
-        let newly = std::mem::take(&mut sh.newly);
-        for (key, t) in newly {
-            if let Some(parked) = sh.waiters.remove(&key) {
-                for comp in parked {
-                    queue.push(t, comp);
-                }
+        for (key, t) in st.resolved.drain(..) {
+            for rank in waiters.remove(&key).into_iter().flatten() {
+                queue.push(t, rank);
             }
         }
     }
-
-    // Links are ticked inline by their writers, so none may hold queued
-    // work once the heap drains.
-    debug_assert!(sh.links.values().all(|l| l.next_tick().is_none()));
-
-    for (r, comp) in ranks.iter().enumerate() {
-        if comp.cursor < schedule.ops[r].len() {
-            return Err(SimError(format!(
-                "rank {r} stalled at op {} ({:?})",
-                comp.cursor, schedule.ops[r][comp.cursor].kind
-            )));
-        }
-    }
-
-    let Shared {
-        busy,
-        p2p_bytes,
-        collective_bytes,
-        timeline,
-        mem_events,
-        makespan,
-        ..
-    } = sh;
-    Ok(finalize_result(
-        schedule,
-        cost,
-        cluster,
-        makespan,
-        busy,
-        p2p_bytes,
-        collective_bytes,
-        timeline,
-        mem_events,
-    ))
+    st.finish()
 }
 
 #[cfg(test)]
@@ -616,7 +557,7 @@ mod tests {
     use super::*;
     use crate::cost::{GpuSpec, ModelDims};
     use crate::engine::simulate_reference;
-    use wp_sched::{build, MsgKind, PipelineSpec, Strategy};
+    use wp_sched::{build, PipelineSpec, Strategy};
 
     fn setup(strategy: Strategy, p: usize, n: usize) -> (Schedule, CostModel, ClusterSpec) {
         let sched = build(strategy, PipelineSpec::new(p, n));
@@ -700,35 +641,46 @@ mod tests {
         q.push(2.0, 0);
         q.push(1.0, 1);
         q.push(1.0, 2);
-        assert_eq!(q.pop().map(|e| e.comp), Some(1));
-        assert_eq!(q.pop().map(|e| e.comp), Some(2));
-        assert_eq!(q.pop().map(|e| e.comp), Some(0));
+        assert_eq!(q.pop().map(|e| e.rank), Some(1));
+        assert_eq!(q.pop().map(|e| e.rank), Some(2));
+        assert_eq!(q.pop().map(|e| e.rank), Some(0));
         assert!(q.pop().is_none());
     }
 
+    /// Two sends on one directed link share its DMA path: the second
+    /// issues when the first has left the wire, and each lands one latency
+    /// after it leaves. Priced by hand, no second engine involved.
     #[test]
-    fn link_component_reports_next_tick_and_drains() {
-        let mut l = LinkDma::new();
-        assert!(l.next_tick().is_none());
-        l.queue.push_back(Transfer {
-            key: MsgKey {
-                kind: MsgKind::Weights,
-                chunk: 0,
-                mb: 0,
-                round: 0,
-                src: 0,
-                dst: 1,
-            },
-            ready: 3.0,
-            occupy: 1.0,
-            latency: 0.1,
-        });
-        assert_eq!(l.next_tick(), Some(3.0));
-        let mut done = Vec::new();
-        l.tick(&mut done);
-        assert!(l.next_tick().is_none());
-        assert_eq!(done.len(), 1);
-        assert!((done[0].1 - 4.1).abs() < 1e-12);
-        assert!((l.free - 4.0).abs() < 1e-12);
+    fn sends_on_one_directed_link_serialize() {
+        let (mut sched, cost, cluster) = setup(Strategy::GPipe, 2, 2);
+        let key = |round| MsgKey {
+            kind: MsgKind::Weights,
+            chunk: 0,
+            mb: 0,
+            round,
+            src: 0,
+            dst: 1,
+        };
+        sched.ops = vec![
+            vec![Op::send(key(0)), Op::send(key(1))],
+            vec![Op::recv(key(0)), Op::recv(key(1))],
+        ];
+        let link = cluster.link_between(0, 1);
+        let occupy = cost.weight_chunk_bytes() as f64 / link.bandwidth;
+        let mut st = State::new(&sched, &cost, &cluster, SimOptions::default()).expect("state");
+        assert!(matches!(st.step(1), Step::Blocked(k) if k == key(0)));
+        assert_eq!(st.cursor(1), 0, "a blocked step changes nothing");
+        assert_eq!(st.advance(0), None);
+        assert_eq!(
+            st.resolved,
+            [
+                (key(0), occupy + link.latency),
+                (key(1), occupy + occupy + link.latency)
+            ]
+        );
+        assert_eq!(st.advance(1), None);
+        let r = st.finish().expect("both ranks ran out of ops");
+        assert_eq!(r.makespan, occupy + occupy + link.latency);
+        assert_eq!(r.p2p_bytes, [2 * cost.weight_chunk_bytes(), 0]);
     }
 }

@@ -18,8 +18,8 @@
 
 use crate::cluster::ClusterSpec;
 use crate::cost::CostModel;
-use std::collections::HashMap;
-use wp_sched::{MsgKey, MsgKind, OpKind, Schedule};
+use crate::des::State;
+use wp_sched::Schedule;
 
 /// Engine options.
 #[derive(Debug, Clone, Copy)]
@@ -106,12 +106,9 @@ impl std::fmt::Display for SimError {
 
 impl std::error::Error for SimError {}
 
-/// Execute `schedule` on `cluster` under `cost`.
-///
-/// Delegates to the component/min-heap discrete-event core in
-/// [`crate::des`], which produces bit-identical results to
-/// [`simulate_reference`] (the original fixpoint walk, kept as the
-/// equivalence oracle) while scaling to thousands of simulated ranks.
+/// Execute `schedule` on `cluster` under `cost`: the one pricing step
+/// (`des::State::step`) prices the ops, a min-heap wake-up loop picks which
+/// rank steps next. Scales to thousands of simulated ranks.
 pub fn simulate(
     schedule: &Schedule,
     cost: &CostModel,
@@ -121,341 +118,32 @@ pub fn simulate(
     crate::des::simulate_des(schedule, cost, cluster, opts)
 }
 
-/// Wire bytes for one point-to-point message.
-pub(crate) fn msg_bytes(cost: &CostModel, k: &MsgKey) -> u64 {
-    match k.kind {
-        MsgKind::Weights => cost.weight_chunk_bytes(),
-        MsgKind::WeightGrads => cost.grad_chunk_bytes(),
-        MsgKind::Act => cost.act_boundary_bytes(),
-        MsgKind::ActGrad => cost.act_grad_boundary_bytes(),
-    }
-}
-
-/// Fold raw per-rank accumulators into a [`SimResult`]: peak memory from
-/// the event ledger (stable time sort over program-order events, running
-/// sum over the static footprint) and the global bubble fraction. Shared
-/// by both engines so the finalization arithmetic is identical by
-/// construction.
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn finalize_result(
-    schedule: &Schedule,
-    cost: &CostModel,
-    cluster: &ClusterSpec,
-    makespan: f64,
-    busy: Vec<f64>,
-    p2p_bytes: Vec<u64>,
-    collective_bytes: Vec<u64>,
-    timeline: Vec<Vec<TimedOp>>,
-    mut mem_events: Vec<Vec<(f64, i64)>>,
-) -> SimResult {
-    let p = schedule.ranks;
-    // Peak memory per rank: static + max running dynamic sum in time order.
-    let mut peak_mem = Vec::with_capacity(p);
-    for (r, events) in mem_events.iter_mut().enumerate() {
-        events.sort_by(|a, b| a.0.partial_cmp(&b.0).expect("finite times"));
-        let stat = cost.static_mem_bytes(schedule.strategy, r, p) as i64;
-        let mut cur = stat;
-        let mut peak = stat;
-        for &(_, d) in events.iter() {
-            cur += d;
-            peak = peak.max(cur);
-        }
-        peak_mem.push(peak.max(0) as u64);
-    }
-
-    let total_busy: f64 = busy.iter().sum();
-    let bubble_ratio = if makespan > 0.0 {
-        1.0 - total_busy / (p as f64 * makespan)
-    } else {
-        0.0
-    };
-
-    // Cross-node traffic is a property of the schedule and the topology, not
-    // of event ordering, so it is folded here — shared by both engines, hence
-    // bit-identical by construction.
-    let mut cross_node_p2p_bytes = 0u64;
-    for ops in schedule.ops.iter() {
-        for op in ops.iter() {
-            if let OpKind::Send(k) = &op.kind {
-                if cluster.group_of(k.src) != cluster.group_of(k.dst) {
-                    cross_node_p2p_bytes += msg_bytes(cost, k);
-                }
-            }
-        }
-    }
-
-    SimResult {
-        makespan,
-        busy,
-        bubble_ratio,
-        peak_mem,
-        p2p_bytes,
-        cross_node_p2p_bytes,
-        collective_bytes,
-        timeline,
-    }
-}
-
-/// The original strategy-by-strategy fixpoint walk, kept verbatim as the
-/// equivalence oracle for the event core: `tests/engine_equivalence.rs`
-/// asserts both produce bit-identical results on every strategy. Prefer
-/// [`simulate`] — this walk re-scans all ranks until quiescence, which is
-/// quadratic-ish in practice and minutes-slow at fleet scale.
-#[allow(clippy::needless_range_loop)]
+/// The equivalence oracle for [`simulate`]: the same pricing step,
+/// driven by the simplest loop that can be right — advance every rank in
+/// rank order, again and again, until a whole pass moves no cursor. No
+/// queue, no parked waiters, no wake-ups; `tests/engine_equivalence.rs`
+/// asserts it and [`simulate`] agree to the bit, i.e. that the order ranks
+/// are visited in cannot change a result. Prefer [`simulate`] — the
+/// re-scans are quadratic-ish in practice and minutes-slow at fleet scale.
 pub fn simulate_reference(
     schedule: &Schedule,
     cost: &CostModel,
     cluster: &ClusterSpec,
     opts: SimOptions,
 ) -> Result<SimResult, SimError> {
-    let p = schedule.ranks;
-    assert_eq!(cluster.ranks, p, "cluster size must match schedule");
-    if let Err(e) = cluster.validate() {
-        return Err(SimError(e.to_string()));
-    }
-
-    let mut arrivals: HashMap<MsgKey, f64> = HashMap::new();
-    let mut cursor = vec![0usize; p];
-    let mut compute_free = vec![0.0f64; p];
-    let mut last_compute_end = vec![0.0f64; p];
-    let mut coll_free = vec![0.0f64; p];
-    // Directed ring-link availability, keyed by src (dst is src+1; reverse
-    // hops never occur in our schedules, but key by (src,dst) to be safe).
-    let mut link_free: HashMap<(usize, usize), f64> = HashMap::new();
-
-    // Collective rendezvous: discriminant -> (entered ranks, readies, kind).
-    struct CollGroup {
-        readies: Vec<(usize, f64)>,
-        kind: OpKind,
-    }
-    let mut coll_groups: HashMap<(u8, usize, usize), CollGroup> = HashMap::new();
-    // Ops waiting on group completion re-check via the pseudo-keys.
-    let mut busy = vec![0.0f64; p];
-    let mut p2p_bytes = vec![0u64; p];
-    let mut collective_bytes = vec![0u64; p];
-    let mut timeline: Vec<Vec<TimedOp>> = vec![Vec::new(); p];
-    // Memory events (time, signed bytes) per rank.
-    let mut mem_events: Vec<Vec<(f64, i64)>> = vec![Vec::new(); p];
-    let mut makespan = 0.0f64;
-
+    let mut st = State::new(schedule, cost, cluster, opts)?;
     let mut progress = true;
     while progress {
         progress = false;
-        for r in 0..p {
-            while cursor[r] < schedule.ops[r].len() {
-                let op = &schedule.ops[r][cursor[r]];
-                // All explicit message dependencies must have known times.
-                let needs_ready: Option<f64> = {
-                    let mut t = 0.0f64;
-                    let mut ok = true;
-                    for k in &op.needs {
-                        match arrivals.get(k) {
-                            Some(&a) => t = t.max(a),
-                            None => {
-                                ok = false;
-                                break;
-                            }
-                        }
-                    }
-                    if ok {
-                        Some(t)
-                    } else {
-                        None
-                    }
-                };
-                let Some(needs_t) = needs_ready else { break };
-
-                #[allow(unused_assignments)]
-                let mut end_time = 0.0f64;
-                match &op.kind {
-                    kind if kind.is_compute() => {
-                        let dur = match kind {
-                            OpKind::Fwd { .. } => cost.t_fwd(),
-                            OpKind::BwdFull { .. } => cost.t_bwd_full(),
-                            OpKind::BwdData { .. } => cost.t_bwd_data(),
-                            OpKind::BwdWeight { .. } => cost.t_bwd_weight(),
-                            OpKind::Update { .. } => cost.t_update(),
-                            _ => unreachable!(),
-                        };
-                        let dur = match opts.straggler {
-                            Some((sr, slow)) if sr == r => dur * slow,
-                            _ => dur,
-                        };
-                        let start = compute_free[r].max(needs_t);
-                        let end = start + dur;
-                        compute_free[r] = end;
-                        last_compute_end[r] = end;
-                        busy[r] += dur;
-                        end_time = end;
-                        // A checkpointed backward rematerialises the full
-                        // forward ctx for its duration — a real peak-memory
-                        // contributor (and why ZB gains nothing from
-                        // recompute, §4.3).
-                        if cost.recompute && matches!(kind, OpKind::BwdFull { .. }) {
-                            let t = cost.recompute_transient_bytes() as i64;
-                            mem_events[r].push((start, t));
-                            mem_events[r].push((end, -t));
-                        }
-                        let (class, mb, chunk) = match *kind {
-                            OpKind::Fwd { mb, chunk } => ('F', mb, chunk),
-                            OpKind::BwdFull { mb, chunk } => ('B', mb, chunk),
-                            OpKind::BwdData { mb, chunk } => ('b', mb, chunk),
-                            OpKind::BwdWeight { mb, chunk } => ('w', mb, chunk),
-                            OpKind::Update { chunk } => ('U', usize::MAX, chunk),
-                            _ => unreachable!(),
-                        };
-                        timeline[r].push(TimedOp {
-                            start,
-                            end,
-                            class,
-                            mb,
-                            chunk,
-                        });
-                    }
-                    OpKind::Send(k) => {
-                        let bytes = msg_bytes(cost, k);
-                        let link = cluster.link_between(k.src, k.dst);
-                        let lf = link_free.entry((k.src, k.dst)).or_insert(0.0);
-                        let mut issue = needs_t.max(*lf);
-                        if op.after_compute {
-                            issue = issue.max(last_compute_end[r]);
-                        }
-                        if !opts.overlap {
-                            issue = issue.max(compute_free[r]);
-                        }
-                        let occupy = bytes as f64 / link.bandwidth;
-                        *lf = issue + occupy;
-                        let arrive = issue + occupy + link.latency;
-                        if !opts.overlap {
-                            compute_free[r] = issue + occupy;
-                        }
-                        arrivals.insert(*k, arrive);
-                        p2p_bytes[r] += bytes;
-                        end_time = arrive;
-                    }
-                    // A wait on a pre-posted request completes when the
-                    // message lands, exactly like a blocking recv — the
-                    // overlap win comes from *where the builder places* the
-                    // wait, not from a cheaper wait.
-                    OpKind::Recv(k) | OpKind::WaitReq(k) => {
-                        match arrivals.get(k) {
-                            Some(&a) => end_time = a,
-                            // Matching send not yet timed: retry later.
-                            None => break,
-                        }
-                    }
-                    OpKind::PrePost(_) => {
-                        // Posting the receive buffer is free and gates
-                        // nothing; memory for the in-flight slot is already
-                        // in the strategy's static footprint (cost.rs).
-                        end_time = needs_t;
-                    }
-                    kind => {
-                        // Collective: record entry; complete at rendezvous.
-                        let (disc, payload) = match *kind {
-                            OpKind::AllGatherW { chunk, round } => {
-                                ((0u8, chunk, round), cost.weight_chunk_bytes())
-                            }
-                            OpKind::ReduceScatterD { chunk, round } => {
-                                ((1u8, chunk, round), cost.grad_chunk_bytes())
-                            }
-                            OpKind::AllReduceD { chunk, round } => {
-                                ((2u8, chunk, round), cost.grad_chunk_bytes())
-                            }
-                            _ => unreachable!(),
-                        };
-                        let mut ready = needs_t.max(coll_free[r]);
-                        if op.after_compute {
-                            ready = ready.max(last_compute_end[r]);
-                        }
-                        if !opts.overlap {
-                            ready = ready.max(compute_free[r]);
-                        }
-                        let group = coll_groups.entry(disc).or_insert_with(|| CollGroup {
-                            readies: Vec::new(),
-                            kind: kind.clone(),
-                        });
-                        group.readies.push((r, ready));
-                        collective_bytes[r] += match kind {
-                            OpKind::AllReduceD { .. } => 2 * payload * (p as u64 - 1) / p as u64,
-                            _ => payload * (p as u64 - 1) / p as u64,
-                        };
-                        if group.readies.len() == p {
-                            let start = group.readies.iter().fold(0.0f64, |m, &(_, t)| m.max(t));
-                            let dur = match group.kind {
-                                OpKind::AllReduceD { .. } => cluster.all_reduce_s(payload),
-                                _ => cluster.gather_scatter_s(payload),
-                            };
-                            let done = start + dur;
-                            for rr in 0..p {
-                                coll_free[rr] = coll_free[rr].max(done);
-                                if !opts.overlap {
-                                    compute_free[rr] = compute_free[rr].max(done);
-                                }
-                                let pseudo = collective_pseudo_key(&group.kind, rr);
-                                arrivals.insert(pseudo, done);
-                            }
-                            end_time = done;
-                        } else {
-                            end_time = ready;
-                        }
-                    }
-                }
-
-                for &(unit, delta) in &op.mem {
-                    mem_events[r].push((end_time, delta * cost.mem_unit_bytes(unit) as i64));
-                }
-                makespan = makespan.max(end_time);
-                cursor[r] += 1;
-                progress = true;
-            }
+        for r in 0..schedule.ranks {
+            let before = st.cursor(r);
+            st.advance(r);
+            progress |= st.cursor(r) != before;
         }
+        // The wake-up log is the heap driver's; this loop re-scans.
+        st.resolved.clear();
     }
-
-    for r in 0..p {
-        if cursor[r] < schedule.ops[r].len() {
-            return Err(SimError(format!(
-                "rank {r} stalled at op {} ({:?})",
-                cursor[r], schedule.ops[r][cursor[r]].kind
-            )));
-        }
-    }
-
-    Ok(finalize_result(
-        schedule,
-        cost,
-        cluster,
-        makespan,
-        busy,
-        p2p_bytes,
-        collective_bytes,
-        timeline,
-        mem_events,
-    ))
-}
-
-/// The pseudo-key a collective registers on each rank (mirrors
-/// `wp_sched::validate`).
-pub(crate) fn collective_pseudo_key(kind: &OpKind, rank: usize) -> MsgKey {
-    match *kind {
-        OpKind::AllGatherW { chunk, round } => MsgKey {
-            kind: MsgKind::Weights,
-            chunk,
-            mb: wp_sched::NO_MB,
-            round,
-            src: rank,
-            dst: rank,
-        },
-        OpKind::ReduceScatterD { chunk, round } | OpKind::AllReduceD { chunk, round } => MsgKey {
-            kind: MsgKind::WeightGrads,
-            chunk,
-            mb: wp_sched::NO_MB,
-            round,
-            src: rank,
-            dst: rank,
-        },
-        _ => unreachable!("not a collective"),
-    }
+    st.finish()
 }
 
 #[cfg(test)]

@@ -1,15 +1,11 @@
 //! The DES-backed cost oracle for the `wp-sched` autotuner.
 //!
-//! `wp-sched::tune` defines the search problem (candidates, spaces,
-//! grid/beam schedulers) against an abstract [`CostOracle`]; this module
-//! supplies the real one. [`DesOracle`] prices a candidate two ways:
-//!
-//! * [`CostOracle::estimate`] — a closed-form analytic proxy (compute +
-//!   strategy-shaped bubble + serialized wire time) used only to rank
-//!   candidates inside a beam. Cheap enough for thousands of calls.
-//! * [`CostOracle::evaluate`] — ground truth: build the schedule, validate
-//!   it, and run the discrete-event engine ([`crate::engine::simulate`])
-//!   for the exact makespan, bubble ratio and peak memory.
+//! `wp-sched::tune` defines the search problem (candidates, spaces, the
+//! grid search) against an abstract [`CostOracle`]; this module supplies
+//! the real one. [`DesOracle`] prices a candidate the only way the repo
+//! prices a schedule: build it, validate it, and run the discrete-event
+//! engine ([`crate::engine::simulate`]) for the exact makespan, bubble
+//! ratio and peak memory.
 //!
 //! To keep makespans comparable across microbatch counts, the oracle fixes
 //! a *global batch* (sequences per iteration): a candidate with `N`
@@ -20,10 +16,10 @@
 //! batch (worse kernel efficiency via the cost model's `gs/(gs+8k)` term).
 
 use wp_sched::tune::{Candidate, CostOracle, ScheduleCost};
-use wp_sched::{build, validate, Strategy};
+use wp_sched::{build, validate};
 
 use crate::cluster::ClusterSpec;
-use crate::cost::{CostModel, GpuSpec, ModelDims, TpOverlay};
+use crate::cost::{CostModel, GpuSpec, ModelDims};
 use crate::engine::{simulate, SimOptions};
 
 /// Discrete-event-simulation cost oracle for one (model, cluster) point.
@@ -67,118 +63,12 @@ impl DesOracle {
         dims.microbatch = self.global_batch / c.microbatches;
         Ok(dims)
     }
-
-    /// Analytic cost model for `c` without building a schedule (the
-    /// builders structurally fix `chunks = P` except for the FSDP/DDP
-    /// override and WeiPipe-Hier's `chunks = group`, and split-backward
-    /// strategies force recompute off).
-    fn cost_for(&self, c: &Candidate, dims: ModelDims) -> CostModel {
-        let chunks = if c.strategy == Strategy::WeiPipeHier {
-            c.group.unwrap_or(self.cluster.ranks)
-        } else {
-            c.chunks.unwrap_or(self.cluster.ranks)
-        };
-        CostModel {
-            dims,
-            gpu: self.gpu,
-            chunks,
-            recompute: !c.split_backward(),
-            flash_attention: true,
-            tp: TpOverlay::off(),
-        }
-    }
 }
 
 impl CostOracle for DesOracle {
-    /// Closed-form proxy: per-rank compute, plus a strategy-shaped
-    /// pipeline-bubble term, plus wire time through the bottleneck link
-    /// (discounted when overlap hides it behind compute). Returns
-    /// `f64::INFINITY` for structurally infeasible candidates so they sink
-    /// to the bottom of any beam.
-    fn estimate(&self, c: &Candidate) -> f64 {
-        let p = self.cluster.ranks;
-        let (Ok(()), Ok(dims)) = (c.check(p), self.dims_for(c)) else {
-            return f64::INFINITY;
-        };
-        let cost = self.cost_for(c, dims);
-        let n = c.microbatches as f64;
-        let pf = p as f64;
-
-        let t_f = cost.t_fwd();
-        let t_b = if c.split_backward() {
-            cost.t_bwd_data() + cost.t_bwd_weight()
-        } else {
-            cost.t_bwd_full()
-        };
-        // Every rank computes N (microbatch × chunk) passes per iteration
-        // regardless of strategy family, plus its share of updates.
-        let compute = n * (t_f + t_b) + cost.t_update();
-
-        // Fill/drain bubble as a fraction of (P−1) stage times — the
-        // classic pipeline ramp, discounted per strategy's schedule shape.
-        // WeiPipe-Hier ramps over its local ring of `group` ranks, not the
-        // whole world, so its ramp shrinks with the group size.
-        let ramp = (pf - 1.0) * (t_f + t_b);
-        let g = c.group.unwrap_or(p);
-        let bubble = ramp
-            * match c.strategy {
-                Strategy::GPipe | Strategy::OneFOneB => 1.0,
-                Strategy::WeiPipeNaive => 0.5,
-                Strategy::Zb1 | Strategy::WeiPipeInterleave => 0.3,
-                Strategy::WeiPipeHier => 0.3 * (g as f64 - 1.0) / (pf - 1.0).max(1.0),
-                Strategy::Zb2 | Strategy::Wzb1 => 0.1,
-                Strategy::Wzb2 => 0.05,
-                Strategy::Fsdp | Strategy::Ddp => 0.0,
-            };
-
-        // Per-rank wire time through the slowest link each byte actually
-        // crosses (the ring's bottleneck, except WeiPipe-Hier which keeps
-        // its rings on intra-group links and only grad bundles on inter).
-        let bm = cost.byte_model();
-        let bneck = |bytes: u64| self.cluster.bottleneck().transfer_s(bytes);
-        let wire = match c.strategy {
-            Strategy::GPipe | Strategy::OneFOneB | Strategy::Zb1 | Strategy::Zb2 => {
-                bneck(n as u64 * (bm.act_boundary + bm.act_grad_boundary))
-            }
-            Strategy::WeiPipeNaive
-            | Strategy::WeiPipeInterleave
-            | Strategy::Wzb1
-            | Strategy::Wzb2 => {
-                // ≈ (N/P + 2)·P ring turns × ~3 weight-sized chunks each
-                // (paper §3: 36H² per turn).
-                let turns = (c.microbatches / p + 2) * p;
-                bneck(turns as u64 * 3 * bm.weight_chunk)
-            }
-            Strategy::WeiPipeHier => {
-                // Each group ring turns over its 1/groups of the batch on
-                // intra links; a bridge forwards (groups−1)·g grad chunks
-                // over its inter hop once per iteration.
-                let groups = p / g;
-                let turns = (c.microbatches / p + 2) * g;
-                let ring = turns as u64 * 3 * bm.weight_chunk;
-                let bundle = ((groups - 1) * g) as u64 * bm.grad_chunk;
-                self.cluster.intra.transfer_s(ring) + self.cluster.inter.transfer_s(bundle)
-            }
-            Strategy::Fsdp => {
-                // Two all-gathers plus one reduce-scatter of the model.
-                let model = bm.weight_chunk * cost.chunks as u64;
-                bneck(3 * model * (p as u64 - 1) / p as u64)
-            }
-            Strategy::Ddp => {
-                let grads = bm.grad_chunk * cost.chunks as u64;
-                bneck(2 * grads * (p as u64 - 1) / p as u64)
-            }
-        };
-        // Overlap hides most wire time behind compute; keep a residual so
-        // comm-bound points still rank worse.
-        let comm = if c.overlap { 0.25 * wire } else { wire };
-
-        compute + bubble + comm
-    }
-
-    /// Ground truth: build → validate → discrete-event simulate. `Err` is
-    /// a structurally invalid candidate; OOM is reported in the cost so
-    /// schedulers can skip it while still logging how close it came.
+    /// Build → validate → discrete-event simulate. `Err` is a structurally
+    /// invalid candidate; OOM is reported in the cost so the search can
+    /// skip it while still logging how close it came.
     fn evaluate(&self, c: &Candidate) -> Result<ScheduleCost, String> {
         let p = self.cluster.ranks;
         c.check(p)?;
@@ -203,8 +93,8 @@ impl CostOracle for DesOracle {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use wp_sched::tune::{BeamScheduler, GridScheduler, Scheduler, TuneSpace};
-    use wp_sched::ALL_STRATEGIES;
+    use wp_sched::tune::{grid, TuneSpace};
+    use wp_sched::{Strategy, ALL_STRATEGIES};
 
     fn oracle8() -> DesOracle {
         DesOracle::new(
@@ -230,7 +120,7 @@ mod tests {
     #[test]
     fn grid_tuner_beats_every_default_builder_schedule() {
         let oracle = oracle8();
-        let out = GridScheduler.tune(&space8(), &oracle).unwrap();
+        let out = grid(&space8(), &oracle).unwrap();
         assert!(!out.cost.oom);
         assert!(out.evaluated > 0);
         // The tuned schedule is at least as good as the default
@@ -258,40 +148,10 @@ mod tests {
     }
 
     #[test]
-    fn beam_tuner_is_deterministic_and_competitive() {
-        let oracle = oracle8();
-        let space = space8();
-        let a = BeamScheduler::new(12, 7).tune(&space, &oracle).unwrap();
-        let b = BeamScheduler::new(12, 7).tune(&space, &oracle).unwrap();
-        assert_eq!(a.best, b.best);
-        assert_eq!(a.cost.iter_s.to_bits(), b.cost.iter_s.to_bits());
-        // The beam evaluates a fraction of the space yet must still beat
-        // the default builder point.
-        let grid = GridScheduler.tune(&space, &oracle).unwrap();
-        assert!(a.evaluated < grid.evaluated);
-        let base = oracle
-            .evaluate(&Candidate::default_for(Strategy::WeiPipeInterleave, 8))
-            .unwrap();
-        assert!(a.cost.iter_s < base.iter_s);
-    }
-
-    #[test]
-    fn estimate_ranks_strategies_sanely() {
-        let oracle = oracle8();
-        let gpipe = oracle.estimate(&Candidate::default_for(Strategy::GPipe, 8));
-        let wzb2 = oracle.estimate(&Candidate::default_for(Strategy::Wzb2, 8));
-        assert!(wzb2 < gpipe, "near-zero-bubble should estimate below GPipe");
-        // Infeasible candidates estimate to +inf.
-        let odd = Candidate::default_for(Strategy::WeiPipeInterleave, 7);
-        assert!(oracle.estimate(&odd).is_infinite());
-    }
-
-    #[test]
     fn evaluate_rejects_indivisible_global_batch() {
         let oracle = oracle8();
         let c = Candidate::default_for(Strategy::OneFOneB, 24); // 32 % 24 != 0
         assert!(oracle.evaluate(&c).is_err());
-        assert!(oracle.estimate(&c).is_infinite());
     }
 
     #[test]

@@ -1,12 +1,14 @@
-//! Property tests: the component/min-heap discrete-event core behind
-//! [`wp_sim::simulate`] must be observationally *identical* — to the bit —
-//! to the legacy strategy-by-strategy walk kept as
-//! [`wp_sim::engine::simulate_reference`].
+//! Property tests: the min-heap wake-up driver behind [`wp_sim::simulate`]
+//! must be observationally *identical* — to the bit — to the round-robin
+//! fixpoint driver [`wp_sim::engine::simulate_reference`]. Both call the
+//! same pricing step, so what is checked is that the order ranks are
+//! visited in cannot change a result and that the heap driver never
+//! strands a parked rank.
 //!
 //! Random valid schedules are drawn across every strategy (both WeiPipe
 //! variants included), P ∈ {2, 4, 8}, random microbatch counts, W-lag /
 //! chunking / recompute knobs, three cluster shapes, overlap on/off and
-//! occasional stragglers. For each, every observable of the two engines is
+//! occasional stragglers. For each, every observable of the two drivers is
 //! compared: per-rank timelines, busy seconds, bubble fraction, peak
 //! memory, and wire traffic.
 
