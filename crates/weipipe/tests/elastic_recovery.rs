@@ -89,6 +89,37 @@ fn same_world_resume_is_bit_identical() {
     assert_same_world_resume(Strategy::WeiPipeNaive, 2, &sgd);
 }
 
+/// An optimizer step count past 2²⁴ survives the capture collective exactly
+/// on every rank: an f32 holds no odd integer up there, so a count shipped
+/// as one float comes back rounded.
+#[test]
+fn step_counts_past_f32_exactness_survive_capture() {
+    const T: u64 = (1 << 24) + 2;
+    let mut base = TrainSetup::tiny(2, 4);
+    base.iters = 2;
+    base.optim = OptimKind::AdamW { lr: 0.01 };
+    for strategy in [Strategy::WeiPipeInterleave, Strategy::Fsdp] {
+        let (_, snaps) = run_with_checkpoints(strategy, 2, &base, 1);
+        let mut snap = snaps[0].clone();
+        for c in snap
+            .blocks
+            .iter_mut()
+            .chain([&mut snap.embed, &mut snap.head])
+        {
+            c.opt_t = T;
+        }
+        // One iteration, one capture (asserted equal across ranks by the
+        // helper), one more iteration.
+        let mut resumed = base.clone().with_resume(snap);
+        resumed.iters = 2;
+        let (_, after) = run_with_checkpoints(strategy, 2, &resumed, 1);
+        let stepped = &after[0];
+        for c in stepped.blocks.iter().chain([&stepped.embed, &stepped.head]) {
+            assert_eq!(c.opt_t, T + 1, "{strategy:?}: step count must be exact");
+        }
+    }
+}
+
 /// The shared 4 → 3 scenario: 12 layers / 12 microbatches so both world
 /// sizes divide evenly, AdamW so optimizer moments actually matter.
 fn shrink_setup() -> TrainSetup {

@@ -859,54 +859,52 @@ impl Communicator {
         self.with_coll_span(SpanKind::AllReduce, |c| c.all_reduce_inner(buf, dtype))
     }
 
+    /// One hop of a ring collective: post the receive from the previous
+    /// rank, send `out` to the next, and wait for what the previous rank
+    /// sent under the same tag.
+    fn ring_step(&mut self, tag: u64, out: &[f32], dtype: DType) -> Result<Vec<f32>, CommError> {
+        let req = self.irecv(self.prev_rank(), tag);
+        self.send_internal(self.next_rank(), tag, out, dtype, TrafficClass::Collective)?;
+        self.wait_recv(req)
+    }
+
+    /// `P−1` hops over `buf` cut into `P` chunks: hop `s` sends chunk
+    /// `first − s` and folds what arrives into chunk `first − s − 1` —
+    /// summed in when `reduce`, copied over otherwise. Hop `s` uses `tag(s)`.
+    fn ring_pass(
+        &mut self,
+        buf: &mut [f32],
+        first: usize,
+        tag: impl Fn(u64) -> u64,
+        reduce: bool,
+        dtype: DType,
+    ) -> Result<(), CommError> {
+        let (n, p) = (buf.len(), self.world);
+        for s in 0..p - 1 {
+            let send_idx = (first + p - s) % p;
+            let sr = Self::chunk_range(n, p, send_idx);
+            let incoming = self.ring_step(tag(s as u64), &buf[sr], dtype)?;
+            let into = &mut buf[Self::chunk_range(n, p, (send_idx + p - 1) % p)];
+            if reduce {
+                for (b, x) in into.iter_mut().zip(&incoming) {
+                    *b += x;
+                }
+            } else {
+                assert_eq!(incoming.len(), into.len(), "ring chunks must match");
+                into.copy_from_slice(&incoming);
+            }
+        }
+        Ok(())
+    }
+
     fn all_reduce_inner(&mut self, buf: &mut [f32], dtype: DType) -> Result<(), CommError> {
         if self.world == 1 {
             return Ok(());
         }
         let tag = self.next_coll_tag();
-        let n = buf.len();
-        let p = self.world;
-        let next = self.next_rank();
-        // Phase 1: reduce-scatter. At step s we send chunk (rank - s) and
-        // reduce into chunk (rank - s - 1).
-        for s in 0..p - 1 {
-            let send_idx = (self.rank + p - s) % p;
-            let recv_idx = (self.rank + p - s - 1) % p;
-            let sr = Self::chunk_range(n, p, send_idx);
-            let send_copy = buf[sr].to_vec();
-            let req = self.irecv(self.prev_rank(), tag + (s as u64) * 2);
-            self.send_internal(
-                next,
-                tag + (s as u64) * 2,
-                &send_copy,
-                dtype,
-                TrafficClass::Collective,
-            )?;
-            let incoming = self.wait_recv(req)?;
-            let rr = Self::chunk_range(n, p, recv_idx);
-            for (b, x) in buf[rr].iter_mut().zip(&incoming) {
-                *b += x;
-            }
-        }
-        // Phase 2: all-gather the fully reduced chunks.
-        for s in 0..p - 1 {
-            let send_idx = (self.rank + 1 + p - s) % p;
-            let recv_idx = (self.rank + p - s) % p;
-            let sr = Self::chunk_range(n, p, send_idx);
-            let send_copy = buf[sr].to_vec();
-            let req = self.irecv(self.prev_rank(), tag + (s as u64) * 2 + 1);
-            self.send_internal(
-                next,
-                tag + (s as u64) * 2 + 1,
-                &send_copy,
-                dtype,
-                TrafficClass::Collective,
-            )?;
-            let incoming = self.wait_recv(req)?;
-            let rr = Self::chunk_range(n, p, recv_idx);
-            buf[rr].copy_from_slice(&incoming);
-        }
-        Ok(())
+        // Reduce-scatter, then all-gather the fully reduced chunks.
+        self.ring_pass(buf, self.rank, |s| tag + s * 2, true, dtype)?;
+        self.ring_pass(buf, self.rank + 1, |s| tag + s * 2 + 1, false, dtype)
     }
 
     /// Ring reduce-scatter (sum): every rank contributes `buf` (full length)
@@ -927,29 +925,10 @@ impl Communicator {
             return Ok(buf.to_vec());
         }
         let tag = self.next_coll_tag();
-        let next = self.next_rank();
         let mut work = buf.to_vec();
         // Start one chunk earlier than the all-reduce phase so the final
         // reduction lands in this rank's own chunk.
-        for s in 0..p - 1 {
-            let send_idx = (self.rank + 2 * p - s - 1) % p;
-            let recv_idx = (self.rank + 2 * p - s - 2) % p;
-            let sr = Self::chunk_range(n, p, send_idx);
-            let send_copy = work[sr].to_vec();
-            let req = self.irecv(self.prev_rank(), tag + s as u64);
-            self.send_internal(
-                next,
-                tag + s as u64,
-                &send_copy,
-                dtype,
-                TrafficClass::Collective,
-            )?;
-            let incoming = self.wait_recv(req)?;
-            let rr = Self::chunk_range(n, p, recv_idx);
-            for (b, x) in work[rr].iter_mut().zip(&incoming) {
-                *b += x;
-            }
-        }
+        self.ring_pass(&mut work, self.rank + p - 1, |s| tag + s, true, dtype)?;
         Ok(work[Self::chunk_range(n, p, self.rank)].to_vec())
     }
 
@@ -968,27 +947,12 @@ impl Communicator {
             return Ok(chunk.to_vec());
         }
         let tag = self.next_coll_tag();
-        let next = self.next_rank();
         let m = chunk.len();
         let mut out = vec![0.0f32; m * p];
         out[self.rank * m..(self.rank + 1) * m].copy_from_slice(chunk);
-        // At step s, forward the chunk originated by (rank - s).
-        for s in 0..p - 1 {
-            let send_idx = (self.rank + p - s) % p;
-            let recv_idx = (self.rank + p - s - 1) % p;
-            let send_copy = out[send_idx * m..(send_idx + 1) * m].to_vec();
-            let req = self.irecv(self.prev_rank(), tag + s as u64);
-            self.send_internal(
-                next,
-                tag + s as u64,
-                &send_copy,
-                dtype,
-                TrafficClass::Collective,
-            )?;
-            let incoming = self.wait_recv(req)?;
-            assert_eq!(incoming.len(), m, "all_gather requires equal chunk sizes");
-            out[recv_idx * m..(recv_idx + 1) * m].copy_from_slice(&incoming);
-        }
+        // At step s, forward the chunk originated by (rank - s); a peer that
+        // contributed another length fails the chunk-size check.
+        self.ring_pass(&mut out, self.rank, |s| tag + s, false, dtype)?;
         Ok(out)
     }
 
@@ -1022,8 +986,7 @@ impl Communicator {
             *buf = self.wait_recv(req)?;
         }
         if dist < p - 1 {
-            let out = buf.clone();
-            self.send_internal(self.next_rank(), tag, &out, dtype, TrafficClass::Collective)?;
+            self.send_internal(self.next_rank(), tag, buf, dtype, TrafficClass::Collective)?;
         }
         Ok(())
     }

@@ -7,9 +7,12 @@
 //! on which rank* — byte counts, timing and memory sizing live in
 //! `wp-sim` / `analysis`.
 
-use crate::ir::{MemUnit, MsgKey, MsgKind, Op, OpKind, Schedule, Strategy, NO_MB};
+use crate::ir::{
+    MemUnit, MsgKey, MsgKind, Op, OpKind, Schedule, Strategy, FLOW_BWD, FLOW_FWD, NO_MB, RESIDENT,
+    SHARDED,
+};
 
-pub use weipipe::{weipipe_mb_owner, FLOW_BWD, FLOW_FWD};
+pub use weipipe::weipipe_mb_owner;
 
 /// Every strategy the builders know, in the order the paper tables use.
 pub const ALL_STRATEGIES: &[Strategy] = &[
@@ -154,17 +157,17 @@ fn wrap(x: isize, p: usize) -> usize {
 ///   gradient buffer `D` travels alongside and is drained into the ring on
 ///   every hop.
 ///
+/// What each rank holds at turn 0 leaves this module as
+/// [`Schedule::seeds`]: the forward seed is the copy its own rank's `Update`
+/// steps, the backward seed sits `offset` ranks off the owner and goes
+/// stale ([`Schedule::refreshes`]). No other module knows `offset`.
+///
 /// Rank `r` computes on whatever the flows deliver: microbatch groups are
 /// assigned so `r` always works on microbatches `mb ≡ r (mod P)` — see
 /// [`weipipe_mb_owner`] — which is what makes compute perfectly balanced
 /// and the traffic independent of sequence length and microbatch size.
 pub mod weipipe {
     use super::*;
-
-    /// Sentinel microbatch index marking forward-flow weight messages.
-    pub const FLOW_FWD: usize = NO_MB - 1;
-    /// Sentinel microbatch index marking backward-flow weight messages.
-    pub const FLOW_BWD: usize = NO_MB - 2;
 
     /// Which rank computes microbatch `mb` in a WeiPipe schedule.
     pub fn weipipe_mb_owner(ranks: usize, mb: usize) -> usize {
@@ -522,6 +525,9 @@ pub mod weipipe {
             microbatches: n,
             ops,
             initial_holder: (0..p).map(|c| (p - c) % p).collect(),
+            seeds: (0..p)
+                .map(|r| vec![(wf(r, 0), FLOW_FWD), (wb(r, 0), FLOW_BWD)])
+                .collect(),
             recompute,
         }
     }
@@ -849,6 +855,7 @@ pub mod weipipe {
             // Group 0's replica owners; groups j > 0 hold the same chunks at
             // `j·g +` the same offsets.
             initial_holder: local.initial_holder,
+            seeds: (0..p).map(|r| local.seeds[r % g].clone()).collect(),
             recompute: local.recompute,
         }
     }
@@ -1022,6 +1029,7 @@ fn build_act_pipe(strategy: Strategy, spec: PipelineSpec) -> Schedule {
         microbatches: n,
         ops,
         initial_holder: (0..p).collect(),
+        seeds: (0..p).map(|r| vec![(r, RESIDENT)]).collect(),
         recompute,
     }
 }
@@ -1115,6 +1123,7 @@ fn build_fsdp(spec: PipelineSpec) -> Schedule {
         microbatches: n,
         ops,
         initial_holder: (0..chunks).map(|c| c % p).collect(),
+        seeds: vec![(0..chunks).map(|c| (c, SHARDED)).collect(); p],
         recompute: spec.recompute,
     }
 }
@@ -1172,6 +1181,7 @@ fn build_ddp(spec: PipelineSpec) -> Schedule {
         microbatches: n,
         ops,
         initial_holder: (0..chunks).map(|c| c % p).collect(),
+        seeds: vec![(0..chunks).map(|c| (c, RESIDENT)).collect(); p],
         recompute: spec.recompute,
     }
 }
@@ -1220,6 +1230,65 @@ mod tests {
                 }
                 assert!(posted.is_empty(), "{strat:?}: unredeemed pre-posts");
             }
+        }
+    }
+
+    /// The ring's turn-0 holdings and the reseed they imply, pinned against
+    /// the literal values the runtime used to re-derive for itself
+    /// (`(P−r)%P` forward, `(r+P−offset)%P` backward; reseed
+    /// `owner → (c+offset)%P`).
+    #[test]
+    fn ring_seeds_and_refreshes_match_the_position_algebra() {
+        use crate::ir::Refresh;
+        use std::collections::HashSet;
+        // (strategy, offset, [(fwd chunk, bwd chunk) per rank])
+        type Row = (Strategy, usize, &'static [(usize, usize)]);
+        let table: [Row; 4] = [
+            (Strategy::WeiPipeInterleave, 1, &[(0, 1), (1, 0)]),
+            (Strategy::WeiPipeNaive, 2, &[(0, 0), (1, 1)]),
+            (
+                Strategy::WeiPipeInterleave,
+                1,
+                &[(0, 3), (3, 0), (2, 1), (1, 2)],
+            ),
+            (Strategy::WeiPipeNaive, 2, &[(0, 2), (3, 3), (2, 0), (1, 1)]),
+        ];
+        for (strat, offset, slots) in table {
+            let p = slots.len();
+            let s = build(strat, PipelineSpec::new(p, 2 * p));
+            let want: Vec<Vec<(usize, usize)>> = slots
+                .iter()
+                .map(|&(f, b)| vec![(f, FLOW_FWD), (b, FLOW_BWD)])
+                .collect();
+            assert_eq!(s.seeds, want, "{strat:?} P={p}");
+            let reseeds: HashSet<Refresh> = (0..p)
+                .map(|c| Refresh {
+                    chunk: c,
+                    flow: FLOW_BWD,
+                    src: s.initial_holder[c],
+                    dst: (c + offset) % p,
+                })
+                .collect();
+            let derived = s.refreshes();
+            assert_eq!(derived.len(), p, "{strat:?} P={p}: one reseed per chunk");
+            assert_eq!(
+                derived.into_iter().collect::<HashSet<_>>(),
+                reseeds,
+                "{strat:?} P={p}"
+            );
+        }
+        // Nothing else goes stale: stages, replicas and shards are stepped
+        // where they sit.
+        for strat in [
+            Strategy::GPipe,
+            Strategy::OneFOneB,
+            Strategy::Zb1,
+            Strategy::Zb2,
+            Strategy::Fsdp,
+            Strategy::Ddp,
+        ] {
+            let s = build(strat, PipelineSpec::new(4, 8));
+            assert_eq!(s.refreshes(), Vec::new(), "{strat:?}");
         }
     }
 

@@ -37,6 +37,20 @@ pub const NO_MB: usize = usize::MAX;
 /// Sentinel chunk index for the replicated embedding+head parameters.
 pub const EMBED_HEAD: usize = usize::MAX;
 
+// Flow tags: the second half of a weight-slot key `(chunk, flow)`. A
+// `Weights` message fills the slot `(key.chunk, key.mb)`, so the two ring
+// flows double as the `mb` of their messages; the other two never travel.
+
+/// Forward-flow copy of the weight ring.
+pub const FLOW_FWD: usize = NO_MB - 1;
+/// Backward-flow copy of the weight ring.
+pub const FLOW_BWD: usize = NO_MB - 2;
+/// A whole chunk that stays put: a pipeline stage, a DDP replica, the
+/// target of an all-gather.
+pub const RESIDENT: usize = NO_MB - 9;
+/// A rank's `1/P` slice of a chunk; `AllGatherW` makes a [`RESIDENT`] copy.
+pub const SHARDED: usize = NO_MB - 10;
+
 /// What a point-to-point message carries.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum MsgKind {
@@ -69,6 +83,27 @@ pub struct MsgKey {
     pub src: usize,
     /// Receiving rank.
     pub dst: usize,
+}
+
+/// The weight slot `(chunk, flow)` a compute op on `chunk` reads: the one
+/// its `needs` name — a `Weights` message fills `(chunk, mb)`, a
+/// collective's pseudo-key (`src == dst`) the gathered [`RESIDENT`] copy —
+/// else the first flow, in the order below, that `held` says the rank has.
+/// The validator and the runtime both resolve through this function, so
+/// what validates is what runs. Panics when `needs` names another chunk.
+pub fn weight_slot(
+    needs: &[MsgKey],
+    chunk: usize,
+    held: impl Fn(&(usize, usize)) -> bool,
+) -> Option<(usize, usize)> {
+    if let Some(k) = needs.iter().find(|k| k.kind == MsgKind::Weights) {
+        assert_eq!(k.chunk, chunk, "weights dependency for the wrong chunk");
+        return Some((chunk, if k.src == k.dst { RESIDENT } else { k.mb }));
+    }
+    [FLOW_FWD, FLOW_BWD, RESIDENT, SHARDED]
+        .into_iter()
+        .map(|flow| (chunk, flow))
+        .find(held)
 }
 
 /// Memory pools the ledger tracks. Ops carry signed deltas in these units;
@@ -374,8 +409,27 @@ pub struct Schedule {
     /// `initial_holder[chunk]` — which rank holds (and owns optimizer state
     /// for) each chunk at iteration start.
     pub initial_holder: Vec<usize>,
+    /// `seeds[rank]` — the weight copies `(chunk, flow)` the rank holds when
+    /// an iteration starts. Everything else a rank reads arrives by
+    /// `Recv`/`WaitReq`/`AllGatherW`; the validator checks that nothing is
+    /// read or sent before it is held. Which copies an iteration leaves
+    /// stale follows from these and the `Update` ops ([`Self::refreshes`]).
+    pub seeds: Vec<Vec<(usize, usize)>>,
     /// Whether activation checkpointing is assumed by the memory deltas.
     pub recompute: bool,
+}
+
+/// A seeded weight copy an iteration leaves stale, and who has it fresh.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+pub struct Refresh {
+    /// Chunk of the stale copy.
+    pub chunk: usize,
+    /// Flow of the stale copy (its slot is `(chunk, flow)` on `dst`).
+    pub flow: usize,
+    /// Rank that stepped the chunk.
+    pub src: usize,
+    /// Rank that holds the stale copy (`src` itself for its second copy).
+    pub dst: usize,
 }
 
 /// Aggregate op counts of a schedule (see [`Schedule::stats`]).
@@ -403,6 +457,50 @@ pub struct ScheduleStats {
 }
 
 impl Schedule {
+    /// True when `rank`'s stream carries `Update` for `chunk`.
+    pub fn runs_update(&self, rank: usize, chunk: usize) -> bool {
+        self.ops[rank]
+            .iter()
+            .any(|op| matches!(op.kind, OpKind::Update { chunk: c } if c == chunk))
+    }
+
+    /// The first rank that runs `Update` for `chunk`: the root its weights
+    /// are broadcast from, and the source of every [`Refresh`] of it.
+    /// Panics when no rank updates `chunk` (the validator rejects that).
+    pub fn updater_of(&self, chunk: usize) -> usize {
+        (0..self.ranks)
+            .find(|&r| self.runs_update(r, chunk))
+            .expect("every chunk has an updater")
+    }
+
+    /// The seeded copies one iteration leaves stale, in rank order: a seed
+    /// on a rank that does not run its chunk's `Update` is refreshed from
+    /// [`updater_of`](Self::updater_of)`(chunk)`, and a second seed of one
+    /// chunk on a rank that does is refreshed locally (`src == dst`). Every
+    /// other seed is the copy an `Update` stepped in place. The runtime
+    /// replays this list between iterations.
+    pub fn refreshes(&self) -> Vec<Refresh> {
+        let mut out = Vec::new();
+        for (dst, seeds) in self.seeds.iter().enumerate() {
+            for (i, &(chunk, flow)) in seeds.iter().enumerate() {
+                let src = if !self.runs_update(dst, chunk) {
+                    self.updater_of(chunk)
+                } else if seeds[..i].iter().any(|s| s.0 == chunk) {
+                    dst
+                } else {
+                    continue;
+                };
+                out.push(Refresh {
+                    chunk,
+                    flow,
+                    src,
+                    dst,
+                });
+            }
+        }
+        out
+    }
+
     /// Total op count across all ranks.
     pub fn total_ops(&self) -> usize {
         self.ops.iter().map(Vec::len).sum()

@@ -35,6 +35,9 @@ pub mod tune;
 pub mod validate;
 
 pub use builders::{build, PipelineSpec, ALL_STRATEGIES};
-pub use ir::{MemUnit, MsgKey, MsgKind, Op, OpKind, Schedule, Strategy, EMBED_HEAD, NO_MB};
+pub use ir::{
+    weight_slot, MemUnit, MsgKey, MsgKind, Op, OpKind, Refresh, Schedule, Strategy, EMBED_HEAD,
+    FLOW_BWD, FLOW_FWD, NO_MB, RESIDENT, SHARDED,
+};
 pub use tune::{Candidate, CostOracle, ScheduleCost, TuneOutcome, TuneSpace};
 pub use validate::{validate, ValidationError};

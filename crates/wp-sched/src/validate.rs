@@ -16,8 +16,11 @@
 //! 4. **Deadlock freedom** — executing ops under the IR's dependency
 //!    semantics (compute serializes per rank, sends gate on needs/compute,
 //!    collectives rendezvous) reaches every op.
+//! 5. **Slot availability** — in each rank's program order, every weight
+//!    copy an op reads or sends is one the rank holds by then: a seed
+//!    ([`Schedule::seeds`]) or an earlier `Recv`/`WaitReq`/`AllGatherW`.
 
-use crate::ir::{MemUnit, MsgKey, MsgKind, OpKind, Schedule};
+use crate::ir::{weight_slot, MemUnit, MsgKey, MsgKind, OpKind, Schedule, RESIDENT, SHARDED};
 use std::collections::{HashMap, HashSet};
 
 /// A validation failure, with context.
@@ -63,6 +66,7 @@ pub fn validate(s: &Schedule) -> Result<(), ValidationError> {
     check_coverage(s)?;
     check_memory_balance(s)?;
     check_executable(s)?;
+    check_slots(s)?;
     Ok(())
 }
 
@@ -308,6 +312,50 @@ fn check_executable(s: &Schedule) -> Result<(), ValidationError> {
         return Err(ValidationError(
             "deadlock with no identifiable blocker".into(),
         ));
+    }
+    Ok(())
+}
+
+/// Walk each rank's program with the set of weight slots it holds: seeds,
+/// then what its receives and all-gathers deliver. A weight send, an
+/// all-gather and every compute op that reads weights must find its slot.
+fn check_slots(s: &Schedule) -> Result<(), ValidationError> {
+    for (r, ops) in s.ops.iter().enumerate() {
+        let mut held: HashSet<(usize, usize)> = s.seeds[r].iter().copied().collect();
+        for op in ops {
+            let found = match op.kind {
+                OpKind::Recv(k) | OpKind::WaitReq(k) if k.kind == MsgKind::Weights => {
+                    held.insert((k.chunk, k.mb));
+                    true
+                }
+                OpKind::Send(k) if k.kind == MsgKind::Weights => held.contains(&(k.chunk, k.mb)),
+                OpKind::AllGatherW { chunk, .. } => {
+                    held.insert((chunk, RESIDENT));
+                    held.contains(&(chunk, SHARDED))
+                }
+                // The gathered copy is dropped once its gradients are
+                // scattered: the next use must gather again.
+                OpKind::ReduceScatterD { chunk, .. } => {
+                    held.remove(&(chunk, RESIDENT));
+                    true
+                }
+                OpKind::Fwd { chunk, .. }
+                | OpKind::BwdFull { chunk, .. }
+                | OpKind::BwdData { chunk, .. }
+                | OpKind::Update { chunk } => {
+                    weight_slot(&op.needs, chunk, |slot| held.contains(slot))
+                        .is_some_and(|slot| held.contains(&slot))
+                }
+                _ => true,
+            };
+            if !found {
+                return Err(ValidationError(format!(
+                    "rank {r}: {:?} uses a weight copy the rank neither seeds nor \
+                     receives earlier (holds {held:?})",
+                    op.kind
+                )));
+            }
+        }
     }
     Ok(())
 }

@@ -33,6 +33,28 @@ proptest! {
         prop_assert_eq!(s.microbatches, n);
     }
 
+    /// Every seed is load-bearing: take any one away and some op reads or
+    /// sends a weight copy its rank does not hold, which the validator
+    /// reports instead of leaving the runtime to panic on it.
+    #[test]
+    fn a_dropped_seed_fails_validation(
+        strategy in arb_strategy(),
+        p in 2usize..7,
+        mult in 1usize..3,
+        pick in any::<usize>()
+    ) {
+        let p = if strategy == Strat::Wzb1 { p + p % 2 } else { p };
+        let mut s = build(strategy, PipelineSpec::new(p, 2 * p * mult));
+        let rank = pick % p;
+        let seeds = &mut s.seeds[rank];
+        let dropped = seeds.remove((pick / p) % seeds.len());
+        let err = validate(&s);
+        prop_assert!(
+            err.as_ref().is_err_and(|e| e.0.contains("weight copy")),
+            "{:?} P={}: rank {} lost {:?}, validate said {:?}", strategy, p, rank, dropped, err
+        );
+    }
+
     #[test]
     fn weight_passing_traffic_ignores_activation_payload(
         p in 2usize..6,

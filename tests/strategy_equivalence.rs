@@ -38,6 +38,51 @@ fn all_strategies_match_reference_p4() {
     }
 }
 
+/// Byte accounting of every runtime strategy at P = 4: what a rank's meter
+/// counts point to point over one step is exactly what the schedule says it
+/// sends (`analysis::traffic`) plus one chunk per weight copy it refreshes
+/// on another rank between iterations — the equality the benchmark's
+/// `comm_mib_per_step` rests on.
+#[test]
+fn metered_p2p_bytes_equal_schedule_plus_reseeds_p4() {
+    let p = 4;
+    let setup = TrainSetup::tiny(4, 8);
+    let chunk = wp_nn::params::BlockLayout::new(&setup.model).len() as u64 * 4;
+    let act = (setup.microbatch * setup.seq * setup.model.hidden) as u64 * 4;
+    let bytes = wp_sched::analysis::ByteModel {
+        weight_chunk: chunk,
+        grad_chunk: chunk,
+        act_boundary: act,
+        act_grad_boundary: act,
+    };
+    for strategy in weipipe::runtime_strategies() {
+        let sched = weipipe::build_schedule(strategy, p, &setup);
+        let scheduled = wp_sched::analysis::traffic(&sched, &bytes);
+        // Backward-flow seeds each rank re-ships per boundary: every chunk's
+        // seed sits off its owner under Interleave; under Naive chunks 1 and
+        // 3 are seeded on their owners.
+        let reseeds: [u64; 4] = match strategy {
+            Strategy::WeiPipeInterleave => [1, 1, 1, 1],
+            Strategy::WeiPipeNaive => [1, 0, 1, 0],
+            _ => [0; 4],
+        };
+        wp_comm::World::run(p, setup.link, |comm| {
+            let (rank, meter) = (comm.rank(), comm.meter());
+            let mut rt = weipipe::interp::RankRuntime::new(&setup, &sched, comm);
+            for iter in 0..3 {
+                let before = meter.rank(rank).p2p_bytes;
+                rt.run_iteration(&sched, iter).expect("healthy world");
+                rt.reseed_bwd_flow(&sched, iter).expect("healthy world");
+                assert_eq!(
+                    meter.rank(rank).p2p_bytes - before,
+                    scheduled[rank].p2p + reseeds[rank] * chunk,
+                    "{strategy:?} rank {rank} iteration {iter}"
+                );
+            }
+        });
+    }
+}
+
 #[test]
 fn multi_layer_chunks_match_reference() {
     // 8 layers across 4 ranks: two layers per circulating chunk — the
