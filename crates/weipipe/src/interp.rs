@@ -303,3 +303,38 @@ impl RankRuntime {
         Ok(())
     }
 }
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::runner::{build_schedule, TrainWorld};
+    use crate::setup::RunOutput;
+    use std::sync::Mutex;
+    use wp_sched::Strategy;
+
+    #[test]
+    fn activation_passing_arenas_reach_a_steady_size() {
+        // Every received Act / ActGrad buffer used to join the receiver's
+        // arena for good — one more pooled buffer per message, so a ZB1
+        // rank's heap grew by four activations every iteration. At an
+        // iteration boundary everything is back in the pool, so its size
+        // is the arena's footprint, and it must stop moving once warm.
+        let setup = TrainSetup::tiny(2, 4);
+        let schedule = build_schedule(Strategy::Zb1, 2, &setup);
+        let footprints = Mutex::new(Vec::new());
+        let outs = TrainWorld::new(&setup, 2, 0).run(|comm| {
+            let mut rt = RankRuntime::new(&setup, &schedule, comm);
+            let mut pooled = Vec::new();
+            for iter in 0..6 {
+                rt.run_iteration(&schedule, iter)?;
+                pooled.push(rt.scratch.pooled_elems());
+            }
+            footprints.lock().unwrap().push(pooled);
+            Ok(RunOutput::default())
+        });
+        assert!(outs.iter().all(Result::is_ok), "{outs:?}");
+        for pooled in footprints.into_inner().unwrap() {
+            assert_eq!(pooled[2], pooled[5], "arena still growing: {pooled:?}");
+        }
+    }
+}

@@ -353,7 +353,10 @@ impl RankRuntime {
             MsgKind::Weights => self.put_weights((k.chunk, k.mb), data),
             MsgKind::WeightGrads => self.accumulate((k.chunk, RESIDENT), data),
             MsgKind::Act | MsgKind::ActGrad => {
-                let buf = self.scratch.adopt(data);
+                // Copied into the arena, not adopted by it: the sender
+                // allocates every message afresh, so adopting would grow
+                // the receiver's pool by one buffer per message, forever.
+                let buf = self.scratch.take_copy(&data);
                 self.boundary.insert((k.kind, k.mb, k.chunk), buf);
             }
         }

@@ -1,20 +1,29 @@
-//! Kernel microbenchmark: long-context attention + transformer block.
+//! Kernel microbenchmark: absolute single-core throughput of the hot
+//! kernels against this host's multiply-add ceiling.
 //!
-//! Times the hot-path kernels (streaming attention forward/backward and a
-//! full block forward + fused backward) at long context, printing a small
-//! table suitable for `results/kernels.txt`. Each kernel is timed twice:
-//! once forced onto the sequential path and once through the parallel
-//! dispatch, so the table shows the speedup directly.
+//! Times the three matmul layouts at the shapes the block's FFN gives them
+//! and streaming attention forward/backward, all at the repo benchmark's
+//! `longctx` shape (H128, S1024, 4 heads), on one core (`force_sequential`),
+//! and prints GFLOP/s beside an in-process ceiling: 64 independent
+//! multiply-add chains held in registers, compiled like the rest of the
+//! build. `matmul_ceiling_share` and `attn_ceiling_share` — the slowest
+//! layout and the slower attention direction as a share of that ceiling —
+//! are what `ci/bench_floors.json` bounds, so a kernel that silently falls
+//! back to a slower path fails the gate on any host. (The ceiling loop is
+//! compiled for the baseline ISA while the kernels pick AVX2 at run time,
+//! so a share above 1 is expected where AVX2 exists.)
 //!
-//! Run with `--smoke` for a fast CI-sized configuration; smoke mode also
-//! checks (a) the parallel path is bit-identical to the sequential one and
-//! (b) steady-state kernel iterations perform zero heap allocations once
-//! the scratch arena is warm. Failed checks exit nonzero with a one-line
-//! reason (no backtrace), and every run writes the measured speedups and
-//! alloc counts to `results/bench_kernels.json` for the regression gate.
+//! `--smoke` takes fewer samples and also checks (a) the parallel path is
+//! bit-identical to the sequential one and (b) steady-state kernel
+//! iterations perform zero heap allocations once the scratch arena is warm.
+//! Failed checks exit nonzero with a one-line reason (no backtrace), and
+//! every run writes its numbers to `results/bench_kernels.json` for the
+//! regression gate.
 
 use std::alloc::{GlobalAlloc, Layout, System};
+use std::hint::black_box;
 use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::Barrier;
 use std::time::Instant;
 
 use wp_bench::ci::{self, Report};
@@ -23,6 +32,7 @@ use wp_nn::block::{block_backward_full, block_forward};
 use wp_nn::config::{AttnKind, ModelConfig};
 use wp_nn::params::init_block;
 use wp_nn::scratch::Scratch;
+use wp_tensor::ops::{matmul_nn, matmul_nt, matmul_tn};
 use wp_tensor::Tensor;
 
 /// Global allocator that counts every allocation, so smoke mode can prove
@@ -48,14 +58,57 @@ unsafe impl GlobalAlloc for CountingAlloc {
 #[global_allocator]
 static GLOBAL: CountingAlloc = CountingAlloc;
 
-fn time_best<F: FnMut()>(reps: usize, mut f: F) -> f64 {
-    let mut best = f64::INFINITY;
-    for _ in 0..reps {
-        let t0 = Instant::now();
-        f();
-        best = best.min(t0.elapsed().as_secs_f64());
-    }
-    best
+/// Median wall time of `reps` runs of `f` on one core.
+fn median_secs(reps: usize, mut f: impl FnMut()) -> f64 {
+    let mut samples: Vec<f64> = (0..reps)
+        .map(|_| {
+            let t0 = Instant::now();
+            rayon::force_sequential(&mut f);
+            t0.elapsed().as_secs_f64()
+        })
+        .collect();
+    samples.sort_by(f64::total_cmp);
+    samples[reps / 2]
+}
+
+/// Peak multiply-add rate of one core as this build compiles it, GFLOP/s:
+/// 64 independent f32 chains of `x·a + b`, two FLOPs each, all in
+/// registers or L1 (the loop `benchmark/src/host.rs` calls `fma_gflops`).
+fn ceiling_gflops(reps: usize) -> f64 {
+    const LANES: usize = 64;
+    const ITERS: usize = 2_000_000;
+    let secs = median_secs(reps, || {
+        let mut acc = [1.0f32; LANES];
+        let (a, b) = (black_box(0.999_999f32), black_box(1e-6f32));
+        for _ in 0..ITERS {
+            for x in acc.iter_mut() {
+                *x = *x * a + b;
+            }
+        }
+        black_box(acc);
+    });
+    (2 * LANES * ITERS) as f64 / secs / 1e9
+}
+
+fn rand(n: usize, seed: u64) -> Vec<f32> {
+    Tensor::rand_uniform([n], -0.5, 0.5, seed).into_vec()
+}
+
+/// The three layouts at `M = S` tokens, hidden `H`, FFN width `F`:
+/// `2·M·H·F` FLOPs each. Returns `[nn, nt, tn]` in GFLOP/s.
+fn bench_matmul(cfg: &ModelConfig, seq: usize, reps: usize) -> [f64; 3] {
+    let (m, h, f) = (seq, cfg.hidden, cfg.ffn);
+    let (x, w, dy) = (rand(m * h, 1), rand(f * h, 2), rand(m * f, 3));
+    let (mut y, mut dx, mut dw) = (
+        vec![0.0f32; m * f],
+        vec![0.0f32; m * h],
+        vec![0.0f32; f * h],
+    );
+    let nn = median_secs(reps, || matmul_nn(&mut dx, &dy, &w, m, f, h));
+    let nt = median_secs(reps, || matmul_nt(&mut y, &x, &w, m, h, f));
+    let tn = median_secs(reps, || matmul_tn(&mut dw, &dy, &x, f, m, h));
+    black_box((&y, &dx, &dw));
+    [nn, nt, tn].map(|secs| (2 * m * h * f) as f64 / secs / 1e9)
 }
 
 struct AttnData {
@@ -67,110 +120,45 @@ struct AttnData {
 }
 
 impl AttnData {
-    fn new(seq: usize) -> Self {
-        let dims = AttnDims::mha(1, seq, 4, 64);
-        let n = dims.batch * dims.seq * dims.heads * dims.head_dim;
+    fn new(cfg: &ModelConfig, seq: usize) -> Self {
+        let dims = AttnDims::mha(1, seq, cfg.heads, cfg.head_dim());
+        let n = seq * cfg.hidden;
         AttnData {
             dims,
-            q: Tensor::rand_uniform([n], -1.0, 1.0, 1).into_vec(),
-            k: Tensor::rand_uniform([n], -1.0, 1.0, 2).into_vec(),
-            v: Tensor::rand_uniform([n], -1.0, 1.0, 3).into_vec(),
-            dout: Tensor::rand_uniform([n], -1.0, 1.0, 4).into_vec(),
+            q: rand(n, 5),
+            k: rand(n, 6),
+            v: rand(n, 7),
+            dout: rand(n, 8),
         }
     }
 }
 
-fn bench_attention(seq: usize, reps: usize, report: &mut Report) {
-    let d = AttnData::new(seq);
+/// Causal attention: `QKᵀ` and `PV` over the lower triangle are `2·S²·H`
+/// FLOPs forward; backward recomputes the scores and forms `dV`, `dP`, `dQ`
+/// and `dK`, five such products. Returns `[fwd, bwd]` in GFLOP/s.
+fn bench_attention(cfg: &ModelConfig, seq: usize, reps: usize) -> [f64; 2] {
+    let d = AttnData::new(cfg, seq);
     let n = d.q.len();
     let sc = Scratch::new();
     let mut o = vec![0.0f32; n];
-
-    let run_fwd = |o: &mut [f32], sc: &Scratch| streaming_forward(o, &d.q, &d.k, &d.v, d.dims, sc);
-    let fwd_seq = time_best(reps, || {
-        rayon::force_sequential(|| {
-            let _ = run_fwd(&mut o, &sc);
-        });
+    let fwd = median_secs(reps, || {
+        streaming_forward(&mut o, &d.q, &d.k, &d.v, d.dims, &sc);
     });
-    let fwd_par = time_best(reps, || {
-        let _ = run_fwd(&mut o, &sc);
-    });
-
-    let ctx = run_fwd(&mut o, &sc);
+    let ctx = streaming_forward(&mut o, &d.q, &d.k, &d.v, d.dims, &sc);
     let (mut dq, mut dk, mut dv) = (vec![0.0f32; n], vec![0.0f32; n], vec![0.0f32; n]);
-    let run_bwd = |dq: &mut [f32], dk: &mut [f32], dv: &mut [f32]| {
-        dq.fill(0.0);
-        dk.fill(0.0);
-        dv.fill(0.0);
-        streaming_backward(dq, dk, dv, &d.dout, &d.q, &d.k, &d.v, &o, &ctx, d.dims, &sc);
-    };
-    let bwd_seq = time_best(reps, || {
-        rayon::force_sequential(|| run_bwd(&mut dq, &mut dk, &mut dv));
+    let bwd = median_secs(reps, || {
+        streaming_backward(
+            &mut dq, &mut dk, &mut dv, &d.dout, &d.q, &d.k, &d.v, &o, &ctx, d.dims, &sc,
+        );
     });
-    let bwd_par = time_best(reps, || run_bwd(&mut dq, &mut dk, &mut dv));
-
-    println!(
-        "attention  S={seq:<5} fwd {:>9.1} ms (seq {:>9.1}, x{:.2})   bwd {:>9.1} ms (seq {:>9.1}, x{:.2})",
-        fwd_par * 1e3,
-        fwd_seq * 1e3,
-        fwd_seq / fwd_par,
-        bwd_par * 1e3,
-        bwd_seq * 1e3,
-        bwd_seq / bwd_par,
-    );
-    report
-        .metric("attn_fwd_speedup", fwd_seq / fwd_par)
-        .metric("attn_bwd_speedup", bwd_seq / bwd_par);
-}
-
-fn bench_block(seq: usize, reps: usize, report: &mut Report) {
-    let mut cfg = ModelConfig::llama_like(256, 4, 1, 64, seq);
-    cfg.attn = AttnKind::Streaming;
-    let rope = cfg.rope_table();
-    let w = init_block(&cfg, 7, 0);
-    let n = seq * cfg.hidden;
-    let x = Tensor::rand_uniform([n], -0.5, 0.5, 8).into_vec();
-    let dy = Tensor::rand_uniform([n], -1.0, 1.0, 9).into_vec();
-    let sc = Scratch::new();
-
-    let fwd_seq = time_best(reps, || {
-        rayon::force_sequential(|| {
-            let _ = block_forward(&cfg, &rope, &w, &x, 1, seq, &sc);
-        });
-    });
-    let fwd_par = time_best(reps, || {
-        let _ = block_forward(&cfg, &rope, &w, &x, 1, seq, &sc);
-    });
-    let (_, ctx) = block_forward(&cfg, &rope, &w, &x, 1, seq, &sc);
-    let mut dw = vec![0.0f32; w.len()];
-    let bwd_seq = time_best(reps, || {
-        dw.fill(0.0);
-        rayon::force_sequential(|| {
-            let _ = block_backward_full(&cfg, &rope, &w, &ctx, &dy, &mut dw, 1, seq, &sc);
-        });
-    });
-    let bwd_par = time_best(reps, || {
-        dw.fill(0.0);
-        let _ = block_backward_full(&cfg, &rope, &w, &ctx, &dy, &mut dw, 1, seq, &sc);
-    });
-    println!(
-        "block      S={seq:<5} fwd {:>9.1} ms (seq {:>9.1}, x{:.2})   bwd {:>9.1} ms (seq {:>9.1}, x{:.2})",
-        fwd_par * 1e3,
-        fwd_seq * 1e3,
-        fwd_seq / fwd_par,
-        bwd_par * 1e3,
-        bwd_seq * 1e3,
-        bwd_seq / bwd_par,
-    );
-    report
-        .metric("block_fwd_speedup", fwd_seq / fwd_par)
-        .metric("block_bwd_speedup", bwd_seq / bwd_par);
+    let gflop = (seq * seq * cfg.hidden) as f64 / 1e9;
+    [2.0 * gflop / fwd, 5.0 * gflop / bwd]
 }
 
 /// Smoke check 1: the parallel dispatch must be bit-identical to the forced
 /// sequential path for the same inputs.
-fn check_bit_identity(seq: usize) -> Result<(), String> {
-    let d = AttnData::new(seq);
+fn check_bit_identity(cfg: &ModelConfig, seq: usize) -> Result<(), String> {
+    let d = AttnData::new(cfg, seq);
     let n = d.q.len();
     let sc = Scratch::new();
 
@@ -198,14 +186,26 @@ fn check_bit_identity(seq: usize) -> Result<(), String> {
     Ok(())
 }
 
+/// Run a 1×1 product on every pool thread, so each allocates its
+/// thread-local matmul pack buffers before the allocation count starts:
+/// `T` tasks that each wait for all `T` to have started can only be running
+/// on `T` distinct threads.
+fn warm_every_pool_thread() {
+    let threads = rayon::current_num_threads();
+    let all_started = Barrier::new(threads);
+    rayon::par_indices(threads, |_| {
+        all_started.wait();
+        let mut c = [0.0f32];
+        matmul_nn(&mut c, &[1.0], &[1.0], 1, 1, 1);
+    });
+}
+
 /// Smoke check 2: once the scratch arena is warm, a full block
 /// forward + backward iteration performs zero heap allocations. Returns
 /// the allocation count of the measured iteration.
-fn check_zero_alloc(seq: usize) -> (usize, Result<(), String>) {
-    let mut cfg = ModelConfig::llama_like(128, 4, 1, 32, seq);
-    cfg.attn = AttnKind::Streaming;
+fn check_zero_alloc(cfg: &ModelConfig, seq: usize) -> (usize, Result<(), String>) {
     let rope = cfg.rope_table();
-    let w = init_block(&cfg, 11, 0);
+    let w = init_block(cfg, 11, 0);
     let n = seq * cfg.hidden;
     let x = Tensor::rand_uniform([n], -0.5, 0.5, 12).into_vec();
     let dy = Tensor::rand_uniform([n], -1.0, 1.0, 13).into_vec();
@@ -213,11 +213,12 @@ fn check_zero_alloc(seq: usize) -> (usize, Result<(), String>) {
     let mut dw = vec![0.0f32; w.len()];
 
     let iterate = |dw: &mut [f32]| {
-        let (_, ctx) = block_forward(&cfg, &rope, &w, &x, 1, seq, &sc);
+        let (_, ctx) = block_forward(cfg, &rope, &w, &x, 1, seq, &sc);
         dw.fill(0.0);
-        let _ = block_backward_full(&cfg, &rope, &w, &ctx, &dy, dw, 1, seq, &sc);
+        let _ = block_backward_full(cfg, &rope, &w, &ctx, &dy, dw, 1, seq, &sc);
     };
-    // Warm the arena (and the thread pool) with two iterations.
+    // Warm the pool's threads, then the arena with two iterations.
+    warm_every_pool_thread();
     iterate(&mut dw);
     iterate(&mut dw);
     let before = ALLOCS.load(Ordering::SeqCst);
@@ -235,21 +236,50 @@ fn check_zero_alloc(seq: usize) -> (usize, Result<(), String>) {
 
 fn main() {
     let smoke = std::env::args().any(|a| a == "--smoke");
-    let (seq, reps) = if smoke { (256, 3) } else { (4096, 2) };
+    let reps = if smoke { 5 } else { 15 };
+    // The repo benchmark's `longctx` shape.
+    let seq = 1024;
+    let mut cfg = ModelConfig::llama_like(128, 4, 1, 256, seq);
+    cfg.attn = AttnKind::Streaming;
     println!(
-        "# wp-bench kernels  (S={seq}, best of {reps}, {} threads)",
-        rayon::current_num_threads()
+        "# wp-bench kernels  (H={} F={} S={seq} heads={}, median of {reps}, one core; pool of {}, avx2 {})",
+        cfg.hidden,
+        cfg.ffn,
+        cfg.heads,
+        rayon::current_num_threads(),
+        wp_tensor::ops::gemm::uses_avx2(),
+    );
+    let ceiling = ceiling_gflops(reps);
+    let matmul = bench_matmul(&cfg, seq, reps);
+    let attn = bench_attention(&cfg, seq, reps);
+    let share = |gflops: &[f64]| gflops.iter().copied().fold(f64::INFINITY, f64::min) / ceiling;
+    let (matmul_share, attn_share) = (share(&matmul), share(&attn));
+    println!("ceiling    mul-add {ceiling:>6.1} GFLOP/s  (64 register chains, baseline ISA)");
+    println!(
+        "matmul     nn {:>6.1}  nt {:>6.1}  tn {:>6.1} GFLOP/s   slowest / ceiling {matmul_share:.2}",
+        matmul[0], matmul[1], matmul[2],
+    );
+    println!(
+        "attention  fwd {:>5.1}  bwd {:>5.1} GFLOP/s              slower / ceiling {attn_share:.2}",
+        attn[0], attn[1],
     );
     let mut report = Report::new("kernels");
-    bench_attention(seq, reps, &mut report);
-    bench_block(seq, reps, &mut report);
+    report
+        .metric("ceiling_gflops", ceiling)
+        .metric("matmul_nn_gflops", matmul[0])
+        .metric("matmul_nt_gflops", matmul[1])
+        .metric("matmul_tn_gflops", matmul[2])
+        .metric("attn_fwd_gflops", attn[0])
+        .metric("attn_bwd_gflops", attn[1])
+        .metric("matmul_ceiling_share", matmul_share)
+        .metric("attn_ceiling_share", attn_share);
     if smoke {
         ci::check(
             "kernels",
             "bit-identity: parallel == sequential (attention fwd+bwd, S=192)",
-            check_bit_identity(192),
+            check_bit_identity(&cfg, 192),
         );
-        let (allocs, verdict) = check_zero_alloc(seq);
+        let (allocs, verdict) = check_zero_alloc(&cfg, 256);
         report.metric("warm_allocs", allocs as f64);
         ci::check(
             "kernels",

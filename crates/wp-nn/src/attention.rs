@@ -3,31 +3,43 @@
 //!
 //! Inputs `q`, `k`, `v` are `[G·S, H]` buffers (already RoPE-rotated), where
 //! head `h` of token `(g, s)` lives at `((g·S + s)·H + h·d)..+d`. The
-//! streaming kernel keeps one score row alive at a time and saves only the
-//! per-row log-sum-exp for backward, so attention activation memory is
-//! `O(G·S·H)` instead of `O(G·heads·S²)` — the memory behaviour that lets
-//! the paper run large microbatches and makes FFN activations (not
-//! attention) the dominant term in its §3.4 memory analysis.
+//! streaming kernel keeps one tile of score columns alive at a time and
+//! saves only the per-row log-sum-exp for backward, so attention activation
+//! memory is `O(G·S·H)` instead of `O(G·heads·S²)` — the memory behaviour
+//! that lets the paper run large microbatches and makes FFN activations
+//! (not attention) the dominant term in its §3.4 memory analysis.
+//!
+//! **Streaming tiles.** A tile is [`QTILE`] consecutive queries of one head
+//! against every key they can see, held *transposed*: row `j` of the tile
+//! is key `j`'s score against each query of the tile. Every product —
+//! `Sᵀ = K·Q_tᵀ`, `O_t = P·V`, and in backward `dPᵀ = V·dO_tᵀ`,
+//! `dV += Pᵀ·dO_t`, `dK += dSᵀ·Q_t`, `dQ_t += dS·K` — is one call into
+//! [`wp_tensor::ops::gemm`] on the strided `[G·S, H]` buffers, and the
+//! softmax runs down the tile's columns, so its max and sum are plain
+//! per-query accumulations over ascending `j` with no horizontal reduction.
+//! The causal mask zeroes the triangle of the diagonal block that looks
+//! ahead. The naive kernels stay row-at-a-time: they are the readable
+//! reference the streaming ones are tested against.
 //!
 //! **Parallelism and memory.** The forward kernels split across the pool
 //! over `(batch, head)` pairs; the backward kernels over
 //! `(batch, kv-head)` pairs, with each task walking its group's query
-//! heads in ascending order so every `dk`/`dv` element is accumulated in
-//! exactly the order the serial loop uses — results are bit-identical to
-//! sequential whatever the pool width. All temporaries (score rows, saved
+//! heads, and each head's tiles, in ascending order, so every `dk`/`dv`
+//! element accumulates in one fixed order — results are bit-identical to
+//! sequential whatever the pool width. All temporaries (score tiles, saved
 //! probabilities, log-sum-exp) come from a caller-supplied [`Scratch`]
-//! arena, so steady-state training allocates nothing here.
+//! arena, one tile set per pool lane rather than per task, so steady-state
+//! training allocates nothing here.
 
 use crate::scratch::{Scratch, ScratchBuf};
 use wp_tensor::ops::dot;
+use wp_tensor::ops::gemm::{gemm, MatRef};
 use wp_tensor::ops::par::{par_tasks, RawMut, PAR_MIN_WORK};
 
-/// Query rows processed per k/v sweep in the streaming kernels. At long
-/// context the kernels are memory-bound — every query row used to re-stream
-/// the whole k/v prefix — so amortising each k/v row load over a small tile
-/// of queries cuts DRAM traffic by the tile factor while keeping the
-/// per-element arithmetic order (and therefore the bits) unchanged.
-const QTILE: usize = 16;
+/// Queries per streaming tile: wide enough that packing the tile's keys is
+/// a few per cent of the arithmetic done on them, small enough that a
+/// `QTILE × S` tile of scores stays cache-resident.
+const QTILE: usize = 64;
 
 /// Saved state the backward pass needs, depending on the kernel.
 #[derive(Debug, Clone)]
@@ -131,16 +143,62 @@ impl AttnDims {
     }
 }
 
-/// Run `task(t)` for every `t in 0..ntasks`, in parallel when the kernel is
-/// big enough to amortise pool dispatch. Both branches call the very same
-/// closure, so the split is bit-transparent.
-fn run_attn_tasks(ntasks: usize, work: usize, task: &(impl Fn(usize) + Sync)) {
-    if ntasks <= 1 || work < PAR_MIN_WORK {
-        for t in 0..ntasks {
-            task(t);
-        }
+/// Pool lanes a kernel of `ntasks` tasks and `work` scalar operations runs
+/// on: one when it is too small to amortise pool dispatch, else as many as
+/// the pool is wide. Per-lane temporaries are sized by this.
+fn attn_lanes(ntasks: usize, work: usize) -> usize {
+    if work < PAR_MIN_WORK {
+        1
     } else {
-        par_tasks(ntasks, task);
+        ntasks.clamp(1, rayon::current_num_threads())
+    }
+}
+
+/// Run `task(lane, t)` for every `t in 0..ntasks`, lane `l` taking tasks
+/// `l, l + lanes, …` in order. Tasks are equal-sized, so the static split
+/// balances, and a lane index gives each task private temporaries without
+/// a buffer per task. Whatever the lane count, each task runs the same
+/// closure once, so the split is bit-transparent.
+fn run_attn_tasks(ntasks: usize, lanes: usize, task: &(impl Fn(usize, usize) + Sync)) {
+    par_tasks(lanes, |lane| {
+        for t in (lane..ntasks).step_by(lanes) {
+            task(lane, t);
+        }
+    });
+}
+
+/// `e^x` for the streaming softmax: a branch-free degree-6 polynomial after
+/// Cody–Waite reduction (the Cephes `expf` coefficients), which the
+/// compiler vectorises. Exact at 0, within 2e-7 relative of the true value
+/// on `[-87, 0]` and for the small positive arguments the backward
+/// recompute can produce, `0` below −87, NaN for NaN. Multiplies and adds
+/// are rounded separately, so every vector width yields the same bits.
+#[inline(always)]
+fn exp_poly(x: f32) -> f32 {
+    const LO: f32 = -87.0;
+    // 1.5·2²³: adding it leaves round-to-nearest(t) in the low mantissa bits.
+    const MAGIC: f32 = 12_582_912.0;
+    // ln 2 split so that `n · LN2_HI` is exact: nine significant bits.
+    const LN2_HI: f32 = 355.0 / 512.0;
+    const LN2_LO: f32 = -2.121_944_4e-4;
+    // `NaN < LO` is false, so NaN survives the clamp.
+    let xc = if x < LO { LO } else { x };
+    let t = xc * std::f32::consts::LOG2_E + MAGIC;
+    let n = t - MAGIC;
+    let r = (xc - n * LN2_HI) - n * LN2_LO;
+    let mut p = 1.987_569_1e-4_f32;
+    p = p * r + 1.398_199_9e-3;
+    p = p * r + 8.333_452e-3;
+    p = p * r + 4.166_579_6e-2;
+    p = p * r + 0.166_666_66;
+    p = p * r + 0.5;
+    let e = p * (r * r) + r + 1.0;
+    // 2ⁿ built in the exponent field: n ≥ −126 after the clamp.
+    let two_n = f32::from_bits(t.to_bits().wrapping_add(127) << 23);
+    if x < LO {
+        0.0
+    } else {
+        e * two_n
     }
 }
 
@@ -174,7 +232,7 @@ pub fn naive_forward(
         let pp = RawMut(probs.as_mut_ptr());
         // One task per (batch, query head): every o row and probs plane is
         // written by exactly one task.
-        let task = |t: usize| {
+        let task = |_lane: usize, t: usize| {
             let (g, h) = (t / heads, t % heads);
             let pgh = unsafe { pp.slice((g * heads + h) * seq * seq, seq * seq) };
             for i in 0..seq {
@@ -208,7 +266,8 @@ pub fn naive_forward(
                 }
             }
         };
-        run_attn_tasks(batch * heads, dims.work(), &task);
+        let ntasks = batch * heads;
+        run_attn_tasks(ntasks, attn_lanes(ntasks, dims.work()), &task);
     }
     AttnCtx::Naive { probs }
 }
@@ -251,7 +310,7 @@ pub fn naive_backward(
     // One task per (batch, kv head): each task owns its group's dq rows and
     // its kv head's dk/dv rows outright, and walks query heads in ascending
     // order — the same accumulation order as the serial loop.
-    let task = |t: usize| {
+    let task = |_lane: usize, t: usize| {
         let (g, kvh) = (t / kv_heads, t % kv_heads);
         let ds = unsafe { dsp.slice(t * seq, seq) };
         for h in kvh * group..(kvh + 1) * group {
@@ -298,13 +357,19 @@ pub fn naive_backward(
             }
         }
     };
-    run_attn_tasks(ntasks, dims.work(), &task);
+    run_attn_tasks(ntasks, attn_lanes(ntasks, dims.work()), &task);
 }
 
-/// Streaming (online-softmax) causal attention forward.
+/// First query of a tile starting at `i0` that may attend key `j`.
+#[inline(always)]
+fn first_visible(j: usize, i0: usize) -> usize {
+    j.saturating_sub(i0)
+}
+
+/// Streaming causal attention forward.
 ///
-/// One score row is alive at a time per task; saves only per-row
-/// log-sum-exp.
+/// One transposed score tile per pool lane is alive at a time; saves only
+/// per-row log-sum-exp.
 pub fn streaming_forward(
     o: &mut [f32],
     q: &[f32],
@@ -321,8 +386,9 @@ pub fn streaming_forward(
         head_dim,
         ..
     } = dims;
-    let n = batch * seq * dims.hidden();
-    let nkv = batch * seq * dims.kv_dim();
+    let (hidden, kv_dim) = (dims.hidden(), dims.kv_dim());
+    let n = batch * seq * hidden;
+    let nkv = batch * seq * kv_dim;
     assert_eq!(q.len(), n);
     assert_eq!(k.len(), nkv);
     assert_eq!(v.len(), nkv);
@@ -330,72 +396,76 @@ pub fn streaming_forward(
     let scale = dims.scale();
     let mut lse = scratch.take(batch * heads * seq);
     let ntasks = batch * heads;
-    let mut rows = scratch.take(ntasks * QTILE * seq);
+    let lanes = attn_lanes(ntasks, dims.work());
+    let mut tiles = scratch.take(lanes * seq * QTILE);
     {
         let op = RawMut(o.as_mut_ptr());
         let lp = RawMut(lse.as_mut_ptr());
-        let rp = RawMut(rows.as_mut_ptr());
-        let task = |t: usize| {
+        let tp = RawMut(tiles.as_mut_ptr());
+        let task = |lane: usize, t: usize| {
             let (g, h) = (t / heads, t % heads);
-            let rows_t = unsafe { rp.slice(t * QTILE * seq, QTILE * seq) };
+            // SAFETY: one tile per lane, one lse row per task.
+            let tile = unsafe { tp.slice(lane * seq * QTILE, seq * QTILE) };
             let lse_gh = unsafe { lp.slice((g * heads + h) * seq, seq) };
-            // Process query rows in tiles of QTILE so each k/v row is
-            // streamed from memory once per tile instead of once per row.
-            // Per output element the arithmetic sequence is unchanged
-            // (scores written once, max/exp/sum and the o-accumulation all
-            // walk j ascending), so results are bit-identical to the
-            // row-at-a-time loop.
-            let mut i0 = 0;
-            while i0 < seq {
+            let k_gh = MatRef::row_major(&k[dims.kv_off(g, 0, h)..], kv_dim);
+            let v_gh = MatRef::row_major(&v[dims.kv_off(g, 0, h)..], kv_dim);
+            for i0 in (0..seq).step_by(QTILE) {
                 let ti = QTILE.min(seq - i0);
-                for j in 0..i0 + ti {
-                    let koff = dims.kv_off(g, j, h);
-                    let kj = &k[koff..koff + head_dim];
-                    for r in j.saturating_sub(i0)..ti {
-                        let qoff = dims.off(g, i0 + r, h);
-                        rows_t[r * seq + j] = dot(&q[qoff..qoff + head_dim], kj) * scale;
+                let nk = i0 + ti;
+                let off = dims.off(g, i0, h);
+                // Sᵀ[nk × ti] = K[nk × d] · Q_tᵀ[d × ti].
+                let st = &mut tile[..nk * QTILE];
+                st.fill(0.0);
+                let q_t = MatRef::transposed(&q[off..], hidden);
+                // SAFETY: `st` is `nk` rows of `QTILE >= ti` floats.
+                unsafe { gemm(st.as_mut_ptr(), QTILE, k_gh, q_t, nk, ti, head_dim) };
+                // Column softmax, left unnormalised: max, then exp and sum,
+                // each query's over ascending keys.
+                let mut max = [f32::NEG_INFINITY; QTILE];
+                for (j, row) in st.chunks_exact(QTILE).enumerate() {
+                    let lo = first_visible(j, i0);
+                    for (m, &s) in max[lo..ti].iter_mut().zip(&row[lo..ti]) {
+                        let s = s * scale;
+                        *m = if s > *m { s } else { *m };
                     }
                 }
-                let mut inv = [0.0f32; QTILE];
+                let mut sum = [0.0f32; QTILE];
+                for (j, row) in st.chunks_exact_mut(QTILE).enumerate() {
+                    let lo = first_visible(j, i0);
+                    row[..lo].fill(0.0);
+                    let cells = row[lo..ti].iter_mut().zip(&max[lo..ti]);
+                    for ((p, &m), acc) in cells.zip(&mut sum[lo..ti]) {
+                        *p = exp_poly(*p * scale - m);
+                        *acc += *p;
+                    }
+                }
+                // O_t[ti × d] = P[ti × nk] · V[nk × d], then one divide per
+                // row instead of one per score.
                 for r in 0..ti {
-                    let i = i0 + r;
-                    let row = &mut rows_t[r * seq..r * seq + i + 1];
-                    let mut max = f32::NEG_INFINITY;
-                    for &s in row.iter() {
-                        max = max.max(s);
-                    }
-                    let mut sum = 0.0f32;
-                    for rj in row.iter_mut() {
-                        *rj = (*rj - max).exp();
-                        sum += *rj;
-                    }
-                    lse_gh[i] = max + sum.ln();
-                    inv[r] = 1.0 / sum;
+                    // SAFETY: this task's own head slice of output row r.
+                    unsafe { op.slice(off + r * hidden, head_dim) }.fill(0.0);
                 }
+                let p = MatRef::transposed(st, QTILE);
+                // SAFETY: rows `i0..i0 + ti` of this task's head slice,
+                // which no other task writes.
+                unsafe { gemm(op.ptr().add(off), hidden, p, v_gh, ti, head_dim, nk) };
                 for r in 0..ti {
-                    unsafe { op.slice(dims.off(g, i0 + r, h), head_dim) }.fill(0.0);
-                }
-                for j in 0..i0 + ti {
-                    let voff = dims.kv_off(g, j, h);
-                    let vj = &v[voff..voff + head_dim];
-                    for r in j.saturating_sub(i0)..ti {
-                        let p = rows_t[r * seq + j] * inv[r];
-                        let orow = unsafe { op.slice(dims.off(g, i0 + r, h), head_dim) };
-                        for (od, &vd) in orow.iter_mut().zip(vj) {
-                            *od += p * vd;
-                        }
+                    lse_gh[i0 + r] = max[r] + sum[r].ln();
+                    let inv = 1.0 / sum[r];
+                    // SAFETY: as above.
+                    for x in unsafe { op.slice(off + r * hidden, head_dim) } {
+                        *x *= inv;
                     }
                 }
-                i0 += ti;
             }
         };
-        run_attn_tasks(ntasks, dims.work(), &task);
+        run_attn_tasks(ntasks, lanes, &task);
     }
     AttnCtx::Streaming { lse }
 }
 
-/// Backward of [`streaming_forward`]: recomputes probability rows from `q`,
-/// `k` and the saved log-sum-exp (the FlashAttention backward recipe).
+/// Backward of [`streaming_forward`]: recomputes each probability tile from
+/// `q`, `k` and the saved log-sum-exp (the FlashAttention backward recipe).
 /// Accumulates into `dq`, `dk`, `dv`.
 #[allow(clippy::too_many_arguments)]
 pub fn streaming_backward(
@@ -419,6 +489,7 @@ pub fn streaming_backward(
         kv_heads,
         head_dim,
     } = dims;
+    let (hidden, kv_dim) = (dims.hidden(), dims.kv_dim());
     let lse = match ctx {
         AttnCtx::Streaming { lse } => lse,
         _ => panic!("streaming_backward needs a Streaming ctx"),
@@ -426,109 +497,188 @@ pub fn streaming_backward(
     let scale = dims.scale();
     let ntasks = batch * kv_heads;
     let group = heads / kv_heads;
-    let mut prow_all = scratch.take(ntasks * QTILE * seq);
+    let lanes = attn_lanes(ntasks, dims.work());
+    // Per lane: the probability tile and the score-gradient tile (two
+    // buffers of the forward's size, so the arena recycles one of them).
+    let mut p_tiles = scratch.take(lanes * seq * QTILE);
+    let mut ds_tiles = scratch.take(lanes * seq * QTILE);
     let dqp = RawMut(dq.as_mut_ptr());
     let dkp = RawMut(dk.as_mut_ptr());
     let dvp = RawMut(dv.as_mut_ptr());
-    let pp = RawMut(prow_all.as_mut_ptr());
+    let ptp = RawMut(p_tiles.as_mut_ptr());
+    let ds_tp = RawMut(ds_tiles.as_mut_ptr());
     // Task split mirrors `naive_backward` — see the ordering note there.
-    // Query rows are tiled like `streaming_forward`: dq[i] still accumulates
-    // over j ascending, and each dk/dv element accumulates over i ascending
-    // (tiles visit i in order, and r walks the tile in order), so the
-    // per-element arithmetic sequence — and thus every bit of the result —
-    // matches the row-at-a-time loop.
-    let task = |t: usize| {
+    // Heads of the group, and tiles of a head, are visited in ascending
+    // order, and each tile adds its whole contribution to a `dk`/`dv` row in
+    // one `gemm`, so every element accumulates in one fixed order.
+    let task = |lane: usize, t: usize| {
         let (g, kvh) = (t / kv_heads, t % kv_heads);
-        let prow_t = unsafe { pp.slice(t * QTILE * seq, QTILE * seq) };
+        // SAFETY: one tile of each kind per lane.
+        let p_tile = unsafe { ptp.slice(lane * seq * QTILE, seq * QTILE) };
+        let ds_tile = unsafe { ds_tp.slice(lane * seq * QTILE, seq * QTILE) };
+        let kv_off = dims.kv_off(g, 0, kvh * group);
+        let k_gh = MatRef::row_major(&k[kv_off..], kv_dim);
+        let v_gh = MatRef::row_major(&v[kv_off..], kv_dim);
         for h in kvh * group..(kvh + 1) * group {
-            let mut i0 = 0;
-            while i0 < seq {
+            let lse_gh = &lse[(g * heads + h) * seq..][..seq];
+            for i0 in (0..seq).step_by(QTILE) {
                 let ti = QTILE.min(seq - i0);
+                let nk = i0 + ti;
+                let off = dims.off(g, i0, h);
                 // D_i = do_i · o_i (the softmax-backward dot, since
                 // Σ_j p_ij dp_ij = do_i · Σ_j p_ij v_j = do_i · o_i).
                 let mut dterm = [0.0f32; QTILE];
                 for (r, d) in dterm.iter_mut().enumerate().take(ti) {
-                    let qoff = dims.off(g, i0 + r, h);
-                    *d = dot(&dout[qoff..qoff + head_dim], &o[qoff..qoff + head_dim]);
+                    let row = off + r * hidden;
+                    *d = dot(&dout[row..row + head_dim], &o[row..row + head_dim]);
                 }
-                // Recompute the probability rows for the tile, j-outer so
-                // each k row is loaded once per tile.
-                for j in 0..i0 + ti {
-                    let koff = dims.kv_off(g, j, h);
-                    let kj = &k[koff..koff + head_dim];
-                    for r in j.saturating_sub(i0)..ti {
-                        let i = i0 + r;
-                        let qoff = dims.off(g, i, h);
-                        let s = dot(&q[qoff..qoff + head_dim], kj) * scale;
-                        prow_t[r * seq + j] = (s - lse[(g * heads + h) * seq + i]).exp();
+                // Sᵀ = K·Q_tᵀ and dPᵀ = V·dO_tᵀ, both [nk × ti].
+                let p_t = &mut p_tile[..nk * QTILE];
+                let ds_t = &mut ds_tile[..nk * QTILE];
+                p_t.fill(0.0);
+                ds_t.fill(0.0);
+                let q_t = MatRef::transposed(&q[off..], hidden);
+                let do_t = MatRef::transposed(&dout[off..], hidden);
+                // SAFETY: both tiles are `nk` rows of `QTILE >= ti` floats.
+                unsafe {
+                    gemm(p_t.as_mut_ptr(), QTILE, k_gh, q_t, nk, ti, head_dim);
+                    gemm(ds_t.as_mut_ptr(), QTILE, v_gh, do_t, nk, ti, head_dim);
+                }
+                // p = exp(s − lse); ds = p ⊙ (dp − D) · scale; both zero
+                // where the query cannot see the key.
+                let lse_t = &lse_gh[i0..nk];
+                let rows = p_t
+                    .chunks_exact_mut(QTILE)
+                    .zip(ds_t.chunks_exact_mut(QTILE));
+                for (j, (p_row, ds_row)) in rows.enumerate() {
+                    let lo = first_visible(j, i0);
+                    p_row[..lo].fill(0.0);
+                    ds_row[..lo].fill(0.0);
+                    let stats = lse_t[lo..].iter().zip(&dterm[lo..ti]);
+                    let cells = p_row[lo..ti].iter_mut().zip(&mut ds_row[lo..ti]);
+                    for ((p, ds), (&l, &d)) in cells.zip(stats) {
+                        *p = exp_poly(*p * scale - l);
+                        *ds = *p * (*ds - d) * scale;
                     }
                 }
-                for j in 0..i0 + ti {
-                    let koff = dims.kv_off(g, j, h);
-                    let kj = &k[koff..koff + head_dim];
-                    let vj = &v[koff..koff + head_dim];
-                    let dvrow = unsafe { dvp.slice(koff, head_dim) };
-                    let dkrow = unsafe { dkp.slice(koff, head_dim) };
-                    for r in j.saturating_sub(i0)..ti {
-                        let qoff = dims.off(g, i0 + r, h);
-                        let qi = &q[qoff..qoff + head_dim];
-                        let doi = &dout[qoff..qoff + head_dim];
-                        let p = prow_t[r * seq + j];
-                        // dp_ij = do_i · v_j
-                        let dp = dot(doi, vj);
-                        let dsj = p * (dp - dterm[r]) * scale;
-                        let dqrow = unsafe { dqp.slice(qoff, head_dim) };
-                        // Split axpy loops — see the vectorization note in
-                        // `naive_backward`.
-                        for (x, &dod) in dvrow.iter_mut().zip(doi) {
-                            *x += p * dod;
-                        }
-                        for (x, &kd) in dqrow.iter_mut().zip(kj) {
-                            *x += dsj * kd;
-                        }
-                        for (x, &qd) in dkrow.iter_mut().zip(qi) {
-                            *x += dsj * qd;
-                        }
-                    }
+                let q_rows = MatRef::row_major(&q[off..], hidden);
+                let do_rows = MatRef::row_major(&dout[off..], hidden);
+                let (p_t, ds_t) = (&*p_t, &*ds_t);
+                // SAFETY: rows `0..nk` of this task's kv-head slice of
+                // dv / dk and rows `i0..nk` of head h's slice of dq; the
+                // task owns its kv head and that head's whole group.
+                unsafe {
+                    // dV[nk × d] += Pᵀ[nk × ti] · dO_t[ti × d]
+                    let p = MatRef::row_major(p_t, QTILE);
+                    gemm(dvp.ptr().add(kv_off), kv_dim, p, do_rows, nk, head_dim, ti);
+                    // dK[nk × d] += dSᵀ[nk × ti] · Q_t[ti × d]
+                    let ds = MatRef::row_major(ds_t, QTILE);
+                    gemm(dkp.ptr().add(kv_off), kv_dim, ds, q_rows, nk, head_dim, ti);
+                    // dQ_t[ti × d] += dS[ti × nk] · K[nk × d]
+                    let ds = MatRef::transposed(ds_t, QTILE);
+                    gemm(dqp.ptr().add(off), hidden, ds, k_gh, ti, head_dim, nk);
                 }
-                i0 += ti;
             }
         }
     };
-    run_attn_tasks(ntasks, dims.work(), &task);
+    run_attn_tasks(ntasks, lanes, &task);
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use wp_tensor::ops::gemm::{force_portable, uses_avx2};
     use wp_tensor::Tensor;
+
+    /// Sequence lengths on both sides of every tile boundary.
+    const SEQS: [usize; 4] = [1, QTILE - 1, QTILE + 1, 3 * QTILE + 5];
 
     fn dims() -> AttnDims {
         AttnDims::mha(2, 5, 2, 4)
     }
 
     fn rand_qkv(dims: AttnDims, seed: u64) -> (Vec<f32>, Vec<f32>, Vec<f32>) {
-        let n = dims.batch * dims.seq * dims.heads * dims.head_dim;
+        let n = dims.batch * dims.seq * dims.hidden();
+        let nkv = dims.batch * dims.seq * dims.kv_dim();
         (
             Tensor::randn([n], 0.5, seed).into_vec(),
-            Tensor::randn([n], 0.5, seed + 1).into_vec(),
-            Tensor::randn([n], 0.5, seed + 2).into_vec(),
+            Tensor::randn([nkv], 0.5, seed + 1).into_vec(),
+            Tensor::randn([nkv], 0.5, seed + 2).into_vec(),
         )
+    }
+
+    /// Grouped-query dims (two query heads per k/v head) at `seq`, big
+    /// enough past the first length to cross the dispatch threshold.
+    fn gqa(seq: usize) -> AttnDims {
+        AttnDims {
+            batch: 2,
+            seq,
+            heads: 4,
+            kv_heads: 2,
+            head_dim: 16,
+        }
+    }
+
+    /// `[o, dq, dk, dv]` of one forward + backward through `fwd` / `bwd`.
+    fn forward_backward(d: AttnDims, naive: bool) -> [Vec<f32>; 4] {
+        let sc = Scratch::new();
+        let (q, k, v) = rand_qkv(d, 57);
+        let dout = Tensor::randn([q.len()], 1.0, 60).into_vec();
+        let mut o = vec![0.0; q.len()];
+        let (mut dq, mut dk, mut dv) = (vec![0.0; q.len()], vec![0.0; k.len()], vec![0.0; k.len()]);
+        if naive {
+            let ctx = naive_forward(&mut o, &q, &k, &v, d, &sc);
+            naive_backward(&mut dq, &mut dk, &mut dv, &dout, &q, &k, &v, &ctx, d, &sc);
+        } else {
+            let ctx = streaming_forward(&mut o, &q, &k, &v, d, &sc);
+            streaming_backward(
+                &mut dq, &mut dk, &mut dv, &dout, &q, &k, &v, &o, &ctx, d, &sc,
+            );
+        }
+        [o, dq, dk, dv]
+    }
+
+    const NAMES: [&str; 4] = ["o", "dq", "dk", "dv"];
+
+    /// Largest gap between the naive and streaming kernels over `outputs`
+    /// (indices into [`NAMES`]), at every tiling of the sequence.
+    fn assert_kernels_agree(outputs: std::ops::Range<usize>, tol: f32) {
+        for d in SEQS.map(gqa).into_iter().chain([dims()]) {
+            let naive = forward_backward(d, true);
+            let streaming = forward_backward(d, false);
+            for which in outputs.clone() {
+                for (i, (x, y)) in naive[which].iter().zip(&streaming[which]).enumerate() {
+                    let name = NAMES[which];
+                    assert!((x - y).abs() < tol, "S={} {name}[{i}]: {x} vs {y}", d.seq);
+                }
+            }
+        }
     }
 
     #[test]
     fn streaming_matches_naive_forward() {
-        let d = dims();
-        let sc = Scratch::new();
-        let (q, k, v) = rand_qkv(d, 50);
-        let n = q.len();
-        let mut o1 = vec![0.0; n];
-        let mut o2 = vec![0.0; n];
-        naive_forward(&mut o1, &q, &k, &v, d, &sc);
-        streaming_forward(&mut o2, &q, &k, &v, d, &sc);
-        for (a, b) in o1.iter().zip(&o2) {
-            assert!((a - b).abs() < 1e-5, "{a} vs {b}");
+        assert_kernels_agree(0..1, 1e-5);
+    }
+
+    #[test]
+    fn naive_and_streaming_backwards_agree() {
+        assert_kernels_agree(1..4, 1e-4);
+    }
+
+    #[test]
+    fn exp_poly_is_exact_at_zero_and_tight_on_the_softmax_range() {
+        assert_eq!(exp_poly(0.0), 1.0);
+        let steps = 2_000_000;
+        for i in 0..=steps {
+            let x = -87.0 * (i as f32 / steps as f32);
+            let (got, want) = (exp_poly(x) as f64, (x as f64).exp());
+            assert!(((got - want) / want).abs() <= 2e-7, "exp({x}) = {got}");
         }
+        for x in [-87.000_01, -100.0, -1e30, f32::NEG_INFINITY] {
+            let y = exp_poly(x);
+            assert!(y.is_finite() && y >= 0.0, "exp({x}) = {y}");
+        }
+        assert!(exp_poly(f32::NAN).is_nan());
     }
 
     #[test]
@@ -611,31 +761,6 @@ mod tests {
     }
 
     #[test]
-    fn naive_and_streaming_backwards_agree() {
-        let d = dims();
-        let sc = Scratch::new();
-        let (q, k, v) = rand_qkv(d, 55);
-        let n = q.len();
-        let dout = Tensor::randn([n], 1.0, 56).into_vec();
-        let mut o = vec![0.0; n];
-        let nctx = naive_forward(&mut o, &q, &k, &v, d, &sc);
-        let (mut dq1, mut dk1, mut dv1) = (vec![0.0; n], vec![0.0; n], vec![0.0; n]);
-        naive_backward(
-            &mut dq1, &mut dk1, &mut dv1, &dout, &q, &k, &v, &nctx, d, &sc,
-        );
-        let sctx = streaming_forward(&mut o, &q, &k, &v, d, &sc);
-        let (mut dq2, mut dk2, mut dv2) = (vec![0.0; n], vec![0.0; n], vec![0.0; n]);
-        streaming_backward(
-            &mut dq2, &mut dk2, &mut dv2, &dout, &q, &k, &v, &o, &sctx, d, &sc,
-        );
-        for i in 0..n {
-            assert!((dq1[i] - dq2[i]).abs() < 1e-4, "dq[{i}]");
-            assert!((dk1[i] - dk2[i]).abs() < 1e-4, "dk[{i}]");
-            assert!((dv1[i] - dv2[i]).abs() < 1e-4, "dv[{i}]");
-        }
-    }
-
-    #[test]
     fn ctx_memory_footprints() {
         let d = dims();
         let sc = Scratch::new();
@@ -650,41 +775,33 @@ mod tests {
 
     #[test]
     fn parallel_attention_bit_identical_to_sequential() {
-        // Big enough to cross the dispatch threshold, with GQA so the
-        // backward's (batch, kv-head) split is exercised.
-        let d = AttnDims {
-            batch: 2,
-            seq: 48,
-            heads: 4,
-            kv_heads: 2,
-            head_dim: 16,
-        };
-        let sc = Scratch::new();
-        let (q, _, _) = rand_qkv(d, 57);
-        let nkv = d.batch * d.seq * d.kv_dim();
-        let k = Tensor::randn([nkv], 0.5, 58).into_vec();
-        let v = Tensor::randn([nkv], 0.5, 59).into_vec();
-        let n = q.len();
-        let dout = Tensor::randn([n], 1.0, 60).into_vec();
+        // GQA so the backward's (batch, kv-head) split is exercised; every
+        // length but the first crosses the dispatch threshold.
+        for d in SEQS.map(gqa) {
+            let pooled = forward_backward(d, false);
+            let serial = rayon::force_sequential(|| forward_backward(d, false));
+            for ((a, b), name) in pooled.iter().zip(&serial).zip(NAMES) {
+                assert!(a == b, "S={}: {name} must be bit-identical", d.seq);
+            }
+        }
+    }
 
-        let mut op = vec![0.0; n];
-        let ctx_p = streaming_forward(&mut op, &q, &k, &v, d, &sc);
-        let (mut dqp, mut dkp, mut dvp) = (vec![0.0; n], vec![0.0; nkv], vec![0.0; nkv]);
-        streaming_backward(
-            &mut dqp, &mut dkp, &mut dvp, &dout, &q, &k, &v, &op, &ctx_p, d, &sc,
-        );
-
-        let mut os = vec![0.0; n];
-        let (mut dqs, mut dks, mut dvs) = (vec![0.0; n], vec![0.0; nkv], vec![0.0; nkv]);
+    #[test]
+    fn avx2_and_portable_attention_agree_bit_for_bit() {
+        if !uses_avx2() {
+            eprintln!("skipped: no AVX2 on this host");
+            return;
+        }
+        // Sequential, so the whole kernel runs on the thread the portable
+        // scope pins.
         rayon::force_sequential(|| {
-            let ctx_s = streaming_forward(&mut os, &q, &k, &v, d, &sc);
-            streaming_backward(
-                &mut dqs, &mut dks, &mut dvs, &dout, &q, &k, &v, &os, &ctx_s, d, &sc,
-            );
+            for d in SEQS.map(gqa) {
+                let wide = forward_backward(d, false);
+                let narrow = force_portable(|| forward_backward(d, false));
+                for ((a, b), name) in wide.iter().zip(&narrow).zip(NAMES) {
+                    assert!(a == b, "S={}: {name} differs between ISAs", d.seq);
+                }
+            }
         });
-        assert_eq!(op, os, "forward must be bit-identical");
-        assert_eq!(dqp, dqs, "dq must be bit-identical");
-        assert_eq!(dkp, dks, "dk must be bit-identical");
-        assert_eq!(dvp, dvs, "dv must be bit-identical");
     }
 }

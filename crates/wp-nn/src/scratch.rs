@@ -72,15 +72,6 @@ impl Scratch {
         }
     }
 
-    /// Wrap an externally allocated vector so its memory joins this pool
-    /// when dropped.
-    pub fn adopt(&self, data: Vec<f32>) -> ScratchBuf {
-        ScratchBuf {
-            data,
-            home: Some(self.inner.clone()),
-        }
-    }
-
     /// Total `f32` elements currently parked in the pool (diagnostics).
     pub fn pooled_elems(&self) -> usize {
         let pools = self.inner.lock().expect("scratch pool poisoned");
@@ -228,9 +219,9 @@ mod tests {
     }
 
     #[test]
-    fn adopt_and_into_vec_roundtrip() {
+    fn into_vec_detaches_from_the_pool() {
         let sc = Scratch::new();
-        let buf = sc.adopt(vec![5.0f32; 4]);
+        let buf = sc.take_copy(&[5.0f32; 4]);
         let v = buf.into_vec();
         assert_eq!(v, vec![5.0; 4]);
         // into_vec detached the memory: nothing returned to the pool.

@@ -4,6 +4,7 @@
 
 pub mod elementwise;
 pub mod embedding;
+pub mod gemm;
 pub mod loss;
 pub mod matmul;
 pub mod norm;

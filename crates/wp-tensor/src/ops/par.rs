@@ -44,6 +44,12 @@ unsafe impl<T> Send for RawMut<T> {}
 unsafe impl<T> Sync for RawMut<T> {}
 
 impl<T> RawMut<T> {
+    /// The base pointer. A method rather than field access, so a closure
+    /// that calls it captures the whole `Sync` wrapper.
+    pub fn ptr(&self) -> *mut T {
+        self.0
+    }
+
     /// Borrow `len` elements starting at `start`.
     ///
     /// # Safety
