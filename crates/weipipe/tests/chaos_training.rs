@@ -101,7 +101,7 @@ fn dead_rank_mid_training_fails_every_rank_with_typed_error() {
     // Die mid-iteration, after a handful of ring hops.
     setup.faults = Some(FaultPlan::new(23).with_dead_rank(victim, 8));
     setup.comm = fast();
-    let budget = setup.comm.total_recv_budget() + Duration::from_secs(2);
+    let budget = setup.comm.recv_timeout + Duration::from_secs(2);
     let started = Instant::now();
     let results = run_distributed_per_rank(Strategy::WeiPipeInterleave, p, &setup);
     let elapsed = started.elapsed();
@@ -175,7 +175,7 @@ fn destructive_chaos_parity_between_overlapped_and_blocking_rings() {
         let mut setup = TrainSetup::tiny(4, 8).with_overlap(overlap);
         setup.faults = Some(FaultPlan::new(23).with_dead_rank(victim, 8));
         setup.comm = fast();
-        let budget = setup.comm.total_recv_budget() + Duration::from_secs(2);
+        let budget = setup.comm.recv_timeout + Duration::from_secs(2);
         let started = Instant::now();
         let results = run_distributed_per_rank(Strategy::WeiPipeInterleave, 4, &setup);
         let elapsed = started.elapsed();

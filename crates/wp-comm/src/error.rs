@@ -7,8 +7,8 @@
 //!
 //! * [`CommError::PeerDead`] — a peer's endpoint is gone (its thread exited
 //!   or a fault plan killed it).
-//! * [`CommError::Timeout`] — the configured receive window (including
-//!   retries and backoff) elapsed with no matching message.
+//! * [`CommError::Timeout`] — the configured receive timeout elapsed with
+//!   no matching message.
 //! * [`CommError::Corrupt`] — a payload failed its checksum on arrival.
 //! * [`CommError::Aborted`] — another rank failed first; this rank was
 //!   unwound by the poison-pill abort protocol rather than failing itself.
@@ -29,14 +29,13 @@ pub enum CommError {
         /// The rank that died.
         rank: usize,
     },
-    /// No matching message arrived within the configured timeout window
-    /// (after all retries).
+    /// No matching message arrived within the configured receive timeout.
     Timeout {
         /// The rank we were waiting on.
         src: usize,
         /// The tag we were waiting for.
         tag: u64,
-        /// Total milliseconds waited across all retry attempts.
+        /// Milliseconds waited.
         waited_ms: u64,
     },
     /// A payload arrived but failed its checksum.

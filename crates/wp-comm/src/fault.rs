@@ -151,15 +151,6 @@ impl FaultPlan {
         self.dead.is_empty() && self.corruptions.is_empty()
     }
 
-    /// True when the plan injects anything at all.
-    pub fn has_faults(&self) -> bool {
-        self.delay_jitter.is_some()
-            || self.reorder_prob > 0.0
-            || !self.stalls.is_empty()
-            || !self.dead.is_empty()
-            || !self.corruptions.is_empty()
-    }
-
     /// Render the plan as a compact spec string a multi-process launcher
     /// can pass on a worker's command line. Exact: [`from_spec`](Self::from_spec)
     /// reconstructs a plan that injects byte-identically (the reorder
@@ -367,7 +358,6 @@ mod tests {
     #[test]
     fn empty_plan_injects_nothing() {
         let plan = FaultPlan::new(1);
-        assert!(!plan.has_faults());
         assert!(plan.is_delay_only());
         let mut inj = RankInjector::new(plan, 0, 4);
         for dst in 1..4 {

@@ -15,6 +15,21 @@
 //! real time, so communication-constrained behaviour is observable even in
 //! the real (non-simulated) runtime.
 //!
+//! The [`Communicator`] offers what the weight ring runs and no more:
+//!
+//! * [`p2p`] — a buffered [`send`](Communicator::send), a receive posted
+//!   early and redeemed later ([`irecv`](Communicator::irecv) →
+//!   [`Request`] → [`wait_recv`](Communicator::wait_recv); `recv` is the
+//!   two back to back), and the timeout, fault-injection and abort
+//!   protocol under both;
+//! * [`collectives`] — ring all-reduce / reduce-scatter / all-gather /
+//!   broadcast / barrier built from those two primitives;
+//! * [`world`] — [`World::builder`], which wires one communicator per rank
+//!   and runs one thread per rank.
+//!
+//! Below them, [`transport`] is the seam a frame-moving substrate
+//! implements (one send, one receive) and [`tcp`] the socket one.
+//!
 //! ```
 //! use wp_comm::{World, LinkModel};
 //! use wp_tensor::DType;
@@ -31,20 +46,23 @@
 
 #![warn(missing_docs)]
 
-pub mod comm;
+pub mod collectives;
 pub mod error;
 pub mod fault;
 pub mod link;
 pub mod membership;
 pub mod meter;
+pub mod p2p;
 pub mod tcp;
 pub mod transport;
+pub mod world;
 
-pub use comm::{CommConfig, Communicator, Completion, Request, World, WorldBuilder};
 pub use error::CommError;
 pub use fault::FaultPlan;
 pub use link::LinkModel;
 pub use membership::{agree_membership, Membership};
-pub use meter::{RankTraffic, TrafficClass, TrafficMeter};
+pub use meter::{RankTraffic, TrafficMeter};
+pub use p2p::{CommConfig, Communicator, Request};
 pub use tcp::TcpTransport;
 pub use transport::{AbortCell, Frame, Transport, TransportKind};
+pub use world::{World, WorldBuilder};

@@ -63,11 +63,6 @@ impl LinkModel {
         self.latency_s + bytes as f64 / self.bandwidth_bps
     }
 
-    /// Transfer time as a [`Duration`] (used by the pacing runtime).
-    pub fn transfer_duration(&self, bytes: usize) -> Duration {
-        Duration::from_secs_f64(self.transfer_time_s(bytes))
-    }
-
     /// Link-occupancy time for `bytes` bytes (bandwidth term only, no
     /// latency): how long the directed link is busy before the next message
     /// can start transferring.

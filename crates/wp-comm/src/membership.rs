@@ -14,8 +14,8 @@
 //! stamps on every frame (see [`WorldBuilder::epoch`](crate::WorldBuilder::epoch));
 //! straggler frames from the pre-fault epoch are dropped on arrival.
 
-use crate::comm::Communicator;
 use crate::error::CommError;
+use crate::p2p::Communicator;
 use wp_tensor::DType;
 
 /// Ranks small enough to round-trip exactly through an `f32` payload.
@@ -141,8 +141,8 @@ pub fn agree_membership(comm: &mut Communicator, proposal: &Membership) -> Resul
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::comm::World;
     use crate::link::LinkModel;
+    use crate::world::World;
 
     #[test]
     fn shrink_renumbers_and_bumps_epoch() {

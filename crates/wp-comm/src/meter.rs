@@ -8,15 +8,6 @@
 
 use wp_metrics::{Counter, MetricsRegistry, Probe, RankSnapshot};
 
-/// Traffic class of a message.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum TrafficClass {
-    /// Point-to-point payload (pipeline neighbours).
-    P2p,
-    /// Bytes moved as part of a collective (all-reduce, all-gather, …).
-    Collective,
-}
-
 /// Per-rank traffic counters: a read/merge view over the eight traffic
 /// slots of a [`MetricsRegistry`] — the slots every rank's [`Probe`] counts
 /// into, whether or not the world is otherwise metered. A metered world's
@@ -117,25 +108,6 @@ impl TrafficMeter {
         Probe::new(self.slots.handle(rank), metered, tracer)
     }
 
-    /// Record a message of `bytes` sent by `rank`.
-    pub fn record_send(&self, rank: usize, bytes: u64, class: TrafficClass) {
-        self.probe(rank, false, None)
-            .sent(class == TrafficClass::Collective, 0, bytes, 0);
-    }
-
-    /// Record a message of `bytes` received by `rank`. Charged once per
-    /// message at delivery (when the receive matches), with the same wire
-    /// size — and the same traffic class — the sender was charged.
-    pub fn record_recv(&self, rank: usize, bytes: u64, class: TrafficClass) {
-        self.probe(rank, false, None)
-            .received(class == TrafficClass::Collective, 0, 0, bytes, 0);
-    }
-
-    /// Record `n` injected fault events charged to `rank`.
-    pub fn record_faults(&self, rank: usize, n: u64) {
-        self.slots.handle(rank).add(Counter::FaultsInjected, n);
-    }
-
     /// Snapshot of one rank.
     pub fn rank(&self, rank: usize) -> RankTraffic {
         let m = self.slots.handle(rank);
@@ -159,16 +131,6 @@ impl TrafficMeter {
         self.all().iter().map(|r| r.recv_bytes).sum()
     }
 
-    /// Reset every traffic counter to zero.
-    pub fn reset(&self) {
-        for r in 0..self.world_size() {
-            let m = self.slots.handle(r);
-            for (c, _) in FIELDS {
-                m.clear(c);
-            }
-        }
-    }
-
     /// Total fault events injected across all ranks.
     pub fn total_faults(&self) -> u64 {
         self.all().iter().map(|r| r.faults_injected).sum()
@@ -183,13 +145,34 @@ impl TrafficMeter {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use wp_trace::FaultFlags;
+
+    /// Count through the crate-private probe, as the `Communicator` does.
+    fn sent(m: &TrafficMeter, rank: usize, bytes: u64, collective: bool) {
+        m.probe(rank, false, None).sent(collective, 0, bytes, 0);
+    }
+
+    fn received(m: &TrafficMeter, rank: usize, bytes: u64, collective: bool) {
+        m.probe(rank, false, None)
+            .received(collective, 0, 0, bytes, 0);
+    }
+
+    fn faults(m: &TrafficMeter, rank: usize, n: u64) {
+        let delay = FaultFlags {
+            delay: true,
+            hold: false,
+            corrupt: false,
+            dead: false,
+        };
+        m.probe(rank, false, None).fault(delay, n);
+    }
 
     #[test]
     fn records_and_snapshots() {
         let m = TrafficMeter::new(2);
-        m.record_send(0, 100, TrafficClass::P2p);
-        m.record_send(0, 50, TrafficClass::Collective);
-        m.record_send(1, 7, TrafficClass::P2p);
+        sent(&m, 0, 100, false);
+        sent(&m, 0, 50, true);
+        sent(&m, 1, 7, false);
         let r0 = m.rank(0);
         assert_eq!(r0.p2p_bytes, 100);
         assert_eq!(r0.p2p_msgs, 1);
@@ -199,18 +182,9 @@ mod tests {
     }
 
     #[test]
-    fn reset_zeroes_everything() {
-        let m = TrafficMeter::new(1);
-        m.record_send(0, 10, TrafficClass::P2p);
-        m.record_faults(0, 3);
-        m.reset();
-        assert_eq!(m.rank(0), RankTraffic::default());
-    }
-
-    #[test]
     fn fault_counter_is_separate_from_bytes() {
         let m = TrafficMeter::new(2);
-        m.record_faults(1, 2);
+        faults(&m, 1, 2);
         assert_eq!(m.rank(1).faults_injected, 2);
         assert_eq!(m.rank(1).total_bytes(), 0);
         assert_eq!(m.total_faults(), 2);
@@ -220,8 +194,8 @@ mod tests {
     fn recv_side_is_accounted_separately() {
         let m = TrafficMeter::new(2);
         // Rank 0 sends 100 bytes; rank 1 receives them.
-        m.record_send(0, 100, TrafficClass::P2p);
-        m.record_recv(1, 100, TrafficClass::P2p);
+        sent(&m, 0, 100, false);
+        received(&m, 1, 100, false);
         assert_eq!(m.rank(0).recv_bytes, 0);
         assert_eq!(m.rank(1).recv_bytes, 100);
         assert_eq!(m.rank(1).p2p_recv_bytes, 100);
@@ -231,15 +205,13 @@ mod tests {
         assert_eq!(m.rank(1).total_bytes(), 0);
         assert_eq!(m.total_bytes(), 100);
         assert_eq!(m.total_recv_bytes(), 100);
-        m.reset();
-        assert_eq!(m.rank(1), RankTraffic::default());
     }
 
     #[test]
     fn recv_classes_are_split_and_sum() {
         let m = TrafficMeter::new(1);
-        m.record_recv(0, 60, TrafficClass::P2p);
-        m.record_recv(0, 40, TrafficClass::Collective);
+        received(&m, 0, 60, false);
+        received(&m, 0, 40, true);
         let r = m.rank(0);
         assert_eq!(r.p2p_recv_bytes, 60);
         assert_eq!(r.collective_recv_bytes, 40);
@@ -252,9 +224,9 @@ mod tests {
         // A worker process meters rank 1; the launcher reads the same
         // counters back out of the rank's metrics snapshot.
         let worker = TrafficMeter::new(2);
-        worker.record_send(1, 100, TrafficClass::P2p);
-        worker.record_recv(1, 40, TrafficClass::Collective);
-        worker.record_faults(1, 2);
+        sent(&worker, 1, 100, false);
+        received(&worker, 1, 40, true);
+        faults(&worker, 1, 2);
         let t = RankTraffic::of(&worker.slots.snapshot_rank(1));
         assert_eq!(t, worker.rank(1));
         assert_eq!((t.p2p_bytes, t.recv_bytes, t.faults_injected), (100, 40, 2));
@@ -264,7 +236,7 @@ mod tests {
     fn clones_share_counters() {
         let m = TrafficMeter::new(1);
         let m2 = m.clone();
-        m2.record_send(0, 42, TrafficClass::P2p);
+        sent(&m2, 0, 42, false);
         assert_eq!(m.rank(0).p2p_bytes, 42);
     }
 
@@ -276,7 +248,7 @@ mod tests {
                 let m = m.clone();
                 s.spawn(move || {
                     for _ in 0..1000 {
-                        m.record_send(0, 1, TrafficClass::P2p);
+                        sent(&m, 0, 1, false);
                     }
                 });
             }

@@ -3,28 +3,13 @@
 //!
 //! # Wire format
 //!
-//! Every frame on a stream is `[len: u32][kind: u8][body: len-1 bytes]`,
-//! all integers little-endian, `len` counting the kind byte plus the body:
-//!
-//! * `HELLO` (handshake, sent once by the connecting side before any
-//!   frame): magic `0x57505452` ("WPTR"), protocol version `u8`, sender
-//!   rank `u32`. The accepting side learns who is at the other end.
-//! * `DATA` (kind 1): `tag u64`, `checksum u64`, `wire_bytes u64`,
-//!   `flags u8` (bit 0 = collective hop, bit 1 = delivery delay present),
-//!   `delay_ns u64`, `epoch u64`, `n u32`, then `n` f32 bit patterns
-//!   (`u32` each). The tag/class/epoch envelope of [`Frame`] verbatim; the
-//!   link-model delivery deadline crosses the process boundary as a
-//!   *remaining* delay, captured when the frame hits the wire and
-//!   re-anchored to the receiver's clock on arrival (wall clocks of
-//!   different processes never compare).
-//! * `ABORT` (kind 2): origin rank `u32` plus an encoded
-//!   [`CommError`] — the poison pill crossing a process boundary. The
-//!   reader thread trips the local [`AbortCell`], so blocked receives
-//!   unwind within one poll interval exactly as they do in process.
-//! * `GOODBYE` (kind 3): empty body. A deliberate close; distinguishes a
-//!   rank that finished from a rank that crashed. EOF *without* a goodbye
-//!   (e.g. the peer process was SIGKILLed) trips the local abort cell with
-//!   [`CommError::PeerDead`].
+//! Length-prefixed, typed frames — a `HELLO` handshake, then `DATA`,
+//! `ABORT` and `GOODBYE` — whose byte layout is the private `codec`
+//! module's (`tcp/codec.rs`, documented there). What the frames *mean* is
+//! decided here: the reader thread trips the local [`AbortCell`] on an
+//! `ABORT`, so blocked receives unwind within one poll interval exactly as
+//! they do in process, and EOF *without* a `GOODBYE` (e.g. the peer process
+//! was SIGKILLed) trips it with [`CommError::PeerDead`].
 //!
 //! # Threads
 //!
@@ -35,12 +20,18 @@
 //! the writers (flushing queued frames), then shuts the sockets down to
 //! unblock the readers.
 
+mod codec;
+
 use crate::error::CommError;
-use crate::transport::{AbortCell, Frame, RecvPoll, RecvWait, Transport, TransportClosed};
+use crate::transport::{AbortCell, Frame, RecvWait, Transport, TransportClosed};
+use codec::{
+    decode_abort, decode_data, encode_abort, encode_data, put_u32, Cursor, GOODBYE_FRAME,
+    KIND_ABORT, KIND_DATA, KIND_GOODBYE, MAGIC, MAX_FRAME, PROTO_VERSION,
+};
 use std::io::{Read, Write};
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::mpsc::{channel, Receiver, RecvTimeoutError, Sender, TryRecvError};
+use std::sync::mpsc::{channel, Receiver, RecvTimeoutError, Sender};
 use std::sync::{Arc, OnceLock};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
@@ -51,199 +42,6 @@ use wp_metrics::{Counter, Gauge, RankMetrics};
 /// watch a `OnceLock` instead of owning the handle directly; until (unless)
 /// a handle is attached, every probe is one relaxed load.
 type MetricsCell = Arc<OnceLock<RankMetrics>>;
-
-const MAGIC: u32 = 0x5750_5452; // "WPTR"
-                                // Version 2 added the per-frame configuration epoch to the DATA body and
-                                // the MembershipMismatch error variant; mixed-version meshes are rejected
-                                // at HELLO time rather than mis-parsed mid-stream.
-const PROTO_VERSION: u8 = 2;
-const KIND_DATA: u8 = 1;
-const KIND_ABORT: u8 = 2;
-const KIND_GOODBYE: u8 = 3;
-/// Upper bound on one frame's encoded size; anything larger is a framing
-/// error (a desynchronised or hostile stream), treated as an unclean close.
-const MAX_FRAME: u32 = 1 << 30;
-
-const FLAG_COLLECTIVE: u8 = 1 << 0;
-const FLAG_HAS_DELAY: u8 = 1 << 1;
-
-// ---- Encoding ------------------------------------------------------------
-
-fn put_u32(buf: &mut Vec<u8>, x: u32) {
-    buf.extend_from_slice(&x.to_le_bytes());
-}
-
-fn put_u64(buf: &mut Vec<u8>, x: u64) {
-    buf.extend_from_slice(&x.to_le_bytes());
-}
-
-struct Cursor<'a> {
-    b: &'a [u8],
-    pos: usize,
-}
-
-impl<'a> Cursor<'a> {
-    fn new(b: &'a [u8]) -> Self {
-        Cursor { b, pos: 0 }
-    }
-
-    fn u8(&mut self) -> Option<u8> {
-        let x = *self.b.get(self.pos)?;
-        self.pos += 1;
-        Some(x)
-    }
-
-    fn u32(&mut self) -> Option<u32> {
-        let s = self.b.get(self.pos..self.pos + 4)?;
-        self.pos += 4;
-        Some(u32::from_le_bytes(s.try_into().unwrap()))
-    }
-
-    fn u64(&mut self) -> Option<u64> {
-        let s = self.b.get(self.pos..self.pos + 8)?;
-        self.pos += 8;
-        Some(u64::from_le_bytes(s.try_into().unwrap()))
-    }
-
-    fn bytes(&mut self, n: usize) -> Option<&'a [u8]> {
-        let s = self.b.get(self.pos..self.pos + n)?;
-        self.pos += n;
-        Some(s)
-    }
-}
-
-/// Serialize `frame` as a DATA wire frame (including the length prefix).
-/// `delay` is the remaining link-model delivery delay at the moment the
-/// frame hits the wire.
-fn encode_data(frame: &Frame, delay: Option<Duration>, buf: &mut Vec<u8>) {
-    buf.clear();
-    put_u32(buf, 0); // length back-patched below
-    buf.push(KIND_DATA);
-    put_u64(buf, frame.tag);
-    put_u64(buf, frame.checksum);
-    put_u64(buf, frame.wire_bytes);
-    let mut flags = 0u8;
-    if frame.collective {
-        flags |= FLAG_COLLECTIVE;
-    }
-    if delay.is_some() {
-        flags |= FLAG_HAS_DELAY;
-    }
-    buf.push(flags);
-    put_u64(buf, delay.map_or(0, |d| d.as_nanos() as u64));
-    put_u64(buf, frame.epoch);
-    put_u32(buf, frame.data.len() as u32);
-    for x in &frame.data {
-        put_u32(buf, x.to_bits());
-    }
-    let len = (buf.len() - 4) as u32;
-    buf[0..4].copy_from_slice(&len.to_le_bytes());
-}
-
-/// Parse a DATA body (everything after the kind byte). The delivery
-/// deadline is re-anchored to this process's clock.
-fn decode_data(body: &[u8]) -> Option<Frame> {
-    let mut c = Cursor::new(body);
-    let tag = c.u64()?;
-    let checksum = c.u64()?;
-    let wire_bytes = c.u64()?;
-    let flags = c.u8()?;
-    let delay_ns = c.u64()?;
-    let epoch = c.u64()?;
-    let n = c.u32()? as usize;
-    let raw = c.bytes(n * 4)?;
-    let data = raw
-        .chunks_exact(4)
-        .map(|w| f32::from_bits(u32::from_le_bytes(w.try_into().unwrap())))
-        .collect();
-    let deliver_at =
-        (flags & FLAG_HAS_DELAY != 0).then(|| Instant::now() + Duration::from_nanos(delay_ns));
-    Some(Frame {
-        tag,
-        data,
-        deliver_at,
-        checksum,
-        wire_bytes,
-        collective: flags & FLAG_COLLECTIVE != 0,
-        epoch,
-    })
-}
-
-/// Serialize a [`CommError`] for an ABORT frame: variant byte + fields,
-/// strings length-prefixed UTF-8.
-fn encode_err(e: &CommError, buf: &mut Vec<u8>) {
-    match e {
-        CommError::PeerDead { rank } => {
-            buf.push(0);
-            put_u64(buf, *rank as u64);
-        }
-        CommError::Timeout {
-            src,
-            tag,
-            waited_ms,
-        } => {
-            buf.push(1);
-            put_u64(buf, *src as u64);
-            put_u64(buf, *tag);
-            put_u64(buf, *waited_ms);
-        }
-        CommError::Corrupt { src, tag } => {
-            buf.push(2);
-            put_u64(buf, *src as u64);
-            put_u64(buf, *tag);
-        }
-        CommError::Aborted { origin, reason } => {
-            buf.push(3);
-            put_u64(buf, *origin as u64);
-            put_u32(buf, reason.len() as u32);
-            buf.extend_from_slice(reason.as_bytes());
-        }
-        CommError::InvalidTag { tag } => {
-            buf.push(4);
-            put_u64(buf, *tag);
-        }
-        CommError::MembershipMismatch { rank, detail } => {
-            buf.push(5);
-            put_u64(buf, *rank as u64);
-            put_u32(buf, detail.len() as u32);
-            buf.extend_from_slice(detail.as_bytes());
-        }
-    }
-}
-
-/// Inverse of [`encode_err`].
-fn decode_err(c: &mut Cursor<'_>) -> Option<CommError> {
-    Some(match c.u8()? {
-        0 => CommError::PeerDead {
-            rank: c.u64()? as usize,
-        },
-        1 => CommError::Timeout {
-            src: c.u64()? as usize,
-            tag: c.u64()?,
-            waited_ms: c.u64()?,
-        },
-        2 => CommError::Corrupt {
-            src: c.u64()? as usize,
-            tag: c.u64()?,
-        },
-        3 => {
-            let origin = c.u64()? as usize;
-            let n = c.u32()? as usize;
-            let reason = String::from_utf8(c.bytes(n)?.to_vec()).ok()?;
-            CommError::Aborted { origin, reason }
-        }
-        4 => CommError::InvalidTag { tag: c.u64()? },
-        5 => {
-            let rank = c.u64()? as usize;
-            let n = c.u32()? as usize;
-            let detail = String::from_utf8(c.bytes(n)?.to_vec()).ok()?;
-            CommError::MembershipMismatch { rank, detail }
-        }
-        _ => return None,
-    })
-}
-
-// ---- Endpoint ------------------------------------------------------------
 
 #[derive(Debug)]
 enum WriterCmd {
@@ -505,14 +303,6 @@ impl Transport for TcpTransport {
         Ok(())
     }
 
-    fn try_recv(&mut self, src: usize) -> RecvPoll {
-        match self.inbox[src].try_recv() {
-            Ok(f) => RecvPoll::Frame(f),
-            Err(TryRecvError::Empty) => RecvPoll::Empty,
-            Err(TryRecvError::Disconnected) => RecvPoll::Closed,
-        }
-    }
-
     fn recv_timeout(&mut self, src: usize, timeout: Duration) -> RecvWait {
         match self.inbox[src].recv_timeout(timeout) {
             Ok(f) => RecvWait::Frame(f),
@@ -601,13 +391,7 @@ fn writer_loop(
                 }
             }
             WriterCmd::Abort(origin, err) => {
-                buf.clear();
-                put_u32(&mut buf, 0);
-                buf.push(KIND_ABORT);
-                put_u32(&mut buf, origin as u32);
-                encode_err(&err, &mut buf);
-                let len = (buf.len() - 4) as u32;
-                buf[0..4].copy_from_slice(&len.to_le_bytes());
+                encode_abort(origin, &err, &mut buf);
                 if write_frame(&mut sock, &buf).is_err() {
                     return;
                 }
@@ -616,7 +400,7 @@ fn writer_loop(
                 }
             }
             WriterCmd::Goodbye => {
-                if write_frame(&mut sock, &[1, 0, 0, 0, KIND_GOODBYE]).is_ok() {
+                if write_frame(&mut sock, &GOODBYE_FRAME).is_ok() {
                     if let Some(m) = metrics.get() {
                         m.incr(Counter::TcpGoodbyeFramesSent);
                     }
@@ -636,30 +420,26 @@ fn reader_loop(
     closing: Arc<AtomicBool>,
     metrics: MetricsCell,
 ) {
+    // EOF or reset without a goodbye, or a frame that does not parse: a
+    // crashed peer — unless this endpoint is tearing the socket down itself.
+    let peer_dead = || {
+        if !closing.load(Ordering::Acquire) {
+            abort.trip(src, CommError::PeerDead { rank: src });
+        }
+    };
     let mut header = [0u8; 4];
     let mut body = Vec::new();
     loop {
         if sock.read_exact(&mut header).is_err() {
-            // EOF or reset without a goodbye: a crashed peer — unless this
-            // endpoint is tearing the socket down itself.
-            if !closing.load(Ordering::Acquire) {
-                abort.trip(src, CommError::PeerDead { rank: src });
-            }
-            return;
+            return peer_dead();
         }
         let len = u32::from_le_bytes(header);
         if len == 0 || len > MAX_FRAME {
-            if !closing.load(Ordering::Acquire) {
-                abort.trip(src, CommError::PeerDead { rank: src });
-            }
-            return;
+            return peer_dead();
         }
         body.resize(len as usize, 0);
         if sock.read_exact(&mut body).is_err() {
-            if !closing.load(Ordering::Acquire) {
-                abort.trip(src, CommError::PeerDead { rank: src });
-            }
-            return;
+            return peer_dead();
         }
         match body[0] {
             KIND_DATA => match decode_data(&body[1..]) {
@@ -671,22 +451,15 @@ fn reader_loop(
                     }
                     let _ = frame_tx.send(f);
                 }
-                None => {
-                    if !closing.load(Ordering::Acquire) {
-                        abort.trip(src, CommError::PeerDead { rank: src });
-                    }
-                    return;
-                }
+                None => return peer_dead(),
             },
             KIND_ABORT => {
                 if let Some(m) = metrics.get() {
                     m.incr(Counter::TcpAbortFramesRecv);
                 }
-                let mut c = Cursor::new(&body[1..]);
-                if let (Some(origin), Some(err)) = (c.u32(), decode_err(&mut c)) {
-                    abort.trip(origin as usize, err);
-                } else if !closing.load(Ordering::Acquire) {
-                    abort.trip(src, CommError::PeerDead { rank: src });
+                match decode_abort(&body[1..]) {
+                    Some((origin, err)) => abort.trip(origin, err),
+                    None => peer_dead(),
                 }
                 // Keep reading: data queued behind the abort is dropped by
                 // the unwinding layers above, but a goodbye may follow.
@@ -700,12 +473,7 @@ fn reader_loop(
                 }
                 return;
             }
-            _ => {
-                if !closing.load(Ordering::Acquire) {
-                    abort.trip(src, CommError::PeerDead { rank: src });
-                }
-                return;
-            }
+            _ => return peer_dead(),
         }
     }
 }
@@ -806,96 +574,7 @@ pub fn local_mesh(p: usize) -> Vec<TcpTransport> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::transport::checksum_of;
-
-    fn frame(tag: u64, data: Vec<f32>) -> Frame {
-        Frame {
-            tag,
-            checksum: checksum_of(&data),
-            wire_bytes: (data.len() * 4) as u64,
-            data,
-            deliver_at: None,
-            collective: false,
-            epoch: 0,
-        }
-    }
-
-    #[test]
-    fn data_frame_round_trips() {
-        let mut f = frame(42, vec![1.5, -0.0, f32::MIN_POSITIVE]);
-        f.collective = true;
-        f.epoch = 3;
-        let mut buf = Vec::new();
-        encode_data(&f, None, &mut buf);
-        assert_eq!(
-            u32::from_le_bytes(buf[0..4].try_into().unwrap()) as usize,
-            buf.len() - 4
-        );
-        assert_eq!(buf[4], KIND_DATA);
-        let g = decode_data(&buf[5..]).expect("well-formed frame");
-        assert_eq!(g.tag, 42);
-        assert_eq!(g.checksum, f.checksum);
-        assert_eq!(g.wire_bytes, f.wire_bytes);
-        assert_eq!(g.epoch, 3, "epoch must survive the wire");
-        assert!(g.collective);
-        assert!(g.deliver_at.is_none());
-        assert_eq!(
-            g.data.iter().map(|x| x.to_bits()).collect::<Vec<_>>(),
-            f.data.iter().map(|x| x.to_bits()).collect::<Vec<_>>(),
-            "payload bits must survive the wire exactly"
-        );
-        assert!(g.verify());
-    }
-
-    #[test]
-    fn delay_crosses_as_remaining_duration() {
-        let f = frame(0, vec![]);
-        let mut buf = Vec::new();
-        encode_data(&f, Some(Duration::from_millis(5)), &mut buf);
-        let g = decode_data(&buf[5..]).unwrap();
-        let at = g.deliver_at.expect("delay flag set");
-        let d = at.saturating_duration_since(Instant::now());
-        assert!(d <= Duration::from_millis(5));
-        assert!(d > Duration::from_millis(2), "re-anchored near 5ms");
-    }
-
-    #[test]
-    fn err_codec_round_trips_every_variant() {
-        let errs = [
-            CommError::PeerDead { rank: 3 },
-            CommError::Timeout {
-                src: 1,
-                tag: 99,
-                waited_ms: 1234,
-            },
-            CommError::Corrupt { src: 2, tag: 7 },
-            CommError::Aborted {
-                origin: 0,
-                reason: "rank panicked: éü".into(),
-            },
-            CommError::InvalidTag { tag: 1 << 48 },
-            CommError::MembershipMismatch {
-                rank: 2,
-                detail: "epoch 1 vs 2".into(),
-            },
-        ];
-        for e in errs {
-            let mut buf = Vec::new();
-            encode_err(&e, &mut buf);
-            let got = decode_err(&mut Cursor::new(&buf)).expect("decodable");
-            assert_eq!(got, e);
-        }
-    }
-
-    #[test]
-    fn truncated_frames_decode_as_none() {
-        let f = frame(1, vec![2.0, 3.0]);
-        let mut buf = Vec::new();
-        encode_data(&f, None, &mut buf);
-        for cut in 5..buf.len() {
-            assert!(decode_data(&buf[5..cut]).is_none(), "cut at {cut}");
-        }
-    }
+    use crate::transport::tests::frame;
 
     #[test]
     fn local_mesh_moves_frames_over_real_sockets() {
@@ -916,15 +595,9 @@ mod tests {
             other => panic!("expected second frame, got {other:?}"),
         }
         drop(a); // clean close: goodbye
-        let deadline = Instant::now() + Duration::from_secs(5);
-        loop {
-            match b.try_recv(0) {
-                RecvPoll::Closed => break,
-                RecvPoll::Empty if Instant::now() < deadline => {
-                    std::thread::sleep(Duration::from_millis(1))
-                }
-                other => panic!("expected Closed after goodbye, got {other:?}"),
-            }
+        match b.recv_timeout(0, Duration::from_secs(5)) {
+            RecvWait::Closed => {}
+            other => panic!("expected Closed after goodbye, got {other:?}"),
         }
         assert!(
             !b.abort_cell().is_tripped(),

@@ -3,10 +3,11 @@
 //! deadline-aware blocking receive, and teardown.
 //!
 //! Everything *above* this trait is transport-agnostic and byte-identical
-//! across implementations: the `Request`-handle API, tag matching and the
-//! per-source reorder buffer, [`FaultPlan`](crate::FaultPlan) injection,
-//! [`CommConfig`](crate::CommConfig) timeout/retry policy, the poison-pill
-//! abort protocol, link-model pacing, checksums, and per-class
+//! across implementations: posted receives ([`Request`](crate::Request)),
+//! tag matching and the per-source reorder buffer,
+//! [`FaultPlan`](crate::FaultPlan) injection, the
+//! [`CommConfig`](crate::CommConfig) timeout policy, the poison-pill abort
+//! protocol, link-model pacing, checksums, and per-class
 //! [`TrafficMeter`](crate::TrafficMeter) accounting. A transport only moves
 //! opaque [`Frame`]s and promises:
 //!
@@ -16,9 +17,10 @@
 //! 2. **Per-source FIFO** — frames from one source are delivered in the
 //!    order they were sent (the guarantee NCCL P2P gives within a stream).
 //!    No ordering is promised *across* sources.
-//! 3. **Deadline-aware receive** — [`Transport::recv_timeout`] blocks at
-//!    most the given duration, so the layer above can poll the abort cell
-//!    between slices and honour its receive budget exactly.
+//! 3. **Deadline-aware receive** — [`Transport::recv_timeout`], the one
+//!    receive method, blocks at most the given duration, so the layer above
+//!    can poll the abort cell between slices and honour its receive timeout
+//!    exactly.
 //! 4. **Abort propagation** — [`Transport::propagate_abort`] makes a fatal
 //!    local failure visible to every peer's [`AbortCell`] even when the
 //!    peers share no memory with this endpoint (the TCP transport forwards
@@ -35,7 +37,7 @@
 
 use crate::error::CommError;
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::mpsc::{channel, Receiver, RecvTimeoutError, Sender, TryRecvError};
+use std::sync::mpsc::{channel, Receiver, RecvTimeoutError, Sender};
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
@@ -115,17 +117,6 @@ impl Frame {
 /// abort cause when the world is already unwinding).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct TransportClosed;
-
-/// Outcome of a non-blocking receive probe ([`Transport::try_recv`]).
-#[derive(Debug)]
-pub enum RecvPoll {
-    /// The next frame from this source, in per-source FIFO order.
-    Frame(Frame),
-    /// Nothing buffered right now; the source is still connected.
-    Empty,
-    /// The source endpoint is gone and nothing more will arrive from it.
-    Closed,
-}
 
 /// Outcome of a bounded blocking receive ([`Transport::recv_timeout`]).
 #[derive(Debug)]
@@ -225,11 +216,8 @@ pub trait Transport: Send + std::fmt::Debug {
     /// [`TransportClosed`] when `dst`'s endpoint is gone.
     fn send(&mut self, dst: usize, frame: Frame) -> Result<(), TransportClosed>;
 
-    /// Non-blocking probe for the next frame from `src`.
-    fn try_recv(&mut self, src: usize) -> RecvPoll;
-
     /// Block up to `timeout` for the next frame from `src`. Never blocks
-    /// longer: the caller slices its receive budget into poll intervals so
+    /// longer: the caller slices its receive timeout into poll intervals so
     /// it can honour aborts and deadlines between slices.
     fn recv_timeout(&mut self, src: usize, timeout: Duration) -> RecvWait;
 
@@ -329,14 +317,6 @@ impl Transport for ChannelTransport {
         self.outbox[dst].send(frame).map_err(|_| TransportClosed)
     }
 
-    fn try_recv(&mut self, src: usize) -> RecvPoll {
-        match self.inbox[src].try_recv() {
-            Ok(f) => RecvPoll::Frame(f),
-            Err(TryRecvError::Empty) => RecvPoll::Empty,
-            Err(TryRecvError::Disconnected) => RecvPoll::Closed,
-        }
-    }
-
     fn recv_timeout(&mut self, src: usize, timeout: Duration) -> RecvWait {
         match self.inbox[src].recv_timeout(timeout) {
             Ok(f) => RecvWait::Frame(f),
@@ -347,10 +327,11 @@ impl Transport for ChannelTransport {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
 
-    fn frame(tag: u64, data: Vec<f32>) -> Frame {
+    /// An honest f32 frame, for this module's tests and the TCP transport's.
+    pub(crate) fn frame(tag: u64, data: Vec<f32>) -> Frame {
         Frame {
             tag,
             checksum: checksum_of(&data),
@@ -372,19 +353,16 @@ mod tests {
         a.send(2, frame(2, vec![2.0])).unwrap();
         b.send(2, frame(9, vec![9.0])).unwrap();
         // Per-source FIFO: a's frames arrive in order regardless of b's.
-        match c.try_recv(0) {
-            RecvPoll::Frame(f) => assert_eq!(f.tag, 1),
-            other => panic!("expected frame, got {other:?}"),
+        for (src, want) in [(0, 1), (0, 2), (1, 9)] {
+            match c.recv_timeout(src, Duration::from_millis(50)) {
+                RecvWait::Frame(f) => assert_eq!(f.tag, want),
+                other => panic!("expected frame, got {other:?}"),
+            }
         }
-        match c.recv_timeout(0, Duration::from_millis(50)) {
-            RecvWait::Frame(f) => assert_eq!(f.tag, 2),
-            other => panic!("expected frame, got {other:?}"),
-        }
-        match c.try_recv(1) {
-            RecvPoll::Frame(f) => assert_eq!(f.tag, 9),
-            other => panic!("expected frame, got {other:?}"),
-        }
-        assert!(matches!(c.try_recv(0), RecvPoll::Empty));
+        assert!(matches!(
+            c.recv_timeout(0, Duration::ZERO),
+            RecvWait::TimedOut
+        ));
     }
 
     #[test]
@@ -392,7 +370,6 @@ mod tests {
         let mut m = ChannelTransport::mesh(2);
         let mut b = m.remove(1);
         drop(m); // rank 0's endpoint gone
-        assert!(matches!(b.try_recv(0), RecvPoll::Closed));
         assert!(matches!(
             b.recv_timeout(0, Duration::from_millis(1)),
             RecvWait::Closed
@@ -420,5 +397,49 @@ mod tests {
         let mut bad = frame(7, vec![1.0, -0.0, 3.5]);
         bad.data[1] = 0.0; // different bit pattern, same value
         assert!(!bad.verify());
+    }
+
+    #[test]
+    fn checksums_accept_honest_payloads() {
+        assert_eq!(checksum_of(&[]), checksum_of(&[]));
+        assert_ne!(checksum_of(&[1.0]), checksum_of(&[1.0000001]));
+        // -0.0 and 0.0 have different bit patterns and must hash apart.
+        assert_ne!(checksum_of(&[0.0]), checksum_of(&[-0.0]));
+    }
+
+    #[test]
+    fn abort_cell_first_cause_wins() {
+        let cell = AbortCell::default();
+        assert!(!cell.is_tripped());
+        cell.trip(2, CommError::PeerDead { rank: 2 });
+        cell.trip(
+            3,
+            CommError::Timeout {
+                src: 0,
+                tag: 1,
+                waited_ms: 5,
+            },
+        );
+        assert!(cell.is_tripped());
+        // PeerDead propagates verbatim to every rank.
+        assert_eq!(cell.cause_for(0), CommError::PeerDead { rank: 2 });
+        assert_eq!(cell.cause_for(2), CommError::PeerDead { rank: 2 });
+    }
+
+    #[test]
+    fn abort_cell_wraps_local_causes_for_bystanders() {
+        let cell = AbortCell::default();
+        let corrupt = CommError::Corrupt { src: 1, tag: 4 };
+        cell.trip(0, corrupt.clone());
+        // The origin gets its own error back.
+        assert_eq!(cell.cause_for(0), corrupt);
+        // Bystanders see an abort naming the origin.
+        match cell.cause_for(3) {
+            CommError::Aborted { origin, reason } => {
+                assert_eq!(origin, 0);
+                assert!(reason.contains("checksum"));
+            }
+            other => panic!("expected Aborted, got {other:?}"),
+        }
     }
 }

@@ -47,7 +47,7 @@ fn dead_rank_case(kind: TransportKind) {
     // The victim dies after 6 communication operations — mid-collective.
     let plan = FaultPlan::new(11).with_dead_rank(victim, 6);
     let config = fast();
-    let budget = config.total_recv_budget() + Duration::from_secs(2);
+    let budget = config.recv_timeout + Duration::from_secs(2);
     let started = Instant::now();
     let (results, _) = World::builder(p)
         .config(config)
@@ -102,9 +102,9 @@ fn silent_peer_case(kind: TransportKind) {
     // Rank 1 waits for a message rank 0 never sends. Rank 0 idles past the
     // timeout so its endpoint stays open — this must surface as Timeout,
     // not PeerDead. Rank 0 waits on a deadline derived from the receive
-    // budget (plus a generous CI margin), not a tuned fixed sleep.
+    // timeout (plus a generous CI margin), not a tuned fixed sleep.
     let config = CommConfig::fail_fast(Duration::from_millis(120));
-    let idle_past = config.total_recv_budget() + Duration::from_millis(600);
+    let idle_past = config.recv_timeout + Duration::from_millis(600);
     let (results, _) = World::builder(2)
         .config(config)
         .transport(kind)
@@ -143,33 +143,6 @@ fn recv_from_silent_peer_times_out_with_typed_error() {
 #[ignore = "sockets: run in the transport-tcp CI job with --ignored"]
 fn recv_from_silent_peer_times_out_with_typed_error_over_tcp() {
     silent_peer_case(TransportKind::TcpLocalhost);
-}
-
-#[test]
-fn retries_extend_the_deadline_with_backoff() {
-    // One retry with 2x backoff: a message arriving after the first window
-    // but inside the second must still be delivered. The sender targets a
-    // deadline well clear of both edges (150 ms past the first window,
-    // 350 ms before the budget runs out) so CI scheduling noise cannot
-    // push the arrival outside the intended window.
-    let config = CommConfig {
-        recv_timeout: Duration::from_millis(250),
-        poll_interval: Duration::from_millis(1),
-        retries: 1,
-        backoff: 2.0,
-    };
-    assert_eq!(config.total_recv_budget(), Duration::from_millis(250 + 500));
-    let start = Instant::now();
-    let (results, _) = World::builder(2).config(config).try_run(move |mut c| {
-        if c.rank() == 0 {
-            sleep_until(start + Duration::from_millis(400));
-            c.send(1, 5, &[3.0], DType::F32)?;
-            Ok(0.0)
-        } else {
-            Ok(c.recv(0, 5)?[0])
-        }
-    });
-    assert_eq!(results[1].as_ref().unwrap(), &3.0);
 }
 
 fn corruption_case(kind: TransportKind) {

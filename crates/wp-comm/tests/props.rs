@@ -4,8 +4,15 @@
 
 use proptest::prelude::*;
 use std::time::Duration;
-use wp_comm::{CommConfig, FaultPlan, LinkModel, World};
+use wp_comm::{CommConfig, CommError, Communicator, FaultPlan, LinkModel, World};
 use wp_tensor::DType;
+
+/// Send `data` to the next rank on the ring and receive the previous rank's
+/// message with the same `tag` — the weight-circulation step.
+fn ring_exchange(c: &mut Communicator, tag: u64, data: &[f32]) -> Result<Vec<f32>, CommError> {
+    c.send(c.next_rank(), tag, data, DType::F32)?;
+    c.recv(c.prev_rank(), tag)
+}
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
@@ -89,7 +96,7 @@ proptest! {
     fn ring_exchange_is_a_rotation(p in 2usize..7, seed in 0u64..1000) {
         let (outs, _) = World::run(p, LinkModel::instant(), move |mut c| {
             let mine = [c.rank() as f32 + seed as f32];
-            c.ring_exchange(11, &mine, DType::F32).unwrap()[0]
+            ring_exchange(&mut c, 11, &mine).unwrap()[0]
         });
         for (r, v) in outs.iter().enumerate() {
             let prev = (r + p - 1) % p;

@@ -41,7 +41,8 @@ fn check_conservation(kind: TransportKind, p: usize, n: usize, rounds: usize) {
                     DType::F16
                 };
                 let buf = vec![me + round as f32; n];
-                let _ = c.ring_exchange(round as u64, &buf, dtype).unwrap();
+                c.send(c.next_rank(), round as u64, &buf, dtype).unwrap();
+                let _ = c.recv(c.prev_rank(), round as u64).unwrap();
 
                 // Collectives: all-reduce a gradient-sized buffer and gather
                 // a shard, exercising both collective shapes.

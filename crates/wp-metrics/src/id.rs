@@ -76,9 +76,12 @@ metric_enum! {
         MsgsRecv => "wp_comm_msgs_recv_total",
         /// Fault events injected by a fault plan.
         FaultsInjected => "wp_comm_faults_injected_total",
-        /// Receive poll retries (wakeups that found no matching frame).
+        /// No longer incremented: the receive retry loop that counted here is
+        /// gone (a receive is one polled timeout window). Declared only
+        /// because the frozen `benchmark/` package reads it; goes with the
+        /// next PR allowed to edit that package.
         RecvRetries => "wp_comm_recv_retries_total",
-        /// Receives that exhausted their timeout budget.
+        /// Receives that ran out their timeout.
         RecvTimeouts => "wp_comm_recv_timeouts_total",
         /// Nanoseconds spent stalled on link-model pacing.
         PacingStallNs => "wp_comm_pacing_stall_ns_total",

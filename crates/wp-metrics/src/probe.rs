@@ -188,7 +188,7 @@ impl Probe {
     }
 
     /// One occurrence of an event counted only when metered (receive
-    /// retries and timeouts, stale frames dropped).
+    /// timeouts, stale frames dropped).
     pub fn event(&self, c: Counter) {
         if self.metered {
             self.slots.incr(c);

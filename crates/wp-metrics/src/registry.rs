@@ -229,11 +229,6 @@ impl RankMetrics {
         self.inner.ranks[self.rank].counters[c.index()].load(Ordering::Relaxed)
     }
 
-    /// Zero a counter. One relaxed store.
-    pub fn clear(&self, c: Counter) {
-        self.inner.ranks[self.rank].counters[c.index()].store(0, Ordering::Relaxed);
-    }
-
     /// Add `v` to a counter. One relaxed `fetch_add`.
     #[inline]
     pub fn add(&self, c: Counter, v: u64) {

@@ -1056,46 +1056,35 @@ fn build_fsdp(spec: PipelineSpec) -> Schedule {
     } else {
         MemUnit::FwdCtx
     };
-    let pseudo = |kind: MsgKind, c: usize, round: usize, r: usize| MsgKey {
-        kind,
-        chunk: c,
-        mb: NO_MB,
-        round,
-        src: r,
-        dst: r,
-    };
-
     let local = n / p;
     let mut ops: Vec<Vec<Op>> = vec![Vec::new(); p];
     for (r, stream) in ops.iter_mut().enumerate() {
         for i in 0..local {
             let mb = i * p + r;
             for c in 0..chunks {
-                stream.push(
-                    Op::compute_collective(OpKind::AllGatherW {
-                        chunk: c,
-                        round: 2 * i,
-                    })
-                    .mem(MemUnit::WeightChunk, 1),
-                );
+                let gather = OpKind::AllGatherW {
+                    chunk: c,
+                    round: 2 * i,
+                };
+                let gathered = gather.collective_key(r);
+                stream.push(Op::compute_collective(gather).mem(MemUnit::WeightChunk, 1));
                 stream.push(
                     Op::compute(OpKind::Fwd { mb, chunk: c })
-                        .needs(pseudo(MsgKind::Weights, c, 2 * i, r))
+                        .needs(gathered)
                         .mem(ctx, 1)
                         .mem(MemUnit::WeightChunk, -1),
                 );
             }
             for c in (0..chunks).rev() {
-                stream.push(
-                    Op::compute_collective(OpKind::AllGatherW {
-                        chunk: c,
-                        round: 2 * i + 1,
-                    })
-                    .mem(MemUnit::WeightChunk, 1),
-                );
+                let gather = OpKind::AllGatherW {
+                    chunk: c,
+                    round: 2 * i + 1,
+                };
+                let gathered = gather.collective_key(r);
+                stream.push(Op::compute_collective(gather).mem(MemUnit::WeightChunk, 1));
                 stream.push(
                     Op::compute(OpKind::BwdFull { mb, chunk: c })
-                        .needs(pseudo(MsgKind::Weights, c, 2 * i + 1, r))
+                        .needs(gathered)
                         .mem(ctx, -1)
                         .mem(MemUnit::WeightChunk, -1)
                         .mem(MemUnit::GradChunk, 1),
@@ -1107,12 +1096,12 @@ fn build_fsdp(spec: PipelineSpec) -> Schedule {
             }
         }
         for c in 0..chunks {
-            stream.push(Op::compute(OpKind::Update { chunk: c }).needs(pseudo(
-                MsgKind::WeightGrads,
-                c,
-                local - 1,
-                r,
-            )));
+            // The last microbatch's reduce-scatter delivers the summed shard.
+            let last = OpKind::ReduceScatterD {
+                chunk: c,
+                round: local - 1,
+            };
+            stream.push(Op::compute(OpKind::Update { chunk: c }).needs(last.collective_key(r)));
         }
     }
 
@@ -1156,21 +1145,13 @@ fn build_ddp(spec: PipelineSpec) -> Schedule {
                 stream.push(Op::compute(OpKind::BwdFull { mb, chunk: c }).mem(ctx, -1));
             }
         }
+        let reduce = |c| OpKind::AllReduceD { chunk: c, round: 0 };
         for c in 0..chunks {
-            stream.push(Op::compute_collective(OpKind::AllReduceD {
-                chunk: c,
-                round: 0,
-            }));
+            stream.push(Op::compute_collective(reduce(c)));
         }
         for c in 0..chunks {
-            stream.push(Op::compute(OpKind::Update { chunk: c }).needs(MsgKey {
-                kind: MsgKind::WeightGrads,
-                chunk: c,
-                mb: NO_MB,
-                round: 0,
-                src: r,
-                dst: r,
-            }));
+            stream
+                .push(Op::compute(OpKind::Update { chunk: c }).needs(reduce(c).collective_key(r)));
         }
     }
 

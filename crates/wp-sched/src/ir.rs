@@ -220,6 +220,41 @@ impl OpKind {
             OpKind::AllGatherW { .. } | OpKind::ReduceScatterD { .. } | OpKind::AllReduceD { .. }
         )
     }
+
+    /// The completion key of a collective on `rank`: the pseudo-message
+    /// (`src == dst == rank`) that "arrives" there when the rendezvous
+    /// completes, and that consumers of the collective's result name in
+    /// their `needs`. Builders, the validator and the simulator all derive
+    /// it here. Panics on anything that is not a collective.
+    pub fn collective_key(&self, rank: usize) -> MsgKey {
+        let (kind, chunk, round) = match *self {
+            OpKind::AllGatherW { chunk, round } => (MsgKind::Weights, chunk, round),
+            OpKind::ReduceScatterD { chunk, round } | OpKind::AllReduceD { chunk, round } => {
+                (MsgKind::WeightGrads, chunk, round)
+            }
+            _ => panic!("{self:?} is not a collective"),
+        };
+        MsgKey {
+            kind,
+            chunk,
+            mb: NO_MB,
+            round,
+            src: rank,
+            dst: rank,
+        }
+    }
+
+    /// What identifies one rendezvous: every rank's instance of the same
+    /// collective maps to the same value, different collectives to
+    /// different ones. Panics on anything that is not a collective.
+    pub fn rendezvous(&self) -> (u8, usize, usize) {
+        match *self {
+            OpKind::AllGatherW { chunk, round } => (0, chunk, round),
+            OpKind::ReduceScatterD { chunk, round } => (1, chunk, round),
+            OpKind::AllReduceD { chunk, round } => (2, chunk, round),
+            _ => panic!("{self:?} is not a collective"),
+        }
+    }
 }
 
 /// One scheduled instruction with its dependencies and memory effects.

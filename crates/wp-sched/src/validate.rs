@@ -35,31 +35,6 @@ impl std::fmt::Display for ValidationError {
 
 impl std::error::Error for ValidationError {}
 
-/// The pseudo-key a collective registers on `rank` at completion.
-fn collective_pseudo_key(kind: &OpKind, rank: usize) -> Option<MsgKey> {
-    match *kind {
-        OpKind::AllGatherW { chunk, round } => Some(MsgKey {
-            kind: MsgKind::Weights,
-            chunk,
-            mb: crate::ir::NO_MB,
-            round,
-            src: rank,
-            dst: rank,
-        }),
-        OpKind::ReduceScatterD { chunk, round } | OpKind::AllReduceD { chunk, round } => {
-            Some(MsgKey {
-                kind: MsgKind::WeightGrads,
-                chunk,
-                mb: crate::ir::NO_MB,
-                round,
-                src: rank,
-                dst: rank,
-            })
-        }
-        _ => None,
-    }
-}
-
 /// Validate a schedule. Returns the first problem found.
 pub fn validate(s: &Schedule) -> Result<(), ValidationError> {
     check_messages(s)?;
@@ -266,21 +241,13 @@ fn check_executable(s: &Schedule) -> Result<(), ValidationError> {
                         arrived.insert(*k);
                     }
                     kind if kind.is_collective() => {
-                        let disc = match kind {
-                            OpKind::AllGatherW { chunk, round } => (0u8, *chunk, *round),
-                            OpKind::ReduceScatterD { chunk, round } => (1u8, *chunk, *round),
-                            OpKind::AllReduceD { chunk, round } => (2u8, *chunk, *round),
-                            _ => unreachable!(),
-                        };
-                        let group = coll_ready.entry(disc).or_default();
+                        let group = coll_ready.entry(kind.rendezvous()).or_default();
                         group.insert(r);
                         if group.len() == p {
                             // Rendezvous complete: register every rank's
                             // pseudo-arrival.
                             for rr in 0..p {
-                                if let Some(k) = collective_pseudo_key(kind, rr) {
-                                    arrived.insert(k);
-                                }
+                                arrived.insert(kind.collective_key(rr));
                             }
                         } else {
                             // This rank has "entered" the collective; it

@@ -318,18 +318,7 @@ impl<'a> State<'a> {
             }
             kind => {
                 // Collective: record entry; complete at rendezvous.
-                let (disc, payload) = match *kind {
-                    OpKind::AllGatherW { chunk, round } => {
-                        ((0u8, chunk, round), cost.weight_chunk_bytes())
-                    }
-                    OpKind::ReduceScatterD { chunk, round } => {
-                        ((1u8, chunk, round), cost.grad_chunk_bytes())
-                    }
-                    OpKind::AllReduceD { chunk, round } => {
-                        ((2u8, chunk, round), cost.grad_chunk_bytes())
-                    }
-                    _ => unreachable!(),
-                };
+                let payload = msg_bytes(cost, &kind.collective_key(r));
                 let all_reduce = matches!(kind, OpKind::AllReduceD { .. });
                 let mut ready = needs_t.max(self.coll_free[r]);
                 if op.after_compute {
@@ -338,7 +327,10 @@ impl<'a> State<'a> {
                 if !opts.overlap {
                     ready = ready.max(self.compute_free[r]);
                 }
-                let (entered, start) = self.coll_groups.entry(disc).or_insert((0, 0.0));
+                let (entered, start) = self
+                    .coll_groups
+                    .entry(kind.rendezvous())
+                    .or_insert((0, 0.0));
                 *entered += 1;
                 *start = start.max(ready);
                 let (entered, start) = (*entered, *start);
@@ -356,7 +348,7 @@ impl<'a> State<'a> {
                         if !opts.overlap {
                             self.compute_free[rr] = self.compute_free[rr].max(done);
                         }
-                        self.resolve(collective_pseudo_key(kind, rr), done);
+                        self.resolve(kind.collective_key(rr), done);
                     }
                     end_time = done;
                 } else {
@@ -434,37 +426,14 @@ impl<'a> State<'a> {
     }
 }
 
-/// Wire bytes for one point-to-point message.
+/// Wire bytes of one point-to-point message, or of the payload a
+/// collective moves (by its completion key).
 fn msg_bytes(cost: &CostModel, k: &MsgKey) -> u64 {
     match k.kind {
         MsgKind::Weights => cost.weight_chunk_bytes(),
         MsgKind::WeightGrads => cost.grad_chunk_bytes(),
         MsgKind::Act => cost.act_boundary_bytes(),
         MsgKind::ActGrad => cost.act_grad_boundary_bytes(),
-    }
-}
-
-/// The pseudo-key a collective registers on each rank (mirrors
-/// `wp_sched::validate`).
-fn collective_pseudo_key(kind: &OpKind, rank: usize) -> MsgKey {
-    match *kind {
-        OpKind::AllGatherW { chunk, round } => MsgKey {
-            kind: MsgKind::Weights,
-            chunk,
-            mb: wp_sched::NO_MB,
-            round,
-            src: rank,
-            dst: rank,
-        },
-        OpKind::ReduceScatterD { chunk, round } | OpKind::AllReduceD { chunk, round } => MsgKey {
-            kind: MsgKind::WeightGrads,
-            chunk,
-            mb: wp_sched::NO_MB,
-            round,
-            src: rank,
-            dst: rank,
-        },
-        _ => unreachable!("not a collective"),
     }
 }
 
