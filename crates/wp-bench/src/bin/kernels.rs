@@ -13,6 +13,14 @@
 //! compiled for the baseline ISA while the kernels pick AVX2 at run time,
 //! so a share above 1 is expected where AVX2 exists.)
 //!
+//! The wire path's per-byte kernels get the same treatment against a
+//! different ceiling: `pack_f16`, `unpack_f16` and the frame checksum over
+//! one `widecomm` ring chunk (1.58 M elements), in GB/s of f32 bytes, beside
+//! an in-process `copy_from_slice` of the same chunk.
+//! `pack_f16_copy_share` and `checksum_copy_share` are bounded in
+//! `ci/bench_floors.json`: a scalar converter or a byte-at-a-time hash sits
+//! at a tenth of memory speed or less and fails them on any host.
+//!
 //! `--smoke` takes fewer samples and also checks (a) the parallel path is
 //! bit-identical to the sequential one and (b) steady-state kernel
 //! iterations perform zero heap allocations once the scratch arena is warm.
@@ -27,11 +35,13 @@ use std::sync::Barrier;
 use std::time::Instant;
 
 use wp_bench::ci::{self, Report};
+use wp_comm::transport::checksum_of;
 use wp_nn::attention::{streaming_backward, streaming_forward, AttnDims};
 use wp_nn::block::{block_backward_full, block_forward};
 use wp_nn::config::{AttnKind, ModelConfig};
-use wp_nn::params::init_block;
+use wp_nn::params::{init_block, BlockLayout};
 use wp_nn::scratch::Scratch;
+use wp_tensor::dtype::{pack_f16, unpack_f16};
 use wp_tensor::ops::{matmul_nn, matmul_nt, matmul_tn};
 use wp_tensor::Tensor;
 
@@ -155,6 +165,25 @@ fn bench_attention(cfg: &ModelConfig, seq: usize, reps: usize) -> [f64; 2] {
     [2.0 * gflop / fwd, 5.0 * gflop / bwd]
 }
 
+/// The wire path's per-byte kernels over one ring chunk of the repo
+/// benchmark's `widecomm` workload (H256, 4 layers over 2 ranks), each in
+/// GB/s of f32 bytes read or produced: `[copy, pack_f16, unpack_f16,
+/// checksum]`, `copy` being `copy_from_slice` of the chunk.
+fn bench_wire(reps: usize) -> [f64; 4] {
+    let widecomm = ModelConfig::llama_like(256, 4, 4, 256, 64);
+    let chunk = rand(widecomm.layers / 2 * BlockLayout::new(&widecomm).len(), 9);
+    let mut floats = vec![0.0f32; chunk.len()];
+    let mut halves = vec![0u16; chunk.len()];
+    let copy = median_secs(reps, || floats.copy_from_slice(black_box(&chunk)));
+    let pack = median_secs(reps, || pack_f16(&mut halves, black_box(&chunk)));
+    let unpack = median_secs(reps, || unpack_f16(&mut floats, black_box(&halves)));
+    let checksum = median_secs(reps, || {
+        black_box(checksum_of(black_box(&chunk)));
+    });
+    black_box((&floats, &halves));
+    [copy, pack, unpack, checksum].map(|secs| (chunk.len() * 4) as f64 / secs / 1e9)
+}
+
 /// Smoke check 1: the parallel dispatch must be bit-identical to the forced
 /// sequential path for the same inputs.
 fn check_bit_identity(cfg: &ModelConfig, seq: usize) -> Result<(), String> {
@@ -242,12 +271,13 @@ fn main() {
     let mut cfg = ModelConfig::llama_like(128, 4, 1, 256, seq);
     cfg.attn = AttnKind::Streaming;
     println!(
-        "# wp-bench kernels  (H={} F={} S={seq} heads={}, median of {reps}, one core; pool of {}, avx2 {})",
+        "# wp-bench kernels  (H={} F={} S={seq} heads={}, median of {reps}, one core; pool of {}, avx2 {}, f16c {})",
         cfg.hidden,
         cfg.ffn,
         cfg.heads,
         rayon::current_num_threads(),
         wp_tensor::ops::gemm::uses_avx2(),
+        wp_tensor::dtype::uses_f16c(),
     );
     let ceiling = ceiling_gflops(reps);
     let matmul = bench_matmul(&cfg, seq, reps);
@@ -263,6 +293,12 @@ fn main() {
         "attention  fwd {:>5.1}  bwd {:>5.1} GFLOP/s              slower / ceiling {attn_share:.2}",
         attn[0], attn[1],
     );
+    let wire = bench_wire(reps);
+    let (pack_share, checksum_share) = (wire[1] / wire[0], wire[3] / wire[0]);
+    println!(
+        "wire       copy {:>5.1}  pack_f16 {:>5.1}  unpack_f16 {:>5.1}  checksum {:>5.1} GB/s   pack / copy {pack_share:.2}  checksum / copy {checksum_share:.2}",
+        wire[0], wire[1], wire[2], wire[3],
+    );
     let mut report = Report::new("kernels");
     report
         .metric("ceiling_gflops", ceiling)
@@ -272,7 +308,13 @@ fn main() {
         .metric("attn_fwd_gflops", attn[0])
         .metric("attn_bwd_gflops", attn[1])
         .metric("matmul_ceiling_share", matmul_share)
-        .metric("attn_ceiling_share", attn_share);
+        .metric("attn_ceiling_share", attn_share)
+        .metric("copy_gbps", wire[0])
+        .metric("pack_f16_gbps", wire[1])
+        .metric("unpack_f16_gbps", wire[2])
+        .metric("checksum_gbps", wire[3])
+        .metric("pack_f16_copy_share", pack_share)
+        .metric("checksum_copy_share", checksum_share);
     if smoke {
         ci::check(
             "kernels",

@@ -9,8 +9,9 @@
 //! OS thread (or, over the TCP transport, an OS process) owning one
 //! [`Transport`] endpoint — an in-process channel mesh by default, real
 //! localhost sockets via [`TransportKind::TcpLocalhost`] — and each message
-//! is quantized through its declared wire dtype and charged byte-exactly to
-//! a shared [`TrafficMeter`]. A [`LinkModel`] reproduces the bandwidth and
+//! is packed into its declared wire dtype — the frame holds, checksums and
+//! ships those two-or-four-byte elements, never a widened copy — and
+//! charged byte-exactly to a shared [`TrafficMeter`]. A [`LinkModel`] reproduces the bandwidth and
 //! latency of the paper's three interconnects and can pace deliveries in
 //! real time, so communication-constrained behaviour is observable even in
 //! the real (non-simulated) runtime.
@@ -64,5 +65,5 @@ pub use membership::{agree_membership, Membership};
 pub use meter::{RankTraffic, TrafficMeter};
 pub use p2p::{CommConfig, Communicator, Request};
 pub use tcp::TcpTransport;
-pub use transport::{AbortCell, Frame, Transport, TransportKind};
+pub use transport::{AbortCell, Frame, Payload, Transport, TransportKind};
 pub use world::{World, WorldBuilder};

@@ -26,8 +26,9 @@
 //! milliseconds instead of deadlocking it for the full receive timeout.
 //! [`CommError::PeerDead`] propagates verbatim (every survivor learns *who*
 //! died); other causes surface on bystanders as [`CommError::Aborted`]
-//! naming the origin rank. Payloads are checksummed at send time and
-//! verified on arrival, turning wire corruption (real or injected) into
+//! naming the origin rank. A payload is packed into its wire dtype and
+//! checksummed over those wire bytes at send time, verified on arrival and
+//! unpacked at delivery, turning wire corruption (real or injected) into
 //! [`CommError::Corrupt`].
 //!
 //! Faults themselves are injected by an optional
@@ -39,12 +40,11 @@ use crate::error::CommError;
 use crate::fault::RankInjector;
 use crate::link::LinkModel;
 use crate::meter::TrafficMeter;
-use crate::transport::{checksum_of, AbortCell, Frame, RecvWait, Transport};
+use crate::transport::{AbortCell, Frame, Payload, RecvWait, Transport};
 use std::collections::VecDeque;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 use wp_metrics::{Counter, Probe, RankMetrics};
-use wp_tensor::dtype::quantize_slice;
 use wp_tensor::DType;
 use wp_trace::{FaultFlags, RankTracer};
 
@@ -305,8 +305,8 @@ impl Communicator {
         Ok(())
     }
 
-    /// Send `data` to `dst` with a user `tag`, charged (and quantized) at the
-    /// given wire dtype. Never blocks: the payload is on the wire — and the
+    /// Send `data` to `dst` with a user `tag`, packed into (and charged at)
+    /// the given wire dtype. Never blocks: the payload is on the wire — and the
     /// meter charged — when this returns (buffered-isend semantics), so
     /// there is nothing to wait on afterwards.
     ///
@@ -359,11 +359,8 @@ impl Communicator {
         assert!(dst < self.world, "dst {dst} out of range");
         assert_ne!(dst, self.rank, "self-send is not supported");
         self.precheck()?;
-        let mut payload = data.to_vec();
-        // Quantize through the wire format: what a GPU casting to fp16 for
-        // the transfer would do to the values.
-        quantize_slice(&mut payload, dtype);
-        let bytes = (payload.len() * dtype.size_bytes()) as u64;
+        let payload = Payload::pack(data, dtype);
+        let bytes = payload.wire_bytes();
         let mut deliver_at = if self.link.is_instant() {
             None
         } else {
@@ -401,20 +398,19 @@ impl Communicator {
             hold = f.hold;
             corrupt = f.corrupt;
         }
-        // Checksum the honest payload, then corrupt — the receiver must see
-        // the mismatch.
+        // Checksum the honest payload, then corrupt what the wire carries —
+        // the receiver must see the mismatch.
         let mut msg = Frame {
             tag,
-            checksum: checksum_of(&payload),
-            data: payload,
+            checksum: payload.checksum(),
+            payload,
             deliver_at,
-            wire_bytes: bytes,
             collective,
             epoch: self.epoch,
         };
         if corrupt {
-            match msg.data.first_mut() {
-                Some(x) => *x = f32::from_bits(x.to_bits() ^ 1),
+            match msg.payload.as_bytes_mut().first_mut() {
+                Some(byte) => *byte ^= 1,
                 None => msg.checksum ^= 1,
             }
         }
@@ -559,10 +555,11 @@ impl Communicator {
     }
 
     /// Consume a matched message: count it and close the blocked-wait span
-    /// (post → match), sleep out the link-model transfer under its own span
-    /// (match → fully arrived), and hand back the payload.
+    /// (post → match), then under the transfer span (match → fully arrived)
+    /// sleep out the link model and unpack the payload into the values
+    /// handed back — a move for an f32 frame.
     fn deliver(&mut self, src: usize, depth: usize, t0: u64, msg: Frame) -> Vec<f32> {
-        let bytes = msg.wire_bytes;
+        let bytes = msg.payload.wire_bytes();
         let x0 = self.probe.received(msg.collective, src, depth, bytes, t0);
         let stall = msg.deliver_at.map_or(Duration::ZERO, |at| {
             at.saturating_duration_since(Instant::now())
@@ -570,9 +567,10 @@ impl Communicator {
         if !stall.is_zero() {
             std::thread::sleep(stall);
         }
+        let data = msg.payload.unpack();
         self.probe
             .transferred(src, depth, bytes, x0, stall.as_nanos() as u64);
-        msg.data
+        data
     }
 }
 
@@ -597,7 +595,7 @@ impl Drop for Communicator {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{FaultPlan, World};
+    use crate::{FaultPlan, TransportKind, World};
     use wp_trace::{SpanKind, TraceCollector};
 
     #[test]
@@ -784,21 +782,35 @@ mod tests {
     #[test]
     fn irecv_posted_before_fault_reports_corruption_at_wait() {
         // A corruption injected while the request is outstanding surfaces
-        // as the same typed Corrupt error the blocking path returns.
-        let plan = FaultPlan::new(3).with_corruption(0, 1, 0);
-        let cfg = CommConfig::fail_fast(Duration::from_secs(2));
-        let (results, _) = World::builder(2).config(cfg).faults(plan).try_run(|mut c| {
-            if c.rank() == 0 {
-                c.send(1, 4, &[1.0, 2.0], DType::F32)?;
-                Ok(vec![])
-            } else {
-                let req = c.irecv(0, 4);
-                c.wait_recv(req)
+        // as the same typed Corrupt error the blocking path returns —
+        // whatever the wire carries (the flipped bit is a wire bit), an
+        // empty payload included, and over either transport.
+        for kind in [TransportKind::InProcess, TransportKind::TcpLocalhost] {
+            for wire in [DType::F32, DType::F16, DType::BF16] {
+                for data in [&[1.0f32, 2.0][..], &[]] {
+                    let plan = FaultPlan::new(3).with_corruption(0, 1, 0);
+                    let cfg = CommConfig::fail_fast(Duration::from_secs(2));
+                    let (results, _) = World::builder(2)
+                        .config(cfg)
+                        .transport(kind)
+                        .faults(plan)
+                        .try_run(|mut c| {
+                            if c.rank() == 0 {
+                                c.send(1, 4, data, wire)?;
+                                Ok(vec![])
+                            } else {
+                                let req = c.irecv(0, 4);
+                                c.wait_recv(req)
+                            }
+                        });
+                    match results[1].as_ref().unwrap_err() {
+                        CommError::Corrupt { src: 0, tag: 4 } => {}
+                        other => panic!(
+                            "{kind:?} {wire} {data:?}: expected Corrupt from wait on outstanding request, got {other:?}"
+                        ),
+                    }
+                }
             }
-        });
-        match results[1].as_ref().unwrap_err() {
-            CommError::Corrupt { src: 0, tag: 4 } => {}
-            other => panic!("expected Corrupt from wait on outstanding request, got {other:?}"),
         }
     }
 

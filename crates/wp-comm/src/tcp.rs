@@ -5,7 +5,11 @@
 //!
 //! Length-prefixed, typed frames — a `HELLO` handshake, then `DATA`,
 //! `ABORT` and `GOODBYE` — whose byte layout is the private `codec`
-//! module's (`tcp/codec.rs`, documented there). What the frames *mean* is
+//! module's (`tcp/codec.rs`, documented there). A `DATA` frame is
+//! [`DATA_HEADER_LEN`] bytes of envelope and then the payload's wire bytes
+//! as they are, so the writer and reader threads' byte counters
+//! ([`Counter::TcpDataBytesSent`], [`Counter::TcpDataBytesRecv`]) equal what
+//! the traffic meter charged plus one header per frame. What the frames *mean* is
 //! decided here: the reader thread trips the local [`AbortCell`] on an
 //! `ABORT`, so blocked receives unwind within one poll interval exactly as
 //! they do in process, and EOF *without* a `GOODBYE` (e.g. the peer process
@@ -21,6 +25,8 @@
 //! unblock the readers.
 
 mod codec;
+
+pub use codec::DATA_HEADER_LEN;
 
 use crate::error::CommError;
 use crate::transport::{AbortCell, Frame, RecvWait, Transport, TransportClosed};
@@ -388,6 +394,7 @@ fn writer_loop(
                 }
                 if let Some(m) = metrics.get() {
                     m.incr(Counter::TcpDataFramesSent);
+                    m.add(Counter::TcpDataBytesSent, buf.len() as u64);
                 }
             }
             WriterCmd::Abort(origin, err) => {
@@ -448,6 +455,10 @@ fn reader_loop(
                 Some(f) => {
                     if let Some(m) = metrics.get() {
                         m.incr(Counter::TcpDataFramesRecv);
+                        m.add(
+                            Counter::TcpDataBytesRecv,
+                            (header.len() + body.len()) as u64,
+                        );
                     }
                     let _ = frame_tx.send(f);
                 }
@@ -574,7 +585,9 @@ pub fn local_mesh(p: usize) -> Vec<TcpTransport> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::transport::tests::frame;
+    use crate::transport::tests::{frame, frame_of};
+    use crate::transport::Payload;
+    use wp_tensor::DType;
 
     #[test]
     fn local_mesh_moves_frames_over_real_sockets() {
@@ -621,7 +634,7 @@ mod tests {
     }
 
     #[test]
-    fn instrumented_endpoints_count_wire_frames() {
+    fn instrumented_endpoints_count_wire_frames_and_their_bytes() {
         use wp_metrics::MetricsRegistry;
         let registry = MetricsRegistry::new(2);
         let mut mesh = local_mesh(2);
@@ -629,12 +642,25 @@ mod tests {
         let mut a = mesh.remove(0);
         a.instrument(registry.handle(0));
         b.instrument(registry.handle(1));
-        a.send(1, frame(7, vec![1.0, 2.0])).unwrap();
-        a.send(1, frame(8, vec![3.0])).unwrap();
-        for want in [7u64, 8] {
+        let payloads = [
+            Payload::pack(&[1.0, 2.0], DType::F32),
+            Payload::pack(&[3.0; 5], DType::F16),
+            Payload::pack(&[4.0; 3], DType::BF16),
+            Payload::pack(&[], DType::F16),
+        ];
+        let wire_bytes: u64 = payloads.iter().map(Payload::wire_bytes).sum();
+        assert_eq!(wire_bytes, 8 + 10 + 6);
+        for (tag, payload) in payloads.iter().enumerate() {
+            a.send(1, frame_of(tag as u64, payload.clone())).unwrap();
+        }
+        for (tag, payload) in payloads.iter().enumerate() {
             match b.recv_timeout(0, Duration::from_secs(5)) {
-                RecvWait::Frame(f) => assert_eq!(f.tag, want),
-                other => panic!("expected frame {want}, got {other:?}"),
+                RecvWait::Frame(f) => {
+                    assert_eq!(f.tag, tag as u64);
+                    assert_eq!(&f.payload, payload, "typed payload survives the socket");
+                    assert!(f.verify());
+                }
+                other => panic!("expected frame {tag}, got {other:?}"),
             }
         }
         // Clean closes join the reader/writer threads, so the counters are
@@ -642,8 +668,14 @@ mod tests {
         drop(a);
         drop(b);
         let snap = registry.snapshot();
-        assert_eq!(snap.ranks[0].counter(Counter::TcpDataFramesSent), 2);
-        assert_eq!(snap.ranks[1].counter(Counter::TcpDataFramesRecv), 2);
+        let frames = payloads.len() as u64;
+        assert_eq!(snap.ranks[0].counter(Counter::TcpDataFramesSent), frames);
+        assert_eq!(snap.ranks[1].counter(Counter::TcpDataFramesRecv), frames);
+        // What crossed the socket is what the frames account for, plus the
+        // fixed header: nothing is widened on the way.
+        let on_socket = wire_bytes + frames * DATA_HEADER_LEN as u64;
+        assert_eq!(snap.ranks[0].counter(Counter::TcpDataBytesSent), on_socket);
+        assert_eq!(snap.ranks[1].counter(Counter::TcpDataBytesRecv), on_socket);
         assert_eq!(snap.ranks[0].counter(Counter::TcpGoodbyeFramesSent), 1);
         assert_eq!(snap.ranks[1].counter(Counter::TcpGoodbyeFramesRecv), 1);
         assert!(
@@ -651,6 +683,31 @@ mod tests {
             "send must sample the per-peer queue depth"
         );
         assert_eq!(snap.ranks[0].counter(Counter::TcpAbortRelays), 0);
+    }
+
+    #[test]
+    fn establish_rejects_a_peer_greeting_with_the_previous_protocol_version() {
+        // Rank 0 of a two-rank mesh only accepts; the "rank 1" that dials in
+        // speaks the version before this one, whose DATA body would
+        // mis-parse under this codec.
+        let listener = bind_localhost().unwrap();
+        let addr = listener.local_addr().unwrap();
+        let stale_peer = std::thread::spawn(move || {
+            let mut sock = TcpStream::connect(addr).unwrap();
+            let mut hello = Vec::new();
+            put_u32(&mut hello, MAGIC);
+            hello.push(PROTO_VERSION - 1);
+            put_u32(&mut hello, 1);
+            sock.write_all(&hello).unwrap();
+            sock
+        });
+        let err = TcpTransport::establish(0, &[addr, addr], listener, Duration::from_secs(5))
+            .expect_err("a mixed-version mesh must not establish");
+        assert_eq!(
+            err.to_string(),
+            format!("unsupported protocol version {}", PROTO_VERSION - 1)
+        );
+        drop(stale_peer.join());
     }
 
     #[test]

@@ -1,6 +1,6 @@
 //! The byte layout of everything a [`TcpTransport`](super::TcpTransport)
 //! stream carries — the one place the wire format is written down and the
-//! one place a change to it (say, packed 16-bit payloads) lands.
+//! one place a change to it lands.
 //!
 //! # Wire format
 //!
@@ -10,29 +10,36 @@
 //! * `HELLO` (handshake, sent once by the connecting side before any
 //!   frame): magic `0x57505452` ("WPTR"), protocol version `u8`, sender
 //!   rank `u32`. The accepting side learns who is at the other end.
-//! * `DATA` (kind 1): `tag u64`, `checksum u64`, `wire_bytes u64`,
-//!   `flags u8` (bit 0 = collective hop, bit 1 = delivery delay present),
-//!   `delay_ns u64`, `epoch u64`, `n u32`, then `n` f32 bit patterns
-//!   (`u32` each). The tag/class/epoch envelope of [`Frame`] verbatim; the
-//!   link-model delivery deadline crosses the process boundary as a
-//!   *remaining* delay, captured when the frame hits the wire and
-//!   re-anchored to the receiver's clock on arrival (wall clocks of
-//!   different processes never compare).
+//! * `DATA` (kind 1): `tag u64`, `checksum u64`, `flags u8` (bit 0 =
+//!   collective hop, bit 1 = delivery delay present), `delay_ns u64`,
+//!   `epoch u64`, `dtype u8` (0 = f32, 1 = f16, 2 = bf16), `n u32`, then
+//!   the payload's `n` wire bytes — [`Payload::as_bytes`], one bulk copy on
+//!   each side of the socket, so a 16-bit frame costs two bytes per element
+//!   here exactly as it does on the meter. With the length prefix and kind
+//!   byte that is [`DATA_HEADER_LEN`] bytes ahead of every payload. The
+//!   tag/class/epoch envelope of [`Frame`] verbatim; the link-model
+//!   delivery deadline crosses the process boundary as a *remaining* delay,
+//!   captured when the frame hits the wire and re-anchored to the
+//!   receiver's clock on arrival (wall clocks of different processes never
+//!   compare).
 //! * `ABORT` (kind 2): origin rank `u32` plus an encoded
 //!   [`CommError`] — the poison pill crossing a process boundary.
 //! * `GOODBYE` (kind 3): empty body. A deliberate close; distinguishes a
 //!   rank that finished from a rank that crashed.
 
 use crate::error::CommError;
-use crate::transport::Frame;
+use crate::transport::{Frame, Payload};
 use std::time::{Duration, Instant};
+use wp_tensor::DType;
 
 /// Handshake magic: "WPTR".
 pub(super) const MAGIC: u32 = 0x5750_5452;
 /// Version 2 added the per-frame configuration epoch to the DATA body and
-/// the MembershipMismatch error variant; mixed-version meshes are rejected
-/// at HELLO time rather than mis-parsed mid-stream.
-pub(super) const PROTO_VERSION: u8 = 2;
+/// the MembershipMismatch error variant; version 3 replaced the DATA
+/// body's `wire_bytes` field and f32-widened payload with a dtype byte and
+/// the packed wire bytes. Mixed-version meshes are rejected at HELLO time
+/// rather than mis-parsed mid-stream.
+pub(super) const PROTO_VERSION: u8 = 3;
 pub(super) const KIND_DATA: u8 = 1;
 pub(super) const KIND_ABORT: u8 = 2;
 pub(super) const KIND_GOODBYE: u8 = 3;
@@ -41,6 +48,10 @@ pub(super) const KIND_GOODBYE: u8 = 3;
 pub(super) const MAX_FRAME: u32 = 1 << 30;
 /// The whole GOODBYE wire frame: length 1, the kind byte, no body.
 pub(super) const GOODBYE_FRAME: [u8; 5] = [1, 0, 0, 0, KIND_GOODBYE];
+
+/// Bytes a DATA frame puts on a stream ahead of its payload: the length
+/// prefix, the kind byte and the fixed fields listed in the module docs.
+pub const DATA_HEADER_LEN: usize = 4 + 1 + 8 + 8 + 1 + 8 + 8 + 1 + 4;
 
 const FLAG_COLLECTIVE: u8 = 1 << 0;
 const FLAG_HAS_DELAY: u8 = 1 << 1;
@@ -92,12 +103,12 @@ impl<'a> Cursor<'a> {
 /// `delay` is the remaining link-model delivery delay at the moment the
 /// frame hits the wire.
 pub(super) fn encode_data(frame: &Frame, delay: Option<Duration>, buf: &mut Vec<u8>) {
+    let payload = frame.payload.as_bytes();
     buf.clear();
-    put_u32(buf, 0); // length back-patched below
+    put_u32(buf, (DATA_HEADER_LEN - 4 + payload.len()) as u32);
     buf.push(KIND_DATA);
     put_u64(buf, frame.tag);
     put_u64(buf, frame.checksum);
-    put_u64(buf, frame.wire_bytes);
     let mut flags = 0u8;
     if frame.collective {
         flags |= FLAG_COLLECTIVE;
@@ -108,38 +119,45 @@ pub(super) fn encode_data(frame: &Frame, delay: Option<Duration>, buf: &mut Vec<
     buf.push(flags);
     put_u64(buf, delay.map_or(0, |d| d.as_nanos() as u64));
     put_u64(buf, frame.epoch);
-    put_u32(buf, frame.data.len() as u32);
-    for x in &frame.data {
-        put_u32(buf, x.to_bits());
-    }
-    let len = (buf.len() - 4) as u32;
-    buf[0..4].copy_from_slice(&len.to_le_bytes());
+    buf.push(match frame.payload.dtype() {
+        DType::F32 => 0,
+        DType::F16 => 1,
+        DType::BF16 => 2,
+    });
+    put_u32(buf, payload.len() as u32);
+    debug_assert_eq!(buf.len(), DATA_HEADER_LEN);
+    buf.extend_from_slice(payload);
 }
 
 /// Parse a DATA body (everything after the kind byte). The delivery
-/// deadline is re-anchored to this process's clock.
+/// deadline is re-anchored to this process's clock. `None` for a body that
+/// is cut short, names an unknown dtype, or counts a payload that overruns
+/// the body or is not a whole number of elements — checked before anything
+/// is allocated for it.
 pub(super) fn decode_data(body: &[u8]) -> Option<Frame> {
     let mut c = Cursor::new(body);
     let tag = c.u64()?;
     let checksum = c.u64()?;
-    let wire_bytes = c.u64()?;
     let flags = c.u8()?;
     let delay_ns = c.u64()?;
     let epoch = c.u64()?;
+    let dtype = match c.u8()? {
+        0 => DType::F32,
+        1 => DType::F16,
+        2 => DType::BF16,
+        _ => return None,
+    };
     let n = c.u32()? as usize;
-    let raw = c.bytes(n * 4)?;
-    let data = raw
-        .chunks_exact(4)
-        .map(|w| f32::from_bits(u32::from_le_bytes(w.try_into().unwrap())))
-        .collect();
+    let raw = c.bytes(n)?;
+    let mut payload = Payload::zeroed(dtype, n)?;
+    payload.as_bytes_mut().copy_from_slice(raw);
     let deliver_at =
         (flags & FLAG_HAS_DELAY != 0).then(|| Instant::now() + Duration::from_nanos(delay_ns));
     Some(Frame {
         tag,
-        data,
+        payload,
         deliver_at,
         checksum,
-        wire_bytes,
         collective: flags & FLAG_COLLECTIVE != 0,
         epoch,
     })
@@ -241,33 +259,53 @@ pub(super) fn decode_abort(body: &[u8]) -> Option<(usize, CommError)> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::transport::tests::frame;
+    use crate::transport::tests::{frame, frame_of};
+
+    /// Payloads of every dtype at even and odd element counts, f16 and
+    /// bf16 holding every class of value (subnormal, NaN, infinity).
+    fn payloads() -> Vec<Payload> {
+        let xs = [1.5, -0.0, f32::MIN_POSITIVE, 1e-6, f32::NAN, -7e4, 3.0];
+        let mut out = Vec::new();
+        for n in [0, 1, 2, 3, 7] {
+            for dtype in [DType::F32, DType::F16, DType::BF16] {
+                out.push(Payload::pack(&xs[..n], dtype));
+            }
+        }
+        out
+    }
 
     #[test]
     fn data_frame_round_trips() {
-        let mut f = frame(42, vec![1.5, -0.0, f32::MIN_POSITIVE]);
-        f.collective = true;
-        f.epoch = 3;
-        let mut buf = Vec::new();
-        encode_data(&f, None, &mut buf);
-        assert_eq!(
-            u32::from_le_bytes(buf[0..4].try_into().unwrap()) as usize,
-            buf.len() - 4
-        );
-        assert_eq!(buf[4], KIND_DATA);
-        let g = decode_data(&buf[5..]).expect("well-formed frame");
-        assert_eq!(g.tag, 42);
-        assert_eq!(g.checksum, f.checksum);
-        assert_eq!(g.wire_bytes, f.wire_bytes);
-        assert_eq!(g.epoch, 3, "epoch must survive the wire");
-        assert!(g.collective);
-        assert!(g.deliver_at.is_none());
-        assert_eq!(
-            g.data.iter().map(|x| x.to_bits()).collect::<Vec<_>>(),
-            f.data.iter().map(|x| x.to_bits()).collect::<Vec<_>>(),
-            "payload bits must survive the wire exactly"
-        );
-        assert!(g.verify());
+        for payload in payloads() {
+            let mut f = frame_of(42, payload);
+            f.collective = true;
+            f.epoch = 3;
+            let mut buf = Vec::new();
+            encode_data(&f, None, &mut buf);
+            assert_eq!(
+                u32::from_le_bytes(buf[0..4].try_into().unwrap()) as usize,
+                buf.len() - 4
+            );
+            assert_eq!(buf[4], KIND_DATA);
+            assert_eq!(
+                buf.len(),
+                DATA_HEADER_LEN + f.payload.as_bytes().len(),
+                "a frame is its header plus exactly the wire bytes"
+            );
+            let g = decode_data(&buf[5..]).expect("well-formed frame");
+            assert_eq!(g.tag, 42);
+            assert_eq!(g.checksum, f.checksum);
+            assert_eq!(g.epoch, 3, "epoch must survive the wire");
+            assert!(g.collective);
+            assert!(g.deliver_at.is_none());
+            assert_eq!(g.payload.dtype(), f.payload.dtype());
+            assert_eq!(
+                g.payload.as_bytes(),
+                f.payload.as_bytes(),
+                "payload bits must survive the wire exactly"
+            );
+            assert!(g.verify());
+        }
     }
 
     #[test]
@@ -317,11 +355,44 @@ mod tests {
 
     #[test]
     fn truncated_frames_decode_as_none() {
-        let f = frame(1, vec![2.0, 3.0]);
+        for payload in payloads() {
+            let f = frame_of(1, payload);
+            let mut buf = Vec::new();
+            encode_data(&f, None, &mut buf);
+            for cut in 5..buf.len() {
+                assert!(decode_data(&buf[5..cut]).is_none(), "cut at {cut}");
+            }
+        }
+    }
+
+    #[test]
+    fn malformed_payload_headers_decode_as_none() {
+        // Offsets of the dtype byte and the byte count inside an encoded
+        // frame: the last five header bytes.
+        const DTYPE_AT: usize = DATA_HEADER_LEN - 5;
+        const COUNT_AT: usize = DATA_HEADER_LEN - 4;
         let mut buf = Vec::new();
-        encode_data(&f, None, &mut buf);
-        for cut in 5..buf.len() {
-            assert!(decode_data(&buf[5..cut]).is_none(), "cut at {cut}");
+        encode_data(
+            &frame_of(1, Payload::pack(&[1.0, 2.0, 3.0], DType::F16)),
+            None,
+            &mut buf,
+        );
+        assert!(decode_data(&buf[5..]).is_some());
+        let with = |at: usize, bytes: &[u8]| {
+            let mut bad = buf.clone();
+            bad[at..at + bytes.len()].copy_from_slice(bytes);
+            bad
+        };
+        for unknown in [3u8, 0xff] {
+            assert!(decode_data(&with(DTYPE_AT, &[unknown])[5..]).is_none());
+        }
+        // Six payload bytes are not a whole number of f32s, and five are not
+        // a whole number of f16s.
+        assert!(decode_data(&with(DTYPE_AT, &[0])[5..]).is_none());
+        assert!(decode_data(&with(COUNT_AT, &5u32.to_le_bytes())[5..]).is_none());
+        // A count past the end of the body, by one element and by 4 GiB.
+        for overrun in [8u32, u32::MAX - 1] {
+            assert!(decode_data(&with(COUNT_AT, &overrun.to_le_bytes())[5..]).is_none());
         }
     }
 }

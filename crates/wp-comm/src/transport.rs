@@ -7,9 +7,10 @@
 //! tag matching and the per-source reorder buffer,
 //! [`FaultPlan`](crate::FaultPlan) injection, the
 //! [`CommConfig`](crate::CommConfig) timeout policy, the poison-pill abort
-//! protocol, link-model pacing, checksums, and per-class
-//! [`TrafficMeter`](crate::TrafficMeter) accounting. A transport only moves
-//! opaque [`Frame`]s and promises:
+//! protocol, link-model pacing, packing into the wire dtype, checksums, and
+//! per-class [`TrafficMeter`](crate::TrafficMeter) accounting. A transport
+//! only moves opaque [`Frame`]s — an envelope around a [`Payload`] that is
+//! already the bytes a wire would carry — and promises:
 //!
 //! 1. **Non-blocking send** — [`Transport::send`] queues the frame and
 //!    returns immediately (buffered-isend semantics). The only error is
@@ -40,6 +41,8 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::mpsc::{channel, Receiver, RecvTimeoutError, Sender};
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
+use wp_tensor::dtype::{pack_bf16, pack_f16, unpack_bf16, unpack_f16};
+use wp_tensor::DType;
 
 /// Which substrate a [`WorldBuilder`](crate::WorldBuilder) wires its ranks
 /// over. The layers above the [`Transport`] trait behave byte-identically
@@ -57,41 +60,206 @@ pub enum TransportKind {
     TcpLocalhost,
 }
 
-/// FNV-1a over a payload's f32 bit patterns — the end-to-end checksum
-/// carried by every [`Frame`].
-pub fn checksum_of(data: &[f32]) -> u64 {
-    let mut h = 0xcbf2_9ce4_8422_2325u64;
-    for x in data {
-        for b in x.to_bits().to_le_bytes() {
-            h ^= b as u64;
-            h = h.wrapping_mul(0x0000_0100_0000_01b3);
-        }
-    }
-    h
+// A payload's wire bytes are its elements in little-endian order, which the
+// byte views below take straight from memory.
+#[cfg(not(target_endian = "little"))]
+compile_error!("wp-comm frames carry the little-endian memory image of their payload");
+
+fn f32_bytes(xs: &[f32]) -> &[u8] {
+    // SAFETY: an `f32` is four initialised bytes with no padding, `u8` has
+    // no alignment requirement, and the view borrows `xs`.
+    unsafe { std::slice::from_raw_parts(xs.as_ptr().cast(), std::mem::size_of_val(xs)) }
 }
 
-/// One framed message: the tag/class envelope plus payload that every
-/// transport carries verbatim. The fields are decided *above* the trait
-/// (quantization, checksumming, fault corruption, link pacing) — a
+fn u16_bytes(xs: &[u16]) -> &[u8] {
+    // SAFETY: as `f32_bytes`, two bytes per element.
+    unsafe { std::slice::from_raw_parts(xs.as_ptr().cast(), std::mem::size_of_val(xs)) }
+}
+
+/// Seeds of the checksum's four lanes (the fractional bits of √2, √3, √5
+/// and √7) and its odd multiplier (of the golden ratio).
+const LANE_SEEDS: [u64; 4] = [
+    0x6a09_e667_f3bc_c908,
+    0xbb67_ae85_84ca_a73b,
+    0x3c6e_f372_fe94_f82b,
+    0xa54f_f53a_5f1d_36f1,
+];
+const MULTIPLIER: u64 = 0x9e37_79b9_7f4a_7c15;
+
+/// Absorb one 64-bit word: a bijection of the state for a fixed word and of
+/// the word for a fixed state, so a change to either always shows.
+#[inline(always)]
+fn absorb(h: u64, word: u64) -> u64 {
+    (h ^ word).wrapping_mul(MULTIPLIER).rotate_left(29)
+}
+
+/// The end-to-end checksum carried by every [`Frame`], over the payload's
+/// wire bytes: little-endian 64-bit word `k` is absorbed by lane `k mod 4`
+/// (four independent multiply chains, so the loop runs at memory speed, not
+/// at one multiply latency per byte as a byte-wise FNV-1a does), a ragged
+/// tail is zero-padded to one more round, and the four lanes are then
+/// absorbed in order into the byte length. Every step is a bijection, so
+/// any change confined to one word — a flipped bit above all — changes the
+/// result; lanes differ in seed and are folded in a fixed order, so a word
+/// moved to another lane or another round changes it too; the length
+/// separates a payload from the same payload with zeros appended.
+fn checksum_bytes(bytes: &[u8]) -> u64 {
+    let word = |b: &[u8]| u64::from_le_bytes(b.try_into().expect("eight bytes"));
+    let mut lanes = LANE_SEEDS;
+    let mut round = |block: &[u8]| {
+        for (lane, w) in lanes.iter_mut().zip(block.chunks_exact(8)) {
+            *lane = absorb(*lane, word(w));
+        }
+    };
+    let blocks = bytes.chunks_exact(32);
+    let tail = blocks.remainder();
+    blocks.for_each(&mut round);
+    if !tail.is_empty() {
+        let mut padded = [0u8; 32];
+        padded[..tail.len()].copy_from_slice(tail);
+        round(&padded);
+    }
+    lanes.into_iter().fold(bytes.len() as u64, absorb)
+}
+
+/// The [`Frame`] checksum of an f32 payload: [`Payload::checksum`] of
+/// `Payload::F32(data)` without building one.
+pub fn checksum_of(data: &[f32]) -> u64 {
+    checksum_bytes(f32_bytes(data))
+}
+
+/// A frame's payload, held once and in wire representation: what the sender
+/// packed is what the meter charges, what the checksum covers, what a
+/// socket carries and what the receiver unpacks.
+#[derive(Debug, Clone, PartialEq)]
+pub enum Payload {
+    /// IEEE binary32 values, as given.
+    F32(Vec<f32>),
+    /// IEEE binary16 bit patterns.
+    F16(Vec<u16>),
+    /// bfloat16 bit patterns.
+    BF16(Vec<u16>),
+}
+
+/// Elements [`staged`] converts per round.
+const STAGE: usize = 1024;
+
+/// `src` converted into a new vector, a [`STAGE`]-element block at a time
+/// through a buffer on the stack that is then appended: the block stays in
+/// L1 and the result is written once, where converting straight into a
+/// `vec![0; n]` writes it twice (the zero fill costs a third of an unpack at
+/// ring-chunk sizes).
+fn staged<S, D: Copy + Default>(src: &[S], convert: fn(&mut [D], &[S])) -> Vec<D> {
+    let mut out = Vec::with_capacity(src.len());
+    let mut stage = [D::default(); STAGE];
+    for block in src.chunks(STAGE) {
+        let stage = &mut stage[..block.len()];
+        convert(stage, block);
+        out.extend_from_slice(stage);
+    }
+    out
+}
+
+impl Payload {
+    /// Convert `data` to its `dtype` wire representation: what a GPU casting
+    /// to fp16 for the transfer would do to the values.
+    pub fn pack(data: &[f32], dtype: DType) -> Payload {
+        match dtype {
+            DType::F32 => Payload::F32(data.to_vec()),
+            DType::F16 => Payload::F16(staged(data, pack_f16)),
+            DType::BF16 => Payload::BF16(staged(data, pack_bf16)),
+        }
+    }
+
+    /// The values the receiver computes with: an f32 payload is handed over
+    /// as is, a 16-bit one widened. `unpack(pack(x, dtype))` is
+    /// `quantize_slice(x, dtype)` bit for bit.
+    pub fn unpack(self) -> Vec<f32> {
+        match self {
+            Payload::F32(data) => data,
+            Payload::F16(packed) => staged(&packed, unpack_f16),
+            Payload::BF16(packed) => staged(&packed, unpack_bf16),
+        }
+    }
+
+    /// An all-zero payload of `len` wire bytes for a decoder to fill, or
+    /// `None` when that is not a whole number of `dtype` elements.
+    pub(crate) fn zeroed(dtype: DType, len: usize) -> Option<Payload> {
+        let width = dtype.size_bytes();
+        if !len.is_multiple_of(width) {
+            return None;
+        }
+        let n = len / width;
+        Some(match dtype {
+            DType::F32 => Payload::F32(vec![0.0; n]),
+            DType::F16 => Payload::F16(vec![0; n]),
+            DType::BF16 => Payload::BF16(vec![0; n]),
+        })
+    }
+
+    /// The storage format the payload is held in.
+    pub fn dtype(&self) -> DType {
+        match self {
+            Payload::F32(_) => DType::F32,
+            Payload::F16(_) => DType::F16,
+            Payload::BF16(_) => DType::BF16,
+        }
+    }
+
+    /// The payload exactly as it crosses a wire: element count × element
+    /// width bytes, little-endian.
+    pub fn as_bytes(&self) -> &[u8] {
+        match self {
+            Payload::F32(data) => f32_bytes(data),
+            Payload::F16(packed) | Payload::BF16(packed) => u16_bytes(packed),
+        }
+    }
+
+    /// The size both ends are charged: the length of the wire bytes, so
+    /// what is accounted is what is shipped by construction.
+    pub fn wire_bytes(&self) -> u64 {
+        self.as_bytes().len() as u64
+    }
+
+    /// [`as_bytes`](Self::as_bytes), writable: for a decoder filling the
+    /// payload from a socket and for injected corruption.
+    pub(crate) fn as_bytes_mut(&mut self) -> &mut [u8] {
+        let (ptr, len) = match self {
+            Payload::F32(data) => (data.as_mut_ptr().cast(), std::mem::size_of_val(&data[..])),
+            Payload::F16(packed) | Payload::BF16(packed) => (
+                packed.as_mut_ptr().cast(),
+                std::mem::size_of_val(&packed[..]),
+            ),
+        };
+        // SAFETY: as `f32_bytes`; every bit pattern is a valid `f32` and a
+        // valid `u16`, so no write through the view can break the elements,
+        // and the view borrows `self` exclusively.
+        unsafe { std::slice::from_raw_parts_mut(ptr, len) }
+    }
+
+    /// The checksum of the wire bytes.
+    pub fn checksum(&self) -> u64 {
+        checksum_bytes(self.as_bytes())
+    }
+}
+
+/// One framed message: the tag/class envelope plus typed wire payload that
+/// every transport carries verbatim. The fields are decided *above* the
+/// trait (packing, checksumming, fault corruption, link pacing) — a
 /// transport never inspects or alters them, it only preserves them.
 #[derive(Debug)]
 pub struct Frame {
     /// User or collective tag (matching happens above the transport).
     pub tag: u64,
-    /// Payload, already quantized through its wire dtype.
-    pub data: Vec<f32>,
+    /// The payload, in wire representation.
+    pub payload: Payload,
     /// Earliest wall-clock instant the receiver may consume this frame
     /// (link-model pacing plus injected delay). `None` when instant.
     /// Transports that cross a process boundary carry the *remaining*
     /// delay on the wire and re-anchor it on arrival.
     pub deliver_at: Option<Instant>,
-    /// FNV-1a over the payload bits, computed at send time (before any
-    /// injected corruption).
+    /// [`Payload::checksum`] at send time (before any injected corruption).
     pub checksum: u64,
-    /// Wire size the sender was charged (element count × storage dtype
-    /// width). Carried so the *receiver* can charge the same size without
-    /// knowing the wire dtype.
-    pub wire_bytes: u64,
     /// Whether this frame is a collective hop, so the receiver charges the
     /// same traffic class the sender was charged.
     pub collective: bool,
@@ -107,7 +275,7 @@ pub struct Frame {
 impl Frame {
     /// Whether the payload still matches its send-time checksum.
     pub fn verify(&self) -> bool {
-        checksum_of(&self.data) == self.checksum
+        self.payload.checksum() == self.checksum
     }
 }
 
@@ -330,17 +498,21 @@ impl Transport for ChannelTransport {
 pub(crate) mod tests {
     use super::*;
 
-    /// An honest f32 frame, for this module's tests and the TCP transport's.
-    pub(crate) fn frame(tag: u64, data: Vec<f32>) -> Frame {
+    /// An honest frame, for this module's tests and the TCP transport's.
+    pub(crate) fn frame_of(tag: u64, payload: Payload) -> Frame {
         Frame {
             tag,
-            checksum: checksum_of(&data),
-            wire_bytes: (data.len() * 4) as u64,
-            data,
+            checksum: payload.checksum(),
+            payload,
             deliver_at: None,
             collective: false,
             epoch: 0,
         }
+    }
+
+    /// An honest f32 frame.
+    pub(crate) fn frame(tag: u64, data: Vec<f32>) -> Frame {
+        frame_of(tag, Payload::F32(data))
     }
 
     #[test]
@@ -394,9 +566,44 @@ pub(crate) mod tests {
     fn frame_checksum_round_trips() {
         let f = frame(7, vec![1.0, -0.0, 3.5]);
         assert!(f.verify());
-        let mut bad = frame(7, vec![1.0, -0.0, 3.5]);
-        bad.data[1] = 0.0; // different bit pattern, same value
-        assert!(!bad.verify());
+        // Same value, different bit pattern.
+        assert!(!Frame {
+            payload: Payload::F32(vec![1.0, 0.0, 3.5]),
+            ..f
+        }
+        .verify());
+    }
+
+    #[test]
+    fn payload_packs_to_the_wire_width_and_unpacks_to_the_quantised_values() {
+        // Shorter than one staging block, exactly one, and several plus a
+        // ragged tail; values that round, underflow, overflow and keep a
+        // signed zero.
+        let edge = [1.0 + 2f32.powi(-13), -3.7, 1e-7, 70000.0, -0.0];
+        for n in [0, edge.len(), STAGE, 2 * STAGE + 5] {
+            let xs: Vec<f32> = (0..n)
+                .map(|i| edge[i % edge.len()] * (1 + i / 5) as f32)
+                .collect();
+            for dtype in [DType::F32, DType::F16, DType::BF16] {
+                let p = Payload::pack(&xs, dtype);
+                assert_eq!(p.dtype(), dtype);
+                assert_eq!(p.wire_bytes(), (n * dtype.size_bytes()) as u64);
+                assert_eq!(p.as_bytes().len() as u64, p.wire_bytes());
+                let mut want = xs.clone();
+                wp_tensor::dtype::quantize_slice(&mut want, dtype);
+                let got = p.unpack();
+                assert_eq!(got.len(), n);
+                assert!(got
+                    .iter()
+                    .zip(&want)
+                    .all(|(g, w)| g.to_bits() == w.to_bits()));
+            }
+        }
+        assert_eq!(
+            Payload::F32(vec![1.0]).checksum(),
+            checksum_of(&[1.0]),
+            "checksum_of is the F32 payload's checksum"
+        );
     }
 
     #[test]
@@ -405,6 +612,36 @@ pub(crate) mod tests {
         assert_ne!(checksum_of(&[1.0]), checksum_of(&[1.0000001]));
         // -0.0 and 0.0 have different bit patterns and must hash apart.
         assert_ne!(checksum_of(&[0.0]), checksum_of(&[-0.0]));
+    }
+
+    #[test]
+    fn checksum_sees_every_bit_every_position_and_the_length() {
+        let bytes: Vec<u8> = (0..70u32).map(|i| (i * 37 + 11) as u8).collect();
+        for len in 0..=bytes.len() {
+            let honest = checksum_bytes(&bytes[..len]);
+            let mut flipped = bytes[..len].to_vec();
+            for bit in 0..len * 8 {
+                flipped[bit / 8] ^= 1 << (bit % 8);
+                assert_ne!(checksum_bytes(&flipped), honest, "len {len} bit {bit}");
+                flipped[bit / 8] ^= 1 << (bit % 8);
+            }
+            // Zero padding is not the payload: the length is hashed.
+            let mut longer = bytes[..len].to_vec();
+            for extra in 1..=33 {
+                longer.push(0);
+                assert_ne!(checksum_bytes(&longer), honest, "len {len} + {extra} zeros");
+            }
+        }
+        // Positional: two words exchanged — across lanes, and within one
+        // lane a round apart — hash apart.
+        let honest = checksum_bytes(&bytes[..64]);
+        for (a, b) in [(0, 1), (1, 3), (2, 6), (0, 4), (3, 7)] {
+            let mut swapped = bytes[..64].to_vec();
+            for i in 0..8 {
+                swapped.swap(a * 8 + i, b * 8 + i);
+            }
+            assert_ne!(checksum_bytes(&swapped), honest, "words {a} and {b}");
+        }
     }
 
     #[test]

@@ -30,11 +30,19 @@ fn sleep_until(deadline: Instant) {
 fn ring_workload(
     iters: usize,
 ) -> impl Fn(wp_comm::Communicator) -> Result<f32, CommError> + Send + Sync {
+    ring_workload_on(iters, DType::F32)
+}
+
+/// [`ring_workload`] with the hops packed into `wire`.
+fn ring_workload_on(
+    iters: usize,
+    wire: DType,
+) -> impl Fn(wp_comm::Communicator) -> Result<f32, CommError> + Send + Sync {
     move |mut c| {
         let mut acc = 0.0f32;
         for i in 0..iters {
             let mut buf = vec![c.rank() as f32 + i as f32; 8];
-            c.all_reduce_sum(&mut buf, DType::F32)?;
+            c.all_reduce_sum(&mut buf, wire)?;
             acc += buf[0];
         }
         Ok(acc)
@@ -146,31 +154,40 @@ fn recv_from_silent_peer_times_out_with_typed_error_over_tcp() {
 }
 
 fn corruption_case(kind: TransportKind) {
-    // Corrupt the 3rd message on link 0→1 of a ring all-reduce.
-    let plan = FaultPlan::new(3).with_corruption(0, 1, 2);
-    let (results, _) = World::builder(2)
-        .config(fast())
-        .transport(kind)
-        .faults(plan)
-        .try_run(ring_workload(10));
-    // Rank 1 detects the corruption on arrival.
-    match results[1].as_ref().unwrap_err() {
-        CommError::Corrupt { src, .. } => assert_eq!(*src, 0),
-        other => panic!("{kind:?}: expected Corrupt on the receiver, got {other:?}"),
-    }
-    // Rank 0 is unwound by the abort protocol, naming the detector.
-    match results[0].as_ref().unwrap_err() {
-        CommError::Corrupt { .. } => {} // rank 0 may also hit its own error path first
-        CommError::Aborted { origin, reason } => {
-            assert_eq!(*origin, 1);
-            assert!(reason.contains("checksum"), "{kind:?} reason: {reason}");
+    // The injected fault flips a bit of what the wire carries, so it must
+    // be caught whatever the wire carries.
+    for wire in [DType::F32, DType::F16, DType::BF16] {
+        // Corrupt the 3rd message on link 0→1 of a ring all-reduce.
+        let plan = FaultPlan::new(3).with_corruption(0, 1, 2);
+        let (results, _) = World::builder(2)
+            .config(fast())
+            .transport(kind)
+            .faults(plan)
+            .try_run(ring_workload_on(10, wire));
+        // Rank 1 detects the corruption on arrival.
+        match results[1].as_ref().unwrap_err() {
+            CommError::Corrupt { src, .. } => assert_eq!(*src, 0),
+            other => panic!("{kind:?} {wire}: expected Corrupt on the receiver, got {other:?}"),
         }
-        CommError::PeerDead { rank } => {
-            // Over sockets the detector may tear its endpoint down before
-            // its ABORT frame wins the race with the reader seeing EOF.
-            assert_eq!(*rank, 1, "{kind:?}: wrong peer blamed");
+        // Rank 0 is unwound by the abort protocol, naming the detector.
+        match results[0].as_ref().unwrap_err() {
+            CommError::Corrupt { .. } => {} // rank 0 may also hit its own error path first
+            CommError::Aborted { origin, reason } => {
+                assert_eq!(*origin, 1);
+                assert!(
+                    reason.contains("checksum"),
+                    "{kind:?} {wire} reason: {reason}"
+                );
+            }
+            CommError::PeerDead { rank } => {
+                // Over sockets the detector may tear its endpoint down before
+                // its ABORT frame wins the race with the reader seeing EOF.
+                assert_eq!(*rank, 1, "{kind:?} {wire}: wrong peer blamed");
+            }
+            other => {
+                panic!("{kind:?} {wire}: expected Aborted/Corrupt on the sender, got {other:?}")
+            }
         }
-        other => panic!("{kind:?}: expected Aborted/Corrupt on the sender, got {other:?}"),
     }
 }
 

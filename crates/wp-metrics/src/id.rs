@@ -87,12 +87,16 @@ metric_enum! {
         PacingStallNs => "wp_comm_pacing_stall_ns_total",
         /// TCP DATA frames written to peers.
         TcpDataFramesSent => "wp_tcp_data_frames_sent_total",
+        /// Bytes of DATA frames written to peer sockets, headers included.
+        TcpDataBytesSent => "wp_tcp_data_bytes_sent_total",
         /// TCP ABORT frames written to peers.
         TcpAbortFramesSent => "wp_tcp_abort_frames_sent_total",
         /// TCP GOODBYE frames written to peers.
         TcpGoodbyeFramesSent => "wp_tcp_goodbye_frames_sent_total",
         /// TCP DATA frames read from peers.
         TcpDataFramesRecv => "wp_tcp_data_frames_recv_total",
+        /// Bytes of DATA frames read from peer sockets, headers included.
+        TcpDataBytesRecv => "wp_tcp_data_bytes_recv_total",
         /// TCP ABORT frames read from peers.
         TcpAbortFramesRecv => "wp_tcp_abort_frames_recv_total",
         /// TCP GOODBYE frames read from peers.

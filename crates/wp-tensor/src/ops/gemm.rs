@@ -107,10 +107,11 @@ thread_local! {
     static PORTABLE_DEPTH: Cell<usize> = const { Cell::new(0) };
 }
 
-/// Run `f` with this thread's [`gemm`] calls pinned to the portable
+/// Run `f` with this thread's [`gemm`] calls — and the slice conversions of
+/// [`crate::dtype`], which dispatch the same way — pinned to the portable
 /// instantiation, whatever the CPU offers. Exists so tests can compare the
-/// two instantiations in one process, the way `rayon::force_sequential`
-/// lets them compare thread counts.
+/// instantiations in one process, the way `rayon::force_sequential` lets
+/// them compare thread counts.
 #[doc(hidden)]
 pub fn force_portable<R>(f: impl FnOnce() -> R) -> R {
     PORTABLE_DEPTH.with(|d| d.set(d.get() + 1));
@@ -119,11 +120,16 @@ pub fn force_portable<R>(f: impl FnOnce() -> R) -> R {
     out
 }
 
+/// True inside a [`force_portable`] scope on this thread.
+pub(crate) fn portable_forced() -> bool {
+    PORTABLE_DEPTH.with(Cell::get) != 0
+}
+
 /// True when [`gemm`] on this thread runs the AVX2 instantiation.
 pub fn uses_avx2() -> bool {
     #[cfg(target_arch = "x86_64")]
     {
-        PORTABLE_DEPTH.with(Cell::get) == 0 && std::arch::is_x86_feature_detected!("avx2")
+        !portable_forced() && std::arch::is_x86_feature_detected!("avx2")
     }
     #[cfg(not(target_arch = "x86_64"))]
     {
