@@ -19,13 +19,7 @@ use wp_sim::{simulate, ClusterSpec, CostModel, GpuSpec, ModelDims, SimOptions};
 
 fn schedule_figure(strategy: Strategy, n: usize) -> wp_sim::SimResult {
     let p = 4;
-    let spec = match strategy {
-        Strategy::Zb1 | Strategy::Zb2 | Strategy::Wzb1 | Strategy::Wzb2 => {
-            PipelineSpec::new(p, n).without_recompute()
-        }
-        _ => PipelineSpec::new(p, n),
-    };
-    let sched = build(strategy, spec);
+    let sched = build(strategy, PipelineSpec::new(p, n));
     let dims = ModelDims::paper(2048, 4, 4096, 4);
     let cost = CostModel::for_schedule(dims, GpuSpec::a800(), &sched);
     let cluster = ClusterSpec::nvlink_island(p);

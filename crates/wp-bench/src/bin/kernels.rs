@@ -38,7 +38,7 @@ use wp_bench::ci::{self, Report};
 use wp_comm::transport::checksum_of;
 use wp_nn::attention::{streaming_backward, streaming_forward, AttnDims};
 use wp_nn::block::{block_backward_full, block_forward};
-use wp_nn::config::{AttnKind, ModelConfig};
+use wp_nn::config::ModelConfig;
 use wp_nn::params::{init_block, BlockLayout};
 use wp_nn::scratch::Scratch;
 use wp_tensor::dtype::{pack_f16, unpack_f16};
@@ -268,8 +268,7 @@ fn main() {
     let reps = if smoke { 5 } else { 15 };
     // The repo benchmark's `longctx` shape.
     let seq = 1024;
-    let mut cfg = ModelConfig::llama_like(128, 4, 1, 256, seq);
-    cfg.attn = AttnKind::Streaming;
+    let cfg = ModelConfig::llama_like(128, 4, 1, 256, seq);
     println!(
         "# wp-bench kernels  (H={} F={} S={seq} heads={}, median of {reps}, one core; pool of {}, avx2 {}, f16c {})",
         cfg.hidden,

@@ -12,18 +12,16 @@
 //!   pass needs; the W pass is then pure `dYᵀ·X` matmuls into the flat
 //!   gradient buffer. `full ≡ data ∘ weight` is asserted by tests.
 //!
-//! Activation checkpointing: [`block_forward`] with `save=false` keeps
-//! nothing; [`block_backward_recompute`] re-runs the forward from the saved
-//! input first — the paper's "recomputation" knob.
+//! Activation checkpointing: a caller that keeps only a block's input drops
+//! the [`BlockCtx`], and [`block_backward_recompute`] re-runs the forward
+//! from that input first — the paper's "recomputation" knob.
 //!
 //! Every temporary and every saved activation comes from the caller's
 //! [`Scratch`] arena; in steady-state training these functions perform no
 //! heap allocation (asserted by `tests/alloc.rs`).
 
-use crate::attention::{
-    naive_backward, naive_forward, streaming_backward, streaming_forward, AttnCtx, AttnDims,
-};
-use crate::config::{AttnKind, ModelConfig};
+use crate::attention::{streaming_backward, streaming_forward, AttnCtx, AttnDims};
+use crate::config::ModelConfig;
 use crate::params::BlockLayout;
 use crate::scratch::{Scratch, ScratchBuf};
 use wp_tensor::ops::{
@@ -162,10 +160,7 @@ pub fn block_forward(
 
     let dims = attn_dims(cfg, batch, seq);
     let mut attn_o = scratch.take(tokens * h);
-    let attn = match cfg.attn {
-        AttnKind::Naive => naive_forward(&mut attn_o, &q, &k, &v, dims, scratch),
-        AttnKind::Streaming => streaming_forward(&mut attn_o, &q, &k, &v, dims, scratch),
-    };
+    let attn = streaming_forward(&mut attn_o, &q, &k, &v, dims, scratch);
 
     let mut x2 = scratch.take(tokens * h);
     matmul_nt(&mut x2, &attn_o, &w[lay.wo()], tokens, h, h);
@@ -216,23 +211,6 @@ pub fn block_forward(
         hg,
     };
     (y, ctx)
-}
-
-/// Forward pass that keeps nothing (checkpointed pipelines call this and
-/// re-run [`block_forward`] inside the backward).
-pub fn block_forward_no_save(
-    cfg: &ModelConfig,
-    rope: &RopeTable,
-    w: &[f32],
-    x: &[f32],
-    batch: usize,
-    seq: usize,
-    scratch: &Scratch,
-) -> ScratchBuf {
-    // The transient ctx is dropped immediately (its buffers go back to the
-    // arena); peak memory still spikes during the call, which the
-    // simulator's cost model accounts separately.
-    block_forward(cfg, rope, w, x, batch, seq, scratch).0
 }
 
 /// *B pass*: data gradient only. Returns `∂L/∂x` and the [`BPassCtx`] the
@@ -290,24 +268,19 @@ pub fn block_backward_data(
     let mut dq = scratch.take(tokens * h);
     let mut dk = scratch.take(tokens * kv);
     let mut dv = scratch.take(tokens * kv);
-    match cfg.attn {
-        AttnKind::Naive => naive_backward(
-            &mut dq, &mut dk, &mut dv, &d_attn_o, &ctx.q, &ctx.k, &ctx.v, &ctx.attn, dims, scratch,
-        ),
-        AttnKind::Streaming => streaming_backward(
-            &mut dq,
-            &mut dk,
-            &mut dv,
-            &d_attn_o,
-            &ctx.q,
-            &ctx.k,
-            &ctx.v,
-            &ctx.attn_o,
-            &ctx.attn,
-            dims,
-            scratch,
-        ),
-    }
+    streaming_backward(
+        &mut dq,
+        &mut dk,
+        &mut dv,
+        &d_attn_o,
+        &ctx.q,
+        &ctx.k,
+        &ctx.v,
+        &ctx.attn_o,
+        &ctx.attn,
+        dims,
+        scratch,
+    );
     // Undo RoPE on the q/k gradients (rotation is orthogonal).
     for g in 0..batch {
         let rq = g * seq * h..(g + 1) * seq * h;
@@ -430,9 +403,8 @@ mod tests {
     use crate::params::init_block;
     use wp_tensor::Tensor;
 
-    fn setup(attn: AttnKind) -> (ModelConfig, RopeTable, Vec<f32>) {
-        let mut cfg = ModelConfig::tiny(1);
-        cfg.attn = attn;
+    fn setup() -> (ModelConfig, RopeTable, Vec<f32>) {
+        let cfg = ModelConfig::tiny(1);
         let rope = cfg.rope_table();
         let w = init_block(&cfg, 3, 0);
         (cfg, rope, w)
@@ -440,7 +412,7 @@ mod tests {
 
     #[test]
     fn forward_shapes_and_determinism() {
-        let (cfg, rope, w) = setup(AttnKind::Streaming);
+        let (cfg, rope, w) = setup();
         let sc = Scratch::new();
         let (batch, seq) = (2, 4);
         let x = Tensor::randn([batch * seq * cfg.hidden], 1.0, 60).into_vec();
@@ -449,37 +421,11 @@ mod tests {
         assert_eq!(y1, y2);
         assert_eq!(y1.len(), x.len());
         assert!(ctx.saved_elems() > x.len());
-        let y3 = block_forward_no_save(&cfg, &rope, &w, &x, batch, seq, &sc);
-        assert_eq!(y1, y3);
     }
 
     #[test]
-    fn naive_and_streaming_forward_agree() {
-        let (cfg_n, rope, w) = setup(AttnKind::Naive);
-        let sc = Scratch::new();
-        let mut cfg_s = cfg_n.clone();
-        cfg_s.attn = AttnKind::Streaming;
-        let (batch, seq) = (2, 5);
-        let x = Tensor::randn([batch * seq * cfg_n.hidden], 1.0, 61).into_vec();
-        let (yn, _) = block_forward(&cfg_n, &rope, &w, &x, batch, seq, &sc);
-        let (ys, _) = block_forward(&cfg_s, &rope, &w, &x, batch, seq, &sc);
-        for (a, b) in yn.iter().zip(&ys[..]) {
-            assert!((a - b).abs() < 1e-4);
-        }
-    }
-
-    #[test]
-    fn full_backward_gradcheck_streaming() {
-        gradcheck(AttnKind::Streaming);
-    }
-
-    #[test]
-    fn full_backward_gradcheck_naive() {
-        gradcheck(AttnKind::Naive);
-    }
-
-    fn gradcheck(attn: AttnKind) {
-        let (cfg, rope, w) = setup(attn);
+    fn full_backward_gradcheck() {
+        let (cfg, rope, w) = setup();
         let sc = Scratch::new();
         let (batch, seq) = (1, 3);
         let n = batch * seq * cfg.hidden;
@@ -516,7 +462,7 @@ mod tests {
             let num = (loss(&wp, &x) - loss(&wm, &x)) / (2.0 * h);
             assert!(
                 (dw[i] - num).abs() < 3e-2 * (1.0 + num.abs()),
-                "dw[{i}] {} vs {num} ({attn:?})",
+                "dw[{i}] {} vs {num}",
                 dw[i]
             );
         }
@@ -528,7 +474,7 @@ mod tests {
             let num = (loss(&w, &xp) - loss(&w, &xm)) / (2.0 * h);
             assert!(
                 (dx[i] - num).abs() < 3e-2 * (1.0 + num.abs()),
-                "dx[{i}] {} vs {num} ({attn:?})",
+                "dx[{i}] {} vs {num}",
                 dx[i]
             );
         }
@@ -536,7 +482,7 @@ mod tests {
 
     #[test]
     fn split_backward_equals_full() {
-        let (cfg, rope, w) = setup(AttnKind::Streaming);
+        let (cfg, rope, w) = setup();
         let sc = Scratch::new();
         let (batch, seq) = (2, 4);
         let n = batch * seq * cfg.hidden;
@@ -561,7 +507,7 @@ mod tests {
 
     #[test]
     fn recompute_equals_saved_backward() {
-        let (cfg, rope, w) = setup(AttnKind::Streaming);
+        let (cfg, rope, w) = setup();
         let sc = Scratch::new();
         let (batch, seq) = (2, 3);
         let n = batch * seq * cfg.hidden;
@@ -581,7 +527,7 @@ mod tests {
 
     #[test]
     fn weight_grads_accumulate_across_microbatches() {
-        let (cfg, rope, w) = setup(AttnKind::Streaming);
+        let (cfg, rope, w) = setup();
         let sc = Scratch::new();
         let (batch, seq) = (1, 3);
         let n = batch * seq * cfg.hidden;

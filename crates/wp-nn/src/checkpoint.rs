@@ -19,7 +19,7 @@
 //! [`CheckpointError`] — never a panic, never an allocation sized from
 //! untrusted input.
 
-use crate::config::{AttnKind, ModelConfig};
+use crate::config::ModelConfig;
 use crate::model::Model;
 use std::fmt;
 use std::io::{self, Read, Write};
@@ -224,6 +224,11 @@ fn read_f32s_maybe_empty<R: Read>(r: &mut R, expected: usize) -> Result<Vec<f32>
         .collect())
 }
 
+/// The config slot that once chose between two attention kernels. Blocks
+/// run streaming attention only, so it is always written as this; a reader
+/// also accepts 0, which older snapshots of the same model may hold.
+const ATTN_STREAMING: usize = 1;
+
 fn write_config<W: Write>(w: &mut W, c: &ModelConfig) -> io::Result<()> {
     for v in [
         c.hidden,
@@ -233,7 +238,7 @@ fn write_config<W: Write>(w: &mut W, c: &ModelConfig) -> io::Result<()> {
         c.layers,
         c.vocab,
         c.max_seq,
-        matches!(c.attn, AttnKind::Streaming) as usize,
+        ATTN_STREAMING,
     ] {
         write_u64(w, v as u64)?;
     }
@@ -249,7 +254,13 @@ fn read_config<R: Read>(r: &mut R) -> Result<ModelConfig, CheckpointError> {
     let layers = read_u64(r)? as usize;
     let vocab = read_u64(r)? as usize;
     let max_seq = read_u64(r)? as usize;
-    let streaming = read_u64(r)? != 0;
+    let attn = read_u64(r)?;
+    if attn > ATTN_STREAMING as u64 {
+        return Err(CheckpointError::ImplausibleConfig {
+            field: "attn",
+            value: attn,
+        });
+    }
     // Bound every dimension before deriving buffer sizes from them, so the
     // expected-length products below cannot overflow.
     for (name, v) in [
@@ -280,11 +291,6 @@ fn read_config<R: Read>(r: &mut R) -> Result<ModelConfig, CheckpointError> {
         max_seq,
         eps,
         rope_theta,
-        attn: if streaming {
-            AttnKind::Streaming
-        } else {
-            AttnKind::Naive
-        },
     })
 }
 
@@ -746,6 +752,39 @@ mod tests {
                 CheckpointError::ImplausibleConfig {
                     field: "hidden",
                     ..
+                }
+            ),
+            "{err}"
+        );
+    }
+
+    /// The eighth config u64 is the retired attention-kernel slot: written
+    /// as 1, read back as 0 or 1 (either loads the same config), anything
+    /// else is not a snapshot this code wrote.
+    #[test]
+    fn attn_slot_accepts_zero_or_one_only() {
+        const ATTN_OFF: usize = 8 + 7 * 8;
+        let m = model();
+        let mut saved = Vec::new();
+        save_model_to(&mut saved, &m).expect("save");
+        assert_eq!(saved[ATTN_OFF..ATTN_OFF + 8], 1u64.to_le_bytes());
+        let with_slot = |v: u64| {
+            let mut buf = saved.clone();
+            buf[ATTN_OFF..ATTN_OFF + 8].copy_from_slice(&v.to_le_bytes());
+            let body_end = buf.len() - 8;
+            let h = super::fnv1a(&buf[..body_end]);
+            buf[body_end..].copy_from_slice(&h.to_le_bytes());
+            load_model_from(&buf[..])
+        };
+        assert_eq!(with_slot(0).expect("old naive snapshot").cfg, m.cfg);
+        assert_eq!(with_slot(1).expect("streaming snapshot").cfg, m.cfg);
+        let err = with_slot(2).expect_err("must fail");
+        assert!(
+            matches!(
+                err,
+                CheckpointError::ImplausibleConfig {
+                    field: "attn",
+                    value: 2
                 }
             ),
             "{err}"

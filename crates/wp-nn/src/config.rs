@@ -2,20 +2,6 @@
 
 use wp_tensor::ops::RopeTable;
 
-/// Which attention kernel to run.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum AttnKind {
-    /// Materialises the full `S×S` probability matrix. Simple, and the
-    /// ground truth the streaming kernel is tested against.
-    Naive,
-    /// Streaming (online-softmax) attention in the style of FlashAttention:
-    /// one score row lives at a time, backward recomputes rows from saved
-    /// per-row log-sum-exp. Activation memory drops from `O(S²)` to `O(S)`
-    /// per head — the property the paper leans on (§4.3).
-    #[default]
-    Streaming,
-}
-
 /// Llama-style decoder configuration.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ModelConfig {
@@ -38,8 +24,6 @@ pub struct ModelConfig {
     pub eps: f32,
     /// RoPE base frequency.
     pub rope_theta: f32,
-    /// Attention kernel.
-    pub attn: AttnKind,
 }
 
 impl ModelConfig {
@@ -77,7 +61,6 @@ impl ModelConfig {
             max_seq,
             eps: 1e-5,
             rope_theta: 10000.0,
-            attn: AttnKind::Streaming,
         }
     }
 

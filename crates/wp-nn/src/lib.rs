@@ -36,6 +36,6 @@ pub mod scratch;
 pub use checkpoint::{
     load_train_state, save_train_state, CheckpointError, ComponentState, TrainState,
 };
-pub use config::{AttnKind, ModelConfig};
+pub use config::ModelConfig;
 pub use model::{Model, ModelGrads};
 pub use scratch::{Scratch, ScratchBuf};

@@ -3,7 +3,7 @@
 
 use wp_nn::attention::{naive_forward, streaming_backward, streaming_forward, AttnDims};
 use wp_nn::block::{block_backward_full, block_forward};
-use wp_nn::config::{AttnKind, ModelConfig};
+use wp_nn::config::ModelConfig;
 use wp_nn::params::init_block;
 use wp_nn::scratch::Scratch;
 use wp_tensor::Tensor;
@@ -11,7 +11,6 @@ use wp_tensor::Tensor;
 fn gqa_cfg(heads: usize, kv_heads: usize) -> ModelConfig {
     let mut c = ModelConfig::llama_like(heads * 4, heads, 1, 16, 32).with_gqa(kv_heads);
     c.ffn = 24;
-    c.attn = AttnKind::Streaming;
     c
 }
 

@@ -9,16 +9,15 @@ use wp_nn::block::{
     block_backward_data, block_backward_full, block_backward_recompute, block_backward_weight,
     block_forward,
 };
-use wp_nn::config::{AttnKind, ModelConfig};
+use wp_nn::config::ModelConfig;
 use wp_nn::params::init_block;
 use wp_nn::scratch::Scratch;
 use wp_tensor::Tensor;
 
-fn cfg_with(attn: AttnKind, heads: usize, head_dim: usize, ffn: usize) -> ModelConfig {
+fn cfg_with(heads: usize, head_dim: usize, ffn: usize) -> ModelConfig {
     let hidden = heads * head_dim;
     let mut c = ModelConfig::llama_like(hidden, heads, 1, 16, 32);
     c.ffn = ffn;
-    c.attn = attn;
     c
 }
 
@@ -68,7 +67,7 @@ proptest! {
         heads in 1usize..3,
         seed in 0u64..1000
     ) {
-        let cfg = cfg_with(AttnKind::Streaming, heads, 4, 12);
+        let cfg = cfg_with(heads, 4, 12);
         let rope = cfg.rope_table();
         let w = init_block(&cfg, seed, 0);
         let n = batch * seq * cfg.hidden;
@@ -94,7 +93,7 @@ proptest! {
         seq in 1usize..6,
         seed in 0u64..1000
     ) {
-        let cfg = cfg_with(AttnKind::Streaming, 2, 4, 12);
+        let cfg = cfg_with(2, 4, 12);
         let rope = cfg.rope_table();
         let w = init_block(&cfg, seed, 0);
         let n = batch * seq * cfg.hidden;
@@ -119,7 +118,7 @@ proptest! {
     ) {
         // Running two samples in one batch must equal running them alone
         // (no cross-sample leakage through attention or norms).
-        let cfg = cfg_with(AttnKind::Streaming, 2, 4, 12);
+        let cfg = cfg_with(2, 4, 12);
         let rope = cfg.rope_table();
         let w = init_block(&cfg, seed, 0);
         let per = seq * cfg.hidden;

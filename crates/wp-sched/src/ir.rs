@@ -85,6 +85,43 @@ pub struct MsgKey {
     pub dst: usize,
 }
 
+impl MsgKey {
+    fn new(kind: MsgKind, chunk: usize, mb: usize, round: usize, src: usize, dst: usize) -> Self {
+        MsgKey {
+            kind,
+            chunk,
+            mb,
+            round,
+            src,
+            dst,
+        }
+    }
+
+    /// `chunk`'s weights hopping `src → dst` in `round` on ring flow `flow`
+    /// ([`FLOW_FWD`] / [`FLOW_BWD`]).
+    pub fn weights(chunk: usize, flow: usize, round: usize, src: usize, dst: usize) -> Self {
+        Self::new(MsgKind::Weights, chunk, flow, round, src, dst)
+    }
+
+    /// `chunk`'s weight-gradient accumulator moving `src → dst` in `round`.
+    pub fn weight_grads(chunk: usize, round: usize, src: usize, dst: usize) -> Self {
+        Self::new(MsgKind::WeightGrads, chunk, NO_MB, round, src, dst)
+    }
+
+    /// Microbatch `mb`'s boundary activations entering stage `dst` from
+    /// `src`. A stage's chunk is its rank and a microbatch crosses each
+    /// boundary once, so `chunk` is `dst` and `round` is 0.
+    pub fn act(mb: usize, src: usize, dst: usize) -> Self {
+        Self::new(MsgKind::Act, dst, mb, 0, src, dst)
+    }
+
+    /// Microbatch `mb`'s boundary activation gradients entering stage `dst`
+    /// from `src`; `chunk` and `round` as for [`Self::act`].
+    pub fn act_grad(mb: usize, src: usize, dst: usize) -> Self {
+        Self::new(MsgKind::ActGrad, dst, mb, 0, src, dst)
+    }
+}
+
 /// The weight slot `(chunk, flow)` a compute op on `chunk` reads: the one
 /// its `needs` name — a `Weights` message fills `(chunk, mb)`, a
 /// collective's pseudo-key (`src == dst`) the gathered [`RESIDENT`] copy —
@@ -234,14 +271,7 @@ impl OpKind {
             }
             _ => panic!("{self:?} is not a collective"),
         };
-        MsgKey {
-            kind,
-            chunk,
-            mb: NO_MB,
-            round,
-            src: rank,
-            dst: rank,
-        }
+        MsgKey::new(kind, chunk, NO_MB, round, rank, rank)
     }
 
     /// What identifies one rendezvous: every rank's instance of the same
@@ -292,6 +322,15 @@ impl Op {
             needs: Vec::new(),
             after_compute: true,
             mem: Vec::new(),
+        }
+    }
+
+    /// The send of a seeded chunk at turn 0: the payload is already held
+    /// ([`Schedule::seeds`]), so it departs with nothing to wait for.
+    pub fn seed_send(key: MsgKey) -> Self {
+        Op {
+            after_compute: false,
+            ..Self::send(key)
         }
     }
 
@@ -412,19 +451,6 @@ impl Strategy {
             Strategy::Wzb2 => "WZB2",
             Strategy::WeiPipeHier => "WeiPipe-Hier",
         }
-    }
-
-    /// True for strategies whose pipeline currency is weights (the paper's
-    /// contribution family).
-    pub fn is_weight_passing(&self) -> bool {
-        matches!(
-            self,
-            Strategy::WeiPipeNaive
-                | Strategy::WeiPipeInterleave
-                | Strategy::Wzb1
-                | Strategy::Wzb2
-                | Strategy::WeiPipeHier
-        )
     }
 }
 

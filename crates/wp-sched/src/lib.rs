@@ -18,13 +18,18 @@
 //! * [`analysis`] counts bytes and carries the paper's §3 closed forms
 //!   (crossover ratio, 36H² per turn, 2·M_A per microbatch);
 //! * [`tune`] frames the builder knobs (strategy, microbatches, W-lag,
-//!   overlap, chunking) as a search space and provides grid/beam
-//!   schedulers over a pluggable cost oracle (`wp-sim` supplies the
-//!   DES-backed one).
+//!   overlap, chunking, grouping) as a search space and provides a grid
+//!   search over a pluggable cost oracle (`wp-sim` supplies the DES-backed
+//!   one).
 //!
-//! The builders ([`builders`]) encode the schedules themselves — including
-//! the ring position algebra of weight circulation, which is documented in
-//! `builders::weipipe`.
+//! The builders ([`builders`]) encode the schedules themselves, one module
+//! per skeleton: the weight ring and its position algebra
+//! (`builders/ring.rs`), the grouped ring (`hier.rs`), the stage pipeline
+//! (`stage.rs`) and the collective baselines (`collective.rs`). What differs
+//! between strategies *outside* a skeleton — which one builds it, whether
+//! the backward is split, which knob it reads and what that knob defaults
+//! to, what must divide what — is one table, [`Strategy::shape`], which the
+//! builders, [`tune`] and `wp-sim` all read.
 
 #![warn(missing_docs)]
 

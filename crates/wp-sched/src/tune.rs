@@ -8,7 +8,8 @@
 //!
 //! * [`Candidate`] — one point in knob space, convertible to a spec.
 //! * [`TuneSpace`] — the grid of candidates, filtered to structurally
-//!   valid combinations (divisibility, even-`P` WZB1, per-strategy knobs).
+//!   valid combinations and free of repeats (both read off
+//!   [`Strategy::shape`]).
 //! * [`CostOracle`] — prices a candidate. The real implementation lives in
 //!   `wp-sim` (`DesOracle`: build, validate, discrete-event simulate); this
 //!   crate only defines the interface so the IR layer stays free of
@@ -19,7 +20,7 @@
 //! simulated OOM) rather than failing, and breaks cost ties by earliest
 //! enumeration order, so results are reproducible across runs.
 
-use crate::builders::PipelineSpec;
+use crate::builders::{self, Knob, PipelineSpec};
 use crate::ir::Strategy;
 
 /// One point in the schedule-knob space.
@@ -57,62 +58,27 @@ impl Candidate {
     }
 
     /// Whether `strategy` splits backward into B and W passes (and hence
-    /// forces activation checkpointing off and accepts a W-lag knob).
+    /// forces activation checkpointing off).
     pub fn split_backward(&self) -> bool {
-        matches!(
-            self.strategy,
-            Strategy::Zb1 | Strategy::Zb2 | Strategy::Wzb1 | Strategy::Wzb2
-        )
+        self.strategy.shape().split_backward
     }
 
-    /// Structural validity at world size `p` — the constraints the builders
-    /// would otherwise panic on, plus knob/strategy applicability.
+    /// Structural validity at world size `p`: the constraints
+    /// [`builders::build`] panics on, plus knob applicability — `build`
+    /// ignores a knob its strategy does not read, a candidate carrying one
+    /// is rejected, so no two valid candidates differ only in a dead knob.
     pub fn check(&self, p: usize) -> Result<(), String> {
-        let needs_divisible = matches!(
-            self.strategy,
-            Strategy::WeiPipeNaive
-                | Strategy::WeiPipeInterleave
-                | Strategy::WeiPipeHier
-                | Strategy::Wzb1
-                | Strategy::Wzb2
-                | Strategy::Fsdp
-                | Strategy::Ddp
-        );
-        if self.microbatches == 0 {
-            return Err("microbatches must be >= 1".into());
+        builders::check(self.strategy, &self.spec(p))?;
+        let reads = self.strategy.shape().knob.map(|(knob, _)| knob);
+        let set = [
+            (Knob::WLag, self.w_lag),
+            (Knob::Chunks, self.chunks),
+            (Knob::Group, self.group),
+        ];
+        match set.iter().find(|(k, v)| v.is_some() && reads != Some(*k)) {
+            Some((knob, _)) => Err(format!("{} reads no {knob:?} knob", self.strategy.label())),
+            None => Ok(()),
         }
-        if needs_divisible && !self.microbatches.is_multiple_of(p) {
-            return Err(format!(
-                "{} needs N % P == 0 (N={}, P={})",
-                self.strategy.label(),
-                self.microbatches,
-                p
-            ));
-        }
-        if self.strategy == Strategy::Wzb1 && !p.is_multiple_of(2) {
-            return Err(format!("WZB1 needs even P (P={p})"));
-        }
-        if self.w_lag.is_some() && !matches!(self.strategy, Strategy::Zb1 | Strategy::Wzb1) {
-            return Err(format!("{} takes no W-lag knob", self.strategy.label()));
-        }
-        if self.chunks.is_some() && !matches!(self.strategy, Strategy::Fsdp | Strategy::Ddp) {
-            return Err(format!("{} takes no chunk knob", self.strategy.label()));
-        }
-        if self.chunks == Some(0) {
-            return Err("chunk count must be >= 1".into());
-        }
-        if let Some(g) = self.group {
-            if self.strategy != Strategy::WeiPipeHier {
-                return Err(format!("{} takes no group knob", self.strategy.label()));
-            }
-            if g < 2 {
-                return Err(format!("group size must be >= 2 (g={g})"));
-            }
-            if !p.is_multiple_of(g) {
-                return Err(format!("group size must divide P (g={g}, P={p})"));
-            }
-        }
-        Ok(())
     }
 
     /// The builder spec this candidate encodes at world size `p`.
@@ -120,20 +86,14 @@ impl Candidate {
     /// needs the full forward context); everything else keeps the paper's
     /// long-context default of activation checkpointing on.
     pub fn spec(&self, p: usize) -> PipelineSpec {
-        let mut spec = PipelineSpec::new(p, self.microbatches).with_overlap(self.overlap);
-        if self.split_backward() {
-            spec = spec.without_recompute();
+        PipelineSpec {
+            recompute: !self.split_backward(),
+            overlap: self.overlap,
+            w_lag: self.w_lag,
+            chunks: self.chunks,
+            group: self.group,
+            ..PipelineSpec::new(p, self.microbatches)
         }
-        if let Some(lag) = self.w_lag {
-            spec = spec.with_w_lag(lag);
-        }
-        if let Some(chunks) = self.chunks {
-            spec = spec.with_chunks(chunks);
-        }
-        if let Some(group) = self.group {
-            spec = spec.with_group(group);
-        }
-        spec
     }
 
     /// Compact human label, e.g. `WZB1 N=16 lag=4 overlap`.
@@ -181,49 +141,30 @@ pub struct TuneSpace {
 }
 
 impl TuneSpace {
-    /// A space holding only each strategy's default configuration at the
-    /// given `(P, N)` — the degenerate grid the baselines come from.
-    pub fn defaults(ranks: usize, microbatches: usize, strategies: &[Strategy]) -> Self {
-        TuneSpace {
-            ranks,
-            strategies: strategies.to_vec(),
-            microbatches: vec![microbatches],
-            w_lags: Vec::new(),
-            chunk_counts: Vec::new(),
-            group_sizes: Vec::new(),
-            overlap: vec![true],
-        }
-    }
-
     /// Enumerate every structurally valid candidate, in a deterministic
-    /// order (strategy-major, then `N`, lag, chunks, overlap). Knobs that a
-    /// strategy does not accept contribute only their `None` default, so
-    /// the grid never contains redundant duplicates.
+    /// order (strategy-major, then `N`, lag, chunks, group, overlap). A
+    /// strategy sweeps only the knob it reads; a swept value equal to the
+    /// knob's default is the `None` candidate and a repeated value is the
+    /// earlier one, so no schedule is priced twice.
     pub fn enumerate(&self) -> Vec<Candidate> {
         let mut out = Vec::new();
         for &strategy in &self.strategies {
-            let lags: Vec<Option<usize>> = if matches!(strategy, Strategy::Zb1 | Strategy::Wzb1) {
-                std::iter::once(None)
-                    .chain(self.w_lags.iter().copied().map(Some))
-                    .collect()
-            } else {
-                vec![None]
+            let reads = strategy.shape().knob;
+            let sweep = |knob: Knob, values: &[usize]| -> Vec<Option<usize>> {
+                let mut swept = vec![None];
+                if let Some((_, default)) = reads.filter(|(k, _)| *k == knob) {
+                    for &v in values {
+                        let v = Some(v).filter(|&v| v != default(self.ranks));
+                        if !swept.contains(&v) {
+                            swept.push(v);
+                        }
+                    }
+                }
+                swept
             };
-            let chunking: Vec<Option<usize>> = if matches!(strategy, Strategy::Fsdp | Strategy::Ddp)
-            {
-                std::iter::once(None)
-                    .chain(self.chunk_counts.iter().copied().map(Some))
-                    .collect()
-            } else {
-                vec![None]
-            };
-            let groupings: Vec<Option<usize>> = if strategy == Strategy::WeiPipeHier {
-                std::iter::once(None)
-                    .chain(self.group_sizes.iter().copied().map(Some))
-                    .collect()
-            } else {
-                vec![None]
-            };
+            let lags = sweep(Knob::WLag, &self.w_lags);
+            let chunking = sweep(Knob::Chunks, &self.chunk_counts);
+            let groupings = sweep(Knob::Group, &self.group_sizes);
             for &n in &self.microbatches {
                 for &w_lag in &lags {
                     for &chunks in &chunking {
@@ -396,6 +337,33 @@ mod tests {
         assert!(cands
             .iter()
             .all(|c| !(c.strategy == Strategy::WeiPipeHier && c.group.is_some())));
+    }
+
+    /// The `wp-bench tune --smoke` grid — whose lag sweep names both split
+    /// defaults (2, `P/2`) and whose group sweep names `P`, the flat ring —
+    /// with a default and a repeat added to the chunk and group sweeps.
+    #[test]
+    fn enumerate_prices_no_schedule_twice() {
+        use crate::builders::build;
+        use std::collections::HashSet;
+        let p = 8;
+        let space = TuneSpace {
+            ranks: p,
+            strategies: ALL_STRATEGIES.to_vec(),
+            microbatches: vec![p, 2 * p, 4 * p],
+            w_lags: vec![1, 2, p / 2, p],
+            chunk_counts: vec![2, p / 2, 2 * p, p, 2],
+            group_sizes: vec![p, p / 2, p / 2],
+            overlap: vec![true, false],
+        };
+        let cands = space.enumerate();
+        assert_eq!(cands.len(), 144);
+        let mut seen = HashSet::new();
+        for c in &cands {
+            let s = build(c.strategy, c.spec(p));
+            let priced = format!("{:?}", (c.strategy, c.overlap, &s.ops, &s.seeds));
+            assert!(seen.insert(priced), "{} repeats a schedule", c.label());
+        }
     }
 
     #[test]

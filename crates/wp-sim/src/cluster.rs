@@ -196,13 +196,6 @@ impl ClusterSpec {
         rank / self.node_size
     }
 
-    /// The designated bridge rank of a group — the member that carries the
-    /// slow inter-group hop in hierarchical schedules. Elected as the last
-    /// rank of the group, i.e. the endpoint of the group's outgoing ring hop.
-    pub fn bridge_of(&self, group: usize) -> usize {
-        group * self.node_size + self.node_size - 1
-    }
-
     /// The link a point-to-point transfer from `src` to `dst` rides: intra
     /// when both ranks share a node, inter otherwise. This is the per-hop
     /// resolver the simulators price every `Send` with — grouped schedules
@@ -214,11 +207,6 @@ impl ClusterSpec {
         } else {
             self.inter
         }
-    }
-
-    /// The link a ring hop from `src` to `(src+1) % ranks` rides.
-    pub fn ring_link(&self, src: usize) -> Link {
-        self.link_between(src, (src + 1) % self.ranks)
     }
 
     /// The slowest link present on the ring — the collective bottleneck.
@@ -251,56 +239,27 @@ impl ClusterSpec {
         let link = self.bottleneck();
         (p - 1.0) * (bytes as f64 / p / link.bandwidth + link.latency)
     }
-
-    /// Ring all-reduce of `bytes` confined to one node's `node_size` ranks
-    /// over the intra link.
-    pub fn intra_all_reduce_s(&self, bytes: u64) -> f64 {
-        let g = self.node_size as f64;
-        if self.node_size <= 1 {
-            return 0.0;
-        }
-        2.0 * (g - 1.0) * (bytes as f64 / g / self.intra.bandwidth + self.intra.latency)
-    }
-
-    /// Ring all-gather / reduce-scatter of `bytes` confined to one node.
-    pub fn intra_gather_scatter_s(&self, bytes: u64) -> f64 {
-        let g = self.node_size as f64;
-        if self.node_size <= 1 {
-            return 0.0;
-        }
-        (g - 1.0) * (bytes as f64 / g / self.intra.bandwidth + self.intra.latency)
-    }
-
-    /// Hierarchical all-reduce estimate: reduce-scatter inside each node
-    /// (intra), ring all-reduce of the node-sharded slice across the
-    /// `groups()` bridge ranks (inter), then all-gather inside each node.
-    /// Collapses to the intra-only estimate on a single node.
-    pub fn hier_all_reduce_s(&self, bytes: u64) -> f64 {
-        let groups = self.groups() as f64;
-        if self.groups() <= 1 {
-            return self.intra_all_reduce_s(bytes);
-        }
-        let slice = bytes as f64 / self.node_size as f64;
-        let inter_s =
-            2.0 * (groups - 1.0) * (slice / groups / self.inter.bandwidth + self.inter.latency);
-        self.intra_gather_scatter_s(bytes) * 2.0 + inter_s
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
+    /// The link the ring hop out of `src` rides.
+    fn ring_hop(c: &ClusterSpec, src: usize) -> Link {
+        c.link_between(src, (src + 1) % c.ranks)
+    }
+
     #[test]
     fn ring_links_cross_node_boundaries() {
         let c = ClusterSpec::ethernet_16();
         // node_size 4: hops 3→4, 7→8, 11→12, 15→0 cross nodes.
-        assert_eq!(c.ring_link(0), Link::pcie4());
-        assert_eq!(c.ring_link(3), Link::ethernet_10g());
-        assert_eq!(c.ring_link(7), Link::ethernet_10g());
-        assert_eq!(c.ring_link(15), Link::ethernet_10g());
+        assert_eq!(ring_hop(&c, 0), Link::pcie4());
+        assert_eq!(ring_hop(&c, 3), Link::ethernet_10g());
+        assert_eq!(ring_hop(&c, 7), Link::ethernet_10g());
+        assert_eq!(ring_hop(&c, 15), Link::ethernet_10g());
         let crossings = (0..16)
-            .filter(|&r| c.ring_link(r) == Link::ethernet_10g())
+            .filter(|&r| ring_hop(&c, r) == Link::ethernet_10g())
             .count();
         assert_eq!(crossings, 4);
     }
@@ -308,7 +267,7 @@ mod tests {
     #[test]
     fn single_node_is_all_fast() {
         let c = ClusterSpec::nvlink_island(16);
-        assert!((0..16).all(|r| c.ring_link(r) == Link::nvlink_a800()));
+        assert!((0..16).all(|r| ring_hop(&c, r) == Link::nvlink_a800()));
         assert_eq!(c.bottleneck(), Link::nvlink_a800());
     }
 
@@ -367,7 +326,7 @@ mod tests {
             ClusterSpec::validated(0, 1, intra, inter).unwrap_err(),
             ClusterError::ZeroRanks
         );
-        // node_size == 0 used to divide-by-zero inside ring_link; now it is
+        // node_size == 0 used to divide-by-zero in the link resolver; now it is
         // a typed error at construction time.
         assert_eq!(
             ClusterSpec::validated(8, 0, intra, inter).unwrap_err(),
@@ -401,31 +360,11 @@ mod tests {
         assert_eq!(c.group_of(3), 0);
         assert_eq!(c.group_of(4), 1);
         assert_eq!(c.group_of(15), 3);
-        assert_eq!(c.bridge_of(0), 3);
-        assert_eq!(c.bridge_of(3), 15);
         // Per-hop resolution depends on both endpoints, not src's successor.
         assert_eq!(c.link_between(0, 3), Link::pcie4());
         assert_eq!(c.link_between(3, 7), Link::ethernet_10g());
         assert_eq!(c.link_between(15, 0), Link::ethernet_10g());
         assert_eq!(c.link_between(13, 12), Link::pcie4());
-    }
-
-    #[test]
-    fn group_collectives_price_hierarchy() {
-        let c = ClusterSpec::ethernet_16();
-        let b = 100 << 20;
-        // Intra-node collectives never touch Ethernet: far faster than the
-        // flat ring estimate paced by the bottleneck.
-        assert!(c.intra_all_reduce_s(b) < c.all_reduce_s(b) / 4.0);
-        assert!(c.intra_gather_scatter_s(b) < c.intra_all_reduce_s(b));
-        // Hierarchical all-reduce beats the flat bottleneck-paced ring and
-        // collapses to intra-only on a single island.
-        assert!(c.hier_all_reduce_s(b) < c.all_reduce_s(b));
-        let island = ClusterSpec::nvlink_island(8);
-        assert_eq!(
-            island.hier_all_reduce_s(b).to_bits(),
-            island.intra_all_reduce_s(b).to_bits()
-        );
     }
 
     #[test]

@@ -69,10 +69,7 @@ pub fn zb_microbatch(seq: usize) -> usize {
 /// Recompute setting per strategy: everything checkpoints except ZB, where
 /// the paper notes recomputation buys nothing (§4.3).
 pub fn uses_recompute(strategy: Strategy) -> bool {
-    !matches!(
-        strategy,
-        Strategy::Zb1 | Strategy::Zb2 | Strategy::Wzb1 | Strategy::Wzb2
-    )
+    !strategy.shape().split_backward
 }
 
 /// The schedule spec every paper-reproduction cell uses. Pins the

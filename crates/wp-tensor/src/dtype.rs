@@ -49,15 +49,6 @@ impl DType {
             DType::F16 | DType::BF16 => 2,
         }
     }
-
-    /// Largest finite value representable in this format.
-    pub const fn max_finite(self) -> f32 {
-        match self {
-            DType::F32 => f32::MAX,
-            DType::F16 => 65504.0,
-            DType::BF16 => 3.3895314e38,
-        }
-    }
 }
 
 impl std::fmt::Display for DType {

@@ -4,9 +4,8 @@
 //!
 //! This crate is the computational substrate every other crate sits on:
 //!
-//! * [`Tensor`] — contiguous, row-major `f32` tensors with deterministic
-//!   seeded initialisation (so every rank of a distributed job can build
-//!   identical weights without communication).
+//! * [`Tensor`] — deterministic seeded random vectors (so every rank of a
+//!   distributed job can build identical weights without communication).
 //! * [`dtype`] — software IEEE binary16 / bfloat16 with round-to-nearest-even
 //!   conversions, used to emulate the paper's mixed-precision storage
 //!   (fp16 weights/activations/weight-grads, bf16 activation-grads, fp32
@@ -24,9 +23,7 @@
 
 pub mod dtype;
 pub mod ops;
-pub mod shape;
 pub mod tensor;
 
 pub use dtype::DType;
-pub use shape::Shape;
 pub use tensor::Tensor;

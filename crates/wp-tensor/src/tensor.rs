@@ -1,62 +1,23 @@
-//! The dense tensor type.
-//!
-//! Compute always happens in `f32`; 16-bit storage formats are applied by
-//! quantizing in place (see [`crate::dtype`]). Tensors are contiguous and
-//! row-major, which keeps every kernel a straight loop over slices — the
-//! layout a cache-blocked CPU kernel wants.
+//! Seeded random vectors: the workspace's weight initialisation and test
+//! inputs. Every rank of a distributed job materialises identical weights
+//! from a seed without communicating.
 
-use crate::dtype::{quantize_slice, DType};
-use crate::shape::Shape;
 use rand::distr::{Distribution, Uniform};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
-/// A dense, contiguous, row-major tensor of `f32` values.
+/// A seeded random `f32` vector of `shape[0]` elements; take the buffer
+/// with [`Tensor::into_vec`].
 #[derive(Debug, Clone, PartialEq)]
-pub struct Tensor {
-    shape: Shape,
-    data: Vec<f32>,
-}
+pub struct Tensor(Vec<f32>);
 
 impl Tensor {
-    /// Zero-filled tensor of the given shape.
-    pub fn zeros(shape: impl Into<Shape>) -> Self {
-        let shape = shape.into();
-        let data = vec![0.0; shape.numel()];
-        Tensor { shape, data }
-    }
-
-    /// Tensor filled with a constant.
-    pub fn full(shape: impl Into<Shape>, value: f32) -> Self {
-        let shape = shape.into();
-        let data = vec![value; shape.numel()];
-        Tensor { shape, data }
-    }
-
-    /// Tensor wrapping an existing buffer.
-    ///
-    /// # Panics
-    /// Panics if the buffer length does not match the shape.
-    pub fn from_vec(shape: impl Into<Shape>, data: Vec<f32>) -> Self {
-        let shape = shape.into();
-        assert_eq!(
-            data.len(),
-            shape.numel(),
-            "buffer length {} does not match shape {shape}",
-            data.len()
-        );
-        Tensor { shape, data }
-    }
-
-    /// Deterministic N(0, std²) initialisation from a seed.
-    ///
-    /// Uses Box–Muller over a seeded PRNG so every rank of a distributed job
-    /// can materialise identical weights without communicating.
-    pub fn randn(shape: impl Into<Shape>, std: f32, seed: u64) -> Self {
-        let shape = shape.into();
+    /// Deterministic N(0, std²) values from a seed (Box–Muller over a
+    /// seeded PRNG).
+    pub fn randn(shape: [usize; 1], std: f32, seed: u64) -> Self {
+        let [n] = shape;
         let mut rng = StdRng::seed_from_u64(seed);
         let unif = Uniform::new(f32::EPSILON, 1.0f32).expect("valid range");
-        let n = shape.numel();
         let mut data = Vec::with_capacity(n);
         while data.len() < n {
             let u1: f32 = unif.sample(&mut rng);
@@ -68,151 +29,20 @@ impl Tensor {
                 data.push(r * theta.sin() * std);
             }
         }
-        Tensor { shape, data }
+        Tensor(data)
     }
 
-    /// Uniform init in `[lo, hi)` from a seed.
-    pub fn rand_uniform(shape: impl Into<Shape>, lo: f32, hi: f32, seed: u64) -> Self {
-        let shape = shape.into();
+    /// Deterministic uniform values in `[lo, hi)` from a seed.
+    pub fn rand_uniform(shape: [usize; 1], lo: f32, hi: f32, seed: u64) -> Self {
+        let [n] = shape;
         let mut rng = StdRng::seed_from_u64(seed);
         let unif = Uniform::new(lo, hi).expect("valid range");
-        let data = (0..shape.numel()).map(|_| unif.sample(&mut rng)).collect();
-        Tensor { shape, data }
-    }
-
-    /// The tensor's shape.
-    #[inline]
-    pub fn shape(&self) -> &Shape {
-        &self.shape
-    }
-
-    /// Dimension extents.
-    #[inline]
-    pub fn dims(&self) -> &[usize] {
-        self.shape.dims()
-    }
-
-    /// Total element count.
-    #[inline]
-    pub fn numel(&self) -> usize {
-        self.data.len()
-    }
-
-    /// Read-only view of the backing buffer.
-    #[inline]
-    pub fn data(&self) -> &[f32] {
-        &self.data
-    }
-
-    /// Mutable view of the backing buffer.
-    #[inline]
-    pub fn data_mut(&mut self) -> &mut [f32] {
-        &mut self.data
+        Tensor((0..n).map(|_| unif.sample(&mut rng)).collect())
     }
 
     /// Consume the tensor, returning its buffer.
     pub fn into_vec(self) -> Vec<f32> {
-        self.data
-    }
-
-    /// Element at a multi-dimensional index.
-    #[inline]
-    pub fn at(&self, idx: &[usize]) -> f32 {
-        self.data[self.shape.offset(idx)]
-    }
-
-    /// Set the element at a multi-dimensional index.
-    #[inline]
-    pub fn set(&mut self, idx: &[usize], v: f32) {
-        let off = self.shape.offset(idx);
-        self.data[off] = v;
-    }
-
-    /// Reinterpret with a new shape of identical element count.
-    pub fn reshape(mut self, shape: impl Into<Shape>) -> Self {
-        let shape = shape.into();
-        assert_eq!(
-            shape.numel(),
-            self.data.len(),
-            "reshape to {shape} changes element count"
-        );
-        self.shape = shape;
-        self
-    }
-
-    /// `self += other`, elementwise.
-    pub fn add_assign(&mut self, other: &Tensor) {
-        assert_eq!(self.shape, other.shape, "shape mismatch in add_assign");
-        for (a, b) in self.data.iter_mut().zip(&other.data) {
-            *a += b;
-        }
-    }
-
-    /// `self += alpha * other`, elementwise (axpy).
-    pub fn axpy(&mut self, alpha: f32, other: &Tensor) {
-        assert_eq!(self.shape, other.shape, "shape mismatch in axpy");
-        for (a, b) in self.data.iter_mut().zip(&other.data) {
-            *a += alpha * b;
-        }
-    }
-
-    /// Multiply every element by a scalar.
-    pub fn scale(&mut self, alpha: f32) {
-        for a in &mut self.data {
-            *a *= alpha;
-        }
-    }
-
-    /// Set every element to zero, keeping the allocation.
-    pub fn zero_(&mut self) {
-        self.data.fill(0.0);
-    }
-
-    /// Quantize the buffer in place through a storage format.
-    pub fn quantize_(&mut self, dtype: DType) {
-        quantize_slice(&mut self.data, dtype);
-    }
-
-    /// Sum of all elements (f64 accumulator for stability).
-    pub fn sum(&self) -> f32 {
-        self.data.iter().map(|&x| x as f64).sum::<f64>() as f32
-    }
-
-    /// Mean of all elements.
-    pub fn mean(&self) -> f32 {
-        if self.data.is_empty() {
-            0.0
-        } else {
-            self.sum() / self.data.len() as f32
-        }
-    }
-
-    /// Largest absolute element (0 for an empty tensor).
-    pub fn abs_max(&self) -> f32 {
-        self.data.iter().fold(0.0f32, |m, &x| m.max(x.abs()))
-    }
-
-    /// L2 norm (f64 accumulator).
-    pub fn l2_norm(&self) -> f32 {
-        self.data
-            .iter()
-            .map(|&x| (x as f64) * (x as f64))
-            .sum::<f64>()
-            .sqrt() as f32
-    }
-
-    /// True if any element is NaN or infinite. Drives dynamic loss scaling.
-    pub fn has_non_finite(&self) -> bool {
-        self.data.iter().any(|x| !x.is_finite())
-    }
-
-    /// Maximum absolute difference against another tensor of the same shape.
-    pub fn max_abs_diff(&self, other: &Tensor) -> f32 {
-        assert_eq!(self.shape, other.shape, "shape mismatch in max_abs_diff");
-        self.data
-            .iter()
-            .zip(&other.data)
-            .fold(0.0f32, |m, (a, b)| m.max((a - b).abs()))
+        self.0
     }
 }
 
@@ -221,81 +51,14 @@ mod tests {
     use super::*;
 
     #[test]
-    fn construction_and_access() {
-        let mut t = Tensor::zeros([2, 3]);
-        assert_eq!(t.numel(), 6);
-        t.set(&[1, 2], 5.0);
-        assert_eq!(t.at(&[1, 2]), 5.0);
-        assert_eq!(t.data()[5], 5.0);
-    }
-
-    #[test]
     fn randn_is_deterministic_and_normal_ish() {
         let a = Tensor::randn([1000], 1.0, 42);
-        let b = Tensor::randn([1000], 1.0, 42);
-        assert_eq!(a, b, "same seed must give identical tensors");
-        let c = Tensor::randn([1000], 1.0, 43);
-        assert_ne!(a, c, "different seeds must differ");
-        let mean = a.mean();
+        assert_eq!(a, Tensor::randn([1000], 1.0, 42), "same seed, same values");
+        assert_ne!(a, Tensor::randn([1000], 1.0, 43), "different seeds differ");
+        let a = a.into_vec();
+        let mean = a.iter().sum::<f32>() / 1000.0;
         assert!(mean.abs() < 0.15, "mean {mean} too far from 0");
-        let var: f32 = a
-            .data()
-            .iter()
-            .map(|&x| (x - mean) * (x - mean))
-            .sum::<f32>()
-            / 999.0;
+        let var: f32 = a.iter().map(|&x| (x - mean) * (x - mean)).sum::<f32>() / 999.0;
         assert!((var - 1.0).abs() < 0.2, "variance {var} too far from 1");
-    }
-
-    #[test]
-    fn axpy_and_scale() {
-        let mut a = Tensor::full([4], 1.0);
-        let b = Tensor::full([4], 2.0);
-        a.axpy(0.5, &b);
-        assert_eq!(a.data(), &[2.0; 4]);
-        a.scale(2.0);
-        assert_eq!(a.data(), &[4.0; 4]);
-        a.add_assign(&b);
-        assert_eq!(a.data(), &[6.0; 4]);
-    }
-
-    #[test]
-    fn reductions() {
-        let t = Tensor::from_vec([4], vec![1.0, -2.0, 3.0, -4.0]);
-        assert_eq!(t.sum(), -2.0);
-        assert_eq!(t.mean(), -0.5);
-        assert_eq!(t.abs_max(), 4.0);
-        assert!((t.l2_norm() - 30f32.sqrt()).abs() < 1e-6);
-    }
-
-    #[test]
-    fn non_finite_detection() {
-        let mut t = Tensor::zeros([3]);
-        assert!(!t.has_non_finite());
-        t.set(&[1], f32::NAN);
-        assert!(t.has_non_finite());
-        t.set(&[1], f32::INFINITY);
-        assert!(t.has_non_finite());
-    }
-
-    #[test]
-    fn reshape_preserves_data() {
-        let t = Tensor::from_vec([2, 3], (0..6).map(|i| i as f32).collect());
-        let r = t.clone().reshape([3, 2]);
-        assert_eq!(r.data(), t.data());
-        assert_eq!(r.dims(), &[3, 2]);
-    }
-
-    #[test]
-    #[should_panic(expected = "changes element count")]
-    fn reshape_rejects_bad_count() {
-        Tensor::zeros([2, 3]).reshape([7]);
-    }
-
-    #[test]
-    fn quantize_in_place() {
-        let mut t = Tensor::from_vec([2], vec![1.0 + 2f32.powi(-12), -3.3]);
-        t.quantize_(DType::F16);
-        assert_eq!(t.data()[0], 1.0);
     }
 }

@@ -66,12 +66,7 @@ fn main() {
         None
     };
 
-    let mut spec = match strategy {
-        Strategy::Zb1 | Strategy::Zb2 | Strategy::Wzb1 | Strategy::Wzb2 => {
-            PipelineSpec::new(ranks, n).without_recompute()
-        }
-        _ => PipelineSpec::new(ranks, n),
-    };
+    let mut spec = PipelineSpec::new(ranks, n);
     if let Some(g) = group {
         spec = spec.with_group(g);
     }
