@@ -1,12 +1,45 @@
 //! Property-based tests over the schedule builders: validity and the
 //! paper's traffic invariants must hold for arbitrary (strategy, P, N).
 
+mod mutations;
+
 use proptest::prelude::*;
+use std::panic::{catch_unwind, AssertUnwindSafe};
 use wp_sched::analysis::{total_traffic, ByteModel};
 use wp_sched::{build, validate, PipelineSpec, Strategy as Strat, ALL_STRATEGIES};
 
 fn arb_strategy() -> impl Strategy<Value = Strat> {
     prop::sample::select(ALL_STRATEGIES.to_vec())
+}
+
+/// `validate`'s verdict on every seeded mutation: `ok`, `reject`, or
+/// `panic` where it does not return at all.
+fn mutation_verdicts() -> String {
+    mutations::sweep(|s| match catch_unwind(AssertUnwindSafe(|| validate(s))) {
+        Ok(Ok(())) => "ok".into(),
+        Ok(Err(_)) => "reject".into(),
+        Err(_) => "panic".into(),
+    })
+}
+
+/// One broken op per case (`tests/mutations`): what `validate` says of each
+/// is pinned in `tests/fixtures/mutation_verdicts.txt`. A change to the
+/// validator may turn an `ok` into a `reject`, never the reverse; rewrite
+/// the file with `-- --ignored` and read the diff.
+#[test]
+fn validate_judges_every_mutation_as_pinned() {
+    let want = include_str!("fixtures/mutation_verdicts.txt");
+    mutations::assert_pinned(&mutation_verdicts(), want, "mutation_verdicts.txt");
+}
+
+#[test]
+#[ignore = "rewrites tests/fixtures/mutation_verdicts.txt"]
+fn regenerate_the_mutation_verdicts() {
+    let path = concat!(
+        env!("CARGO_MANIFEST_DIR"),
+        "/tests/fixtures/mutation_verdicts.txt"
+    );
+    std::fs::write(path, mutation_verdicts()).expect("fixture is writable");
 }
 
 proptest! {

@@ -12,7 +12,11 @@
 //! compared: per-rank timelines, busy seconds, bubble fraction, peak
 //! memory, and wire traffic.
 
+#[path = "../../wp-sched/tests/mutations/mod.rs"]
+mod mutations;
+
 use proptest::prelude::*;
+use std::panic::{catch_unwind, AssertUnwindSafe};
 use wp_sched::{build, validate, PipelineSpec, Strategy as Strat, ALL_STRATEGIES};
 use wp_sim::engine::simulate_reference;
 use wp_sim::{simulate, ClusterSpec, CostModel, GpuSpec, ModelDims, SimOptions};
@@ -210,4 +214,44 @@ fn experiment_cells_reproduce_bit_identically() {
             assert_eq!(d.bubble_ratio.to_bits(), r.bubble_ratio.to_bits());
         }
     }
+}
+
+/// Both engines' verdict on every seeded mutation: `ok`, `err`, or `panic`.
+fn mutation_stalls() -> String {
+    mutations::sweep(|sched| {
+        let p = sched.ranks;
+        let dims = ModelDims::paper(1024, 2 * p, 4096, 4);
+        let cost = CostModel::for_schedule(dims, GpuSpec::a800(), sched);
+        let cluster = ClusterSpec::nvlink_island(p);
+        let verdict = |engine: &dyn Fn() -> bool| match catch_unwind(AssertUnwindSafe(engine)) {
+            Ok(true) => "ok",
+            Ok(false) => "err",
+            Err(_) => "panic",
+        };
+        let opts = SimOptions::default();
+        format!(
+            "simulate={} reference={}",
+            verdict(&|| simulate(sched, &cost, &cluster, opts).is_ok()),
+            verdict(&|| simulate_reference(sched, &cost, &cluster, opts).is_ok())
+        )
+    })
+}
+
+/// The stall side of `wp-sched/tests/props.rs`'s mutation pin: a mutated
+/// schedule an engine refused stays refused (`Err`, not a panic or a
+/// spin); rewrite `tests/fixtures/mutation_stalls.txt` with `-- --ignored`.
+#[test]
+fn engines_judge_every_mutation_as_pinned() {
+    let want = include_str!("fixtures/mutation_stalls.txt");
+    mutations::assert_pinned(&mutation_stalls(), want, "mutation_stalls.txt");
+}
+
+#[test]
+#[ignore = "rewrites tests/fixtures/mutation_stalls.txt"]
+fn regenerate_the_mutation_stalls() {
+    let path = concat!(
+        env!("CARGO_MANIFEST_DIR"),
+        "/tests/fixtures/mutation_stalls.txt"
+    );
+    std::fs::write(path, mutation_stalls()).expect("fixture is writable");
 }
