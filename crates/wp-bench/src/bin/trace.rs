@@ -12,8 +12,10 @@
 //! ```
 //!
 //! `--trace-out` writes the Chrome trace-event JSON (open at
-//! <https://ui.perfetto.dev>); `--validate` re-parses the export and fails
-//! the process if it is malformed — the CI smoke check.
+//! <https://ui.perfetto.dev>); `--validate` re-parses the export and checks
+//! the measured spans against the schedule's dependency graph
+//! (`wp_sim::check_timeline`), failing the process if either is off — the
+//! CI smoke check.
 
 use weipipe::{run_distributed, Strategy, TraceConfig, TrainSetup};
 use wp_bench::drift::{export_chrome_trace, print_against_sim};
@@ -49,7 +51,22 @@ fn main() {
         microbatches,
         overlap,
     );
-    if let Err(e) = export_chrome_trace(trace, validate, trace_out.as_deref()) {
+    // Rank threads share one clock, so cross-rank causality is exact: every
+    // compute span must start after the spans the schedule's dependency
+    // graph puts before it have ended.
+    let causal = if validate {
+        let schedule = weipipe::build_schedule(strategy, ranks, &setup);
+        let graph = wp_sched::DepGraph::build(&schedule).expect("the runtime validated it");
+        wp_sim::check_timeline(&graph, &wp_sim::measured_result(trace))
+            .map(|()| {
+                println!("validated timeline: every compute span follows its graph ancestors")
+            })
+            .map_err(|e| format!("measured timeline breaks the dependency graph: {e}"))
+    } else {
+        Ok(())
+    };
+    let exported = export_chrome_trace(trace, validate, trace_out.as_deref());
+    if let Err(e) = causal.and(exported) {
         eprintln!("{e}");
         std::process::exit(1);
     }

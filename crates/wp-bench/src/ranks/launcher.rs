@@ -413,7 +413,11 @@ fn check_world(
 /// Each worker records against its own process-local epoch, so tracks are
 /// re-based to start at zero; cross-rank skew (the few ms between process
 /// starts) is dropped, which is fine for the per-phase bubble and busy-share
-/// numbers the drift report compares.
+/// numbers the drift report compares. It also means only same-rank edges of
+/// the schedule's dependency graph could be checked on this trace, so
+/// `wp_sim::check_timeline` is not run on it (it is on in-process traces,
+/// which share one clock): cross-process causality needs a clock-offset
+/// estimate first, not a tolerance.
 fn merged_trace(reports: &[RankReport]) -> Trace {
     let tracks = reports
         .iter()

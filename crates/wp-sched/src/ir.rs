@@ -7,29 +7,14 @@
 //! IR; the discrete-event simulator executes it, the validator checks its
 //! physical consistency, and the analyses count its bytes.
 //!
-//! ## Execution semantics (what the simulator implements)
+//! ## Execution semantics
 //!
-//! * Compute ops on a rank serialize in program order on that rank's
-//!   compute engine. A compute op additionally waits for the *arrival* of
-//!   every message in its `needs` list.
-//! * `Send` is non-blocking: it is issued once its `needs` have arrived and
-//!   (if `after_compute`) the latest preceding compute op in program order
-//!   has finished. Transfers serialize on the directed link they use.
-//! * `Recv` is a non-blocking posting: it completes at message arrival and
-//!   gates nothing by itself — consumers name the message in `needs`. It
-//!   exists for validation (every arrival must be expected) and for memory
-//!   accounting (buffers appear at arrival).
-//! * `PrePost`/`WaitReq` split a receive into its `irecv` posting and its
-//!   blocking `wait`. `PrePost` is free — it gates nothing and costs no
-//!   time; `WaitReq` blocks the issuing rank's program until the message
-//!   has arrived. The pair is how the WeiPipe builders express the
-//!   double-buffered weight ring: post round `t+1`'s receive before round
-//!   `t`'s compute, wait only at the round boundary.
-//! * Collectives rendezvous: all ranks' instances of the same collective
-//!   start together (at the latest participant) and complete together.
-//!
-//! This models a rank as one compute stream plus full-duplex DMA — the
-//! `batch_isend_irecv`-style overlap the paper's implementation uses (§4.3).
+//! Which op waits on which — program order, message delivery,
+//! `PrePost`/`WaitReq` pairing, collective rendezvous, and which of those
+//! waits the simulator prices — is stated once, in [`crate::graph`]. In
+//! short: a rank is one compute stream plus full-duplex DMA (the
+//! `batch_isend_irecv`-style overlap of the paper's §4.3); `Send` does not
+//! block; `Recv` and `WaitReq` return at arrival; `PrePost` is free.
 
 /// Sentinel microbatch index for ops that aren't tied to a microbatch.
 pub const NO_MB: usize = usize::MAX;
@@ -292,88 +277,66 @@ impl OpKind {
 pub struct Op {
     /// The instruction.
     pub kind: OpKind,
-    /// Message arrivals that must precede the start of this op.
+    /// Messages — delivered to this rank — that must have arrived before
+    /// the op starts: `Message` / `Rendezvous` edges of [`crate::graph`].
     pub needs: Vec<MsgKey>,
-    /// For `Send`: also wait for the latest preceding compute op on this
-    /// rank (the payload is produced locally). Pure forwarding sends (ring
-    /// weight hops) clear this so forwarding overlaps local compute.
+    /// For a `Send` or a collective: the payload is produced locally, so
+    /// also wait for the rank's latest preceding compute op (the graph's
+    /// `AfterCompute` edge). Pure forwarding sends (ring weight hops) clear
+    /// this so forwarding overlaps local compute.
     pub after_compute: bool,
     /// Rank-local memory deltas applied when the op completes.
     pub mem: Vec<(MemUnit, i64)>,
 }
 
 impl Op {
-    /// A compute op with no message dependencies.
-    pub fn compute(kind: OpKind) -> Self {
-        debug_assert!(kind.is_compute());
+    fn of(kind: OpKind, after_compute: bool) -> Self {
         Op {
             kind,
             needs: Vec::new(),
-            after_compute: false,
+            after_compute,
             mem: Vec::new(),
         }
+    }
+
+    /// A compute op with no message dependencies.
+    pub fn compute(kind: OpKind) -> Self {
+        debug_assert!(kind.is_compute());
+        Self::of(kind, false)
     }
 
     /// A send that waits for the preceding compute op (locally produced
     /// payload).
     pub fn send(key: MsgKey) -> Self {
-        Op {
-            kind: OpKind::Send(key),
-            needs: Vec::new(),
-            after_compute: true,
-            mem: Vec::new(),
-        }
+        Self::of(OpKind::Send(key), true)
     }
 
     /// The send of a seeded chunk at turn 0: the payload is already held
     /// ([`Schedule::seeds`]), so it departs with nothing to wait for.
     pub fn seed_send(key: MsgKey) -> Self {
-        Op {
-            after_compute: false,
-            ..Self::send(key)
-        }
+        Self::of(OpKind::Send(key), false)
     }
 
     /// A forwarding send: fires as soon as `arrived` is in, regardless of
     /// local compute.
     pub fn forward_send(key: MsgKey, arrived: MsgKey) -> Self {
-        Op {
-            kind: OpKind::Send(key),
-            needs: vec![arrived],
-            after_compute: false,
-            mem: Vec::new(),
-        }
+        Self::seed_send(key).needs(arrived)
     }
 
     /// A receive posting.
     pub fn recv(key: MsgKey) -> Self {
-        Op {
-            kind: OpKind::Recv(key),
-            needs: Vec::new(),
-            after_compute: false,
-            mem: Vec::new(),
-        }
+        Self::of(OpKind::Recv(key), false)
     }
 
     /// Pre-post the receive request for `key` (the `irecv` half of a
     /// double-buffered transfer).
     pub fn pre_post(key: MsgKey) -> Self {
-        Op {
-            kind: OpKind::PrePost(key),
-            needs: Vec::new(),
-            after_compute: false,
-            mem: Vec::new(),
-        }
+        Self::of(OpKind::PrePost(key), false)
     }
 
     /// Redeem the pre-posted request for `key` (the blocking `wait` half).
     pub fn wait_req(key: MsgKey) -> Self {
-        Op {
-            kind: OpKind::WaitReq(key),
-            needs: Vec::new(),
-            after_compute: false,
-            mem: Vec::new(),
-        }
+        Self::of(OpKind::WaitReq(key), false)
     }
 
     /// A collective op. It gates on the latest preceding compute op (the
@@ -381,12 +344,7 @@ impl Op {
     /// engine so later compute overlaps it.
     pub fn compute_collective(kind: OpKind) -> Self {
         debug_assert!(kind.is_collective());
-        Op {
-            kind,
-            needs: Vec::new(),
-            after_compute: true,
-            mem: Vec::new(),
-        }
+        Self::of(kind, true)
     }
 
     /// Add a message dependency.

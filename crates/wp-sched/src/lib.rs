@@ -12,9 +12,12 @@
 //! * `wp-sim` executes the IR against a hardware cost model (throughput,
 //!   bubble ratio, peak memory, per-link traffic → the paper's tables and
 //!   figures);
+//! * [`graph::DepGraph`] is the IR's dependency semantics as a value —
+//!   which op waits on which, typed edge by typed edge — that the validator,
+//!   the simulator and its timeline checker all read;
 //! * [`validate::validate`] proves schedules physically consistent
-//!   (matched messages, full compute coverage, balanced buffers, deadlock
-//!   freedom);
+//!   (the graph builds and is acyclic, full compute coverage, balanced
+//!   buffers, weight slots held);
 //! * [`analysis`] counts bytes and carries the paper's §3 closed forms
 //!   (crossover ratio, 36H² per turn, 2·M_A per microbatch);
 //! * [`tune`] frames the builder knobs (strategy, microbatches, W-lag,
@@ -35,11 +38,13 @@
 
 pub mod analysis;
 pub mod builders;
+pub mod graph;
 pub mod ir;
 pub mod tune;
 pub mod validate;
 
 pub use builders::{build, PipelineSpec, ALL_STRATEGIES};
+pub use graph::DepGraph;
 pub use ir::{
     weight_slot, MemUnit, MsgKey, MsgKind, Op, OpKind, Refresh, Schedule, Strategy, EMBED_HEAD,
     FLOW_BWD, FLOW_FWD, NO_MB, RESIDENT, SHARDED,

@@ -3,24 +3,21 @@
 //! [`validate`] proves a schedule is *physically executable* before any
 //! simulator or runtime touches it:
 //!
-//! 1. **Message consistency** — every send has exactly one matching receive
-//!    posting (a `Recv`, or a `PrePost`/`WaitReq` pair) and vice versa,
-//!    emitted on the key's `src`/`dst` ranks; every `WaitReq` is preceded
-//!    in its rank's program order by its matching `PrePost`, and every
-//!    `PrePost` is redeemed by exactly one `WaitReq`.
+//! 1. **Message consistency** — the dependency graph builds
+//!    ([`DepGraph::build`]): every message's makers and waiters match up.
 //! 2. **Compute coverage** — every (microbatch × chunk) is forwarded exactly
 //!    once and backwarded exactly once (fused, or B-then-W on one rank);
 //!    every chunk is updated at least once.
 //! 3. **Memory balance** — per rank, every tracked [`MemUnit`] running sum
 //!    returns to zero over the iteration (no leaked activation buffers).
-//! 4. **Deadlock freedom** — executing ops under the IR's dependency
-//!    semantics (compute serializes per rank, sends gate on needs/compute,
-//!    collectives rendezvous) reaches every op.
+//! 4. **Deadlock freedom** — that graph is acyclic
+//!    ([`DepGraph::topological_order`]); a failure prints the cycle.
 //! 5. **Slot availability** — in each rank's program order, every weight
 //!    copy an op reads or sends is one the rank holds by then: a seed
 //!    ([`Schedule::seeds`]) or an earlier `Recv`/`WaitReq`/`AllGatherW`.
 
-use crate::ir::{weight_slot, MemUnit, MsgKey, MsgKind, OpKind, Schedule, RESIDENT, SHARDED};
+use crate::graph::DepGraph;
+use crate::ir::{weight_slot, MemUnit, MsgKind, OpKind, Schedule, RESIDENT, SHARDED};
 use std::collections::{HashMap, HashSet};
 
 /// A validation failure, with context.
@@ -37,146 +34,59 @@ impl std::error::Error for ValidationError {}
 
 /// Validate a schedule. Returns the first problem found.
 pub fn validate(s: &Schedule) -> Result<(), ValidationError> {
-    check_messages(s)?;
+    let graph = DepGraph::build(s)?;
     check_coverage(s)?;
     check_memory_balance(s)?;
-    check_executable(s)?;
-    check_slots(s)?;
-    Ok(())
-}
-
-fn check_messages(s: &Schedule) -> Result<(), ValidationError> {
-    let mut sends: HashMap<MsgKey, usize> = HashMap::new();
-    let mut recvs: HashMap<MsgKey, usize> = HashMap::new();
-    // Pre-posted requests not yet redeemed by a WaitReq, per (rank, key).
-    // iter_ops yields each rank's stream in program order, so ordering
-    // violations (wait before post) surface as a missing entry here.
-    let mut open: HashSet<(usize, MsgKey)> = HashSet::new();
-    for (rank, op) in s.iter_ops() {
-        match &op.kind {
-            OpKind::Send(k) => {
-                if k.src != rank {
-                    return Err(ValidationError(format!(
-                        "send {k:?} emitted on rank {rank}, not its src"
-                    )));
-                }
-                if k.src == k.dst {
-                    return Err(ValidationError(format!("self-send {k:?}")));
-                }
-                *sends.entry(*k).or_insert(0) += 1;
-            }
-            OpKind::Recv(k) => {
-                if k.dst != rank {
-                    return Err(ValidationError(format!(
-                        "recv {k:?} emitted on rank {rank}, not its dst"
-                    )));
-                }
-                *recvs.entry(*k).or_insert(0) += 1;
-            }
-            OpKind::PrePost(k) => {
-                if k.dst != rank {
-                    return Err(ValidationError(format!(
-                        "pre-post {k:?} emitted on rank {rank}, not its dst"
-                    )));
-                }
-                open.insert((rank, *k));
-                *recvs.entry(*k).or_insert(0) += 1;
-            }
-            OpKind::WaitReq(k) => {
-                if k.dst != rank {
-                    return Err(ValidationError(format!(
-                        "wait {k:?} emitted on rank {rank}, not its dst"
-                    )));
-                }
-                if !open.remove(&(rank, *k)) {
-                    return Err(ValidationError(format!(
-                        "rank {rank}: wait for {k:?} without an earlier pre-post"
-                    )));
-                }
-            }
-            _ => {}
-        }
-    }
-    if let Some((rank, k)) = open.iter().next() {
-        return Err(ValidationError(format!(
-            "rank {rank}: pre-posted request {k:?} is never waited on"
-        )));
-    }
-    for (k, &n) in &sends {
-        if n != 1 {
-            return Err(ValidationError(format!("duplicate send key {k:?} ({n}×)")));
-        }
-        if recvs.get(k) != Some(&1) {
-            return Err(ValidationError(format!("send {k:?} has no matching recv")));
-        }
-    }
-    for k in recvs.keys() {
-        if !sends.contains_key(k) {
-            return Err(ValidationError(format!("recv {k:?} has no matching send")));
-        }
-    }
-    Ok(())
+    graph.topological_order()?;
+    check_slots(s)
 }
 
 fn check_coverage(s: &Schedule) -> Result<(), ValidationError> {
     // In data-parallel strategies each rank covers its own microbatches; in
     // pipelines every microbatch covers every chunk. Either way the global
-    // invariant is the same: (mb, chunk) forwarded exactly once.
-    let mut fwd: HashMap<(usize, usize), usize> = HashMap::new();
-    let mut bwd_full: HashMap<(usize, usize), usize> = HashMap::new();
-    let mut bwd_data: HashMap<(usize, usize), (usize, usize)> = HashMap::new(); // count, rank
-    let mut bwd_weight: HashMap<(usize, usize), (usize, usize)> = HashMap::new();
-    let mut updates: HashMap<usize, usize> = HashMap::new();
+    // invariant is the same: (mb, chunk) forwarded exactly once. Per
+    // (mb, chunk): runs of [Fwd, BwdFull, BwdData, BwdWeight], and the rank
+    // of the last B and W pass.
+    let mut ran: HashMap<(usize, usize), ([usize; 4], [usize; 2])> = HashMap::new();
+    let mut updated = HashSet::new();
     for (rank, op) in s.iter_ops() {
-        match op.kind {
-            OpKind::Fwd { mb, chunk } => *fwd.entry((mb, chunk)).or_insert(0) += 1,
-            OpKind::BwdFull { mb, chunk } => *bwd_full.entry((mb, chunk)).or_insert(0) += 1,
-            OpKind::BwdData { mb, chunk } => {
-                let e = bwd_data.entry((mb, chunk)).or_insert((0, rank));
-                e.0 += 1;
-                e.1 = rank;
+        let (pass, mb, chunk) = match op.kind {
+            OpKind::Fwd { mb, chunk } => (0, mb, chunk),
+            OpKind::BwdFull { mb, chunk } => (1, mb, chunk),
+            OpKind::BwdData { mb, chunk } => (2, mb, chunk),
+            OpKind::BwdWeight { mb, chunk } => (3, mb, chunk),
+            OpKind::Update { chunk } => {
+                updated.insert(chunk);
+                continue;
             }
-            OpKind::BwdWeight { mb, chunk } => {
-                let e = bwd_weight.entry((mb, chunk)).or_insert((0, rank));
-                e.0 += 1;
-                e.1 = rank;
-            }
-            OpKind::Update { chunk } => *updates.entry(chunk).or_insert(0) += 1,
-            _ => {}
+            _ => continue,
+        };
+        let (runs, on) = ran.entry((mb, chunk)).or_default();
+        runs[pass] += 1;
+        if pass >= 2 {
+            on[pass - 2] = rank;
         }
     }
-    // DDP replicates compute across ranks; its per-(mb,chunk) counts are 1
-    // because each rank only runs its own microbatches — handled naturally.
-    for mb in 0..s.microbatches {
-        for c in 0..s.chunks {
-            let f = fwd.get(&(mb, c)).copied().unwrap_or(0);
-            if f != 1 {
-                return Err(ValidationError(format!("Fwd(mb={mb}, chunk={c}) ran {f}×")));
-            }
-            let full = bwd_full.get(&(mb, c)).copied().unwrap_or(0);
-            let data = bwd_data.get(&(mb, c)).copied().unwrap_or((0, 0));
-            let weight = bwd_weight.get(&(mb, c)).copied().unwrap_or((0, 0));
-            let ok = (full == 1 && data.0 == 0 && weight.0 == 0)
-                || (full == 0 && data.0 == 1 && weight.0 == 1);
-            if !ok {
-                return Err(ValidationError(format!(
-                    "backward of (mb={mb}, chunk={c}) malformed: full={full} B={} W={}",
-                    data.0, weight.0
-                )));
-            }
-            if data.0 == 1 && data.1 != weight.1 {
-                return Err(ValidationError(format!(
-                    "B and W passes of (mb={mb}, chunk={c}) on different ranks"
-                )));
-            }
+    for (mb, c) in (0..s.microbatches).flat_map(|mb| (0..s.chunks).map(move |c| (mb, c))) {
+        let ([f, full, b, w], on) = ran.get(&(mb, c)).copied().unwrap_or_default();
+        if f != 1 {
+            return Err(ValidationError(format!("Fwd(mb={mb}, chunk={c}) ran {f}×")));
+        }
+        if ![[1, 0, 0], [0, 1, 1]].contains(&[full, b, w]) {
+            return Err(ValidationError(format!(
+                "backward of (mb={mb}, chunk={c}) malformed: full={full} B={b} W={w}"
+            )));
+        }
+        if b == 1 && on[0] != on[1] {
+            return Err(ValidationError(format!(
+                "B and W passes of (mb={mb}, chunk={c}) on different ranks"
+            )));
         }
     }
-    for c in 0..s.chunks {
-        if updates.get(&c).copied().unwrap_or(0) == 0 {
-            return Err(ValidationError(format!("chunk {c} is never updated")));
-        }
+    match (0..s.chunks).find(|c| !updated.contains(c)) {
+        Some(c) => Err(ValidationError(format!("chunk {c} is never updated"))),
+        None => Ok(()),
     }
-    Ok(())
 }
 
 fn check_memory_balance(s: &Schedule) -> Result<(), ValidationError> {
@@ -199,86 +109,6 @@ fn check_memory_balance(s: &Schedule) -> Result<(), ValidationError> {
                 return Err(ValidationError(format!("rank {r}: {u:?} leaks {v} units")));
             }
         }
-    }
-    Ok(())
-}
-
-/// Worklist execution under the IR semantics; fails if any op never becomes
-/// runnable (deadlock or dangling dependency).
-#[allow(clippy::needless_range_loop)]
-fn check_executable(s: &Schedule) -> Result<(), ValidationError> {
-    let p = s.ranks;
-    // Global op ids: (rank, index).
-    let mut arrived: HashSet<MsgKey> = HashSet::new();
-    // Collective groups: (discriminant) -> ranks arrived.
-    let mut coll_ready: HashMap<(u8, usize, usize), HashSet<usize>> = HashMap::new();
-    let mut cursor = vec![0usize; p];
-    let mut progress = true;
-    let mut executed = 0usize;
-    let total = s.total_ops();
-
-    // Per-rank pending collective completion keys to register once the
-    // group rendezvous completes.
-    while progress {
-        progress = false;
-        for r in 0..p {
-            while cursor[r] < s.ops[r].len() {
-                let op = &s.ops[r][cursor[r]];
-                // Program order approximation for validation: an op may run
-                // when all its needs have arrived. (Engine timing is the
-                // simulator's business; validation only needs reachability.)
-                if !op.needs.iter().all(|k| arrived.contains(k)) {
-                    break;
-                }
-                match &op.kind {
-                    // A recv is passable only once the message arrived; a
-                    // wait on a pre-posted request blocks the same way. The
-                    // pre-post itself is free (it gates nothing).
-                    OpKind::Recv(k) | OpKind::WaitReq(k) if !arrived.contains(k) => {
-                        break;
-                    }
-                    OpKind::Send(k) => {
-                        arrived.insert(*k);
-                    }
-                    kind if kind.is_collective() => {
-                        let group = coll_ready.entry(kind.rendezvous()).or_default();
-                        group.insert(r);
-                        if group.len() == p {
-                            // Rendezvous complete: register every rank's
-                            // pseudo-arrival.
-                            for rr in 0..p {
-                                arrived.insert(kind.collective_key(rr));
-                            }
-                        } else {
-                            // This rank has "entered" the collective; it
-                            // blocks here until the group completes, which
-                            // we model by retrying (the pseudo-key gates any
-                            // consumer anyway). Mark passable.
-                        }
-                    }
-                    _ => {}
-                }
-                cursor[r] += 1;
-                executed += 1;
-                progress = true;
-            }
-        }
-    }
-    if executed != total {
-        // Find a blocked op for diagnostics.
-        for r in 0..p {
-            if cursor[r] < s.ops[r].len() {
-                let op = &s.ops[r][cursor[r]];
-                let missing: Vec<_> = op.needs.iter().filter(|k| !arrived.contains(k)).collect();
-                return Err(ValidationError(format!(
-                    "deadlock: rank {r} stuck at op {} ({:?}), missing {missing:?}",
-                    cursor[r], op.kind
-                )));
-            }
-        }
-        return Err(ValidationError(
-            "deadlock with no identifiable blocker".into(),
-        ));
     }
     Ok(())
 }

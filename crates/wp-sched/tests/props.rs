@@ -6,7 +6,7 @@ mod mutations;
 use proptest::prelude::*;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use wp_sched::analysis::{total_traffic, ByteModel};
-use wp_sched::{build, validate, PipelineSpec, Strategy as Strat, ALL_STRATEGIES};
+use wp_sched::{build, validate, DepGraph, PipelineSpec, Strategy as Strat, ALL_STRATEGIES};
 
 fn arb_strategy() -> impl Strategy<Value = Strat> {
     prop::sample::select(ALL_STRATEGIES.to_vec())
@@ -28,8 +28,33 @@ fn mutation_verdicts() -> String {
 /// the file with `-- --ignored` and read the diff.
 #[test]
 fn validate_judges_every_mutation_as_pinned() {
-    let want = include_str!("fixtures/mutation_verdicts.txt");
-    mutations::assert_pinned(&mutation_verdicts(), want, "mutation_verdicts.txt");
+    let (got, want) = (
+        mutation_verdicts(),
+        include_str!("fixtures/mutation_verdicts.txt"),
+    );
+    mutations::assert_pinned(&got, want, "mutation_verdicts.txt");
+    // The two kinds the walkers before `DepGraph` let through.
+    for row in got.lines() {
+        let caught = !row.contains(" retarget-need ") && !row.contains(" drop-collective-entry ");
+        assert!(caught || row.ends_with(": reject"), "{row}");
+    }
+}
+
+/// A rejection by the graph itself names the edge: a rank, an op index and
+/// a key (whose other end is the peer).
+#[test]
+fn every_mutation_the_graph_rejects_names_its_edge() {
+    mutations::sweep(|s| {
+        let order = DepGraph::build(s).and_then(|g| g.topological_order());
+        let said = order.err().map_or("rank op MsgKey {".into(), |e| e.0);
+        assert!(
+            ["rank ", " op ", "MsgKey {"]
+                .iter()
+                .all(|part| said.contains(part)),
+            "{said}"
+        );
+        said
+    });
 }
 
 #[test]

@@ -1,148 +1,73 @@
-//! The one place a schedule is priced: [`State::step`] prices the op at a
-//! rank's cursor, and two drivers decide which rank steps next.
+//! The one place a schedule is priced: [`State::price`] prices one node of
+//! the schedule's dependency graph ([`wp_sched::graph`], which states what
+//! waits on what and which of those edges are priced). Two drivers call
+//! it: [`crate::engine::simulate`], one pass over the graph's topological
+//! order, and [`crate::engine::simulate_reference`], the round-robin
+//! oracle.
 //!
-//! ## What is shared: the step
+//! [`State`] holds everything pricing reads or writes — one arrival time
+//! per message (a `Vec` indexed by the graph's dense message ids),
+//! per-rank compute/collective engine clocks, per-directed-link occupancy,
+//! open collective rendezvous, and the output accumulators (timeline, busy
+//! seconds, byte counters, memory events, makespan). [`State::price`]
+//! takes one node: if every message on its wait list has an arrival time
+//! the op is priced (semantics in [`crate::engine`]'s module docs) and its
+//! memory deltas are logged; otherwise nothing changes and it returns
+//! `false`. [`State::finish`] folds the accumulators into a [`SimResult`].
 //!
-//! [`State`] holds everything pricing reads or writes — message arrival
-//! times, per-rank compute/collective engine clocks, per-directed-link
-//! occupancy, open collective rendezvous, and the output accumulators
-//! (timeline, busy seconds, byte counters, memory events, makespan).
-//! [`State::step`] takes one rank: if every message the op at its cursor
-//! depends on has an arrival time, the op is priced (semantics in
-//! [`crate::engine`]'s module docs), its memory deltas are logged, the
-//! cursor advances and the step returns [`Step::Done`]; otherwise nothing
-//! changes and it returns [`Step::Blocked`] with the missing key.
-//! [`State::finish`] folds the accumulators into a [`SimResult`].
+//! Why the order nodes are priced in cannot change a bit, as long as it is
+//! consistent with the graph:
 //!
-//! ## What the oracle varies: the driver
-//!
-//! * [`simulate_des`] (behind [`crate::engine::simulate`]) keeps a min-heap
-//!   of rank wake-ups: a blocked rank parks on its key and is re-queued
-//!   when some other rank's step resolves it — `O(ops · log P)` heap
-//!   traffic, so fleet-scale grids (P in the thousands) price in seconds.
-//! * [`crate::engine::simulate_reference`] re-scans every rank round-robin
-//!   until no cursor moves — `O(rounds × P)` passes, minutes-slow at fleet
-//!   scale, but with no queue, no waiter table and no wake-up to get wrong.
-//!
-//! The two visit ranks in very different orders, and the unit tests below,
-//! `tests/engine_equivalence.rs` and the experiment-cell checks assert the
-//! results are **bit-identical** — same timelines, busy seconds, bubble
-//! fractions, memory peaks and byte counts. That is a check that visit
-//! order cannot change a bit (and that the heap driver loses no wake-up),
-//! not a second opinion on the prices: those are pinned by the golden
-//! Table 2–4 CSVs (`wp-bench/tests/golden_tables.rs`) and the paper-claim
-//! tests. Why order cannot matter:
-//!
-//! * every op's start/end time is a `max`/`+` combination of (a) message
-//!   arrival times, (b) its own rank's engine state and (c) its own link's
-//!   occupancy — all fully determined *before* the op can run, whichever
-//!   order ranks are visited in. `f64::max` is exact and order-insensitive
-//!   and every sum has a fixed operand order, so the fixpoint is unique;
+//! * every op's start/end time is a `max`/`+` combination of (a) the
+//!   arrival times of messages on its wait list, (b) its own rank's engine
+//!   clocks and (c) its own link's occupancy. `f64::max` is exact and
+//!   order-insensitive and every sum has a fixed operand order;
+//! * a rank's engine clocks are written by that rank's ops, in program
+//!   order, and by the completion of a rendezvous the rank entered — which
+//!   the `Barrier` edge orders before the entry's program successor, so
+//!   every op sees the completions of exactly the collectives before it;
 //! * each directed link has a single writer (its source rank), so link
-//!   occupancy serializes in that rank's program order under any driver —
-//!   which is why a link is one `free` time, not a queue;
+//!   occupancy serializes in that rank's program order — which is why a
+//!   link is one `free` time, not a queue;
 //! * per-rank side effects (timeline pushes, busy accumulation, memory
-//!   events) happen in program order under any driver, so the stable sort
-//!   and running sums in [`State::finish`] see identical sequences.
+//!   events) happen in program order, so the stable sort and running sums
+//!   in [`State::finish`] see identical sequences.
+//!
+//! `tests/engine_equivalence.rs` and the unit tests below hold the two
+//! drivers to **bit-identical** results; the prices themselves are pinned
+//! by the golden Table 2–4 CSVs (`wp-bench/tests/golden_tables.rs`).
 
 use crate::cluster::ClusterSpec;
 use crate::cost::CostModel;
 use crate::engine::{SimError, SimOptions, SimResult, TimedOp};
-use std::cmp::Reverse;
-use std::collections::{BinaryHeap, HashMap};
-use std::hash::{BuildHasherDefault, Hasher};
-use wp_sched::{MsgKey, MsgKind, Op, OpKind, Schedule};
-
-/// A fast, deterministic hasher (FxHash-style rotate-xor-multiply) for the
-/// hot arrival/waiter maps. The std SipHash dominates the profile at fleet
-/// scale — tens of millions of [`MsgKey`] lookups per run — and this is
-/// the standard compiler-internals replacement: deterministic across runs
-/// and platforms, which the fixed-seed autotuner smoke relies on.
-#[derive(Default)]
-pub(crate) struct FxHasher {
-    hash: u64,
-}
-
-impl FxHasher {
-    #[inline]
-    fn add(&mut self, word: u64) {
-        self.hash = (self.hash.rotate_left(5) ^ word).wrapping_mul(0x51_7c_c1_b7_27_22_0a_95);
-    }
-}
-
-impl Hasher for FxHasher {
-    #[inline]
-    fn finish(&self) -> u64 {
-        self.hash
-    }
-    #[inline]
-    fn write(&mut self, bytes: &[u8]) {
-        for &b in bytes {
-            self.add(b as u64);
-        }
-    }
-    #[inline]
-    fn write_u8(&mut self, n: u8) {
-        self.add(n as u64);
-    }
-    #[inline]
-    fn write_u16(&mut self, n: u16) {
-        self.add(n as u64);
-    }
-    #[inline]
-    fn write_u32(&mut self, n: u32) {
-        self.add(n as u64);
-    }
-    #[inline]
-    fn write_u64(&mut self, n: u64) {
-        self.add(n);
-    }
-    #[inline]
-    fn write_usize(&mut self, n: usize) {
-        self.add(n as u64);
-    }
-}
-
-pub(crate) type FxMap<K, V> = HashMap<K, V, BuildHasherDefault<FxHasher>>;
-
-/// What [`State::step`] did with the op at a rank's cursor.
-pub(crate) enum Step {
-    /// Priced it and advanced the cursor.
-    Done,
-    /// Could not price it yet: this message has no arrival time.
-    Blocked(MsgKey),
-}
+use std::collections::HashMap;
+use wp_sched::graph::{DepGraph, Node};
+use wp_sched::{MsgKey, MsgKind, OpKind};
 
 /// Everything pricing reads or writes; see the module docs.
 pub(crate) struct State<'a> {
-    schedule: &'a Schedule,
+    graph: &'a DepGraph<'a>,
     cost: &'a CostModel,
     cluster: &'a ClusterSpec,
     opts: SimOptions,
-    /// Per-rank index of the next op to price.
-    cursor: Vec<usize>,
-    /// Arrival time of every resolved message (write-once).
-    arrivals: FxMap<MsgKey, f64>,
-    /// Keys resolved since the driver last drained this, in resolution
-    /// order — what the heap driver wakes parked ranks from.
-    pub(crate) resolved: Vec<(MsgKey, f64)>,
+    /// Arrival time of every message, by the graph's message id; NaN until
+    /// its send (or its rendezvous' last entry) is priced.
+    arrivals: Vec<f64>,
     /// When each directed link `(src, dst)`'s DMA path frees up.
-    link_free: FxMap<(usize, usize), f64>,
+    link_free: HashMap<(usize, usize), f64>,
     /// Per-rank compute-engine availability.
     compute_free: Vec<f64>,
     /// Per-rank end of the latest compute op.
     last_compute_end: Vec<f64>,
-    /// Per-rank collective-engine availability.
-    coll_free: Vec<f64>,
-    /// Open collective rendezvous keyed by `(kind, chunk, round)`: how many
-    /// ranks have entered and the latest of their ready times.
-    coll_groups: FxMap<(u8, usize, usize), (usize, f64)>,
+    /// Every rank's collective-engine availability: the graph orders a
+    /// rank's next entry behind its previous rendezvous, which all ranks
+    /// complete together.
+    coll_free: f64,
+    /// Open collective rendezvous by message id: how many ranks have
+    /// entered and the latest of their ready times.
+    coll_groups: HashMap<usize, (usize, f64)>,
     /// Per-rank compute-engine busy seconds.
     busy: Vec<f64>,
-    /// Per-rank bytes sent point-to-point.
-    p2p_bytes: Vec<u64>,
-    /// Per-rank bytes sent in collectives (ring-charged).
-    collective_bytes: Vec<u64>,
     /// Per-rank timed compute ops.
     timeline: Vec<Vec<TimedOp>>,
     /// Per-rank memory events `(time, signed bytes)` in program order.
@@ -152,120 +77,81 @@ pub(crate) struct State<'a> {
 }
 
 impl<'a> State<'a> {
-    /// Every rank at op 0, every clock at `t = 0`.
+    /// Nothing priced, every clock at `t = 0`.
     ///
     /// # Panics
     /// Panics if the cluster and the schedule disagree on the world size.
     pub(crate) fn new(
-        schedule: &'a Schedule,
+        graph: &'a DepGraph<'a>,
         cost: &'a CostModel,
         cluster: &'a ClusterSpec,
         opts: SimOptions,
     ) -> Result<Self, SimError> {
-        let p = schedule.ranks;
+        let p = graph.schedule.ranks;
         assert_eq!(cluster.ranks, p, "cluster size must match schedule");
         cluster.validate().map_err(|e| SimError(e.to_string()))?;
-        let sends = schedule
-            .ops
-            .iter()
-            .flatten()
-            .filter(|o| matches!(o.kind, OpKind::Send(_)))
-            .count();
-        let computes = |ops: &Vec<Op>| ops.iter().filter(|o| o.kind.is_compute()).count();
         Ok(State {
-            schedule,
+            graph,
             cost,
             cluster,
             opts,
-            cursor: vec![0; p],
-            // Sized up front: at fleet scale the arrival table holds
-            // millions of keys, and letting it grow by doubling would
-            // re-hash the multi-GB table ~20 times.
-            arrivals: FxMap::with_capacity_and_hasher(sends * 2, Default::default()),
-            resolved: Vec::new(),
-            link_free: FxMap::default(),
+            arrivals: vec![f64::NAN; graph.messages()],
+            link_free: HashMap::new(),
             compute_free: vec![0.0; p],
             last_compute_end: vec![0.0; p],
-            coll_free: vec![0.0; p],
-            coll_groups: FxMap::default(),
+            coll_free: 0.0,
+            coll_groups: HashMap::new(),
             busy: vec![0.0; p],
-            p2p_bytes: vec![0; p],
-            collective_bytes: vec![0; p],
-            timeline: schedule
-                .ops
-                .iter()
-                .map(|ops| Vec::with_capacity(computes(ops)))
-                .collect(),
+            timeline: vec![Vec::new(); p],
             mem_events: vec![Vec::new(); p],
             makespan: 0.0,
         })
     }
 
-    /// Index of the next op rank `r` will price.
-    pub(crate) fn cursor(&self, r: usize) -> usize {
-        self.cursor[r]
-    }
-
-    /// Step rank `r` until it blocks (returning the key it waits for) or
-    /// runs out of ops (`None`).
-    pub(crate) fn advance(&mut self, r: usize) -> Option<MsgKey> {
-        while self.cursor[r] < self.schedule.ops[r].len() {
-            if let Step::Blocked(key) = self.step(r) {
-                return Some(key);
-            }
+    /// Price `node` if every message on its wait list has an arrival time
+    /// (always, in an order consistent with the graph); otherwise change
+    /// nothing and return `false`.
+    pub(crate) fn price(&mut self, node @ (r, i): Node) -> bool {
+        let (graph, cost, cluster, opts) = (self.graph, self.cost, self.cluster, self.opts);
+        let waits = graph.waits(node);
+        if waits.iter().any(|&m| self.arrivals[m as usize].is_nan()) {
+            return false;
         }
-        None
-    }
-
-    /// Record a message's arrival time.
-    fn resolve(&mut self, key: MsgKey, t: f64) {
-        self.arrivals.insert(key, t);
-        self.resolved.push((key, t));
-    }
-
-    /// Price the op at rank `r`'s cursor if every message it depends on
-    /// has an arrival time; otherwise change nothing.
-    ///
-    /// # Panics
-    /// Panics if rank `r` has no op left.
-    pub(crate) fn step(&mut self, r: usize) -> Step {
-        let (schedule, cost, cluster, opts) = (self.schedule, self.cost, self.cluster, self.opts);
-        let p = schedule.ranks;
-        let op = &schedule.ops[r][self.cursor[r]];
-        let mut needs_t = 0.0f64;
-        for k in &op.needs {
-            match self.arrivals.get(k) {
-                Some(&a) => needs_t = needs_t.max(a),
-                None => return Step::Blocked(*k),
-            }
+        let (p, op) = (graph.schedule.ranks, &graph.schedule.ops[r][i]);
+        let needs_t =
+            (waits[..op.needs.len()].iter()).fold(0.0f64, |t, &m| t.max(self.arrivals[m as usize]));
+        // When a send or a collective entry may leave, the wire aside: its
+        // needs are in, its payload's producer is done (`after_compute`)
+        // and, without overlap, the compute engine is free to drive it.
+        let mut local_t = needs_t;
+        if op.after_compute {
+            local_t = local_t.max(self.last_compute_end[r]);
+        }
+        if !opts.overlap {
+            local_t = local_t.max(self.compute_free[r]);
         }
 
         let end_time;
-        match &op.kind {
-            kind if kind.is_compute() => {
-                let (dur, class, mb, chunk) = match *kind {
-                    OpKind::Fwd { mb, chunk } => (cost.t_fwd(), 'F', mb, chunk),
-                    OpKind::BwdFull { mb, chunk } => (cost.t_bwd_full(), 'B', mb, chunk),
-                    OpKind::BwdData { mb, chunk } => (cost.t_bwd_data(), 'b', mb, chunk),
-                    OpKind::BwdWeight { mb, chunk } => (cost.t_bwd_weight(), 'w', mb, chunk),
-                    OpKind::Update { chunk } => (cost.t_update(), 'U', usize::MAX, chunk),
-                    _ => unreachable!(),
+        match (&op.kind, graph.message(node)) {
+            (kind, None) => {
+                let (class, mb, chunk) = compute_class(kind).expect("only compute is silent");
+                let dur = match class {
+                    'F' => cost.t_fwd(),
+                    'B' => cost.t_bwd_full(),
+                    'b' => cost.t_bwd_data(),
+                    'w' => cost.t_bwd_weight(),
+                    _ => cost.t_update(),
                 };
-                let dur = match opts.straggler {
-                    Some((sr, slow)) if sr == r => dur * slow,
-                    _ => dur,
-                };
+                let dur = dur * opts.straggler.filter(|s| s.0 == r).map_or(1.0, |s| s.1);
                 let start = self.compute_free[r].max(needs_t);
                 let end = start + dur;
-                self.compute_free[r] = end;
-                self.last_compute_end[r] = end;
+                (self.compute_free[r], self.last_compute_end[r], end_time) = (end, end, end);
                 self.busy[r] += dur;
-                end_time = end;
                 // A checkpointed backward rematerialises the full
                 // forward ctx for its duration — a real peak-memory
                 // contributor (and why ZB gains nothing from
                 // recompute, §4.3).
-                if cost.recompute && matches!(kind, OpKind::BwdFull { .. }) {
+                if cost.recompute && class == 'B' {
                     let t = cost.recompute_transient_bytes() as i64;
                     self.mem_events[r].push((start, t));
                     self.mem_events[r].push((end, -t));
@@ -278,82 +164,57 @@ impl<'a> State<'a> {
                     chunk,
                 });
             }
-            OpKind::Send(k) => {
+            (OpKind::Send(k), Some(m)) => {
                 let bytes = msg_bytes(cost, k);
                 // Resolve the link from both endpoints: grouped schedules
                 // send between non-adjacent ranks (bridge hops, intra-node
                 // fan-out), so src's ring successor is not enough.
                 let link = cluster.link_between(k.src, k.dst);
                 let free = self.link_free.entry((k.src, k.dst)).or_insert(0.0);
-                let mut issue = needs_t.max(*free);
-                if op.after_compute {
-                    issue = issue.max(self.last_compute_end[r]);
-                }
-                if !opts.overlap {
-                    issue = issue.max(self.compute_free[r]);
-                }
+                let issue = local_t.max(*free);
                 let occupy = bytes as f64 / link.bandwidth;
                 *free = issue + occupy;
                 if !opts.overlap {
                     self.compute_free[r] = issue + occupy;
                 }
                 let arrive = issue + occupy + link.latency;
-                self.resolve(*k, arrive);
-                self.p2p_bytes[r] += bytes;
+                self.arrivals[m] = arrive;
                 end_time = arrive;
             }
             // A wait on a pre-posted request completes when the
             // message lands, exactly like a blocking recv — the
             // overlap win comes from *where the builder places* the
             // wait, not from a cheaper wait.
-            OpKind::Recv(k) | OpKind::WaitReq(k) => match self.arrivals.get(k) {
-                Some(&a) => end_time = a,
-                None => return Step::Blocked(*k),
-            },
-            OpKind::PrePost(_) => {
+            (OpKind::Recv(_) | OpKind::WaitReq(_), Some(m)) => end_time = self.arrivals[m],
+            (OpKind::PrePost(_), _) => {
                 // Posting the receive buffer is free and gates
                 // nothing; memory for the in-flight slot is already
                 // in the strategy's static footprint (cost.rs).
                 end_time = needs_t;
             }
-            kind => {
+            (kind, Some(m)) => {
                 // Collective: record entry; complete at rendezvous.
                 let payload = msg_bytes(cost, &kind.collective_key(r));
-                let all_reduce = matches!(kind, OpKind::AllReduceD { .. });
-                let mut ready = needs_t.max(self.coll_free[r]);
-                if op.after_compute {
-                    ready = ready.max(self.last_compute_end[r]);
-                }
-                if !opts.overlap {
-                    ready = ready.max(self.compute_free[r]);
-                }
-                let (entered, start) = self
-                    .coll_groups
-                    .entry(kind.rendezvous())
-                    .or_insert((0, 0.0));
-                *entered += 1;
-                *start = start.max(ready);
-                let (entered, start) = (*entered, *start);
-                self.collective_bytes[r] +=
-                    if all_reduce { 2 * payload } else { payload } * (p as u64 - 1) / p as u64;
-                if entered == p {
-                    let dur = if all_reduce {
-                        cluster.all_reduce_s(payload)
-                    } else {
-                        cluster.gather_scatter_s(payload)
+                let ready = local_t.max(self.coll_free);
+                let (entered, start) = self.coll_groups.entry(m).or_insert((0, 0.0));
+                (*entered, *start) = (*entered + 1, start.max(ready));
+                if *entered == p {
+                    let dur = match kind {
+                        OpKind::AllReduceD { .. } => cluster.all_reduce_s(payload),
+                        _ => cluster.gather_scatter_s(payload),
                     };
-                    let done = start + dur;
-                    for rr in 0..p {
-                        self.coll_free[rr] = self.coll_free[rr].max(done);
-                        if !opts.overlap {
-                            self.compute_free[rr] = self.compute_free[rr].max(done);
-                        }
-                        self.resolve(kind.collective_key(rr), done);
+                    let done = *start + dur;
+                    self.coll_free = self.coll_free.max(done);
+                    if !opts.overlap {
+                        self.compute_free.iter_mut().for_each(|t| *t = t.max(done));
                     }
-                    end_time = done;
-                } else {
-                    end_time = ready;
+                    self.arrivals[m] = done;
+                    self.makespan = self.makespan.max(done);
                 }
+                // The entry's memory deltas land when the rank is ready to
+                // enter: completion is known only while pricing the last
+                // entry, and which rank's that is depends on the order.
+                end_time = ready;
             }
         }
 
@@ -361,39 +222,33 @@ impl<'a> State<'a> {
             self.mem_events[r].push((end_time, delta * cost.mem_unit_bytes(unit) as i64));
         }
         self.makespan = self.makespan.max(end_time);
-        self.cursor[r] += 1;
-        Step::Done
+        true
     }
 
-    /// Fold the accumulators into a [`SimResult`] once no rank can step:
-    /// peak memory from the event ledger (stable time sort over
+    /// Fold the accumulators into a [`SimResult`] once every node is
+    /// priced: peak memory from the event ledger (stable time sort over
     /// program-order events, running sum over the static footprint), the
-    /// global bubble fraction, and the cross-node byte count. `Err` when a
-    /// rank still has ops — it waits for a message nobody sends.
-    pub(crate) fn finish(mut self) -> Result<SimResult, SimError> {
-        let (schedule, cost, cluster) = (self.schedule, self.cost, self.cluster);
+    /// global bubble fraction, and the byte counts — which are the
+    /// schedule's ([`wp_sched::analysis::traffic`]), whatever the clock says.
+    pub(crate) fn finish(mut self) -> SimResult {
+        let (schedule, cost, cluster) = (self.graph.schedule, self.cost, self.cluster);
         let p = schedule.ranks;
-        for (r, ops) in schedule.ops.iter().enumerate() {
-            if let Some(op) = ops.get(self.cursor[r]) {
-                return Err(SimError(format!(
-                    "rank {r} stalled at op {} ({:?})",
-                    self.cursor[r], op.kind
-                )));
-            }
-        }
 
-        let mut peak_mem = Vec::with_capacity(p);
-        for (r, events) in self.mem_events.iter_mut().enumerate() {
+        let peak_of = |(r, events): (usize, &mut Vec<(f64, i64)>)| {
             events.sort_by(|a, b| a.0.partial_cmp(&b.0).expect("finite times"));
             let stat = cost.static_mem_bytes(schedule.strategy, r, p) as i64;
-            let mut cur = stat;
-            let mut peak = stat;
-            for &(_, d) in events.iter() {
-                cur += d;
-                peak = peak.max(cur);
-            }
-            peak_mem.push(peak.max(0) as u64);
-        }
+            let sums = events.iter().scan(stat, |cur, &(_, d)| {
+                *cur += d;
+                Some(*cur)
+            });
+            sums.fold(stat, i64::max).max(0) as u64
+        };
+        let peak_mem = self
+            .mem_events
+            .iter_mut()
+            .enumerate()
+            .map(peak_of)
+            .collect();
 
         let total_busy: f64 = self.busy.iter().sum();
         let bubble_ratio = if self.makespan > 0.0 {
@@ -404,25 +259,38 @@ impl<'a> State<'a> {
 
         // Cross-node traffic is a property of the schedule and the
         // topology, not of event ordering.
-        let mut cross_node_p2p_bytes = 0u64;
-        for op in schedule.ops.iter().flatten() {
-            if let OpKind::Send(k) = &op.kind {
-                if cluster.group_of(k.src) != cluster.group_of(k.dst) {
-                    cross_node_p2p_bytes += msg_bytes(cost, k);
-                }
-            }
-        }
+        let crosses = |k: &MsgKey| cluster.group_of(k.src) != cluster.group_of(k.dst);
+        let cross_node_p2p_bytes = (schedule.iter_ops())
+            .filter_map(|(_, op)| match &op.kind {
+                OpKind::Send(k) if crosses(k) => Some(msg_bytes(cost, k)),
+                _ => None,
+            })
+            .sum();
 
-        Ok(SimResult {
+        let sent = wp_sched::analysis::traffic(schedule, &cost.byte_model());
+        SimResult {
             makespan: self.makespan,
             busy: self.busy,
             bubble_ratio,
             peak_mem,
-            p2p_bytes: self.p2p_bytes,
+            p2p_bytes: sent.iter().map(|b| b.p2p).collect(),
             cross_node_p2p_bytes,
-            collective_bytes: self.collective_bytes,
+            collective_bytes: sent.iter().map(|b| b.collective).collect(),
             timeline: self.timeline,
-        })
+        }
+    }
+}
+
+/// A compute op's timeline class (`F`, `B` fused, `b` B pass, `w` W pass,
+/// `U`), microbatch (`usize::MAX` for an update) and chunk.
+pub(crate) fn compute_class(kind: &OpKind) -> Option<(char, usize, usize)> {
+    match *kind {
+        OpKind::Fwd { mb, chunk } => Some(('F', mb, chunk)),
+        OpKind::BwdFull { mb, chunk } => Some(('B', mb, chunk)),
+        OpKind::BwdData { mb, chunk } => Some(('b', mb, chunk)),
+        OpKind::BwdWeight { mb, chunk } => Some(('w', mb, chunk)),
+        OpKind::Update { chunk } => Some(('U', usize::MAX, chunk)),
+        _ => None,
     }
 }
 
@@ -437,96 +305,12 @@ fn msg_bytes(cost: &CostModel, k: &MsgKey) -> u64 {
     }
 }
 
-/// One wake-up in the global event queue.
-#[derive(Debug, Clone, Copy)]
-struct Event {
-    /// Simulated wake-up time, seconds.
-    time: f64,
-    /// Monotonic tie-break: equal-time events pop in push order, keeping
-    /// runs deterministic (results are order-insensitive regardless — see
-    /// the module docs).
-    seq: u64,
-    /// Rank to advance.
-    rank: usize,
-}
-
-impl PartialEq for Event {
-    fn eq(&self, other: &Self) -> bool {
-        self.cmp(other) == std::cmp::Ordering::Equal
-    }
-}
-impl Eq for Event {}
-impl PartialOrd for Event {
-    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
-        Some(self.cmp(other))
-    }
-}
-impl Ord for Event {
-    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        self.time
-            .total_cmp(&other.time)
-            .then(self.seq.cmp(&other.seq))
-    }
-}
-
-/// Min-heap of rank wake-ups keyed by `(time, push order)`.
-#[derive(Default)]
-struct EventQueue {
-    heap: BinaryHeap<Reverse<Event>>,
-    seq: u64,
-}
-
-impl EventQueue {
-    fn push(&mut self, time: f64, rank: usize) {
-        self.seq += 1;
-        self.heap.push(Reverse(Event {
-            time,
-            seq: self.seq,
-            rank,
-        }));
-    }
-
-    fn pop(&mut self) -> Option<Event> {
-        self.heap.pop().map(|Reverse(e)| e)
-    }
-}
-
-/// The heap driver behind [`crate::engine::simulate`]: every rank starts
-/// runnable; a rank that blocks parks on its key and is woken, at the
-/// key's arrival time, by whichever step resolves it.
-pub(crate) fn simulate_des(
-    schedule: &Schedule,
-    cost: &CostModel,
-    cluster: &ClusterSpec,
-    opts: SimOptions,
-) -> Result<SimResult, SimError> {
-    let mut st = State::new(schedule, cost, cluster, opts)?;
-    let mut queue = EventQueue::default();
-    let mut waiters: FxMap<MsgKey, Vec<usize>> = FxMap::default();
-    for r in 0..schedule.ranks {
-        queue.push(0.0, r);
-    }
-    while let Some(ev) = queue.pop() {
-        // A rank re-reads `arrivals` (which its own steps update) before
-        // it blocks, so the key it parks on cannot be in `resolved`.
-        if let Some(key) = st.advance(ev.rank) {
-            waiters.entry(key).or_default().push(ev.rank);
-        }
-        for (key, t) in st.resolved.drain(..) {
-            for rank in waiters.remove(&key).into_iter().flatten() {
-                queue.push(t, rank);
-            }
-        }
-    }
-    st.finish()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::cost::{GpuSpec, ModelDims};
-    use crate::engine::simulate_reference;
-    use wp_sched::{build, PipelineSpec, Strategy};
+    use crate::engine::{check_timeline, simulate, simulate_reference};
+    use wp_sched::{build, Op, PipelineSpec, Schedule, Strategy};
 
     fn setup(strategy: Strategy, p: usize, n: usize) -> (Schedule, CostModel, ClusterSpec) {
         let sched = build(strategy, PipelineSpec::new(p, n));
@@ -540,7 +324,8 @@ mod tests {
         (sched, cost, cluster)
     }
 
-    fn assert_bit_identical(a: &SimResult, b: &SimResult, tag: &str) {
+    /// Same bits on every observable, and a timeline the graph accepts.
+    fn assert_bit_identical(sched: &Schedule, a: &SimResult, b: &SimResult, tag: &str) {
         assert_eq!(
             a.makespan.to_bits(),
             b.makespan.to_bits(),
@@ -559,40 +344,28 @@ mod tests {
             a.collective_bytes, b.collective_bytes,
             "{tag}: collective_bytes"
         );
+        let graph = DepGraph::build(sched).expect("valid");
+        check_timeline(&graph, a).unwrap_or_else(|e| panic!("{tag}: {e}"));
     }
 
     #[test]
-    fn des_matches_reference_across_strategies_and_overlap() {
+    fn one_pass_matches_reference_across_strategies_overlap_and_straggler() {
         for &s in wp_sched::ALL_STRATEGIES {
             let (sched, cost, cluster) = setup(s, 4, 8);
             for overlap in [true, false] {
-                let opts = SimOptions {
-                    overlap,
-                    ..Default::default()
-                };
-                let a = simulate_des(&sched, &cost, &cluster, opts).expect("des");
-                let b = simulate_reference(&sched, &cost, &cluster, opts).expect("ref");
-                assert_bit_identical(&a, &b, &format!("{s:?} overlap={overlap}"));
+                for straggler in [None, Some((2, 1.7))] {
+                    let opts = SimOptions { overlap, straggler };
+                    let a = simulate(&sched, &cost, &cluster, opts).expect("one pass");
+                    let b = simulate_reference(&sched, &cost, &cluster, opts).expect("ref");
+                    assert_bit_identical(&sched, &a, &b, &format!("{s:?} {opts:?}"));
+                }
             }
         }
     }
 
     #[test]
-    fn des_matches_reference_under_straggler() {
-        let (sched, cost, cluster) = setup(Strategy::WeiPipeInterleave, 4, 8);
-        let opts = SimOptions {
-            overlap: true,
-            straggler: Some((2, 1.7)),
-        };
-        let a = simulate_des(&sched, &cost, &cluster, opts).expect("des");
-        let b = simulate_reference(&sched, &cost, &cluster, opts).expect("ref");
-        assert_bit_identical(&a, &b, "straggler");
-    }
-
-    #[test]
-    fn des_detects_stalls_like_reference() {
+    fn a_dropped_send_is_an_error_in_both_drivers() {
         let (mut sched, cost, cluster) = setup(Strategy::GPipe, 2, 2);
-        // Drop one send: its consumers stall in both engines.
         for ops in &mut sched.ops {
             if let Some(pos) = ops.iter().position(|o| matches!(o.kind, OpKind::Send(_))) {
                 ops.remove(pos);
@@ -600,56 +373,79 @@ mod tests {
             }
         }
         let opts = SimOptions::default();
-        assert!(simulate_des(&sched, &cost, &cluster, opts).is_err());
+        let err = simulate(&sched, &cost, &cluster, opts).unwrap_err();
+        assert!(err.0.contains("has no matching send"), "{err}");
         assert!(simulate_reference(&sched, &cost, &cluster, opts).is_err());
     }
 
+    /// A deadlock the graph can build but not order: `simulate` reports the
+    /// graph's cycle, the reference driver the rank its scan stalls on.
     #[test]
-    fn event_queue_orders_by_time_then_push_order() {
-        let mut q = EventQueue::default();
-        q.push(2.0, 0);
-        q.push(1.0, 1);
-        q.push(1.0, 2);
-        assert_eq!(q.pop().map(|e| e.rank), Some(1));
-        assert_eq!(q.pop().map(|e| e.rank), Some(2));
-        assert_eq!(q.pop().map(|e| e.rank), Some(0));
-        assert!(q.pop().is_none());
+    fn a_deadlock_is_the_graphs_cycle_in_one_pass_and_a_stall_in_the_reference() {
+        let (mut sched, cost, cluster) = setup(Strategy::GPipe, 2, 2);
+        let (there, back) = (MsgKey::act(0, 0, 1), MsgKey::act_grad(0, 1, 0));
+        sched.ops = vec![
+            vec![Op::recv(back), Op::send(there)],
+            vec![Op::recv(there), Op::send(back)],
+        ];
+        let opts = SimOptions::default();
+        let err = simulate(&sched, &cost, &cluster, opts).unwrap_err();
+        let cycle = DepGraph::build(&sched)
+            .expect("matched")
+            .topological_order()
+            .unwrap_err();
+        assert_eq!(err.0, cycle.to_string());
+        let err = simulate_reference(&sched, &cost, &cluster, opts).unwrap_err();
+        assert!(err.0.starts_with("rank 0 stalled at op 0"), "{err}");
     }
 
     /// Two sends on one directed link share its DMA path: the second
     /// issues when the first has left the wire, and each lands one latency
-    /// after it leaves. Priced by hand, no second engine involved.
+    /// after it leaves. Priced by hand, no driver involved.
     #[test]
     fn sends_on_one_directed_link_serialize() {
         let (mut sched, cost, cluster) = setup(Strategy::GPipe, 2, 2);
-        let key = |round| MsgKey {
-            kind: MsgKind::Weights,
-            chunk: 0,
-            mb: 0,
-            round,
-            src: 0,
-            dst: 1,
-        };
+        let key = |round| MsgKey::weights(0, 0, round, 0, 1);
         sched.ops = vec![
             vec![Op::send(key(0)), Op::send(key(1))],
             vec![Op::recv(key(0)), Op::recv(key(1))],
         ];
         let link = cluster.link_between(0, 1);
         let occupy = cost.weight_chunk_bytes() as f64 / link.bandwidth;
-        let mut st = State::new(&sched, &cost, &cluster, SimOptions::default()).expect("state");
-        assert!(matches!(st.step(1), Step::Blocked(k) if k == key(0)));
-        assert_eq!(st.cursor(1), 0, "a blocked step changes nothing");
-        assert_eq!(st.advance(0), None);
+        let graph = DepGraph::build(&sched).expect("matched");
+        let mut st = State::new(&graph, &cost, &cluster, SimOptions::default()).expect("state");
+        assert!(!st.price((1, 0)), "nothing has arrived yet");
+        assert!(st.arrivals.iter().all(|a| a.is_nan()) && st.makespan == 0.0);
+        assert!(st.price((0, 0)) && st.price((0, 1)));
         assert_eq!(
-            st.resolved,
-            [
-                (key(0), occupy + link.latency),
-                (key(1), occupy + occupy + link.latency)
-            ]
+            st.arrivals,
+            [occupy + link.latency, occupy + occupy + link.latency]
         );
-        assert_eq!(st.advance(1), None);
-        let r = st.finish().expect("both ranks ran out of ops");
+        assert!(st.price((1, 0)) && st.price((1, 1)));
+        let r = st.finish();
         assert_eq!(r.makespan, occupy + occupy + link.latency);
         assert_eq!(r.p2p_bytes, [2 * cost.weight_chunk_bytes(), 0]);
+    }
+
+    /// One collective engine per rank: a rank's second all-reduce starts
+    /// when its first has completed, however early the rank entered it —
+    /// the graph's `Rendezvous` edge into the next entry, priced by hand.
+    #[test]
+    fn a_ranks_collectives_queue_behind_each_other() {
+        let (mut sched, cost, cluster) = setup(Strategy::Ddp, 2, 2);
+        let reduce = |chunk| Op::compute_collective(OpKind::AllReduceD { chunk, round: 0 });
+        sched.ops = vec![
+            vec![reduce(0), reduce(1)],
+            vec![
+                Op::compute(OpKind::Fwd { mb: 0, chunk: 0 }),
+                reduce(0),
+                reduce(1),
+            ],
+        ];
+        let dur = cluster.all_reduce_s(cost.grad_chunk_bytes());
+        for run in [simulate, simulate_reference] {
+            let r = run(&sched, &cost, &cluster, SimOptions::default()).expect("runs");
+            assert_eq!(r.makespan, cost.t_fwd() + dur + dur);
+        }
     }
 }

@@ -1,7 +1,8 @@
 //! The discrete-event engine: executes a [`Schedule`] against a
 //! [`CostModel`] and [`ClusterSpec`], producing a timed trace.
 //!
-//! Semantics (the contract stated in `wp_sched::ir`):
+//! What waits on what — and which of those edges carry a price — is the
+//! contract of [`wp_sched::graph`]; this is what each priced edge costs:
 //!
 //! * One **compute engine** per rank: compute ops run in program order,
 //!   each starting at `max(engine free, arrival of every message in
@@ -18,7 +19,9 @@
 
 use crate::cluster::ClusterSpec;
 use crate::cost::CostModel;
-use crate::des::State;
+use crate::des::{compute_class, State};
+use std::collections::HashMap;
+use wp_sched::graph::{DepGraph, Node};
 use wp_sched::Schedule;
 
 /// Engine options.
@@ -106,24 +109,37 @@ impl std::fmt::Display for SimError {
 
 impl std::error::Error for SimError {}
 
-/// Execute `schedule` on `cluster` under `cost`: the one pricing step
-/// (`des::State::step`) prices the ops, a min-heap wake-up loop picks which
-/// rank steps next. Scales to thousands of simulated ranks.
+impl From<wp_sched::ValidationError> for SimError {
+    /// The graph's own words: a schedule it refuses has no timeline.
+    fn from(e: wp_sched::ValidationError) -> Self {
+        SimError(e.to_string())
+    }
+}
+
+/// Execute `schedule` on `cluster` under `cost`: one pass of the pricing
+/// step (`des::State::price`) over the topological order of the schedule's
+/// dependency graph. `Err` carries the graph's reason — an unmatched op,
+/// or the cycle a deadlock runs in. Scales to thousands of simulated ranks.
 pub fn simulate(
     schedule: &Schedule,
     cost: &CostModel,
     cluster: &ClusterSpec,
     opts: SimOptions,
 ) -> Result<SimResult, SimError> {
-    crate::des::simulate_des(schedule, cost, cluster, opts)
+    let graph = DepGraph::build(schedule)?;
+    let mut st = State::new(&graph, cost, cluster, opts)?;
+    for node in graph.topological_order()? {
+        assert!(st.price(node), "{node:?} is ordered before a predecessor");
+    }
+    Ok(st.finish())
 }
 
-/// The equivalence oracle for [`simulate`]: the same pricing step,
-/// driven by the simplest loop that can be right — advance every rank in
-/// rank order, again and again, until a whole pass moves no cursor. No
-/// queue, no parked waiters, no wake-ups; `tests/engine_equivalence.rs`
-/// asserts it and [`simulate`] agree to the bit, i.e. that the order ranks
-/// are visited in cannot change a result. Prefer [`simulate`] — the
+/// The equivalence oracle for [`simulate`]: the same pricing step, driven
+/// by the simplest loop that can be right — price every rank's next ops in
+/// rank order, again and again, until a whole pass prices nothing. It
+/// never asks the graph for an order; `tests/engine_equivalence.rs`
+/// asserts it and [`simulate`] agree to the bit, i.e. that the order nodes
+/// are priced in cannot change a result. Prefer [`simulate`] — the
 /// re-scans are quadratic-ish in practice and minutes-slow at fleet scale.
 pub fn simulate_reference(
     schedule: &Schedule,
@@ -131,19 +147,81 @@ pub fn simulate_reference(
     cluster: &ClusterSpec,
     opts: SimOptions,
 ) -> Result<SimResult, SimError> {
-    let mut st = State::new(schedule, cost, cluster, opts)?;
+    let graph = DepGraph::build(schedule)?;
+    let mut st = State::new(&graph, cost, cluster, opts)?;
+    let mut cursor = vec![0; schedule.ranks];
     let mut progress = true;
     while progress {
         progress = false;
-        for r in 0..schedule.ranks {
-            let before = st.cursor(r);
-            st.advance(r);
-            progress |= st.cursor(r) != before;
+        for (rank, op) in cursor.iter_mut().enumerate() {
+            while *op < schedule.ops[rank].len() && st.price((rank, *op)) {
+                *op += 1;
+                progress = true;
+            }
         }
-        // The wake-up log is the heap driver's; this loop re-scans.
-        st.resolved.clear();
     }
-    st.finish()
+    match (0..schedule.ranks).find(|&r| cursor[r] < schedule.ops[r].len()) {
+        None => Ok(st.finish()),
+        Some(r) => {
+            let (at, kind) = (cursor[r], &schedule.ops[r][cursor[r]].kind);
+            Err(SimError(format!("rank {r} stalled at op {at} ({kind:?})")))
+        }
+    }
+}
+
+/// Check a timeline — simulated, or measured through
+/// [`crate::measured_result`] — against the schedule's dependency graph:
+/// every compute op starts no earlier than each of its nearest compute
+/// ancestors along *priced* edges ([`wp_sched::graph::EdgeKind::is_priced`])
+/// ends. Exact, no tolerance: the simulator's clock is `max`/`+` over those
+/// edges, and a run's spans share one monotonic clock. Bare program order
+/// is not checked (the simulator does not price it). A timeline of `k`
+/// iterations is read as: the `k`-th `(class, mb, chunk)` on a rank is
+/// that op's `k`-th run.
+pub fn check_timeline(graph: &DepGraph, result: &SimResult) -> Result<(), String> {
+    let ops = &graph.schedule.ops;
+    let class = |(r, i): Node| compute_class(&ops[r][i].kind);
+    let mut runs: HashMap<_, Vec<&TimedOp>> = HashMap::new();
+    for (rank, timed) in result.timeline.iter().enumerate() {
+        for t in timed {
+            let op = Some((t.class, t.mb, t.chunk));
+            runs.entry((rank, op)).or_default().push(t);
+        }
+    }
+    let runs_of = |n: Node| runs.get(&(n.0, class(n))).map_or(&[][..], |v| v);
+    // Per send or entry, by rank: one past the latest compute op that is an
+    // ancestor along priced edges. (Earlier ones on that rank end earlier
+    // still: every compute op is checked against the one before it.)
+    let mut behind: HashMap<Node, Vec<usize>> = HashMap::new();
+    for node in graph.topological_order().map_err(|e| e.to_string())? {
+        let mut latest = vec![0; ops.len()];
+        for (from, _) in graph.preds(node).iter().filter(|e| e.1.is_priced()) {
+            if let Some(further) = behind.get(from) {
+                (latest.iter_mut().zip(further)).for_each(|(l, &f)| *l = f.max(*l));
+            } else {
+                latest[from.0] = latest[from.0].max(from.1 + 1);
+            }
+        }
+        if class(node).is_none() {
+            behind.insert(node, latest);
+            continue;
+        }
+        let ancestors =
+            (latest.iter().enumerate()).filter_map(|(r, l)| Some((r, l.checked_sub(1)?)));
+        for from in ancestors {
+            let (before, after) = (runs_of(from), runs_of(node));
+            let (a, n) = (before.len(), after.len());
+            let late = |&k: &usize| a != n || n == 0 || before[k].end > after[k].start;
+            if let Some(k) = (0..n.max(1)).find(late) {
+                let (start, end) = (after.get(k).map(|t| t.start), before.get(k).map(|t| t.end));
+                return Err(format!(
+                    "run {k} of {n} of {node:?} starts at {start:?}, not after run {k} of {a} \
+                     of its ancestor {from:?} ends at {end:?}"
+                ));
+            }
+        }
+    }
+    Ok(())
 }
 
 #[cfg(test)]
@@ -351,12 +429,33 @@ mod tests {
     }
 
     #[test]
-    fn timeline_is_ordered_and_non_overlapping_per_rank() {
-        let (r, _) = sim(Strategy::WeiPipeInterleave, 4, 8);
-        for ops in &r.timeline {
-            for pair in ops.windows(2) {
-                assert!(pair[0].end <= pair[1].start + 1e-12, "compute ops overlap");
-            }
+    fn timelines_honour_every_priced_edge() {
+        for &s in wp_sched::ALL_STRATEGIES {
+            let sched = build(s, PipelineSpec::new(4, 8));
+            let (r, _) = sim(s, 4, 8);
+            let graph = DepGraph::build(&sched).expect("valid");
+            check_timeline(&graph, &r).unwrap_or_else(|e| panic!("{s:?}: {e}"));
         }
+    }
+
+    #[test]
+    fn check_timeline_catches_an_op_moved_ahead_of_its_message() {
+        let sched = build(Strategy::OneFOneB, PipelineSpec::new(4, 8));
+        let (mut r, _) = sim(Strategy::OneFOneB, 4, 8);
+        let graph = DepGraph::build(&sched).expect("valid");
+        // Rank 1's first forward needs rank 0's activations: start it at 0.
+        let dur = r.timeline[1][0].end - r.timeline[1][0].start;
+        (r.timeline[1][0].start, r.timeline[1][0].end) = (0.0, dur);
+        let err = check_timeline(&graph, &r).unwrap_err();
+        let want = "run 0 of 1 of (1, 1) starts at Some(0.0), not after run 0 of 1 of its \
+                    ancestor (0, 0) ends";
+        assert!(err.starts_with(want), "{err}");
+        // A timeline that lost an op is an error too, not a pass.
+        r.timeline[0].remove(0);
+        let err = check_timeline(&graph, &r).unwrap_err();
+        assert!(
+            err.contains("of 1 of (0, 2)") && err.contains("of 0 of its ancestor (0, 0)"),
+            "{err}"
+        );
     }
 }

@@ -15,9 +15,11 @@
 //!   (312 TFLOP/s fp16, 80 GB).
 //! * [`cluster::ClusterSpec`] — ring topology with NVLink / PCIe / 10 GbE
 //!   links, matching the paper's three environments (§5.4).
-//! * [`engine::simulate`] — event-driven execution with
-//!   communication/computation overlap, link occupancy, collective
-//!   rendezvous and a per-rank memory ledger (peak + OOM detection).
+//! * [`engine::simulate`] — prices the schedule in one pass over its
+//!   dependency graph (`wp_sched::graph`): communication/computation
+//!   overlap, link occupancy, collective rendezvous and a per-rank memory
+//!   ledger (peak + OOM detection). [`engine::check_timeline`] checks any
+//!   timeline, simulated or measured, against that graph.
 //! * [`experiments`] — one runner per paper table/figure.
 //! * [`render`] — ASCII/SVG Gantt charts (Figures 1–4).
 
@@ -34,7 +36,7 @@ pub mod tune;
 
 pub use cluster::{ClusterError, ClusterSpec, Link};
 pub use cost::{CostModel, GpuSpec, ModelDims, TpOverlay};
-pub use engine::{simulate, SimOptions, SimResult, TimedOp};
+pub use engine::{check_timeline, simulate, SimOptions, SimResult, TimedOp};
 pub use measured::measured_result;
 pub use tune::DesOracle;
 pub use wp_sched::MemUnit;

@@ -1,25 +1,27 @@
-//! Property tests: the min-heap wake-up driver behind [`wp_sim::simulate`]
-//! must be observationally *identical* — to the bit — to the round-robin
-//! fixpoint driver [`wp_sim::engine::simulate_reference`]. Both call the
-//! same pricing step, so what is checked is that the order ranks are
-//! visited in cannot change a result and that the heap driver never
-//! strands a parked rank.
+//! Property tests: [`wp_sim::simulate`] — one pass over the topological
+//! order of the schedule's dependency graph — must be observationally
+//! *identical*, to the bit, to the round-robin fixpoint driver
+//! [`wp_sim::engine::simulate_reference`], which never asks the graph for
+//! an order. Both call the same pricing step, so what is checked is that
+//! the order nodes are priced in cannot change a result.
 //!
 //! Random valid schedules are drawn across every strategy (both WeiPipe
 //! variants included), P ∈ {2, 4, 8}, random microbatch counts, W-lag /
 //! chunking / recompute knobs, three cluster shapes, overlap on/off and
 //! occasional stragglers. For each, every observable of the two drivers is
-//! compared: per-rank timelines, busy seconds, bubble fraction, peak
-//! memory, and wire traffic.
+//! compared — per-rank timelines, busy seconds, bubble fraction, peak
+//! memory, and wire traffic — and the timeline is checked against the
+//! graph's priced edges ([`wp_sim::check_timeline`]). The mutation sweep at
+//! the bottom pins what both drivers make of a *broken* schedule.
 
 #[path = "../../wp-sched/tests/mutations/mod.rs"]
 mod mutations;
 
 use proptest::prelude::*;
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use wp_sched::{build, validate, PipelineSpec, Strategy as Strat, ALL_STRATEGIES};
+use wp_sched::{build, validate, DepGraph, PipelineSpec, Strategy as Strat, ALL_STRATEGIES};
 use wp_sim::engine::simulate_reference;
-use wp_sim::{simulate, ClusterSpec, CostModel, GpuSpec, ModelDims, SimOptions};
+use wp_sim::{check_timeline, simulate, ClusterSpec, CostModel, GpuSpec, ModelDims, SimOptions};
 
 fn arb_strategy() -> impl Strategy<Value = Strat> {
     prop::sample::select(ALL_STRATEGIES.to_vec())
@@ -74,7 +76,15 @@ fn assert_engines_agree(
             prop_assert_eq!(d.p2p_bytes, r.p2p_bytes);
             prop_assert_eq!(d.collective_bytes, r.collective_bytes);
             prop_assert_eq!(d.cross_node_p2p_bytes, r.cross_node_p2p_bytes);
-            prop_assert_eq!(d.timeline, r.timeline, "per-rank timelines diverged");
+            prop_assert_eq!(&d.timeline, &r.timeline, "per-rank timelines diverged");
+            let graph = DepGraph::build(&sched).expect("validated");
+            prop_assert_eq!(
+                check_timeline(&graph, &d),
+                Ok(()),
+                "{:?} {:?}",
+                strategy,
+                spec
+            );
         }
         (d, r) => {
             prop_assert!(
@@ -212,6 +222,12 @@ fn experiment_cells_reproduce_bit_identically() {
             assert_eq!(d.timeline, r.timeline, "{strategy:?} H={hidden} S={seq}");
             assert_eq!(d.peak_mem, r.peak_mem);
             assert_eq!(d.bubble_ratio.to_bits(), r.bubble_ratio.to_bits());
+            let graph = DepGraph::build(&sched).expect("valid");
+            assert_eq!(
+                check_timeline(&graph, &d),
+                Ok(()),
+                "{strategy:?} H={hidden}"
+            );
         }
     }
 }

@@ -38,6 +38,28 @@ fn all_strategies_match_reference_p4() {
     }
 }
 
+/// Every runtime strategy's measured timeline honours its schedule's
+/// dependency graph: each compute span starts after the spans the graph
+/// puts before it — across ranks too, the rank threads sharing one clock —
+/// have ended, in both traced iterations.
+#[test]
+fn traced_runs_honour_the_dependency_graph_p4() {
+    let mut setup = TrainSetup::tiny(4, 8);
+    setup.iters = 2;
+    setup.trace = weipipe::TraceConfig::on();
+    for strategy in weipipe::runtime_strategies() {
+        let out = run_distributed(strategy, 4, &setup).expect("healthy world");
+        let schedule = weipipe::build_schedule(strategy, 4, &setup);
+        let graph = wp_sched::DepGraph::build(&schedule).expect("validated");
+        let measured = wp_sim::measured_result(out.trace.as_ref().expect("traced"));
+        assert_eq!(
+            measured.timeline[0].len(),
+            2 * schedule.compute_balance()[0]
+        );
+        wp_sim::check_timeline(&graph, &measured).unwrap_or_else(|e| panic!("{strategy:?}: {e}"));
+    }
+}
+
 /// Byte accounting of every runtime strategy at P = 4: what a rank's meter
 /// counts point to point over one step is exactly what the schedule says it
 /// sends (`analysis::traffic`) plus one chunk per weight copy it refreshes
