@@ -1,7 +1,7 @@
 //! Communication analysis: byte counting from schedules, plus the paper's
 //! §3 closed-form comparisons.
 
-use crate::ir::{MsgKind, OpKind, Schedule};
+use crate::ir::{MsgKind, OpKind, Schedule, FLOW_BWD, FLOW_FWD, RESIDENT, SHARDED};
 
 /// Wire sizes of the four message payloads plus collective parameters, for
 /// a concrete model/batch configuration. All in bytes.
@@ -15,6 +15,19 @@ pub struct ByteModel {
     pub act_boundary: u64,
     /// Boundary activation gradients (same count, bf16 in the paper).
     pub act_grad_boundary: u64,
+}
+
+impl ByteModel {
+    /// Wire bytes of one message of `kind` — point-to-point, or the payload
+    /// a collective moves (by its completion key).
+    pub fn of(&self, kind: MsgKind) -> u64 {
+        match kind {
+            MsgKind::Weights => self.weight_chunk,
+            MsgKind::WeightGrads => self.grad_chunk,
+            MsgKind::Act => self.act_boundary,
+            MsgKind::ActGrad => self.act_grad_boundary,
+        }
+    }
 }
 
 /// Per-rank bytes sent, split by traffic class.
@@ -43,15 +56,7 @@ pub fn traffic(s: &Schedule, bytes: &ByteModel) -> Vec<RankBytes> {
     let mut out = vec![RankBytes::default(); s.ranks];
     for (rank, op) in s.iter_ops() {
         match &op.kind {
-            OpKind::Send(k) => {
-                let sz = match k.kind {
-                    MsgKind::Weights => bytes.weight_chunk,
-                    MsgKind::WeightGrads => bytes.grad_chunk,
-                    MsgKind::Act => bytes.act_boundary,
-                    MsgKind::ActGrad => bytes.act_grad_boundary,
-                };
-                out[rank].p2p += sz;
-            }
+            OpKind::Send(k) => out[rank].p2p += bytes.of(k.kind),
             OpKind::AllGatherW { .. } => {
                 out[rank].collective += bytes.weight_chunk * (p - 1) / p;
             }
@@ -65,6 +70,48 @@ pub fn traffic(s: &Schedule, bytes: &ByteModel) -> Vec<RankBytes> {
         }
     }
     out
+}
+
+/// What a rank holds from the first op of an iteration to the last — the
+/// memory no op's `MemUnit` delta accounts for — in `1/P` slices of a chunk:
+/// a sharded holding is one slice, a whole chunk `P`.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct Resident {
+    /// Weight copies, read off [`Schedule::seeds`]: a [`RESIDENT`] seed is
+    /// one chunk, a [`SHARDED`] seed one slice, and a circulating seed two
+    /// chunks — the copy in hand and the slot the next one lands in.
+    pub weights: u64,
+    /// Gradient accumulators, one per weight copy the rank runs backward
+    /// passes on: as for the weights, except that the forward flow has none.
+    pub grads: u64,
+    /// Optimizer state of every chunk the rank runs `Update` for: a slice
+    /// where its seed of the chunk is sharded, the whole chunk otherwise.
+    pub optimizer: u64,
+}
+
+/// What `rank` holds for the whole iteration under `s`.
+pub fn resident(s: &Schedule, rank: usize) -> Resident {
+    let p = s.ranks as u64;
+    let seeds = &s.seeds[rank];
+    let mut held = Resident::default();
+    for &(_, flow) in seeds {
+        let (weights, grads) = match flow {
+            SHARDED => (1, 1),
+            RESIDENT => (p, p),
+            FLOW_BWD => (2 * p, 2 * p),
+            FLOW_FWD => (2 * p, 0),
+            other => panic!("seed with unknown flow tag {other}"),
+        };
+        held.weights += weights;
+        held.grads += grads;
+    }
+    for op in &s.ops[rank] {
+        if let OpKind::Update { chunk } = op.kind {
+            let sharded = seeds.contains(&(chunk, SHARDED));
+            held.optimizer += if sharded { 1 } else { p };
+        }
+    }
+    held
 }
 
 /// Total bytes sent by all ranks over the iteration.
@@ -209,6 +256,26 @@ mod tests {
         assert!(per_rank
             .iter()
             .all(|r| r.collective == per_rank[0].collective));
+    }
+
+    #[test]
+    fn resident_holdings_follow_seeds_and_updates() {
+        let p = 4;
+        let held = |strategy, rank| {
+            let r = resident(&build(strategy, PipelineSpec::new(p, 8)), rank);
+            [r.weights, r.grads, r.optimizer].map(|slices| slices as usize)
+        };
+        // A stage: its chunk, that chunk's accumulator and optimizer state.
+        assert_eq!(held(Strategy::OneFOneB, 2), [p, p, p]);
+        // The ring: two circulating copies with a landing slot each, the
+        // backward flow's accumulator likewise, one chunk stepped at home.
+        assert_eq!(held(Strategy::WeiPipeInterleave, 2), [4 * p, 2 * p, p]);
+        // WZB2 parks every chunk's optimizer state on the last rank.
+        assert_eq!(held(Strategy::Wzb2, 0), [4 * p, 2 * p, 0]);
+        assert_eq!(held(Strategy::Wzb2, p - 1), [4 * p, 2 * p, p * p]);
+        // A slice of each of the P chunks vs. all of every one.
+        assert_eq!(held(Strategy::Fsdp, 1), [p, p, p]);
+        assert_eq!(held(Strategy::Ddp, 1), [p * p, p * p, p * p]);
     }
 
     #[test]

@@ -18,7 +18,7 @@
 //! * Wire format is fp16 (2 bytes) for weights, weight grads and
 //!   activations; bf16 (2 bytes) for activation grads (§4.3).
 
-use wp_sched::{MemUnit, Schedule, Strategy};
+use wp_sched::{MemUnit, Schedule};
 
 /// Accelerator characteristics.
 #[derive(Debug, Clone, Copy)]
@@ -317,7 +317,7 @@ impl CostModel {
             MemUnit::BCtx => (5 * tokens * h + 2 * tokens * f) * lpc * 2,
             MemUnit::ActBoundary => tokens * h * 2,
             MemUnit::ActGradBoundary => tokens * h * 2,
-            // Weight/grad buffers are charged statically per strategy.
+            // Beyond what a rank holds throughout (`static_mem_bytes`).
             MemUnit::WeightChunk => self.weight_chunk_bytes(),
             MemUnit::GradChunk => self.grad_chunk_bytes(),
         }
@@ -338,57 +338,23 @@ impl CostModel {
     /// the paper's Table 2.
     pub const FRAMEWORK_OVERHEAD_BYTES: u64 = 2 * (1 << 30);
 
-    /// Static (schedule-independent) memory of `rank` under a strategy:
-    /// resident weights, gradients, optimizer state (fp32 master + Adam
-    /// moments = 12 B/param), and the strategy's working buffers.
-    pub fn static_mem_bytes(&self, strategy: Strategy, rank: usize, ranks: usize) -> u64 {
-        let chunk_w = self.weight_chunk_bytes(); // fp16 weights
-        let chunk_g = self.grad_chunk_bytes();
-        let chunk_params = self.layer_params_per_chunk();
-        let opt_per_chunk = chunk_params * 12; // fp32 master + m + v
-        let total_chunks = self.chunks as u64;
-        Self::FRAMEWORK_OVERHEAD_BYTES
-            + match strategy {
-                Strategy::GPipe | Strategy::OneFOneB | Strategy::Zb1 | Strategy::Zb2 => {
-                    // Own chunk: fp16 weights + fp16 grads + fp32 opt state.
-                    chunk_w + chunk_g + opt_per_chunk
-                }
-                Strategy::Fsdp => {
-                    // Everything sharded 1/P. The transient gathered-chunk and
-                    // reduce-scatter staging buffers are charged dynamically by
-                    // the schedule's per-microbatch gather/free ops.
-                    (total_chunks * (chunk_w + chunk_g + opt_per_chunk)) / ranks as u64
-                }
-                Strategy::Ddp => total_chunks * (chunk_w + chunk_g + opt_per_chunk),
-                Strategy::WeiPipeNaive | Strategy::WeiPipeInterleave | Strategy::WeiPipeHier => {
-                    // Two circulating weight copies + one gradient chunk, each
-                    // double-buffered for the in-flight recv, plus owned
-                    // optimizer state for one chunk. Under WeiPipe-Hier the
-                    // chunk is 1/group of the model rather than 1/P — that
-                    // larger `chunk_w` (already reflected in `self.chunks`)
-                    // is the memory the hierarchy trades for slow-link bytes.
-                    2 * (2 * chunk_w) + 2 * chunk_g + opt_per_chunk
-                }
-                Strategy::Wzb1 => 2 * (2 * chunk_w) + 2 * chunk_g + opt_per_chunk,
-                Strategy::Wzb2 => {
-                    // Worker P−1 holds ALL optimizer state (§4.2.3.2); worker 0
-                    // retains up to C/2 forked weight copies between F and B.
-                    let base = 2 * (2 * chunk_w) + 2 * chunk_g;
-                    if rank == ranks - 1 {
-                        base + total_chunks * opt_per_chunk
-                    } else if rank == 0 {
-                        base + (total_chunks / 2) * chunk_w
-                    } else {
-                        base
-                    }
-                }
-            }
+    /// What `rank` holds for the whole iteration under `s` — weight copies,
+    /// gradient accumulators, optimizer state (fp32 master + Adam moments =
+    /// 12 B/param), all counted by [`wp_sched::analysis::resident`] — plus
+    /// the framework floor. Everything transient is an op's `MemUnit` delta.
+    pub fn static_mem_bytes(&self, s: &Schedule, rank: usize) -> u64 {
+        let held = wp_sched::analysis::resident(s, rank);
+        let slices = held.weights * self.weight_chunk_bytes()
+            + held.grads * self.grad_chunk_bytes()
+            + held.optimizer * self.layer_params_per_chunk() * 12;
+        Self::FRAMEWORK_OVERHEAD_BYTES + slices / s.ranks as u64
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use wp_sched::Strategy;
 
     fn dims() -> ModelDims {
         ModelDims::paper(1024, 32, 4096, 16)
@@ -468,17 +434,19 @@ mod tests {
     fn static_memory_orderings() {
         let c = cm(true);
         let p = 16;
-        let ddp = c.static_mem_bytes(Strategy::Ddp, 0, p);
-        let fsdp = c.static_mem_bytes(Strategy::Fsdp, 0, p);
-        let pp = c.static_mem_bytes(Strategy::OneFOneB, 0, p);
-        let wp = c.static_mem_bytes(Strategy::WeiPipeInterleave, 0, p);
+        let held = |strategy, rank| {
+            let s = wp_sched::build(strategy, wp_sched::PipelineSpec::new(p, p));
+            c.static_mem_bytes(&s, rank)
+        };
+        let ddp = held(Strategy::Ddp, 0);
+        let fsdp = held(Strategy::Fsdp, 0);
+        let pp = held(Strategy::OneFOneB, 0);
+        let wp = held(Strategy::WeiPipeInterleave, 0);
         assert!(ddp > fsdp, "DDP replicates everything");
         assert!(wp > pp, "WeiPipe carries extra circulating copies");
         assert!(wp < ddp);
         // WZB2 skews: last rank holds all optimizer state.
-        let wzb2_last = c.static_mem_bytes(Strategy::Wzb2, p - 1, p);
-        let wzb2_mid = c.static_mem_bytes(Strategy::Wzb2, 3, p);
-        assert!(wzb2_last > 2 * wzb2_mid);
+        assert!(held(Strategy::Wzb2, p - 1) > 2 * held(Strategy::Wzb2, 3));
     }
 
     #[test]

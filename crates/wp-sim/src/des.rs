@@ -41,13 +41,16 @@ use crate::cluster::ClusterSpec;
 use crate::cost::CostModel;
 use crate::engine::{SimError, SimOptions, SimResult, TimedOp};
 use std::collections::HashMap;
+use wp_sched::analysis::ByteModel;
 use wp_sched::graph::{DepGraph, Node};
-use wp_sched::{MsgKey, MsgKind, OpKind};
+use wp_sched::{MsgKey, OpKind};
 
 /// Everything pricing reads or writes; see the module docs.
 pub(crate) struct State<'a> {
     graph: &'a DepGraph<'a>,
     cost: &'a CostModel,
+    /// Wire bytes per message kind under `cost`.
+    bytes: ByteModel,
     cluster: &'a ClusterSpec,
     opts: SimOptions,
     /// Arrival time of every message, by the graph's message id; NaN until
@@ -93,6 +96,7 @@ impl<'a> State<'a> {
         Ok(State {
             graph,
             cost,
+            bytes: cost.byte_model(),
             cluster,
             opts,
             arrivals: vec![f64::NAN; graph.messages()],
@@ -165,7 +169,7 @@ impl<'a> State<'a> {
                 });
             }
             (OpKind::Send(k), Some(m)) => {
-                let bytes = msg_bytes(cost, k);
+                let bytes = self.bytes.of(k.kind);
                 // Resolve the link from both endpoints: grouped schedules
                 // send between non-adjacent ranks (bridge hops, intra-node
                 // fan-out), so src's ring successor is not enough.
@@ -189,12 +193,12 @@ impl<'a> State<'a> {
             (OpKind::PrePost(_), _) => {
                 // Posting the receive buffer is free and gates
                 // nothing; memory for the in-flight slot is already
-                // in the strategy's static footprint (cost.rs).
+                // in the rank's static footprint (cost.rs).
                 end_time = needs_t;
             }
             (kind, Some(m)) => {
                 // Collective: record entry; complete at rendezvous.
-                let payload = msg_bytes(cost, &kind.collective_key(r));
+                let payload = self.bytes.of(kind.collective_key(r).kind);
                 let ready = local_t.max(self.coll_free);
                 let (entered, start) = self.coll_groups.entry(m).or_insert((0, 0.0));
                 (*entered, *start) = (*entered + 1, start.max(ready));
@@ -232,11 +236,12 @@ impl<'a> State<'a> {
     /// schedule's ([`wp_sched::analysis::traffic`]), whatever the clock says.
     pub(crate) fn finish(mut self) -> SimResult {
         let (schedule, cost, cluster) = (self.graph.schedule, self.cost, self.cluster);
+        let bytes = self.bytes;
         let p = schedule.ranks;
 
         let peak_of = |(r, events): (usize, &mut Vec<(f64, i64)>)| {
             events.sort_by(|a, b| a.0.partial_cmp(&b.0).expect("finite times"));
-            let stat = cost.static_mem_bytes(schedule.strategy, r, p) as i64;
+            let stat = cost.static_mem_bytes(schedule, r) as i64;
             let sums = events.iter().scan(stat, |cur, &(_, d)| {
                 *cur += d;
                 Some(*cur)
@@ -262,12 +267,12 @@ impl<'a> State<'a> {
         let crosses = |k: &MsgKey| cluster.group_of(k.src) != cluster.group_of(k.dst);
         let cross_node_p2p_bytes = (schedule.iter_ops())
             .filter_map(|(_, op)| match &op.kind {
-                OpKind::Send(k) if crosses(k) => Some(msg_bytes(cost, k)),
+                OpKind::Send(k) if crosses(k) => Some(bytes.of(k.kind)),
                 _ => None,
             })
             .sum();
 
-        let sent = wp_sched::analysis::traffic(schedule, &cost.byte_model());
+        let sent = wp_sched::analysis::traffic(schedule, &bytes);
         SimResult {
             makespan: self.makespan,
             busy: self.busy,
@@ -291,17 +296,6 @@ pub(crate) fn compute_class(kind: &OpKind) -> Option<(char, usize, usize)> {
         OpKind::BwdWeight { mb, chunk } => Some(('w', mb, chunk)),
         OpKind::Update { chunk } => Some(('U', usize::MAX, chunk)),
         _ => None,
-    }
-}
-
-/// Wire bytes of one point-to-point message, or of the payload a
-/// collective moves (by its completion key).
-fn msg_bytes(cost: &CostModel, k: &MsgKey) -> u64 {
-    match k.kind {
-        MsgKind::Weights => cost.weight_chunk_bytes(),
-        MsgKind::WeightGrads => cost.grad_chunk_bytes(),
-        MsgKind::Act => cost.act_boundary_bytes(),
-        MsgKind::ActGrad => cost.act_grad_boundary_bytes(),
     }
 }
 

@@ -39,7 +39,7 @@ fn sweep() -> String {
                 let dims = ModelDims::paper(1024, 32, 4096, 16);
                 let cost = CostModel::for_schedule(dims, GpuSpec::a800(), &s);
                 let ranks: Vec<String> = (0..p)
-                    .map(|r| cost.static_mem_bytes(s.strategy, r, p).to_string())
+                    .map(|r| cost.static_mem_bytes(&s, r).to_string())
                     .collect();
                 writeln!(out, "P={p} {} : {}", c.label(), ranks.join(" "))
                     .expect("writing to a String");
