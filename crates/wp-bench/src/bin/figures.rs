@@ -17,9 +17,9 @@ use wp_sim::experiments::fig5_bubble_vs_microbatches;
 use wp_sim::render::{ascii_timeline, svg_timeline};
 use wp_sim::{simulate, ClusterSpec, CostModel, GpuSpec, ModelDims, SimOptions};
 
-fn schedule_figure(strategy: Strategy, n: usize) -> wp_sim::SimResult {
+fn schedule_figure(strategy: Strategy) -> wp_sim::SimResult {
     let p = 4;
-    let sched = build(strategy, PipelineSpec::new(p, n));
+    let sched = build(strategy, PipelineSpec::new(p, 8));
     let dims = ModelDims::paper(2048, 4, 4096, 4);
     let cost = CostModel::for_schedule(dims, GpuSpec::a800(), &sched);
     let cluster = ClusterSpec::nvlink_island(p);
@@ -65,8 +65,7 @@ fn main() {
         if which.is_some() && which != Some(id) {
             continue;
         }
-        let n = if strategy == Strategy::Wzb1 { 16 } else { 8 };
-        let result = schedule_figure(strategy, n);
+        let result = schedule_figure(strategy);
         println!("## {title}\n");
         println!("{}", ascii_timeline(&result, 112));
         if let Some(dir) = &svg_dir {

@@ -122,11 +122,9 @@ pub fn run_cell(
         Strategy::Zb1 | Strategy::Zb2 => zb_microbatch(row.seq).min(row.microbatch),
         _ => row.microbatch,
     };
-    let mut n = (total_samples / g).max(1);
     // Weight-passing and data-parallel builders need N to be a multiple of
-    // P (2P for WZB1); round up so every strategy sees ≥ the same tokens.
-    let mult = if strategy == Strategy::Wzb1 { 2 * p } else { p };
-    n = n.div_ceil(mult) * mult;
+    // P; round up so every strategy sees ≥ the same tokens.
+    let n = (total_samples / g).max(1).div_ceil(p) * p;
 
     let spec = paper_spec(strategy, p, n);
     let sched = build(strategy, spec);
