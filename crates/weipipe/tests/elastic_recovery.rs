@@ -11,8 +11,10 @@ use weipipe::{
     TrainState, TrainWorld, TransportKind,
 };
 use wp_metrics::{Counter, Hist};
-use wp_sched::tune::Candidate;
+use wp_sched::tune::{grid, Candidate, TuneSpace};
 use wp_sched::Strategy;
+use wp_sim::tune::DesOracle;
+use wp_sim::{ClusterSpec, GpuSpec, ModelDims};
 
 /// Train `setup` while capturing a snapshot every `every` iterations,
 /// asserting the capture collective leaves every rank with bit-identical
@@ -318,7 +320,26 @@ fn second_fault_during_recovery_fails_typed_never_hangs() {
 #[test]
 fn from_candidate_matches_tuner_spec_and_trains() {
     let p = 4;
+    // What the tuner hands over in practice: the DES-priced grid winner
+    // over everything the runtime executes.
+    let oracle = DesOracle::new(
+        ModelDims::paper(1024, 12, 2048, 4),
+        GpuSpec::a800(),
+        ClusterSpec::nvlink_island(p),
+        16,
+    );
+    let space = TuneSpace {
+        ranks: p,
+        strategies: weipipe::runtime_strategies(),
+        microbatches: vec![p, 2 * p],
+        w_lags: vec![1, 2],
+        chunk_counts: vec![2],
+        group_sizes: vec![p, p / 2],
+        overlap: vec![true],
+    };
+    let winner = grid(&space, &oracle).expect("a feasible runtime candidate");
     let candidates = [
+        winner.best,
         Candidate::default_for(Strategy::WeiPipeInterleave, 8),
         Candidate {
             w_lag: Some(2),

@@ -1,11 +1,12 @@
 //! Regenerate the paper's Tables 2, 3 and 4.
 //!
 //! ```text
-//! tables            # all three
-//! tables --table 2  # one table
+//! tables                        # all three
+//! tables --table 2              # one table
+//! tables --csv-dir results/csv  # also write table{2,3,4}.csv (the golden fixtures)
 //! ```
 
-use wp_bench::{format_table, table_csv};
+use wp_bench::{format_table, table_csv, write_csv_if_asked};
 use wp_sim::experiments::{table2, table3, table4};
 
 fn main() {
@@ -15,27 +16,9 @@ fn main() {
         .position(|a| a == "--table")
         .and_then(|i| args.get(i + 1))
         .and_then(|v| v.parse::<u32>().ok());
-    let csv_dir = args
-        .iter()
-        .position(|a| a == "--csv-dir")
-        .and_then(|i| args.get(i + 1))
-        .cloned();
-    let maybe_csv = |id: u32,
-                     rows: &[(
-        wp_sim::experiments::RowConfig,
-        Vec<wp_sim::experiments::CellResult>,
-    )]| {
-        if let Some(dir) = &csv_dir {
-            std::fs::create_dir_all(dir).expect("create csv dir");
-            let path = format!("{dir}/table{id}.csv");
-            std::fs::write(&path, table_csv(rows)).expect("write csv");
-            eprintln!("(CSV written to {path})");
-        }
-    };
-
     if which.is_none() || which == Some(2) {
         let rows = table2();
-        maybe_csv(2, &rows);
+        write_csv_if_asked("table2.csv", &table_csv(&rows));
         println!(
             "{}",
             format_table(
@@ -48,7 +31,7 @@ fn main() {
     }
     if which.is_none() || which == Some(3) {
         let rows = table3();
-        maybe_csv(3, &rows);
+        write_csv_if_asked("table3.csv", &table_csv(&rows));
         println!(
             "{}",
             format_table(
@@ -60,7 +43,7 @@ fn main() {
     }
     if which.is_none() || which == Some(4) {
         let rows = table4();
-        maybe_csv(4, &rows);
+        write_csv_if_asked("table4.csv", &table_csv(&rows));
         println!(
             "{}",
             format_table(

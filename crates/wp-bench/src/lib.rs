@@ -1,12 +1,14 @@
 //! Shared formatting helpers for the table/figure binaries, the
-//! measured-vs-simulated [`drift`] analysis behind the `trace` binary, and
-//! the [`ci`] report/floor plumbing behind the perf-regression gate.
+//! measured-vs-simulated [`drift`] analysis behind the `trace` binary, the
+//! autotuner's [`tune`] points, and the [`ci`] report/floor plumbing behind
+//! the perf-regression gate.
 
 pub mod ci;
 pub mod drift;
 pub mod ranks;
+pub mod tune;
 
-use wp_sim::experiments::{CellResult, RowConfig, ScalingPoint};
+use wp_sim::experiments::{CellResult, HierCell, RowConfig, ScalingPoint};
 
 /// The value following flag `name` on this process's command line, when
 /// the flag is given — the one flag reader the binaries share.
@@ -126,6 +128,43 @@ pub fn table_csv(rows: &[(RowConfig, Vec<CellResult>)]) -> String {
         }
     }
     out
+}
+
+/// Serialize the flat-vs-grouped comparison as CSV, one row per cluster,
+/// seconds in full precision: the pinned form of the `hier` binary's table.
+pub fn hier_csv(cells: &[HierCell]) -> String {
+    let mut out = String::from(
+        "cluster,node_size,flat_iter_s,grouped_iter_s,tuned,tuned_iter_s,\
+         flat_xnode_bytes,tuned_xnode_bytes\n",
+    );
+    for c in cells {
+        out.push_str(&format!(
+            "{},{},{},{},{},{},{},{}\n",
+            c.label,
+            c.node_size,
+            c.flat_s,
+            c.grouped_s,
+            c.tuned.label(),
+            c.tuned_s,
+            c.flat_xnode_bytes,
+            c.tuned_xnode_bytes
+        ));
+    }
+    out
+}
+
+/// With `--csv-dir <dir>` on the command line, write `text` to
+/// `<dir>/<name>`, the directory created if needed.
+///
+/// # Panics
+/// Panics if the directory or the file cannot be written.
+pub fn write_csv_if_asked(name: &str, text: &str) {
+    if let Some(dir) = flag_value("--csv-dir") {
+        std::fs::create_dir_all(&dir).expect("create csv dir");
+        let path = format!("{dir}/{name}");
+        std::fs::write(&path, text).expect("write csv");
+        eprintln!("(CSV written to {path})");
+    }
 }
 
 #[cfg(test)]

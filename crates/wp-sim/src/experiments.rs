@@ -6,6 +6,8 @@
 use crate::cluster::ClusterSpec;
 use crate::cost::{CostModel, GpuSpec, ModelDims};
 use crate::engine::{simulate, SimOptions, SimResult};
+use crate::tune::DesOracle;
+use wp_sched::tune::{grid, Candidate, TuneSpace};
 use wp_sched::{build, PipelineSpec, Strategy};
 
 /// Result of one (strategy × configuration) cell.
@@ -431,94 +433,91 @@ pub struct HierCell {
     pub flat_s: f64,
     /// Grouped WeiPipe-Hier (one ring per island) iteration seconds.
     pub grouped_s: f64,
+    /// The best feasible WeiPipe-Hier candidate of the grid.
+    pub tuned: Candidate,
+    /// Its iteration seconds.
+    pub tuned_s: f64,
     /// Flat cross-node P2P bytes per iteration.
     pub flat_xnode_bytes: u64,
-    /// Grouped cross-node P2P bytes per iteration.
-    pub grouped_xnode_bytes: u64,
+    /// Tuned cross-node P2P bytes per iteration.
+    pub tuned_xnode_bytes: u64,
 }
 
 impl HierCell {
-    /// Iteration-time speedup of grouped over flat.
+    /// Iteration-time speedup of tuned over flat.
     pub fn speedup(&self) -> f64 {
-        self.flat_s / self.grouped_s
+        self.flat_s / self.tuned_s
     }
 
-    /// Cross-node byte reduction factor (flat / grouped).
+    /// Cross-node byte reduction factor (flat / tuned).
     pub fn xnode_reduction(&self) -> f64 {
-        if self.grouped_xnode_bytes == 0 {
+        if self.tuned_xnode_bytes == 0 {
             if self.flat_xnode_bytes == 0 {
                 1.0
             } else {
                 f64::INFINITY
             }
         } else {
-            self.flat_xnode_bytes as f64 / self.grouped_xnode_bytes as f64
+            self.flat_xnode_bytes as f64 / self.tuned_xnode_bytes as f64
         }
     }
 }
 
-/// Flat-vs-grouped WeiPipe across the paper's three calibrated clusters:
-/// the TawPipe-style comparison. The grouped schedule runs one interleaved
-/// ring per island (`group = node_size`) so weight hops stay on fast
-/// links; only bridge-carried gradient reconciliation crosses nodes. On
-/// the single-island `nvlink_8` control, grouping degenerates to the flat
-/// ring and must change nothing.
+/// Flat-vs-grouped WeiPipe across the paper's three calibrated clusters,
+/// the TawPipe-style comparison, at a fixed global batch ([`DesOracle`]):
+/// *flat* is the WeiPipe-interleave default at `N = P`, *grouped* runs one
+/// interleaved ring per island (`group = node_size`) so weight hops stay on
+/// fast links and only bridge-carried gradient reconciliation crosses
+/// nodes, *tuned* is the best of a grid over group sizes × microbatches ×
+/// overlap (the flat ring stays in the space, should grouping ever lose).
+/// Flat and grouped are priced whether or not they fit in memory; the grid
+/// skips what does not. On the single-island `nvlink8` control, grouping
+/// degenerates to the flat ring and must change nothing.
 pub fn hier_flat_vs_grouped() -> Vec<HierCell> {
-    let points: [(&'static str, ClusterSpec, RowConfig); 3] = [
+    let dims16 = ModelDims::paper(4096, 32, 16384, 4);
+    let points = [
+        ("ethernet16", ClusterSpec::ethernet_16(), dims16, 64),
+        ("nvlink16", ClusterSpec::nvlink_16(), dims16, 64),
         (
-            "ethernet_16",
-            ClusterSpec::ethernet_16(),
-            RowConfig {
-                hidden: 4096,
-                seq: 16384,
-                microbatch: 4,
-            },
-        ),
-        (
-            "nvlink_16",
-            ClusterSpec::nvlink_16(),
-            RowConfig {
-                hidden: 4096,
-                seq: 16384,
-                microbatch: 4,
-            },
-        ),
-        (
-            "nvlink_8",
+            "nvlink8",
             ClusterSpec::nvlink_8(),
-            RowConfig {
-                hidden: 2048,
-                seq: 65536,
-                microbatch: 1,
-            },
+            ModelDims::paper(2048, 32, 65536, 1),
+            32,
         ),
     ];
     points
         .into_iter()
-        .map(|(label, cluster, row)| {
-            let p = cluster.ranks;
-            let n = 4 * p;
-            let dims = ModelDims::paper(row.hidden, 32, row.seq, row.microbatch);
-            let run = |strategy: Strategy, group: Option<usize>| {
-                let mut spec = PipelineSpec::new(p, n);
-                if let Some(g) = group {
-                    spec = spec.with_group(g);
-                }
-                let sched = build(strategy, spec);
-                let cost = CostModel::for_schedule(dims, GpuSpec::a800(), &sched);
-                simulate(&sched, &cost, &cluster, sim_options(strategy))
-                    .unwrap_or_else(|e| panic!("{label} {strategy:?}: {e}"))
+        .map(|(label, cluster, dims, global_batch)| {
+            let (p, node_size) = (cluster.ranks, cluster.node_size);
+            let oracle = DesOracle::new(dims, GpuSpec::a800(), cluster, global_batch);
+            let run = |c: &Candidate| {
+                oracle
+                    .simulate(c)
+                    .unwrap_or_else(|e| panic!("{label} {}: {e}", c.label()))
             };
-            let flat = run(Strategy::WeiPipeInterleave, None);
-            let group = (cluster.groups() > 1).then_some(cluster.node_size);
-            let grouped = run(Strategy::WeiPipeHier, group);
+            let flat = run(&Candidate::default_for(Strategy::WeiPipeInterleave, p));
+            let mut grouped = Candidate::default_for(Strategy::WeiPipeHier, p);
+            grouped.group = (cluster.groups() > 1).then_some(node_size);
+            let space = TuneSpace {
+                ranks: p,
+                strategies: vec![Strategy::WeiPipeHier],
+                microbatches: vec![p, 2 * p, 4 * p],
+                w_lags: Vec::new(),
+                chunk_counts: Vec::new(),
+                group_sizes: vec![node_size, p / 2],
+                overlap: vec![true, false],
+            };
+            let tuned = grid(&space, &oracle).expect("a feasible hier candidate");
+            let tuned_r = run(&tuned.best);
             HierCell {
                 label,
-                node_size: cluster.node_size,
+                node_size,
                 flat_s: flat.makespan,
-                grouped_s: grouped.makespan,
+                grouped_s: run(&grouped).makespan,
+                tuned: tuned.best,
+                tuned_s: tuned_r.makespan,
                 flat_xnode_bytes: flat.cross_node_p2p_bytes,
-                grouped_xnode_bytes: grouped.cross_node_p2p_bytes,
+                tuned_xnode_bytes: tuned_r.cross_node_p2p_bytes,
             }
         })
         .collect()
@@ -546,10 +545,11 @@ mod tests {
         assert_eq!(cells.len(), 3);
         for cell in &cells {
             match cell.label {
-                "nvlink_8" => {
+                "nvlink8" => {
                     // Single island: grouping degenerates to the flat ring.
                     assert_eq!(cell.flat_xnode_bytes, 0, "{cell:?}");
-                    assert_eq!(cell.grouped_xnode_bytes, 0, "{cell:?}");
+                    assert_eq!(cell.tuned_xnode_bytes, 0, "{cell:?}");
+                    assert_eq!(cell.grouped_s, cell.flat_s, "{cell:?}");
                 }
                 _ => {
                     assert!(cell.speedup() > 1.0, "{cell:?}");

@@ -20,7 +20,7 @@ use wp_sched::{build, validate};
 
 use crate::cluster::ClusterSpec;
 use crate::cost::{CostModel, GpuSpec, ModelDims};
-use crate::engine::{simulate, SimOptions};
+use crate::engine::{simulate, SimOptions, SimResult};
 
 /// Discrete-event-simulation cost oracle for one (model, cluster) point.
 #[derive(Debug, Clone, Copy)]
@@ -63,13 +63,10 @@ impl DesOracle {
         dims.microbatch = self.global_batch / c.microbatches;
         Ok(dims)
     }
-}
 
-impl CostOracle for DesOracle {
-    /// Build → validate → discrete-event simulate. `Err` is a structurally
-    /// invalid candidate; OOM is reported in the cost so the search can
-    /// skip it while still logging how close it came.
-    fn evaluate(&self, c: &Candidate) -> Result<ScheduleCost, String> {
+    /// Build → validate → discrete-event simulate `c` at this point's
+    /// global batch; the whole engine result.
+    pub(crate) fn simulate(&self, c: &Candidate) -> Result<SimResult, String> {
         let p = self.cluster.ranks;
         c.check(p)?;
         let dims = self.dims_for(c)?;
@@ -80,7 +77,15 @@ impl CostOracle for DesOracle {
             overlap: c.overlap,
             straggler: None,
         };
-        let r = simulate(&schedule, &cost, &self.cluster, opts).map_err(|e| e.to_string())?;
+        simulate(&schedule, &cost, &self.cluster, opts).map_err(|e| e.to_string())
+    }
+}
+
+impl CostOracle for DesOracle {
+    /// `Err` is a structurally invalid candidate; OOM is reported in the
+    /// cost so the search can skip it while still logging how close it came.
+    fn evaluate(&self, c: &Candidate) -> Result<ScheduleCost, String> {
+        let r = self.simulate(c)?;
         Ok(ScheduleCost {
             iter_s: r.makespan,
             bubble_ratio: r.bubble_ratio,
