@@ -80,8 +80,8 @@ pub fn uses_recompute(strategy: Strategy) -> bool {
 /// against the published numbers. The schedule-level `PrePost`/`WaitReq`
 /// overlap (the runtime default) would stack on top of that model and
 /// over-predict WeiPipe against the paper's own measurements — it is
-/// benchmarked separately (`wp-bench overlap`, drift report `--blocking`
-/// ablation).
+/// measured separately (the repo benchmark's `ether` workload; `wp-bench
+/// trace --blocking` traces the ablation).
 pub fn paper_spec(strategy: Strategy, p: usize, n: usize) -> PipelineSpec {
     let spec = PipelineSpec::new(p, n).with_overlap(false);
     if uses_recompute(strategy) {
