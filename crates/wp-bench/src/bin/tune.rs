@@ -75,14 +75,14 @@ fn main() {
             t.best_s * 1e3,
             t.default.label(),
             t.default_s * 1e3,
-            t.default_s / t.best_s,
+            t.gain(),
             t.evaluated,
             t.infeasible,
         );
         report
             .metric(&format!("{}_best_iter_s", t.label), t.best_s)
             .metric(&format!("{}_default_iter_s", t.label), t.default_s)
-            .metric(&format!("{}_gain", t.label), t.default_s / t.best_s)
+            .metric(&format!("{}_gain", t.label), t.gain())
             .metric(&format!("{}_evaluated", t.label), t.evaluated as f64)
             .note(&format!("{}_best", t.label), &t.best.label());
         rows.push(t);

@@ -81,6 +81,13 @@ pub struct Tuned {
     pub infeasible: usize,
 }
 
+impl Tuned {
+    /// Iteration-time gain of the winner over the default.
+    pub fn gain(&self) -> f64 {
+        self.default_s / self.best_s
+    }
+}
+
 impl Point {
     /// Grid-search this point.
     pub fn tune(&self) -> Result<Tuned, String> {
