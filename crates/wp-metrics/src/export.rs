@@ -688,6 +688,28 @@ mod tests {
         assert!(stats.samples > 0);
     }
 
+    /// The exposition's bytes are pinned: `export_prometheus` is a view
+    /// nothing parses back, so its format is what this file says it is.
+    /// After adding or removing a metric, rewrite it with
+    /// `cargo test -p wp-metrics --lib golden -- --ignored` and read the diff.
+    #[test]
+    fn prometheus_export_matches_the_golden_exposition() {
+        assert_eq!(
+            export_prometheus(&sample_snapshot()),
+            include_str!("../tests/fixtures/sample_snapshot.prom")
+        );
+    }
+
+    #[test]
+    #[ignore = "rewrites tests/fixtures/sample_snapshot.prom"]
+    fn regenerate_the_golden_exposition() {
+        let path = concat!(
+            env!("CARGO_MANIFEST_DIR"),
+            "/tests/fixtures/sample_snapshot.prom"
+        );
+        std::fs::write(path, export_prometheus(&sample_snapshot())).expect("fixture is writable");
+    }
+
     #[test]
     fn json_export_roundtrips_through_parser() {
         let snap = sample_snapshot();

@@ -76,8 +76,104 @@ fn wp_metrics_bucket(v: u64) -> usize {
     }
 }
 
+/// `<label>="<value>"` → `<value>`.
+fn quoted<'a>(label: &str, pair: &'a str) -> Option<&'a str> {
+    pair.strip_prefix(label)?
+        .strip_prefix("=\"")?
+        .strip_suffix('"')
+}
+
+/// What a scraper needs of the exposition, checked by plain line scans
+/// (nothing reads this format back, so there is no parser to ask): one
+/// `# TYPE` per family, ahead of that family's samples; one sample per rank
+/// carrying exactly the snapshot's value; every bucket series cumulative
+/// over rising bounds and closed by a `+Inf` bucket equal to `_count`.
+fn check_exposition(text: &str, snap: &MetricsSnapshot) {
+    let mut families: Vec<&str> = Vec::new();
+    let mut kind = "";
+    let mut scalars = 0;
+    let mut series: Vec<(u64, u64)> = Vec::new();
+    let mut inf = None;
+    for line in text.lines() {
+        if let Some(decl) = line.strip_prefix("# TYPE ") {
+            let (name, k) = decl.split_once(' ').expect("TYPE <name> <kind>");
+            assert!(!families.contains(&name), "duplicate TYPE {name}");
+            families.push(name);
+            kind = k;
+            continue;
+        }
+        let family = *families.last().expect("a sample precedes every TYPE");
+        let (head, value) = line.rsplit_once(' ').expect("<series> <value>");
+        let (name, labels) = head.split_once('{').expect("a label set");
+        let labels = labels.strip_suffix('}').expect("a closed label set");
+        let (rank, le) = labels
+            .split_once(',')
+            .map_or((labels, None), |(r, le)| (r, Some(le)));
+        let rank: usize = quoted("rank", rank)
+            .expect("rank label")
+            .parse()
+            .expect("rank");
+        let r = &snap.ranks[rank];
+        match kind {
+            "counter" => {
+                let c = Counter::from_name(name).filter(|_| name == family);
+                assert_eq!(
+                    value.parse(),
+                    Ok(r.counter(c.expect("sample under its TYPE")))
+                );
+                scalars += 1;
+            }
+            "gauge" => {
+                let g = Gauge::from_name(name).filter(|_| name == family);
+                let v: f64 = value.parse().expect("gauge value");
+                assert_eq!(
+                    v.to_bits(),
+                    r.gauge(g.expect("sample under its TYPE")).to_bits()
+                );
+                scalars += 1;
+            }
+            "histogram" => {
+                let h = r.hist(Hist::from_name(family).expect("declared histogram"));
+                let v: u64 = value.parse().expect("histogram value");
+                match name.strip_prefix(family).expect("sample under its TYPE") {
+                    "_bucket" => match le.and_then(|le| quoted("le", le)).expect("le label") {
+                        "+Inf" => inf = Some(v),
+                        bound => series.push((bound.parse().expect("le bound"), v)),
+                    },
+                    "_sum" => assert_eq!(v, h.sum),
+                    "_count" => {
+                        assert_eq!(v, h.count);
+                        assert_eq!(inf.take(), Some(v), "+Inf bucket == _count");
+                        assert!(series
+                            .windows(2)
+                            .all(|w| w[0].0 < w[1].0 && w[0].1 <= w[1].1));
+                        for (bound, cum) in series.drain(..) {
+                            let upto = &h.buckets[..=wp_metrics_bucket(bound)];
+                            assert_eq!(cum, upto.iter().sum::<u64>(), "le={bound}");
+                        }
+                    }
+                    other => panic!("unexpected histogram series suffix {other:?}"),
+                }
+            }
+            other => panic!("unknown TYPE kind {other:?}"),
+        }
+    }
+    assert_eq!(families.len(), Counter::COUNT + Gauge::COUNT + Hist::COUNT);
+    assert_eq!(scalars, (Counter::COUNT + Gauge::COUNT) * snap.ranks.len());
+    assert!(
+        series.is_empty() && inf.is_none(),
+        "a bucket series without its _count"
+    );
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
+
+    #[test]
+    fn prometheus_exposition_is_well_formed(seed in 0u64..u64::MAX, ranks in 1usize..5) {
+        let snap = arbitrary_snapshot(seed, ranks, seed % 3 == 0);
+        check_exposition(&export_prometheus(&snap), &snap);
+    }
 
     #[test]
     fn prometheus_roundtrips_exactly(seed in 0u64..u64::MAX, ranks in 1usize..5) {
