@@ -7,7 +7,11 @@
 #      and `*` expand, `<placeholder>` is `*`; every alternative must exist);
 #   3. a backticked `<bench>.<metric>` that is neither a key of
 #      ci/bench_floors.json (`*` globs) nor a `<workload>.<metric>` /
-#      per-layer name of BENCHMARK.json.
+#      per-layer name of BENCHMARK.json;
+#   4. a backticked `wp_<crate>::…::item` / `weipipe::…::item` with a segment
+#      that is no `fn|struct|enum|trait|type|const|static|mod` (or
+#      `macro_rules!`) declared under that crate's src/ (the path is read up
+#      to its first `(`, `<`, `{` or space).
 # Run from the repository root. Prints one line per stale name.
 set -u
 shopt -s nullglob
@@ -53,5 +57,20 @@ for doc in "${docs[@]}"; do
         known_metric "$token" ||
             stale "$doc" "$line" "$token: not a key of ci/bench_floors.json or a metric of BENCHMARK.json"
     done < <(grep -noE '`[a-z][a-z0-9_-]*\.[a-z0-9_*]*[a-z0-9_*][` ]' "$doc" | tr -d '` ')
+
+    while IFS=: read -r line token; do
+        path=${token%%[^A-Za-z0-9_:]*}
+        path=${path%::}
+        crate=${path%%::*}
+        src=crates/${crate//_/-}/src
+        [ -d "$src" ] || {
+            stale "$doc" "$line" "$path: no $src"
+            continue
+        }
+        for item in $(sed 's/::/ /g' <<<"${path#"$crate"}"); do
+            grep -rqE "\b(fn|struct|enum|trait|type|const|static|mod|macro_rules!) +$item\b" "$src" ||
+                stale "$doc" "$line" "$path: no fn|struct|enum|trait|type|const|static|mod $item under $src"
+        done
+    done < <(grep -noE '`(wp_[a-z]+|weipipe)::[^`]*`' "$doc" | tr -d '`')
 done
 exit $bad
