@@ -40,14 +40,16 @@
 //!
 //! `--metrics` meters every worker and turns the launcher into a live
 //! dashboard: each worker's heartbeat thread ships its rank's metric
-//! snapshot over stdout every few tens of milliseconds, and the launcher
+//! snapshot over stdout every few tens of milliseconds (a one-rank JSON
+//! document, the same exact form its report file carries), and the launcher
 //! prints a progress line (world step, loss, tokens/s, per-rank liveness)
 //! while the run is in flight. A rank whose heartbeats stop — SIGKILLed,
 //! wedged — is flagged `STALLED` well before its peers unwind with a typed
 //! error. At the end the launcher merges every rank's final snapshot (or
 //! its last heartbeat, for a rank that died without a report), prints a
-//! world rollup, and — with `--metrics-out` — writes the validated
-//! Prometheus (or `.json`) export.
+//! world rollup, and — with `--metrics-out` — writes the world snapshot:
+//! JSON, the exact form, re-parsed before it is written, when the path ends
+//! in `.json`; the Prometheus text view otherwise.
 //!
 //! Exit codes: `0` trained and every check passed (including a successful
 //! `--recover` continuation); `1` at least one rank failed with a typed

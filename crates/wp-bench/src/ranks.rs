@@ -7,13 +7,16 @@
 //! rank body as the in-process drivers and writes its outcome to a small
 //! line-oriented text file; the launcher parses the files back, merges the
 //! per-process metric snapshots and trace tracks, and checks
-//! cross-transport bit-identity. Every float travels as its IEEE-754 bit
-//! pattern in hex, so the round trip is exact — the conformance suite
-//! compares multi-process results against in-process results bit-for-bit.
+//! cross-transport bit-identity. Every `f32` travels as its IEEE-754 bit
+//! pattern in hex and a rank's metric slots as the one-rank JSON document of
+//! `wp_metrics::export_json` (the snapshot's one exact text form — also what
+//! the `METRICS` heartbeat carries), so the round trip is exact: the
+//! conformance suite compares multi-process results against in-process
+//! results bit-for-bit.
 
 use weipipe::RunOutput;
 use wp_comm::{CommError, RankTraffic};
-use wp_metrics::RankSnapshot;
+use wp_metrics::{MetricsSnapshot, RankSnapshot};
 use wp_sched::Strategy;
 use wp_trace::{RankTrack, SpanKind, SpanRecord};
 
@@ -92,6 +95,20 @@ fn parse_f32s(rest: &str) -> Option<Vec<f32>> {
         .collect()
 }
 
+/// One rank's metric slots as a one-rank `export_json` document: a single
+/// line with no spaces, so it rides a heartbeat or a report line whole.
+fn rank_json(snap: RankSnapshot) -> String {
+    let doc = wp_metrics::export_json(&MetricsSnapshot { ranks: vec![snap] });
+    doc.trim_end().to_string()
+}
+
+/// Read [`rank_json`] back. `None` unless the document parses strictly and
+/// holds exactly one rank entry, `rank`'s.
+fn rank_from_json(doc: &str, rank: usize) -> Option<RankSnapshot> {
+    let mut entries = wp_metrics::parse_json_ranks(doc).ok()?;
+    (entries.len() == 1 && entries[0].rank == rank).then(|| entries.swap_remove(0))
+}
+
 impl RankReport {
     /// An all-empty report for a rank that never produced one (e.g. it was
     /// SIGKILLed mid-step). `kind` labels what happened to it.
@@ -139,7 +156,7 @@ impl RankReport {
         push_f32_line(&mut out, "head", &self.out.head);
         out.push_str(&format!("overwritten {}\n", self.track.overwritten));
         if let Some(m) = &self.metrics {
-            out.push_str(&format!("metrics {}\n", m.to_line()));
+            out.push_str(&format!("metrics {}\n", rank_json(m.clone())));
         }
         for s in &self.track.spans {
             out.push_str(&format!(
@@ -155,7 +172,8 @@ impl RankReport {
     /// Parse a report back from [`Self::to_text`] output. `None` on any
     /// malformed line and on any text that does not finish with the
     /// matching `end <n>` line — a worker killed mid-write must not parse
-    /// as a clean result, wherever the cut fell.
+    /// as a clean result, wherever the cut fell — and on a `metrics` line
+    /// that is not exactly this rank's one-rank document.
     pub fn from_text(text: &str) -> Option<RankReport> {
         let (body, end) = text.strip_suffix('\n')?.rsplit_once('\n')?;
         if end.strip_prefix("end ")?.parse::<usize>().ok()? != body.lines().count() {
@@ -191,7 +209,7 @@ impl RankReport {
                 "block" => out.blocks.push(parse_f32s(rest)?),
                 "head" => out.head = parse_f32s(rest)?,
                 "overwritten" => track.overwritten = rest.parse().ok()?,
-                "metrics" => metrics = Some(RankSnapshot::from_line(rest)?),
+                "metrics" => metrics = Some(rest),
                 "span" => {
                     let v: Vec<u64> = rest
                         .split_whitespace()
@@ -213,12 +231,16 @@ impl RankReport {
                 _ => return None,
             }
         }
+        let rank = rank?;
         Some(RankReport {
-            rank: rank?,
+            rank,
             status: status?,
             out,
             track,
-            metrics,
+            metrics: match metrics {
+                Some(doc) => Some(rank_from_json(doc, rank)?),
+                None => None,
+            },
         })
     }
 }
@@ -228,12 +250,18 @@ mod tests {
     use super::*;
     use wp_trace::NO_ID;
 
+    /// Rank 1's slots holding every value a text form could bend: a
+    /// negative zero, both infinities, a NaN and a counter no `f64` holds.
     fn sample_metrics() -> RankSnapshot {
         use wp_metrics::{Counter, Gauge, Hist, MetricsRegistry};
         let reg = MetricsRegistry::new(2);
         let m = reg.handle(1);
         m.add(Counter::P2pBytesSent, 10);
-        m.set(Gauge::Loss, -0.0); // sign bit must survive the report file
+        m.add(Counter::TokensProcessed, (1 << 60) + 1);
+        m.set(Gauge::Loss, -0.0);
+        m.set(Gauge::GradNorm, f64::INFINITY);
+        m.set(Gauge::TokensPerSec, f64::NEG_INFINITY);
+        m.set(Gauge::CurrentLr, f64::NAN);
         m.observe(Hist::StepWallNs, 12345);
         reg.snapshot_rank(1)
     }
@@ -282,11 +310,14 @@ mod tests {
         assert_eq!(parsed.track.spans, r.track.spans);
         // -0.0 == 0.0 under PartialEq; check the sign bits survived too.
         assert_eq!(parsed.out.losses[2].to_bits(), (-0.0f32).to_bits());
+        use wp_metrics::{Counter, Gauge};
         let m = parsed.metrics.as_ref().expect("metrics line survives");
-        assert_eq!(
-            m.gauge(wp_metrics::Gauge::Loss).to_bits(),
-            (-0.0f64).to_bits()
-        );
+        assert_eq!(m.gauge(Gauge::Loss).to_bits(), (-0.0f64).to_bits());
+        assert_eq!(m.gauge(Gauge::GradNorm), f64::INFINITY);
+        assert_eq!(m.gauge(Gauge::TokensPerSec), f64::NEG_INFINITY);
+        assert!(m.gauge(Gauge::CurrentLr).is_nan());
+        assert_eq!(m.counter(Counter::TokensProcessed), (1 << 60) + 1);
+        assert_eq!(m.hists, sample_metrics().hists);
         // Traffic is a view of the metrics line, not a second copy.
         assert_eq!(parsed.traffic().p2p_bytes, 10);
     }
@@ -316,6 +347,27 @@ mod tests {
             })
             .collect();
         assert!(RankReport::from_text(&truncated).is_none());
+    }
+
+    #[test]
+    fn metrics_travel_as_exactly_this_ranks_one_rank_document() {
+        // The heartbeat: one line, read back only as the rank it came from.
+        let beat = rank_json(sample_metrics());
+        assert!(!beat.contains(['\n', ' ']), "{beat}");
+        assert_eq!(rank_from_json(&beat, 1).map(rank_json), Some(beat.clone()));
+        assert!(
+            rank_from_json(&beat, 0).is_none(),
+            "another rank's document"
+        );
+        // The report line is the same document under the same rule.
+        let text = sample().to_text();
+        let with_metrics = |doc: &str| text.replace(&beat, doc.trim_end());
+        assert!(RankReport::from_text(&with_metrics(&beat)).is_some());
+        let other = rank_json(RankSnapshot::empty(0));
+        assert!(RankReport::from_text(&with_metrics(&other)).is_none());
+        let world = wp_metrics::export_json(&MetricsSnapshot::empty(2));
+        assert!(rank_from_json(&world, 1).is_none(), "two rank entries");
+        assert!(RankReport::from_text(&with_metrics(&world)).is_none());
     }
 
     #[test]

@@ -19,7 +19,7 @@ use wp_metrics::{Counter, Gauge, Hist, MetricsSnapshot, RankSnapshot};
 use wp_trace::{RankTrack, Trace};
 
 use super::worker::ckpt_path;
-use super::{RankReport, ReportStatus, WorkerOpts, WorldOpts};
+use super::{rank_from_json, RankReport, ReportStatus, WorkerOpts, WorldOpts};
 use crate::drift::{export_chrome_trace, mib, print_against_sim};
 
 /// Heartbeat age beyond which the launcher flags a rank as stalled. Far
@@ -150,7 +150,7 @@ fn run_world(
                 for line in reader.lines() {
                     let Ok(line) = line else { break };
                     if let Some(rest) = line.strip_prefix("METRICS ") {
-                        if let Some(snap) = RankSnapshot::from_line(rest) {
+                        if let Some(snap) = rank_from_json(rest, r) {
                             let mut tel = tel.lock().expect("telemetry lock");
                             tel[r].last = Some(Instant::now());
                             tel[r].snap = Some(snap);

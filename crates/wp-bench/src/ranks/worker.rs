@@ -15,7 +15,7 @@ use weipipe::{
 use wp_comm::tcp::{bind_localhost, LOCAL_ESTABLISH_TIMEOUT};
 use wp_comm::TcpTransport;
 
-use super::{err_kind, RankReport, ReportStatus};
+use super::{err_kind, rank_json, RankReport, ReportStatus};
 
 /// How often a metered worker emits a `METRICS` heartbeat line on stdout.
 const HEARTBEAT_EVERY: Duration = Duration::from_millis(25);
@@ -144,7 +144,7 @@ pub fn worker(world: &WorldOpts, opts: &WorkerOpts) -> i32 {
         let handle = std::thread::spawn(move || {
             let mut out = std::io::stdout();
             while !flag.load(Ordering::Relaxed) {
-                let line = reg.snapshot_rank(rank).to_line();
+                let line = rank_json(reg.snapshot_rank(rank));
                 if writeln!(out, "METRICS {line}")
                     .and_then(|()| out.flush())
                     .is_err()

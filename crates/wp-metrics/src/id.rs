@@ -48,11 +48,6 @@ macro_rules! metric_enum {
                     _ => None,
                 }
             }
-
-            /// The variant at slot `index`, if in range.
-            pub fn from_index(index: usize) -> Option<$name> {
-                $name::ALL.get(index).copied()
-            }
         }
     };
 }
@@ -163,26 +158,14 @@ metric_enum! {
     }
 }
 
-/// The three metric families, for generic export plumbing.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum MetricKind {
-    /// Monotonic counter.
-    Counter,
-    /// Last-value gauge.
-    Gauge,
-    /// Log-bucketed histogram.
-    Histogram,
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
     #[test]
-    fn indices_are_dense_and_roundtrip() {
+    fn indices_are_dense_and_names_invert() {
         for (i, c) in Counter::ALL.iter().enumerate() {
             assert_eq!(c.index(), i);
-            assert_eq!(Counter::from_index(i), Some(*c));
             assert_eq!(Counter::from_name(c.name()), Some(*c));
         }
         for (i, g) in Gauge::ALL.iter().enumerate() {
@@ -193,7 +176,6 @@ mod tests {
             assert_eq!(h.index(), i);
             assert_eq!(Hist::from_name(h.name()), Some(*h));
         }
-        assert_eq!(Counter::from_index(Counter::COUNT), None);
         assert_eq!(Counter::from_name("nope"), None);
     }
 

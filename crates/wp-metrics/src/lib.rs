@@ -12,17 +12,17 @@
 //! [`Gauge`], [`Hist`]), so a metric's slot index, Prometheus name, and
 //! type are all resolved at compile time.
 //!
-//! After a run, a [`MetricsSnapshot`] feeds three consumers:
+//! A [`MetricsSnapshot`] has one exact text form and one view:
 //!
-//! 1. [`export_prometheus`] — Prometheus text exposition format, validated
-//!    offline by [`validate_prometheus`] and parsed back (for round-trip
-//!    tests and launcher-side merging) by [`parse_prometheus`];
-//! 2. [`export_json`] — a JSON document with the same content, validated by
-//!    [`validate_json`] / parsed by [`parse_json`];
-//! 3. the `wp-bench ranks` launcher, which ships per-rank snapshots across
-//!    process boundaries with the hex-exact line codec
-//!    ([`RankSnapshot::to_line`] / [`RankSnapshot::from_line`]) and merges
-//!    them with [`MetricsSnapshot::merge_rank`].
+//! 1. [`export_json`] / [`parse_json`] — **JSON is the exact, validated
+//!    form**: `u64`s as decimal integers, gauges in shortest-round-trip
+//!    `Display`, parsed back to the bit. It is what goes to disk
+//!    ([`write_export`], re-parsed through [`validate_json`]) and what the
+//!    `wp-bench ranks` workers ship across process boundaries — one-rank
+//!    documents the launcher reads with [`parse_json_ranks`] and folds into
+//!    the world with [`MetricsSnapshot::merge_rank`];
+//! 2. [`export_prometheus`] — **Prometheus text is a view** for a scraper;
+//!    nothing reads it back, and tests pin its bytes and structure.
 //!
 //! ## Hot-path contract
 //!
@@ -46,10 +46,9 @@ mod probe;
 mod registry;
 
 pub use export::{
-    export_json, export_prometheus, parse_json, parse_prometheus, validate_json,
-    validate_prometheus, write_export, ExportStats,
+    export_json, export_prometheus, parse_json, parse_json_ranks, validate_json, write_export,
 };
-pub use id::{Counter, Gauge, Hist, MetricKind};
+pub use id::{Counter, Gauge, Hist};
 pub use probe::{CollectiveMark, Probe};
 pub use registry::{
     HistSnapshot, MetricsConfig, MetricsRegistry, MetricsSnapshot, RankMetrics, RankSnapshot,

@@ -348,93 +348,6 @@ impl RankSnapshot {
     pub fn hist(&self, h: Hist) -> &HistSnapshot {
         &self.hists[h.index()]
     }
-
-    /// Serialize as one bit-exact ASCII line (hex words; gauges as raw
-    /// `f64` bits), the launcher's cross-process wire format. Inverse of
-    /// [`from_line`](Self::from_line).
-    pub fn to_line(&self) -> String {
-        use std::fmt::Write as _;
-        let mut out = String::with_capacity(64 + 17 * (self.counters.len() + self.gauges.len()));
-        let _ = write!(out, "{:x} c:", self.rank);
-        for (i, c) in self.counters.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            let _ = write!(out, "{c:x}");
-        }
-        out.push_str(" g:");
-        for (i, g) in self.gauges.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            let _ = write!(out, "{:x}", g.to_bits());
-        }
-        out.push_str(" h:");
-        for (i, h) in self.hists.iter().enumerate() {
-            if i > 0 {
-                out.push('|');
-            }
-            let _ = write!(out, "{:x},{:x}", h.count, h.sum);
-            for (b, &v) in h.buckets.iter().enumerate() {
-                if v > 0 {
-                    let _ = write!(out, ",{b:x}:{v:x}");
-                }
-            }
-        }
-        out
-    }
-
-    /// Parse a [`to_line`](Self::to_line) line. Strict: the slot counts
-    /// must match this build's metric enums exactly.
-    pub fn from_line(line: &str) -> Option<RankSnapshot> {
-        let mut fields = line.split_whitespace();
-        let rank = usize::from_str_radix(fields.next()?, 16).ok()?;
-        let counters: Vec<u64> = fields
-            .next()?
-            .strip_prefix("c:")?
-            .split(',')
-            .map(|v| u64::from_str_radix(v, 16).ok())
-            .collect::<Option<_>>()?;
-        let gauges: Vec<f64> = fields
-            .next()?
-            .strip_prefix("g:")?
-            .split(',')
-            .map(|v| u64::from_str_radix(v, 16).ok().map(f64::from_bits))
-            .collect::<Option<_>>()?;
-        let mut hists = Vec::with_capacity(Hist::COUNT);
-        for h in fields.next()?.strip_prefix("h:")?.split('|') {
-            let mut parts = h.split(',');
-            let count = u64::from_str_radix(parts.next()?, 16).ok()?;
-            let sum = u64::from_str_radix(parts.next()?, 16).ok()?;
-            let mut buckets = vec![0u64; HIST_BUCKETS];
-            for pair in parts {
-                let (b, v) = pair.split_once(':')?;
-                let b = usize::from_str_radix(b, 16).ok()?;
-                if b >= HIST_BUCKETS {
-                    return None;
-                }
-                buckets[b] = u64::from_str_radix(v, 16).ok()?;
-            }
-            hists.push(HistSnapshot {
-                buckets,
-                count,
-                sum,
-            });
-        }
-        if fields.next().is_some()
-            || counters.len() != Counter::COUNT
-            || gauges.len() != Gauge::COUNT
-            || hists.len() != Hist::COUNT
-        {
-            return None;
-        }
-        Some(RankSnapshot {
-            rank,
-            counters,
-            gauges,
-            hists,
-        })
-    }
 }
 
 /// An immutable snapshot of everything a [`MetricsRegistry`] recorded —
@@ -566,35 +479,6 @@ mod tests {
         assert_eq!(r.hist(Hist::StepWallNs).count, 4000);
         assert_eq!(r.hist(Hist::StepWallNs).sum, 28000);
         assert_eq!(r.gauge(Gauge::TcpSendQueueDepthMax), 4.0);
-    }
-
-    #[test]
-    fn line_codec_roundtrips_bit_exactly() {
-        let reg = MetricsRegistry::new(3);
-        let m = reg.handle(2);
-        m.add(Counter::CollBytesSent, u64::MAX);
-        m.set(Gauge::GradNorm, -0.0); // sign bit must survive
-        m.set(Gauge::CurrentLr, 3e-4);
-        m.observe(Hist::OptimStepNs, 12345);
-        m.observe(Hist::OptimStepNs, u64::MAX);
-        let snap = reg.snapshot_rank(2);
-        let line = snap.to_line();
-        let back = RankSnapshot::from_line(&line).expect("codec line parses");
-        assert_eq!(back, snap);
-        assert_eq!(back.gauge(Gauge::GradNorm).to_bits(), (-0.0f64).to_bits());
-    }
-
-    #[test]
-    fn line_codec_rejects_truncation_and_garbage() {
-        let snap = RankSnapshot::empty(0);
-        let line = snap.to_line();
-        assert!(RankSnapshot::from_line(&line).is_some());
-        // Any prefix that cuts inside the structure must fail, not
-        // silently produce a short snapshot.
-        assert!(RankSnapshot::from_line(&line[..line.len() / 2]).is_none());
-        assert!(RankSnapshot::from_line("").is_none());
-        assert!(RankSnapshot::from_line("0 c:1,2 g:0 h:0,0").is_none());
-        assert!(RankSnapshot::from_line(&format!("{line} extra")).is_none());
     }
 
     #[test]

@@ -1,15 +1,15 @@
 //! Property tests for the exporters: for arbitrary registry contents, the
-//! Prometheus and JSON documents must validate under their own strict
-//! parsers, and parse-back must reconstruct the snapshot exactly —
-//! counters and histogram sums to the bit (`u64`), gauges to the bit for
-//! every finite value (shortest-round-trip `Display`). The hex line codec
-//! the multi-process launcher ships snapshots over gets the same treatment.
+//! JSON document must validate under its strict parser and parse back into
+//! the snapshot exactly — counters and histogram sums to the bit (`u64`),
+//! gauges to the bit for every finite value (shortest-round-trip
+//! `Display`), whole worlds and the one-rank documents the multi-process
+//! launcher ships alike — and the Prometheus view, which nothing parses,
+//! must be well-formed line by line and carry the same exact values.
 
 use proptest::prelude::*;
 use wp_metrics::{
-    export_json, export_prometheus, parse_json, parse_prometheus, validate_json,
-    validate_prometheus, Counter, Gauge, Hist, HistSnapshot, MetricsSnapshot, RankSnapshot,
-    HIST_BUCKETS,
+    export_json, export_prometheus, parse_json, parse_json_ranks, validate_json, Counter, Gauge,
+    Hist, HistSnapshot, MetricsSnapshot, HIST_BUCKETS,
 };
 
 /// Deterministic splitmix64 — fills snapshots from one seed without
@@ -176,57 +176,30 @@ proptest! {
     }
 
     #[test]
-    fn prometheus_roundtrips_exactly(seed in 0u64..u64::MAX, ranks in 1usize..5) {
-        let snap = arbitrary_snapshot(seed, ranks, seed % 3 == 0);
-        let text = export_prometheus(&snap);
-        let stats = validate_prometheus(&text).expect("export must validate");
-        prop_assert_eq!(stats.ranks, ranks);
-        prop_assert_eq!(stats.counters, Counter::COUNT);
-        prop_assert_eq!(stats.gauges, Gauge::COUNT);
-        prop_assert_eq!(stats.histograms, Hist::COUNT);
-        let (back, _) = parse_prometheus(&text).expect("export must parse");
-        prop_assert_eq!(back, snap);
-    }
-
-    #[test]
     fn json_roundtrips_exactly(seed in 0u64..u64::MAX, ranks in 1usize..5) {
         let snap = arbitrary_snapshot(seed, ranks, seed % 3 == 1);
         let text = export_json(&snap);
-        let stats = validate_json(&text).expect("export must validate");
-        prop_assert_eq!(stats.ranks, ranks);
-        let (back, _) = parse_json(&text).expect("export must parse");
-        prop_assert_eq!(back, snap);
+        validate_json(&text).expect("export must validate");
+        prop_assert_eq!(parse_json(&text).expect("export must parse"), snap);
     }
 
     #[test]
-    fn line_codec_roundtrips_exactly(seed in 0u64..u64::MAX, ranks in 1usize..5) {
+    fn one_rank_documents_roundtrip_exactly(seed in 0u64..u64::MAX, ranks in 1usize..5) {
         let snap = arbitrary_snapshot(seed, ranks, false);
         for r in &snap.ranks {
-            let line = r.to_line();
-            prop_assert!(!line.contains('\n'));
-            let back = RankSnapshot::from_line(&line).expect("line must parse");
-            prop_assert_eq!(&back, r);
+            let doc = export_json(&MetricsSnapshot { ranks: vec![r.clone()] });
+            prop_assert_eq!(doc.trim_end().lines().count(), 1, "a heartbeat is one line");
+            let back = parse_json_ranks(&doc).expect("document must parse");
+            prop_assert_eq!(back.as_slice(), std::slice::from_ref(r));
         }
     }
 
     #[test]
-    fn truncated_documents_never_parse_silently(seed in 0u64..u64::MAX) {
-        let snap = arbitrary_snapshot(seed, 2, true);
+    fn truncated_documents_never_parse(seed in 0u64..u64::MAX, cut in 0.0f64..1.0) {
         // Cutting a JSON document anywhere inside must fail, not yield a
         // quietly different snapshot.
-        let json = export_json(&snap);
-        let cut = json.len() / 2;
+        let json = export_json(&arbitrary_snapshot(seed, 2, true));
+        let cut = (cut * (json.trim_end().len() - 1) as f64) as usize;
         prop_assert!(parse_json(&json[..cut]).is_err());
-        // A Prometheus doc cut mid-line must fail too (histograms lose
-        // their _sum/_count tail or end on a half sample).
-        let prom = export_prometheus(&snap);
-        let half = &prom[..prom.len() / 2];
-        match parse_prometheus(half) {
-            Err(_) => {}
-            Ok((back, _)) => prop_assert!(
-                back != snap,
-                "truncation must not reproduce the full snapshot"
-            ),
-        }
     }
 }

@@ -13,9 +13,9 @@
 //! visible on the timeline; delay-only faults never change the result.
 //!
 //! Pass `--metrics-out <path>` to meter the run (counters, gauges,
-//! latency histograms on every rank) and export the world snapshot:
-//! Prometheus text exposition by default, JSON when the path ends in
-//! `.json`. Metrics are strictly observational — the metered run trains
+//! latency histograms on every rank) and export the world snapshot: JSON —
+//! the exact, validated form — when the path ends in `.json`, the
+//! Prometheus text view otherwise. Metrics are strictly observational — the metered run trains
 //! bit-identically to an unmetered one.
 
 use weipipe::{run_distributed, run_single, OptimKind, Strategy, TrainSetup};
