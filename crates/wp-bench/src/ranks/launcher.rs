@@ -332,14 +332,13 @@ fn print_rollup(world: &MetricsSnapshot) {
     println!(
         "metrics rollup: {} rank-steps (mean {:.2} ms), {} tokens, \
          {:.2} MiB p2p + {:.2} MiB collective sent, \
-         {} timeouts, {} overflow-skipped",
+         {} timeouts",
         world.total(Counter::StepsCompleted),
         mean_step_ms,
         world.total(Counter::TokensProcessed),
         mib(world.total(Counter::P2pBytesSent)),
         mib(world.total(Counter::CollBytesSent)),
         world.total(Counter::RecvTimeouts),
-        world.total(Counter::OverflowSkipped),
     );
 }
 

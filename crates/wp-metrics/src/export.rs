@@ -341,9 +341,13 @@ mod tests {
     /// `cargo test -p wp-metrics --lib golden -- --ignored` and read the diff.
     #[test]
     fn prometheus_export_matches_the_golden_exposition() {
-        assert_eq!(
-            export_prometheus(&sample_snapshot()),
-            include_str!("../tests/fixtures/sample_snapshot.prom")
+        let got = export_prometheus(&sample_snapshot());
+        let want = include_str!("../tests/fixtures/sample_snapshot.prom");
+        let differs = got.lines().zip(want.lines()).position(|(g, w)| g != w);
+        assert!(
+            got == want,
+            "first differing line: {:?}",
+            differs.map(|i| i + 1)
         );
     }
 

@@ -104,8 +104,6 @@ metric_enum! {
         MicrobatchesFwd => "wp_train_microbatches_fwd_total",
         /// Label tokens contributing to the loss so far.
         TokensProcessed => "wp_train_tokens_total",
-        /// Optimizer steps skipped because the scaled gradient overflowed.
-        OverflowSkipped => "wp_optim_overflow_skipped_steps_total",
         /// Frames dropped on arrival because they carried another
         /// configuration epoch (stragglers from a pre-fault world).
         StaleFramesDropped => "wp_comm_stale_frames_dropped_total",

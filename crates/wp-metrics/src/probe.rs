@@ -237,14 +237,6 @@ impl Probe {
         }
     }
 
-    /// A loss-scaled optimizer step was skipped because the gradient
-    /// overflowed.
-    pub fn overflow_skipped(&self) {
-        if self.metered {
-            self.slots.incr(Counter::OverflowSkipped);
-        }
-    }
-
     /// The replicated-parameter gradient norm; `norm` runs only when metered.
     pub fn grad_norm(&self, norm: impl FnOnce() -> f64) {
         if self.metered {
@@ -305,7 +297,6 @@ mod tests {
         p.event(Counter::RecvRetries);
         p.compute(SpanKind::Fwd, 0, 0, p.now());
         p.optim_step(p.now(), 0.5);
-        p.overflow_skipped();
         p.grad_norm(|| unreachable!("norm must not be computed when unmetered"));
         p.iteration(0, p.now(), 64, 1.0);
 

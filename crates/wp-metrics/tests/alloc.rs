@@ -83,7 +83,6 @@ fn recording_allocates_nothing() {
             p.collective(SpanKind::AllReduce, mark);
             p.compute(SpanKind::Fwd, 0, 0, t0);
             p.optim_step(t0, 1e-3);
-            p.overflow_skipped();
             p.grad_norm(|| 1.0);
             p.iteration(i as usize, t0, 64, 1.0);
         }

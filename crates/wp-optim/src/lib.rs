@@ -2,8 +2,10 @@
 //!
 //! Optimizers and mixed-precision machinery for the WeiPipe stack:
 //! SGD(+momentum) and Adam(W) over flat `&mut [f32]` buffers, fp32
-//! [`MasterWeights`] for fp16 working copies, a dynamic [`GradScaler`], and
-//! LR [`schedule::LrSchedule`]s.
+//! [`MasterWeights`] for fp16 working copies, and LR
+//! [`schedule::LrSchedule`]s. Loss scaling is static (`TrainSetup::loss_scale`
+//! in the runtime), which is all the paper's §4.3 fp16-weights / fp32-state
+//! scheme needs.
 //!
 //! Everything operates on flat slices because the distributed runtimes keep
 //! parameters in flat per-layer buffers: in WeiPipe each worker owns the
@@ -15,13 +17,11 @@
 
 pub mod adam;
 pub mod master;
-pub mod scaler;
 pub mod schedule;
 pub mod sgd;
 
 pub use adam::{AdamConfig, AdamW};
 pub use master::MasterWeights;
-pub use scaler::GradScaler;
 pub use schedule::LrSchedule;
 pub use sgd::{Sgd, SgdConfig};
 

@@ -6,7 +6,6 @@
 //! applies optimizer steps to it, and republishes the quantized working copy
 //! — the scheme of the paper's §4.3 (fp16 weights, fp32 optimizer states).
 
-use crate::scaler::GradScaler;
 use crate::Optimizer;
 use wp_metrics::Probe;
 use wp_tensor::dtype::quantize_slice;
@@ -80,39 +79,6 @@ impl MasterWeights {
         probe.optim_step(t0, lr);
     }
 
-    /// One mixed-precision step under dynamic loss scaling.
-    ///
-    /// Unscales `grads` in place, then either applies one optimizer step
-    /// (finite gradients) or skips it entirely (overflow). On a skip
-    /// *nothing* advances: not the optimizer's internal step count `t` (so
-    /// Adam bias correction stays aligned with applied updates), not the
-    /// master or working weights. Callers driving an LR schedule must key it
-    /// off applied steps (e.g. [`AdamW::steps`](crate::AdamW::steps)), not
-    /// attempted iterations, so a skip does not consume a schedule step
-    /// either. Returns `true` if the step was applied.
-    ///
-    /// An applied step is reported like [`step_observed`](Self::step_observed)
-    /// and a skip is counted; the trajectory — skip decisions and scale
-    /// dynamics included — does not depend on what `probe` records.
-    pub fn step_scaled<O: Optimizer + ?Sized>(
-        &mut self,
-        opt: &mut O,
-        working: &mut [f32],
-        grads: &mut [f32],
-        lr: f32,
-        scaler: &mut GradScaler,
-        probe: &Probe,
-    ) -> bool {
-        let finite = scaler.unscale(grads);
-        let apply = scaler.update(!finite);
-        if apply {
-            self.step_observed(opt, working, grads, lr, probe);
-        } else {
-            probe.overflow_skipped();
-        }
-        apply
-    }
-
     /// Memory the master copy occupies, in f32 elements.
     pub fn state_elems(&self) -> usize {
         self.master.len()
@@ -122,9 +88,8 @@ impl MasterWeights {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::adam::{AdamConfig, AdamW};
     use crate::sgd::{Sgd, SgdConfig};
-    use wp_metrics::{Counter, Gauge, Hist, MetricsRegistry};
+    use wp_metrics::{Gauge, Hist, MetricsRegistry};
     use wp_trace::{SpanKind, TraceCollector};
 
     /// A probe with neither sink attached.
@@ -207,99 +172,6 @@ mod tests {
         // And with no sink attached it records nothing and still steps.
         mb.step_observed(&mut opt_b, &mut wb, &[0.25], 0.5, &bare());
         assert_eq!(collector.snapshot().span_count(), 1);
-    }
-
-    #[test]
-    fn skipped_step_leaves_all_state_bit_identical() {
-        // Regression: AdamW::step_with_lr advances `t` unconditionally, so a
-        // naive "unscale, then step anyway" overflow path used to desync the
-        // bias correction from the number of applied updates. step_scaled
-        // must not touch the optimizer at all on overflow.
-        let mut working = vec![1.0f32, -0.5];
-        let mut mw = MasterWeights::capture(&working, DType::F32);
-        let mut opt = AdamW::new(2, AdamConfig::default());
-        let mut scaler = GradScaler::with_scale(8.0);
-
-        // One clean step so the optimizer has non-trivial state.
-        let mut g = vec![0.8f32, -1.6];
-        assert!(mw.step_scaled(&mut opt, &mut working, &mut g, 1e-3, &mut scaler, &bare()));
-        assert_eq!(opt.steps(), 1);
-
-        let opt_before = opt.clone();
-        let master_before = mw.master().to_vec();
-        let working_before = working.clone();
-
-        // Overflowed gradients: the step must be skipped wholesale.
-        let mut bad = vec![f32::INFINITY, 1.0];
-        assert!(!mw.step_scaled(&mut opt, &mut working, &mut bad, 1e-3, &mut scaler, &bare()));
-        assert_eq!(
-            opt, opt_before,
-            "optimizer state (m, v, t) must not move on a skip"
-        );
-        assert_eq!(
-            opt.steps(),
-            1,
-            "bias-correction step count must not advance"
-        );
-        assert_eq!(mw.master(), &master_before[..]);
-        assert_eq!(working, working_before);
-        assert_eq!(scaler.skipped_steps(), 1);
-        assert_eq!(scaler.scale(), 4.0, "overflow backs the scale off");
-    }
-
-    #[test]
-    fn skip_then_clean_step_matches_never_skipped_trajectory() {
-        // A skipped iteration must be invisible to the trajectory: optimizer
-        // state after [clean, skip, clean] equals state after [clean, clean].
-        let run = |with_skip: bool| {
-            let mut working = vec![0.3f32, 0.9];
-            let mut mw = MasterWeights::capture(&working, DType::F32);
-            let mut opt = AdamW::new(2, AdamConfig::default());
-            let mut scaler = GradScaler::with_scale(4.0);
-            let mut g1 = vec![0.4f32, -0.8];
-            mw.step_scaled(&mut opt, &mut working, &mut g1, 1e-3, &mut scaler, &bare());
-            if with_skip {
-                let mut bad = vec![f32::NAN, 0.0];
-                mw.step_scaled(&mut opt, &mut working, &mut bad, 1e-3, &mut scaler, &bare());
-            }
-            // Same post-step scale so the unscaled gradients match: feed
-            // pre-scaled values through a fresh scaler of the current scale.
-            let mut g2 = vec![scaler.scale() * 0.2, scaler.scale() * -0.1];
-            mw.step_scaled(&mut opt, &mut working, &mut g2, 1e-3, &mut scaler, &bare());
-            (opt, working)
-        };
-        let (opt_a, w_a) = run(false);
-        let (opt_b, w_b) = run(true);
-        assert_eq!(opt_a, opt_b);
-        assert_eq!(w_a, w_b);
-    }
-
-    #[test]
-    fn step_scaled_counts_skips_only_on_overflow() {
-        let registry = MetricsRegistry::new(1);
-        let probe = Probe::new(registry.handle(0), true, None);
-        let mut working = vec![1.0f32, -0.5];
-        let mut mw = MasterWeights::capture(&working, DType::F32);
-        let mut opt = AdamW::new(2, AdamConfig::default());
-        let mut scaler = GradScaler::with_scale(8.0);
-
-        let mut good = vec![0.8f32, -1.6];
-        assert!(mw.step_scaled(&mut opt, &mut working, &mut good, 1e-3, &mut scaler, &probe));
-        let mut bad = vec![f32::INFINITY, 1.0];
-        assert!(!mw.step_scaled(&mut opt, &mut working, &mut bad, 1e-3, &mut scaler, &probe));
-
-        let snap = registry.snapshot();
-        assert_eq!(snap.ranks[0].counter(Counter::OverflowSkipped), 1);
-        assert_eq!(
-            snap.ranks[0].hist(Hist::OptimStepNs).count,
-            1,
-            "only the applied step is timed"
-        );
-        assert_eq!(
-            scaler.skipped_steps(),
-            1,
-            "observation must not change scaler dynamics"
-        );
     }
 
     #[test]
