@@ -97,12 +97,6 @@ impl Strategy {
             },
         }
     }
-
-    /// True for strategies whose pipeline currency is weights (the paper's
-    /// contribution family).
-    pub fn is_weight_passing(&self) -> bool {
-        matches!(self.shape().family, Family::Ring | Family::Hier)
-    }
 }
 
 /// Why `strategy` cannot be built under `spec`, if it cannot:

@@ -611,8 +611,6 @@ mod tests {
     fn strategy_labels_match_paper() {
         assert_eq!(Strategy::OneFOneB.label(), "1F1B");
         assert_eq!(Strategy::WeiPipeInterleave.label(), "WeiPipe");
-        assert!(Strategy::WeiPipeNaive.is_weight_passing());
-        assert!(!Strategy::Fsdp.is_weight_passing());
     }
 
     #[test]

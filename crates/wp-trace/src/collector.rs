@@ -336,24 +336,6 @@ impl Trace {
         let busy: u64 = self.tracks.iter().map(|t| t.busy_ns()).sum();
         1.0 - busy as f64 / (self.tracks.len() as f64 * makespan as f64)
     }
-
-    /// Busy nanoseconds per op-class character (`F`, `B`, `b`, `w`, `U`),
-    /// summed across ranks.
-    pub fn class_busy_ns(&self) -> Vec<(char, u64)> {
-        let mut out: Vec<(char, u64)> = Vec::new();
-        for t in &self.tracks {
-            for s in &t.spans {
-                if let Some(c) = s.kind.class_char() {
-                    match out.iter_mut().find(|(k, _)| *k == c) {
-                        Some((_, ns)) => *ns += s.dur_ns(),
-                        None => out.push((c, s.dur_ns())),
-                    }
-                }
-            }
-        }
-        out.sort_by_key(|&(c, _)| c);
-        out
-    }
 }
 
 #[cfg(test)]
@@ -433,7 +415,6 @@ mod tests {
         assert_eq!(tr.makespan_ns(), 100);
         let expect = 1.0 - (80.0 + 20.0) / (2.0 * 100.0);
         assert!((tr.bubble_ratio() - expect).abs() < 1e-12);
-        assert_eq!(tr.class_busy_ns(), vec![('B', 20), ('F', 80)]);
     }
 
     #[test]
@@ -473,7 +454,6 @@ mod tests {
         assert_eq!(tr.span_count(), 0);
         assert_eq!(tr.makespan_ns(), 0);
         assert_eq!(tr.bubble_ratio(), 0.0);
-        assert!(tr.class_busy_ns().is_empty());
     }
 
     #[test]

@@ -134,21 +134,6 @@ impl SpanKind {
         )
     }
 
-    /// True for communication spans (P2P and collective, wait and transfer).
-    pub fn is_comm(&self) -> bool {
-        matches!(
-            self,
-            SpanKind::Send
-                | SpanKind::RecvWait
-                | SpanKind::RecvXfer
-                | SpanKind::AllReduce
-                | SpanKind::ReduceScatter
-                | SpanKind::AllGather
-                | SpanKind::Broadcast
-                | SpanKind::Barrier
-        )
-    }
-
     /// The one-character op class `wp_sim::render::ascii_timeline` draws,
     /// for kinds that map onto the simulator's timeline alphabet.
     pub fn class_char(&self) -> Option<char> {
@@ -308,20 +293,14 @@ mod tests {
     }
 
     #[test]
-    fn compute_comm_partition_is_sane() {
-        for k in ALL_KINDS {
-            assert!(
-                !(k.is_compute() && k.is_comm()),
-                "{k:?} cannot be both compute and comm"
-            );
-        }
+    fn nested_and_comm_spans_are_not_compute() {
         assert!(SpanKind::Fwd.is_compute());
         assert!(
             !SpanKind::OptimStep.is_compute(),
             "nested span must not double-count busy"
         );
         assert!(!SpanKind::Iteration.is_compute());
-        assert!(SpanKind::RecvWait.is_comm());
+        assert!(!SpanKind::RecvWait.is_compute());
     }
 
     #[test]
