@@ -303,13 +303,15 @@ fn multiprocess_trace_out_emits_valid_drift_report() {
 fn sigkilled_worker_fails_survivors_typed_never_hangs() {
     // SIGKILL rank 1 mid-step. The survivor must observe the unclean socket
     // close as PeerDead and the launcher must exit 1 (typed failure) —
-    // never 2 (hang), never a clean 0.
+    // never 2 (hang), never a clean 0 — and, metered, must have flagged the
+    // victim in the live telemetry before the survivor's error is reported.
     let (code, out) = run_launcher(
         &[
             "--ranks",
             "2",
             "--iters",
             "300",
+            "--metrics",
             "--kill-rank",
             "1",
             "--kill-after-ms",
@@ -330,6 +332,87 @@ fn sigkilled_worker_fails_survivors_typed_never_hangs() {
         out.contains("[killed]"),
         "victim must be reported killed:\n{out}"
     );
+    let stalled = out.find("rank 1 STALLED").expect("victim flagged STALLED");
+    assert!(
+        stalled < out.find("FAILED [").expect("a typed failure line"),
+        "STALLED must precede the typed failures:\n{out}"
+    );
+}
+
+#[test]
+#[ignore = "spawns worker processes: run in the transport-tcp CI job with --ignored"]
+fn metered_multiprocess_run_writes_both_exports() {
+    // Workers heartbeat and report their slots as one-rank JSON documents;
+    // the launcher merges them, passes the traffic-conservation check (a
+    // violation exits 3) and writes the world snapshot in either form.
+    for ext in ["prom", "json"] {
+        let path = std::env::temp_dir().join(format!(
+            "wp-conformance-metrics-{}.{ext}",
+            std::process::id()
+        ));
+        let path_s = path.to_str().expect("utf8 temp path");
+        let (code, out) = run_launcher(
+            &[
+                "--ranks",
+                "2",
+                "--metrics",
+                "--metrics-out",
+                path_s,
+                "--deadline-ms",
+                "60000",
+            ],
+            Duration::from_secs(120),
+        );
+        assert_eq!(code, 0, "launcher failed:\n{out}");
+        assert!(out.contains("metrics rollup:"), "no rollup:\n{out}");
+        let text = std::fs::read_to_string(&path).expect("metrics file written");
+        let _ = std::fs::remove_file(&path);
+        if ext == "json" {
+            let world = wp_metrics::parse_json(&text).expect("the JSON export parses back");
+            assert_eq!(world.world_size(), 2);
+        } else {
+            assert!(text.starts_with("# TYPE "), "not an exposition:\n{text}");
+        }
+    }
+}
+
+#[test]
+#[ignore = "spawns worker processes: run in the transport-tcp CI job with --ignored"]
+fn sigkilled_worker_is_recovered_around() {
+    // SIGKILL one of four workers mid-run with --recover: the launcher must
+    // re-form the survivors as a 3-rank world at epoch 1, resume from the
+    // newest snapshot every survivor holds, finish training (exit 0) and
+    // merge the recovered epoch's metrics into the rollup.
+    let (code, out) = run_launcher(
+        &[
+            "--ranks",
+            "4",
+            "--layers",
+            "12",
+            "--microbatches",
+            "12",
+            "--iters",
+            "40",
+            "--metrics",
+            "--recover",
+            "--kill-rank",
+            "1",
+            "--kill-after-ms",
+            "400",
+            "--recv-timeout-ms",
+            "2000",
+            "--deadline-ms",
+            "120000",
+        ],
+        Duration::from_secs(180),
+    );
+    assert_eq!(code, 0, "recovery failed:\n{out}");
+    for line in [
+        "recovered: 4 → 3 ranks",
+        "recovery rollup: 1 recovery epoch",
+    ] {
+        assert!(out.contains(line), "no {line:?} in:\n{out}");
+    }
 }
 
 #[test]
