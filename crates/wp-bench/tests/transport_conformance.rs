@@ -346,23 +346,14 @@ fn metered_multiprocess_run_writes_both_exports() {
     // the launcher merges them, passes the traffic-conservation check (a
     // violation exits 3) and writes the world snapshot in either form.
     for ext in ["prom", "json"] {
-        let path = std::env::temp_dir().join(format!(
-            "wp-conformance-metrics-{}.{ext}",
-            std::process::id()
-        ));
-        let path_s = path.to_str().expect("utf8 temp path");
-        let (code, out) = run_launcher(
-            &[
-                "--ranks",
-                "2",
-                "--metrics",
-                "--metrics-out",
-                path_s,
-                "--deadline-ms",
-                "60000",
-            ],
-            Duration::from_secs(120),
+        let file = format!("wp-conformance-metrics-{}.{ext}", std::process::id());
+        let path = std::env::temp_dir().join(file);
+        let cmd = format!(
+            "--ranks 2 --metrics --deadline-ms 60000 --metrics-out {}",
+            path.display()
         );
+        let args: Vec<&str> = cmd.split(' ').collect();
+        let (code, out) = run_launcher(&args, Duration::from_secs(120));
         assert_eq!(code, 0, "launcher failed:\n{out}");
         assert!(out.contains("metrics rollup:"), "no rollup:\n{out}");
         let text = std::fs::read_to_string(&path).expect("metrics file written");
@@ -383,29 +374,10 @@ fn sigkilled_worker_is_recovered_around() {
     // re-form the survivors as a 3-rank world at epoch 1, resume from the
     // newest snapshot every survivor holds, finish training (exit 0) and
     // merge the recovered epoch's metrics into the rollup.
-    let (code, out) = run_launcher(
-        &[
-            "--ranks",
-            "4",
-            "--layers",
-            "12",
-            "--microbatches",
-            "12",
-            "--iters",
-            "40",
-            "--metrics",
-            "--recover",
-            "--kill-rank",
-            "1",
-            "--kill-after-ms",
-            "400",
-            "--recv-timeout-ms",
-            "2000",
-            "--deadline-ms",
-            "120000",
-        ],
-        Duration::from_secs(180),
-    );
+    let cmd = "--ranks 4 --layers 12 --microbatches 12 --iters 40 --metrics --recover \
+               --kill-rank 1 --kill-after-ms 400 --recv-timeout-ms 2000 --deadline-ms 120000";
+    let args: Vec<&str> = cmd.split_whitespace().collect();
+    let (code, out) = run_launcher(&args, Duration::from_secs(180));
     assert_eq!(code, 0, "recovery failed:\n{out}");
     for line in [
         "recovered: 4 → 3 ranks",

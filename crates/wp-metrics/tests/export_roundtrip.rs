@@ -76,13 +76,6 @@ fn wp_metrics_bucket(v: u64) -> usize {
     }
 }
 
-/// `<label>="<value>"` → `<value>`.
-fn quoted<'a>(label: &str, pair: &'a str) -> Option<&'a str> {
-    pair.strip_prefix(label)?
-        .strip_prefix("=\"")?
-        .strip_suffix('"')
-}
-
 /// What a scraper needs of the exposition, checked by plain line scans
 /// (nothing reads this format back, so there is no parser to ask): one
 /// `# TYPE` per family, ahead of that family's samples; one sample per rank
@@ -104,15 +97,13 @@ fn check_exposition(text: &str, snap: &MetricsSnapshot) {
         }
         let family = *families.last().expect("a sample precedes every TYPE");
         let (head, value) = line.rsplit_once(' ').expect("<series> <value>");
-        let (name, labels) = head.split_once('{').expect("a label set");
-        let labels = labels.strip_suffix('}').expect("a closed label set");
-        let (rank, le) = labels
-            .split_once(',')
-            .map_or((labels, None), |(r, le)| (r, Some(le)));
-        let rank: usize = quoted("rank", rank)
-            .expect("rank label")
-            .parse()
-            .expect("rank");
+        let (name, labels) = head.split_once("{rank=\"").expect("a rank label");
+        let (rank, rest) = labels.split_once('"').expect("a quoted rank");
+        let le = rest
+            .strip_prefix(",le=\"")
+            .and_then(|l| l.strip_suffix("\"}"));
+        assert!(le.is_some() || rest == "}", "label set {labels:?}");
+        let rank: usize = rank.parse().expect("rank");
         let r = &snap.ranks[rank];
         match kind {
             "counter" => {
@@ -136,7 +127,7 @@ fn check_exposition(text: &str, snap: &MetricsSnapshot) {
                 let h = r.hist(Hist::from_name(family).expect("declared histogram"));
                 let v: u64 = value.parse().expect("histogram value");
                 match name.strip_prefix(family).expect("sample under its TYPE") {
-                    "_bucket" => match le.and_then(|le| quoted("le", le)).expect("le label") {
+                    "_bucket" => match le.expect("le label") {
                         "+Inf" => inf = Some(v),
                         bound => series.push((bound.parse().expect("le bound"), v)),
                     },

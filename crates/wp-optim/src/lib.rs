@@ -38,9 +38,6 @@ pub trait Optimizer {
     /// Base learning rate.
     fn lr(&self) -> f32;
 
-    /// Optimizer state size in f32 elements (for the memory ledger).
-    fn state_elems(&self) -> usize;
-
     /// Snapshot the optimizer's mutable state for checkpointing: the step
     /// count and the state buffers, in a fixed per-optimizer order. The
     /// buffer count is deterministic for a given configuration, so every

@@ -78,11 +78,6 @@ impl MasterWeights {
         self.step(opt, working, grads, lr);
         probe.optim_step(t0, lr);
     }
-
-    /// Memory the master copy occupies, in f32 elements.
-    pub fn state_elems(&self) -> usize {
-        self.master.len()
-    }
 }
 
 #[cfg(test)]

@@ -67,10 +67,6 @@ impl Optimizer for Sgd {
         self.cfg.lr
     }
 
-    fn state_elems(&self) -> usize {
-        self.velocity.len()
-    }
-
     fn export_state(&self) -> (u64, Vec<Vec<f32>>) {
         // Exactly one buffer either way: empty when momentum is off, so the
         // exported shape is deterministic from the config alone.
@@ -151,7 +147,7 @@ mod tests {
     #[test]
     fn no_momentum_allocates_no_state() {
         let opt = Sgd::new(1000, SgdConfig::default());
-        assert_eq!(opt.state_elems(), 0);
+        assert_eq!(opt.export_state().1[0].len(), 0);
         let opt = Sgd::new(
             1000,
             SgdConfig {
@@ -159,6 +155,6 @@ mod tests {
                 ..Default::default()
             },
         );
-        assert_eq!(opt.state_elems(), 1000);
+        assert_eq!(opt.export_state().1[0].len(), 1000);
     }
 }
