@@ -32,15 +32,17 @@ fn fmt_f64(v: f64) -> String {
 /// The validator's complaint (the file is still written, for inspection),
 /// or the I/O error.
 pub fn write_export(snap: &MetricsSnapshot, path: &str) -> Result<(), String> {
-    let (text, checked) = if path.ends_with(".json") {
-        let json = export_json(snap);
-        let checked = validate_json(&json);
-        (json, checked)
+    let json = path.ends_with(".json");
+    let text = if json {
+        export_json(snap)
     } else {
-        (export_prometheus(snap), Ok(()))
+        export_prometheus(snap)
     };
-    std::fs::write(path, text).map_err(|e| format!("write {path}: {e}"))?;
-    checked.map_err(|e| format!("metrics export failed validation: {e}"))
+    std::fs::write(path, &text).map_err(|e| format!("write {path}: {e}"))?;
+    if json {
+        validate_json(&text).map_err(|e| format!("metrics export failed validation: {e}"))?;
+    }
+    Ok(())
 }
 
 // ---- Prometheus text exposition (write-only) --------------------------------
