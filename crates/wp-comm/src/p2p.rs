@@ -3,10 +3,11 @@
 //!
 //! One [`Communicator`] per rank, layered over one transport endpoint. The
 //! transport only promises per-source FIFO framed delivery (the guarantee
-//! NCCL P2P gives within a stream) and non-blocking sends (the runtime's
-//! analogue of buffered `isend`); everything else — tag matching with a
-//! per-source reorder buffer (which the interleaved WeiPipe schedules rely
-//! on), timeouts, fault injection, abort, metering, pacing — lives here and
+//! NCCL P2P gives within a stream) and buffered sends that return once the
+//! substrate holds the frame (the runtime's analogue of buffered `isend`);
+//! everything else — tag matching with a per-source reorder buffer (which
+//! the interleaved WeiPipe schedules rely on), timeouts, fault injection,
+//! abort, metering, pacing — lives here and
 //! is byte-identical whether the frames cross an in-process channel
 //! ([`TransportKind::InProcess`](crate::TransportKind::InProcess)) or a
 //! localhost TCP socket
@@ -136,8 +137,8 @@ pub struct Communicator {
 /// interval.
 ///
 /// There is no send handle: [`Communicator::send`] follows buffered-isend
-/// semantics — the payload is on the wire, and the meter charged, before it
-/// returns — so a "send request" would be complete at creation.
+/// semantics — the transport holds the payload, and the meter is charged,
+/// before it returns — so a "send request" would be complete at creation.
 #[derive(Debug)]
 #[must_use = "a request that is never waited on completes nothing"]
 pub struct Request {
@@ -306,9 +307,10 @@ impl Communicator {
     }
 
     /// Send `data` to `dst` with a user `tag`, packed into (and charged at)
-    /// the given wire dtype. Never blocks: the payload is on the wire — and the
-    /// meter charged — when this returns (buffered-isend semantics), so
-    /// there is nothing to wait on afterwards.
+    /// the given wire dtype. Returns once the transport holds the payload —
+    /// and the meter is charged — without waiting for `dst` to receive it
+    /// (buffered-isend semantics), so there is nothing to wait on
+    /// afterwards.
     ///
     /// # Errors
     /// [`CommError::InvalidTag`] for tags reserved for collectives;

@@ -12,8 +12,9 @@
 //! only moves opaque [`Frame`]s — an envelope around a [`Payload`] that is
 //! already the bytes a wire would carry — and promises:
 //!
-//! 1. **Non-blocking send** — [`Transport::send`] queues the frame and
-//!    returns immediately (buffered-isend semantics). The only error is
+//! 1. **Buffered send** — [`Transport::send`] returns once the substrate
+//!    holds the frame (a channel, or a socket's kernel buffer), without
+//!    waiting for the receiver to take it. The only error is
 //!    [`TransportClosed`]: the destination endpoint is gone.
 //! 2. **Per-source FIFO** — frames from one source are delivered in the
 //!    order they were sent (the guarantee NCCL P2P gives within a stream).
@@ -376,9 +377,9 @@ pub trait Transport: Send + std::fmt::Debug {
     /// cell and trip it when a peer's abort reaches them.
     fn abort_cell(&self) -> &Arc<AbortCell>;
 
-    /// Queue `frame` for delivery to `dst` and return without blocking
-    /// (buffered-isend semantics: the payload is on the wire — or in a
-    /// writer's queue — when this returns).
+    /// Hand `frame` to the substrate for delivery to `dst` and return once
+    /// it holds the frame, without waiting for `dst` to receive it
+    /// (buffered-isend semantics).
     ///
     /// # Errors
     /// [`TransportClosed`] when `dst`'s endpoint is gone.
@@ -395,8 +396,8 @@ pub trait Transport: Send + std::fmt::Debug {
     fn propagate_abort(&mut self, _origin: usize, _cause: &CommError) {}
 
     /// Attach a metrics handle for transport-*internal* accounting the
-    /// layers above cannot see (wire frames by type, per-peer writer queue
-    /// depth, abort relays). Default no-op: the in-process mesh has no
+    /// layers above cannot see (wire frames and bytes by type, abort
+    /// relays). Default no-op: the in-process mesh has no
     /// internal machinery worth counting — payload traffic is already
     /// metered above the trait.
     fn instrument(&mut self, _metrics: wp_metrics::RankMetrics) {}

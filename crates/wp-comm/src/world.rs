@@ -122,7 +122,8 @@ impl WorldBuilder {
     /// keeps the registry and snapshots it after the run. The world's
     /// [`TrafficMeter`] then reads the registry's own traffic counters, and
     /// the transport endpoint is instrumented too, so transport-internal
-    /// accounting (wire frames, writer queue depth) lands in the same slots.
+    /// accounting (wire frames and bytes, abort relays) lands in the same
+    /// slots.
     pub fn metrics(mut self, registry: MetricsRegistry) -> Self {
         self.metrics = Some(registry);
         self

@@ -90,7 +90,7 @@ proptest! {
 
 proptest! {
     // Fewer cases and smaller worlds than the in-process twin: each case
-    // stands up a real socket mesh with per-peer reader/writer threads.
+    // stands up a real socket mesh with per-peer reader threads.
     #![proptest_config(ProptestConfig::with_cases(6))]
 
     #[test]

@@ -31,7 +31,8 @@ pub enum SpanKind {
     OptimStep = 5,
     /// One whole training iteration (outermost span on a rank's track).
     Iteration = 6,
-    /// A point-to-point send call (buffered; never blocks).
+    /// A point-to-point send call (buffered: ends once the transport holds
+    /// the frame, not when the peer receives it).
     Send = 7,
     /// Time a receive spent *blocked* waiting for its message to arrive.
     RecvWait = 8,
