@@ -128,10 +128,6 @@ metric_enum! {
         ReorderDepth => "wp_comm_reorder_depth",
         /// High-water reorder-buffer depth.
         ReorderDepthMax => "wp_comm_reorder_depth_max",
-        /// Frames queued to the busiest peer writer at the last send.
-        TcpSendQueueDepth => "wp_tcp_send_queue_depth",
-        /// High-water per-peer writer queue depth.
-        TcpSendQueueDepthMax => "wp_tcp_send_queue_depth_max",
     }
 }
 

@@ -469,7 +469,7 @@ mod tests {
                     for _ in 0..1000 {
                         m.incr(Counter::MsgsRecv);
                         m.observe(Hist::StepWallNs, 7);
-                        m.set_max(Gauge::TcpSendQueueDepthMax, 4.0);
+                        m.set_max(Gauge::ReorderDepthMax, 4.0);
                     }
                 });
             }
@@ -478,7 +478,7 @@ mod tests {
         assert_eq!(r.counter(Counter::MsgsRecv), 4000);
         assert_eq!(r.hist(Hist::StepWallNs).count, 4000);
         assert_eq!(r.hist(Hist::StepWallNs).sum, 28000);
-        assert_eq!(r.gauge(Gauge::TcpSendQueueDepthMax), 4.0);
+        assert_eq!(r.gauge(Gauge::ReorderDepthMax), 4.0);
     }
 
     #[test]
