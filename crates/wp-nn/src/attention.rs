@@ -587,7 +587,7 @@ pub fn streaming_backward(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use wp_tensor::ops::gemm::{force_portable, uses_avx2};
+    use wp_tensor::ops::gemm::{force_isa, force_portable, isa, Isa};
     use wp_tensor::Tensor;
 
     /// Sequence lengths on both sides of every tile boundary.
@@ -787,19 +787,20 @@ mod tests {
     }
 
     #[test]
-    fn avx2_and_portable_attention_agree_bit_for_bit() {
-        if !uses_avx2() {
-            eprintln!("skipped: no AVX2 on this host");
-            return;
-        }
-        // Sequential, so the whole kernel runs on the thread the portable
-        // scope pins.
+    fn every_instantiation_agrees_on_attention_bit_for_bit() {
+        // Sequential, so the whole kernel runs on the thread the scopes pin.
         rayon::force_sequential(|| {
-            for d in SEQS.map(gqa) {
-                let wide = forward_backward(d, false);
-                let narrow = force_portable(|| forward_backward(d, false));
-                for ((a, b), name) in wide.iter().zip(&narrow).zip(NAMES) {
-                    assert!(a == b, "S={}: {name} differs between ISAs", d.seq);
+            for fast in [Isa::Avx2Fma, Isa::Avx512Fma] {
+                if force_isa(fast, isa) != fast {
+                    eprintln!("skipped {fast:?}: not on this host");
+                    continue;
+                }
+                for d in SEQS.map(gqa) {
+                    let wide = force_isa(fast, || forward_backward(d, false));
+                    let narrow = force_portable(|| forward_backward(d, false));
+                    for ((a, b), name) in wide.iter().zip(&narrow).zip(NAMES) {
+                        assert!(a == b, "S={}: {name} differs, {fast:?} vs portable", d.seq);
+                    }
                 }
             }
         });

@@ -19,40 +19,52 @@
 //! size on a thread's first call, so the warm path never touches the heap.
 //!
 //! **Determinism.** Within one `KC` block every `C` element is
-//! `acc = 0; for p ascending { acc += a·b }; c += acc` — a strictly
-//! ascending-`k` sum with a separately rounded multiply and add. Which
-//! register tile, vector lane, row band or thread an element lands in never
-//! enters its arithmetic, so the result is bit-identical across `MR×NR`
-//! shapes, vector widths and thread counts. That is why the portable and
-//! AVX2 instantiations below may differ in tile shape and still agree bit
-//! for bit — as long as nothing contracts the multiply-add, which Rust
-//! never does on its own; a fused instantiation would be faster but produce
-//! different bits, and is deliberately not offered here.
+//! `acc = 0; for p ascending { acc = fma(a, b, acc) }; c += acc` — a strictly
+//! ascending-`k` chain of fused multiply-adds, each rounded once, then one
+//! separately rounded add into `C`. Which register tile, vector lane, row
+//! band or thread an element lands in never enters its arithmetic, so the
+//! result is bit-identical across `MR×NR` shapes, vector widths and thread
+//! counts. Every instantiation fuses — with the FMA instruction where the
+//! ISA has one, through libm's correctly rounded `fmaf` where it does not —
+//! so the bits do not depend on the CPU either.
 //!
-//! **ISA selection.** The platform picks: `is_x86_feature_detected!("avx2")`
-//! chooses between two instantiations of the *same* generic source. The AVX2
-//! one is the generic body inlined into a `#[target_feature]` wrapper, so
-//! everything below that wrapper must be `#[inline(always)]` — a callee that
-//! is not inlined is silently compiled for the baseline ISA and the kernel
-//! falls back to baseline speed without failing any test.
+//! **ISA selection.** The platform picks, with `is_x86_feature_detected!`,
+//! among three instantiations of the *same* generic source ([`Isa`]). The
+//! x86 ones are the generic body inlined into a `#[target_feature]` wrapper,
+//! so everything below those wrappers must be `#[inline(always)]` — a callee
+//! that is not inlined is silently compiled for the baseline ISA and runs at
+//! baseline speed without failing any test. `mul_add` belongs only in code
+//! this kernel reaches: baseline x86-64 code makes it a libm call.
 
 use std::cell::{Cell, RefCell};
 
 /// Depth of one packed block along the inner dimension; also the unit of the
 /// summation order (see the module docs).
 pub const KC: usize = 256;
-/// Rows of the register tile (both instantiations).
+/// Rows of the register tile (every instantiation).
 pub const MR: usize = 4;
 /// Rows of `A` packed at a time: `MC·KC` floats stay L2-resident.
 const MC: usize = 64;
-/// Columns of `B` packed at a time; a multiple of every `NR` below.
+/// Columns of `B` packed at a time; a multiple of every instantiation's `NR`.
 const NC: usize = 128;
-/// Register-tile columns of the portable instantiation (two 128-bit lanes).
-const NR_PORTABLE: usize = 8;
-/// Register-tile columns of the AVX2 instantiation: 4×16 is eight 256-bit
-/// accumulators, leaving registers for the `B` row and the `A` broadcast.
-#[cfg(target_arch = "x86_64")]
-const NR_AVX2: usize = 16;
+
+/// A product's `(m, n, k)`.
+type Dims = (usize, usize, usize);
+/// A thread's `A` and `B` pack buffers (`MC·KC` and `KC·NC` floats).
+type Pack = (Vec<f32>, Vec<f32>);
+
+/// The instantiations of the one generic body that [`gemm`] picks among,
+/// slowest first, by their `MR×NR` register tile. All compute the same bits.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
+pub enum Isa {
+    /// 4×8 for the baseline ISA: two 128-bit lanes per row.
+    Portable,
+    /// 4×16 under `avx2,fma`: eight 256-bit accumulators, leaving registers
+    /// for the `B` row and the `A` broadcast.
+    Avx2Fma,
+    /// 4×32 under `avx512f,fma`: eight of its thirty-two 512-bit registers.
+    Avx512Fma,
+}
 
 /// Read-only strided matrix view: element `(i, j)` is `data[i·rs + j·cs]`.
 #[derive(Debug, Clone, Copy)]
@@ -101,35 +113,59 @@ impl<'a> MatRef<'a> {
 }
 
 thread_local! {
-    /// This thread's `A` and `B` pack buffers (`MC·KC` and `KC·NC` floats).
-    static PACK: RefCell<(Vec<f32>, Vec<f32>)> = const { RefCell::new((Vec::new(), Vec::new())) };
-    /// Depth of [`force_portable`] scopes on this thread.
-    static PORTABLE_DEPTH: Cell<usize> = const { Cell::new(0) };
+    /// This thread's pack buffers, allocated on its first product.
+    static PACK: RefCell<Pack> = const { RefCell::new((Vec::new(), Vec::new())) };
+    /// The fastest instantiation [`gemm`] may pick on this thread.
+    static CAP: Cell<Isa> = const { Cell::new(Isa::Avx512Fma) };
+}
+
+/// Run `f` with this thread's [`gemm`] calls capped at `cap` (or an
+/// enclosing scope's lower cap). Exists so tests can compare instantiations
+/// in one process, as `rayon::force_sequential` lets them compare threads.
+#[doc(hidden)]
+pub fn force_isa<R>(cap: Isa, f: impl FnOnce() -> R) -> R {
+    let outer = CAP.replace(cap.min(CAP.get()));
+    let out = f();
+    CAP.set(outer);
+    out
 }
 
 /// Run `f` with this thread's [`gemm`] calls — and the slice conversions of
 /// [`crate::dtype`], which dispatch the same way — pinned to the portable
-/// instantiation, whatever the CPU offers. Exists so tests can compare the
-/// instantiations in one process, the way `rayon::force_sequential` lets
-/// them compare thread counts.
+/// instantiation, whatever the CPU offers.
 #[doc(hidden)]
 pub fn force_portable<R>(f: impl FnOnce() -> R) -> R {
-    PORTABLE_DEPTH.with(|d| d.set(d.get() + 1));
-    let out = f();
-    PORTABLE_DEPTH.with(|d| d.set(d.get() - 1));
-    out
+    force_isa(Isa::Portable, f)
 }
 
 /// True inside a [`force_portable`] scope on this thread.
 pub(crate) fn portable_forced() -> bool {
-    PORTABLE_DEPTH.with(Cell::get) != 0
+    CAP.get() == Isa::Portable
 }
 
-/// True when [`gemm`] on this thread runs the AVX2 instantiation.
+/// The instantiation [`gemm`] runs on this thread: the fastest this CPU
+/// offers under the thread's [`force_isa`] cap.
+pub fn isa() -> Isa {
+    let cap = CAP.get();
+    #[cfg(target_arch = "x86_64")]
+    if is_x86_feature_detected!("fma") {
+        if cap >= Isa::Avx512Fma && is_x86_feature_detected!("avx512f") {
+            return Isa::Avx512Fma;
+        }
+        if cap >= Isa::Avx2Fma && is_x86_feature_detected!("avx2") {
+            return Isa::Avx2Fma;
+        }
+    }
+    Isa::Portable
+}
+
+/// True when this thread may use AVX2: the CPU has it and no
+/// [`force_portable`] scope is open. The bf16 slice conversions of
+/// [`crate::dtype`] dispatch on it.
 pub fn uses_avx2() -> bool {
     #[cfg(target_arch = "x86_64")]
     {
-        !portable_forced() && std::arch::is_x86_feature_detected!("avx2")
+        !portable_forced() && is_x86_feature_detected!("avx2")
     }
     #[cfg(not(target_arch = "x86_64"))]
     {
@@ -152,49 +188,51 @@ pub unsafe fn gemm(c: *mut f32, ldc: usize, a: MatRef, b: MatRef, m: usize, n: u
     }
     a.check(m, k, "A");
     b.check(k, n, "B");
-    PACK.with_borrow_mut(|(ap, bp)| {
-        if ap.is_empty() {
-            ap.resize(MC * KC, 0.0);
-            bp.resize(KC * NC, 0.0);
+    PACK.with_borrow_mut(|pack| {
+        if pack.0.is_empty() {
+            pack.0.resize(MC * KC, 0.0);
+            pack.1.resize(KC * NC, 0.0);
         }
-        #[cfg(target_arch = "x86_64")]
-        if uses_avx2() {
-            // SAFETY: AVX2 was detected on this CPU; C per this function's
-            // contract.
-            return unsafe { gemm_avx2(c, ldc, a, b, (m, n, k), ap, bp) };
+        // SAFETY: `isa()` only returns an instantiation this CPU offers; C
+        // per this function's contract.
+        unsafe {
+            match isa() {
+                #[cfg(target_arch = "x86_64")]
+                Isa::Avx512Fma => gemm_avx512(c, ldc, a, b, (m, n, k), pack),
+                #[cfg(target_arch = "x86_64")]
+                Isa::Avx2Fma => gemm_avx2(c, ldc, a, b, (m, n, k), pack),
+                _ => gemm_blocked::<8>(c, ldc, a, b, (m, n, k), pack),
+            }
         }
-        // SAFETY: C per this function's contract.
-        unsafe { gemm_blocked::<NR_PORTABLE>(c, ldc, a, b, (m, n, k), ap, bp) }
     });
 }
 
-/// The AVX2 instantiation: the generic body, compiled with 256-bit vectors.
+/// The AVX-512 instantiation: the generic body with 512-bit vectors and FMA.
 #[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx2")]
-unsafe fn gemm_avx2(
-    c: *mut f32,
-    ldc: usize,
-    a: MatRef,
-    b: MatRef,
-    dims: (usize, usize, usize),
-    ap: &mut [f32],
-    bp: &mut [f32],
-) {
+#[target_feature(enable = "avx512f,fma")]
+unsafe fn gemm_avx512(c: *mut f32, ldc: usize, a: MatRef, b: MatRef, dims: Dims, pack: &mut Pack) {
     // SAFETY: forwarded contract.
-    unsafe { gemm_blocked::<NR_AVX2>(c, ldc, a, b, dims, ap, bp) }
+    unsafe { gemm_blocked::<32>(c, ldc, a, b, dims, pack) }
+}
+
+/// The AVX2 instantiation: the generic body with 256-bit vectors and FMA.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2,fma")]
+unsafe fn gemm_avx2(c: *mut f32, ldc: usize, a: MatRef, b: MatRef, dims: Dims, pack: &mut Pack) {
+    // SAFETY: forwarded contract.
+    unsafe { gemm_blocked::<16>(c, ldc, a, b, dims, pack) }
 }
 
 /// The blocked loop nest around [`micro_kernel`]. Same safety contract as
-/// [`gemm`]; `ap` and `bp` hold `MC·KC` and `KC·NC` floats.
+/// [`gemm`]; `pack` holds full-size buffers.
 #[inline(always)]
 unsafe fn gemm_blocked<const NR: usize>(
     c: *mut f32,
     ldc: usize,
     a: MatRef,
     b: MatRef,
-    (m, n, k): (usize, usize, usize),
-    ap: &mut [f32],
-    bp: &mut [f32],
+    (m, n, k): Dims,
+    (ap, bp): &mut Pack,
 ) {
     for jc in (0..n).step_by(NC) {
         let nc = NC.min(n - jc);
@@ -233,14 +271,14 @@ unsafe fn gemm_blocked<const NR: usize>(
 }
 
 /// One register tile: `acc[i][j] = Σ_p a_panel[p][i] · b_panel[p][j]`, `p`
-/// ascending, multiply and add rounded separately.
+/// ascending, one fused multiply-add per term.
 #[inline(always)]
 fn micro_kernel<const NR: usize>(a_panel: &[f32], b_panel: &[f32]) -> [[f32; NR]; MR] {
     let mut acc = [[0.0f32; NR]; MR];
     for (a, b) in a_panel.chunks_exact(MR).zip(b_panel.chunks_exact(NR)) {
         for (acc_row, &ai) in acc.iter_mut().zip(a) {
             for (x, &bj) in acc_row.iter_mut().zip(b) {
-                *x += ai * bj;
+                *x = ai.mul_add(bj, *x);
             }
         }
     }
@@ -286,6 +324,57 @@ fn pack<const W: usize>(
                 let base = (v0 + v) * vs + p0 * ps;
                 for p in 0..kc {
                     panel[p * W + v] = src[base + p * ps];
+                }
+            }
+        }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::super::matmul::tests::{blocked_ref, rand, DEPTHS, LAYOUTS, SIZES};
+    use super::*;
+
+    #[test]
+    fn every_instantiation_matches_the_blocked_reference_bit_for_bit() {
+        let offered: Vec<Isa> = [Isa::Portable, Isa::Avx2Fma, Isa::Avx512Fma]
+            .into_iter()
+            .filter(|&want| {
+                let here = force_isa(want, isa) == want;
+                if !here {
+                    eprintln!("skipped {want:?}: not on this host");
+                }
+                here
+            })
+            .collect();
+        // Every layout's strides over the ragged grid; C starts non-zero.
+        for (name, _, a_strides, b_strides) in LAYOUTS {
+            for m in SIZES {
+                for n in SIZES {
+                    for k in DEPTHS {
+                        let (a, b, c0) = (rand(m * k, 1), rand(k * n, 2), rand(m * n, 3));
+                        let ((ars, acs), (brs, bcs)) = (a_strides(m, k), b_strides(k, n));
+                        let mut want = c0.clone();
+                        blocked_ref(&mut want, n, (&a, ars, acs), (&b, brs, bcs), m, n, k);
+                        let av = MatRef {
+                            data: &a,
+                            rs: ars,
+                            cs: acs,
+                        };
+                        let bv = MatRef {
+                            data: &b,
+                            rs: brs,
+                            cs: bcs,
+                        };
+                        for &which in &offered {
+                            let mut got = c0.clone();
+                            // SAFETY: `got` holds `m` rows of `n` floats.
+                            force_isa(which, || unsafe {
+                                gemm(got.as_mut_ptr(), n, av, bv, m, n, k)
+                            });
+                            assert!(got == want, "{which:?} {name} ({m},{k},{n})");
+                        }
+                    }
                 }
             }
         }

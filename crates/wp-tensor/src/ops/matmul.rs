@@ -124,27 +124,39 @@ pub fn matmul_naive(c: &mut [f32], a: &[f32], b: &[f32], m: usize, k: usize, n: 
 }
 
 #[cfg(test)]
-mod tests {
-    use super::super::gemm::{force_portable, uses_avx2, KC, MR};
+pub(crate) mod tests {
+    use super::super::gemm::{force_isa, force_portable, isa, Isa, KC, MR};
     use super::*;
     use crate::tensor::Tensor;
 
-    const SIZES: [usize; 5] = [1, MR - 1, MR + 1, 33, 131];
-    const DEPTHS: [usize; 5] = [1, 31, KC, KC + 1, 2 * KC + 3];
+    /// Single rows and columns, one short of and one past a register tile,
+    /// one short of the widest `NR` (32), and several bands.
+    pub(crate) const SIZES: [usize; 6] = [1, MR - 1, MR + 1, 31, 33, 131];
+    /// Inner depths on both sides of one and two `KC` blocks.
+    pub(crate) const DEPTHS: [usize; 5] = [1, 31, KC, KC + 1, 2 * KC + 3];
 
     /// A strided operand as `(data, row stride, column stride)`.
-    type View<'a> = (&'a [f32], usize, usize);
+    pub(crate) type View<'a> = (&'a [f32], usize, usize);
 
     /// `C += A·B` exactly as the kernel defines it, one element at a time:
-    /// per `KC` block an ascending-`k` sum from zero, then one add into `C`.
-    fn blocked_ref(c: &mut [f32], ldc: usize, a: View, b: View, m: usize, n: usize, k: usize) {
+    /// per `KC` block an ascending-`k` chain of fused multiply-adds from
+    /// zero, then one add into `C`.
+    pub(crate) fn blocked_ref(
+        c: &mut [f32],
+        ldc: usize,
+        a: View,
+        b: View,
+        m: usize,
+        n: usize,
+        k: usize,
+    ) {
         let ((a, ars, acs), (b, brs, bcs)) = (a, b);
         for i in 0..m {
             for j in 0..n {
                 for p0 in (0..k).step_by(KC) {
                     let mut acc = 0.0f32;
                     for p in p0..(p0 + KC).min(k) {
-                        acc += a[i * ars + p * acs] * b[p * brs + j * bcs];
+                        acc = a[i * ars + p * acs].mul_add(b[p * brs + j * bcs], acc);
                     }
                     c[i * ldc + j] += acc;
                 }
@@ -152,11 +164,11 @@ mod tests {
         }
     }
 
-    fn rand(n: usize, seed: u64) -> Vec<f32> {
+    pub(crate) fn rand(n: usize, seed: u64) -> Vec<f32> {
         Tensor::randn([n], 1.0, seed).into_vec()
     }
 
-    type Layout = (
+    pub(crate) type Layout = (
         &'static str,
         fn(&mut [f32], &[f32], &[f32], usize, usize, usize),
         fn(usize, usize) -> (usize, usize),
@@ -165,7 +177,7 @@ mod tests {
 
     /// Each layout's entry point and the `(rs, cs)` of its `A` (given
     /// `m, k`) and `B` (given `k, n`) over the flat slices it is handed.
-    const LAYOUTS: [Layout; 3] = [
+    pub(crate) const LAYOUTS: [Layout; 3] = [
         ("nn", matmul_nn, |_, k| (k, 1), |_, n| (n, 1)),
         ("nt", matmul_nt, |_, k| (k, 1), |k, _| (1, k)),
         ("tn", matmul_tn, |m, _| (1, m), |_, n| (n, 1)),
@@ -173,10 +185,8 @@ mod tests {
 
     #[test]
     fn every_layout_matches_the_blocked_reference_bit_for_bit() {
-        // Ragged in every dimension: single rows and columns, one short of
-        // and one past a register tile, several bands, and inner depths on
-        // both sides of one and two KC blocks. C starts non-zero so the
-        // accumulate is part of what is compared.
+        // Ragged in every dimension (SIZES, DEPTHS). C starts non-zero so
+        // the accumulate is part of what is compared.
         for (name, run, a_strides, b_strides) in LAYOUTS {
             for m in SIZES {
                 for n in SIZES {
@@ -229,36 +239,48 @@ mod tests {
     }
 
     #[test]
-    fn avx2_and_portable_instantiations_agree_bit_for_bit() {
-        if !uses_avx2() {
-            eprintln!("skipped: no AVX2 on this host");
-            return;
-        }
-        for (name, run, ..) in LAYOUTS {
-            for (m, n, k) in [(1, 1, 1), (MR + 1, 33, KC + 1), (131, 131, 2 * KC + 3)] {
-                let (a, b) = (rand(m * k, 7), rand(k * n, 8));
-                let mut wide = rand(m * n, 9);
-                let mut narrow = wide.clone();
-                rayon::force_sequential(|| {
-                    run(&mut wide, &a, &b, m, k, n);
-                    force_portable(|| {
-                        assert!(!uses_avx2());
-                        run(&mut narrow, &a, &b, m, k, n)
+    fn every_instantiation_agrees_bit_for_bit() {
+        for fast in [Isa::Avx2Fma, Isa::Avx512Fma] {
+            if force_isa(fast, isa) != fast {
+                eprintln!("skipped {fast:?}: not on this host");
+                continue;
+            }
+            for (name, run, ..) in LAYOUTS {
+                for (m, n, k) in [(1, 1, 1), (MR + 1, 33, KC + 1), (131, 131, 2 * KC + 3)] {
+                    let (a, b) = (rand(m * k, 7), rand(k * n, 8));
+                    let mut wide = rand(m * n, 9);
+                    let mut narrow = wide.clone();
+                    rayon::force_sequential(|| {
+                        force_isa(fast, || run(&mut wide, &a, &b, m, k, n));
+                        force_portable(|| {
+                            assert_eq!(isa(), Isa::Portable);
+                            run(&mut narrow, &a, &b, m, k, n)
+                        });
                     });
-                });
-                assert!(wide == narrow, "{name} ({m},{k},{n})");
+                    assert!(wide == narrow, "{fast:?} {name} ({m},{k},{n})");
+                }
             }
         }
     }
 
     #[test]
     fn zero_times_infinity_is_nan_in_every_layout() {
-        // A zero in A must not short-circuit a non-finite B: the loss
-        // scaler's overflow check needs dX and dW to see what Y sees.
+        // A zero in A must not short-circuit a non-finite B: dX and dW must
+        // see what Y sees. The second input holds the kernel to the fused
+        // definition: one rounding keeps the 2⁻²⁴ that rounding the product
+        // first loses, so an unfused instantiation gives 0.
+        let (x, y) = (1.0 + 2f32.powi(-11), 1.0 + 2f32.powi(-12));
+        let inputs = [
+            ([0.0, 0.0], [f32::INFINITY, 0.0], f32::NAN),
+            ([x, y], [-1.0, y], 2f32.powi(-24)),
+        ];
         for (name, run, ..) in LAYOUTS {
-            let mut c = [0.0f32];
-            run(&mut c, &[0.0], &[f32::INFINITY], 1, 1, 1);
-            assert!(c[0].is_nan(), "{name}: 0·∞ gave {}", c[0]);
+            for (a, b, want) in inputs {
+                let mut c = [0.0f32];
+                run(&mut c, &a, &b, 1, 2, 1);
+                let ok = c[0] == want || c[0].is_nan() && want.is_nan();
+                assert!(ok, "{name}: {a:?}·{b:?} gave {}, want {want}", c[0]);
+            }
         }
     }
 
