@@ -4,14 +4,15 @@
 //! Times the three matmul layouts at the shapes the block's FFN gives them
 //! and streaming attention forward/backward, all at the repo benchmark's
 //! `longctx` shape (H128, S1024, 4 heads), on one core (`force_sequential`),
-//! and prints GFLOP/s beside an in-process ceiling: 64 independent
-//! multiply-add chains held in registers, compiled like the rest of the
-//! build. `matmul_ceiling_share` and `attn_ceiling_share` — the slowest
-//! layout and the slower attention direction as a share of that ceiling —
-//! are what `ci/bench_floors.json` bounds, so a kernel that silently falls
-//! back to a slower path fails the gate on any host. (The ceiling loop is
-//! compiled for the baseline ISA while the kernels pick AVX2 at run time,
-//! so a share above 1 is expected where AVX2 exists.)
+//! and prints GFLOP/s beside an in-process ceiling: independent fused
+//! multiply-add chains held in registers, compiled under the same
+//! `#[target_feature]` as the `gemm` instantiation this host picks, with
+//! enough vector chains to cover FMA latency on two ports.
+//! `matmul_ceiling_share` and `attn_ceiling_share` — the slowest layout and
+//! the slower attention direction as a share of that ceiling — are what
+//! `ci/bench_floors.json` bounds, so a kernel that silently falls back to a
+//! narrower build (an AVX-512 host running the AVX2 one, or a callee that
+//! escaped the wrapper and runs baseline code) fails the gate.
 //!
 //! The wire path's per-byte kernels get the same treatment against a
 //! different ceiling: `pack_f16`, `unpack_f16` and the frame checksum over
@@ -42,6 +43,7 @@ use wp_nn::config::ModelConfig;
 use wp_nn::params::{init_block, BlockLayout};
 use wp_nn::scratch::Scratch;
 use wp_tensor::dtype::{pack_f16, unpack_f16};
+use wp_tensor::ops::gemm::{self, Isa};
 use wp_tensor::ops::{matmul_nn, matmul_nt, matmul_tn};
 use wp_tensor::Tensor;
 
@@ -68,36 +70,102 @@ unsafe impl GlobalAlloc for CountingAlloc {
 #[global_allocator]
 static GLOBAL: CountingAlloc = CountingAlloc;
 
-/// Median wall time of `reps` runs of `f` on one core.
-fn median_secs(reps: usize, mut f: impl FnMut()) -> f64 {
-    let mut samples: Vec<f64> = (0..reps)
-        .map(|_| {
-            let t0 = Instant::now();
-            rayon::force_sequential(&mut f);
-            t0.elapsed().as_secs_f64()
-        })
-        .collect();
-    samples.sort_by(f64::total_cmp);
-    samples[reps / 2]
+/// Wall time of one run of `f` on one core.
+fn secs(f: impl FnOnce()) -> f64 {
+    let t0 = Instant::now();
+    rayon::force_sequential(f);
+    t0.elapsed().as_secs_f64()
 }
 
-/// Peak multiply-add rate of one core as this build compiles it, GFLOP/s:
-/// 64 independent f32 chains of `x·a + b`, two FLOPs each, all in
-/// registers or L1 (the loop `benchmark/src/host.rs` calls `fma_gflops`).
-fn ceiling_gflops(reps: usize) -> f64 {
-    const LANES: usize = 64;
-    const ITERS: usize = 2_000_000;
-    let secs = median_secs(reps, || {
-        let mut acc = [1.0f32; LANES];
-        let (a, b) = (black_box(0.999_999f32), black_box(1e-6f32));
-        for _ in 0..ITERS {
-            for x in acc.iter_mut() {
-                *x = *x * a + b;
-            }
+fn median(mut samples: Vec<f64>) -> f64 {
+    samples.sort_by(f64::total_cmp);
+    samples[samples.len() / 2]
+}
+
+/// Median wall time of `reps` runs of `f` on one core.
+fn median_secs(reps: usize, mut f: impl FnMut()) -> f64 {
+    median((0..reps).map(|_| secs(&mut f)).collect())
+}
+
+/// Independent vector chains of the ceiling loop: FMA latency (4 cycles)
+/// times two FMA ports, and some to spare, within AVX2's 16 registers.
+const CHAINS: usize = 12;
+/// Ceiling loop trips.
+const ITERS: usize = 4_000_000;
+
+/// The fused multiply-add ceiling of one core under the `gemm`
+/// instantiation this host picks: `CHAINS` vectors of `x = fma(x, a, b)`,
+/// two FLOPs per lane, all in registers.
+struct Ceiling {
+    isa: Isa,
+    lanes: usize,
+}
+
+impl Ceiling {
+    fn new() -> Self {
+        let isa = gemm::isa();
+        let lanes = match isa {
+            Isa::Avx512Fma => 16,
+            Isa::Avx2Fma => 8,
+            Isa::Portable => 4,
+        };
+        Ceiling { isa, lanes }
+    }
+
+    /// GFLOP/s of one run of the loop.
+    fn gflops(&self) -> f64 {
+        let secs = secs(|| match self.isa {
+            // SAFETY: `gemm::isa` only names an instantiation this CPU offers.
+            #[cfg(target_arch = "x86_64")]
+            Isa::Avx512Fma => unsafe { fma_chains_avx512() },
+            // SAFETY: as above.
+            #[cfg(target_arch = "x86_64")]
+            Isa::Avx2Fma => unsafe { fma_chains_avx2() },
+            _ => fma_chains::<{ CHAINS * 4 }>(),
+        });
+        (2 * CHAINS * self.lanes * ITERS) as f64 / secs / 1e9
+    }
+
+    /// A kernel's median GFLOP/s over `reps` runs of `f` (`gflop` each), and
+    /// the median of its share of a ceiling run taken just before each: on a
+    /// shared host a slow phase then lands on both sides of a share.
+    fn rate_and_share(&self, reps: usize, gflop: f64, mut f: impl FnMut()) -> (f64, f64) {
+        let (rates, shares) = (0..reps)
+            .map(|_| {
+                let peak = self.gflops();
+                let rate = gflop / secs(&mut f);
+                (rate, rate / peak)
+            })
+            .unzip();
+        (median(rates), median(shares))
+    }
+}
+
+/// The ceiling loop over `CHAINS` vectors of `LANES / CHAINS` lanes;
+/// inlined into each wrapper below so it compiles for that wrapper's ISA,
+/// as `gemm`'s body does.
+#[inline(always)]
+fn fma_chains<const LANES: usize>() {
+    let mut acc = [1.0f32; LANES];
+    let (a, b) = (black_box(0.999_999f32), black_box(1e-6f32));
+    for _ in 0..ITERS {
+        for x in acc.iter_mut() {
+            *x = x.mul_add(a, b);
         }
-        black_box(acc);
-    });
-    (2 * LANES * ITERS) as f64 / secs / 1e9
+    }
+    black_box(acc);
+}
+
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx512f,fma")]
+unsafe fn fma_chains_avx512() {
+    fma_chains::<{ CHAINS * 16 }>()
+}
+
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2,fma")]
+unsafe fn fma_chains_avx2() {
+    fma_chains::<{ CHAINS * 8 }>()
 }
 
 fn rand(n: usize, seed: u64) -> Vec<f32> {
@@ -105,8 +173,8 @@ fn rand(n: usize, seed: u64) -> Vec<f32> {
 }
 
 /// The three layouts at `M = S` tokens, hidden `H`, FFN width `F`:
-/// `2·M·H·F` FLOPs each. Returns `[nn, nt, tn]` in GFLOP/s.
-fn bench_matmul(cfg: &ModelConfig, seq: usize, reps: usize) -> [f64; 3] {
+/// `2·M·H·F` FLOPs each. Returns `[nn, nt, tn]` as (GFLOP/s, ceiling share).
+fn bench_matmul(cfg: &ModelConfig, seq: usize, peak: &Ceiling, reps: usize) -> [(f64, f64); 3] {
     let (m, h, f) = (seq, cfg.hidden, cfg.ffn);
     let (x, w, dy) = (rand(m * h, 1), rand(f * h, 2), rand(m * f, 3));
     let (mut y, mut dx, mut dw) = (
@@ -114,11 +182,12 @@ fn bench_matmul(cfg: &ModelConfig, seq: usize, reps: usize) -> [f64; 3] {
         vec![0.0f32; m * h],
         vec![0.0f32; f * h],
     );
-    let nn = median_secs(reps, || matmul_nn(&mut dx, &dy, &w, m, f, h));
-    let nt = median_secs(reps, || matmul_nt(&mut y, &x, &w, m, h, f));
-    let tn = median_secs(reps, || matmul_tn(&mut dw, &dy, &x, f, m, h));
+    let gflop = (2 * m * h * f) as f64 / 1e9;
+    let nn = peak.rate_and_share(reps, gflop, || matmul_nn(&mut dx, &dy, &w, m, f, h));
+    let nt = peak.rate_and_share(reps, gflop, || matmul_nt(&mut y, &x, &w, m, h, f));
+    let tn = peak.rate_and_share(reps, gflop, || matmul_tn(&mut dw, &dy, &x, f, m, h));
     black_box((&y, &dx, &dw));
-    [nn, nt, tn].map(|secs| (2 * m * h * f) as f64 / secs / 1e9)
+    [nn, nt, tn]
 }
 
 struct AttnData {
@@ -145,24 +214,25 @@ impl AttnData {
 
 /// Causal attention: `QKᵀ` and `PV` over the lower triangle are `2·S²·H`
 /// FLOPs forward; backward recomputes the scores and forms `dV`, `dP`, `dQ`
-/// and `dK`, five such products. Returns `[fwd, bwd]` in GFLOP/s.
-fn bench_attention(cfg: &ModelConfig, seq: usize, reps: usize) -> [f64; 2] {
+/// and `dK`, five such products. Returns `[fwd, bwd]` as (GFLOP/s, ceiling
+/// share).
+fn bench_attention(cfg: &ModelConfig, seq: usize, peak: &Ceiling, reps: usize) -> [(f64, f64); 2] {
     let d = AttnData::new(cfg, seq);
     let n = d.q.len();
     let sc = Scratch::new();
+    let gflop = (seq * seq * cfg.hidden) as f64 / 1e9;
     let mut o = vec![0.0f32; n];
-    let fwd = median_secs(reps, || {
+    let fwd = peak.rate_and_share(reps, 2.0 * gflop, || {
         streaming_forward(&mut o, &d.q, &d.k, &d.v, d.dims, &sc);
     });
     let ctx = streaming_forward(&mut o, &d.q, &d.k, &d.v, d.dims, &sc);
     let (mut dq, mut dk, mut dv) = (vec![0.0f32; n], vec![0.0f32; n], vec![0.0f32; n]);
-    let bwd = median_secs(reps, || {
+    let bwd = peak.rate_and_share(reps, 5.0 * gflop, || {
         streaming_backward(
             &mut dq, &mut dk, &mut dv, &d.dout, &d.q, &d.k, &d.v, &o, &ctx, d.dims, &sc,
         );
     });
-    let gflop = (seq * seq * cfg.hidden) as f64 / 1e9;
-    [2.0 * gflop / fwd, 5.0 * gflop / bwd]
+    [fwd, bwd]
 }
 
 /// The wire path's per-byte kernels over one ring chunk of the repo
@@ -270,27 +340,31 @@ fn main() {
     let seq = 1024;
     let cfg = ModelConfig::llama_like(128, 4, 1, 256, seq);
     println!(
-        "# wp-bench kernels  (H={} F={} S={seq} heads={}, median of {reps}, one core; pool of {}, avx2 {}, f16c {})",
+        "# wp-bench kernels  (H={} F={} S={seq} heads={}, median of {reps}, one core; pool of {}, gemm {:?}, f16c {})",
         cfg.hidden,
         cfg.ffn,
         cfg.heads,
         rayon::current_num_threads(),
-        wp_tensor::ops::gemm::uses_avx2(),
+        gemm::isa(),
         wp_tensor::dtype::uses_f16c(),
     );
-    let ceiling = ceiling_gflops(reps);
-    let matmul = bench_matmul(&cfg, seq, reps);
-    let attn = bench_attention(&cfg, seq, reps);
-    let share = |gflops: &[f64]| gflops.iter().copied().fold(f64::INFINITY, f64::min) / ceiling;
+    let peak = Ceiling::new();
+    let ceiling = median((0..reps).map(|_| peak.gflops()).collect());
+    let matmul = bench_matmul(&cfg, seq, &peak, reps);
+    let attn = bench_attention(&cfg, seq, &peak, reps);
+    let share = |ks: &[(f64, f64)]| ks.iter().map(|k| k.1).fold(f64::INFINITY, f64::min);
     let (matmul_share, attn_share) = (share(&matmul), share(&attn));
-    println!("ceiling    mul-add {ceiling:>6.1} GFLOP/s  (64 register chains, baseline ISA)");
+    println!(
+        "ceiling    fma {ceiling:>6.1} GFLOP/s  ({CHAINS} chains of {} lanes, {:?})",
+        peak.lanes, peak.isa
+    );
     println!(
         "matmul     nn {:>6.1}  nt {:>6.1}  tn {:>6.1} GFLOP/s   slowest / ceiling {matmul_share:.2}",
-        matmul[0], matmul[1], matmul[2],
+        matmul[0].0, matmul[1].0, matmul[2].0,
     );
     println!(
         "attention  fwd {:>5.1}  bwd {:>5.1} GFLOP/s              slower / ceiling {attn_share:.2}",
-        attn[0], attn[1],
+        attn[0].0, attn[1].0,
     );
     let wire = bench_wire(reps);
     let (pack_share, checksum_share) = (wire[1] / wire[0], wire[3] / wire[0]);
@@ -301,11 +375,11 @@ fn main() {
     let mut report = Report::new("kernels");
     report
         .metric("ceiling_gflops", ceiling)
-        .metric("matmul_nn_gflops", matmul[0])
-        .metric("matmul_nt_gflops", matmul[1])
-        .metric("matmul_tn_gflops", matmul[2])
-        .metric("attn_fwd_gflops", attn[0])
-        .metric("attn_bwd_gflops", attn[1])
+        .metric("matmul_nn_gflops", matmul[0].0)
+        .metric("matmul_nt_gflops", matmul[1].0)
+        .metric("matmul_tn_gflops", matmul[2].0)
+        .metric("attn_fwd_gflops", attn[0].0)
+        .metric("attn_bwd_gflops", attn[1].0)
         .metric("matmul_ceiling_share", matmul_share)
         .metric("attn_ceiling_share", attn_share)
         .metric("copy_gbps", wire[0])
