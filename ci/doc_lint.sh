@@ -5,9 +5,10 @@
 #      examples/<name>.rs;
 #   2. a `results/...` or `crates/...` path that is not in the tree (braces
 #      and `*` expand, `<placeholder>` is `*`; every alternative must exist);
-#   3. a backticked `<bench>.<metric>` that is neither a key of
-#      ci/bench_floors.json (`*` globs) nor a `<workload>.<metric>` /
-#      per-layer name of BENCHMARK.json;
+#   3. a backticked `<bench>.<metric>` that is neither a bound a bench
+#      binary checks (a `"kernels.…"` / `"tune.…"` literal in
+#      crates/wp-bench/src/bin/{kernels,tune}.rs; `*` globs) nor a
+#      `<workload>.<metric>` / per-layer name of BENCHMARK.json;
 #   4. a backticked `wp_<crate>::…::item` / `weipipe::…::item` with a segment
 #      that is no `fn|struct|enum|trait|type|const|static|mod` (or
 #      `macro_rules!`) declared under that crate's src/ (the path is read up
@@ -17,7 +18,7 @@ set -u
 shopt -s nullglob
 
 docs=(README.md DESIGN.md EXPERIMENTS.md results/README.md .claude/skills/verify/SKILL.md)
-floor_keys=$(grep -oE '"[a-z_]+\.[a-z0-9_]+"' ci/bench_floors.json | tr -d '"')
+bounds=$(grep -ohE '"(kernels|tune)\.[a-z0-9_]+"' crates/wp-bench/src/bin/{kernels,tune}.rs | tr -d '"')
 bench_names=$(grep -oE '"name": "[^"]+"' BENCHMARK.json | cut -d'"' -f4)
 bad=0
 
@@ -28,7 +29,7 @@ stale() {
 
 known_metric() {
     local token=$1 key
-    for key in $floor_keys; do
+    for key in $bounds; do
         # shellcheck disable=SC2053
         [[ $key == $token ]] && return 0
     done
@@ -55,7 +56,7 @@ for doc in "${docs[@]}"; do
     while IFS=: read -r line token; do
         case $token in *.rs | *.json | *.txt | *.md | *.csv | *.svg | *.toml | *.yml | *.sh | *.prom | *.lock) continue ;; esac
         known_metric "$token" ||
-            stale "$doc" "$line" "$token: not a key of ci/bench_floors.json or a metric of BENCHMARK.json"
+            stale "$doc" "$line" "$token: not a bound of crates/wp-bench/src/bin/{kernels,tune}.rs or a metric of BENCHMARK.json"
     done < <(grep -noE '`[a-z][a-z0-9_-]*\.[a-z0-9_*]*[a-z0-9_*][` ]' "$doc" | tr -d '` ')
 
     while IFS=: read -r line token; do

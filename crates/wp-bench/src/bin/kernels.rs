@@ -9,66 +9,39 @@
 //! `#[target_feature]` as the `gemm` instantiation this host picks, with
 //! enough vector chains to cover FMA latency on two ports.
 //! `matmul_ceiling_share` and `attn_ceiling_share` — the slowest layout and
-//! the slower attention direction as a share of that ceiling — are what
-//! `ci/bench_floors.json` bounds, so a kernel that silently falls back to a
-//! narrower build (an AVX-512 host running the AVX2 one, or a callee that
-//! escaped the wrapper and runs baseline code) fails the gate.
+//! the slower attention direction as a share of that ceiling — have floors
+//! in [`FLOORS`], so a kernel that silently falls back to a narrower build
+//! (an AVX-512 host running the AVX2 one, or a callee that escaped the
+//! wrapper and runs baseline code) fails the run.
 //!
 //! The wire path's per-byte kernels get the same treatment against a
 //! different ceiling: `pack_f16`, `unpack_f16` and the frame checksum over
 //! one `widecomm` ring chunk (1.58 M elements), in GB/s of f32 bytes, beside
 //! an in-process `copy_from_slice` of the same chunk.
-//! `pack_f16_copy_share` and `checksum_copy_share` are bounded in
-//! `ci/bench_floors.json`: a scalar converter or a byte-at-a-time hash sits
-//! at a tenth of memory speed or less and fails them on any host.
+//! `pack_f16_copy_share` and `checksum_copy_share` have floors too: a scalar
+//! converter or a byte-at-a-time hash sits at a tenth of memory speed or
+//! less and fails them on any host.
 //!
-//! `--smoke` takes fewer samples and also checks (a) the parallel path is
-//! bit-identical to the sequential one and (b) steady-state kernel
-//! iterations perform zero heap allocations once the scratch arena is warm.
-//! Failed checks exit nonzero with a one-line reason (no backtrace), and
-//! every run writes its numbers to `results/bench_kernels.json` for the
-//! regression gate.
+//! Every run checks every floor right after measuring and prints each with
+//! its value; one below its floor exits 1 with one
+//! `wp-bench kernels: FAIL: …` line per violated bound. `--smoke` only takes
+//! fewer samples. That the parallel kernels are bit-identical to the
+//! sequential ones and that a warm block iteration allocates nothing are
+//! facts, not measurements: tests in `wp-nn` and `wp-tensor` hold them.
 
-use std::alloc::{GlobalAlloc, Layout, System};
 use std::hint::black_box;
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Barrier;
 use std::time::Instant;
 
-use wp_bench::ci::{self, Report};
+use wp_bench::has_flag;
 use wp_comm::transport::checksum_of;
 use wp_nn::attention::{streaming_backward, streaming_forward, AttnDims};
-use wp_nn::block::{block_backward_full, block_forward};
 use wp_nn::config::ModelConfig;
-use wp_nn::params::{init_block, BlockLayout};
+use wp_nn::params::BlockLayout;
 use wp_nn::scratch::Scratch;
 use wp_tensor::dtype::{pack_f16, unpack_f16};
 use wp_tensor::ops::gemm::{self, Isa};
 use wp_tensor::ops::{matmul_nn, matmul_nt, matmul_tn};
 use wp_tensor::Tensor;
-
-/// Global allocator that counts every allocation, so smoke mode can prove
-/// the warm kernel path never touches the heap.
-struct CountingAlloc;
-
-static ALLOCS: AtomicUsize = AtomicUsize::new(0);
-
-unsafe impl GlobalAlloc for CountingAlloc {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCS.fetch_add(1, Ordering::Relaxed);
-        System.alloc(layout)
-    }
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        System.dealloc(ptr, layout)
-    }
-    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOCS.fetch_add(1, Ordering::Relaxed);
-        System.realloc(ptr, layout, new_size)
-    }
-}
-
-#[global_allocator]
-static GLOBAL: CountingAlloc = CountingAlloc;
 
 /// Wall time of one run of `f` on one core.
 fn secs(f: impl FnOnce()) -> f64 {
@@ -86,6 +59,18 @@ fn median(mut samples: Vec<f64>) -> f64 {
 fn median_secs(reps: usize, mut f: impl FnMut()) -> f64 {
     median((0..reps).map(|_| secs(&mut f)).collect())
 }
+
+/// What a run must reach, as `(bound, floor)`, in the order `main` measures
+/// the shares. The kernel floors are 0.8 × the lowest of ten runs on the
+/// AVX-512 reference host (`results/kernels.txt`), where its AVX2 build
+/// (matmul 0.29–0.34) fails them; the wire floors sit far above a scalar
+/// loop's 0.06.
+const FLOORS: [(&str, f64); 4] = [
+    ("kernels.matmul_ceiling_share", 0.36),
+    ("kernels.attn_ceiling_share", 0.16),
+    ("kernels.pack_f16_copy_share", 0.6),
+    ("kernels.checksum_copy_share", 0.6),
+];
 
 /// Independent vector chains of the ceiling loop: FMA latency (4 cycles)
 /// times two FMA ports, and some to spare, within AVX2's 16 registers.
@@ -254,88 +239,8 @@ fn bench_wire(reps: usize) -> [f64; 4] {
     [copy, pack, unpack, checksum].map(|secs| (chunk.len() * 4) as f64 / secs / 1e9)
 }
 
-/// Smoke check 1: the parallel dispatch must be bit-identical to the forced
-/// sequential path for the same inputs.
-fn check_bit_identity(cfg: &ModelConfig, seq: usize) -> Result<(), String> {
-    let d = AttnData::new(cfg, seq);
-    let n = d.q.len();
-    let sc = Scratch::new();
-
-    let run = |sc: &Scratch| {
-        let mut o = vec![0.0f32; n];
-        let ctx = streaming_forward(&mut o, &d.q, &d.k, &d.v, d.dims, sc);
-        let (mut dq, mut dk, mut dv) = (vec![0.0f32; n], vec![0.0f32; n], vec![0.0f32; n]);
-        streaming_backward(
-            &mut dq, &mut dk, &mut dv, &d.dout, &d.q, &d.k, &d.v, &o, &ctx, d.dims, sc,
-        );
-        (o, dq, dk, dv)
-    };
-    let par = run(&sc);
-    let seq_out = rayon::force_sequential(|| run(&sc));
-    for (got, want, what) in [
-        (&par.0, &seq_out.0, "forward"),
-        (&par.1, &seq_out.1, "dq"),
-        (&par.2, &seq_out.2, "dk"),
-        (&par.3, &seq_out.3, "dv"),
-    ] {
-        if got != want {
-            return Err(format!("attention {what} not bit-identical (S={seq})"));
-        }
-    }
-    Ok(())
-}
-
-/// Run a 1×1 product on every pool thread, so each allocates its
-/// thread-local matmul pack buffers before the allocation count starts:
-/// `T` tasks that each wait for all `T` to have started can only be running
-/// on `T` distinct threads.
-fn warm_every_pool_thread() {
-    let threads = rayon::current_num_threads();
-    let all_started = Barrier::new(threads);
-    rayon::par_indices(threads, |_| {
-        all_started.wait();
-        let mut c = [0.0f32];
-        matmul_nn(&mut c, &[1.0], &[1.0], 1, 1, 1);
-    });
-}
-
-/// Smoke check 2: once the scratch arena is warm, a full block
-/// forward + backward iteration performs zero heap allocations. Returns
-/// the allocation count of the measured iteration.
-fn check_zero_alloc(cfg: &ModelConfig, seq: usize) -> (usize, Result<(), String>) {
-    let rope = cfg.rope_table();
-    let w = init_block(cfg, 11, 0);
-    let n = seq * cfg.hidden;
-    let x = Tensor::rand_uniform([n], -0.5, 0.5, 12).into_vec();
-    let dy = Tensor::rand_uniform([n], -1.0, 1.0, 13).into_vec();
-    let sc = Scratch::new();
-    let mut dw = vec![0.0f32; w.len()];
-
-    let iterate = |dw: &mut [f32]| {
-        let (_, ctx) = block_forward(cfg, &rope, &w, &x, 1, seq, &sc);
-        dw.fill(0.0);
-        let _ = block_backward_full(cfg, &rope, &w, &ctx, &dy, dw, 1, seq, &sc);
-    };
-    // Warm the pool's threads, then the arena with two iterations.
-    warm_every_pool_thread();
-    iterate(&mut dw);
-    iterate(&mut dw);
-    let before = ALLOCS.load(Ordering::SeqCst);
-    iterate(&mut dw);
-    let delta = ALLOCS.load(Ordering::SeqCst) - before;
-    let verdict = if delta == 0 {
-        Ok(())
-    } else {
-        Err(format!(
-            "warm block fwd+bwd iteration performed {delta} heap allocations"
-        ))
-    };
-    (delta, verdict)
-}
-
 fn main() {
-    let smoke = std::env::args().any(|a| a == "--smoke");
-    let reps = if smoke { 5 } else { 15 };
+    let reps = if has_flag("--smoke") { 5 } else { 15 };
     // The repo benchmark's `longctx` shape.
     let seq = 1024;
     let cfg = ModelConfig::llama_like(128, 4, 1, 256, seq);
@@ -372,38 +277,16 @@ fn main() {
         "wire       copy {:>5.1}  pack_f16 {:>5.1}  unpack_f16 {:>5.1}  checksum {:>5.1} GB/s   pack / copy {pack_share:.2}  checksum / copy {checksum_share:.2}",
         wire[0], wire[1], wire[2], wire[3],
     );
-    let mut report = Report::new("kernels");
-    report
-        .metric("ceiling_gflops", ceiling)
-        .metric("matmul_nn_gflops", matmul[0].0)
-        .metric("matmul_nt_gflops", matmul[1].0)
-        .metric("matmul_tn_gflops", matmul[2].0)
-        .metric("attn_fwd_gflops", attn[0].0)
-        .metric("attn_bwd_gflops", attn[1].0)
-        .metric("matmul_ceiling_share", matmul_share)
-        .metric("attn_ceiling_share", attn_share)
-        .metric("copy_gbps", wire[0])
-        .metric("pack_f16_gbps", wire[1])
-        .metric("unpack_f16_gbps", wire[2])
-        .metric("checksum_gbps", wire[3])
-        .metric("pack_f16_copy_share", pack_share)
-        .metric("checksum_copy_share", checksum_share);
-    if smoke {
-        ci::check(
-            "kernels",
-            "bit-identity: parallel == sequential (attention fwd+bwd, S=192)",
-            check_bit_identity(&cfg, 192),
-        );
-        let (allocs, verdict) = check_zero_alloc(&cfg, 256);
-        report.metric("warm_allocs", allocs as f64);
-        ci::check(
-            "kernels",
-            "zero-alloc: warm block fwd+bwd iteration",
-            verdict,
-        );
+    let shares = [matmul_share, attn_share, pack_share, checksum_share];
+    let mut violated = false;
+    for ((bound, floor), value) in FLOORS.into_iter().zip(shares) {
+        println!("bound      {bound} {value:.3}  (floor {floor})");
+        if value < floor {
+            eprintln!("wp-bench kernels: FAIL: {bound} = {value:.3} is below its floor {floor}");
+            violated = true;
+        }
     }
-    match report.write(std::path::Path::new("results")) {
-        Ok(path) => println!("report: {}", path.display()),
-        Err(e) => ci::fail("kernels", &e),
+    if violated {
+        std::process::exit(1);
     }
 }

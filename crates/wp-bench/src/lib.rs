@@ -1,9 +1,8 @@
 //! Shared formatting helpers for the table/figure binaries, the
 //! measured-vs-simulated [`drift`] analysis behind the `trace` binary, the
-//! autotuner's [`tune`] points, and the [`ci`] report/floor plumbing behind
-//! the perf-regression gate.
+//! autotuner's [`tune`] points, and the flag readers and one-line failure
+//! exit the binaries share.
 
-pub mod ci;
 pub mod drift;
 pub mod ranks;
 pub mod tune;
@@ -26,6 +25,14 @@ pub fn flag_value(name: &str) -> Option<String> {
 /// Whether flag `name` is on this process's command line.
 pub fn has_flag(name: &str) -> bool {
     std::env::args().any(|a| a == name)
+}
+
+/// Print a one-line reason on stderr and exit nonzero — the bench
+/// binaries' replacement for `assert!`, so CI logs end with the actual
+/// regression instead of a panic backtrace.
+pub fn fail(bench: &str, reason: &str) -> ! {
+    eprintln!("wp-bench {bench}: FAIL: {reason}");
+    std::process::exit(1);
 }
 
 /// Render one table in the paper's layout (model config columns, one

@@ -54,15 +54,6 @@ impl LinkModel {
         }
     }
 
-    /// Transfer time for `bytes` bytes, in seconds.
-    #[inline]
-    pub fn transfer_time_s(&self, bytes: usize) -> f64 {
-        if self.bandwidth_bps.is_infinite() {
-            return 0.0;
-        }
-        self.latency_s + bytes as f64 / self.bandwidth_bps
-    }
-
     /// Link-occupancy time for `bytes` bytes (bandwidth term only, no
     /// latency): how long the directed link is busy before the next message
     /// can start transferring.
@@ -92,31 +83,16 @@ mod tests {
     #[test]
     fn instant_costs_nothing() {
         let l = LinkModel::instant();
-        assert_eq!(l.transfer_time_s(1 << 30), 0.0);
+        assert_eq!(l.occupancy_duration(1 << 30), Duration::ZERO);
         assert!(l.is_instant());
-    }
-
-    #[test]
-    fn bandwidth_dominates_large_messages() {
-        let l = LinkModel::ethernet_10g();
-        // 1.25 GB at 1.25 GB/s ≈ 1 s.
-        let t = l.transfer_time_s(1_250_000_000);
-        assert!((t - 1.0).abs() < 0.01, "{t}");
-    }
-
-    #[test]
-    fn latency_dominates_small_messages() {
-        let l = LinkModel::ethernet_10g();
-        let t = l.transfer_time_s(1);
-        assert!((t - 50e-6).abs() < 1e-6);
     }
 
     #[test]
     fn preset_ordering() {
         let b = 1 << 20; // 1 MiB
-        let nv = LinkModel::nvlink_a800().transfer_time_s(b);
-        let pc = LinkModel::pcie4().transfer_time_s(b);
-        let eth = LinkModel::ethernet_10g().transfer_time_s(b);
-        assert!(nv < pc && pc < eth, "nv={nv} pcie={pc} eth={eth}");
+        let nv = LinkModel::nvlink_a800().occupancy_duration(b);
+        let pc = LinkModel::pcie4().occupancy_duration(b);
+        let eth = LinkModel::ethernet_10g().occupancy_duration(b);
+        assert!(nv < pc && pc < eth, "nv={nv:?} pcie={pc:?} eth={eth:?}");
     }
 }

@@ -7,7 +7,7 @@
 //! zero-fills it in place, and dropping a [`ScratchBuf`] returns the memory
 //! to the pool. After one warm-up step the hot path performs no heap
 //! allocation at all — asserted by the counting-allocator test in
-//! `tests/alloc.rs` and by the `wp-bench kernels --smoke` CI step.
+//! `tests/alloc.rs`, kernels on the pool's threads included.
 //!
 //! The pool is shared behind an `Arc`, so cloning a [`Scratch`] (or a
 //! [`ScratchBuf`]) keeps recycling into the same arena. Each rank in the

@@ -5,17 +5,24 @@
 //! A counting global allocator wraps `System`; the test warms the model for
 //! two iterations (populating the arena's buffer pools and the reused
 //! forward context), snapshots the allocation counter, runs more
-//! iterations, and asserts the counter did not move.
+//! iterations, and asserts the counter did not move — at a shape that stays
+//! on the calling thread, and at one whose kernels run on the pool's
+//! threads.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::Barrier;
 
-use wp_nn::block::{block_backward_data, block_backward_weight, block_forward};
+use wp_nn::block::{
+    block_backward_data, block_backward_full, block_backward_weight, block_forward,
+};
 use wp_nn::config::ModelConfig;
 use wp_nn::data::synthetic_batch;
 use wp_nn::model::{Model, ModelFwdCtx, ModelGrads};
 use wp_nn::params::init_block;
 use wp_nn::scratch::Scratch;
+use wp_tensor::ops::matmul_nn;
+use wp_tensor::ops::par::PAR_MIN_WORK;
 
 struct CountingAlloc;
 
@@ -52,13 +59,14 @@ fn allocs_when_warm(warmup: usize, iters: usize, mut f: impl FnMut()) -> u64 {
     ALLOCS.load(Ordering::SeqCst) - before
 }
 
-// Both checks live in ONE #[test]: the counter is process-global, and with
+// All checks live in ONE #[test]: the counter is process-global, and with
 // two tests the libtest harness itself allocates (result reporting on a
 // concurrent thread) inside the other test's measured window.
 #[test]
 fn warm_paths_allocate_nothing() {
     warm_train_iteration();
     warm_split_bw_pass();
+    warm_parallel_block();
 }
 
 fn warm_train_iteration() {
@@ -103,5 +111,52 @@ fn warm_split_bw_pass() {
     assert_eq!(
         delta, 0,
         "warm split B/W pass performed {delta} heap allocations"
+    );
+}
+
+fn warm_parallel_block() {
+    // The shapes above are too small to leave the calling thread. Here 256
+    // tokens split every token-row matmul into one 64-row band per pool
+    // thread (up to four), and attention over 2 × 2 (batch, head) tasks is
+    // far above the dispatch threshold: the pool's threads run the kernels.
+    let cfg = ModelConfig::llama_like(16, 2, 1, 11, 128);
+    let (batch, seq) = (2, 128);
+    let tokens = batch * seq;
+    assert!(tokens * cfg.hidden * cfg.hidden >= PAR_MIN_WORK);
+    assert!(batch * cfg.heads * seq * seq * cfg.head_dim() >= PAR_MIN_WORK);
+    let rope = cfg.rope_table();
+    let w = init_block(&cfg, 5, 0);
+    let sc = Scratch::new();
+    let n = tokens * cfg.hidden;
+    let x: Vec<f32> = (0..n).map(|i| ((i % 17) as f32 - 8.0) * 0.05).collect();
+    let dy: Vec<f32> = (0..n).map(|i| ((i % 5) as f32 - 2.0) * 0.13).collect();
+    let mut dw = vec![0.0f32; w.len()];
+    let mut iterate = || {
+        let (_, ctx) = block_forward(&cfg, &rope, &w, &x, batch, seq, &sc);
+        dw.fill(0.0);
+        let _ = block_backward_full(&cfg, &rope, &w, &ctx, &dy, &mut dw, batch, seq, &sc);
+    };
+
+    // Each pool thread allocates its matmul pack buffers on its first
+    // product. Which threads claim a band is up to the pool, so run a 1×1
+    // product on every one of them first: `T` tasks that each wait for all
+    // `T` to have started can only be running on `T` distinct threads.
+    let threads = rayon::current_num_threads();
+    let all_started = Barrier::new(threads);
+    rayon::par_indices(threads, |_| {
+        all_started.wait();
+        matmul_nn(&mut [0.0], &[1.0], &[1.0], 1, 1, 1);
+    });
+    // Warm the arena on the calling thread alone (same task geometry, same
+    // buffers), so what the measured parallel iterations allocate is what
+    // the pool's threads would.
+    rayon::force_sequential(|| {
+        iterate();
+        iterate();
+    });
+    let delta = allocs_when_warm(0, 3, iterate);
+    assert_eq!(
+        delta, 0,
+        "warm parallel block fwd+bwd performed {delta} heap allocations"
     );
 }
