@@ -14,13 +14,14 @@
 //! (an AVX-512 host running the AVX2 one, or a callee that escaped the
 //! wrapper and runs baseline code) fails the run.
 //!
-//! The wire path's per-byte kernels get the same treatment against a
-//! different ceiling: `pack_f16`, `unpack_f16` and the frame checksum over
-//! one `widecomm` ring chunk (1.58 M elements), in GB/s of f32 bytes, beside
-//! an in-process `copy_from_slice` of the same chunk.
-//! `pack_f16_copy_share` and `checksum_copy_share` have floors too: a scalar
-//! converter or a byte-at-a-time hash sits at a tenth of memory speed or
-//! less and fails them on any host.
+//! The pointwise and per-byte kernels get the same treatment against a
+//! different ceiling, an in-process `copy_from_slice` of as many floats:
+//! SwiGLU forward + backward at the same shape's FFN activation (S × F),
+//! and `pack_f16`, `unpack_f16` and the frame checksum over one `widecomm`
+//! ring chunk (1.58 M elements), the last three in GB/s of f32 bytes.
+//! `swiglu_copy_share`, `pack_f16_copy_share` and `checksum_copy_share` have
+//! floors too: a libm `exp` per element, a SwiGLU body left outside the
+//! ISA wrapper, a scalar converter or a byte-at-a-time hash fails them.
 //!
 //! Every run checks every floor right after measuring and prints each with
 //! its value; one below its floor exits 1 with one
@@ -40,7 +41,7 @@ use wp_nn::params::BlockLayout;
 use wp_nn::scratch::Scratch;
 use wp_tensor::dtype::{pack_f16, unpack_f16};
 use wp_tensor::ops::gemm::{self, Isa};
-use wp_tensor::ops::{matmul_nn, matmul_nt, matmul_tn};
+use wp_tensor::ops::{matmul_nn, matmul_nt, matmul_tn, swiglu_backward, swiglu_forward};
 use wp_tensor::Tensor;
 
 /// Wall time of one run of `f` on one core.
@@ -61,13 +62,15 @@ fn median_secs(reps: usize, mut f: impl FnMut()) -> f64 {
 }
 
 /// What a run must reach, as `(bound, floor)`, in the order `main` measures
-/// the shares. The kernel floors are 0.8 × the lowest of ten runs on the
-/// AVX-512 reference host (`results/kernels.txt`), where its AVX2 build
-/// (matmul 0.29–0.34) fails them; the wire floors sit far above a scalar
+/// the shares. The kernel and SwiGLU floors are 0.8 × the lowest of ten
+/// runs on the AVX-512 reference host (`results/kernels.txt`), where its
+/// AVX2 build (matmul 0.29–0.34) and pointwise bodies left outside the ISA
+/// wrapper (SwiGLU 0.07) fail them; the wire floors sit far above a scalar
 /// loop's 0.06.
-const FLOORS: [(&str, f64); 4] = [
+const FLOORS: [(&str, f64); 5] = [
     ("kernels.matmul_ceiling_share", 0.36),
-    ("kernels.attn_ceiling_share", 0.16),
+    ("kernels.attn_ceiling_share", 0.21),
+    ("kernels.swiglu_copy_share", 0.12),
     ("kernels.pack_f16_copy_share", 0.6),
     ("kernels.checksum_copy_share", 0.6),
 ];
@@ -220,6 +223,21 @@ fn bench_attention(cfg: &ModelConfig, seq: usize, peak: &Ceiling, reps: usize) -
     [fwd, bwd]
 }
 
+/// SwiGLU forward then backward over one `S × F` FFN activation, and a
+/// `copy_from_slice` of as many floats: `(swiglu, copy)` median seconds.
+fn bench_swiglu(cfg: &ModelConfig, seq: usize, reps: usize) -> (f64, f64) {
+    let n = seq * cfg.ffn;
+    let (gate, up, dy) = (rand(n, 10), rand(n, 11), rand(n, 12));
+    let (mut out, mut dgate, mut dup) = (vec![0.0f32; n], vec![0.0f32; n], vec![0.0f32; n]);
+    let swiglu = median_secs(reps, || {
+        swiglu_forward(&mut out, black_box(&gate), black_box(&up));
+        swiglu_backward(&mut dgate, &mut dup, black_box(&dy), &gate, &up);
+    });
+    let copy = median_secs(reps, || out.copy_from_slice(black_box(&gate)));
+    black_box((&out, &dgate, &dup));
+    (swiglu, copy)
+}
+
 /// The wire path's per-byte kernels over one ring chunk of the repo
 /// benchmark's `widecomm` workload (H256, 4 layers over 2 ranks), each in
 /// GB/s of f32 bytes read or produced: `[copy, pack_f16, unpack_f16,
@@ -257,8 +275,10 @@ fn main() {
     let ceiling = median((0..reps).map(|_| peak.gflops()).collect());
     let matmul = bench_matmul(&cfg, seq, &peak, reps);
     let attn = bench_attention(&cfg, seq, &peak, reps);
+    let (swiglu, swiglu_copy) = bench_swiglu(&cfg, seq, reps);
     let share = |ks: &[(f64, f64)]| ks.iter().map(|k| k.1).fold(f64::INFINITY, f64::min);
     let (matmul_share, attn_share) = (share(&matmul), share(&attn));
+    let swiglu_share = swiglu_copy / swiglu;
     println!(
         "ceiling    fma {ceiling:>6.1} GFLOP/s  ({CHAINS} chains of {} lanes, {:?})",
         peak.lanes, peak.isa
@@ -271,13 +291,24 @@ fn main() {
         "attention  fwd {:>5.1}  bwd {:>5.1} GFLOP/s              slower / ceiling {attn_share:.2}",
         attn[0].0, attn[1].0,
     );
+    println!(
+        "swiglu     fwd+bwd {:>5.3} ms  copy {:>5.3} ms                   copy / swiglu {swiglu_share:.2}",
+        swiglu * 1e3,
+        swiglu_copy * 1e3,
+    );
     let wire = bench_wire(reps);
     let (pack_share, checksum_share) = (wire[1] / wire[0], wire[3] / wire[0]);
     println!(
         "wire       copy {:>5.1}  pack_f16 {:>5.1}  unpack_f16 {:>5.1}  checksum {:>5.1} GB/s   pack / copy {pack_share:.2}  checksum / copy {checksum_share:.2}",
         wire[0], wire[1], wire[2], wire[3],
     );
-    let shares = [matmul_share, attn_share, pack_share, checksum_share];
+    let shares = [
+        matmul_share,
+        attn_share,
+        swiglu_share,
+        pack_share,
+        checksum_share,
+    ];
     let mut violated = false;
     for ((bound, floor), value) in FLOORS.into_iter().zip(shares) {
         println!("bound      {bound} {value:.3}  (floor {floor})");

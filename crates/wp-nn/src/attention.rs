@@ -18,8 +18,12 @@
 //! softmax runs down the tile's columns, so its max and sum are plain
 //! per-query accumulations over ascending `j` with no horizontal reduction.
 //! The causal mask zeroes the triangle of the diagonal block that looks
-//! ahead. The naive kernels stay row-at-a-time: they are the readable
-//! reference the streaming ones are tested against.
+//! ahead. A tile's pointwise work — the softmax with its polynomial
+//! [`exp_poly`], the backward's `p` / `dS` and `D_i` dots, the row
+//! normalisation — runs through [`with_isa`], so it vectorises at the width
+//! `gemm` runs at and computes the same bits at every width. The naive
+//! kernels stay row-at-a-time: they are the readable reference the
+//! streaming ones are tested against.
 //!
 //! **Parallelism and memory.** The forward kernels split across the pool
 //! over `(batch, head)` pairs; the backward kernels over
@@ -32,9 +36,9 @@
 //! training allocates nothing here.
 
 use crate::scratch::{Scratch, ScratchBuf};
-use wp_tensor::ops::dot;
-use wp_tensor::ops::gemm::{gemm, MatRef};
+use wp_tensor::ops::gemm::{gemm, with_isa, MatRef};
 use wp_tensor::ops::par::{par_tasks, RawMut, PAR_MIN_WORK};
+use wp_tensor::ops::{dot, exp_poly};
 
 /// Queries per streaming tile: wide enough that packing the tile's keys is
 /// a few per cent of the arithmetic done on them, small enough that a
@@ -165,41 +169,6 @@ fn run_attn_tasks(ntasks: usize, lanes: usize, task: &(impl Fn(usize, usize) + S
             task(lane, t);
         }
     });
-}
-
-/// `e^x` for the streaming softmax: a branch-free degree-6 polynomial after
-/// Cody–Waite reduction (the Cephes `expf` coefficients), which the
-/// compiler vectorises. Exact at 0, within 2e-7 relative of the true value
-/// on `[-87, 0]` and for the small positive arguments the backward
-/// recompute can produce, `0` below −87, NaN for NaN. Multiplies and adds
-/// are rounded separately, so every vector width yields the same bits.
-#[inline(always)]
-fn exp_poly(x: f32) -> f32 {
-    const LO: f32 = -87.0;
-    // 1.5·2²³: adding it leaves round-to-nearest(t) in the low mantissa bits.
-    const MAGIC: f32 = 12_582_912.0;
-    // ln 2 split so that `n · LN2_HI` is exact: nine significant bits.
-    const LN2_HI: f32 = 355.0 / 512.0;
-    const LN2_LO: f32 = -2.121_944_4e-4;
-    // `NaN < LO` is false, so NaN survives the clamp.
-    let xc = if x < LO { LO } else { x };
-    let t = xc * std::f32::consts::LOG2_E + MAGIC;
-    let n = t - MAGIC;
-    let r = (xc - n * LN2_HI) - n * LN2_LO;
-    let mut p = 1.987_569_1e-4_f32;
-    p = p * r + 1.398_199_9e-3;
-    p = p * r + 8.333_452e-3;
-    p = p * r + 4.166_579_6e-2;
-    p = p * r + 0.166_666_66;
-    p = p * r + 0.5;
-    let e = p * (r * r) + r + 1.0;
-    // 2ⁿ built in the exponent field: n ≥ −126 after the clamp.
-    let two_n = f32::from_bits(t.to_bits().wrapping_add(127) << 23);
-    if x < LO {
-        0.0
-    } else {
-        e * two_n
-    }
 }
 
 /// Causal attention forward with the full probability matrix retained.
@@ -366,6 +335,33 @@ fn first_visible(j: usize, i0: usize) -> usize {
     j.saturating_sub(i0)
 }
 
+/// The forward's column softmax over the transposed score tile `st` of the
+/// `ti` queries from `i0`, left unnormalised: each visible score becomes
+/// `exp(s·scale − max)`, each hidden one 0. Returns each query's max and
+/// sum, both accumulated over ascending keys.
+#[inline(always)]
+fn column_softmax(st: &mut [f32], i0: usize, ti: usize, scale: f32) -> [[f32; QTILE]; 2] {
+    let mut max = [f32::NEG_INFINITY; QTILE];
+    for (j, row) in st.chunks_exact(QTILE).enumerate() {
+        let lo = first_visible(j, i0);
+        for (m, &s) in max[lo..ti].iter_mut().zip(&row[lo..ti]) {
+            let s = s * scale;
+            *m = if s > *m { s } else { *m };
+        }
+    }
+    let mut sum = [0.0f32; QTILE];
+    for (j, row) in st.chunks_exact_mut(QTILE).enumerate() {
+        let lo = first_visible(j, i0);
+        row[..lo].fill(0.0);
+        let cells = row[lo..ti].iter_mut().zip(&max[lo..ti]);
+        for ((p, &m), acc) in cells.zip(&mut sum[lo..ti]) {
+            *p = exp_poly(*p * scale - m);
+            *acc += *p;
+        }
+    }
+    [max, sum]
+}
+
 /// Streaming causal attention forward.
 ///
 /// One transposed score tile per pool lane is alive at a time; saves only
@@ -419,26 +415,10 @@ pub fn streaming_forward(
                 let q_t = MatRef::transposed(&q[off..], hidden);
                 // SAFETY: `st` is `nk` rows of `QTILE >= ti` floats.
                 unsafe { gemm(st.as_mut_ptr(), QTILE, k_gh, q_t, nk, ti, head_dim) };
-                // Column softmax, left unnormalised: max, then exp and sum,
-                // each query's over ascending keys.
-                let mut max = [f32::NEG_INFINITY; QTILE];
-                for (j, row) in st.chunks_exact(QTILE).enumerate() {
-                    let lo = first_visible(j, i0);
-                    for (m, &s) in max[lo..ti].iter_mut().zip(&row[lo..ti]) {
-                        let s = s * scale;
-                        *m = if s > *m { s } else { *m };
-                    }
-                }
-                let mut sum = [0.0f32; QTILE];
-                for (j, row) in st.chunks_exact_mut(QTILE).enumerate() {
-                    let lo = first_visible(j, i0);
-                    row[..lo].fill(0.0);
-                    let cells = row[lo..ti].iter_mut().zip(&max[lo..ti]);
-                    for ((p, &m), acc) in cells.zip(&mut sum[lo..ti]) {
-                        *p = exp_poly(*p * scale - m);
-                        *acc += *p;
-                    }
-                }
+                let [max, sum] = with_isa(
+                    #[inline(always)]
+                    || column_softmax(st, i0, ti, scale),
+                );
                 // O_t[ti × d] = P[ti × nk] · V[nk × d], then one divide per
                 // row instead of one per score.
                 for r in 0..ti {
@@ -449,14 +429,19 @@ pub fn streaming_forward(
                 // SAFETY: rows `i0..i0 + ti` of this task's head slice,
                 // which no other task writes.
                 unsafe { gemm(op.ptr().add(off), hidden, p, v_gh, ti, head_dim, nk) };
-                for r in 0..ti {
-                    lse_gh[i0 + r] = max[r] + sum[r].ln();
-                    let inv = 1.0 / sum[r];
-                    // SAFETY: as above.
-                    for x in unsafe { op.slice(off + r * hidden, head_dim) } {
-                        *x *= inv;
-                    }
-                }
+                with_isa(
+                    #[inline(always)]
+                    || {
+                        for r in 0..ti {
+                            lse_gh[i0 + r] = max[r] + sum[r].ln();
+                            let inv = 1.0 / sum[r];
+                            // SAFETY: as above.
+                            for x in unsafe { op.slice(off + r * hidden, head_dim) } {
+                                *x *= inv;
+                            }
+                        }
+                    },
+                );
             }
         };
         run_attn_tasks(ntasks, lanes, &task);
@@ -525,13 +510,6 @@ pub fn streaming_backward(
                 let ti = QTILE.min(seq - i0);
                 let nk = i0 + ti;
                 let off = dims.off(g, i0, h);
-                // D_i = do_i · o_i (the softmax-backward dot, since
-                // Σ_j p_ij dp_ij = do_i · Σ_j p_ij v_j = do_i · o_i).
-                let mut dterm = [0.0f32; QTILE];
-                for (r, d) in dterm.iter_mut().enumerate().take(ti) {
-                    let row = off + r * hidden;
-                    *d = dot(&dout[row..row + head_dim], &o[row..row + head_dim]);
-                }
                 // Sᵀ = K·Q_tᵀ and dPᵀ = V·dO_tᵀ, both [nk × ti].
                 let p_t = &mut p_tile[..nk * QTILE];
                 let ds_t = &mut ds_tile[..nk * QTILE];
@@ -544,23 +522,35 @@ pub fn streaming_backward(
                     gemm(p_t.as_mut_ptr(), QTILE, k_gh, q_t, nk, ti, head_dim);
                     gemm(ds_t.as_mut_ptr(), QTILE, v_gh, do_t, nk, ti, head_dim);
                 }
-                // p = exp(s − lse); ds = p ⊙ (dp − D) · scale; both zero
-                // where the query cannot see the key.
                 let lse_t = &lse_gh[i0..nk];
-                let rows = p_t
-                    .chunks_exact_mut(QTILE)
-                    .zip(ds_t.chunks_exact_mut(QTILE));
-                for (j, (p_row, ds_row)) in rows.enumerate() {
-                    let lo = first_visible(j, i0);
-                    p_row[..lo].fill(0.0);
-                    ds_row[..lo].fill(0.0);
-                    let stats = lse_t[lo..].iter().zip(&dterm[lo..ti]);
-                    let cells = p_row[lo..ti].iter_mut().zip(&mut ds_row[lo..ti]);
-                    for ((p, ds), (&l, &d)) in cells.zip(stats) {
-                        *p = exp_poly(*p * scale - l);
-                        *ds = *p * (*ds - d) * scale;
-                    }
-                }
+                with_isa(
+                    #[inline(always)]
+                    || {
+                        // D_i = do_i · o_i (the softmax-backward dot, since
+                        // Σ_j p_ij dp_ij = do_i · Σ_j p_ij v_j = do_i · o_i).
+                        let mut dterm = [0.0f32; QTILE];
+                        for (r, d) in dterm.iter_mut().enumerate().take(ti) {
+                            let row = off + r * hidden;
+                            *d = dot(&dout[row..row + head_dim], &o[row..row + head_dim]);
+                        }
+                        // p = exp(s − lse); ds = p ⊙ (dp − D) · scale; both
+                        // zero where the query cannot see the key.
+                        let rows = p_t
+                            .chunks_exact_mut(QTILE)
+                            .zip(ds_t.chunks_exact_mut(QTILE));
+                        for (j, (p_row, ds_row)) in rows.enumerate() {
+                            let lo = first_visible(j, i0);
+                            p_row[..lo].fill(0.0);
+                            ds_row[..lo].fill(0.0);
+                            let stats = lse_t[lo..].iter().zip(&dterm[lo..ti]);
+                            let cells = p_row[lo..ti].iter_mut().zip(&mut ds_row[lo..ti]);
+                            for ((p, ds), (&l, &d)) in cells.zip(stats) {
+                                *p = exp_poly(*p * scale - l);
+                                *ds = *p * (*ds - d) * scale;
+                            }
+                        }
+                    },
+                );
                 let q_rows = MatRef::row_major(&q[off..], hidden);
                 let do_rows = MatRef::row_major(&dout[off..], hidden);
                 let (p_t, ds_t) = (&*p_t, &*ds_t);
@@ -663,22 +653,6 @@ mod tests {
     #[test]
     fn naive_and_streaming_backwards_agree() {
         assert_kernels_agree(1..4, 1e-4);
-    }
-
-    #[test]
-    fn exp_poly_is_exact_at_zero_and_tight_on_the_softmax_range() {
-        assert_eq!(exp_poly(0.0), 1.0);
-        let steps = 2_000_000;
-        for i in 0..=steps {
-            let x = -87.0 * (i as f32 / steps as f32);
-            let (got, want) = (exp_poly(x) as f64, (x as f64).exp());
-            assert!(((got - want) / want).abs() <= 2e-7, "exp({x}) = {got}");
-        }
-        for x in [-87.000_01, -100.0, -1e30, f32::NEG_INFINITY] {
-            let y = exp_poly(x);
-            assert!(y.is_finite() && y >= 0.0, "exp({x}) = {y}");
-        }
-        assert!(exp_poly(f32::NAN).is_nan());
     }
 
     #[test]

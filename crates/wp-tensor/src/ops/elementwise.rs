@@ -1,9 +1,14 @@
-//! Elementwise activation functions and their derivatives.
+//! The SwiGLU gate of Llama's FFN, and the polynomial `exp` it shares with
+//! streaming attention.
 //!
 //! The slice kernels split their (order-independent, per-index) work into
 //! contiguous spans across the pool; each span computes exactly what the
-//! sequential loop would, so results are bit-identical either way.
+//! sequential loop would, so results are bit-identical either way. Each
+//! span's loop runs through [`with_isa`], so it vectorises at the width
+//! `gemm` runs at; its multiplies and adds are rounded separately, so every
+//! instantiation computes the same bits.
 
+use super::gemm::with_isa;
 use super::par::{par_row_bands, RawMut, PAR_MIN_WORK};
 
 /// Run `f(span_start, out_span)` over disjoint contiguous spans of `out`,
@@ -20,51 +25,66 @@ fn par_spans(out: &mut [f32], f: impl Fn(usize, &mut [f32]) + Sync) {
     });
 }
 
-/// Numerically stable logistic sigmoid.
-#[inline]
-pub fn sigmoid(x: f32) -> f32 {
-    if x >= 0.0 {
-        1.0 / (1.0 + (-x).exp())
+/// `e^x` without libm: a branch-free degree-6 polynomial after Cody–Waite
+/// reduction (the Cephes `expf` coefficients), which the compiler
+/// vectorises. Exact at 0, within 2e-7 relative of the true value on
+/// `[-87, 0]` and for the small positive arguments attention's backward
+/// recompute can produce, `0` below −87, NaN for NaN. Multiplies and adds
+/// are rounded separately, so every vector width yields the same bits.
+#[inline(always)]
+pub fn exp_poly(x: f32) -> f32 {
+    const LO: f32 = -87.0;
+    // 1.5·2²³: adding it leaves round-to-nearest(t) in the low mantissa bits.
+    const MAGIC: f32 = 12_582_912.0;
+    // ln 2 split so that `n · LN2_HI` is exact: nine significant bits.
+    const LN2_HI: f32 = 355.0 / 512.0;
+    const LN2_LO: f32 = -2.121_944_4e-4;
+    // `NaN < LO` is false, so NaN survives the clamp.
+    let xc = if x < LO { LO } else { x };
+    let t = xc * std::f32::consts::LOG2_E + MAGIC;
+    let n = t - MAGIC;
+    let r = (xc - n * LN2_HI) - n * LN2_LO;
+    let mut p = 1.987_569_1e-4_f32;
+    p = p * r + 1.398_199_9e-3;
+    p = p * r + 8.333_452e-3;
+    p = p * r + 4.166_579_6e-2;
+    p = p * r + 0.166_666_66;
+    p = p * r + 0.5;
+    let e = p * (r * r) + r + 1.0;
+    // 2ⁿ built in the exponent field: n ≥ −126 after the clamp.
+    let two_n = f32::from_bits(t.to_bits().wrapping_add(127) << 23);
+    if x < LO {
+        0.0
     } else {
-        let e = x.exp();
-        e / (1.0 + e)
+        e * two_n
     }
 }
 
+/// Logistic sigmoid, without a branch: `e = e^−|x|` cannot overflow, and
+/// `r = 1 / (1 + e)` is the result for `x ≥ 0`, `e · r` for negative `x`.
+/// The sign picks `1` or `e` as a bit mask rather than a select, which
+/// keeps the loops that call this straight-line code with one divide per
+/// element. `0` below −87, where the true value is under 1.7e-38.
+#[inline(always)]
+pub fn sigmoid(x: f32) -> f32 {
+    let e = exp_poly(-x.abs());
+    // All ones when the sign bit is set.
+    let neg = ((x.to_bits() as i32) >> 31) as u32;
+    let scale = f32::from_bits((e.to_bits() & neg) | (1.0f32.to_bits() & !neg));
+    scale * (1.0 / (1.0 + e))
+}
+
 /// SiLU (a.k.a. swish): `x * sigmoid(x)`. The activation in Llama's FFN.
-#[inline]
+#[inline(always)]
 pub fn silu(x: f32) -> f32 {
     x * sigmoid(x)
 }
 
 /// Derivative of SiLU with respect to its input.
-#[inline]
+#[inline(always)]
 pub fn silu_grad(x: f32) -> f32 {
     let s = sigmoid(x);
     s * (1.0 + x * (1.0 - s))
-}
-
-/// `out[i] = silu(x[i])`.
-pub fn silu_forward(out: &mut [f32], x: &[f32]) {
-    assert_eq!(out.len(), x.len());
-    par_spans(out, |s, o| {
-        let n = o.len();
-        for (o, &v) in o.iter_mut().zip(&x[s..s + n]) {
-            *o = silu(v);
-        }
-    });
-}
-
-/// `dx[i] += dy[i] * silu'(x[i])`.
-pub fn silu_backward(dx: &mut [f32], dy: &[f32], x: &[f32]) {
-    assert_eq!(dx.len(), dy.len());
-    assert_eq!(dx.len(), x.len());
-    par_spans(dx, |s, g| {
-        let n = g.len();
-        for ((g, &d), &v) in g.iter_mut().zip(&dy[s..s + n]).zip(&x[s..s + n]) {
-            *g += d * silu_grad(v);
-        }
-    });
 }
 
 /// SwiGLU gating: `out = silu(gate) * up`, the elementwise half of Llama's
@@ -73,10 +93,16 @@ pub fn swiglu_forward(out: &mut [f32], gate: &[f32], up: &[f32]) {
     assert_eq!(out.len(), gate.len());
     assert_eq!(out.len(), up.len());
     par_spans(out, |s, o| {
-        let n = o.len();
-        for ((o, &g), &u) in o.iter_mut().zip(&gate[s..s + n]).zip(&up[s..s + n]) {
-            *o = silu(g) * u;
-        }
+        let span = s..s + o.len();
+        let (gate, up) = (&gate[span.clone()], &up[span]);
+        with_isa(
+            #[inline(always)]
+            || {
+                for ((o, &g), &u) in o.iter_mut().zip(gate).zip(up) {
+                    *o = silu(g) * u;
+                }
+            },
+        );
     });
 }
 
@@ -89,42 +115,28 @@ pub fn swiglu_backward(dgate: &mut [f32], dup: &mut [f32], dy: &[f32], gate: &[f
     assert_eq!(up.len(), n);
     let dupp = RawMut(dup.as_mut_ptr());
     par_spans(dgate, move |s, dg| {
-        let m = dg.len();
-        let du = unsafe { dupp.slice(s, m) };
-        for i in 0..m {
-            dg[i] += dy[s + i] * up[s + i] * silu_grad(gate[s + i]);
-            du[i] += dy[s + i] * silu(gate[s + i]);
-        }
-    });
-}
-
-/// Hadamard product `out[i] = a[i] * b[i]`.
-pub fn mul(out: &mut [f32], a: &[f32], b: &[f32]) {
-    assert_eq!(out.len(), a.len());
-    assert_eq!(out.len(), b.len());
-    par_spans(out, |s, o| {
-        let n = o.len();
-        for ((o, &x), &y) in o.iter_mut().zip(&a[s..s + n]).zip(&b[s..s + n]) {
-            *o = x * y;
-        }
-    });
-}
-
-/// `out[i] = a[i] + b[i]` (residual connections).
-pub fn add(out: &mut [f32], a: &[f32], b: &[f32]) {
-    assert_eq!(out.len(), a.len());
-    assert_eq!(out.len(), b.len());
-    par_spans(out, |s, o| {
-        let n = o.len();
-        for ((o, &x), &y) in o.iter_mut().zip(&a[s..s + n]).zip(&b[s..s + n]) {
-            *o = x + y;
-        }
+        let span = s..s + dg.len();
+        // SAFETY: the span of `dup` matching this span of `dgate`, which no
+        // other span touches.
+        let du = unsafe { dupp.slice(s, dg.len()) };
+        let (dy, gate, up) = (&dy[span.clone()], &gate[span.clone()], &up[span]);
+        with_isa(
+            #[inline(always)]
+            || {
+                let grads = dg.iter_mut().zip(du.iter_mut());
+                for ((dg, du), ((&d, &g), &u)) in grads.zip(dy.iter().zip(gate).zip(up)) {
+                    *dg += d * u * silu_grad(g);
+                    *du += d * silu(g);
+                }
+            },
+        );
     });
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::ops::gemm::{force_isa, isa, Isa};
 
     fn numeric_grad(f: impl Fn(f32) -> f32, x: f32) -> f32 {
         let h = 1e-3;
@@ -132,12 +144,47 @@ mod tests {
     }
 
     #[test]
-    fn sigmoid_basics() {
+    fn exp_poly_is_exact_at_zero_and_tight_on_the_softmax_range() {
+        assert_eq!(exp_poly(0.0), 1.0);
+        let steps = 2_000_000;
+        for i in 0..=steps {
+            let x = -87.0 * (i as f32 / steps as f32);
+            let (got, want) = (exp_poly(x) as f64, (x as f64).exp());
+            assert!(((got - want) / want).abs() <= 2e-7, "exp({x}) = {got}");
+        }
+        for x in [-87.000_01, -100.0, -1e30, f32::NEG_INFINITY] {
+            let y = exp_poly(x);
+            assert!(y.is_finite() && y >= 0.0, "exp({x}) = {y}");
+        }
+        assert!(exp_poly(f32::NAN).is_nan());
+    }
+
+    #[test]
+    fn sigmoid_is_tight_against_f64_everywhere() {
+        let exact = |x: f32| 1.0 / (1.0 + (-(x as f64)).exp());
+        let steps = 2_000_000;
+        let mut worst = 0.0f64;
+        for i in 0..=steps {
+            let x = -87.0 + 174.0 * (i as f32 / steps as f32);
+            let (got, want) = (sigmoid(x) as f64, exact(x));
+            worst = worst.max(((got - want) / want).abs());
+        }
+        assert!(
+            worst <= 2.5e-7,
+            "worst relative error {worst:e} on [-87, 87]"
+        );
+        // Past −87 the result is 0, under 1.7e-38 from the truth; past 87
+        // it is 1, the nearest f32.
+        for x in [-87.1, -100.0, -1e30, f32::NEG_INFINITY] {
+            let (got, want) = (sigmoid(x) as f64, exact(x));
+            assert!(got == 0.0 && want < 1.7e-38, "sigmoid({x}) = {got}");
+        }
+        for x in [87.1, 100.0, 1e30, f32::INFINITY] {
+            assert_eq!(sigmoid(x), 1.0, "sigmoid({x})");
+        }
         assert_eq!(sigmoid(0.0), 0.5);
-        assert!((sigmoid(100.0) - 1.0).abs() < 1e-6);
-        assert!(sigmoid(-100.0) < 1e-6);
-        // Stability: no NaN at extremes.
-        assert!(sigmoid(-1e4).is_finite() && sigmoid(1e4).is_finite());
+        assert_eq!(sigmoid(-0.0), 0.5);
+        assert!(sigmoid(f32::NAN).is_nan());
     }
 
     #[test]
@@ -169,21 +216,77 @@ mod tests {
 
     #[test]
     fn backward_accumulates() {
-        let x = [1.0f32];
-        let dy = [2.0f32];
-        let mut dx = [10.0f32];
-        silu_backward(&mut dx, &dy, &x);
-        assert!((dx[0] - (10.0 + 2.0 * silu_grad(1.0))).abs() < 1e-6);
+        let (gate, up, dy) = ([1.0f32], [3.0f32], [2.0f32]);
+        let (mut dgate, mut dup) = ([10.0f32], [-1.0f32]);
+        swiglu_backward(&mut dgate, &mut dup, &dy, &gate, &up);
+        assert!((dgate[0] - (10.0 + 2.0 * 3.0 * silu_grad(1.0))).abs() < 1e-6);
+        assert!((dup[0] - (-1.0 + 2.0 * silu(1.0))).abs() < 1e-6);
+    }
+
+    /// `[out, dgate, dup]` of one forward and one accumulating backward.
+    fn swiglu_fwd_bwd(gate: &[f32], up: &[f32], dy: &[f32]) -> [Vec<f32>; 3] {
+        let n = gate.len();
+        let mut out = vec![0.0; n];
+        swiglu_forward(&mut out, gate, up);
+        let (mut dgate, mut dup) = (up.to_vec(), gate.to_vec());
+        swiglu_backward(&mut dgate, &mut dup, dy, gate, up);
+        [out, dgate, dup]
+    }
+
+    /// Equal bits, or NaN on both sides (a NaN's payload may depend on
+    /// which operand the compiler put first).
+    fn same(a: &[f32], b: &[f32]) -> bool {
+        let bits = |x: &f32| if x.is_nan() { u32::MAX } else { x.to_bits() };
+        a.iter().map(bits).eq(b.iter().map(bits))
     }
 
     #[test]
-    fn add_and_mul() {
-        let a = [1.0f32, 2.0];
-        let b = [3.0f32, 4.0];
-        let mut o = [0.0f32; 2];
-        add(&mut o, &a, &b);
-        assert_eq!(o, [4.0, 6.0]);
-        mul(&mut o, &a, &b);
-        assert_eq!(o, [3.0, 8.0]);
+    fn every_instantiation_agrees_on_swiglu_bit_for_bit() {
+        const EDGES: [f32; 9] = [
+            0.0,
+            86.9,
+            87.1,
+            1e30,
+            f32::INFINITY,
+            f32::NAN,
+            f32::MIN_POSITIVE / 3.0,
+            f32::MIN_POSITIVE,
+            1e-45,
+        ];
+        // Every edge with both signs, then a spread of ordinary values.
+        let values = |n: usize, seed: usize| -> Vec<f32> {
+            (0..n)
+                .map(|i| match (i + seed) % 32 {
+                    e if e < 2 * EDGES.len() => EDGES[e / 2] * if e % 2 == 0 { 1.0 } else { -1.0 },
+                    _ => ((i * 7919 + seed * 104_729) % 20_011) as f32 / 1000.0 - 10.0,
+                })
+                .collect()
+        };
+        let offered: Vec<Isa> = [Isa::Avx2Fma, Isa::Avx512Fma]
+            .into_iter()
+            .filter(|&fast| {
+                let here = force_isa(fast, isa) == fast;
+                if !here {
+                    eprintln!("skipped {fast:?}: not on this host");
+                }
+                here
+            })
+            .collect();
+        for n in [1, 15, 16, 17, 33, 1024 * 344] {
+            let (gate, up, dy) = (values(n, 0), values(n, 5), values(n, 11));
+            let fwd_bwd = || swiglu_fwd_bwd(&gate, &up, &dy);
+            // Sequential, so the whole kernel runs on the thread the scope pins.
+            let pinned = |cap| rayon::force_sequential(|| force_isa(cap, fwd_bwd));
+            let portable = pinned(Isa::Portable);
+            let builds = offered
+                .iter()
+                .map(|&fast| (format!("{fast:?}"), pinned(fast)));
+            for (build, got) in builds.chain([("pooled".into(), fwd_bwd())]) {
+                let outputs = got.iter().zip(&portable);
+                for (name, (a, b)) in ["out", "dgate", "dup"].iter().zip(outputs) {
+                    assert!(same(a, b), "n={n}: {name} differs, {build} vs portable");
+                }
+            }
+        }
     }
 }

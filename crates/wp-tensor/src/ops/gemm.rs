@@ -35,6 +35,13 @@
 //! that is not inlined is silently compiled for the baseline ISA and runs at
 //! baseline speed without failing any test. `mul_add` belongs only in code
 //! this kernel reaches: baseline x86-64 code makes it a libm call.
+//!
+//! [`with_isa`] lends the same two wrappers to the pointwise kernels (the
+//! SwiGLU gate in [`super::elementwise`], streaming attention's per-tile
+//! softmax): an `#[inline(always)]` closure passed to it is compiled once per
+//! instantiation, so its loops vectorise at the width `gemm` runs at. Those
+//! bodies round every multiply and add separately, never `mul_add`, so every
+//! instantiation computes the portable one's bits.
 
 use std::cell::{Cell, RefCell};
 
@@ -193,34 +200,65 @@ pub unsafe fn gemm(c: *mut f32, ldc: usize, a: MatRef, b: MatRef, m: usize, n: u
             pack.0.resize(MC * KC, 0.0);
             pack.1.resize(KC * NC, 0.0);
         }
+        let dims = (m, n, k);
         // SAFETY: `isa()` only returns an instantiation this CPU offers; C
         // per this function's contract.
         unsafe {
             match isa() {
                 #[cfg(target_arch = "x86_64")]
-                Isa::Avx512Fma => gemm_avx512(c, ldc, a, b, (m, n, k), pack),
+                Isa::Avx512Fma => in_avx512(
+                    #[inline(always)]
+                    || gemm_blocked::<32>(c, ldc, a, b, dims, pack),
+                ),
                 #[cfg(target_arch = "x86_64")]
-                Isa::Avx2Fma => gemm_avx2(c, ldc, a, b, (m, n, k), pack),
-                _ => gemm_blocked::<8>(c, ldc, a, b, (m, n, k), pack),
+                Isa::Avx2Fma => in_avx2(
+                    #[inline(always)]
+                    || gemm_blocked::<16>(c, ldc, a, b, dims, pack),
+                ),
+                _ => gemm_blocked::<8>(c, ldc, a, b, dims, pack),
             }
         }
     });
 }
 
-/// The AVX-512 instantiation: the generic body with 512-bit vectors and FMA.
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx512f,fma")]
-unsafe fn gemm_avx512(c: *mut f32, ldc: usize, a: MatRef, b: MatRef, dims: Dims, pack: &mut Pack) {
-    // SAFETY: forwarded contract.
-    unsafe { gemm_blocked::<32>(c, ldc, a, b, dims, pack) }
+/// Run `f` compiled for the instantiation [`isa`] picks on this thread,
+/// inside the wrapper [`gemm`]'s body runs in: the pointwise kernels' one
+/// run-time ISA switch. `f` must be an `#[inline(always)]` closure whose
+/// callees are `#[inline(always)]` too; anything it calls that is not
+/// inlined runs baseline code.
+#[inline(always)]
+pub fn with_isa<R>(f: impl FnOnce() -> R) -> R {
+    // SAFETY: `isa()` only returns an instantiation this CPU offers.
+    unsafe {
+        match isa() {
+            #[cfg(target_arch = "x86_64")]
+            Isa::Avx512Fma => in_avx512(f),
+            #[cfg(target_arch = "x86_64")]
+            Isa::Avx2Fma => in_avx2(f),
+            _ => f(),
+        }
+    }
 }
 
-/// The AVX2 instantiation: the generic body with 256-bit vectors and FMA.
+/// `f` with 512-bit vectors and FMA: the AVX-512 instantiation of whatever
+/// body `f` inlines.
+///
+/// # Safety
+/// The CPU must offer AVX-512F and FMA.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx512f,fma")]
+unsafe fn in_avx512<R>(f: impl FnOnce() -> R) -> R {
+    f()
+}
+
+/// `f` with 256-bit vectors and FMA: the AVX2 instantiation.
+///
+/// # Safety
+/// The CPU must offer AVX2 and FMA.
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx2,fma")]
-unsafe fn gemm_avx2(c: *mut f32, ldc: usize, a: MatRef, b: MatRef, dims: Dims, pack: &mut Pack) {
-    // SAFETY: forwarded contract.
-    unsafe { gemm_blocked::<16>(c, ldc, a, b, dims, pack) }
+unsafe fn in_avx2<R>(f: impl FnOnce() -> R) -> R {
+    f()
 }
 
 /// The blocked loop nest around [`micro_kernel`]. Same safety contract as

@@ -34,7 +34,7 @@ const DOT_LANES: usize = 8;
 /// independent lanes that are reduced in a fixed tree at the end is still a
 /// deterministic order (the same on every run and every thread count), just
 /// one the compiler can map onto SIMD lanes.
-#[inline]
+#[inline(always)]
 pub fn dot(a: &[f32], b: &[f32]) -> f32 {
     debug_assert_eq!(a.len(), b.len());
     let mut acc = [0.0f32; DOT_LANES];

@@ -91,20 +91,6 @@ impl Json {
     }
 }
 
-/// Escape `s` for embedding between double quotes in a JSON document.
-pub fn escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            c => out.push(c),
-        }
-    }
-    out
-}
-
 struct Parser<'a> {
     b: &'a [u8],
     i: usize,
@@ -308,12 +294,5 @@ mod tests {
     fn numbers_above_2_pow_53_stay_exact() {
         let v = Json::parse("[1152921504606846977]").unwrap();
         assert_eq!(v.as_arr().unwrap()[0].as_u64(), Some((1 << 60) + 1));
-    }
-
-    #[test]
-    fn escape_round_trips_through_the_parser() {
-        let s = "a \"quoted\"\nline \\ backslash";
-        let doc = format!("\"{}\"", escape(s));
-        assert_eq!(Json::parse(&doc).unwrap().as_str(), Some(s));
     }
 }
