@@ -28,8 +28,8 @@
 //!   `Send` drains it — which makes the circulating `D_j` accumulation
 //!   (§4.2.1) and local pipelined accumulation the same code path.
 //! * **Per-iteration stores**: boundary activations and their gradients,
-//!   saved forward state (full ctxs, or inputs only under recomputation),
-//!   and per-microbatch head state.
+//!   saved forward state (full ctxs, or per-layer checkpoints under
+//!   recomputation), and per-microbatch head state.
 //!
 //! This file is the driver; `store` is the parameter store and the snapshot
 //! round trip, `exec` executes single ops.
@@ -41,7 +41,7 @@ use crate::setup::TrainSetup;
 use std::collections::HashMap;
 use store::{Key, Param, EMBED, HEAD};
 use wp_comm::{CommError, Communicator, Request};
-use wp_nn::block::{BPassCtx, BlockCtx};
+use wp_nn::block::{BPassCtx, BlockCkpt, BlockCtx};
 use wp_nn::config::ModelConfig;
 use wp_nn::embed::HeadCtx;
 use wp_nn::params::BlockLayout;
@@ -57,8 +57,9 @@ pub type AssembledModel = (Vec<f32>, Vec<Vec<f32>>, Vec<f32>);
 enum FwdSaved {
     /// Full per-layer contexts (no recomputation).
     Ctxs(Vec<BlockCtx>),
-    /// Per-layer inputs only (checkpointing).
-    Inputs(Vec<ScratchBuf>),
+    /// Per-layer checkpoints: input, attention output and log-sum-exp
+    /// (recomputation).
+    Ckpts(Vec<BlockCkpt>),
 }
 
 struct HeadSaved {

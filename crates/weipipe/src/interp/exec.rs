@@ -6,7 +6,7 @@ use super::store::{Key, EMBED, HEAD};
 use super::{FwdSaved, HeadSaved, RankRuntime};
 use wp_comm::CommError;
 use wp_nn::block::{
-    block_backward_data, block_backward_full, block_backward_recompute, block_backward_weight,
+    block_backward_checkpointed, block_backward_data, block_backward_full, block_backward_weight,
     block_forward, BPassCtx,
 };
 use wp_nn::embed::{embed_backward, embed_forward, head_forward, head_loss_backward};
@@ -83,23 +83,21 @@ impl RankRuntime {
         };
         let w = &self.params[&self.resolve(needs, chunk)].weights;
         let mut saved_ctxs = Vec::new();
-        let mut saved_inputs = Vec::new();
+        let mut saved_ckpts = Vec::new();
         for l in 0..self.lpc {
             let wl = &w[self.layer_range(l)];
+            let (y, ctx) = block_forward(&self.cfg, &self.rope, wl, &x, g, s, &self.scratch);
             if recompute {
-                saved_inputs.push(x.clone());
-                let (y, _) = block_forward(&self.cfg, &self.rope, wl, &x, g, s, &self.scratch);
-                x = y;
+                saved_ckpts.push(ctx.into_checkpoint());
             } else {
-                let (y, ctx) = block_forward(&self.cfg, &self.rope, wl, &x, g, s, &self.scratch);
                 saved_ctxs.push(ctx);
-                x = y;
             }
+            x = y;
         }
         self.fwd_saved.insert(
             (mb, chunk),
             if recompute {
-                FwdSaved::Inputs(saved_inputs)
+                FwdSaved::Ckpts(saved_ckpts)
             } else {
                 FwdSaved::Ctxs(saved_ctxs)
             },
@@ -170,19 +168,19 @@ impl RankRuntime {
         let mut dy = self.upstream_dy(mb, chunk);
         let mut dgrad = self.take_grads((chunk, RESIDENT));
         let w = &self.params[&self.resolve(needs, chunk)].weights;
-        let saved = self
+        let mut saved = self
             .fwd_saved
             .remove(&(mb, chunk))
             .unwrap_or_else(|| panic!("rank {}: no fwd state for Bwd({mb},{chunk})", self.rank));
         for l in (0..self.lpc).rev() {
             let wl = &w[self.layer_range(l)];
             let dgl = &mut dgrad[self.layer_range(l)];
-            dy = match &saved {
-                FwdSaved::Inputs(inputs) => block_backward_recompute(
+            dy = match &mut saved {
+                FwdSaved::Ckpts(ckpts) => block_backward_checkpointed(
                     &self.cfg,
                     &self.rope,
                     wl,
-                    &inputs[l],
+                    ckpts.pop().expect("one checkpoint per layer"),
                     &dy,
                     dgl,
                     g,
@@ -217,7 +215,7 @@ impl RankRuntime {
             .unwrap_or_else(|| panic!("rank {}: no fwd state for B({mb},{chunk})", self.rank));
         let ctxs = match saved {
             FwdSaved::Ctxs(c) => c,
-            FwdSaved::Inputs(_) => {
+            FwdSaved::Ckpts(_) => {
                 panic!("split backward requires saved contexts (no recomputation)")
             }
         };
@@ -253,7 +251,7 @@ impl RankRuntime {
             .unwrap_or_else(|| panic!("rank {}: no fwd state for W({mb},{chunk})", self.rank));
         let ctxs = match &saved {
             FwdSaved::Ctxs(c) => c,
-            FwdSaved::Inputs(_) => unreachable!("checked in exec_bwd_data"),
+            FwdSaved::Ckpts(_) => unreachable!("checked in exec_bwd_data"),
         };
         let bctxs = self
             .bctx_saved

@@ -1,5 +1,5 @@
-//! Causal multi-head self-attention: a naive kernel that materialises the
-//! probability matrix, and a streaming kernel in the FlashAttention style.
+//! Causal multi-head self-attention: a streaming kernel in the
+//! FlashAttention style.
 //!
 //! Inputs `q`, `k`, `v` are `[G·S, H]` buffers (already RoPE-rotated), where
 //! head `h` of token `(g, s)` lives at `((g·S + s)·H + h·d)..+d`. The
@@ -21,9 +21,10 @@
 //! ahead. A tile's pointwise work — the softmax with its polynomial
 //! [`exp_poly`], the backward's `p` / `dS` and `D_i` dots, the row
 //! normalisation — runs through [`with_isa`], so it vectorises at the width
-//! `gemm` runs at and computes the same bits at every width. The naive
-//! kernels stay row-at-a-time: they are the readable reference the
-//! streaming ones are tested against.
+//! `gemm` runs at and computes the same bits at every width. The readable
+//! reference the kernels are tested against, a row-at-a-time kernel that
+//! materialises the probability matrix, lives with the tests
+//! (`tests/common/mod.rs`).
 //!
 //! **Parallelism and memory.** The forward kernels split across the pool
 //! over `(batch, head)` pairs; the backward kernels over
@@ -44,31 +45,6 @@ use wp_tensor::ops::{dot, exp_poly};
 /// a few per cent of the arithmetic done on them, small enough that a
 /// `QTILE × S` tile of scores stays cache-resident.
 const QTILE: usize = 64;
-
-/// Saved state the backward pass needs, depending on the kernel.
-#[derive(Debug, Clone)]
-pub enum AttnCtx {
-    /// Naive: the full probability tensor `[G, heads, S, S]`.
-    Naive {
-        /// Softmax probabilities, causal-masked.
-        probs: ScratchBuf,
-    },
-    /// Streaming: per-row log-sum-exp `[G, heads, S]`.
-    Streaming {
-        /// `log Σ exp(scores)` per query row, for backward recomputation.
-        lse: ScratchBuf,
-    },
-}
-
-impl AttnCtx {
-    /// Elements retained for backward — the number the memory ledger charges.
-    pub fn saved_elems(&self) -> usize {
-        match self {
-            AttnCtx::Naive { probs } => probs.len(),
-            AttnCtx::Streaming { lse } => lse.len(),
-        }
-    }
-}
 
 /// Dimensions bundle shared by the kernels.
 #[derive(Debug, Clone, Copy)]
@@ -171,164 +147,6 @@ fn run_attn_tasks(ntasks: usize, lanes: usize, task: &(impl Fn(usize, usize) + S
     });
 }
 
-/// Causal attention forward with the full probability matrix retained.
-pub fn naive_forward(
-    o: &mut [f32],
-    q: &[f32],
-    k: &[f32],
-    v: &[f32],
-    dims: AttnDims,
-    scratch: &Scratch,
-) -> AttnCtx {
-    dims.check();
-    let AttnDims {
-        batch,
-        seq,
-        heads,
-        head_dim,
-        ..
-    } = dims;
-    let n = batch * seq * dims.hidden();
-    let nkv = batch * seq * dims.kv_dim();
-    assert_eq!(q.len(), n);
-    assert_eq!(k.len(), nkv);
-    assert_eq!(v.len(), nkv);
-    assert_eq!(o.len(), n);
-    let scale = dims.scale();
-    let mut probs = scratch.take(batch * heads * seq * seq);
-    {
-        let op = RawMut(o.as_mut_ptr());
-        let pp = RawMut(probs.as_mut_ptr());
-        // One task per (batch, query head): every o row and probs plane is
-        // written by exactly one task.
-        let task = |_lane: usize, t: usize| {
-            let (g, h) = (t / heads, t % heads);
-            let pgh = unsafe { pp.slice((g * heads + h) * seq * seq, seq * seq) };
-            for i in 0..seq {
-                let qi = &q[dims.off(g, i, h)..dims.off(g, i, h) + head_dim];
-                let prow = &mut pgh[i * seq..(i + 1) * seq];
-                // Scores for j ≤ i.
-                let mut max = f32::NEG_INFINITY;
-                for (j, pj) in prow.iter_mut().enumerate().take(i + 1) {
-                    let koff = dims.kv_off(g, j, h);
-                    let s = dot(qi, &k[koff..koff + head_dim]) * scale;
-                    *pj = s;
-                    max = max.max(s);
-                }
-                let mut sum = 0.0f32;
-                for pj in prow.iter_mut().take(i + 1) {
-                    *pj = (*pj - max).exp();
-                    sum += *pj;
-                }
-                let inv = 1.0 / sum;
-                for pj in prow.iter_mut().take(i + 1) {
-                    *pj *= inv;
-                }
-                // o_i = Σ_j p_ij v_j
-                let orow = unsafe { op.slice(dims.off(g, i, h), head_dim) };
-                orow.fill(0.0);
-                for (j, &p) in prow.iter().enumerate().take(i + 1) {
-                    let voff = dims.kv_off(g, j, h);
-                    for (od, vd) in orow.iter_mut().zip(&v[voff..voff + head_dim]) {
-                        *od += p * vd;
-                    }
-                }
-            }
-        };
-        let ntasks = batch * heads;
-        run_attn_tasks(ntasks, attn_lanes(ntasks, dims.work()), &task);
-    }
-    AttnCtx::Naive { probs }
-}
-
-/// Backward of [`naive_forward`]. Accumulates into `dq`, `dk`, `dv`.
-#[allow(clippy::too_many_arguments)]
-pub fn naive_backward(
-    dq: &mut [f32],
-    dk: &mut [f32],
-    dv: &mut [f32],
-    dout: &[f32],
-    q: &[f32],
-    k: &[f32],
-    v: &[f32],
-    ctx: &AttnCtx,
-    dims: AttnDims,
-    scratch: &Scratch,
-) {
-    dims.check();
-    let AttnDims {
-        batch,
-        seq,
-        heads,
-        kv_heads,
-        head_dim,
-    } = dims;
-    let probs = match ctx {
-        AttnCtx::Naive { probs } => probs,
-        _ => panic!("naive_backward needs a Naive ctx"),
-    };
-    let scale = dims.scale();
-    let ntasks = batch * kv_heads;
-    let group = heads / kv_heads;
-    // One score-gradient row per task.
-    let mut ds_all = scratch.take(ntasks * seq);
-    let dqp = RawMut(dq.as_mut_ptr());
-    let dkp = RawMut(dk.as_mut_ptr());
-    let dvp = RawMut(dv.as_mut_ptr());
-    let dsp = RawMut(ds_all.as_mut_ptr());
-    // One task per (batch, kv head): each task owns its group's dq rows and
-    // its kv head's dk/dv rows outright, and walks query heads in ascending
-    // order — the same accumulation order as the serial loop.
-    let task = |_lane: usize, t: usize| {
-        let (g, kvh) = (t / kv_heads, t % kv_heads);
-        let ds = unsafe { dsp.slice(t * seq, seq) };
-        for h in kvh * group..(kvh + 1) * group {
-            let pbase = ((g * heads) + h) * seq * seq;
-            for i in 0..seq {
-                let qoff = dims.off(g, i, h);
-                let doi = &dout[qoff..qoff + head_dim];
-                let prow = &probs[pbase + i * seq..pbase + (i + 1) * seq];
-                // dp_ij = do_i · v_j ; softmax backward: ds = p ⊙ (dp − Σ p·dp)
-                let mut pdot = 0.0f32;
-                for (j, dsj) in ds.iter_mut().enumerate().take(i + 1) {
-                    let voff = dims.kv_off(g, j, h);
-                    let dp = dot(doi, &v[voff..voff + head_dim]);
-                    *dsj = dp;
-                    pdot += prow[j] * dp;
-                }
-                for (j, dsj) in ds.iter_mut().enumerate().take(i + 1) {
-                    *dsj = prow[j] * (*dsj - pdot);
-                }
-                // dv_j += p_ij · do_i ; dq_i += scale·Σ ds_ij k_j ; dk_j += scale·ds_ij q_i
-                let qi = &q[qoff..qoff + head_dim];
-                let dqrow = unsafe { dqp.slice(qoff, head_dim) };
-                for (j, &p) in prow.iter().enumerate().take(i + 1) {
-                    let koff = dims.kv_off(g, j, h);
-                    let dsj = ds[j] * scale;
-                    let kj = &k[koff..koff + head_dim];
-                    let dvrow = unsafe { dvp.slice(koff, head_dim) };
-                    let dkrow = unsafe { dkp.slice(koff, head_dim) };
-                    // Three separate two-pointer axpy loops (not one fused
-                    // loop): the accumulators live behind pool-shared raw
-                    // pointers, and LLVM only vectorizes these with runtime
-                    // alias checks — cheap for two streams, abandoned for
-                    // six.
-                    for (x, &dod) in dvrow.iter_mut().zip(doi) {
-                        *x += p * dod;
-                    }
-                    for (x, &kd) in dqrow.iter_mut().zip(kj) {
-                        *x += dsj * kd;
-                    }
-                    for (x, &qd) in dkrow.iter_mut().zip(qi) {
-                        *x += dsj * qd;
-                    }
-                }
-            }
-        }
-    };
-    run_attn_tasks(ntasks, attn_lanes(ntasks, dims.work()), &task);
-}
-
 /// First query of a tile starting at `i0` that may attend key `j`.
 #[inline(always)]
 fn first_visible(j: usize, i0: usize) -> usize {
@@ -364,8 +182,9 @@ fn column_softmax(st: &mut [f32], i0: usize, ti: usize, scale: f32) -> [[f32; QT
 
 /// Streaming causal attention forward.
 ///
-/// One transposed score tile per pool lane is alive at a time; saves only
-/// per-row log-sum-exp.
+/// One transposed score tile per pool lane is alive at a time. Returns the
+/// only state the backward needs beside `o`: each query row's log-sum-exp,
+/// `[G, heads, S]`.
 pub fn streaming_forward(
     o: &mut [f32],
     q: &[f32],
@@ -373,7 +192,7 @@ pub fn streaming_forward(
     v: &[f32],
     dims: AttnDims,
     scratch: &Scratch,
-) -> AttnCtx {
+) -> ScratchBuf {
     dims.check();
     let AttnDims {
         batch,
@@ -446,11 +265,12 @@ pub fn streaming_forward(
         };
         run_attn_tasks(ntasks, lanes, &task);
     }
-    AttnCtx::Streaming { lse }
+    lse
 }
 
 /// Backward of [`streaming_forward`]: recomputes each probability tile from
-/// `q`, `k` and the saved log-sum-exp (the FlashAttention backward recipe).
+/// `q`, `k` and the forward's log-sum-exp `lse` (the FlashAttention backward
+/// recipe), and reads the forward's output `o` only for the `D_i` dots.
 /// Accumulates into `dq`, `dk`, `dv`.
 #[allow(clippy::too_many_arguments)]
 pub fn streaming_backward(
@@ -462,7 +282,7 @@ pub fn streaming_backward(
     k: &[f32],
     v: &[f32],
     o: &[f32],
-    ctx: &AttnCtx,
+    lse: &[f32],
     dims: AttnDims,
     scratch: &Scratch,
 ) {
@@ -475,10 +295,7 @@ pub fn streaming_backward(
         head_dim,
     } = dims;
     let (hidden, kv_dim) = (dims.hidden(), dims.kv_dim());
-    let lse = match ctx {
-        AttnCtx::Streaming { lse } => lse,
-        _ => panic!("streaming_backward needs a Streaming ctx"),
-    };
+    assert_eq!(lse.len(), batch * heads * seq);
     let scale = dims.scale();
     let ntasks = batch * kv_heads;
     let group = heads / kv_heads;
@@ -492,10 +309,11 @@ pub fn streaming_backward(
     let dvp = RawMut(dv.as_mut_ptr());
     let ptp = RawMut(p_tiles.as_mut_ptr());
     let ds_tp = RawMut(ds_tiles.as_mut_ptr());
-    // Task split mirrors `naive_backward` — see the ordering note there.
-    // Heads of the group, and tiles of a head, are visited in ascending
-    // order, and each tile adds its whole contribution to a `dk`/`dv` row in
-    // one `gemm`, so every element accumulates in one fixed order.
+    // One task per (batch, kv head): each task owns its group's dq rows and
+    // its kv head's dk/dv rows outright. Heads of the group, and tiles of a
+    // head, are visited in ascending order, and each tile adds its whole
+    // contribution to a `dk`/`dv` row in one `gemm`, so every element
+    // accumulates in one fixed order.
     let task = |lane: usize, t: usize| {
         let (g, kvh) = (t / kv_heads, t % kv_heads);
         // SAFETY: one tile of each kind per lane.
@@ -609,51 +427,21 @@ mod tests {
         }
     }
 
-    /// `[o, dq, dk, dv]` of one forward + backward through `fwd` / `bwd`.
-    fn forward_backward(d: AttnDims, naive: bool) -> [Vec<f32>; 4] {
+    /// `[o, dq, dk, dv]` of one streaming forward + backward.
+    fn forward_backward(d: AttnDims) -> [Vec<f32>; 4] {
         let sc = Scratch::new();
         let (q, k, v) = rand_qkv(d, 57);
         let dout = Tensor::randn([q.len()], 1.0, 60).into_vec();
         let mut o = vec![0.0; q.len()];
         let (mut dq, mut dk, mut dv) = (vec![0.0; q.len()], vec![0.0; k.len()], vec![0.0; k.len()]);
-        if naive {
-            let ctx = naive_forward(&mut o, &q, &k, &v, d, &sc);
-            naive_backward(&mut dq, &mut dk, &mut dv, &dout, &q, &k, &v, &ctx, d, &sc);
-        } else {
-            let ctx = streaming_forward(&mut o, &q, &k, &v, d, &sc);
-            streaming_backward(
-                &mut dq, &mut dk, &mut dv, &dout, &q, &k, &v, &o, &ctx, d, &sc,
-            );
-        }
+        let lse = streaming_forward(&mut o, &q, &k, &v, d, &sc);
+        streaming_backward(
+            &mut dq, &mut dk, &mut dv, &dout, &q, &k, &v, &o, &lse, d, &sc,
+        );
         [o, dq, dk, dv]
     }
 
     const NAMES: [&str; 4] = ["o", "dq", "dk", "dv"];
-
-    /// Largest gap between the naive and streaming kernels over `outputs`
-    /// (indices into [`NAMES`]), at every tiling of the sequence.
-    fn assert_kernels_agree(outputs: std::ops::Range<usize>, tol: f32) {
-        for d in SEQS.map(gqa).into_iter().chain([dims()]) {
-            let naive = forward_backward(d, true);
-            let streaming = forward_backward(d, false);
-            for which in outputs.clone() {
-                for (i, (x, y)) in naive[which].iter().zip(&streaming[which]).enumerate() {
-                    let name = NAMES[which];
-                    assert!((x - y).abs() < tol, "S={} {name}[{i}]: {x} vs {y}", d.seq);
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn streaming_matches_naive_forward() {
-        assert_kernels_agree(0..1, 1e-5);
-    }
-
-    #[test]
-    fn naive_and_streaming_backwards_agree() {
-        assert_kernels_agree(1..4, 1e-4);
-    }
 
     #[test]
     fn causality_future_tokens_have_no_influence() {
@@ -704,10 +492,10 @@ mod tests {
             o.iter().zip(&dout).map(|(a, b)| a * b).sum()
         };
         let mut o = vec![0.0; n];
-        let ctx = streaming_forward(&mut o, &q, &k, &v, d, &sc);
+        let lse = streaming_forward(&mut o, &q, &k, &v, d, &sc);
         let (mut dq, mut dk, mut dv) = (vec![0.0; n], vec![0.0; n], vec![0.0; n]);
         streaming_backward(
-            &mut dq, &mut dk, &mut dv, &dout, &q, &k, &v, &o, &ctx, d, &sc,
+            &mut dq, &mut dk, &mut dv, &dout, &q, &k, &v, &o, &lse, d, &sc,
         );
         let h = 1e-2;
         for i in 0..n {
@@ -735,16 +523,12 @@ mod tests {
     }
 
     #[test]
-    fn ctx_memory_footprints() {
+    fn saved_state_is_one_lse_per_query_row() {
         let d = dims();
-        let sc = Scratch::new();
         let (q, k, v) = rand_qkv(d, 54);
         let mut o = vec![0.0; q.len()];
-        let naive = naive_forward(&mut o, &q, &k, &v, d, &sc);
-        let streaming = streaming_forward(&mut o, &q, &k, &v, d, &sc);
-        assert_eq!(naive.saved_elems(), d.batch * d.heads * d.seq * d.seq);
-        assert_eq!(streaming.saved_elems(), d.batch * d.heads * d.seq);
-        assert!(streaming.saved_elems() < naive.saved_elems());
+        let lse = streaming_forward(&mut o, &q, &k, &v, d, &Scratch::new());
+        assert_eq!(lse.len(), d.batch * d.heads * d.seq);
     }
 
     #[test]
@@ -752,8 +536,8 @@ mod tests {
         // GQA so the backward's (batch, kv-head) split is exercised; every
         // length but the first crosses the dispatch threshold.
         for d in SEQS.map(gqa) {
-            let pooled = forward_backward(d, false);
-            let serial = rayon::force_sequential(|| forward_backward(d, false));
+            let pooled = forward_backward(d);
+            let serial = rayon::force_sequential(|| forward_backward(d));
             for ((a, b), name) in pooled.iter().zip(&serial).zip(NAMES) {
                 assert!(a == b, "S={}: {name} must be bit-identical", d.seq);
             }
@@ -770,8 +554,8 @@ mod tests {
                     continue;
                 }
                 for d in SEQS.map(gqa) {
-                    let wide = force_isa(fast, || forward_backward(d, false));
-                    let narrow = force_portable(|| forward_backward(d, false));
+                    let wide = force_isa(fast, || forward_backward(d));
+                    let narrow = force_portable(|| forward_backward(d));
                     for ((a, b), name) in wide.iter().zip(&narrow).zip(NAMES) {
                         assert!(a == b, "S={}: {name} differs, {fast:?} vs portable", d.seq);
                     }

@@ -12,15 +12,22 @@
 //!   pass needs; the W pass is then pure `dYᵀ·X` matmuls into the flat
 //!   gradient buffer. `full ≡ data ∘ weight` is asserted by tests.
 //!
-//! Activation checkpointing: a caller that keeps only a block's input drops
-//! the [`BlockCtx`], and [`block_backward_recompute`] re-runs the forward
-//! from that input first — the paper's "recomputation" knob.
+//! Activation checkpointing — the paper's "recomputation" knob: a caller
+//! turns the [`BlockCtx`] into a [`BlockCkpt`] with
+//! [`BlockCtx::into_checkpoint`], keeping the block input `x` and
+//! attention's output and log-sum-exp (`O(G·S·H)` floats), and
+//! [`block_backward_checkpointed`] rebuilds every other activation from
+//! them before the fused backward. Attention is the one part of the forward
+//! it does not re-run: its cost grows as `S²`, what it saves as `S`. The
+//! rebuilt context holds the same bits the forward's did, so checkpointing
+//! changes no result. [`block_backward_recompute`] re-runs the whole forward
+//! from `x` alone; it is the oracle the checkpointed path is tested against.
 //!
 //! Every temporary and every saved activation comes from the caller's
 //! [`Scratch`] arena; in steady-state training these functions perform no
 //! heap allocation (asserted by `tests/alloc.rs`).
 
-use crate::attention::{streaming_backward, streaming_forward, AttnCtx, AttnDims};
+use crate::attention::{streaming_backward, streaming_forward, AttnDims};
 use crate::config::ModelConfig;
 use crate::params::BlockLayout;
 use crate::scratch::{Scratch, ScratchBuf};
@@ -39,7 +46,8 @@ pub struct BlockCtx {
     q: ScratchBuf,
     k: ScratchBuf,
     v: ScratchBuf,
-    attn: AttnCtx,
+    /// Attention's per-query-row log-sum-exp `[G, heads, S]`.
+    lse: ScratchBuf,
     attn_o: ScratchBuf,
     x2: ScratchBuf,
     inv_rms2: ScratchBuf,
@@ -58,7 +66,7 @@ impl BlockCtx {
             + self.q.len()
             + self.k.len()
             + self.v.len()
-            + self.attn.saved_elems()
+            + self.lse.len()
             + self.attn_o.len()
             + self.x2.len()
             + self.inv_rms2.len()
@@ -66,6 +74,34 @@ impl BlockCtx {
             + self.gate.len()
             + self.up.len()
             + self.hg.len()
+    }
+
+    /// Keep what a checkpointed layer needs for its backward and return the
+    /// rest of the context to the arena.
+    pub fn into_checkpoint(self) -> BlockCkpt {
+        BlockCkpt {
+            x: self.x,
+            attn_o: self.attn_o,
+            lse: self.lse,
+        }
+    }
+}
+
+/// What a checkpointed layer keeps between its forward and its backward:
+/// the block input and attention's output and log-sum-exp, from which
+/// [`block_backward_checkpointed`] rebuilds the [`BlockCtx`] without
+/// re-running attention.
+#[derive(Debug)]
+pub struct BlockCkpt {
+    x: ScratchBuf,
+    attn_o: ScratchBuf,
+    lse: ScratchBuf,
+}
+
+impl BlockCkpt {
+    /// Total saved f32 elements: `2·G·S·H + G·heads·S`.
+    pub fn saved_elems(&self) -> usize {
+        self.x.len() + self.attn_o.len() + self.lse.len()
     }
 }
 
@@ -113,17 +149,21 @@ fn attn_dims(cfg: &ModelConfig, batch: usize, seq: usize) -> AttnDims {
     }
 }
 
-/// Forward pass. Returns the block output `[G·S, H]` and the saved
-/// activations.
-pub fn block_forward(
+/// Every activation the backward reads, from the block input `x` (moved in
+/// as the context's own copy). With `saved = Some((attn_o, lse))`, the
+/// outputs of an earlier [`streaming_forward`] on the same input and
+/// weights, attention is not re-run.
+#[allow(clippy::too_many_arguments)]
+fn block_ctx(
     cfg: &ModelConfig,
     rope: &RopeTable,
     w: &[f32],
-    x: &[f32],
+    x: ScratchBuf,
+    saved: Option<(ScratchBuf, ScratchBuf)>,
     batch: usize,
     seq: usize,
     scratch: &Scratch,
-) -> (ScratchBuf, BlockCtx) {
+) -> BlockCtx {
     let h = cfg.hidden;
     let f = cfg.ffn;
     let tokens = batch * seq;
@@ -137,7 +177,7 @@ pub fn block_forward(
     rmsnorm_forward(
         &mut x1,
         Some(&mut inv_rms1),
-        x,
+        &x,
         &w[lay.attn_norm()],
         tokens,
         h,
@@ -158,17 +198,26 @@ pub fn block_forward(
         rope.apply_forward(&mut k[rk], seq, cfg.kv_heads);
     }
 
-    let dims = attn_dims(cfg, batch, seq);
-    let mut attn_o = scratch.take(tokens * h);
-    let attn = streaming_forward(&mut attn_o, &q, &k, &v, dims, scratch);
+    let (attn_o, lse) = match saved {
+        Some((attn_o, lse)) => {
+            assert_eq!(attn_o.len(), tokens * h, "saved attention output shape");
+            (attn_o, lse)
+        }
+        None => {
+            let mut attn_o = scratch.take(tokens * h);
+            let dims = attn_dims(cfg, batch, seq);
+            let lse = streaming_forward(&mut attn_o, &q, &k, &v, dims, scratch);
+            (attn_o, lse)
+        }
+    };
 
     let mut x2 = scratch.take(tokens * h);
     matmul_nt(&mut x2, &attn_o, &w[lay.wo()], tokens, h, h);
-    for (a, b) in x2.iter_mut().zip(x) {
+    for (a, b) in x2.iter_mut().zip(&x[..]) {
         *a += b; // residual
     }
 
-    // --- FFN half ---
+    // --- FFN half, up to the down projection ---
     let mut x3 = scratch.take(tokens * h);
     let mut inv_rms2 = scratch.take(tokens);
     rmsnorm_forward(
@@ -188,20 +237,14 @@ pub fn block_forward(
     let mut hg = scratch.take(tokens * f);
     swiglu_forward(&mut hg, &gate, &up);
 
-    let mut y = scratch.take(tokens * h);
-    matmul_nt(&mut y, &hg, &w[lay.wd()], tokens, f, h);
-    for (a, b) in y.iter_mut().zip(&x2[..]) {
-        *a += b; // residual
-    }
-
-    let ctx = BlockCtx {
-        x: scratch.take_copy(x),
+    BlockCtx {
+        x,
         inv_rms1,
         x1,
         q,
         k,
         v,
-        attn,
+        lse,
         attn_o,
         x2,
         inv_rms2,
@@ -209,7 +252,29 @@ pub fn block_forward(
         gate,
         up,
         hg,
-    };
+    }
+}
+
+/// Forward pass. Returns the block output `[G·S, H]` and the saved
+/// activations.
+pub fn block_forward(
+    cfg: &ModelConfig,
+    rope: &RopeTable,
+    w: &[f32],
+    x: &[f32],
+    batch: usize,
+    seq: usize,
+    scratch: &Scratch,
+) -> (ScratchBuf, BlockCtx) {
+    let x = scratch.take_copy(x);
+    let ctx = block_ctx(cfg, rope, w, x, None, batch, seq, scratch);
+    let (h, tokens) = (cfg.hidden, batch * seq);
+    let mut y = scratch.take(tokens * h);
+    let wd = &w[BlockLayout::new(cfg).wd()];
+    matmul_nt(&mut y, &ctx.hg, wd, tokens, cfg.ffn, h);
+    for (a, b) in y.iter_mut().zip(&ctx.x2[..]) {
+        *a += b; // residual
+    }
     (y, ctx)
 }
 
@@ -277,7 +342,7 @@ pub fn block_backward_data(
         &ctx.k,
         &ctx.v,
         &ctx.attn_o,
-        &ctx.attn,
+        &ctx.lse,
         dims,
         scratch,
     );
@@ -378,9 +443,29 @@ pub fn block_backward_full(
     dx
 }
 
-/// Checkpointed backward: recompute the forward from the saved input `x`,
-/// then run the fused backward. This is the "recomputation" configuration
-/// of the paper's §4.3.
+/// Checkpointed backward: rebuild the context from `ck` — attention's saved
+/// output and log-sum-exp moved in, not copied, and not recomputed — then
+/// run the fused backward. The "recomputation" configuration of the
+/// paper's §4.3.
+#[allow(clippy::too_many_arguments)]
+pub fn block_backward_checkpointed(
+    cfg: &ModelConfig,
+    rope: &RopeTable,
+    w: &[f32],
+    ck: BlockCkpt,
+    dy: &[f32],
+    dw: &mut [f32],
+    batch: usize,
+    seq: usize,
+    scratch: &Scratch,
+) -> ScratchBuf {
+    let BlockCkpt { x, attn_o, lse } = ck;
+    let ctx = block_ctx(cfg, rope, w, x, Some((attn_o, lse)), batch, seq, scratch);
+    block_backward_full(cfg, rope, w, &ctx, dy, dw, batch, seq, scratch)
+}
+
+/// Full-recompute backward: re-run the whole forward, attention included,
+/// from the block input `x` alone, then run the fused backward.
 #[allow(clippy::too_many_arguments)]
 pub fn block_backward_recompute(
     cfg: &ModelConfig,
@@ -393,7 +478,8 @@ pub fn block_backward_recompute(
     seq: usize,
     scratch: &Scratch,
 ) -> ScratchBuf {
-    let (_, ctx) = block_forward(cfg, rope, w, x, batch, seq, scratch);
+    let x = scratch.take_copy(x);
+    let ctx = block_ctx(cfg, rope, w, x, None, batch, seq, scratch);
     block_backward_full(cfg, rope, w, &ctx, dy, dw, batch, seq, scratch)
 }
 
@@ -505,24 +591,68 @@ mod tests {
         assert!(bctx.saved_elems() > 0);
     }
 
+    /// Multi-head and grouped-query configs long enough for a sequence on
+    /// each side of attention's 64-query tile.
+    fn long_cfgs() -> [ModelConfig; 2] {
+        let mha = ModelConfig::llama_like(16, 2, 1, 11, 80);
+        let gqa = ModelConfig::llama_like(16, 4, 1, 11, 80).with_gqa(2);
+        [mha, gqa]
+    }
+
     #[test]
     fn recompute_equals_saved_backward() {
-        let (cfg, rope, w) = setup();
+        // The checkpointed backward, the backward from the saved context and
+        // the full recompute all compute the same bits.
         let sc = Scratch::new();
-        let (batch, seq) = (2, 3);
-        let n = batch * seq * cfg.hidden;
-        let x = Tensor::randn([n], 0.5, 66).into_vec();
-        let dy = Tensor::randn([n], 1.0, 67).into_vec();
+        let cases = [(ModelConfig::tiny(1), 2, 3)].into_iter().chain(
+            long_cfgs()
+                .into_iter()
+                .flat_map(|c| [(c.clone(), 1, 63), (c, 2, 65)]),
+        );
+        for (cfg, batch, seq) in cases {
+            let rope = cfg.rope_table();
+            let w = init_block(&cfg, 3, 0);
+            let n = batch * seq * cfg.hidden;
+            let x = Tensor::randn([n], 0.5, 66).into_vec();
+            let dy = Tensor::randn([n], 1.0, 67).into_vec();
+            let what = format!("kv_heads={} S={seq}", cfg.kv_heads);
 
-        let (_, ctx) = block_forward(&cfg, &rope, &w, &x, batch, seq, &sc);
-        let mut dw1 = vec![0.0f32; w.len()];
-        let dx1 = block_backward_full(&cfg, &rope, &w, &ctx, &dy, &mut dw1, batch, seq, &sc);
+            let (_, ctx) = block_forward(&cfg, &rope, &w, &x, batch, seq, &sc);
+            let mut dw1 = vec![0.0f32; w.len()];
+            let dx1 = block_backward_full(&cfg, &rope, &w, &ctx, &dy, &mut dw1, batch, seq, &sc);
 
-        let mut dw2 = vec![0.0f32; w.len()];
-        let dx2 = block_backward_recompute(&cfg, &rope, &w, &x, &dy, &mut dw2, batch, seq, &sc);
+            let ck = ctx.into_checkpoint();
+            let mut dw2 = vec![0.0f32; w.len()];
+            let dx2 =
+                block_backward_checkpointed(&cfg, &rope, &w, ck, &dy, &mut dw2, batch, seq, &sc);
 
-        assert_eq!(dx1, dx2);
-        assert_eq!(dw1, dw2);
+            let mut dw3 = vec![0.0f32; w.len()];
+            let dx3 = block_backward_recompute(&cfg, &rope, &w, &x, &dy, &mut dw3, batch, seq, &sc);
+
+            assert_eq!(dx1, dx2, "{what}: checkpointed dx");
+            assert_eq!(dw1, dw2, "{what}: checkpointed dw");
+            assert_eq!(dx1, dx3, "{what}: recomputed dx");
+            assert_eq!(dw1, dw3, "{what}: recomputed dw");
+        }
+    }
+
+    #[test]
+    fn checkpoint_keeps_input_attention_output_and_lse() {
+        let sc = Scratch::new();
+        for cfg in long_cfgs() {
+            let rope = cfg.rope_table();
+            let w = init_block(&cfg, 3, 0);
+            let (batch, seq, h) = (2, 65, cfg.hidden);
+            let x = Tensor::randn([batch * seq * h], 0.5, 71).into_vec();
+            let (_, ctx) = block_forward(&cfg, &rope, &w, &x, batch, seq, &sc);
+            let full = ctx.saved_elems();
+            let ck = ctx.into_checkpoint();
+            assert_eq!(
+                ck.saved_elems(),
+                2 * batch * seq * h + batch * cfg.heads * seq
+            );
+            assert!(ck.saved_elems() < full);
+        }
     }
 
     #[test]

@@ -12,11 +12,14 @@
 //!   [`block::block_backward_weight`]): the *B pass* / *W pass* decoupling
 //!   zero-bubble schedules (ZB-1/2, WZB-1/2) interleave.
 //! * **Streaming attention** ([`attention`]): FlashAttention-style
-//!   online-softmax kernel whose saved state is `O(S)` per head instead of
-//!   `O(S²)`, reproducing the memory behaviour the paper's evaluation
-//!   depends on.
-//! * **Checkpointing** ([`block::block_backward_recompute`]): recompute the
-//!   forward inside the backward, trading FLOPs for activation memory.
+//!   online-softmax kernel whose saved state is one log-sum-exp per query
+//!   row (`O(S)` per head instead of `O(S²)`), reproducing the memory
+//!   behaviour the paper's evaluation depends on.
+//! * **Checkpointing** ([`block::BlockCkpt`],
+//!   [`block::block_backward_checkpointed`]): a layer keeps its input and
+//!   attention's output and log-sum-exp, and its backward rebuilds every
+//!   other activation from them — trading the projections' and the FFN's
+//!   FLOPs, but not attention's `S²`, for activation memory.
 //! * **Deterministic seeded init**: every rank can materialise identical
 //!   weights locally, so weight distribution needs no startup broadcast.
 

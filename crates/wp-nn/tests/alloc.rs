@@ -7,14 +7,15 @@
 //! forward context), snapshots the allocation counter, runs more
 //! iterations, and asserts the counter did not move — at a shape that stays
 //! on the calling thread, and at one whose kernels run on the pool's
-//! threads.
+//! threads, backward from the saved context and from a checkpoint.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Barrier;
 
 use wp_nn::block::{
-    block_backward_data, block_backward_full, block_backward_weight, block_forward,
+    block_backward_checkpointed, block_backward_data, block_backward_full, block_backward_weight,
+    block_forward,
 };
 use wp_nn::config::ModelConfig;
 use wp_nn::data::synthetic_batch;
@@ -131,10 +132,17 @@ fn warm_parallel_block() {
     let x: Vec<f32> = (0..n).map(|i| ((i % 17) as f32 - 8.0) * 0.05).collect();
     let dy: Vec<f32> = (0..n).map(|i| ((i % 5) as f32 - 2.0) * 0.13).collect();
     let mut dw = vec![0.0f32; w.len()];
-    let mut iterate = || {
+    // Forward then backward, from the saved context or (`ckpt`) from the
+    // layer's checkpoint, as the runtime runs a recomputing layer.
+    let mut iterate = |ckpt: bool| {
         let (_, ctx) = block_forward(&cfg, &rope, &w, &x, batch, seq, &sc);
         dw.fill(0.0);
-        let _ = block_backward_full(&cfg, &rope, &w, &ctx, &dy, &mut dw, batch, seq, &sc);
+        let _ = if ckpt {
+            let ck = ctx.into_checkpoint();
+            block_backward_checkpointed(&cfg, &rope, &w, ck, &dy, &mut dw, batch, seq, &sc)
+        } else {
+            block_backward_full(&cfg, &rope, &w, &ctx, &dy, &mut dw, batch, seq, &sc)
+        };
     };
 
     // Each pool thread allocates its matmul pack buffers on its first
@@ -151,12 +159,16 @@ fn warm_parallel_block() {
     // buffers), so what the measured parallel iterations allocate is what
     // the pool's threads would.
     rayon::force_sequential(|| {
-        iterate();
-        iterate();
+        for ckpt in [false, true] {
+            iterate(ckpt);
+            iterate(ckpt);
+        }
     });
-    let delta = allocs_when_warm(0, 3, iterate);
-    assert_eq!(
-        delta, 0,
-        "warm parallel block fwd+bwd performed {delta} heap allocations"
-    );
+    for ckpt in [false, true] {
+        let delta = allocs_when_warm(0, 3, || iterate(ckpt));
+        assert_eq!(
+            delta, 0,
+            "warm parallel block fwd+bwd (checkpointed: {ckpt}) performed {delta} heap allocations"
+        );
+    }
 }

@@ -1,7 +1,12 @@
 //! Grouped-query attention (GQA): correctness of the reduced-KV-head path
 //! (the attention variant of larger Llama-2/3 models).
 
-use wp_nn::attention::{naive_forward, streaming_backward, streaming_forward, AttnDims};
+// Only the forward oracle is used here.
+#[allow(dead_code)]
+mod common;
+
+use common::naive_forward;
+use wp_nn::attention::{streaming_backward, streaming_forward, AttnDims};
 use wp_nn::block::{block_backward_full, block_forward};
 use wp_nn::config::ModelConfig;
 use wp_nn::params::init_block;
@@ -41,7 +46,7 @@ fn gqa_streaming_matches_naive() {
     let v = Tensor::rand_uniform([nkv], -1.0, 1.0, 3).into_vec();
     let sc = Scratch::new();
     let mut o1 = vec![0.0; nq];
-    naive_forward(&mut o1, &q, &k, &v, dims, &sc);
+    naive_forward(&mut o1, &q, &k, &v, dims);
     let mut o2 = vec![0.0; nq];
     streaming_forward(&mut o2, &q, &k, &v, dims, &sc);
     for (a, b) in o1.iter().zip(&o2) {
@@ -106,10 +111,10 @@ fn gqa_backward_gradcheck() {
         o.iter().zip(&dout).map(|(a, b)| a * b).sum()
     };
     let mut o = vec![0.0; nq];
-    let ctx = streaming_forward(&mut o, &q, &k, &v, dims, &sc);
+    let lse = streaming_forward(&mut o, &q, &k, &v, dims, &sc);
     let (mut dq, mut dk, mut dv) = (vec![0.0; nq], vec![0.0; nkv], vec![0.0; nkv]);
     streaming_backward(
-        &mut dq, &mut dk, &mut dv, &dout, &q, &k, &v, &o, &ctx, dims, &sc,
+        &mut dq, &mut dk, &mut dv, &dout, &q, &k, &v, &o, &lse, dims, &sc,
     );
     let h = 1e-2;
     for i in 0..nkv {

@@ -1,13 +1,15 @@
 //! Property-based tests for the transformer: kernel equivalences that must
 //! hold for arbitrary shapes and inputs.
 
+mod common;
+
+use common::{naive_backward, naive_forward};
 use proptest::prelude::*;
-use wp_nn::attention::{
-    naive_backward, naive_forward, streaming_backward, streaming_forward, AttnDims,
-};
+use proptest::sample::select;
+use wp_nn::attention::{streaming_backward, streaming_forward, AttnDims};
 use wp_nn::block::{
-    block_backward_data, block_backward_full, block_backward_recompute, block_backward_weight,
-    block_forward,
+    block_backward_checkpointed, block_backward_data, block_backward_full,
+    block_backward_recompute, block_backward_weight, block_forward,
 };
 use wp_nn::config::ModelConfig;
 use wp_nn::params::init_block;
@@ -16,7 +18,7 @@ use wp_tensor::Tensor;
 
 fn cfg_with(heads: usize, head_dim: usize, ffn: usize) -> ModelConfig {
     let hidden = heads * head_dim;
-    let mut c = ModelConfig::llama_like(hidden, heads, 1, 16, 32);
+    let mut c = ModelConfig::llama_like(hidden, heads, 1, 16, 80);
     c.ffn = ffn;
     c
 }
@@ -42,17 +44,17 @@ proptest! {
 
         let sc = Scratch::new();
         let mut o1 = vec![0.0; n];
-        let c1 = naive_forward(&mut o1, &q, &k, &v, dims, &sc);
+        let probs = naive_forward(&mut o1, &q, &k, &v, dims);
         let mut o2 = vec![0.0; n];
-        let c2 = streaming_forward(&mut o2, &q, &k, &v, dims, &sc);
+        let lse = streaming_forward(&mut o2, &q, &k, &v, dims, &sc);
         for (a, b) in o1.iter().zip(&o2) {
             prop_assert!((a - b).abs() < 1e-4);
         }
 
         let (mut dq1, mut dk1, mut dv1) = (vec![0.0; n], vec![0.0; n], vec![0.0; n]);
-        naive_backward(&mut dq1, &mut dk1, &mut dv1, &dout, &q, &k, &v, &c1, dims, &sc);
+        naive_backward(&mut dq1, &mut dk1, &mut dv1, &dout, &q, &k, &v, &probs, dims);
         let (mut dq2, mut dk2, mut dv2) = (vec![0.0; n], vec![0.0; n], vec![0.0; n]);
-        streaming_backward(&mut dq2, &mut dk2, &mut dv2, &dout, &q, &k, &v, &o2, &c2, dims, &sc);
+        streaming_backward(&mut dq2, &mut dk2, &mut dv2, &dout, &q, &k, &v, &o2, &lse, dims, &sc);
         for i in 0..n {
             prop_assert!((dq1[i] - dq2[i]).abs() < 1e-3, "dq[{i}]");
             prop_assert!((dk1[i] - dk2[i]).abs() < 1e-3, "dk[{i}]");
@@ -88,12 +90,17 @@ proptest! {
     }
 
     #[test]
-    fn recompute_equals_saved(
+    fn checkpointed_and_recomputed_equal_saved(
         batch in 1usize..3,
-        seq in 1usize..6,
+        seq in select(vec![1usize, 2, 3, 5, 63, 64, 65, 67]),
+        kv_heads in select(vec![1usize, 2]),
         seed in 0u64..1000
     ) {
-        let cfg = cfg_with(2, 4, 12);
+        // The backward from a checkpoint (input, attention output and lse)
+        // and the full recompute from the input alone both reproduce the
+        // backward from the saved context bit for bit — on either side of
+        // attention's 64-query tile and with grouped-query attention.
+        let cfg = cfg_with(2, 4, 12).with_gqa(kv_heads);
         let rope = cfg.rope_table();
         let w = init_block(&cfg, seed, 0);
         let n = batch * seq * cfg.hidden;
@@ -105,10 +112,16 @@ proptest! {
         let mut dw1 = vec![0.0; w.len()];
         let dx1 = block_backward_full(&cfg, &rope, &w, &ctx, &dy, &mut dw1, batch, seq, &sc);
         let mut dw2 = vec![0.0; w.len()];
-        let dx2 =
-            block_backward_recompute(&cfg, &rope, &w, &x, &dy, &mut dw2, batch, seq, &sc);
-        prop_assert_eq!(dx1, dx2);
-        prop_assert_eq!(dw1, dw2);
+        let dx2 = block_backward_checkpointed(
+            &cfg, &rope, &w, ctx.into_checkpoint(), &dy, &mut dw2, batch, seq, &sc,
+        );
+        let mut dw3 = vec![0.0; w.len()];
+        let dx3 =
+            block_backward_recompute(&cfg, &rope, &w, &x, &dy, &mut dw3, batch, seq, &sc);
+        prop_assert_eq!(&dx1, &dx2);
+        prop_assert_eq!(&dw1, &dw2);
+        prop_assert_eq!(dx1, dx3);
+        prop_assert_eq!(dw1, dw3);
     }
 
     #[test]
