@@ -178,7 +178,7 @@ pub fn run_elastic(
     opts: &ElasticOptions,
 ) -> ElasticReport {
     assert!(
-        setup.resume.is_none() && setup.start_iter == 0,
+        setup.resume.is_none(),
         "run_elastic owns resume state; start from a fresh setup"
     );
     let total_iters = setup.iters;
@@ -200,7 +200,7 @@ pub fn run_elastic(
             .flatten();
         if let Some(st) = resume.clone() {
             epoch_setup = epoch_setup.with_resume(st);
-            epoch_setup.iters = total_iters - epoch_setup.start_iter;
+            epoch_setup.iters = total_iters - epoch_setup.start_iter();
         }
         let schedule = build_schedule(strategy, p, &epoch_setup);
         let stores: Vec<Mutex<Vec<TrainState>>> = (0..p).map(|_| Mutex::new(Vec::new())).collect();

@@ -140,21 +140,12 @@ pub fn build_schedule(strategy: Strategy, ranks: usize, setup: &TrainSetup) -> S
             .check_world(ranks)
             .expect("resume snapshot must re-shard onto this world size");
     }
-    let spec = if setup.recompute {
-        PipelineSpec::new(ranks, setup.microbatches)
-    } else {
-        PipelineSpec::new(ranks, setup.microbatches).without_recompute()
+    let spec = PipelineSpec {
+        recompute: setup.recompute,
+        overlap: setup.overlap,
+        knob: setup.knob,
+        ..PipelineSpec::new(ranks, setup.microbatches)
     };
-    let mut spec = spec.with_overlap(setup.overlap);
-    if let Some(lag) = setup.w_lag {
-        spec = spec.with_w_lag(lag);
-    }
-    if let Some(chunks) = setup.chunks {
-        spec = spec.with_chunks(chunks);
-    }
-    if let Some(group) = setup.group {
-        spec = spec.with_group(group);
-    }
     let schedule = build(strategy, spec);
     validate(&schedule).expect("builder produced an invalid schedule");
     schedule
@@ -212,10 +203,11 @@ pub fn run_rank_elastic(
     }
     let mut losses = Vec::with_capacity(setup.iters);
     let t0 = std::time::Instant::now();
-    let end = setup.start_iter + setup.iters;
-    for iter in setup.start_iter..end {
+    let start = setup.start_iter();
+    let end = start + setup.iters;
+    for iter in start..end {
         losses.push(rt.run_iteration(schedule, iter)?);
-        let done = iter + 1 - setup.start_iter;
+        let done = iter + 1 - start;
         if checkpoint_every > 0 && done.is_multiple_of(checkpoint_every) && iter + 1 < end {
             on_checkpoint(&rt.capture_state(schedule, iter as u64 + 1)?);
         }
@@ -286,7 +278,7 @@ mod tests {
     /// validate, and then kill every rank mid-iteration.
     #[test]
     fn every_strategy_is_runnable_or_rejected_as_simulator_only() {
-        let setup = TrainSetup::tiny(4, 8).with_group(2);
+        let setup = TrainSetup::tiny(4, 8).with_knob(2);
         assert_eq!(wp_sched::ALL_STRATEGIES.len(), 11);
         for &strategy in wp_sched::ALL_STRATEGIES {
             let built = std::panic::catch_unwind(|| build_schedule(strategy, 4, &setup));

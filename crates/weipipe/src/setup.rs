@@ -161,28 +161,16 @@ pub struct TrainSetup {
     /// strictly off the numeric path: an enabled run trains bit-identically
     /// to a disabled one.
     pub metrics: MetricsConfig,
-    /// W-pass lag override for split-backward strategies (ZB1), mirroring
-    /// [`wp_sched::PipelineSpec::with_w_lag`]. `None` keeps the builder
-    /// default.
-    pub w_lag: Option<usize>,
-    /// Collective chunk-count override for FSDP/DDP, mirroring
-    /// [`wp_sched::PipelineSpec::with_chunks`]. `None` chunks per rank.
-    pub chunks: Option<usize>,
-    /// Hierarchical group size (WeiPipe-Hier schedules), mirroring
-    /// [`wp_sched::PipelineSpec::with_group`].
-    pub group: Option<usize>,
+    /// The strategy's shape knob (W-pass lag, collective chunk count or
+    /// hierarchical group size), as [`wp_sched::PipelineSpec::knob`]. `None`
+    /// keeps the builder default.
+    pub knob: Option<usize>,
     /// Full training state to resume from (elastic recovery, or any warm
     /// restart). When set, the runtime restores model weights, fp32
     /// masters, optimizer moments, and the loss scale from the snapshot
     /// instead of seeding fresh, and the run covers absolute iterations
-    /// `start_iter..start_iter + iters`.
+    /// `start_iter()..start_iter() + iters`.
     pub resume: Option<Arc<TrainState>>,
-    /// First absolute iteration index of this run (0 for a fresh run; the
-    /// snapshot's `next_iter` when resuming). Data batches and the LR
-    /// schedule are keyed on absolute iterations, so a resumed run replays
-    /// exactly the batches and learning rates a never-interrupted run would
-    /// have seen.
-    pub start_iter: usize,
 }
 
 impl TrainSetup {
@@ -209,44 +197,34 @@ impl TrainSetup {
             transport: TransportKind::InProcess,
             trace: TraceConfig::off(),
             metrics: MetricsConfig::off(),
-            w_lag: None,
-            chunks: None,
-            group: None,
+            knob: None,
             resume: None,
-            start_iter: 0,
         }
     }
 
     /// Build a runnable setup straight from an autotuner [`Candidate`] —
     /// the winning point of a `wp-bench tune` sweep becomes a training
     /// configuration without hand-copying knobs. Every schedule-shaping
-    /// knob the candidate carries (microbatches, overlap, W-lag, chunk
-    /// count, group size, recompute forced off for split-backward
-    /// strategies) lands on the setup, so
-    /// [`build_schedule`](crate::build_schedule) reconstructs exactly
-    /// [`Candidate::spec`]. The candidate's strategy is *not* stored here —
-    /// pass it to [`run_distributed`](crate::run_distributed) alongside.
+    /// field the candidate carries (microbatches, overlap, knob) lands on
+    /// the setup, with checkpointing on as in [`Candidate::spec`], so
+    /// [`build_schedule`](crate::build_schedule) reconstructs exactly that
+    /// spec. The candidate's strategy is *not* stored here — pass it to
+    /// [`run_distributed`](crate::run_distributed) alongside.
     ///
     /// ```
     /// use weipipe::TrainSetup;
     /// use wp_sched::tune::Candidate;
     /// use wp_sched::Strategy;
     ///
-    /// let winner = Candidate { w_lag: Some(2), ..Candidate::default_for(Strategy::Zb1, 8) };
+    /// let winner = Candidate { knob: Some(2), ..Candidate::default_for(Strategy::Zb1, 8) };
     /// let setup = TrainSetup::from_candidate(&winner);
     /// assert_eq!(setup.microbatches, 8);
-    /// assert_eq!(setup.w_lag, Some(2));
-    /// assert!(!setup.recompute, "split backward forces checkpointing off");
+    /// assert_eq!(setup.knob, Some(2));
     /// ```
     pub fn from_candidate(c: &Candidate) -> Self {
         let mut s = TrainSetup::tiny(12, c.microbatches).with_overlap(c.overlap);
-        // Candidate::spec keeps the builders' recompute default on except for
-        // split-backward strategies, which forbid it; mirror that choice so
-        // build_schedule reconstructs the candidate's spec op-for-op.
-        s.recompute = !c.split_backward();
-        s.w_lag = c.w_lag;
-        s.chunks = c.chunks;
-        s.group = c.group;
+        s.recompute = true;
+        s.knob = c.knob;
         s
     }
 
@@ -335,45 +313,17 @@ impl TrainSetup {
         self
     }
 
-    /// Override the split-backward W-pass lag (mirrors
-    /// [`wp_sched::PipelineSpec::with_w_lag`]).
+    /// Set the strategy's shape knob (mirrors
+    /// [`wp_sched::PipelineSpec::with_knob`]).
     ///
     /// ```
     /// use weipipe::TrainSetup;
     ///
-    /// let setup = TrainSetup::tiny(2, 4).with_w_lag(2);
-    /// assert_eq!(setup.w_lag, Some(2));
+    /// let setup = TrainSetup::tiny(2, 4).with_knob(2);
+    /// assert_eq!(setup.knob, Some(2));
     /// ```
-    pub fn with_w_lag(mut self, lag: usize) -> Self {
-        self.w_lag = Some(lag);
-        self
-    }
-
-    /// Override the collective chunk count for FSDP/DDP (mirrors
-    /// [`wp_sched::PipelineSpec::with_chunks`]).
-    ///
-    /// ```
-    /// use weipipe::TrainSetup;
-    ///
-    /// let setup = TrainSetup::tiny(2, 4).with_chunks(2);
-    /// assert_eq!(setup.chunks, Some(2));
-    /// ```
-    pub fn with_chunks(mut self, chunks: usize) -> Self {
-        self.chunks = Some(chunks);
-        self
-    }
-
-    /// Set the hierarchical group size (mirrors
-    /// [`wp_sched::PipelineSpec::with_group`]).
-    ///
-    /// ```
-    /// use weipipe::TrainSetup;
-    ///
-    /// let setup = TrainSetup::tiny(2, 4).with_group(2);
-    /// assert_eq!(setup.group, Some(2));
-    /// ```
-    pub fn with_group(mut self, group: usize) -> Self {
-        self.group = Some(group);
+    pub fn with_knob(mut self, value: usize) -> Self {
+        self.knob = Some(value);
         self
     }
 
@@ -392,9 +342,16 @@ impl TrainSetup {
         self.model = state.config.clone();
         self.seed = state.seed;
         self.loss_scale = state.loss_scale;
-        self.start_iter = state.next_iter as usize;
         self.resume = Some(Arc::new(state));
         self
+    }
+
+    /// First absolute iteration index of this run: the resume snapshot's
+    /// `next_iter`, else 0. Data batches and the LR schedule are keyed on
+    /// absolute iterations, so a resumed run replays exactly the batches
+    /// and learning rates a never-interrupted run would have seen.
+    pub fn start_iter(&self) -> usize {
+        self.resume.as_ref().map_or(0, |s| s.next_iter as usize)
     }
 
     /// The (ids, targets) pair for microbatch `mb` of iteration `iter`.

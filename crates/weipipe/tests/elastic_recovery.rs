@@ -65,7 +65,7 @@ fn assert_same_world_resume(strategy: Strategy, ranks: usize, base: &TrainSetup)
     assert_eq!(loaded, snap, "WPCKPT02 round-trip must be lossless");
 
     let mut resumed = base.clone().with_resume(loaded);
-    resumed.iters = base.iters - resumed.start_iter;
+    resumed.iters = base.iters - resumed.start_iter();
     let out = run_distributed(strategy, ranks, &resumed).expect("resumed world must train");
     assert_eq!(
         out.losses,
@@ -173,7 +173,7 @@ fn assert_shrink_recovers(setup: &TrainSetup, ranks: usize, plan: FaultPlan, sur
         .expect("report carries the anchor");
     assert_eq!(ckpt.next_iter, resumed_from);
     let mut fresh = setup.clone().with_resume(ckpt);
-    fresh.iters = setup.iters - fresh.start_iter;
+    fresh.iters = setup.iters - fresh.start_iter();
     let want = run_distributed(strategy, survivors.len(), &fresh).expect("fresh resumed world");
     let out = report.output.as_ref().unwrap();
     assert_eq!(
@@ -342,11 +342,11 @@ fn from_candidate_matches_tuner_spec_and_trains() {
         winner.best,
         Candidate::default_for(Strategy::WeiPipeInterleave, 8),
         Candidate {
-            w_lag: Some(2),
+            knob: Some(2),
             ..Candidate::default_for(Strategy::Zb1, 8)
         },
         Candidate {
-            chunks: Some(2),
+            knob: Some(2),
             ..Candidate::default_for(Strategy::Fsdp, 8)
         },
     ];

@@ -129,7 +129,7 @@ pub fn worker(world: &WorldOpts, opts: &WorkerOpts) -> i32 {
         let state = load_train_state(path).expect("load resume snapshot");
         let total = setup.iters;
         setup = setup.with_resume(state);
-        setup.iters = total.saturating_sub(setup.start_iter);
+        setup.iters = total.saturating_sub(setup.start_iter());
     }
     let epoch = opts.membership.as_ref().map_or(0, |m| m.epoch);
     let assembled = TrainWorld::new(&setup, world.ranks, epoch);

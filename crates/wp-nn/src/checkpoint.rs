@@ -1,31 +1,24 @@
-//! Checkpointing: small versioned binary formats (little-endian) for model
-//! parameters and for full training state.
+//! Checkpointing: one small versioned binary format (little-endian) for
+//! full training state, `WPCKPT02`.
 //!
-//! Two formats share one header shape:
+//! The magic, the eight config integers, norm epsilon and RoPE theta, then
+//! the run seed, the next iteration index, the loss scale, and one
+//! [`ComponentState`] (working weights + fp32 master + optimizer step count
+//! and state buffers) for the embed, every *layer*, and the head. Per-layer
+//! granularity is what makes re-sharding trivial: a world of any size whose
+//! rank count divides the layer count can re-chunk the snapshot by
+//! concatenating layer buffers.
 //!
-//! * `WPCKPT01` — model parameters only: magic, the nine config integers,
-//!   RoPE theta and norm epsilon, then the embed / per-block / head buffers
-//!   as raw `f32`s.
-//! * `WPCKPT02` — full training state for elastic recovery: the same config
-//!   header, then the run seed, the next iteration index, the loss scale,
-//!   and one [`ComponentState`] (working weights + fp32 master + optimizer
-//!   step count and state buffers) for the embed, every *layer*, and the
-//!   head. Per-layer granularity is what makes re-sharding trivial: a world
-//!   of any size whose rank count divides the layer count can re-chunk the
-//!   snapshot by concatenating layer buffers.
-//!
-//! Both end with a u64 FNV-1a checksum of the byte stream, so truncation or
-//! corruption is detected on load. All failures surface as the typed
-//! [`CheckpointError`] — never a panic, never an allocation sized from
-//! untrusted input.
+//! The stream ends with a u64 FNV-1a checksum of the bytes before it, so
+//! truncation or corruption is detected on load. All failures surface as
+//! the typed [`CheckpointError`] — never a panic, never an allocation sized
+//! from untrusted input.
 
 use crate::config::ModelConfig;
-use crate::model::Model;
 use std::fmt;
 use std::io::{self, Read, Write};
 use std::path::Path;
 
-const MAGIC_MODEL: &[u8; 8] = b"WPCKPT01";
 const MAGIC_STATE: &[u8; 8] = b"WPCKPT02";
 
 /// Typed checkpoint load/save failure.
@@ -38,13 +31,14 @@ pub enum CheckpointError {
     /// The trailing FNV-1a checksum does not match the body.
     ChecksumMismatch,
     /// The stream does not start with the expected magic/version tag —
-    /// either not a checkpoint at all, or a different format version.
+    /// either not a checkpoint at all, or another format version.
     BadMagic {
         /// The magic the loader was looking for.
         expected: &'static str,
     },
-    /// A config dimension is zero or absurdly large; buffer sizes derived
-    /// from it would be meaningless (or overflow).
+    /// A config dimension is zero or absurdly large, or the head layout is
+    /// one [`ModelConfig`] refuses; buffer sizes derived from it would be
+    /// meaningless (or overflow).
     ImplausibleConfig {
         /// Which config field failed the plausibility bound.
         field: &'static str,
@@ -77,8 +71,6 @@ pub enum CheckpointError {
     /// Optimizer state has an invalid shape (wrong buffer count across
     /// components, or a buffer sized for a different parameter count).
     OptState(String),
-    /// The parameter buffers do not assemble into a valid [`Model`].
-    Model(String),
 }
 
 impl fmt::Display for CheckpointError {
@@ -106,7 +98,6 @@ impl fmt::Display for CheckpointError {
                  (layers must divide evenly)"
             ),
             CheckpointError::OptState(s) => write!(f, "optimizer state mismatch: {s}"),
-            CheckpointError::Model(s) => write!(f, "invalid model buffers: {s}"),
         }
     }
 }
@@ -180,45 +171,43 @@ fn write_f32s<W: Write>(w: &mut W, xs: &[f32]) -> io::Result<()> {
     Ok(())
 }
 
-fn read_u64<R: Read>(r: &mut R) -> Result<u64, CheckpointError> {
-    let mut b = [0u8; 8];
-    r.read_exact(&mut b)?;
-    Ok(u64::from_le_bytes(b))
+/// The next `n` bytes of the body, or [`CheckpointError::Truncated`] when
+/// fewer are left.
+fn take<'a>(r: &mut &'a [u8], n: usize) -> Result<&'a [u8], CheckpointError> {
+    if n > r.len() {
+        return Err(CheckpointError::Truncated);
+    }
+    let (head, rest) = r.split_at(n);
+    *r = rest;
+    Ok(head)
 }
 
-fn read_f32(r: &mut impl Read) -> Result<f32, CheckpointError> {
-    let mut b = [0u8; 4];
-    r.read_exact(&mut b)?;
-    Ok(f32::from_le_bytes(b))
+fn read_u64(r: &mut &[u8]) -> Result<u64, CheckpointError> {
+    Ok(u64::from_le_bytes(take(r, 8)?.try_into().expect("8 bytes")))
+}
+
+fn read_f32(r: &mut &[u8]) -> Result<f32, CheckpointError> {
+    Ok(f32::from_le_bytes(take(r, 4)?.try_into().expect("4 bytes")))
 }
 
 /// Read one length-prefixed f32 buffer, requiring the stored length to match
-/// the config-derived `expected` element count exactly. A forged or corrupt
-/// length field fails with [`CheckpointError::BufferLen`] *before* any
-/// allocation is sized from untrusted input.
-fn read_f32s<R: Read>(r: &mut R, expected: usize) -> Result<Vec<f32>, CheckpointError> {
+/// the config-derived `expected` element count exactly (or to be 0 when the
+/// buffer may be empty: an optimizer with no state for this component, e.g.
+/// momentum-free SGD). A forged or corrupt length field fails with
+/// [`CheckpointError::BufferLen`], and a length the rest of the body cannot
+/// hold with [`CheckpointError::Truncated`], *before* any allocation is
+/// sized from untrusted input.
+fn read_f32s(
+    r: &mut &[u8],
+    expected: usize,
+    may_be_empty: bool,
+) -> Result<Vec<f32>, CheckpointError> {
     let n = read_u64(r)? as usize;
-    if n != expected {
+    if n != expected && !(may_be_empty && n == 0) {
         return Err(CheckpointError::BufferLen { expected, found: n });
     }
-    let mut bytes = vec![0u8; n * 4];
-    r.read_exact(&mut bytes)?;
-    Ok(bytes
-        .chunks_exact(4)
-        .map(|c| f32::from_le_bytes([c[0], c[1], c[2], c[3]]))
-        .collect())
-}
-
-/// Like [`read_f32s`], but the buffer may also be empty (an optimizer with
-/// no state for this component, e.g. momentum-free SGD).
-fn read_f32s_maybe_empty<R: Read>(r: &mut R, expected: usize) -> Result<Vec<f32>, CheckpointError> {
-    let n = read_u64(r)? as usize;
-    if n != expected && n != 0 {
-        return Err(CheckpointError::BufferLen { expected, found: n });
-    }
-    let mut bytes = vec![0u8; n * 4];
-    r.read_exact(&mut bytes)?;
-    Ok(bytes
+    let bytes = n.checked_mul(4).ok_or(CheckpointError::Truncated)?;
+    Ok(take(r, bytes)?
         .chunks_exact(4)
         .map(|c| f32::from_le_bytes([c[0], c[1], c[2], c[3]]))
         .collect())
@@ -246,7 +235,7 @@ fn write_config<W: Write>(w: &mut W, c: &ModelConfig) -> io::Result<()> {
     w.write_all(&c.rope_theta.to_le_bytes())
 }
 
-fn read_config<R: Read>(r: &mut R) -> Result<ModelConfig, CheckpointError> {
+fn read_config(r: &mut &[u8]) -> Result<ModelConfig, CheckpointError> {
     let hidden = read_u64(r)? as usize;
     let heads = read_u64(r)? as usize;
     let kv_heads = read_u64(r)? as usize;
@@ -279,6 +268,21 @@ fn read_config<R: Read>(r: &mut R) -> Result<ModelConfig, CheckpointError> {
             });
         }
     }
+    // The head layout `ModelConfig` itself insists on: heads split the
+    // hidden size into even head dims, and key/value heads divide heads.
+    let head_dim = hidden / heads;
+    for (name, v, ok) in [
+        ("heads", heads, hidden.is_multiple_of(heads)),
+        ("head_dim", head_dim, head_dim.is_multiple_of(2)),
+        ("kv_heads", kv_heads, heads.is_multiple_of(kv_heads)),
+    ] {
+        if !ok {
+            return Err(CheckpointError::ImplausibleConfig {
+                field: name,
+                value: v as u64,
+            });
+        }
+    }
     let eps = read_f32(r)?;
     let rope_theta = read_f32(r)?;
     Ok(ModelConfig {
@@ -294,10 +298,10 @@ fn read_config<R: Read>(r: &mut R) -> Result<ModelConfig, CheckpointError> {
     })
 }
 
-/// Verify the trailing checksum and strip magic; returns the body after the
-/// magic. Shared prologue of both loaders.
-fn open_body<'a>(all: &'a [u8], magic: &'static [u8; 8]) -> Result<&'a [u8], CheckpointError> {
-    if all.len() < magic.len() + 8 {
+/// Verify the trailing checksum and strip the magic; returns the body after
+/// the magic.
+fn open_body(all: &[u8]) -> Result<&[u8], CheckpointError> {
+    if all.len() < MAGIC_STATE.len() + 8 {
         return Err(CheckpointError::Truncated);
     }
     let (body, tail) = all.split_at(all.len() - 8);
@@ -305,81 +309,12 @@ fn open_body<'a>(all: &'a [u8], magic: &'static [u8; 8]) -> Result<&'a [u8], Che
     if fnv1a(body) != stored {
         return Err(CheckpointError::ChecksumMismatch);
     }
-    if &body[..8] != magic {
-        let expected = if magic == MAGIC_STATE {
-            "WPCKPT02"
-        } else {
-            "WPCKPT01"
-        };
-        return Err(CheckpointError::BadMagic { expected });
+    match body.strip_prefix(MAGIC_STATE) {
+        Some(rest) => Ok(rest),
+        None => Err(CheckpointError::BadMagic {
+            expected: "WPCKPT02",
+        }),
     }
-    Ok(&body[8..])
-}
-
-// ---- WPCKPT01: model parameters ---------------------------------------
-
-/// Serialize a model into any writer.
-///
-/// # Errors
-/// [`CheckpointError::Io`] on any write failure.
-pub fn save_model_to<W: Write>(w: W, model: &Model) -> Result<(), CheckpointError> {
-    let mut w = CountingHashWriter::new(w);
-    w.write_all(MAGIC_MODEL)?;
-    write_config(&mut w, &model.cfg)?;
-    write_f32s(&mut w, &model.embed)?;
-    write_u64(&mut w, model.blocks.len() as u64)?;
-    for b in &model.blocks {
-        write_f32s(&mut w, b)?;
-    }
-    write_f32s(&mut w, &model.head)?;
-    let hash = w.hash;
-    write_u64(&mut w, hash)?;
-    w.flush()?;
-    Ok(())
-}
-
-/// Save a model to a file.
-///
-/// # Errors
-/// Same as [`save_model_to`].
-pub fn save_model(path: impl AsRef<Path>, model: &Model) -> Result<(), CheckpointError> {
-    let f = std::fs::File::create(path).map_err(CheckpointError::Io)?;
-    save_model_to(io::BufWriter::new(f), model)
-}
-
-/// Deserialize a model from any reader.
-///
-/// # Errors
-/// Any [`CheckpointError`] variant describing where the stream went wrong.
-pub fn load_model_from<R: Read>(mut r: R) -> Result<Model, CheckpointError> {
-    // Read everything so the checksum can be verified before parsing bodies.
-    let mut all = Vec::new();
-    r.read_to_end(&mut all).map_err(CheckpointError::Io)?;
-    let mut r = open_body(&all, MAGIC_MODEL)?;
-    let cfg = read_config(&mut r)?;
-    let embed = read_f32s(&mut r, cfg.embed_params())?;
-    let nblocks = read_u64(&mut r)? as usize;
-    if nblocks != cfg.layers {
-        return Err(CheckpointError::BlockCount {
-            expected: cfg.layers,
-            found: nblocks,
-        });
-    }
-    let mut blocks = Vec::with_capacity(nblocks);
-    for _ in 0..nblocks {
-        blocks.push(read_f32s(&mut r, cfg.block_params())?);
-    }
-    let head = read_f32s(&mut r, cfg.head_params())?;
-    Model::from_parts(cfg, embed, blocks, head).map_err(CheckpointError::Model)
-}
-
-/// Load a model from a file.
-///
-/// # Errors
-/// Same as [`load_model_from`].
-pub fn load_model(path: impl AsRef<Path>) -> Result<Model, CheckpointError> {
-    let f = std::fs::File::open(path).map_err(CheckpointError::Io)?;
-    load_model_from(io::BufReader::new(f))
 }
 
 // ---- WPCKPT02: full training state ------------------------------------
@@ -514,9 +449,9 @@ fn write_component<W: Write>(w: &mut W, c: &ComponentState) -> io::Result<()> {
     Ok(())
 }
 
-fn read_component<R: Read>(r: &mut R, expected: usize) -> Result<ComponentState, CheckpointError> {
-    let weights = read_f32s(r, expected)?;
-    let master = read_f32s(r, expected)?;
+fn read_component(r: &mut &[u8], expected: usize) -> Result<ComponentState, CheckpointError> {
+    let weights = read_f32s(r, expected, false)?;
+    let master = read_f32s(r, expected, false)?;
     let opt_t = read_u64(r)?;
     let nbufs = read_u64(r)? as usize;
     // An optimizer ships at most a handful of state buffers; a large count
@@ -528,7 +463,7 @@ fn read_component<R: Read>(r: &mut R, expected: usize) -> Result<ComponentState,
     }
     let mut opt_bufs = Vec::with_capacity(nbufs);
     for _ in 0..nbufs {
-        opt_bufs.push(read_f32s_maybe_empty(r, expected)?);
+        opt_bufs.push(read_f32s(r, expected, true)?);
     }
     Ok(ComponentState {
         weights,
@@ -583,7 +518,7 @@ pub fn save_train_state(path: impl AsRef<Path>, state: &TrainState) -> Result<()
 pub fn load_train_state_from<R: Read>(mut r: R) -> Result<TrainState, CheckpointError> {
     let mut all = Vec::new();
     r.read_to_end(&mut all).map_err(CheckpointError::Io)?;
-    let mut r = open_body(&all, MAGIC_STATE)?;
+    let mut r = open_body(&all)?;
     let config = read_config(&mut r)?;
     let seed = read_u64(&mut r)?;
     let next_iter = read_u64(&mut r)?;
@@ -626,14 +561,11 @@ pub fn load_train_state(path: impl AsRef<Path>) -> Result<TrainState, Checkpoint
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::model::Model;
     use proptest::prelude::*;
 
-    fn model() -> Model {
-        Model::new(&ModelConfig::tiny(2).with_gqa(1), 77)
-    }
-
     fn state() -> TrainState {
-        let m = model();
+        let m = Model::new(&ModelConfig::tiny(2).with_gqa(1), 77);
         let comp = |w: &[f32], salt: f32| ComponentState {
             weights: w.to_vec(),
             master: w.iter().map(|x| x + salt).collect(),
@@ -651,101 +583,92 @@ mod tests {
         }
     }
 
-    #[test]
-    fn roundtrip_preserves_everything() {
-        let m = model();
+    /// Offsets of the config u64s: right after the magic, in
+    /// [`write_config`]'s order.
+    const HIDDEN: usize = 8;
+    const HEADS: usize = 8 + 8;
+    const KV_HEADS: usize = 8 + 2 * 8;
+    const VOCAB: usize = 8 + 5 * 8;
+    const ATTN: usize = 8 + 7 * 8;
+    /// Offset of the embed weights' u64 length field: magic (8) + eight
+    /// config u64s (64) + eps (4) + rope_theta (4) + seed (8) + next_iter
+    /// (8) + loss_scale (4).
+    const EMBED_LEN_OFF: usize = 8 + 8 * 8 + 4 + 4 + 8 + 8 + 4;
+
+    fn saved() -> Vec<u8> {
         let mut buf = Vec::new();
-        save_model_to(&mut buf, &m).expect("save");
-        let loaded = load_model_from(&buf[..]).expect("load");
-        assert_eq!(loaded.embed, m.embed);
-        assert_eq!(loaded.blocks, m.blocks);
-        assert_eq!(loaded.head, m.head);
-        assert_eq!(loaded.cfg.hidden, m.cfg.hidden);
-        assert_eq!(loaded.cfg.kv_heads, m.cfg.kv_heads);
-        // Loaded model computes identically.
-        let ids = [1u32, 2, 3, 4];
-        let a = m.forward(&ids, 1, 4);
-        let b = loaded.forward(&ids, 1, 4);
-        assert_eq!(a.logits(), b.logits());
+        save_train_state_to(&mut buf, &state()).expect("save");
+        buf
     }
 
-    #[test]
-    fn file_roundtrip() {
-        let dir = std::env::temp_dir().join("wp_ckpt_test");
-        std::fs::create_dir_all(&dir).expect("mkdir");
-        let path = dir.join("m.wpckpt");
-        let m = model();
-        save_model(&path, &m).expect("save");
-        let loaded = load_model(&path).expect("load");
-        assert_eq!(loaded.head, m.head);
-        std::fs::remove_file(&path).ok();
+    /// [`saved`] with each `(offset, value)` u64 overwritten and a valid
+    /// checksum re-appended over the edited body, so what fires is the
+    /// check behind the checksum.
+    fn forged(edits: &[(usize, u64)]) -> Vec<u8> {
+        let mut buf = saved();
+        for &(off, v) in edits {
+            buf[off..off + 8].copy_from_slice(&v.to_le_bytes());
+        }
+        let body_end = buf.len() - 8;
+        let h = super::fnv1a(&buf[..body_end]);
+        buf[body_end..].copy_from_slice(&h.to_le_bytes());
+        buf
     }
 
     #[test]
     fn corruption_is_detected() {
-        let m = model();
-        let mut buf = Vec::new();
-        save_model_to(&mut buf, &m).expect("save");
+        let mut buf = saved();
         // Flip one parameter byte mid-stream.
         let mid = buf.len() / 2;
         buf[mid] ^= 0xFF;
-        let err = load_model_from(&buf[..]).expect_err("must fail");
+        let err = load_train_state_from(&buf[..]).expect_err("must fail");
         assert!(matches!(err, CheckpointError::ChecksumMismatch), "{err}");
     }
 
     #[test]
     fn truncation_is_detected() {
-        let m = model();
-        let mut buf = Vec::new();
-        save_model_to(&mut buf, &m).expect("save");
+        let mut buf = saved();
         buf.truncate(buf.len() - 100);
-        assert!(load_model_from(&buf[..]).is_err());
+        assert!(load_train_state_from(&buf[..]).is_err());
     }
-
-    /// Offset of the embed buffer's u64 length field: magic (8) + eight
-    /// config u64s (64) + eps (4) + rope_theta (4).
-    const EMBED_LEN_OFF: usize = 8 + 8 * 8 + 4 + 4;
 
     #[test]
     fn forged_length_field_rejected_before_allocating() {
-        let m = model();
-        let mut buf = Vec::new();
-        save_model_to(&mut buf, &m).expect("save");
         // Claim an absurd 2^32-element embed buffer (a 16 GiB allocation if
-        // believed), then re-append a valid checksum over the edited body.
-        buf[EMBED_LEN_OFF..EMBED_LEN_OFF + 8].copy_from_slice(&(1u64 << 32).to_le_bytes());
-        let body_end = buf.len() - 8;
-        let h = super::fnv1a(&buf[..body_end]);
-        buf[body_end..].copy_from_slice(&h.to_le_bytes());
-        let err = load_model_from(&buf[..]).expect_err("must fail");
+        // believed).
+        let buf = forged(&[(EMBED_LEN_OFF, 1 << 32)]);
+        let err = load_train_state_from(&buf[..]).expect_err("must fail");
         assert!(matches!(err, CheckpointError::BufferLen { .. }), "{err}");
+    }
+
+    /// A config inside every per-field bound can still imply a buffer far
+    /// larger than the file: `hidden = vocab = 2^24` makes the embed 2^48
+    /// elements, and a length field that agrees must not be believed (a
+    /// 4 PiB allocation aborts the process).
+    #[test]
+    fn length_beyond_the_body_rejected_before_allocating() {
+        let buf = forged(&[
+            (HIDDEN, 1 << 24),
+            (VOCAB, 1 << 24),
+            (EMBED_LEN_OFF, 1 << 48),
+        ]);
+        let err = load_train_state_from(&buf[..]).expect_err("must fail");
+        assert!(matches!(err, CheckpointError::Truncated), "{err}");
     }
 
     #[test]
     fn off_by_one_length_rejected() {
-        let m = model();
-        let expected = m.cfg.embed_params() as u64;
-        let mut buf = Vec::new();
-        save_model_to(&mut buf, &m).expect("save");
-        buf[EMBED_LEN_OFF..EMBED_LEN_OFF + 8].copy_from_slice(&(expected + 1).to_le_bytes());
-        let body_end = buf.len() - 8;
-        let h = super::fnv1a(&buf[..body_end]);
-        buf[body_end..].copy_from_slice(&h.to_le_bytes());
-        let err = load_model_from(&buf[..]).expect_err("must fail");
+        let expected = state().config.embed_params() as u64;
+        let buf = forged(&[(EMBED_LEN_OFF, expected + 1)]);
+        let err = load_train_state_from(&buf[..]).expect_err("must fail");
         assert!(matches!(err, CheckpointError::BufferLen { .. }), "{err}");
     }
 
     #[test]
     fn implausible_config_field_rejected() {
-        let m = model();
-        let mut buf = Vec::new();
-        save_model_to(&mut buf, &m).expect("save");
-        // Claim 2^40 hidden units (first config u64, right after the magic).
-        buf[8..16].copy_from_slice(&(1u64 << 40).to_le_bytes());
-        let body_end = buf.len() - 8;
-        let h = super::fnv1a(&buf[..body_end]);
-        buf[body_end..].copy_from_slice(&h.to_le_bytes());
-        let err = load_model_from(&buf[..]).expect_err("must fail");
+        // Claim 2^40 hidden units.
+        let buf = forged(&[(HIDDEN, 1 << 40)]);
+        let err = load_train_state_from(&buf[..]).expect_err("must fail");
         assert!(
             matches!(
                 err,
@@ -758,26 +681,39 @@ mod tests {
         );
     }
 
+    /// Head layouts `ModelConfig` refuses are not snapshots this code
+    /// wrote: heads that do not divide the hidden size, an odd head dim,
+    /// key/value heads that do not divide the heads (the last with
+    /// `heads = 1` overflows the block size if believed).
+    #[test]
+    fn head_layout_model_config_refuses_is_implausible() {
+        for (edits, field) in [
+            (&[(HEADS, 3)][..], "heads"),
+            (&[(HEADS, 16)][..], "head_dim"),
+            (&[(KV_HEADS, 1 << 24)][..], "kv_heads"),
+            (
+                &[(HIDDEN, 1 << 24), (HEADS, 1), (KV_HEADS, 1 << 24)][..],
+                "kv_heads",
+            ),
+        ] {
+            let err = load_train_state_from(&forged(edits)[..]).expect_err("must fail");
+            assert!(
+                matches!(err, CheckpointError::ImplausibleConfig { field: f, .. } if f == field),
+                "{edits:?}: {err}"
+            );
+        }
+    }
+
     /// The eighth config u64 is the retired attention-kernel slot: written
     /// as 1, read back as 0 or 1 (either loads the same config), anything
     /// else is not a snapshot this code wrote.
     #[test]
     fn attn_slot_accepts_zero_or_one_only() {
-        const ATTN_OFF: usize = 8 + 7 * 8;
-        let m = model();
-        let mut saved = Vec::new();
-        save_model_to(&mut saved, &m).expect("save");
-        assert_eq!(saved[ATTN_OFF..ATTN_OFF + 8], 1u64.to_le_bytes());
-        let with_slot = |v: u64| {
-            let mut buf = saved.clone();
-            buf[ATTN_OFF..ATTN_OFF + 8].copy_from_slice(&v.to_le_bytes());
-            let body_end = buf.len() - 8;
-            let h = super::fnv1a(&buf[..body_end]);
-            buf[body_end..].copy_from_slice(&h.to_le_bytes());
-            load_model_from(&buf[..])
-        };
-        assert_eq!(with_slot(0).expect("old naive snapshot").cfg, m.cfg);
-        assert_eq!(with_slot(1).expect("streaming snapshot").cfg, m.cfg);
+        assert_eq!(saved()[ATTN..ATTN + 8], 1u64.to_le_bytes());
+        let with_slot = |v: u64| load_train_state_from(&forged(&[(ATTN, v)])[..]);
+        let config = state().config;
+        assert_eq!(with_slot(0).expect("old naive snapshot").config, config);
+        assert_eq!(with_slot(1).expect("streaming snapshot").config, config);
         let err = with_slot(2).expect_err("must fail");
         assert!(
             matches!(
@@ -791,23 +727,27 @@ mod tests {
         );
     }
 
+    /// Not a checkpoint, or the retired model-only `WPCKPT01` format: a
+    /// typed refusal either way.
     #[test]
     fn wrong_magic_rejected() {
-        let mut buf = b"NOTACKPT".to_vec();
-        buf.extend_from_slice(&[0u8; 64]);
-        // Append a valid checksum so the magic check is what fires.
-        let h = super::fnv1a(&buf);
-        buf.extend_from_slice(&h.to_le_bytes());
-        let err = load_model_from(&buf[..]).expect_err("must fail");
-        assert!(
-            matches!(
-                err,
-                CheckpointError::BadMagic {
-                    expected: "WPCKPT01"
-                }
-            ),
-            "{err}"
-        );
+        for magic in [b"NOTACKPT", b"WPCKPT01"] {
+            let mut buf = magic.to_vec();
+            buf.extend_from_slice(&[0u8; 64]);
+            // Append a valid checksum so the magic check is what fires.
+            let h = super::fnv1a(&buf);
+            buf.extend_from_slice(&h.to_le_bytes());
+            let err = load_train_state_from(&buf[..]).expect_err("must fail");
+            assert!(
+                matches!(
+                    err,
+                    CheckpointError::BadMagic {
+                        expected: "WPCKPT02"
+                    }
+                ),
+                "{err}"
+            );
+        }
     }
 
     #[test]
@@ -829,37 +769,6 @@ mod tests {
         let loaded = load_train_state(&path).expect("load");
         assert_eq!(loaded, s);
         std::fs::remove_file(&path).ok();
-    }
-
-    #[test]
-    fn version_mismatch_is_typed() {
-        // A WPCKPT01 model file is not a WPCKPT02 train state, and vice versa.
-        let m = model();
-        let mut buf = Vec::new();
-        save_model_to(&mut buf, &m).expect("save");
-        let err = load_train_state_from(&buf[..]).expect_err("must fail");
-        assert!(
-            matches!(
-                err,
-                CheckpointError::BadMagic {
-                    expected: "WPCKPT02"
-                }
-            ),
-            "{err}"
-        );
-        let s = state();
-        let mut buf = Vec::new();
-        save_train_state_to(&mut buf, &s).expect("save");
-        let err = load_model_from(&buf[..]).expect_err("must fail");
-        assert!(
-            matches!(
-                err,
-                CheckpointError::BadMagic {
-                    expected: "WPCKPT01"
-                }
-            ),
-            "{err}"
-        );
     }
 
     #[test]
@@ -894,20 +803,13 @@ mod tests {
 
     #[test]
     fn oversized_opt_buffer_count_rejected() {
-        let s = state();
-        let mut buf = Vec::new();
-        save_train_state_to(&mut buf, &s).expect("save");
         // The embed component's opt-buffer count lives after its two
         // length-prefixed buffers and the opt_t u64.
-        let embed_n = s.config.embed_params();
-        let off = EMBED_LEN_OFF + 8 + 8 // seed + next_iter
-            + 4 // loss_scale
+        let embed_n = state().config.embed_params();
+        let off = EMBED_LEN_OFF
             + (8 + 4 * embed_n) * 2 // weights + master
             + 8; // opt_t
-        buf[off..off + 8].copy_from_slice(&(1u64 << 32).to_le_bytes());
-        let body_end = buf.len() - 8;
-        let h = super::fnv1a(&buf[..body_end]);
-        buf[body_end..].copy_from_slice(&h.to_le_bytes());
+        let buf = forged(&[(off, 1 << 32)]);
         let err = load_train_state_from(&buf[..]).expect_err("must fail");
         assert!(matches!(err, CheckpointError::OptState(_)), "{err}");
     }

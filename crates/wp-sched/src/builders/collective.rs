@@ -135,7 +135,7 @@ mod tests {
     fn chunk_override_reshapes_collective_strategies() {
         for chunks in [1usize, 2, 8] {
             for strat in [Strategy::Fsdp, Strategy::Ddp] {
-                let s = build(strat, PipelineSpec::new(4, 8).with_chunks(chunks));
+                let s = build(strat, PipelineSpec::new(4, 8).with_knob(chunks));
                 assert_eq!(s.chunks, chunks, "{strat:?}");
                 assert_eq!(s.initial_holder.len(), chunks, "{strat:?}");
                 crate::validate(&s).unwrap_or_else(|e| panic!("{strat:?} chunks={chunks}: {e}"));

@@ -288,7 +288,7 @@ mod tests {
         // exact interleave schedule under a different strategy tag.
         for spec in [
             PipelineSpec::new(4, 8),
-            PipelineSpec::new(4, 8).with_group(4),
+            PipelineSpec::new(4, 8).with_knob(4),
         ] {
             let hier = build(Strategy::WeiPipeHier, spec);
             assert_eq!(hier.strategy, Strategy::WeiPipeHier);
@@ -301,7 +301,7 @@ mod tests {
     #[test]
     fn hier_grouped_schedule_validates_and_partitions_microbatches() {
         for (p, g, n) in [(4, 2, 8), (8, 4, 16), (8, 2, 8), (6, 3, 12)] {
-            let s = build(Strategy::WeiPipeHier, PipelineSpec::new(p, n).with_group(g));
+            let s = build(Strategy::WeiPipeHier, PipelineSpec::new(p, n).with_knob(g));
             crate::validate(&s).unwrap_or_else(|e| panic!("p={p} g={g} n={n}: {e}"));
             assert_eq!(s.chunks, g);
             // Microbatch ownership stays `mb % P` after the group remap, so
@@ -329,7 +329,7 @@ mod tests {
     fn hier_cross_group_traffic_is_bridge_gradients_only() {
         let (p, g, n) = (8usize, 2usize, 16usize);
         let groups = p / g;
-        let s = build(Strategy::WeiPipeHier, PipelineSpec::new(p, n).with_group(g));
+        let s = build(Strategy::WeiPipeHier, PipelineSpec::new(p, n).with_knob(g));
         let bridge = |r: usize| r % g == g - 1;
         let mut cross = 0usize;
         for (_, op) in s.iter_ops() {

@@ -47,13 +47,12 @@ pub const ALL_STRATEGIES: &[Strategy] = &[
 #[derive(Debug, Clone, Copy)]
 pub struct PipelineSpec {
     /// World size `P`. The pipeline/ring strategies divide the model into
-    /// exactly `P` chunks; FSDP and DDP default to `P` but accept a
-    /// [`Self::with_chunks`] override.
+    /// exactly `P` chunks; FSDP and DDP default to `P` chunks too.
     pub ranks: usize,
     /// Microbatches per iteration `N`.
     pub microbatches: usize,
     /// Activation checkpointing: save only chunk inputs and recompute in
-    /// backward. Split-backward strategies (ZB/WZB) force this off — the
+    /// backward. Split-backward strategies (ZB/WZB) build without it — the
     /// deferred W pass needs the full forward context.
     pub recompute: bool,
     /// Double-buffered weight movement (paper §4.3): the ring builders emit
@@ -63,41 +62,26 @@ pub struct PipelineSpec {
     /// `Recv` ops at the top of each turn. Only affects the weight-passing
     /// ring schedules; results are bit-identical either way.
     pub overlap: bool,
-    /// W-pass lag for the split-backward schedules: how many B passes may
-    /// run ahead of their deferred W pass. `None` keeps the strategy
-    /// default ([`Strategy::shape`]). Larger lags fill more bubble at the
-    /// price of holding more B contexts; the autotuner sweeps this
-    /// dimension. Ignored by a strategy whose shape reads another knob or
-    /// none.
-    pub w_lag: Option<usize>,
-    /// Chunk-count override for the collective strategies (FSDP, DDP):
-    /// how many pieces the model is gathered/reduced in. `None` keeps the
-    /// default of `P`. Coarser chunks amortize collective latency; finer
-    /// chunks shrink the transient gathered-weights footprint. Ignored by
-    /// the pipeline/ring strategies, whose chunk count is structurally `P`.
-    pub chunks: Option<usize>,
-    /// Group size for the hierarchical WeiPipe schedule: each group of
-    /// `group` consecutive ranks runs its own interleaved weight ring
-    /// (ideally one NVLink island per group), with gradients reconciled
-    /// across groups through bridge ranks. Must divide `ranks` and be ≥ 2.
-    /// `None` means one group of all `ranks` — the flat ring. Ignored by
-    /// every other strategy.
-    pub group: Option<usize>,
+    /// The value of the one shape knob the strategy reads — the [`Knob`]
+    /// its [`Strategy::shape`] row names: the W-pass lag of a split
+    /// backward (how many B passes may run ahead of their W pass), the
+    /// collective chunk count of FSDP/DDP, or the WeiPipe-Hier group size
+    /// (ranks per replica ring; must divide `P` and be ≥ 2). `None` keeps
+    /// the shape's default; a strategy that reads no knob ignores it.
+    pub knob: Option<usize>,
 }
 
 impl PipelineSpec {
     /// A spec with activation checkpointing on (the paper's long-context
-    /// default), double-buffered weight movement enabled, and default
-    /// W-lag / chunking.
+    /// default), double-buffered weight movement enabled, and the default
+    /// knob.
     pub fn new(ranks: usize, microbatches: usize) -> Self {
         PipelineSpec {
             ranks,
             microbatches,
             recompute: true,
             overlap: true,
-            w_lag: None,
-            chunks: None,
-            group: None,
+            knob: None,
         }
     }
 
@@ -113,21 +97,9 @@ impl PipelineSpec {
         self
     }
 
-    /// Override the split-backward W-pass lag (ZB1 / WZB1).
-    pub fn with_w_lag(mut self, lag: usize) -> Self {
-        self.w_lag = Some(lag);
-        self
-    }
-
-    /// Override the collective chunk count (FSDP / DDP).
-    pub fn with_chunks(mut self, chunks: usize) -> Self {
-        self.chunks = Some(chunks);
-        self
-    }
-
-    /// Set the hierarchical group size (WeiPipe-Hier).
-    pub fn with_group(mut self, group: usize) -> Self {
-        self.group = Some(group);
+    /// Set the strategy's shape knob (the `knob` field).
+    pub fn with_knob(mut self, value: usize) -> Self {
+        self.knob = Some(value);
         self
     }
 
@@ -136,12 +108,7 @@ impl PipelineSpec {
     /// when it reads none.
     pub(crate) fn knob(&self, strategy: Strategy) -> Option<(Knob, usize)> {
         let (knob, default) = strategy.shape().knob?;
-        let set = match knob {
-            Knob::WLag => self.w_lag,
-            Knob::Chunks => self.chunks,
-            Knob::Group => self.group,
-        };
-        Some((knob, set.unwrap_or_else(|| default(self.ranks))))
+        Some((knob, self.knob.unwrap_or_else(|| default(self.ranks))))
     }
 }
 
@@ -152,7 +119,7 @@ impl PipelineSpec {
 /// ones [`Candidate::check`](crate::tune::Candidate::check) reports as
 /// `Err`: too few ranks, `N % P != 0` outside the stage pipelines, odd `P`
 /// for WZB1, a zero chunk count, a group size that is below 2 or does not
-/// divide `P`. A knob the strategy does not read is ignored.
+/// divide `P`. A strategy that reads no knob ignores `PipelineSpec::knob`.
 pub fn build(strategy: Strategy, spec: PipelineSpec) -> Schedule {
     if let Err(why) = check(strategy, &spec) {
         panic!("{why}");
@@ -174,7 +141,7 @@ fn wrap(x: isize, p: usize) -> usize {
 #[derive(Debug, Clone, Copy)]
 struct Passes {
     /// Whether the schedule checkpoints: what the spec asks for, unless the
-    /// backward is split.
+    /// backward is split. The one place that decides it.
     recompute: bool,
     /// What a forward pass therefore leaves behind for its backward.
     ctx: MemUnit,
@@ -296,7 +263,7 @@ mod tests {
     #[test]
     fn w_lag_override_shifts_w_passes_without_changing_census() {
         let default = build(Strategy::Zb1, PipelineSpec::new(4, 8));
-        let deep = build(Strategy::Zb1, PipelineSpec::new(4, 8).with_w_lag(5));
+        let deep = build(Strategy::Zb1, PipelineSpec::new(4, 8).with_knob(5));
         crate::validate(&deep).expect("zb1 lag=5 is valid");
         let (ds, xs) = (default.stats(), deep.stats());
         assert_eq!(
@@ -313,28 +280,46 @@ mod tests {
                 .map(|o| format!("{:?}", o.kind))
                 .collect::<Vec<_>>(),
         );
-        let tight = build(Strategy::Wzb1, PipelineSpec::new(4, 8).with_w_lag(1));
+        let tight = build(Strategy::Wzb1, PipelineSpec::new(4, 8).with_knob(1));
         crate::validate(&tight).expect("wzb1 lag=1 is valid");
         assert_eq!(tight.stats().bwd_weight, tight.stats().bwd_data);
     }
 
-    /// `None` is the shape table's default, on every knob: spelling the
-    /// default out builds the same schedule.
+    /// `None` is the shape table's default, on every knob kind: spelling
+    /// the default out builds the same schedule.
     #[test]
     fn a_knob_left_unset_means_its_shape_default() {
         let spec = PipelineSpec::new(4, 8);
         for (strat, explicit) in [
-            (Strategy::Zb1, spec.with_w_lag(2)),
-            (Strategy::Wzb1, spec.with_w_lag(2)),
-            (Strategy::Fsdp, spec.with_chunks(4)),
-            (Strategy::Ddp, spec.with_chunks(4)),
-            (Strategy::WeiPipeHier, spec.with_group(4)),
+            (Strategy::Zb1, 2),
+            (Strategy::Wzb1, 2),
+            (Strategy::Fsdp, 4),
+            (Strategy::Ddp, 4),
+            (Strategy::WeiPipeHier, 4),
         ] {
+            let explicit = spec.with_knob(explicit);
             assert_eq!(
                 build(strat, explicit).ops,
                 build(strat, spec).ops,
                 "{strat:?}"
             );
+        }
+    }
+
+    /// A strategy that reads no knob builds the same schedule whatever the
+    /// spec's knob holds.
+    #[test]
+    fn a_knob_the_strategy_does_not_read_is_ignored() {
+        let spec = PipelineSpec::new(4, 8);
+        for &strat in ALL_STRATEGIES {
+            if strat.shape().knob.is_some() {
+                continue;
+            }
+            for k in [0, 1, 2, 5] {
+                let (set, unset) = (build(strat, spec.with_knob(k)), build(strat, spec));
+                assert_eq!(set.ops, unset.ops, "{strat:?} knob={k}");
+                assert_eq!(set.seeds, unset.seeds, "{strat:?} knob={k}");
+            }
         }
     }
 

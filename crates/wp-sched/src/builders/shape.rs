@@ -1,7 +1,7 @@
 //! What the builders, the tuner and the simulator need to know about a
 //! strategy, stated once: which skeleton builds it, whether its backward is
-//! split, which [`PipelineSpec`] knob it reads (and what `None` stands for),
-//! and what must divide what.
+//! split, what `PipelineSpec::knob` means to it (and what `None` stands
+//! for), and what must divide what.
 
 use super::PipelineSpec;
 use crate::ir::Strategy;
@@ -20,14 +20,15 @@ pub enum Family {
     Collective,
 }
 
-/// A [`PipelineSpec`] knob. A strategy reads at most one of them.
+/// What `PipelineSpec::knob` means to a strategy. A strategy reads at
+/// most one kind.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Knob {
-    /// [`PipelineSpec::w_lag`].
+    /// How many B passes may run ahead of their W pass.
     WLag,
-    /// [`PipelineSpec::chunks`].
+    /// How many pieces FSDP/DDP gather and reduce the model in.
     Chunks,
-    /// [`PipelineSpec::group`].
+    /// Ranks per replica ring of WeiPipe-Hier.
     Group,
 }
 
@@ -43,9 +44,10 @@ pub struct Shape {
     /// fused op. The W pass needs the full forward context, so such a
     /// strategy never checkpoints, whatever [`PipelineSpec::recompute`] says.
     pub split_backward: bool,
-    /// The one knob the strategy reads, and the value `None` stands for at
-    /// world size `P`. [`super::build`] ignores the others;
-    /// [`Candidate::check`](crate::tune::Candidate::check) rejects them. For
+    /// What the strategy reads `PipelineSpec::knob` as, and the value
+    /// `None` stands for at world size `P`. With no kind, [`super::build`]
+    /// ignores the knob and
+    /// [`Candidate::check`](crate::tune::Candidate::check) rejects it. For
     /// a split backward this is the W window — how many B passes may run
     /// ahead of their W pass — and reading no knob means every W pass waits
     /// for the end of the iteration.

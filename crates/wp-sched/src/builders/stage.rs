@@ -130,7 +130,7 @@ mod tests {
         assert_eq!(order(Strategy::OneFOneB), "F0 F1 F2 B0 F3 B1 B2 B3");
         assert_eq!(order(Strategy::Zb1), "F0 F1 F2 B0 F3 B1 B2 W0 B3 W1 W2 W3");
         assert_eq!(
-            compute_order(Strategy::Zb1, spec.with_w_lag(0), 0),
+            compute_order(Strategy::Zb1, spec.with_knob(0), 0),
             "F0 F1 F2 B0 W0 F3 B1 W1 B2 W2 B3 W3"
         );
         assert_eq!(order(Strategy::Zb2), "F0 F1 F2 F3 B0 B1 B2 B3 W0 W1 W2 W3");

@@ -455,7 +455,7 @@ mod tests {
 
     #[test]
     fn collectives_wait_for_every_entry_and_block_their_successor() {
-        let s = build(Strategy::Ddp, PipelineSpec::new(2, 2).with_chunks(2));
+        let s = build(Strategy::Ddp, PipelineSpec::new(2, 2).with_knob(2));
         let g = DepGraph::build(&s).expect("valid");
         let entries: Vec<usize> = (0..s.ops[0].len())
             .filter(|&i| s.ops[0][i].kind.is_collective())
@@ -476,7 +476,7 @@ mod tests {
 
     #[test]
     fn ranks_entering_two_collectives_in_opposite_orders_deadlock() {
-        let mut s = build(Strategy::Ddp, PipelineSpec::new(2, 2).with_chunks(2));
+        let mut s = build(Strategy::Ddp, PipelineSpec::new(2, 2).with_knob(2));
         let entries: Vec<usize> = (0..s.ops[1].len())
             .filter(|&i| s.ops[1][i].kind.is_collective())
             .collect();

@@ -33,65 +33,45 @@ pub struct Candidate {
     /// Communication/computation overlap (builder double-buffering and
     /// engine-level overlap together).
     pub overlap: bool,
-    /// W-pass lag override (split-backward strategies only).
-    pub w_lag: Option<usize>,
-    /// Collective chunk-count override (FSDP/DDP only).
-    pub chunks: Option<usize>,
-    /// Hierarchical group size (WeiPipe-Hier only): ranks per replica ring.
-    /// `None` means one flat world-spanning ring.
-    pub group: Option<usize>,
+    /// The strategy's shape knob (`PipelineSpec::knob`): W-pass lag,
+    /// collective chunk count or group size, whichever its
+    /// [`Strategy::shape`] row names. `None` keeps the default.
+    pub knob: Option<usize>,
 }
 
 impl Candidate {
     /// The default builder configuration for `strategy` at `(P, N)`:
-    /// overlap on, strategy-default lag and chunking. This is the baseline
-    /// the autotuner must beat.
+    /// overlap on, the strategy's default knob. This is the baseline the
+    /// autotuner must beat.
     pub fn default_for(strategy: Strategy, microbatches: usize) -> Self {
         Candidate {
             strategy,
             microbatches,
             overlap: true,
-            w_lag: None,
-            chunks: None,
-            group: None,
+            knob: None,
         }
-    }
-
-    /// Whether `strategy` splits backward into B and W passes (and hence
-    /// forces activation checkpointing off).
-    pub fn split_backward(&self) -> bool {
-        self.strategy.shape().split_backward
     }
 
     /// Structural validity at world size `p`: the constraints
     /// [`builders::build`] panics on, plus knob applicability — `build`
-    /// ignores a knob its strategy does not read, a candidate carrying one
-    /// is rejected, so no two valid candidates differ only in a dead knob.
+    /// ignores the knob of a strategy that reads none, a candidate carrying
+    /// one is rejected, so no two valid candidates differ only in a dead
+    /// knob.
     pub fn check(&self, p: usize) -> Result<(), String> {
         builders::check(self.strategy, &self.spec(p))?;
-        let reads = self.strategy.shape().knob.map(|(knob, _)| knob);
-        let set = [
-            (Knob::WLag, self.w_lag),
-            (Knob::Chunks, self.chunks),
-            (Knob::Group, self.group),
-        ];
-        match set.iter().find(|(k, v)| v.is_some() && reads != Some(*k)) {
-            Some((knob, _)) => Err(format!("{} reads no {knob:?} knob", self.strategy.label())),
-            None => Ok(()),
+        match (self.knob, self.strategy.shape().knob) {
+            (Some(_), None) => Err(format!("{} reads no knob", self.strategy.label())),
+            _ => Ok(()),
         }
     }
 
-    /// The builder spec this candidate encodes at world size `p`.
-    /// Split-backward strategies force recompute off (the deferred W pass
-    /// needs the full forward context); everything else keeps the paper's
-    /// long-context default of activation checkpointing on.
+    /// The builder spec this candidate encodes at world size `p`, with the
+    /// paper's long-context default of activation checkpointing on (a split
+    /// backward builds without it).
     pub fn spec(&self, p: usize) -> PipelineSpec {
         PipelineSpec {
-            recompute: !self.split_backward(),
             overlap: self.overlap,
-            w_lag: self.w_lag,
-            chunks: self.chunks,
-            group: self.group,
+            knob: self.knob,
             ..PipelineSpec::new(p, self.microbatches)
         }
     }
@@ -99,14 +79,13 @@ impl Candidate {
     /// Compact human label, e.g. `WZB1 N=16 lag=4 overlap`.
     pub fn label(&self) -> String {
         let mut s = format!("{} N={}", self.strategy.label(), self.microbatches);
-        if let Some(lag) = self.w_lag {
-            s.push_str(&format!(" lag={lag}"));
-        }
-        if let Some(chunks) = self.chunks {
-            s.push_str(&format!(" chunks={chunks}"));
-        }
-        if let Some(group) = self.group {
-            s.push_str(&format!(" g={group}"));
+        if let (Some(v), Some((knob, _))) = (self.knob, self.strategy.shape().knob) {
+            let name = match knob {
+                Knob::WLag => "lag",
+                Knob::Chunks => "chunks",
+                Knob::Group => "g",
+            };
+            s.push_str(&format!(" {name}={v}"));
         }
         s.push_str(if self.overlap {
             " overlap"
@@ -142,46 +121,38 @@ pub struct TuneSpace {
 
 impl TuneSpace {
     /// Enumerate every structurally valid candidate, in a deterministic
-    /// order (strategy-major, then `N`, lag, chunks, group, overlap). A
-    /// strategy sweeps only the knob it reads; a swept value equal to the
+    /// order (strategy-major, then `N`, knob, overlap). A strategy sweeps
+    /// the list of the knob kind it reads; a swept value equal to the
     /// knob's default is the `None` candidate and a repeated value is the
     /// earlier one, so no schedule is priced twice.
     pub fn enumerate(&self) -> Vec<Candidate> {
         let mut out = Vec::new();
         for &strategy in &self.strategies {
-            let reads = strategy.shape().knob;
-            let sweep = |knob: Knob, values: &[usize]| -> Vec<Option<usize>> {
-                let mut swept = vec![None];
-                if let Some((_, default)) = reads.filter(|(k, _)| *k == knob) {
-                    for &v in values {
-                        let v = Some(v).filter(|&v| v != default(self.ranks));
-                        if !swept.contains(&v) {
-                            swept.push(v);
-                        }
+            let mut knobs = vec![None];
+            if let Some((knob, default)) = strategy.shape().knob {
+                let values = match knob {
+                    Knob::WLag => &self.w_lags,
+                    Knob::Chunks => &self.chunk_counts,
+                    Knob::Group => &self.group_sizes,
+                };
+                for &v in values {
+                    let v = Some(v).filter(|&v| v != default(self.ranks));
+                    if !knobs.contains(&v) {
+                        knobs.push(v);
                     }
                 }
-                swept
-            };
-            let lags = sweep(Knob::WLag, &self.w_lags);
-            let chunking = sweep(Knob::Chunks, &self.chunk_counts);
-            let groupings = sweep(Knob::Group, &self.group_sizes);
-            for &n in &self.microbatches {
-                for &w_lag in &lags {
-                    for &chunks in &chunking {
-                        for &group in &groupings {
-                            for &overlap in &self.overlap {
-                                let c = Candidate {
-                                    strategy,
-                                    microbatches: n,
-                                    overlap,
-                                    w_lag,
-                                    chunks,
-                                    group,
-                                };
-                                if c.check(self.ranks).is_ok() {
-                                    out.push(c);
-                                }
-                            }
+            }
+            for &microbatches in &self.microbatches {
+                for &knob in &knobs {
+                    for &overlap in &self.overlap {
+                        let c = Candidate {
+                            strategy,
+                            microbatches,
+                            overlap,
+                            knob,
+                        };
+                        if c.check(self.ranks).is_ok() {
+                            out.push(c);
                         }
                     }
                 }
@@ -255,7 +226,7 @@ pub fn grid(space: &TuneSpace, oracle: &dyn CostOracle) -> Option<TuneOutcome> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::builders::ALL_STRATEGIES;
+    use crate::builders::{build, ALL_STRATEGIES};
 
     /// Deterministic fake oracle: cost is a hash-free closed form of the
     /// knobs, so tests can predict the argmin exactly.
@@ -272,15 +243,11 @@ mod tests {
                 Strategy::WeiPipeInterleave => 1.0,
                 _ => 2.0,
             };
-            let lag = match c.w_lag {
-                Some(4) => 0.0,
+            let knob = match (c.strategy.shape().knob, c.knob) {
+                (Some((Knob::WLag, _)), Some(4)) | (Some((Knob::Chunks, _)), Some(2)) => 0.0,
                 _ => 0.1,
             };
-            let chunks = match c.chunks {
-                Some(2) => 0.0,
-                _ => 0.1,
-            };
-            strat + 1.0 / c.microbatches as f64 + if c.overlap { 0.0 } else { 0.5 } + lag + chunks
+            strat + 1.0 / c.microbatches as f64 + if c.overlap { 0.0 } else { 0.5 } + knob
         }
     }
 
@@ -324,19 +291,15 @@ mod tests {
             .iter()
             .any(|c| c.strategy == Strategy::OneFOneB && c.microbatches == 4));
         // Knobs only on strategies that take them.
-        assert!(cands
-            .iter()
-            .all(|c| c.w_lag.is_none() || matches!(c.strategy, Strategy::Zb1 | Strategy::Wzb1)));
-        assert!(cands
-            .iter()
-            .all(|c| c.chunks.is_none() || matches!(c.strategy, Strategy::Fsdp | Strategy::Ddp)));
-        assert!(cands
-            .iter()
-            .all(|c| c.group.is_none() || c.strategy == Strategy::WeiPipeHier));
+        assert!(cands.iter().all(|c| c.knob.is_none()
+            || matches!(
+                c.strategy,
+                Strategy::Zb1 | Strategy::Fsdp | Strategy::Ddp | Strategy::WeiPipeHier
+            )));
         // g=2 does not divide P=3, so only flat hier candidates survive.
         assert!(cands
             .iter()
-            .all(|c| !(c.strategy == Strategy::WeiPipeHier && c.group.is_some())));
+            .all(|c| !(c.strategy == Strategy::WeiPipeHier && c.knob.is_some())));
     }
 
     /// The `wp-bench tune --smoke` grid — whose lag sweep names both split
@@ -344,7 +307,6 @@ mod tests {
     /// with a default and a repeat added to the chunk and group sweeps.
     #[test]
     fn enumerate_prices_no_schedule_twice() {
-        use crate::builders::build;
         use std::collections::HashSet;
         let p = 8;
         let space = TuneSpace {
@@ -370,17 +332,17 @@ mod tests {
     fn group_knob_is_hier_only_and_must_divide_ranks() {
         let mut c = Candidate::default_for(Strategy::WeiPipeHier, 8);
         assert!(c.check(8).is_ok());
-        c.group = Some(4);
+        c.knob = Some(4);
         assert!(c.check(8).is_ok());
-        assert_eq!(c.spec(8).group, Some(4));
+        assert_eq!(c.spec(8).knob, Some(4));
         assert!(c.label().contains("g=4"));
-        c.group = Some(3);
+        c.knob = Some(3);
         assert!(c.check(8).is_err(), "3 does not divide 8");
-        c.group = Some(1);
+        c.knob = Some(1);
         assert!(c.check(8).is_err(), "singleton groups are degenerate");
         let mut flat = Candidate::default_for(Strategy::WeiPipeInterleave, 8);
-        flat.group = Some(4);
-        assert!(flat.check(8).is_err(), "group knob is hier-only");
+        flat.knob = Some(4);
+        assert!(flat.check(8).is_err(), "the flat ring reads no knob");
     }
 
     #[test]
@@ -424,22 +386,23 @@ mod tests {
             strategy: Strategy::Wzb1,
             microbatches: 8,
             overlap: false,
-            w_lag: Some(3),
-            chunks: None,
-            group: None,
+            knob: Some(3),
         };
         let spec = c.spec(4);
         assert_eq!(spec.ranks, 4);
         assert_eq!(spec.microbatches, 8);
         assert!(!spec.overlap);
-        assert!(!spec.recompute, "split backward forces recompute off");
-        assert_eq!(spec.w_lag, Some(3));
+        assert_eq!(spec.knob, Some(3));
+        assert!(c.label().contains("lag=3"));
+        assert!(
+            !build(c.strategy, spec).recompute,
+            "split backward builds without it"
+        );
 
         let d = Candidate::default_for(Strategy::OneFOneB, 16);
         let spec = d.spec(4);
         assert!(spec.recompute);
         assert!(spec.overlap);
-        assert_eq!(spec.w_lag, None);
-        assert_eq!(spec.chunks, None);
+        assert_eq!(spec.knob, None);
     }
 }

@@ -210,7 +210,7 @@ proptest! {
 
         let (p, g) = [(4, 2), (6, 3), (8, 2), (8, 4)][shape];
         let n = p * mult;
-        let spec = PipelineSpec::new(p, n).with_overlap(overlap).with_group(g);
+        let spec = PipelineSpec::new(p, n).with_overlap(overlap).with_knob(g);
         let s = build(Strat::WeiPipeHier, spec);
         prop_assert!(validate(&s).is_ok(), "P={} g={} N={}", p, g, n);
 

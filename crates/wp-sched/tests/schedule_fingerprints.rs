@@ -1,8 +1,8 @@
 //! The frozen fixture for the builders' bits: every strategy over a grid of
 //! `(P, N, overlap, recompute)` and every knob value its `Candidate::check`
-//! admits — plus one pass with every knob set on every strategy, which pins
-//! "inapplicable knobs are ignored" — must build the op streams, seeds,
-//! holders, recompute flag and chunk count whose hash is checked in at
+//! admits (printed under the column of the knob kind the strategy reads)
+//! must build the op streams, seeds, holders, recompute flag and chunk
+//! count whose hash is checked in at
 //! `tests/fixtures/schedule_fingerprints.txt`, or panic where the fixture
 //! says `panic`. A builder refactor leaves the file byte-identical; a change
 //! that is meant to move a schedule regenerates it in the same commit:
@@ -16,6 +16,7 @@ use std::panic::{catch_unwind, set_hook, take_hook};
 use std::path::PathBuf;
 use std::sync::Mutex;
 
+use wp_sched::builders::Knob;
 use wp_sched::tune::Candidate;
 use wp_sched::{build, PipelineSpec, Strategy, ALL_STRATEGIES};
 
@@ -53,18 +54,15 @@ fn distinct(values: &[Option<usize>]) -> Vec<Option<usize>> {
 /// The knob values of `values` that `Candidate::check` admits on `strategy`
 /// at world size `p` (on an otherwise-default candidate the builders accept
 /// there); `None`, the strategy default, always is.
-fn admitted(
-    strategy: Strategy,
-    p: usize,
-    values: &[Option<usize>],
-    set: impl Fn(&mut Candidate, Option<usize>),
-) -> Vec<Option<usize>> {
+fn admitted(strategy: Strategy, p: usize, values: &[Option<usize>]) -> Vec<Option<usize>> {
     distinct(values)
         .into_iter()
-        .filter(|&v| {
-            let mut c = Candidate::default_for(strategy, 2 * p);
-            set(&mut c, v);
-            v.is_none() || c.check(p).is_ok()
+        .filter(|&knob| {
+            let c = Candidate {
+                knob,
+                ..Candidate::default_for(strategy, 2 * p)
+            };
+            knob.is_none() || c.check(p).is_ok()
         })
         .collect()
 }
@@ -78,52 +76,36 @@ fn sweep() -> String {
     let mut out = String::new();
     for &strategy in ALL_STRATEGIES {
         for p in [2usize, 3, 4, 8] {
-            let lags = admitted(
-                strategy,
-                p,
-                &[None, Some(0), Some(1), Some(2), Some(5)],
-                |c, v| c.w_lag = v,
-            );
-            let chunkings = admitted(strategy, p, &[None, Some(2), Some(2 * p)], |c, v| {
-                c.chunks = v
-            });
-            let groupings = admitted(strategy, p, &[None, Some(2), Some(p / 2)], |c, v| {
-                c.group = v
-            });
-            // Every applicable knob value, then every knob at once — on the
-            // strategies that take none of them, that pins "ignored".
-            let mut knobs: Vec<[Option<usize>; 3]> = Vec::new();
-            for &w_lag in &lags {
-                for &chunks in &chunkings {
-                    for &group in &groupings {
-                        knobs.push([w_lag, chunks, group]);
-                    }
-                }
-            }
-            knobs.push([Some(1), Some(2), Some(2)]);
+            let kind = strategy.shape().knob.map(|(kind, _)| kind);
+            let values = match kind {
+                Some(Knob::WLag) => vec![None, Some(0), Some(1), Some(2), Some(5)],
+                Some(Knob::Chunks) => vec![None, Some(2), Some(2 * p)],
+                Some(Knob::Group) => vec![None, Some(2), Some(p / 2)],
+                None => vec![None],
+            };
+            let knobs = admitted(strategy, p, &values);
 
             let ns = distinct(&[p, 2 * p, 4 * p, p + 1, 3].map(Some));
             for n in ns.into_iter().flatten() {
                 for overlap in [true, false] {
                     for recompute in [true, false] {
-                        for &[w_lag, chunks, group] in &knobs {
+                        for &knob in &knobs {
                             let spec = PipelineSpec {
                                 recompute,
                                 overlap,
-                                w_lag,
-                                chunks,
-                                group,
+                                knob,
                                 ..PipelineSpec::new(p, n)
                             };
+                            let column = |k| show(knob.filter(|_| kind == Some(k)));
                             writeln!(
                                 out,
                                 "{} P={p} N={n} overlap={} recompute={} w_lag={} chunks={} group={} : {}",
                                 strategy.label(),
                                 u8::from(overlap),
                                 u8::from(recompute),
-                                show(w_lag),
-                                show(chunks),
-                                show(group),
+                                column(Knob::WLag),
+                                column(Knob::Chunks),
+                                column(Knob::Group),
                                 fingerprint(strategy, spec),
                             )
                             .expect("writing to a String");

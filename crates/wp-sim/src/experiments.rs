@@ -68,12 +68,6 @@ pub fn zb_microbatch(seq: usize) -> usize {
     }
 }
 
-/// Recompute setting per strategy: everything checkpoints except ZB, where
-/// the paper notes recomputation buys nothing (§4.3).
-pub fn uses_recompute(strategy: Strategy) -> bool {
-    !strategy.shape().split_backward
-}
-
 /// The schedule spec every paper-reproduction cell uses. Pins the
 /// *blocking* weight ring: the paper's measured tables are reproduced by
 /// the engine-level overlap model ([`sim_options`]), which was calibrated
@@ -82,13 +76,8 @@ pub fn uses_recompute(strategy: Strategy) -> bool {
 /// over-predict WeiPipe against the paper's own measurements — it is
 /// measured separately (the repo benchmark's `ether` workload; `wp-bench
 /// trace --blocking` traces the ablation).
-pub fn paper_spec(strategy: Strategy, p: usize, n: usize) -> PipelineSpec {
-    let spec = PipelineSpec::new(p, n).with_overlap(false);
-    if uses_recompute(strategy) {
-        spec
-    } else {
-        spec.without_recompute()
-    }
+pub fn paper_spec(p: usize, n: usize) -> PipelineSpec {
+    PipelineSpec::new(p, n).with_overlap(false)
 }
 
 /// Simulator options per strategy. Megatron-LM's activation-passing
@@ -128,7 +117,7 @@ pub fn run_cell(
     // P; round up so every strategy sees ≥ the same tokens.
     let n = (total_samples / g).max(1).div_ceil(p) * p;
 
-    let spec = paper_spec(strategy, p, n);
+    let spec = paper_spec(p, n);
     let sched = build(strategy, spec);
     let dims = ModelDims::paper(row.hidden, layers, row.seq, g);
     let cost = CostModel::for_schedule(dims, GpuSpec::a800(), &sched);
@@ -330,10 +319,7 @@ pub fn hybrid_tp_sweep(
             continue;
         }
         let n = 8 * p;
-        let sched = build(
-            Strategy::WeiPipeInterleave,
-            paper_spec(Strategy::WeiPipeInterleave, p, n),
-        );
+        let sched = build(Strategy::WeiPipeInterleave, paper_spec(p, n));
         let dims = ModelDims::paper(row.hidden, layers, row.seq, row.microbatch);
         // Pipeline ring spans nodes of 8 GPUs; TP stays inside a node.
         let cluster = ClusterSpec::scaling(p, (8 / degree).max(1));
@@ -369,7 +355,7 @@ pub fn straggler_sensitivity(
     strategies
         .iter()
         .map(|&s| {
-            let sched = build(s, paper_spec(s, p, n));
+            let sched = build(s, paper_spec(p, n));
             let dims = ModelDims::paper(row.hidden, 32, row.seq, row.microbatch);
             let cost = CostModel::for_schedule(dims, GpuSpec::a800(), &sched);
             let base = simulate(&sched, &cost, &cluster, sim_options(s)).expect("simulates");
@@ -410,7 +396,7 @@ pub fn fig5_bubble_vs_microbatches(p: usize) -> Vec<(usize, Vec<(Strategy, f64)>
             let cells = strategies
                 .iter()
                 .map(|&s| {
-                    let sched = build(s, paper_spec(s, p, n));
+                    let sched = build(s, paper_spec(p, n));
                     let dims = ModelDims::paper(row.hidden, 32, row.seq, row.microbatch);
                     let cost = CostModel::for_schedule(dims, GpuSpec::a800(), &sched);
                     let r = simulate(&sched, &cost, &cluster, sim_options(s)).unwrap();
@@ -497,7 +483,7 @@ pub fn hier_flat_vs_grouped() -> Vec<HierCell> {
             };
             let flat = run(&Candidate::default_for(Strategy::WeiPipeInterleave, p));
             let mut grouped = Candidate::default_for(Strategy::WeiPipeHier, p);
-            grouped.group = (cluster.groups() > 1).then_some(node_size);
+            grouped.knob = (cluster.groups() > 1).then_some(node_size);
             let space = TuneSpace {
                 ranks: p,
                 strategies: vec![Strategy::WeiPipeHier],

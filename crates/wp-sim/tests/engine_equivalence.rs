@@ -120,16 +120,16 @@ proptest! {
         let p = 1 << p_exp;
         let n = 2 * p * mult;
         let mut spec = PipelineSpec::new(p, n).with_overlap(overlap_build);
-        if !recompute || matches!(strategy, Strat::Zb1 | Strat::Zb2 | Strat::Wzb1 | Strat::Wzb2) {
+        if !recompute {
             spec = spec.without_recompute();
         }
         // Knobs only where the strategy accepts them; w_lag 0 means "keep
         // the default" so defaults stay covered.
         if w_lag > 0 && matches!(strategy, Strat::Zb1 | Strat::Wzb1) {
-            spec = spec.with_w_lag(w_lag);
+            spec = spec.with_knob(w_lag);
         }
         if chunk_sel > 0 && matches!(strategy, Strat::Fsdp | Strat::Ddp) {
-            spec = spec.with_chunks(chunk_sel * p / 2 + 1);
+            spec = spec.with_knob(chunk_sel * p / 2 + 1);
         }
         let cluster = cluster(cluster_kind, p);
         let opts = SimOptions {
@@ -179,7 +179,7 @@ proptest! {
         let n = p * mult;
         let spec = PipelineSpec::new(p, n)
             .with_overlap(overlap_build)
-            .with_group(g);
+            .with_knob(g);
         let cluster = cluster(cluster_kind, p);
         let opts = SimOptions {
             overlap: overlap_sim,

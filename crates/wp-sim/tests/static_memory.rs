@@ -23,15 +23,13 @@ fn sweep() -> String {
         for p in [2usize, 4, 8] {
             let base = Candidate::default_for(strategy, 2 * p);
             let mut knobs = vec![base];
-            for v in [0, 1, 2, 5, p / 2, 2 * p].map(Some) {
-                for c in [
-                    Candidate { w_lag: v, ..base },
-                    Candidate { chunks: v, ..base },
-                    Candidate { group: v, ..base },
-                ] {
-                    if !knobs.contains(&c) {
-                        knobs.push(c);
-                    }
+            for v in [0, 1, 2, 5, p / 2, 2 * p] {
+                let c = Candidate {
+                    knob: Some(v),
+                    ..base
+                };
+                if !knobs.contains(&c) {
+                    knobs.push(c);
                 }
             }
             for c in knobs.iter().filter(|c| c.check(p).is_ok()) {

@@ -12,11 +12,9 @@
 use std::collections::BTreeMap;
 use std::sync::Arc;
 use weipipe::{run_distributed, run_single, DataSource, OptimKind, Strategy, TrainSetup};
-use wp_comm::LinkModel;
 use wp_nn::generate::generate_greedy;
 use wp_nn::{Model, ModelConfig};
 use wp_optim::LrSchedule;
-use wp_tensor::DType;
 
 const CORPUS: &str = "training large models with long context lengths requires \
 significant communication overhead, which becomes a bottleneck in distributed \
@@ -70,36 +68,19 @@ fn main() {
     );
 
     let model = ModelConfig::llama_like(64, 4, 4, vocab.len(), 64);
-    let setup = TrainSetup {
-        model: model.clone(),
-        seed: 1234,
-        microbatch: 8,
-        seq: 48,
-        microbatches: 8,
-        iters: 60,
-        optim: OptimKind::AdamW { lr: 6e-3 },
-        lr_schedule: LrSchedule::WarmupCosine {
-            warmup: 5,
-            total: 60,
-            min_ratio: 0.1,
-        },
-        loss_scale: 1.0,
-        wire: DType::F32,
-        link: LinkModel::instant(),
-        recompute: false,
-        data: DataSource::Corpus(tokens.clone()),
-        faults: None,
-        comm: wp_comm::CommConfig::default(),
-        trace: weipipe::TraceConfig::off(),
-        metrics: weipipe::MetricsConfig::off(),
-        overlap: true,
-        transport: weipipe::TransportKind::InProcess,
-        w_lag: None,
-        chunks: None,
-        group: None,
-        resume: None,
-        start_iter: 0,
+    let mut setup = TrainSetup::tiny(4, 8);
+    setup.model = model.clone();
+    setup.seed = 1234;
+    setup.microbatch = 8;
+    setup.seq = 48;
+    setup.iters = 60;
+    setup.optim = OptimKind::AdamW { lr: 6e-3 };
+    setup.lr_schedule = LrSchedule::WarmupCosine {
+        warmup: 5,
+        total: 60,
+        min_ratio: 0.1,
     };
+    setup.data = DataSource::Corpus(tokens.clone());
 
     println!(
         "training {} params on 4 ranks with WeiPipe-Interleave…",
@@ -117,8 +98,7 @@ fn main() {
         out.bytes_sent as f64 / (1 << 20) as f64
     );
 
-    // Rebuild a Model from the trained parameters, checkpoint it, reload,
-    // and sample from the reloaded copy.
+    // Rebuild a Model from the trained parameters and sample from it.
     let trained = Model::from_parts(
         model.clone(),
         out.embed.clone(),
@@ -126,10 +106,6 @@ fn main() {
         out.head.clone(),
     )
     .expect("trained buffers match the config");
-    let ckpt = std::env::temp_dir().join("weipipe_char_lm.wpckpt");
-    wp_nn::checkpoint::save_model(&ckpt, &trained).expect("save checkpoint");
-    let trained = wp_nn::checkpoint::load_model(&ckpt).expect("load checkpoint");
-    println!("\ncheckpoint round-trip via {}", ckpt.display());
     let prompt = "weipipe is a ";
     let generated = generate_greedy(&trained, &vocab.encode(prompt), 60);
     println!("\nprompt:    {prompt:?}");

@@ -16,7 +16,6 @@ use wp_comm::LinkModel;
 use wp_nn::ModelConfig;
 use wp_sim::experiments::{run_cell, RowConfig};
 use wp_sim::{ClusterSpec, Link};
-use wp_tensor::DType;
 
 fn main() {
     // --- Part 1: paper-scale simulation --------------------------------
@@ -58,35 +57,16 @@ fn main() {
     // Above the §3 crossover (G·S = 2048 > 18·H·L/P = 576), so the weight
     // pipeline moves fewer bytes per microbatch than the activation pipe.
     println!("\n## Live: 4 ranks, links paced to 60 MB/s, H=32, S=256, G=8\n");
-    let model = ModelConfig::llama_like(32, 2, 4, 64, 256);
-    let setup = TrainSetup {
-        model,
-        seed: 9,
-        microbatch: 8,
-        seq: 256,
-        microbatches: 8,
-        iters: 1,
-        lr_schedule: wp_optim::LrSchedule::Constant,
-        loss_scale: 1.0,
-        optim: OptimKind::Sgd { lr: 0.1 },
-        wire: DType::F32,
-        link: LinkModel {
-            bandwidth_bps: 60e6,
-            latency_s: 2e-4,
-        },
-        recompute: false,
-        data: weipipe::DataSource::Synthetic,
-        faults: None,
-        comm: wp_comm::CommConfig::default(),
-        trace: weipipe::TraceConfig::off(),
-        metrics: weipipe::MetricsConfig::off(),
-        overlap: true,
-        transport: weipipe::TransportKind::InProcess,
-        w_lag: None,
-        chunks: None,
-        group: None,
-        resume: None,
-        start_iter: 0,
+    let mut setup = TrainSetup::tiny(4, 8);
+    setup.model = ModelConfig::llama_like(32, 2, 4, 64, 256);
+    setup.seed = 9;
+    setup.microbatch = 8;
+    setup.seq = 256;
+    setup.iters = 1;
+    setup.optim = OptimKind::Sgd { lr: 0.1 };
+    setup.link = LinkModel {
+        bandwidth_bps: 60e6,
+        latency_s: 2e-4,
     };
     for strategy in [Strategy::OneFOneB, Strategy::WeiPipeInterleave] {
         let t0 = Instant::now();

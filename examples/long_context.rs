@@ -8,39 +8,16 @@
 //! ```
 
 use weipipe::{run_distributed, OptimKind, Strategy, TrainSetup};
-use wp_comm::LinkModel;
 use wp_nn::ModelConfig;
 use wp_sched::analysis::crossover_ratio;
-use wp_tensor::DType;
 
 fn traffic_for(seq: usize, strategy: Strategy) -> u64 {
-    let model = ModelConfig::llama_like(32, 2, 4, 64, seq.max(64));
-    let setup = TrainSetup {
-        model,
-        seed: 3,
-        microbatch: 2,
-        seq,
-        microbatches: 4,
-        iters: 1,
-        lr_schedule: wp_optim::LrSchedule::Constant,
-        loss_scale: 1.0,
-        optim: OptimKind::Sgd { lr: 0.1 },
-        wire: DType::F32,
-        link: LinkModel::instant(),
-        recompute: false,
-        data: weipipe::DataSource::Synthetic,
-        faults: None,
-        comm: wp_comm::CommConfig::default(),
-        trace: weipipe::TraceConfig::off(),
-        metrics: weipipe::MetricsConfig::off(),
-        overlap: true,
-        transport: weipipe::TransportKind::InProcess,
-        w_lag: None,
-        chunks: None,
-        group: None,
-        resume: None,
-        start_iter: 0,
-    };
+    let mut setup = TrainSetup::tiny(4, 4);
+    setup.model = ModelConfig::llama_like(32, 2, 4, 64, seq.max(64));
+    setup.seed = 3;
+    setup.seq = seq;
+    setup.iters = 1;
+    setup.optim = OptimKind::Sgd { lr: 0.1 };
     run_distributed(strategy, 4, &setup)
         .expect("healthy world")
         .bytes_sent

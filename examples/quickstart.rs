@@ -19,9 +19,8 @@
 //! bit-identically to an unmetered one.
 
 use weipipe::{run_distributed, run_single, OptimKind, Strategy, TrainSetup};
-use wp_comm::{FaultPlan, LinkModel};
+use wp_comm::FaultPlan;
 use wp_nn::ModelConfig;
-use wp_tensor::DType;
 
 fn main() {
     let args: Vec<String> = std::env::args().collect();
@@ -37,43 +36,22 @@ fn main() {
     // A 4-layer model small enough to train on threads in seconds, but
     // structurally a real Llama block stack (RMSNorm, RoPE attention,
     // SwiGLU FFN, tied causal-LM loss).
-    let model = ModelConfig::llama_like(32, 2, 4, 64, 64);
-    let setup = TrainSetup {
-        model,
-        seed: 7,
-        microbatch: 2,
-        seq: 16,
-        microbatches: 8,
-        iters: 8,
-        lr_schedule: wp_optim::LrSchedule::Constant,
-        loss_scale: 1.0,
-        optim: OptimKind::AdamW { lr: 3e-3 },
-        wire: DType::F32,
-        link: LinkModel::instant(),
-        recompute: false,
-        data: weipipe::DataSource::Synthetic,
-        faults: trace_out
-            .is_some()
-            .then(|| FaultPlan::new(7).with_delay_jitter(std::time::Duration::from_micros(40))),
-        comm: wp_comm::CommConfig::default(),
-        trace: if trace_out.is_some() {
-            weipipe::TraceConfig::on()
-        } else {
-            weipipe::TraceConfig::off()
-        },
-        metrics: if metrics_out.is_some() {
-            weipipe::MetricsConfig::on()
-        } else {
-            weipipe::MetricsConfig::off()
-        },
-        overlap: true,
-        transport: weipipe::TransportKind::InProcess,
-        w_lag: None,
-        chunks: None,
-        group: None,
-        resume: None,
-        start_iter: 0,
-    };
+    let mut setup = TrainSetup::tiny(4, 8);
+    setup.model = ModelConfig::llama_like(32, 2, 4, 64, 64);
+    setup.seed = 7;
+    setup.seq = 16;
+    setup.iters = 8;
+    setup.optim = OptimKind::AdamW { lr: 3e-3 };
+    if trace_out.is_some() {
+        setup = setup
+            .with_fault_plan(
+                FaultPlan::new(7).with_delay_jitter(std::time::Duration::from_micros(40)),
+            )
+            .with_trace(weipipe::TraceConfig::on());
+    }
+    if metrics_out.is_some() {
+        setup = setup.with_metrics(weipipe::MetricsConfig::on());
+    }
 
     println!("training 4-layer model on 4 ranks with WeiPipe-Interleave…\n");
     let wp = run_distributed(Strategy::WeiPipeInterleave, 4, &setup).expect("healthy world");

@@ -56,20 +56,16 @@ fn main() {
         .and_then(|v| v.parse().ok())
         .unwrap_or(8);
 
-    let group: Option<usize> = if strategy == Strategy::WeiPipeHier {
-        Some(
-            arg(&args, "--group")
-                .and_then(|v| v.parse().ok())
-                .unwrap_or_else(|| (ranks / 2).max(2)),
-        )
-    } else {
-        None
-    };
+    let group: Option<usize> = (strategy == Strategy::WeiPipeHier).then(|| {
+        arg(&args, "--group")
+            .and_then(|v| v.parse().ok())
+            .unwrap_or_else(|| (ranks / 2).max(2))
+    });
 
-    let mut spec = PipelineSpec::new(ranks, n);
-    if let Some(g) = group {
-        spec = spec.with_group(g);
-    }
+    let spec = PipelineSpec {
+        knob: group,
+        ..PipelineSpec::new(ranks, n)
+    };
     let sched = build(strategy, spec);
     validate(&sched).expect("schedule is valid");
     let st = sched.stats();
