@@ -63,9 +63,10 @@ fn median_secs(reps: usize, mut f: impl FnMut()) -> f64 {
 
 /// What a run must reach, as `(bound, floor)`, in the order `main` measures
 /// the shares. The kernel and SwiGLU floors are 0.8 × the lowest of ten
-/// runs on the AVX-512 reference host (`results/kernels.txt`), where its
-/// AVX2 build (matmul 0.29–0.34) and pointwise bodies left outside the ISA
-/// wrapper (SwiGLU 0.07) fail them; the wire floors sit far above a scalar
+/// runs on the AVX-512 reference host, raised only when a later ten-run
+/// minimum (`results/kernels.txt`) puts 0.8 × it above them; there its AVX2
+/// build (matmul 0.25–0.34) and pointwise bodies left outside the ISA
+/// wrapper (SwiGLU 0.07) fail them. The wire floors sit far above a scalar
 /// loop's 0.06.
 const FLOORS: [(&str, f64); 5] = [
     ("kernels.matmul_ceiling_share", 0.36),

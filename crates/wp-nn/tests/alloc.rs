@@ -145,7 +145,7 @@ fn warm_parallel_block() {
         };
     };
 
-    // Each pool thread allocates its matmul pack buffers on its first
+    // Each pool thread allocates its matmul pack buffer on its first
     // product. Which threads claim a band is up to the pool, so run a 1×1
     // product on every one of them first: `T` tasks that each wait for all
     // `T` to have started can only be running on `T` distinct threads.

@@ -8,15 +8,17 @@
 //! plus a leading dimension, so a caller can aim it at a column slice of a
 //! `[G·S, H]` activation buffer.
 //!
-//! **Blocking.** The classic three-level scheme: for each `NC`-wide column
-//! block and each `KC`-deep slice of the inner dimension, `B` is packed once
-//! into `NR`-column panels (`[p][NR]`, zero-padded); inside, each `MC`-row
-//! block of `A` is packed into `MR`-row panels (`[p][MR]`); the micro-kernel
-//! then multiplies one `A` panel by one `B` panel into an `MR×NR` register
-//! tile and adds the tile to `C`. Packing makes the micro-kernel's loads
-//! contiguous whatever the operand strides were, and the two pack buffers
-//! (192 KiB together) are thread-local and allocated at their full block
-//! size on a thread's first call, so the warm path never touches the heap.
+//! **Blocking.** For each `NC`-wide column block and each `KC`-deep slice of
+//! the inner dimension, `B` is packed once into `NR`-column panels
+//! (`[p][NR]`, zero-padded); under each `B` panel the micro-kernel sweeps
+//! every `MR`-row panel of `A`, multiplying it into an `MR×NR` register tile
+//! and adding the tile to `C`. `A` is read where it lies: a tile takes `MR`
+//! row pointers into `A` that step by `A`'s column stride, and broadcasts one
+//! element per row per inner index. Only `B` is packed, so its loads are
+//! contiguous whatever its strides were, and its one pack buffer (128 KiB) is
+//! thread-local and allocated at full block size on a thread's first call,
+//! so the warm path never touches the heap. Rows past `m` in the last panel
+//! re-read row `m − 1` and their sums are dropped.
 //!
 //! **Determinism.** Within one `KC` block every `C` element is
 //! `acc = 0; for p ascending { acc = fma(a, b, acc) }; c += acc` — a strictly
@@ -49,27 +51,23 @@ use std::cell::{Cell, RefCell};
 /// summation order (see the module docs).
 pub const KC: usize = 256;
 /// Rows of the register tile (every instantiation).
-pub const MR: usize = 4;
-/// Rows of `A` packed at a time: `MC·KC` floats stay L2-resident.
-const MC: usize = 64;
+pub const MR: usize = 6;
 /// Columns of `B` packed at a time; a multiple of every instantiation's `NR`.
 const NC: usize = 128;
 
 /// A product's `(m, n, k)`.
 type Dims = (usize, usize, usize);
-/// A thread's `A` and `B` pack buffers (`MC·KC` and `KC·NC` floats).
-type Pack = (Vec<f32>, Vec<f32>);
 
 /// The instantiations of the one generic body that [`gemm`] picks among,
 /// slowest first, by their `MR×NR` register tile. All compute the same bits.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 pub enum Isa {
-    /// 4×8 for the baseline ISA: two 128-bit lanes per row.
+    /// 6×8 for the baseline ISA: two 128-bit lanes per row.
     Portable,
-    /// 4×16 under `avx2,fma`: eight 256-bit accumulators, leaving registers
+    /// 6×16 under `avx2,fma`: twelve 256-bit accumulators, leaving registers
     /// for the `B` row and the `A` broadcast.
     Avx2Fma,
-    /// 4×32 under `avx512f,fma`: eight of its thirty-two 512-bit registers.
+    /// 6×32 under `avx512f,fma`: twelve of its thirty-two 512-bit registers.
     Avx512Fma,
 }
 
@@ -120,8 +118,9 @@ impl<'a> MatRef<'a> {
 }
 
 thread_local! {
-    /// This thread's pack buffers, allocated on its first product.
-    static PACK: RefCell<Pack> = const { RefCell::new((Vec::new(), Vec::new())) };
+    /// This thread's `B` pack buffer (`KC·NC` floats), allocated on its
+    /// first product.
+    static PACK: RefCell<Vec<f32>> = const { RefCell::new(Vec::new()) };
     /// The fastest instantiation [`gemm`] may pick on this thread.
     static CAP: Cell<Isa> = const { Cell::new(Isa::Avx512Fma) };
 }
@@ -196,9 +195,8 @@ pub unsafe fn gemm(c: *mut f32, ldc: usize, a: MatRef, b: MatRef, m: usize, n: u
     a.check(m, k, "A");
     b.check(k, n, "B");
     PACK.with_borrow_mut(|pack| {
-        if pack.0.is_empty() {
-            pack.0.resize(MC * KC, 0.0);
-            pack.1.resize(KC * NC, 0.0);
+        if pack.is_empty() {
+            pack.resize(KC * NC, 0.0);
         }
         let dims = (m, n, k);
         // SAFETY: `isa()` only returns an instantiation this CPU offers; C
@@ -262,7 +260,7 @@ unsafe fn in_avx2<R>(f: impl FnOnce() -> R) -> R {
 }
 
 /// The blocked loop nest around [`micro_kernel`]. Same safety contract as
-/// [`gemm`]; `pack` holds full-size buffers.
+/// [`gemm`]; `a` and `b` passed their `check`s and `buf` is full size.
 #[inline(always)]
 unsafe fn gemm_blocked<const NR: usize>(
     c: *mut f32,
@@ -270,36 +268,38 @@ unsafe fn gemm_blocked<const NR: usize>(
     a: MatRef,
     b: MatRef,
     (m, n, k): Dims,
-    (ap, bp): &mut Pack,
+    buf: &mut [f32],
 ) {
     for jc in (0..n).step_by(NC) {
         let nc = NC.min(n - jc);
         for pc in (0..k).step_by(KC) {
             let kc = KC.min(k - pc);
-            let bp = &mut bp[..nc.div_ceil(NR) * NR * kc];
-            pack::<NR>(bp, b.data, (b.cs, b.rs), (jc, nc), (pc, kc));
-            for ic in (0..m).step_by(MC) {
-                let mc = MC.min(m - ic);
-                let ap = &mut ap[..mc.div_ceil(MR) * MR * kc];
-                pack::<MR>(ap, a.data, (a.rs, a.cs), (ic, mc), (pc, kc));
-                for (jr, b_panel) in bp.chunks_exact(NR * kc).enumerate() {
-                    let j0 = jc + jr * NR;
-                    let nr = NR.min(n - j0);
-                    for (ir, a_panel) in ap.chunks_exact(MR * kc).enumerate() {
-                        let i0 = ic + ir * MR;
-                        let acc = micro_kernel::<NR>(a_panel, b_panel);
-                        for (i, acc_row) in acc.iter().enumerate() {
-                            if i0 + i < m {
-                                // SAFETY: row `i0 + i < m`, columns
-                                // `j0..j0 + nr` with `j0 + nr <= n`: inside
-                                // the region the caller vouched for.
-                                let c_row = unsafe {
-                                    std::slice::from_raw_parts_mut(c.add((i0 + i) * ldc + j0), nr)
-                                };
-                                for (cj, aj) in c_row.iter_mut().zip(acc_row) {
-                                    *cj += aj;
-                                }
-                            }
+            let bp = &mut buf[..nc.div_ceil(NR) * NR * kc];
+            pack::<NR>(bp, b, (jc, nc), (pc, kc));
+            for (jr, b_panel) in bp.chunks_exact(NR * kc).enumerate() {
+                let j0 = jc + jr * NR;
+                let nr = NR.min(n - j0);
+                for i0 in (0..m).step_by(MR) {
+                    // Rows past `m` re-read row `m − 1`; their sums are
+                    // dropped below.
+                    let rows = std::array::from_fn(|r| {
+                        let i = (i0 + r).min(m - 1);
+                        debug_assert!(i < m && pc + kc <= k, "A row {i} is outside the view");
+                        // SAFETY: `(i, pc)` lies inside the view `a.check`
+                        // validated.
+                        unsafe { a.data.as_ptr().add(i * a.rs + pc * a.cs) }
+                    });
+                    // SAFETY: so do `(i, pc..pc + kc)`, each row's `kc`
+                    // elements.
+                    let acc = unsafe { micro_kernel::<NR>(rows, a.cs, b_panel) };
+                    for (i, acc_row) in (i0..m).zip(&acc) {
+                        // SAFETY: row `i < m`, columns `j0..j0 + nr` with
+                        // `j0 + nr <= n`: inside the region the caller
+                        // vouched for.
+                        let c_row =
+                            unsafe { std::slice::from_raw_parts_mut(c.add(i * ldc + j0), nr) };
+                        for (cj, aj) in c_row.iter_mut().zip(acc_row) {
+                            *cj += aj;
                         }
                     }
                 }
@@ -308,13 +308,24 @@ unsafe fn gemm_blocked<const NR: usize>(
     }
 }
 
-/// One register tile: `acc[i][j] = Σ_p a_panel[p][i] · b_panel[p][j]`, `p`
-/// ascending, one fused multiply-add per term.
+/// One register tile: `acc[i][j] = Σ_p A(i, p) · b_panel[p][j]`, `p`
+/// ascending, one fused multiply-add per term, with `A(i, p)` at
+/// `rows[i] + p·cs`.
+///
+/// # Safety
+/// For every `i < MR` and `p < b_panel.len() / NR`, `rows[i].add(p·cs)` must
+/// be valid for reads.
 #[inline(always)]
-fn micro_kernel<const NR: usize>(a_panel: &[f32], b_panel: &[f32]) -> [[f32; NR]; MR] {
+unsafe fn micro_kernel<const NR: usize>(
+    rows: [*const f32; MR],
+    cs: usize,
+    b_panel: &[f32],
+) -> [[f32; NR]; MR] {
     let mut acc = [[0.0f32; NR]; MR];
-    for (a, b) in a_panel.chunks_exact(MR).zip(b_panel.chunks_exact(NR)) {
-        for (acc_row, &ai) in acc.iter_mut().zip(a) {
+    for (p, b) in b_panel.chunks_exact(NR).enumerate() {
+        for (acc_row, row) in acc.iter_mut().zip(rows) {
+            // SAFETY: per this function's contract.
+            let ai = unsafe { *row.add(p * cs) };
             for (x, &bj) in acc_row.iter_mut().zip(b) {
                 *x = ai.mul_add(bj, *x);
             }
@@ -323,45 +334,42 @@ fn micro_kernel<const NR: usize>(a_panel: &[f32], b_panel: &[f32]) -> [[f32; NR]
     acc
 }
 
-/// Pack the `len`-long run of vectors starting at `start` — rows of `A`, or
-/// columns of `B` — over inner indices `p0..p0 + kc` into `W`-wide panels:
-/// panel `q` holds vectors `start + q·W ..`, laid out `[p][W]` and
-/// zero-padded to `W`. `vs` is the stride between vectors, `ps` the stride
-/// along the inner dimension.
+/// Pack columns `j0..j0 + nc` of `b` over inner indices `p0..p0 + kc` into
+/// `W`-wide panels: panel `q` holds columns `j0 + q·W ..`, laid out `[p][W]`
+/// and zero-padded to `W`.
 #[inline(always)]
 fn pack<const W: usize>(
     dst: &mut [f32],
-    src: &[f32],
-    (vs, ps): (usize, usize),
-    (start, len): (usize, usize),
+    b: MatRef,
+    (j0, nc): (usize, usize),
     (p0, kc): (usize, usize),
 ) {
     for (q, panel) in dst.chunks_exact_mut(W * kc).enumerate() {
-        let v0 = start + q * W;
-        let w = W.min(start + len - v0);
-        if w == W && vs == 1 {
-            // The panel's vectors are adjacent in memory: one W-float copy
+        let v0 = j0 + q * W;
+        let w = W.min(j0 + nc - v0);
+        if w == W && b.cs == 1 {
+            // The panel's columns are adjacent in memory: one W-float copy
             // per inner index.
             for (p, row) in panel.chunks_exact_mut(W).enumerate() {
-                let at = (p0 + p) * ps + v0;
-                row.copy_from_slice(&src[at..at + W]);
+                let at = (p0 + p) * b.rs + v0;
+                row.copy_from_slice(&b.data[at..at + W]);
             }
-        } else if w == W && ps == 1 {
-            // Each vector is contiguous along the inner dimension: a W-way
-            // interleave (shuffles, for the four-wide `A` panels).
-            let vecs: [&[f32]; W] = std::array::from_fn(|v| &src[(v0 + v) * vs + p0..][..kc]);
+        } else if w == W && b.rs == 1 {
+            // Each column is contiguous along the inner dimension: a W-way
+            // interleave.
+            let cols: [&[f32]; W] = std::array::from_fn(|v| &b.data[(v0 + v) * b.cs + p0..][..kc]);
             for (p, row) in panel.chunks_exact_mut(W).enumerate() {
-                for (x, vec) in row.iter_mut().zip(&vecs) {
-                    *x = vec[p];
+                for (x, col) in row.iter_mut().zip(&cols) {
+                    *x = col[p];
                 }
             }
         } else {
             // Ragged last panel, or strides in both directions.
             panel.fill(0.0);
             for v in 0..w {
-                let base = (v0 + v) * vs + p0 * ps;
+                let base = (v0 + v) * b.cs + p0 * b.rs;
                 for p in 0..kc {
-                    panel[p * W + v] = src[base + p * ps];
+                    panel[p * W + v] = b.data[base + p * b.rs];
                 }
             }
         }
@@ -370,12 +378,12 @@ fn pack<const W: usize>(
 
 #[cfg(test)]
 mod tests {
-    use super::super::matmul::tests::{blocked_ref, rand, DEPTHS, LAYOUTS, SIZES};
+    use super::super::matmul::tests::{blocked_ref, rand, View, DEPTHS, LAYOUTS, SIZES};
     use super::*;
 
-    #[test]
-    fn every_instantiation_matches_the_blocked_reference_bit_for_bit() {
-        let offered: Vec<Isa> = [Isa::Portable, Isa::Avx2Fma, Isa::Avx512Fma]
+    /// The instantiations this host offers, slowest first.
+    fn offered() -> Vec<Isa> {
+        [Isa::Portable, Isa::Avx2Fma, Isa::Avx512Fma]
             .into_iter()
             .filter(|&want| {
                 let here = force_isa(want, isa) == want;
@@ -384,7 +392,37 @@ mod tests {
                 }
                 here
             })
-            .collect();
+            .collect()
+    }
+
+    fn view((data, rs, cs): View) -> MatRef {
+        MatRef { data, rs, cs }
+    }
+
+    /// Run `C += A·B` on every offered instantiation and hold each to
+    /// [`blocked_ref`] bit for bit, `C`'s padding columns included.
+    fn holds_every_instantiation(
+        what: &str,
+        (a, b): (View, View),
+        c0: &[f32],
+        ldc: usize,
+        (m, n, k): Dims,
+    ) {
+        let mut want = c0.to_vec();
+        blocked_ref(&mut want, ldc, a, b, m, n, k);
+        let bits = |c: &[f32]| c.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        for which in offered() {
+            let mut got = c0.to_vec();
+            // SAFETY: `got` holds `m` rows of `ldc >= n` floats.
+            force_isa(which, || unsafe {
+                gemm(got.as_mut_ptr(), ldc, view(a), view(b), m, n, k)
+            });
+            assert!(bits(&got) == bits(&want), "{which:?} {what} ({m},{k},{n})");
+        }
+    }
+
+    #[test]
+    fn every_instantiation_matches_the_blocked_reference_bit_for_bit() {
         // Every layout's strides over the ragged grid; C starts non-zero.
         for (name, _, a_strides, b_strides) in LAYOUTS {
             for m in SIZES {
@@ -392,26 +430,56 @@ mod tests {
                     for k in DEPTHS {
                         let (a, b, c0) = (rand(m * k, 1), rand(k * n, 2), rand(m * n, 3));
                         let ((ars, acs), (brs, bcs)) = (a_strides(m, k), b_strides(k, n));
-                        let mut want = c0.clone();
-                        blocked_ref(&mut want, n, (&a, ars, acs), (&b, brs, bcs), m, n, k);
-                        let av = MatRef {
-                            data: &a,
-                            rs: ars,
-                            cs: acs,
-                        };
-                        let bv = MatRef {
-                            data: &b,
-                            rs: brs,
-                            cs: bcs,
-                        };
-                        for &which in &offered {
-                            let mut got = c0.clone();
-                            // SAFETY: `got` holds `m` rows of `n` floats.
-                            force_isa(which, || unsafe {
-                                gemm(got.as_mut_ptr(), n, av, bv, m, n, k)
-                            });
-                            assert!(got == want, "{which:?} {name} ({m},{k},{n})");
+                        let views = ((&a[..], ars, acs), (&b[..], brs, bcs));
+                        holds_every_instantiation(name, views, &c0, n, (m, n, k));
+                    }
+                }
+            }
+        }
+    }
+
+    /// A `rows × cols` operand, stored row-major when its dense layout's
+    /// column stride is 1 and column-major otherwise, embedded in NaN: its
+    /// leading dimension three longer and two more lines of it past the last,
+    /// so a read outside the view puts a NaN into a sum.
+    fn in_nan_slack(
+        rows: usize,
+        cols: usize,
+        (_, dense_cs): (usize, usize),
+        seed: u64,
+    ) -> (Vec<f32>, usize, usize) {
+        let (lines, ld, rs, cs) = if dense_cs == 1 {
+            (rows, cols + 3, cols + 3, 1)
+        } else {
+            (cols, rows + 3, 1, rows + 3)
+        };
+        let mut data = vec![f32::NAN; (lines + 2) * ld];
+        let mut vals = rand(rows * cols, seed).into_iter();
+        for i in 0..rows {
+            for j in 0..cols {
+                data[i * rs + j * cs] = vals.next().unwrap();
+            }
+        }
+        (data, rs, cs)
+    }
+
+    #[test]
+    fn reads_nothing_outside_its_operands_views() {
+        // Row padding, rows past `m` and columns past the view all hold NaN,
+        // and so do C's padding columns, which must come back untouched.
+        for (name, _, a_strides, b_strides) in LAYOUTS {
+            for m in [1, 2, 3, 4, 5, 6, 7, 13, 131] {
+                for n in [1, 33] {
+                    for k in DEPTHS {
+                        let (a, ars, acs) = in_nan_slack(m, k, a_strides(m, k), 1);
+                        let (b, brs, bcs) = in_nan_slack(k, n, b_strides(k, n), 2);
+                        let ldc = n + 2;
+                        let mut c0 = rand(m * ldc, 3);
+                        for row in c0.chunks_exact_mut(ldc) {
+                            row[n..].fill(f32::NAN);
                         }
+                        let views = ((&a[..], ars, acs), (&b[..], brs, bcs));
+                        holds_every_instantiation(name, views, &c0, ldc, (m, n, k));
                     }
                 }
             }

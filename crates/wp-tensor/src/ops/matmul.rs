@@ -11,16 +11,16 @@
 //! zero-initialised forward case a trivial caller-side `fill(0.0)`.
 //!
 //! Parallelism: rows of `C` are independent, so a large product is split
-//! into one band of whole `A` blocks per pool thread through
+//! into one band of whole register-tile row panels per pool thread through
 //! [`par_row_bands`] like every other kernel; the kernel's bits do not
 //! depend on where a band starts.
 
-use super::gemm::{gemm, MatRef};
+use super::gemm::{gemm, MatRef, MR};
 use super::par::{par_row_bands, RawMut, PAR_MIN_WORK};
 
 /// Fewest rows in a parallel band: a multiple of the kernel's `MR`, and
 /// tall enough that packing `B` is a small part of the band's arithmetic.
-const MIN_BAND_ROWS: usize = 64;
+const MIN_BAND_ROWS: usize = 11 * MR;
 
 /// Accumulator lanes of [`dot`]. Eight f32 lanes fill one AVX2 register and
 /// give the compiler a reduction it can keep entirely in SIMD.
