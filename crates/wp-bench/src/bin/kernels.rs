@@ -5,9 +5,10 @@
 //! and streaming attention forward/backward, all at the repo benchmark's
 //! `longctx` shape (H128, S1024, 4 heads), on one core (`force_sequential`),
 //! and prints GFLOP/s beside an in-process ceiling: independent fused
-//! multiply-add chains held in registers, compiled under the same
-//! `#[target_feature]` as the `gemm` instantiation this host picks, with
-//! enough vector chains to cover FMA latency on two ports.
+//! multiply-add chains held in registers, run through `gemm::with_isa` so
+//! they compile for the `gemm` instantiation this host picks, with enough
+//! vector chains to cover FMA latency on two ports. The header's `f16c` is
+//! whether `pack_f16` / `unpack_f16` run F16C: on any tier but the portable.
 //! `matmul_ceiling_share` and `attn_ceiling_share` — the slowest layout and
 //! the slower attention direction as a share of that ceiling — have floors
 //! in [`FLOORS`], so a kernel that silently falls back to a narrower build
@@ -103,14 +104,15 @@ impl Ceiling {
 
     /// GFLOP/s of one run of the loop.
     fn gflops(&self) -> f64 {
-        let secs = secs(|| match self.isa {
-            // SAFETY: `gemm::isa` only names an instantiation this CPU offers.
-            #[cfg(target_arch = "x86_64")]
-            Isa::Avx512Fma => unsafe { fma_chains_avx512() },
-            // SAFETY: as above.
-            #[cfg(target_arch = "x86_64")]
-            Isa::Avx2Fma => unsafe { fma_chains_avx2() },
-            _ => fma_chains::<{ CHAINS * 4 }>(),
+        let secs = secs(|| {
+            gemm::with_isa(
+                #[inline(always)]
+                || match self.isa {
+                    Isa::Avx512Fma => fma_chains::<{ CHAINS * 16 }>(),
+                    Isa::Avx2Fma => fma_chains::<{ CHAINS * 8 }>(),
+                    Isa::Portable => fma_chains::<{ CHAINS * 4 }>(),
+                },
+            )
         });
         (2 * CHAINS * self.lanes * ITERS) as f64 / secs / 1e9
     }
@@ -131,7 +133,7 @@ impl Ceiling {
 }
 
 /// The ceiling loop over `CHAINS` vectors of `LANES / CHAINS` lanes;
-/// inlined into each wrapper below so it compiles for that wrapper's ISA,
+/// inlined into `with_isa`'s wrapper so it compiles for that wrapper's ISA,
 /// as `gemm`'s body does.
 #[inline(always)]
 fn fma_chains<const LANES: usize>() {
@@ -143,18 +145,6 @@ fn fma_chains<const LANES: usize>() {
         }
     }
     black_box(acc);
-}
-
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx512f,fma")]
-unsafe fn fma_chains_avx512() {
-    fma_chains::<{ CHAINS * 16 }>()
-}
-
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx2,fma")]
-unsafe fn fma_chains_avx2() {
-    fma_chains::<{ CHAINS * 8 }>()
 }
 
 fn rand(n: usize, seed: u64) -> Vec<f32> {
@@ -270,7 +260,7 @@ fn main() {
         cfg.heads,
         rayon::current_num_threads(),
         gemm::isa(),
-        wp_tensor::dtype::uses_f16c(),
+        gemm::isa() != Isa::Portable,
     );
     let peak = Ceiling::new();
     let ceiling = median((0..reps).map(|_| peak.gflops()).collect());

@@ -44,18 +44,16 @@ fn main() {
     );
     let out = run_distributed(strategy, ranks, &setup).expect("healthy world");
     let trace = out.trace.as_ref().expect("tracing was enabled");
+    let schedule = weipipe::build_schedule(strategy, ranks, &setup);
     print_against_sim(
         &format!("Measured vs simulated — {strategy:?}, P={ranks}"),
         trace,
-        strategy,
-        microbatches,
-        overlap,
+        &schedule,
     );
     // Rank threads share one clock, so cross-rank causality is exact: every
     // compute span must start after the spans the schedule's dependency
     // graph puts before it have ended.
     let causal = if validate {
-        let schedule = weipipe::build_schedule(strategy, ranks, &setup);
         let graph = wp_sched::DepGraph::build(&schedule).expect("the runtime validated it");
         wp_sim::check_timeline(&graph, &wp_sim::measured_result(trace))
             .map(|()| {

@@ -10,7 +10,7 @@
 //! drift report the `trace` binary and the `ranks` launcher print
 //! ([`print_against_sim`]).
 
-use wp_sched::{build, PipelineSpec, Strategy};
+use wp_sched::Schedule;
 use wp_sim::{
     measured_result, render::ascii_timeline, simulate, ClusterSpec, CostModel, GpuSpec, ModelDims,
     SimOptions, SimResult,
@@ -210,32 +210,28 @@ pub fn drift_report(title: &str, sim: &SimResult, measured: &SimResult) -> Strin
     out
 }
 
-/// Print the drift report of a measured `trace` (one track per rank)
-/// against the simulator's timing of the *same schedule IR* — `strategy`
-/// over `microbatches` with the `overlap`ped or blocking ring, on A800s:
-/// the truncation warning if the trace lost spans, both ASCII timelines,
-/// then the side-by-side report under `title`.
-pub fn print_against_sim(
-    title: &str,
-    trace: &Trace,
-    strategy: Strategy,
-    microbatches: usize,
-    overlap: bool,
-) {
-    let ranks = trace.tracks.len();
-    let measured = measured_result(trace);
-    let spec = PipelineSpec::new(ranks, microbatches)
-        .without_recompute()
-        .with_overlap(overlap);
-    let sched = build(strategy, spec);
-    let dims = ModelDims::paper(1024, ranks, 4096, microbatches);
-    let cost = CostModel::for_schedule(dims, GpuSpec::a800(), &sched);
+/// The simulator's timing of `sched` on A800s over NVLink, one node of
+/// `sched.ranks` GPUs: the simulated side of every drift report.
+pub fn simulate_on_a800(sched: &Schedule) -> SimResult {
+    let ranks = sched.ranks;
+    let dims = ModelDims::paper(1024, ranks, 4096, sched.microbatches);
+    let cost = CostModel::for_schedule(dims, GpuSpec::a800(), sched);
     let cluster = ClusterSpec {
         ranks,
         node_size: ranks,
         ..ClusterSpec::nvlink_16()
     };
-    let sim = simulate(&sched, &cost, &cluster, SimOptions::default()).expect("fits");
+    simulate(sched, &cost, &cluster, SimOptions::default()).expect("fits")
+}
+
+/// Print the drift report of a measured `trace` (one track per rank)
+/// against the simulator's timing of `sched`, the schedule the run
+/// executed ([`simulate_on_a800`]): the truncation warning if the trace
+/// lost spans, both ASCII timelines, then the side-by-side report under
+/// `title`.
+pub fn print_against_sim(title: &str, trace: &Trace, sched: &Schedule) {
+    let measured = measured_result(trace);
+    let sim = simulate_on_a800(sched);
 
     if let Some(warn) = truncation_warning(trace) {
         eprintln!("{warn}\n");
@@ -379,6 +375,37 @@ mod tests {
         }
         let warn = truncation_warning(&c.snapshot()).expect("overwritten ring must warn");
         assert!(warn.contains("rank 0 dropped 5"), "got: {warn}");
+    }
+
+    #[test]
+    fn the_simulated_side_prices_the_schedule_the_run_executed() {
+        // A checkpointed run with a knob: FSDP over four chunks, where the
+        // default is one per rank.
+        let strategy = wp_sched::Strategy::Fsdp;
+        let mut setup = weipipe::TrainSetup::tiny(4, 4).with_knob(4);
+        setup.recompute = true;
+        let sched = weipipe::build_schedule(strategy, 2, &setup);
+        assert!(sched.recompute && sched.chunks == 4);
+        let busy = |s: &Schedule| -> f64 { simulate_on_a800(s).busy.iter().sum() };
+        let forwards = |s: &Schedule| {
+            let sim = simulate_on_a800(s);
+            sim.timeline
+                .iter()
+                .flatten()
+                .filter(|o| o.class == 'F')
+                .count()
+        };
+        // One simulated forward per forward op of this schedule, which the
+        // default knob's schedule does not have.
+        assert_eq!(forwards(&sched), sched.stats().fwd);
+        let default = wp_sched::build(strategy, wp_sched::PipelineSpec::new(2, 4));
+        assert_ne!(forwards(&default), sched.stats().fwd);
+        // And its checkpointed backwards are priced with their forward re-run.
+        let without = Schedule {
+            recompute: false,
+            ..sched.clone()
+        };
+        assert!(busy(&sched) > busy(&without));
     }
 
     #[test]

@@ -70,6 +70,7 @@ pub fn err_kind(e: &CommError) -> &'static str {
         CommError::Aborted { .. } => "aborted",
         CommError::InvalidTag { .. } => "invalid-tag",
         CommError::MembershipMismatch { .. } => "membership-mismatch",
+        CommError::FrameTooLarge { .. } => "frame-too-large",
     }
 }
 

@@ -597,9 +597,7 @@ fn run_epochs(
                             world.strategy, world.ranks
                         ),
                         &trace,
-                        world.strategy,
-                        world.microbatches,
-                        world.overlap,
+                        &weipipe::build_schedule(world.strategy, world.ranks, &world.setup()),
                     );
                     violations.extend(export_chrome_trace(&trace, true, Some(path)).err());
                 }

@@ -17,6 +17,8 @@
 //! * [`CommError::MembershipMismatch`] — survivors of a fault proposed
 //!   conflicting views of the shrunk world during the elastic
 //!   reconfiguration handshake.
+//! * [`CommError::FrameTooLarge`] — a send larger than one frame of the
+//!   transport carries, refused on the sending rank before it ships.
 
 use std::fmt;
 
@@ -66,6 +68,15 @@ pub enum CommError {
         /// Human-readable description of the disagreement.
         detail: String,
     },
+    /// A send's payload is larger than one frame of the transport carries.
+    FrameTooLarge {
+        /// The rank the payload was for.
+        dst: usize,
+        /// The payload's wire bytes.
+        bytes: u64,
+        /// The most wire bytes one frame carries.
+        limit: u64,
+    },
 }
 
 impl fmt::Display for CommError {
@@ -92,6 +103,10 @@ impl fmt::Display for CommError {
             CommError::MembershipMismatch { rank, detail } => {
                 write!(f, "membership disagreement with rank {rank}: {detail}")
             }
+            CommError::FrameTooLarge { dst, bytes, limit } => write!(
+                f,
+                "a {bytes}-byte payload for rank {dst} exceeds the {limit}-byte frame limit"
+            ),
         }
     }
 }

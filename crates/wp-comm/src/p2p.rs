@@ -361,8 +361,14 @@ impl Communicator {
         assert!(dst < self.world, "dst {dst} out of range");
         assert_ne!(dst, self.rank, "self-send is not supported");
         self.precheck()?;
+        let bytes = (data.len() * dtype.size_bytes()) as u64;
+        let limit = self.transport.max_payload_bytes();
+        if bytes > limit {
+            let e = CommError::FrameTooLarge { dst, bytes, limit };
+            self.fail(&e);
+            return Err(e);
+        }
         let payload = Payload::pack(data, dtype);
-        let bytes = payload.wire_bytes();
         let mut deliver_at = if self.link.is_instant() {
             None
         } else {

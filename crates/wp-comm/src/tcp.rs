@@ -39,7 +39,7 @@ use crate::error::CommError;
 use crate::transport::{AbortCell, Frame, RecvWait, Transport, TransportClosed};
 use codec::{
     put_u32, read_frame, write_abort, write_data, Cursor, Incoming, GOODBYE_FRAME, MAGIC,
-    PROTO_VERSION,
+    MAX_DATA_PAYLOAD, PROTO_VERSION,
 };
 use std::io::{Read, Write};
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
@@ -301,6 +301,10 @@ impl Transport for TcpTransport {
             );
         }
         Ok(())
+    }
+
+    fn max_payload_bytes(&self) -> u64 {
+        MAX_DATA_PAYLOAD as u64
     }
 
     fn recv_timeout(&mut self, src: usize, timeout: Duration) -> RecvWait {

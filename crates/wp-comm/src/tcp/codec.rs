@@ -38,9 +38,10 @@ pub(super) const MAGIC: u32 = 0x5750_5452;
 /// Version 2 added the per-frame configuration epoch to the DATA body and
 /// the MembershipMismatch error variant; version 3 replaced the DATA
 /// body's `wire_bytes` field and f32-widened payload with a dtype byte and
-/// the packed wire bytes. Mixed-version meshes are rejected at HELLO time
-/// rather than mis-parsed mid-stream.
-pub(super) const PROTO_VERSION: u8 = 3;
+/// the packed wire bytes; version 4 added the FrameTooLarge error variant.
+/// Mixed-version meshes are rejected at HELLO time rather than mis-parsed
+/// mid-stream.
+pub(super) const PROTO_VERSION: u8 = 4;
 const KIND_DATA: u8 = 1;
 const KIND_ABORT: u8 = 2;
 const KIND_GOODBYE: u8 = 3;
@@ -53,6 +54,15 @@ pub(super) const GOODBYE_FRAME: [u8; 5] = [1, 0, 0, 0, KIND_GOODBYE];
 /// Bytes a DATA frame puts on a stream ahead of its payload: the length
 /// prefix, the kind byte and the fixed fields listed in the module docs.
 pub const DATA_HEADER_LEN: usize = 4 + 1 + 8 + 8 + 1 + 8 + 8 + 1 + 4;
+/// The most payload bytes one DATA frame carries: any more and its length
+/// prefix would pass [`MAX_FRAME`], which the receiving reader refuses.
+pub(super) const MAX_DATA_PAYLOAD: usize = MAX_FRAME as usize - (DATA_HEADER_LEN - 4);
+
+/// The length prefix of a DATA frame carrying `payload` bytes, or `None`
+/// when it would pass [`MAX_FRAME`].
+fn data_frame_len(payload: usize) -> Option<u32> {
+    (payload <= MAX_DATA_PAYLOAD).then(|| (DATA_HEADER_LEN - 4 + payload) as u32)
+}
 
 const FLAG_COLLECTIVE: u8 = 1 << 0;
 const FLAG_HAS_DELAY: u8 = 1 << 1;
@@ -105,13 +115,16 @@ impl<'a> Cursor<'a> {
 /// Write `frame` as one DATA wire frame: the header, built on the stack,
 /// and the payload's wire bytes leave in one vectored write loop, so the
 /// payload is never copied on this side. `delay` is the remaining
-/// link-model delivery delay at the moment the frame hits the wire.
+/// link-model delivery delay at the moment the frame hits the wire. A
+/// payload over [`MAX_DATA_PAYLOAD`] is refused before any byte is written;
+/// the communicator refuses it earlier still, with a typed error.
 pub(super) fn write_data(
     mut w: impl Write,
     frame: &Frame,
     delay: Option<Duration>,
 ) -> io::Result<()> {
     let payload = frame.payload.as_bytes();
+    let len = data_frame_len(payload.len()).ok_or(io::ErrorKind::InvalidInput)?;
     let flags = (u8::from(frame.collective) * FLAG_COLLECTIVE)
         | (u8::from(delay.is_some()) * FLAG_HAS_DELAY);
     let dtype = DTYPES
@@ -121,7 +134,7 @@ pub(super) fn write_data(
     let mut header = [0u8; DATA_HEADER_LEN];
     let mut at = 0;
     for field in [
-        &((DATA_HEADER_LEN - 4 + payload.len()) as u32).to_le_bytes()[..],
+        &len.to_le_bytes()[..],
         &[KIND_DATA],
         &frame.tag.to_le_bytes(),
         &frame.checksum.to_le_bytes(),
@@ -253,6 +266,12 @@ fn encode_err(e: &CommError, buf: &mut Vec<u8>) {
             put_u32(buf, detail.len() as u32);
             buf.extend_from_slice(detail.as_bytes());
         }
+        CommError::FrameTooLarge { dst, bytes, limit } => {
+            buf.push(6);
+            put_u64(buf, *dst as u64);
+            put_u64(buf, *bytes);
+            put_u64(buf, *limit);
+        }
     }
 }
 
@@ -284,6 +303,11 @@ fn decode_err(c: &mut Cursor<'_>) -> Option<CommError> {
             let detail = String::from_utf8(c.bytes(n)?.to_vec()).ok()?;
             CommError::MembershipMismatch { rank, detail }
         }
+        6 => CommError::FrameTooLarge {
+            dst: c.u64()? as usize,
+            bytes: c.u64()?,
+            limit: c.u64()?,
+        },
         _ => return None,
     })
 }
@@ -384,6 +408,18 @@ mod tests {
     }
 
     #[test]
+    fn data_frames_stop_at_the_readers_limit() {
+        // The largest payload fills the frame to exactly what the reader
+        // accepts; one byte more, or a length that would wrap the u32
+        // prefix, is refused before anything is written.
+        assert_eq!(data_frame_len(MAX_DATA_PAYLOAD), Some(MAX_FRAME));
+        assert_eq!(data_frame_len(0), Some(DATA_HEADER_LEN as u32 - 4));
+        for payload in [MAX_DATA_PAYLOAD + 1, u32::MAX as usize + 1] {
+            assert_eq!(data_frame_len(payload), None, "{payload} bytes");
+        }
+    }
+
+    #[test]
     fn abort_frame_round_trips_every_error_variant() {
         let errs = [
             CommError::PeerDead { rank: 3 },
@@ -401,6 +437,11 @@ mod tests {
             CommError::MembershipMismatch {
                 rank: 2,
                 detail: "epoch 1 vs 2".into(),
+            },
+            CommError::FrameTooLarge {
+                dst: 1,
+                bytes: 1 << 31,
+                limit: MAX_DATA_PAYLOAD as u64,
             },
         ];
         for e in errs {

@@ -385,6 +385,12 @@ pub trait Transport: Send + std::fmt::Debug {
     /// [`TransportClosed`] when `dst`'s endpoint is gone.
     fn send(&mut self, dst: usize, frame: Frame) -> Result<(), TransportClosed>;
 
+    /// The most payload wire bytes one frame carries; `send` refuses more
+    /// with [`CommError::FrameTooLarge`] before packing. Default: no limit.
+    fn max_payload_bytes(&self) -> u64 {
+        u64::MAX
+    }
+
     /// Block up to `timeout` for the next frame from `src`. Never blocks
     /// longer: the caller slices its receive timeout into poll intervals so
     /// it can honour aborts and deadlines between slices.

@@ -416,4 +416,56 @@ mod tests {
         });
         assert_eq!(vals[1], 42.0);
     }
+
+    #[test]
+    fn an_oversize_send_fails_typed_on_the_sender_and_ships_nothing() {
+        use crate::transport::{AbortCell, Frame, RecvWait, TransportClosed};
+        use std::sync::Arc;
+        /// An in-process endpoint whose frames carry at most eight bytes.
+        #[derive(Debug)]
+        struct Capped(ChannelTransport);
+        impl Transport for Capped {
+            fn rank(&self) -> usize {
+                self.0.rank()
+            }
+            fn world_size(&self) -> usize {
+                self.0.world_size()
+            }
+            fn abort_cell(&self) -> &Arc<AbortCell> {
+                self.0.abort_cell()
+            }
+            fn send(&mut self, dst: usize, frame: Frame) -> Result<(), TransportClosed> {
+                self.0.send(dst, frame)
+            }
+            fn max_payload_bytes(&self) -> u64 {
+                8
+            }
+            fn recv_timeout(&mut self, src: usize, timeout: Duration) -> RecvWait {
+                self.0.recv_timeout(src, timeout)
+            }
+        }
+        let mut ends = ChannelTransport::mesh(2).into_iter();
+        let mut tx = World::builder(2).endpoint(Box::new(Capped(ends.next().unwrap())));
+        let mut rx = World::builder(2)
+            .config(CommConfig::fail_fast(Duration::from_millis(200)))
+            .endpoint(Box::new(ends.next().unwrap()));
+        // At the limit a frame ships; one element past it nothing does.
+        tx.send(1, 7, &[1.0, 2.0], DType::F32).unwrap();
+        assert_eq!(rx.recv(0, 7).unwrap(), vec![1.0, 2.0]);
+        let err = tx.send(1, 8, &[1.0; 5], DType::F16).unwrap_err();
+        assert_eq!(
+            err,
+            CommError::FrameTooLarge {
+                dst: 1,
+                bytes: 10,
+                limit: 8
+            }
+        );
+        assert!(err.to_string().contains("10-byte") && err.to_string().contains("8-byte"));
+        // The peer unwinds on the sender's failure; no rank is called dead.
+        match rx.recv(0, 8) {
+            Err(CommError::Aborted { origin: 0, .. }) => {}
+            other => panic!("expected an abort from rank 0, got {other:?}"),
+        }
+    }
 }

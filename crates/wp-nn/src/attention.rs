@@ -395,7 +395,7 @@ pub fn streaming_backward(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use wp_tensor::ops::gemm::{force_isa, force_portable, isa, Isa};
+    use wp_tensor::ops::gemm::{force_isa, offered_isas, Isa};
     use wp_tensor::Tensor;
 
     /// Sequence lengths on both sides of every tile boundary.
@@ -548,14 +548,10 @@ mod tests {
     fn every_instantiation_agrees_on_attention_bit_for_bit() {
         // Sequential, so the whole kernel runs on the thread the scopes pin.
         rayon::force_sequential(|| {
-            for fast in [Isa::Avx2Fma, Isa::Avx512Fma] {
-                if force_isa(fast, isa) != fast {
-                    eprintln!("skipped {fast:?}: not on this host");
-                    continue;
-                }
+            for fast in offered_isas().filter(|&which| which != Isa::Portable) {
                 for d in SEQS.map(gqa) {
                     let wide = force_isa(fast, || forward_backward(d));
-                    let narrow = force_portable(|| forward_backward(d));
+                    let narrow = force_isa(Isa::Portable, || forward_backward(d));
                     for ((a, b), name) in wide.iter().zip(&narrow).zip(NAMES) {
                         assert!(a == b, "S={}: {name} differs, {fast:?} vs portable", d.seq);
                     }

@@ -14,18 +14,18 @@
 //! [`unpack_bf16`], and [`quantize_slice`] on top of them) are what the wire
 //! path and the optimizer's working-copy publish run: the same function of
 //! every input bit pattern, NaNs included, written without branches so the
-//! loop vectorises, and dispatched the way [`crate::ops::gemm`] is — the
-//! platform picks (`vcvtps2ph`/`vcvtph2ps` where the CPU has F16C, an AVX2
-//! build of the branch-free bf16 loop where it has AVX2, the baseline build
-//! otherwise), and [`force_portable`](crate::ops::gemm::force_portable) pins
-//! the baseline build for tests. A conversion is a pure per-element function
-//! of the bits, so which instantiation ran can never show in a result; the
-//! tests below hold every instantiation to the scalar reference on all 2³²
-//! (pack) and 2¹⁶ (unpack) inputs. NaN payloads follow the hardware: the
-//! top mantissa bits survive and the result is quiet.
+//! loop vectorises, and on the tier [`gemm::isa`] picks: the f16 pair runs
+//! `vcvtps2ph` / `vcvtph2ps` on either x86 tier (both require F16C) and the
+//! branch-free lane loop on the portable one; the bf16 pair is its lane
+//! loop compiled in [`gemm::with_isa`]'s wrapper, 16 lanes wide under
+//! AVX-512. [`gemm::force_isa`] caps the tier for tests, as it does
+//! `gemm`'s. A conversion is a pure per-element function of the bits, so
+//! which instantiation ran can never show in a result; the tests below hold
+//! every offered tier to the scalar reference on all 2³² (pack) and 2¹⁶
+//! (unpack) inputs. NaN payloads follow the hardware: the top mantissa bits
+//! survive and the result is quiet.
 
-#[cfg(target_arch = "x86_64")]
-use crate::ops::gemm::{portable_forced, uses_avx2};
+use crate::ops::gemm;
 
 /// Storage precision of a buffer.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -162,7 +162,7 @@ pub fn f32_to_bf16_bits(x: f32) -> u16 {
 }
 
 /// Decode a bfloat16 bit pattern into `f32`.
-#[inline]
+#[inline(always)]
 pub fn bf16_bits_to_f32(h: u16) -> f32 {
     f32::from_bits((h as u32) << 16)
 }
@@ -203,19 +203,6 @@ pub fn quantize_slice(xs: &mut [f32], dtype: DType) {
     }
 }
 
-/// True when the f16 slice conversions on this thread run the F16C
-/// instructions.
-pub fn uses_f16c() -> bool {
-    #[cfg(target_arch = "x86_64")]
-    {
-        !portable_forced() && std::arch::is_x86_feature_detected!("f16c")
-    }
-    #[cfg(not(target_arch = "x86_64"))]
-    {
-        false
-    }
-}
-
 /// `dst[i] = f32_to_f16_bits(src[i])` for every `i`.
 ///
 /// # Panics
@@ -223,8 +210,8 @@ pub fn uses_f16c() -> bool {
 pub fn pack_f16(dst: &mut [u16], src: &[f32]) {
     assert_eq!(dst.len(), src.len(), "pack_f16: length mismatch");
     #[cfg(target_arch = "x86_64")]
-    if uses_f16c() {
-        // SAFETY: F16C was detected on this CPU.
+    if gemm::isa() != gemm::Isa::Portable {
+        // SAFETY: every tier above the portable one has F16C.
         return unsafe { pack_f16_f16c(dst, src) };
     }
     for (d, &x) in dst.iter_mut().zip(src) {
@@ -239,8 +226,8 @@ pub fn pack_f16(dst: &mut [u16], src: &[f32]) {
 pub fn unpack_f16(dst: &mut [f32], src: &[u16]) {
     assert_eq!(dst.len(), src.len(), "unpack_f16: length mismatch");
     #[cfg(target_arch = "x86_64")]
-    if uses_f16c() {
-        // SAFETY: F16C was detected on this CPU.
+    if gemm::isa() != gemm::Isa::Portable {
+        // SAFETY: every tier above the portable one has F16C.
         return unsafe { unpack_f16_f16c(dst, src) };
     }
     for (d, &h) in dst.iter_mut().zip(src) {
@@ -254,12 +241,14 @@ pub fn unpack_f16(dst: &mut [f32], src: &[u16]) {
 /// Panics if the slices differ in length.
 pub fn pack_bf16(dst: &mut [u16], src: &[f32]) {
     assert_eq!(dst.len(), src.len(), "pack_bf16: length mismatch");
-    #[cfg(target_arch = "x86_64")]
-    if uses_avx2() {
-        // SAFETY: AVX2 was detected on this CPU.
-        return unsafe { pack_bf16_avx2(dst, src) };
-    }
-    pack_bf16_lanes(dst, src);
+    gemm::with_isa(
+        #[inline(always)]
+        || {
+            for (d, &x) in dst.iter_mut().zip(src) {
+                *d = bf16_pack_lane(x);
+            }
+        },
+    );
 }
 
 /// `dst[i] = bf16_bits_to_f32(src[i])` for every `i`.
@@ -268,12 +257,14 @@ pub fn pack_bf16(dst: &mut [u16], src: &[f32]) {
 /// Panics if the slices differ in length.
 pub fn unpack_bf16(dst: &mut [f32], src: &[u16]) {
     assert_eq!(dst.len(), src.len(), "unpack_bf16: length mismatch");
-    #[cfg(target_arch = "x86_64")]
-    if uses_avx2() {
-        // SAFETY: AVX2 was detected on this CPU.
-        return unsafe { unpack_bf16_avx2(dst, src) };
-    }
-    unpack_bf16_lanes(dst, src);
+    gemm::with_isa(
+        #[inline(always)]
+        || {
+            for (d, &h) in dst.iter_mut().zip(src) {
+                *d = bf16_bits_to_f32(h);
+            }
+        },
+    );
 }
 
 /// [`f32_to_f16_bits`] without branches: all three magnitude classes are
@@ -353,35 +344,6 @@ fn bf16_pack_lane(x: f32) -> u16 {
     (out >> 16) as u16
 }
 
-#[inline(always)]
-fn pack_bf16_lanes(dst: &mut [u16], src: &[f32]) {
-    for (d, &x) in dst.iter_mut().zip(src) {
-        *d = bf16_pack_lane(x);
-    }
-}
-
-#[inline(always)]
-fn unpack_bf16_lanes(dst: &mut [f32], src: &[u16]) {
-    for (d, &h) in dst.iter_mut().zip(src) {
-        *d = bf16_bits_to_f32(h);
-    }
-}
-
-/// The AVX2 instantiation of the bf16 pack loop (the generic body compiled
-/// with 256-bit vectors, as `gemm_avx2` is).
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx2")]
-unsafe fn pack_bf16_avx2(dst: &mut [u16], src: &[f32]) {
-    pack_bf16_lanes(dst, src);
-}
-
-/// The AVX2 instantiation of the bf16 unpack loop.
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx2")]
-unsafe fn unpack_bf16_avx2(dst: &mut [f32], src: &[u16]) {
-    unpack_bf16_lanes(dst, src);
-}
-
 /// [`pack_f16`] on `vcvtps2ph`, eight lanes at a time; the ragged tail goes
 /// through the scalar reference, which the hardware equals on every input.
 #[cfg(target_arch = "x86_64")]
@@ -428,7 +390,7 @@ unsafe fn unpack_f16_f16c(dst: &mut [f32], src: &[u16]) {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::ops::gemm::{force_portable, uses_avx2};
+    use crate::ops::gemm::{force_isa, offered_isas};
 
     #[test]
     fn f16_exact_small_integers() {
@@ -543,15 +505,11 @@ mod tests {
         ),
     ];
 
-    /// Run `check` on the instantiation the platform picks and again on the
-    /// portable one (the same code twice on a host with neither F16C nor
-    /// AVX2).
+    /// Run `check` on every tier this host offers.
     fn on_every_instantiation(check: impl Fn(&str)) {
-        check("platform");
-        force_portable(|| {
-            assert!(!uses_f16c() && !uses_avx2());
-            check("portable")
-        });
+        for which in offered_isas() {
+            force_isa(which, || check(&format!("{which:?}")));
+        }
     }
 
     /// Pack `bits` with every format and compare with the scalar reference.
@@ -614,7 +572,7 @@ mod tests {
     }
 
     #[test]
-    #[ignore = "all 2^32 inputs, twice per format: about two minutes in release"]
+    #[ignore = "all 2^32 inputs per format on every offered tier: about a minute per tier in release"]
     fn slice_pack_matches_scalar_reference_on_every_f32() {
         on_every_instantiation(|which| {
             for block in 0..1u32 << 12 {

@@ -136,7 +136,7 @@ pub fn swiglu_backward(dgate: &mut [f32], dup: &mut [f32], dy: &[f32], gate: &[f
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::ops::gemm::{force_isa, isa, Isa};
+    use crate::ops::gemm::{force_isa, offered_isas, Isa};
 
     fn numeric_grad(f: impl Fn(f32) -> f32, x: f32) -> f32 {
         let h = 1e-3;
@@ -262,16 +262,7 @@ mod tests {
                 })
                 .collect()
         };
-        let offered: Vec<Isa> = [Isa::Avx2Fma, Isa::Avx512Fma]
-            .into_iter()
-            .filter(|&fast| {
-                let here = force_isa(fast, isa) == fast;
-                if !here {
-                    eprintln!("skipped {fast:?}: not on this host");
-                }
-                here
-            })
-            .collect();
+        let offered: Vec<Isa> = offered_isas().filter(|&w| w != Isa::Portable).collect();
         for n in [1, 15, 16, 17, 33, 1024 * 344] {
             let (gate, up, dy) = (values(n, 0), values(n, 5), values(n, 11));
             let fwd_bwd = || swiglu_fwd_bwd(&gate, &up, &dy);

@@ -30,9 +30,10 @@
 //! ISA has one, through libm's correctly rounded `fmaf` where it does not —
 //! so the bits do not depend on the CPU either.
 //!
-//! **ISA selection.** The platform picks, with `is_x86_feature_detected!`,
-//! among three instantiations of the *same* generic source ([`Isa`]). The
-//! x86 ones are the generic body inlined into a `#[target_feature]` wrapper,
+//! **ISA selection.** [`isa`] picks, with `is_x86_feature_detected!`, among
+//! three instantiations of the *same* generic source ([`Isa`]); it is the
+//! crate's one CPU probe and [`force_isa`] its one test hook. The x86 ones
+//! are the generic body inlined into a `#[target_feature]` wrapper,
 //! so everything below those wrappers must be `#[inline(always)]` — a callee
 //! that is not inlined is silently compiled for the baseline ISA and runs at
 //! baseline speed without failing any test. `mul_add` belongs only in code
@@ -40,10 +41,13 @@
 //!
 //! [`with_isa`] lends the same two wrappers to the pointwise kernels (the
 //! SwiGLU gate in [`super::elementwise`], streaming attention's per-tile
-//! softmax): an `#[inline(always)]` closure passed to it is compiled once per
+//! softmax, the bf16 slice conversions in [`crate::dtype`]): an
+//! `#[inline(always)]` closure passed to it is compiled once per
 //! instantiation, so its loops vectorise at the width `gemm` runs at. Those
 //! bodies round every multiply and add separately, never `mul_add`, so every
-//! instantiation computes the portable one's bits.
+//! instantiation computes the portable one's bits. The f16 conversions run
+//! F16C's `vcvtps2ph` / `vcvtph2ps` whenever [`isa`] picks a tier above the
+//! portable one, which is why both x86 tiers require F16C.
 
 use std::cell::{Cell, RefCell};
 
@@ -64,10 +68,11 @@ type Dims = (usize, usize, usize);
 pub enum Isa {
     /// 6×8 for the baseline ISA: two 128-bit lanes per row.
     Portable,
-    /// 6×16 under `avx2,fma`: twelve 256-bit accumulators, leaving registers
-    /// for the `B` row and the `A` broadcast.
+    /// 6×16 under `avx2,fma`, on a CPU with F16C too: twelve 256-bit
+    /// accumulators, leaving registers for the `B` row and the `A` broadcast.
     Avx2Fma,
-    /// 6×32 under `avx512f,fma`: twelve of its thirty-two 512-bit registers.
+    /// 6×32 under `avx512f,fma`, on a CPU with F16C too: twelve of its
+    /// thirty-two 512-bit registers.
     Avx512Fma,
 }
 
@@ -125,9 +130,11 @@ thread_local! {
     static CAP: Cell<Isa> = const { Cell::new(Isa::Avx512Fma) };
 }
 
-/// Run `f` with this thread's [`gemm`] calls capped at `cap` (or an
-/// enclosing scope's lower cap). Exists so tests can compare instantiations
-/// in one process, as `rayon::force_sequential` lets them compare threads.
+/// Run `f` with this thread's [`isa`] capped at `cap` (or an enclosing
+/// scope's lower cap), which caps [`gemm`], [`with_isa`] and the slice
+/// conversions of [`crate::dtype`] alike. Exists so tests can compare
+/// instantiations in one process, as `rayon::force_sequential` lets them
+/// compare threads.
 #[doc(hidden)]
 pub fn force_isa<R>(cap: Isa, f: impl FnOnce() -> R) -> R {
     let outer = CAP.replace(cap.min(CAP.get()));
@@ -136,25 +143,30 @@ pub fn force_isa<R>(cap: Isa, f: impl FnOnce() -> R) -> R {
     out
 }
 
-/// Run `f` with this thread's [`gemm`] calls — and the slice conversions of
-/// [`crate::dtype`], which dispatch the same way — pinned to the portable
-/// instantiation, whatever the CPU offers.
+/// The instantiations this host offers, slowest first, printing a
+/// "skipped" line for each it does not: what a test sweeps with
+/// [`force_isa`] to hold every build it can run to the same bits.
 #[doc(hidden)]
-pub fn force_portable<R>(f: impl FnOnce() -> R) -> R {
-    force_isa(Isa::Portable, f)
-}
-
-/// True inside a [`force_portable`] scope on this thread.
-pub(crate) fn portable_forced() -> bool {
-    CAP.get() == Isa::Portable
+pub fn offered_isas() -> impl Iterator<Item = Isa> {
+    [Isa::Portable, Isa::Avx2Fma, Isa::Avx512Fma]
+        .into_iter()
+        .filter(|&want| {
+            let here = force_isa(want, isa) == want;
+            if !here {
+                eprintln!("skipped {want:?}: not on this host");
+            }
+            here
+        })
 }
 
 /// The instantiation [`gemm`] runs on this thread: the fastest this CPU
-/// offers under the thread's [`force_isa`] cap.
+/// offers under the thread's [`force_isa`] cap. The one CPU probe: every
+/// tier above [`Isa::Portable`] also vouches for F16C, which the f16 slice
+/// conversions of [`crate::dtype`] run on.
 pub fn isa() -> Isa {
     let cap = CAP.get();
     #[cfg(target_arch = "x86_64")]
-    if is_x86_feature_detected!("fma") {
+    if is_x86_feature_detected!("fma") && is_x86_feature_detected!("f16c") {
         if cap >= Isa::Avx512Fma && is_x86_feature_detected!("avx512f") {
             return Isa::Avx512Fma;
         }
@@ -163,20 +175,6 @@ pub fn isa() -> Isa {
         }
     }
     Isa::Portable
-}
-
-/// True when this thread may use AVX2: the CPU has it and no
-/// [`force_portable`] scope is open. The bf16 slice conversions of
-/// [`crate::dtype`] dispatch on it.
-pub fn uses_avx2() -> bool {
-    #[cfg(target_arch = "x86_64")]
-    {
-        !portable_forced() && is_x86_feature_detected!("avx2")
-    }
-    #[cfg(not(target_arch = "x86_64"))]
-    {
-        false
-    }
 }
 
 /// `C[m×n] += A[m×k] · B[k×n]`, single-threaded, with `C` element `(i, j)`
@@ -381,20 +379,6 @@ mod tests {
     use super::super::matmul::tests::{blocked_ref, rand, View, DEPTHS, LAYOUTS, SIZES};
     use super::*;
 
-    /// The instantiations this host offers, slowest first.
-    fn offered() -> Vec<Isa> {
-        [Isa::Portable, Isa::Avx2Fma, Isa::Avx512Fma]
-            .into_iter()
-            .filter(|&want| {
-                let here = force_isa(want, isa) == want;
-                if !here {
-                    eprintln!("skipped {want:?}: not on this host");
-                }
-                here
-            })
-            .collect()
-    }
-
     fn view((data, rs, cs): View) -> MatRef {
         MatRef { data, rs, cs }
     }
@@ -411,7 +395,7 @@ mod tests {
         let mut want = c0.to_vec();
         blocked_ref(&mut want, ldc, a, b, m, n, k);
         let bits = |c: &[f32]| c.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
-        for which in offered() {
+        for which in offered_isas() {
             let mut got = c0.to_vec();
             // SAFETY: `got` holds `m` rows of `ldc >= n` floats.
             force_isa(which, || unsafe {
