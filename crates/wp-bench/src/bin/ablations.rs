@@ -5,6 +5,7 @@
 //! ablations --only crossover|overlap|interleave|bandwidth|memory
 //! ```
 
+use wp_comm::LinkModel;
 use wp_sched::{analysis, build, PipelineSpec, Strategy};
 use wp_sim::experiments::{
     hybrid_tp_sweep, run_cell, sim_options, straggler_sensitivity, RowConfig,
@@ -120,14 +121,14 @@ fn bandwidth() {
         "inter-node link", "1F1B", "FSDP", "WeiPipe"
     );
     for (label, inter) in [
-        ("NVLink 400 GB/s", wp_sim::Link::nvlink_a800()),
-        ("PCIe4 32 GB/s", wp_sim::Link::pcie4()),
-        ("10 GbE 1.25 GB/s", wp_sim::Link::ethernet_10g()),
+        ("NVLink 400 GB/s", LinkModel::nvlink_a800()),
+        ("PCIe4 32 GB/s", LinkModel::pcie4()),
+        ("10 GbE 1.25 GB/s", LinkModel::ethernet_10g()),
     ] {
         let cluster = ClusterSpec {
             ranks: 16,
             node_size: 8,
-            intra: wp_sim::Link::nvlink_a800(),
+            intra: LinkModel::nvlink_a800(),
             inter,
         };
         let samples = 8 * cluster.ranks * row.microbatch;

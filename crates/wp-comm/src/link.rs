@@ -1,14 +1,13 @@
-//! Interconnect cost models.
+//! The one interconnect cost model.
 //!
 //! A [`LinkModel`] answers one question: how long does moving `n` bytes over
 //! this link take? The presets mirror the paper's three hardware settings
 //! (§5.4): NVLink inside an A800 server (400 GB/s), PCIe 4.0 x16 inside a
-//! server (~32 GB/s), and 10 Gb Ethernet between clusters (1.25 GB/s). The
-//! thread runtime uses these to (optionally) pace deliveries; the
-//! discrete-event simulator uses the same numbers to charge transfer time,
-//! so both clocks agree on what a byte costs.
-
-use std::time::Duration;
+//! server (~32 GB/s), and 10 Gb Ethernet between clusters (1.25 GB/s).
+//! [`LinkModel::occupancy_s`] is what a byte costs: the runtime's pacing
+//! (`p2p.rs`) and the simulator's send pricing (`wp-sim`'s `des.rs`) both
+//! call it, and `wp-sim`'s cluster topologies are built from these presets,
+//! so both clocks agree on what a byte costs by construction.
 
 /// Bandwidth/latency model of a point-to-point link.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -54,14 +53,17 @@ impl LinkModel {
         }
     }
 
-    /// Link-occupancy time for `bytes` bytes (bandwidth term only, no
-    /// latency): how long the directed link is busy before the next message
-    /// can start transferring.
-    pub fn occupancy_duration(&self, bytes: usize) -> Duration {
-        if self.bandwidth_bps.is_infinite() {
-            return Duration::ZERO;
-        }
-        Duration::from_secs_f64(bytes as f64 / self.bandwidth_bps)
+    /// Seconds the directed link is busy moving `bytes` (bandwidth term
+    /// only, no latency): how long before the next message on it can start
+    /// transferring. Zero on an infinitely fast link.
+    pub fn occupancy_s(&self, bytes: u64) -> f64 {
+        bytes as f64 / self.bandwidth_bps
+    }
+
+    /// Seconds from issuing `bytes` on an idle link to their arrival: one
+    /// latency plus the occupancy.
+    pub fn transfer_s(&self, bytes: u64) -> f64 {
+        self.latency_s + self.occupancy_s(bytes)
     }
 
     /// True if this link injects no delay.
@@ -83,16 +85,29 @@ mod tests {
     #[test]
     fn instant_costs_nothing() {
         let l = LinkModel::instant();
-        assert_eq!(l.occupancy_duration(1 << 30), Duration::ZERO);
+        assert_eq!(l.occupancy_s(1 << 30), 0.0);
+        assert_eq!(l.transfer_s(1 << 30), 0.0);
         assert!(l.is_instant());
+    }
+
+    #[test]
+    fn transfer_is_latency_plus_occupancy() {
+        let l = LinkModel {
+            bandwidth_bps: 1e9,
+            latency_s: 1e-3,
+        };
+        assert_eq!(l.occupancy_s(1_000_000_000), 1.0);
+        assert!((l.transfer_s(1_000_000_000) - 1.001).abs() < 1e-9);
     }
 
     #[test]
     fn preset_ordering() {
         let b = 1 << 20; // 1 MiB
-        let nv = LinkModel::nvlink_a800().occupancy_duration(b);
-        let pc = LinkModel::pcie4().occupancy_duration(b);
-        let eth = LinkModel::ethernet_10g().occupancy_duration(b);
-        assert!(nv < pc && pc < eth, "nv={nv:?} pcie={pc:?} eth={eth:?}");
+        for cost in [LinkModel::occupancy_s, LinkModel::transfer_s] {
+            let nv = cost(&LinkModel::nvlink_a800(), b);
+            let pc = cost(&LinkModel::pcie4(), b);
+            let eth = cost(&LinkModel::ethernet_10g(), b);
+            assert!(nv < pc && pc < eth, "nv={nv} pcie={pc} eth={eth}");
+        }
     }
 }

@@ -111,11 +111,12 @@ pub struct Communicator {
     /// after the *next* message on the same link (see [`crate::fault`]).
     pub(crate) held: Vec<Option<Frame>>,
     /// Per-destination link availability: when the directed link
-    /// `self.rank → dst` finishes its current transfer. Mirrors the
-    /// simulator's one-DMA-path-per-directed-link model, so back-to-back
-    /// sends to the same neighbour serialise on bandwidth instead of each
-    /// getting a private wire. `None` until the link is first used (or
-    /// always, for instant links).
+    /// `self.rank → dst` finishes its current transfer. One DMA path per
+    /// directed link, busy for [`LinkModel::occupancy_s`] per message, the
+    /// same model and the same method the simulator prices a send with, so
+    /// back-to-back sends to the same neighbour serialise on bandwidth
+    /// instead of each getting a private wire. `None` until the link is
+    /// first used (or always, for instant links).
     pub(crate) link_busy: Vec<Option<Instant>>,
     /// This rank's telemetry: every instrumented site below reports
     /// through it, and it counts the traffic [`meter`](Self::meter) reads.
@@ -374,14 +375,14 @@ impl Communicator {
         } else {
             // The directed link is a single DMA path (as in wp-sim): this
             // transfer starts once the previous send to `dst` has drained,
-            // occupies the link for bytes/bandwidth, and lands one latency
-            // after that.
+            // occupies the link for `occupancy_s(bytes)`, and lands one
+            // latency after that.
             let now = Instant::now();
             let issue = match self.link_busy[dst] {
                 Some(busy) if busy > now => busy,
                 _ => now,
             };
-            let drained = issue + self.link.occupancy_duration(bytes as usize);
+            let drained = issue + Duration::from_secs_f64(self.link.occupancy_s(bytes));
             self.link_busy[dst] = Some(drained);
             Some(drained + Duration::from_secs_f64(self.link.latency_s))
         };

@@ -6,19 +6,32 @@
 //! stores, high-water CAS, histogram observes, and every `Probe` call with
 //! both sinks attached and with neither — and asserts the counter did not
 //! move. With neither sink attached the probe must not read a clock either.
+//!
+//! The counter is per thread: recording runs on the calling thread, while
+//! libtest's main thread, just after spawning the test's thread, allocates
+//! the map of running tests, which a process-wide counter caught inside the
+//! measured window in about half the runs.
 
 use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::cell::Cell;
 use wp_metrics::{Counter, Gauge, Hist, MetricsRegistry, Probe};
 use wp_trace::{FaultFlags, SpanKind, TraceCollector};
 
 struct CountingAlloc;
 
-static ALLOCS: AtomicU64 = AtomicU64::new(0);
+thread_local! {
+    /// Allocations made on this thread. Const-initialised and without a
+    /// destructor, so the allocator can bump it without allocating.
+    static ALLOCS: Cell<u64> = const { Cell::new(0) };
+}
+
+fn count() {
+    ALLOCS.with(|n| n.set(n.get() + 1));
+}
 
 unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCS.fetch_add(1, Ordering::Relaxed);
+        count();
         System.alloc(layout)
     }
 
@@ -27,7 +40,7 @@ unsafe impl GlobalAlloc for CountingAlloc {
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOCS.fetch_add(1, Ordering::Relaxed);
+        count();
         System.realloc(ptr, layout, new_size)
     }
 }
@@ -52,7 +65,7 @@ fn recording_allocates_nothing() {
         m.set_max(Gauge::ReorderDepthMax, 1.0);
     }
 
-    let before = ALLOCS.load(Ordering::SeqCst);
+    let before = ALLOCS.with(Cell::get);
     for i in 0..1000u64 {
         for m in &handles {
             m.add(Counter::P2pBytesSent, 4096);
@@ -87,7 +100,7 @@ fn recording_allocates_nothing() {
             p.iteration(i as usize, t0, 64, 1.0);
         }
     }
-    let after = ALLOCS.load(Ordering::SeqCst);
+    let after = ALLOCS.with(Cell::get);
     assert_eq!(
         after - before,
         0,

@@ -4,49 +4,13 @@
 //! `node_size`, with a fast `intra` link inside every node and a slower
 //! `inter` link between nodes. `node_size` must divide `ranks` exactly —
 //! ragged layouts would silently miscount node crossings, so validated
-//! construction rejects them (see [`ClusterSpec::validated`]).
+//! construction rejects them (see [`ClusterSpec::validated`]). Both links
+//! are the runtime's [`LinkModel`]s, presets included, so a simulated send
+//! costs what a paced one does.
 
 use std::fmt;
 
-/// A point-to-point link's performance.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct Link {
-    /// Sustained bandwidth, bytes/s.
-    pub bandwidth: f64,
-    /// Per-message latency, seconds.
-    pub latency: f64,
-}
-
-impl Link {
-    /// A800 NVLink (cut to 400 GB/s — the paper's point in §5.4).
-    pub const fn nvlink_a800() -> Self {
-        Link {
-            bandwidth: 400e9,
-            latency: 5e-6,
-        }
-    }
-
-    /// PCIe 4.0 ×16 effective.
-    pub const fn pcie4() -> Self {
-        Link {
-            bandwidth: 32e9,
-            latency: 10e-6,
-        }
-    }
-
-    /// 10 Gb Ethernet.
-    pub const fn ethernet_10g() -> Self {
-        Link {
-            bandwidth: 1.25e9,
-            latency: 50e-6,
-        }
-    }
-
-    /// Seconds to move `bytes` over this link.
-    pub fn transfer_s(&self, bytes: u64) -> f64 {
-        self.latency + bytes as f64 / self.bandwidth
-    }
-}
+use wp_comm::LinkModel;
 
 /// Why a [`ClusterSpec`] layout is rejected.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -103,9 +67,9 @@ pub struct ClusterSpec {
     /// GPUs per node.
     pub node_size: usize,
     /// Link within a node.
-    pub intra: Link,
+    pub intra: LinkModel,
     /// Link between nodes.
-    pub inter: Link,
+    pub inter: LinkModel,
 }
 
 impl ClusterSpec {
@@ -116,8 +80,8 @@ impl ClusterSpec {
     pub fn validated(
         ranks: usize,
         node_size: usize,
-        intra: Link,
-        inter: Link,
+        intra: LinkModel,
+        inter: LinkModel,
     ) -> Result<Self, ClusterError> {
         let spec = ClusterSpec {
             ranks,
@@ -153,19 +117,24 @@ impl ClusterSpec {
     /// its FSDP/WeiPipe absolute numbers are consistent with ~10 GbE
     /// between the two halves).
     pub fn nvlink_16() -> Self {
-        Self::validated(16, 8, Link::nvlink_a800(), Link::ethernet_10g())
+        Self::validated(16, 8, LinkModel::nvlink_a800(), LinkModel::ethernet_10g())
             .expect("nvlink_16 preset is well-formed")
     }
 
     /// A fully NVLinked island of `ranks` GPUs (no slow hop anywhere).
     pub fn nvlink_island(ranks: usize) -> Self {
-        Self::validated(ranks, ranks, Link::nvlink_a800(), Link::nvlink_a800())
-            .expect("island layouts are trivially well-formed for ranks >= 1")
+        Self::validated(
+            ranks,
+            ranks,
+            LinkModel::nvlink_a800(),
+            LinkModel::nvlink_a800(),
+        )
+        .expect("island layouts are trivially well-formed for ranks >= 1")
     }
 
     /// The paper's 8-GPU NVLink environment (Table 4).
     pub fn nvlink_8() -> Self {
-        Self::validated(8, 8, Link::nvlink_a800(), Link::nvlink_a800())
+        Self::validated(8, 8, LinkModel::nvlink_a800(), LinkModel::nvlink_a800())
             .expect("nvlink_8 preset is well-formed")
     }
 
@@ -173,7 +142,7 @@ impl ClusterSpec {
     /// each cluster, 10 Gb Ethernet between clusters (Table 3: 16 GPUs in
     /// 4-GPU groups).
     pub fn ethernet_16() -> Self {
-        Self::validated(16, 4, Link::pcie4(), Link::ethernet_10g())
+        Self::validated(16, 4, LinkModel::pcie4(), LinkModel::ethernet_10g())
             .expect("ethernet_16 preset is well-formed")
     }
 
@@ -182,8 +151,13 @@ impl ClusterSpec {
     /// `node_size | ranks` contract; use [`ClusterSpec::validated`] to handle
     /// arbitrary shapes fallibly.
     pub fn scaling(ranks: usize, node_size: usize) -> Self {
-        Self::validated(ranks, node_size, Link::nvlink_a800(), Link::ethernet_10g())
-            .expect("scaling cluster layouts must satisfy node_size | ranks")
+        Self::validated(
+            ranks,
+            node_size,
+            LinkModel::nvlink_a800(),
+            LinkModel::ethernet_10g(),
+        )
+        .expect("scaling cluster layouts must satisfy node_size | ranks")
     }
 
     /// Number of node-sized groups (`ranks / node_size`).
@@ -201,7 +175,7 @@ impl ClusterSpec {
     /// resolver the simulators price every `Send` with — grouped schedules
     /// send between non-adjacent ranks, so pricing must depend on both
     /// endpoints, not on `src`'s ring successor.
-    pub fn link_between(&self, src: usize, dst: usize) -> Link {
+    pub fn link_between(&self, src: usize, dst: usize) -> LinkModel {
         if self.group_of(src) == self.group_of(dst) {
             self.intra
         } else {
@@ -213,7 +187,7 @@ impl ClusterSpec {
     /// Compared by effective transfer time for a representative payload, not
     /// by topology shape: a multi-node cluster whose inter link is *faster*
     /// than intra (inverted links) correctly reports intra as the bottleneck.
-    pub fn bottleneck(&self) -> Link {
+    pub fn bottleneck(&self) -> LinkModel {
         if self.groups() <= 1 {
             return self.intra;
         }
@@ -230,14 +204,14 @@ impl ClusterSpec {
     pub fn all_reduce_s(&self, bytes: u64) -> f64 {
         let p = self.ranks as f64;
         let link = self.bottleneck();
-        2.0 * (p - 1.0) * (bytes as f64 / p / link.bandwidth + link.latency)
+        2.0 * (p - 1.0) * (bytes as f64 / p / link.bandwidth_bps + link.latency_s)
     }
 
     /// Ring all-gather / reduce-scatter time for `bytes` total payload.
     pub fn gather_scatter_s(&self, bytes: u64) -> f64 {
         let p = self.ranks as f64;
         let link = self.bottleneck();
-        (p - 1.0) * (bytes as f64 / p / link.bandwidth + link.latency)
+        (p - 1.0) * (bytes as f64 / p / link.bandwidth_bps + link.latency_s)
     }
 }
 
@@ -246,7 +220,7 @@ mod tests {
     use super::*;
 
     /// The link the ring hop out of `src` rides.
-    fn ring_hop(c: &ClusterSpec, src: usize) -> Link {
+    fn ring_hop(c: &ClusterSpec, src: usize) -> LinkModel {
         c.link_between(src, (src + 1) % c.ranks)
     }
 
@@ -254,12 +228,12 @@ mod tests {
     fn ring_links_cross_node_boundaries() {
         let c = ClusterSpec::ethernet_16();
         // node_size 4: hops 3→4, 7→8, 11→12, 15→0 cross nodes.
-        assert_eq!(ring_hop(&c, 0), Link::pcie4());
-        assert_eq!(ring_hop(&c, 3), Link::ethernet_10g());
-        assert_eq!(ring_hop(&c, 7), Link::ethernet_10g());
-        assert_eq!(ring_hop(&c, 15), Link::ethernet_10g());
+        assert_eq!(ring_hop(&c, 0), LinkModel::pcie4());
+        assert_eq!(ring_hop(&c, 3), LinkModel::ethernet_10g());
+        assert_eq!(ring_hop(&c, 7), LinkModel::ethernet_10g());
+        assert_eq!(ring_hop(&c, 15), LinkModel::ethernet_10g());
         let crossings = (0..16)
-            .filter(|&r| ring_hop(&c, r) == Link::ethernet_10g())
+            .filter(|&r| ring_hop(&c, r) == LinkModel::ethernet_10g())
             .count();
         assert_eq!(crossings, 4);
     }
@@ -267,22 +241,28 @@ mod tests {
     #[test]
     fn single_node_is_all_fast() {
         let c = ClusterSpec::nvlink_island(16);
-        assert!((0..16).all(|r| ring_hop(&c, r) == Link::nvlink_a800()));
-        assert_eq!(c.bottleneck(), Link::nvlink_a800());
+        assert!((0..16).all(|r| ring_hop(&c, r) == LinkModel::nvlink_a800()));
+        assert_eq!(c.bottleneck(), LinkModel::nvlink_a800());
     }
 
     #[test]
     fn bottleneck_is_ethernet_when_multi_node() {
         assert_eq!(
             ClusterSpec::ethernet_16().bottleneck(),
-            Link::ethernet_10g()
+            LinkModel::ethernet_10g()
         );
-        assert_eq!(ClusterSpec::nvlink_16().bottleneck(), Link::ethernet_10g());
+        assert_eq!(
+            ClusterSpec::nvlink_16().bottleneck(),
+            LinkModel::ethernet_10g()
+        );
         assert_eq!(
             ClusterSpec::scaling(8, 4).bottleneck(),
-            Link::ethernet_10g()
+            LinkModel::ethernet_10g()
         );
-        assert_eq!(ClusterSpec::scaling(4, 4).bottleneck(), Link::nvlink_a800());
+        assert_eq!(
+            ClusterSpec::scaling(4, 4).bottleneck(),
+            LinkModel::nvlink_a800()
+        );
     }
 
     #[test]
@@ -300,13 +280,15 @@ mod tests {
         // than intra. The old shape-based rule returned inter purely because
         // ranks > node_size; the bottleneck must be the genuinely slower
         // intra link.
-        let inverted = ClusterSpec::validated(16, 4, Link::ethernet_10g(), Link::nvlink_a800())
-            .expect("valid layout");
-        assert_eq!(inverted.bottleneck(), Link::ethernet_10g());
+        let inverted =
+            ClusterSpec::validated(16, 4, LinkModel::ethernet_10g(), LinkModel::nvlink_a800())
+                .expect("valid layout");
+        assert_eq!(inverted.bottleneck(), LinkModel::ethernet_10g());
         // And the collective estimates must follow the real bottleneck: the
         // inverted cluster is exactly as slow as its all-Ethernet twin.
-        let all_eth = ClusterSpec::validated(16, 4, Link::ethernet_10g(), Link::ethernet_10g())
-            .expect("valid layout");
+        let all_eth =
+            ClusterSpec::validated(16, 4, LinkModel::ethernet_10g(), LinkModel::ethernet_10g())
+                .expect("valid layout");
         let b = 100 << 20;
         assert_eq!(
             inverted.all_reduce_s(b).to_bits(),
@@ -320,8 +302,8 @@ mod tests {
 
     #[test]
     fn validated_rejects_degenerate_layouts() {
-        let intra = Link::nvlink_a800();
-        let inter = Link::ethernet_10g();
+        let intra = LinkModel::nvlink_a800();
+        let inter = LinkModel::ethernet_10g();
         assert_eq!(
             ClusterSpec::validated(0, 1, intra, inter).unwrap_err(),
             ClusterError::ZeroRanks
@@ -361,18 +343,9 @@ mod tests {
         assert_eq!(c.group_of(4), 1);
         assert_eq!(c.group_of(15), 3);
         // Per-hop resolution depends on both endpoints, not src's successor.
-        assert_eq!(c.link_between(0, 3), Link::pcie4());
-        assert_eq!(c.link_between(3, 7), Link::ethernet_10g());
-        assert_eq!(c.link_between(15, 0), Link::ethernet_10g());
-        assert_eq!(c.link_between(13, 12), Link::pcie4());
-    }
-
-    #[test]
-    fn transfer_time_formula() {
-        let l = Link {
-            bandwidth: 1e9,
-            latency: 1e-3,
-        };
-        assert!((l.transfer_s(1_000_000_000) - 1.001).abs() < 1e-9);
+        assert_eq!(c.link_between(0, 3), LinkModel::pcie4());
+        assert_eq!(c.link_between(3, 7), LinkModel::ethernet_10g());
+        assert_eq!(c.link_between(15, 0), LinkModel::ethernet_10g());
+        assert_eq!(c.link_between(13, 12), LinkModel::pcie4());
     }
 }

@@ -18,6 +18,7 @@
 //! * Wire format is fp16 (2 bytes) for weights, weight grads and
 //!   activations; bf16 (2 bytes) for activation grads (§4.3).
 
+use wp_comm::LinkModel;
 use wp_sched::{MemUnit, Schedule};
 
 /// Accelerator characteristics.
@@ -91,8 +92,9 @@ impl ModelDims {
 pub struct TpOverlay {
     /// GPUs per tensor-parallel group (1 = disabled).
     pub degree: usize,
-    /// Link inside the TP group (TP is intra-node by construction).
-    pub link: crate::cluster::Link,
+    /// Link inside the TP group (TP is intra-node by construction); the
+    /// same [`LinkModel`] the cluster's links are.
+    pub link: LinkModel,
     /// Efficiency of the sharded matmuls relative to ideal `1/degree`
     /// scaling (thin-kernel losses).
     pub efficiency: f64,
@@ -103,7 +105,7 @@ impl TpOverlay {
     pub fn off() -> Self {
         TpOverlay {
             degree: 1,
-            link: crate::cluster::Link::nvlink_a800(),
+            link: LinkModel::nvlink_a800(),
             efficiency: 1.0,
         }
     }
@@ -112,7 +114,7 @@ impl TpOverlay {
     pub fn nvlink(degree: usize) -> Self {
         TpOverlay {
             degree,
-            link: crate::cluster::Link::nvlink_a800(),
+            link: LinkModel::nvlink_a800(),
             efficiency: 0.92,
         }
     }
@@ -123,7 +125,7 @@ impl TpOverlay {
             return 0.0;
         }
         let d = self.degree as f64;
-        2.0 * (d - 1.0) * (bytes as f64 / d / self.link.bandwidth + self.link.latency)
+        2.0 * (d - 1.0) * (bytes as f64 / d / self.link.bandwidth_bps + self.link.latency_s)
     }
 }
 

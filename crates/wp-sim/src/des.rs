@@ -176,12 +176,12 @@ impl<'a> State<'a> {
                 let link = cluster.link_between(k.src, k.dst);
                 let free = self.link_free.entry((k.src, k.dst)).or_insert(0.0);
                 let issue = local_t.max(*free);
-                let occupy = bytes as f64 / link.bandwidth;
+                let occupy = link.occupancy_s(bytes);
                 *free = issue + occupy;
                 if !opts.overlap {
                     self.compute_free[r] = issue + occupy;
                 }
-                let arrive = issue + occupy + link.latency;
+                let arrive = issue + occupy + link.latency_s;
                 self.arrivals[m] = arrive;
                 end_time = arrive;
             }
@@ -405,7 +405,7 @@ mod tests {
             vec![Op::recv(key(0)), Op::recv(key(1))],
         ];
         let link = cluster.link_between(0, 1);
-        let occupy = cost.weight_chunk_bytes() as f64 / link.bandwidth;
+        let occupy = link.occupancy_s(cost.weight_chunk_bytes());
         let graph = DepGraph::build(&sched).expect("matched");
         let mut st = State::new(&graph, &cost, &cluster, SimOptions::default()).expect("state");
         assert!(!st.price((1, 0)), "nothing has arrived yet");
@@ -413,11 +413,11 @@ mod tests {
         assert!(st.price((0, 0)) && st.price((0, 1)));
         assert_eq!(
             st.arrivals,
-            [occupy + link.latency, occupy + occupy + link.latency]
+            [occupy + link.latency_s, occupy + occupy + link.latency_s]
         );
         assert!(st.price((1, 0)) && st.price((1, 1)));
         let r = st.finish();
-        assert_eq!(r.makespan, occupy + occupy + link.latency);
+        assert_eq!(r.makespan, occupy + occupy + link.latency_s);
         assert_eq!(r.p2p_bytes, [2 * cost.weight_chunk_bytes(), 0]);
     }
 

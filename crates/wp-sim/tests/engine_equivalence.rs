@@ -33,10 +33,7 @@ fn cluster(kind: usize, p: usize) -> ClusterSpec {
         1 => ClusterSpec::scaling(p, (p / 2).max(1)),
         _ => {
             let mut c = ClusterSpec::nvlink_island(p);
-            c.inter = wp_sim::Link {
-                bandwidth: 1.25e9,
-                latency: 50e-6,
-            };
+            c.inter = wp_comm::LinkModel::ethernet_10g();
             c.node_size = 2;
             c
         }

@@ -2,20 +2,32 @@
 //!
 //! A counting global allocator wraps `System`; the test warms the tracer,
 //! snapshots the allocation counter, records a few thousand spans of every
-//! flavour, and asserts the counter did not move. This is the ISSUE's
-//! "zero-allocation on the hot path" requirement made falsifiable.
+//! flavour, and asserts the counter did not move.
+//!
+//! The counter is per thread: recording runs on the calling thread, while
+//! libtest's main thread, just after spawning the test's thread, allocates
+//! the map of running tests, which a process-wide counter caught inside the
+//! measured window in about a third of the runs.
 
 use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::cell::Cell;
 use wp_trace::{send_aux, SpanKind, TraceCollector, NO_ID};
 
 struct CountingAlloc;
 
-static ALLOCS: AtomicU64 = AtomicU64::new(0);
+thread_local! {
+    /// Allocations made on this thread. Const-initialised and without a
+    /// destructor, so the allocator can bump it without allocating.
+    static ALLOCS: Cell<u64> = const { Cell::new(0) };
+}
+
+fn count() {
+    ALLOCS.with(|n| n.set(n.get() + 1));
+}
 
 unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCS.fetch_add(1, Ordering::Relaxed);
+        count();
         System.alloc(layout)
     }
 
@@ -24,7 +36,7 @@ unsafe impl GlobalAlloc for CountingAlloc {
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOCS.fetch_add(1, Ordering::Relaxed);
+        count();
         System.realloc(ptr, layout, new_size)
     }
 }
@@ -44,7 +56,7 @@ fn recording_allocates_nothing() {
         t.end_span(SpanKind::Fwd, t0, 0, 0, 0, 0);
     }
 
-    let before = ALLOCS.load(Ordering::SeqCst);
+    let before = ALLOCS.with(Cell::get);
     for _ in 0..1000 {
         for (r, t) in tracers.iter().enumerate() {
             let t0 = t.now_ns();
@@ -60,7 +72,7 @@ fn recording_allocates_nothing() {
             t.instant(SpanKind::Fault, 0b01);
         }
     }
-    let after = ALLOCS.load(Ordering::SeqCst);
+    let after = ALLOCS.with(Cell::get);
     assert_eq!(
         after - before,
         0,

@@ -15,7 +15,7 @@ use weipipe::{run_distributed, OptimKind, Strategy, TrainSetup};
 use wp_comm::LinkModel;
 use wp_nn::ModelConfig;
 use wp_sim::experiments::{run_cell, RowConfig};
-use wp_sim::{ClusterSpec, Link};
+use wp_sim::ClusterSpec;
 
 fn main() {
     // --- Part 1: paper-scale simulation --------------------------------
@@ -31,13 +31,13 @@ fn main() {
         microbatch: 4,
     };
     for (name, inter) in [
-        ("NVLink 400 GB/s", Link::nvlink_a800()),
-        ("10 GbE 1.25 GB/s", Link::ethernet_10g()),
+        ("NVLink 400 GB/s", LinkModel::nvlink_a800()),
+        ("10 GbE 1.25 GB/s", LinkModel::ethernet_10g()),
     ] {
         let cluster = ClusterSpec {
             ranks: 16,
             node_size: 8,
-            intra: Link::nvlink_a800(),
+            intra: LinkModel::nvlink_a800(),
             inter,
         };
         let samples = 8 * 16 * row.microbatch;
