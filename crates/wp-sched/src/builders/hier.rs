@@ -279,22 +279,107 @@ pub(super) fn build_hier(spec: PipelineSpec) -> Schedule {
 #[cfg(test)]
 mod tests {
     use crate::builders::{build, PipelineSpec};
-    use crate::ir::{MsgKind, OpKind, Strategy};
+    use crate::ir::{MsgKey, MsgKind, Op, OpKind, Strategy};
 
+    /// Group `j` runs the flat interleave of `g` ranks and `N·g/P`
+    /// microbatches moved to ranks `j·g ..` and to the global microbatches
+    /// those ranks own; only the optimizer steps wait for reconciliation.
+    /// The relocation is the oracle: minus its `Update`, each flat stream
+    /// starts its rank's grouped stream.
+    #[test]
+    fn a_grouped_ring_is_the_flat_ring_relocated() {
+        for (p, g, n) in [(6, 3, 12), (12, 3, 12), (12, 4, 24), (12, 6, 24)] {
+            for overlap in [true, false] {
+                for recompute in [true, false] {
+                    let spec = PipelineSpec {
+                        recompute,
+                        ..PipelineSpec::new(p, n).with_overlap(overlap)
+                    };
+                    let grouped = build(Strategy::WeiPipeHier, spec.with_knob(g));
+                    let n_local = n * g / p;
+                    let flat = build(
+                        Strategy::WeiPipeInterleave,
+                        PipelineSpec {
+                            ranks: g,
+                            microbatches: n_local,
+                            ..spec
+                        },
+                    );
+                    let at = format!("P={p} g={g} N={n} overlap={overlap} recompute={recompute}");
+                    for base in (0..p).step_by(g) {
+                        // Local microbatch m belongs to local rank m % g;
+                        // the flow and no-microbatch sentinels stay.
+                        let mb = |m: usize| {
+                            if m < n_local {
+                                m % g + base + (m / g) * p
+                            } else {
+                                m
+                            }
+                        };
+                        let key = |k: MsgKey| MsgKey {
+                            mb: mb(k.mb),
+                            src: k.src + base,
+                            dst: k.dst + base,
+                            ..k
+                        };
+                        let relocate = |op: &Op| {
+                            let mut op = op.clone();
+                            match &mut op.kind {
+                                OpKind::Fwd { mb: m, .. }
+                                | OpKind::BwdFull { mb: m, .. }
+                                | OpKind::BwdData { mb: m, .. }
+                                | OpKind::BwdWeight { mb: m, .. } => *m = mb(*m),
+                                OpKind::Send(k)
+                                | OpKind::Recv(k)
+                                | OpKind::PrePost(k)
+                                | OpKind::WaitReq(k) => *k = key(*k),
+                                _ => {}
+                            }
+                            for k in &mut op.needs {
+                                *k = key(*k);
+                            }
+                            op
+                        };
+                        for (q, stream) in flat.ops.iter().enumerate() {
+                            let want: Vec<Op> = stream
+                                .iter()
+                                .filter(|op| !matches!(op.kind, OpKind::Update { .. }))
+                                .map(relocate)
+                                .collect();
+                            let r = base + q;
+                            assert!(grouped.ops[r].starts_with(&want), "{at}: rank {r}");
+                            assert_eq!(grouped.seeds[r], flat.seeds[q], "{at}: rank {r}");
+                        }
+                    }
+                    assert_eq!(grouped.initial_holder, flat.initial_holder, "{at}");
+                    assert_eq!(grouped.chunks, g, "{at}");
+                    assert_eq!(grouped.recompute, flat.recompute, "{at}");
+                }
+            }
+        }
+    }
+
+    /// No group (or `group == P`) is one ring spanning the world: the
+    /// interleave schedule, field for field, under another strategy tag.
     #[test]
     fn hier_single_group_degenerates_to_flat_interleave() {
-        let flat = build(Strategy::WeiPipeInterleave, PipelineSpec::new(4, 8));
-        // No group (or group == P) means one ring spanning the world: the
-        // exact interleave schedule under a different strategy tag.
-        for spec in [
-            PipelineSpec::new(4, 8),
-            PipelineSpec::new(4, 8).with_knob(4),
-        ] {
-            let hier = build(Strategy::WeiPipeHier, spec);
-            assert_eq!(hier.strategy, Strategy::WeiPipeHier);
-            assert_eq!(hier.chunks, 4);
-            assert_eq!(hier.ops, flat.ops);
-            assert_eq!(hier.initial_holder, flat.initial_holder);
+        for p in [2, 3, 4] {
+            for overlap in [true, false] {
+                let spec = PipelineSpec::new(p, 2 * p).with_overlap(overlap);
+                let flat = build(Strategy::WeiPipeInterleave, spec);
+                for hier in [spec, spec.with_knob(p)].map(|s| build(Strategy::WeiPipeHier, s)) {
+                    let at = format!("P={p} overlap={overlap} knob={:?}", spec.knob);
+                    assert_eq!(hier.strategy, Strategy::WeiPipeHier, "{at}");
+                    assert_eq!(
+                        (hier.ranks, hier.chunks, hier.microbatches, hier.recompute),
+                        (flat.ranks, flat.chunks, flat.microbatches, flat.recompute),
+                        "{at}"
+                    );
+                    assert_eq!(hier.ops, flat.ops, "{at}");
+                    assert_eq!(hier.seeds, flat.seeds, "{at}");
+                    assert_eq!(hier.initial_holder, flat.initial_holder, "{at}");
+                }
+            }
         }
     }
 
