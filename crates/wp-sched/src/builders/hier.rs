@@ -1,24 +1,22 @@
-//! WeiPipe-Hier: one weight ring per group of ranks.
+//! WeiPipe-Hier's gradient reconciliation between its group rings.
 
-use super::ring::build_ring;
-use super::{Knob, PipelineSpec};
-use crate::ir::{MsgKey, MsgKind, Op, OpKind, Schedule, Strategy};
+use crate::ir::{MsgKey, Op, OpKind};
 
-/// Hierarchical (TawPipe-style) grouped WeiPipe.
+/// Hierarchical (TawPipe-style) grouped WeiPipe, after its rings.
 ///
-/// The world's `P` ranks are split into `P / g` groups of `g`
+/// The world's `P` ranks are split into `G = P / g` groups of `g`
 /// consecutive ranks — ideally one NVLink island per group. Each group
-/// runs the interleaved flat ring of [`build_ring`] over a **full model
-/// replica sharded `g` ways** (intra-group weight sharding: `chunks = g`,
-/// so every weight-flow hop rides a fast intra-group link), processing
-/// the microbatches whose owner rank lives in the group. The only
-/// traffic that crosses groups is the end-of-iteration gradient
-/// reconciliation:
+/// runs the interleaved ring of [`super::ring::build_ring`] over a **full
+/// model replica sharded `g` ways** (`chunks = g`, so every weight-flow
+/// hop rides a fast intra-group link), processing the microbatches whose
+/// owner rank lives in the group. The only traffic that crosses groups is
+/// this end-of-iteration gradient reconciliation, appended to the rings'
+/// streams in rounds numbered above their backward horizon `hb`:
 ///
 /// 1. **Gather** — each per-chunk updater hands its accumulated
 ///    gradient chunk to the group's designated *bridge rank* (the last
-///    rank of the group, elected to match [`build_ring`]'s outgoing ring
-///    hop) over intra-group links.
+///    rank of the group, which owns the ring's outgoing hop) over
+///    intra-group links.
 /// 2. **Circulate** — per chunk, the bridges ring-**reduce** the `G`
 ///    partial gradients to the chunk's owner bridge (`G − 1` hops
 ///    carrying running partial sums), then ring-**broadcast** the full
@@ -36,243 +34,113 @@ use crate::ir::{MsgKey, MsgKind, Op, OpKind, Schedule, Strategy};
 /// size, at the cost of each rank holding `1/g` of the model instead of
 /// `1/P` (the replica memory TawPipe trades for slow-link traffic).
 ///
-/// `group == None` (or `group == P`) degenerates to a single flat ring.
-pub(super) fn build_hier(spec: PipelineSpec) -> Schedule {
-    let p = spec.ranks;
-    let n = spec.microbatches;
-    let Some((Knob::Group, g)) = spec.knob(Strategy::WeiPipeHier) else {
-        unreachable!("WeiPipe-Hier reads the group knob");
-    };
-    let groups = p / g;
-    let n_local = n / groups;
+/// `updates[j·g + c]` is chunk `c`'s optimizer step in group `j`: where
+/// the ring left its gradients, the rank that runs it, the group's
+/// gradients for the chunk, and the returned weights it mutates.
+pub(super) fn reconcile(
+    ops: &mut [Vec<Op>],
+    g: usize,
+    hb: usize,
+    updates: &[(usize, usize, MsgKey, Option<MsgKey>)],
+) {
+    let groups = ops.len() / g;
+    let bridge = |j: usize| j * g + g - 1;
+    let key = MsgKey::weight_grads;
+    let r_gather = hb + 1;
 
-    // Each group runs the same interleaved local ring; build it once and
-    // splice `groups` remapped copies into the world schedule.
-    // `hb` is the local backward horizon — the last round number the
-    // spliced rings use; reconciliation rounds start above it.
-    let (local, hb) = build_ring(
-        Strategy::WeiPipeInterleave,
-        PipelineSpec {
-            ranks: g,
-            microbatches: n_local,
-            ..spec
-        },
-    );
-
-    // Group j's local microbatch m is global microbatch
-    // `(m % g) + j·g + (m / g)·P`: its owner rank is `j·g + (m % g)`,
-    // so global ownership (`mb % P`) agrees with the local ring algebra
-    // (`m % g`) and the groups partition `0..N` exactly.
-    let remap_mb = |mb: usize, base: usize| -> usize {
-        if mb < n_local {
-            (mb % g) + base + (mb / g) * p
-        } else {
-            mb // FLOW_FWD / FLOW_BWD / NO_MB sentinels
-        }
-    };
-    let remap_key = |k: &MsgKey, base: usize| MsgKey {
-        mb: remap_mb(k.mb, base),
-        src: k.src + base,
-        dst: k.dst + base,
-        ..*k
-    };
-    let remap_op = |op: &Op, base: usize| -> Op {
-        let mut op = op.clone();
-        match &mut op.kind {
-            OpKind::Fwd { mb, .. }
-            | OpKind::BwdFull { mb, .. }
-            | OpKind::BwdData { mb, .. }
-            | OpKind::BwdWeight { mb, .. } => *mb = remap_mb(*mb, base),
-            OpKind::Send(k) | OpKind::Recv(k) | OpKind::PrePost(k) | OpKind::WaitReq(k) => {
-                *k = remap_key(k, base);
-            }
-            _ => {} // Update; collectives never occur
-        }
-        for k in &mut op.needs {
-            *k = remap_key(k, base);
-        }
-        op
-    };
-
-    let mut ops: Vec<Vec<Op>> = vec![Vec::new(); p];
-    // Per group, per chunk: the rank whose optimizer step covers the
-    // chunk, its local-gradient dependency, and its returned-weights
-    // dependency — the Update ops themselves are deferred until after
-    // cross-group reconciliation.
-    let mut info: Vec<Vec<(usize, MsgKey, Option<MsgKey>)>> = Vec::new();
-    for j in 0..groups {
-        let base = j * g;
-        let mut chunk_info = vec![None; g];
-        for (rl, stream) in local.ops.iter().enumerate() {
-            let r = base + rl;
-            for op in stream {
-                let mapped = remap_op(op, base);
-                if groups > 1 {
-                    if let OpKind::Update { chunk } = mapped.kind {
-                        let grad = mapped
-                            .needs
-                            .iter()
-                            .copied()
-                            .find(|k| k.kind == MsgKind::WeightGrads)
-                            .expect("ring update depends on its gradients");
-                        let weights = mapped
-                            .needs
-                            .iter()
-                            .copied()
-                            .find(|k| k.kind == MsgKind::Weights);
-                        chunk_info[chunk] = Some((r, grad, weights));
-                        continue;
-                    }
-                }
-                ops[r].push(mapped);
+    // 1. Gather at the bridge (intra-group).
+    for (j, group) in updates.chunks(g).enumerate() {
+        let b = bridge(j);
+        for (c, &(_, u, grads, _)) in group.iter().enumerate() {
+            if u != b {
+                ops[u].push(Op::send(key(c, r_gather, u, b)).needs(grads));
+                ops[b].push(Op::recv(key(c, r_gather, u, b)));
             }
         }
-        info.push(if groups > 1 {
-            chunk_info
-                .into_iter()
-                .map(|c| c.expect("flat ring emits one Update per chunk"))
-                .collect()
-        } else {
-            Vec::new()
-        });
     }
 
-    if groups > 1 {
-        let bridge = |j: usize| j * g + g - 1;
-        let key = MsgKey::weight_grads;
-        let r_gather = hb + 1;
-
-        // 1. Gather at the bridge (intra-group).
-        for (j, group_info) in info.iter().enumerate() {
-            let b = bridge(j);
-            for (c, &(r, grad, _)) in group_info.iter().enumerate() {
-                if r != b {
-                    ops[r].push(Op::send(key(c, r_gather, r, b)).needs(grad));
-                    ops[b].push(Op::recv(key(c, r_gather, r, b)));
-                }
-            }
+    // Chunk-c gradients as seen by the bridge of group `j`: its own
+    // contribution if it is the updater, else the gathered copy.
+    let local_grad = |j: usize, c: usize| {
+        let (_, u, grads, _) = updates[j * g + c];
+        if u == bridge(j) {
+            grads
+        } else {
+            key(c, r_gather, u, bridge(j))
         }
+    };
+    // Every bridge hop runs from group j − 1 to group j.
+    let arrived = |c: usize, round: usize, j: usize| {
+        key(c, round, bridge((j + groups - 1) % groups), bridge(j))
+    };
 
-        // Chunk-c gradients as seen by the bridge of group `j`: its own
-        // contribution if it is the updater, else the gathered copy.
-        let local_grad = |j: usize, c: usize| {
-            let (u, grad, _) = info[j][c];
-            if u == bridge(j) {
-                grad
-            } else {
-                key(c, r_gather, u, bridge(j))
-            }
-        };
-
-        // Dependencies that pin the full chunk-c sum at group j's bridge
-        // after the ring phases below: at the owner, the last partial-sum
-        // arrival plus its own contribution; elsewhere, the broadcast hop
-        // that delivered it.
-        let full_sum = |j: usize, c: usize| -> Vec<MsgKey> {
-            let o = c % groups;
-            if j == o {
-                let last = (o + groups - 1) % groups;
-                vec![
-                    key(c, hb + groups, bridge(last), bridge(o)),
-                    local_grad(o, c),
-                ]
-            } else {
-                let t = (j + groups - o - 1) % groups; // j == o+1+t
-                vec![key(
-                    c,
-                    hb + groups + 1 + t,
-                    bridge((o + t) % groups),
-                    bridge(j),
-                )]
-            }
-        };
-
-        // 2. Ring-reduce each chunk to its owner bridge, then ring-
-        //    broadcast the sum back — `2·(G−1)` bridge hops per chunk,
-        //    the classic all-reduce byte count `2·(G−1)·M` in total
-        //    (a store-and-forward all-gather would cost `G·(G−1)·M`
-        //    and forfeit most of the hierarchy's traffic win). Chunk
-        //    ownership rotates (`c % G`) so the hop load balances
-        //    across the bridge ring. Reduce hop `s` carries the
-        //    partial sum of groups `o+1..=o+1+s`; broadcast hops carry
-        //    the full sum.
-        //    Hop descriptor: (round, sender group, receiver group,
-        //    chunk, payload dependencies).
-        let mut hops: Vec<(usize, usize, usize, usize, Vec<MsgKey>)> = Vec::new();
-        for c in 0..g {
-            let o = c % groups; // owner position on the bridge ring
-            for s in 0..groups - 1 {
-                let round = hb + 2 + s;
-                let sj = (o + 1 + s) % groups;
-                let rj = (o + 2 + s) % groups;
-                let mut needs = vec![local_grad(sj, c)];
-                if s > 0 {
-                    let prev = (o + s) % groups;
-                    needs.push(key(c, round - 1, bridge(prev), bridge(sj)));
-                }
-                hops.push((round, sj, rj, c, needs));
-            }
-            for t in 0..groups - 1 {
-                let sj = (o + t) % groups;
-                let rj = (o + 1 + t) % groups;
-                hops.push((hb + groups + 1 + t, sj, rj, c, full_sum(sj, c)));
-            }
+    // Dependencies that pin the full chunk-c sum at group j's bridge
+    // after the ring phases below: at the owner, the last partial-sum
+    // arrival plus its own contribution; elsewhere, the broadcast hop
+    // that delivered it.
+    let full_sum = |j: usize, c: usize| -> Vec<MsgKey> {
+        let o = c % groups;
+        if j == o {
+            vec![arrived(c, hb + groups, o), local_grad(o, c)]
+        } else {
+            let t = (j + groups - o - 1) % groups; // j == o+1+t
+            vec![arrived(c, hb + groups + 1 + t, j)]
         }
-        // Emit round-by-round, sends before recvs per bridge, so every
-        // stream's strict in-order execution finds its dependencies
-        // already satisfied.
-        hops.sort_by_key(|&(round, sj, _, c, _)| (round, sj, c));
-        for round in hb + 2..=hb + 2 * groups - 1 {
-            for j in 0..groups {
-                for (r, sj, rj, c, needs) in hops.iter().filter(|h| h.0 == round) {
-                    if *sj == j {
-                        let mut send = Op::send(key(*c, *r, bridge(*sj), bridge(*rj)));
-                        send.needs.extend(needs);
-                        ops[bridge(j)].push(send);
+    };
+
+    // 2. Ring-reduce each chunk to its owner bridge, then ring-broadcast
+    //    the sum back — `2·(G−1)` bridge hops per chunk, the classic
+    //    all-reduce byte count `2·(G−1)·M` in total (a store-and-forward
+    //    all-gather would cost `G·(G−1)·M` and forfeit most of the
+    //    hierarchy's traffic win). Chunk ownership rotates (`o = c % G`)
+    //    so the hop load balances across the bridge ring. Hop `h` runs in
+    //    round `hb + 2 + h` and leaves bridge `o + 1 + h`: reduce hops
+    //    (`h < G − 1`) carry the partial sum of groups `o+1..=o+1+h`,
+    //    broadcast hops the full sum. Round by round, each bridge sends
+    //    before it receives, so every stream's strict in-order execution
+    //    finds its dependencies already satisfied.
+    for h in 0..2 * (groups - 1) {
+        let round = hb + 2 + h;
+        for j in 0..groups {
+            let (from, to) = ((j + groups - 1) % groups, (j + 1) % groups);
+            for c in (0..g).filter(|c| (c + 1 + h) % groups == j) {
+                let mut send = Op::send(key(c, round, bridge(j), bridge(to)));
+                if h + 1 < groups {
+                    send.needs.push(local_grad(j, c));
+                    if h > 0 {
+                        send.needs.push(arrived(c, round - 1, j));
                     }
-                }
-                for (r, sj, rj, c, _) in hops.iter().filter(|h| h.0 == round) {
-                    if *rj == j {
-                        ops[bridge(j)].push(Op::recv(key(*c, *r, bridge(*sj), bridge(*rj))));
-                    }
-                }
-            }
-        }
-
-        // 3. Fan the reduced gradients back out (intra-group) and run
-        //    the deferred optimizer steps.
-        let r_fan = hb + 2 * groups;
-        for (j, group_info) in info.iter().enumerate() {
-            let b = bridge(j);
-            for (c, &(u, _, weights)) in group_info.iter().enumerate() {
-                let mut update = Op::compute(OpKind::Update { chunk: c });
-                if u == b {
-                    update.needs.extend(full_sum(j, c));
                 } else {
-                    let fo = key(c, r_fan, b, u);
-                    let mut send = Op::send(fo);
                     send.needs.extend(full_sum(j, c));
-                    ops[b].push(send);
-                    ops[u].push(Op::recv(fo));
-                    update = update.needs(fo);
                 }
-                update.needs.extend(weights);
-                ops[u].push(update);
+                ops[bridge(j)].push(send);
+            }
+            for c in (0..g).filter(|c| (c + 1 + h) % groups == from) {
+                ops[bridge(j)].push(Op::recv(arrived(c, round, j)));
             }
         }
     }
 
-    Schedule {
-        strategy: Strategy::WeiPipeHier,
-        ranks: p,
-        chunks: g,
-        microbatches: n,
-        ops,
-        // Group 0's replica owners; groups j > 0 hold the same chunks at
-        // `j·g +` the same offsets.
-        initial_holder: local.initial_holder,
-        seeds: (0..p).map(|r| local.seeds[r % g].clone()).collect(),
-        recompute: local.recompute,
+    // 3. Fan the reduced gradients back out (intra-group) and run the
+    //    optimizer steps.
+    let r_fan = hb + 2 * groups;
+    for (j, group) in updates.chunks(g).enumerate() {
+        let b = bridge(j);
+        for (c, &(_, u, _, weights)) in group.iter().enumerate() {
+            let mut update = Op::compute(OpKind::Update { chunk: c });
+            if u == b {
+                update.needs.extend(full_sum(j, c));
+            } else {
+                let fo = key(c, r_fan, b, u);
+                let mut send = Op::send(fo);
+                send.needs.extend(full_sum(j, c));
+                ops[b].push(send);
+                ops[u].push(Op::recv(fo));
+                update = update.needs(fo);
+            }
+            update.needs.extend(weights);
+            ops[u].push(update);
+        }
     }
 }
 
@@ -389,8 +257,8 @@ mod tests {
             let s = build(Strategy::WeiPipeHier, PipelineSpec::new(p, n).with_knob(g));
             crate::validate(&s).unwrap_or_else(|e| panic!("p={p} g={g} n={n}: {e}"));
             assert_eq!(s.chunks, g);
-            // Microbatch ownership stays `mb % P` after the group remap, so
-            // each group's ring trains exactly its own slice of the batch.
+            // Microbatch ownership stays `mb % P` in every group, so each
+            // group's ring trains exactly its own slice of the batch.
             let mut updates = vec![0usize; g];
             for (r, op) in s.iter_ops() {
                 match op.kind {

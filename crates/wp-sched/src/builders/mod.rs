@@ -5,9 +5,10 @@
 //! module needs:
 //!
 //! * `ring` — the paper's §4.2 weight ring (naive, interleaved, WZB1, WZB2)
-//!   and the position algebra all of them share;
-//! * `hier` — one interleaved ring per group of ranks, gradients reconciled
-//!   across groups through bridge ranks (WeiPipe-Hier);
+//!   and the position algebra all of them share, run once per group of
+//!   ranks for WeiPipe-Hier;
+//! * `hier` — WeiPipe-Hier's end-of-iteration reconciliation: the group
+//!   rings' gradients summed across groups through bridge ranks;
 //! * `stage` — the activation-passing stage pipeline the paper measures
 //!   against (GPipe, 1F1B, ZB1, ZB2), one warm-up / steady / cool-down loop;
 //! * `collective` — FSDP and DDP.
@@ -125,8 +126,7 @@ pub fn build(strategy: Strategy, spec: PipelineSpec) -> Schedule {
         panic!("{why}");
     }
     match strategy.shape().family {
-        Family::Ring => ring::build_ring(strategy, spec).0,
-        Family::Hier => hier::build_hier(spec),
+        Family::Ring => ring::build_ring(strategy, spec),
         Family::Stage => stage::build_stage_pipe(strategy, spec),
         Family::Collective => collective::build_collective(strategy, spec),
     }
@@ -196,7 +196,10 @@ impl WWindow {
     /// The window a split-backward ring or stage strategy names: its W-lag
     /// knob, or no bound when it reads none.
     fn of(strategy: Strategy, spec: &PipelineSpec) -> Self {
-        Self::new(spec.knob(strategy).map(|(_, lag)| lag))
+        Self::new(match spec.knob(strategy) {
+            Some((Knob::WLag, lag)) => Some(lag),
+            _ => None,
+        })
     }
 
     fn w_pass((mb, chunk): (usize, usize)) -> Op {

@@ -23,17 +23,28 @@
 //! assigned so `r` always works on microbatches `mb ≡ r (mod P)`, which is
 //! what makes compute perfectly balanced and the traffic independent of
 //! sequence length and microbatch size.
+//!
+//! WeiPipe-Hier runs this ring once per group of `g` consecutive ranks
+//! (its group knob): in the algebra above `r` is then the ring position
+//! `r % g` and `P` is `g`, while a rank still works on the microbatches
+//! it owns globally, `(k / g)·P + r` for its `k`-th turn of compute. What
+//! follows the rings is [`hier::reconcile`].
 
-use super::{wrap, Passes, PipelineSpec, WWindow};
+use super::{hier, wrap, Knob, Passes, PipelineSpec, WWindow};
 use crate::ir::{MsgKey, Op, OpKind, Schedule, Strategy, FLOW_BWD, FLOW_FWD};
 
-/// Shared ring builder for all four weight-passing schedules. Also returns
-/// the backward horizon `hb`, the last round number the ring uses: whoever
-/// appends to the schedule ([`super::hier`]) numbers its rounds above it.
-pub(super) fn build_ring(strategy: Strategy, spec: PipelineSpec) -> (Schedule, usize) {
+/// Shared ring builder for the four weight-passing schedules and
+/// WeiPipe-Hier, which runs the interleaved ring once per group of `g`
+/// consecutive ranks (its group knob; every other strategy rings all `P`)
+/// and reconciles the groups' gradients in [`hier::reconcile`].
+pub(super) fn build_ring(strategy: Strategy, spec: PipelineSpec) -> Schedule {
     let p = spec.ranks;
     let n = spec.microbatches;
-    let nl = n / p; // microbatch groups ("loops" of the ring)
+    let g = match spec.knob(strategy) {
+        Some((Knob::Group, g)) => g,
+        _ => p,
+    };
+    let nl = n / p; // microbatches per rank ("loops" of its ring)
     let naive = strategy == Strategy::WeiPipeNaive;
     let offset = if naive { 2 } else { 1 };
     let passes = Passes::of(strategy, &spec);
@@ -41,28 +52,52 @@ pub(super) fn build_ring(strategy: Strategy, spec: PipelineSpec) -> (Schedule, u
     // Ring horizon: forward flow runs hf hops (back to its owner);
     // backward flow runs hb hops (gradients land one rank short of the
     // owner and are delivered point-to-point at the end).
-    let hf = (nl + 1) * p;
+    let hf = (nl + 1) * g;
     let hb = if naive {
-        2 * (nl + 1) * p - 3
+        2 * (nl + 1) * g - 3
     } else {
-        (nl + 2) * p - 2
+        (nl + 2) * g - 2
     };
 
-    // Chunk held by rank r at turn t, per flow.
-    let wf = |r: usize, t: usize| wrap(t as isize - r as isize, p);
-    let wb = |r: usize, t: usize| wrap(r as isize - offset as isize - t as isize, p);
+    // Chunk held by ring position q at turn t, per flow.
+    let wf = |q: usize, t: usize| wrap(t as isize - q as isize, g);
+    let wb = |q: usize, t: usize| wrap(q as isize - offset as isize - t as isize, g);
+    // The rank `step` places on from rank r round its group's ring.
+    let around = |r: usize, step: isize| r - r % g + wrap((r % g) as isize + step, g);
+
+    // Chunk c's optimizer step in the ring starting at rank `base`: the
+    // rank its gradients rest on after hb hops (one short of the owner),
+    // the rank that steps it, the gradients it waits for, and the weights
+    // the forward flow returned home on its final hop, which it mutates.
+    let update = |base: usize, c: usize| {
+        let holder = base + (c + offset + hb) % g;
+        debug_assert_eq!(holder, around(base + c, -1));
+        let updater = if strategy == Strategy::Wzb2 {
+            base + g - 1 // WZB2 parks all optimizer state on the last rank
+        } else {
+            base + wrap(-(c as isize), g)
+        };
+        let grads = if holder == updater {
+            MsgKey::weight_grads(c, hb - 1, around(holder, -1), holder)
+        } else {
+            MsgKey::weight_grads(c, hb, holder, updater)
+        };
+        let weights = (strategy != Strategy::Wzb2)
+            .then(|| MsgKey::weights(c, FLOW_FWD, hf - 1, around(updater, -1), updater));
+        (holder, updater, grads, weights)
+    };
 
     let mut ops: Vec<Vec<Op>> = vec![Vec::new(); p];
     for (r, stream) in ops.iter_mut().enumerate() {
-        let prev = wrap(r as isize - 1, p);
-        let next = wrap(r as isize + 1, p);
+        let q = r % g;
+        let (prev, next) = (around(r, -1), around(r, 1));
         // What rank `r` works on at turn `t` as it moves `src → dst` in
         // `round`: forward weights, backward weights, gradient accumulator.
         let hop = |t: usize, round: usize, src: usize, dst: usize| {
             [
-                MsgKey::weights(wf(r, t), FLOW_FWD, round, src, dst),
-                MsgKey::weights(wb(r, t), FLOW_BWD, round, src, dst),
-                MsgKey::weight_grads(wb(r, t), round, src, dst),
+                MsgKey::weights(wf(q, t), FLOW_FWD, round, src, dst),
+                MsgKey::weights(wb(q, t), FLOW_BWD, round, src, dst),
+                MsgKey::weight_grads(wb(q, t), round, src, dst),
             ]
         };
         // WZB1 bounds in-flight B contexts; WZB2 defers every W pass to the
@@ -125,14 +160,14 @@ pub(super) fn build_ring(strategy: Strategy, spec: PipelineSpec) -> (Schedule, u
                 }
             }
 
-            // 2. Forward compute: group g of this rank's microbatches
-            //    meets chunk c on turn t = r + g·P + c.
-            if t >= r {
-                let k = t - r;
-                if k < nl * p {
-                    let mb = (k / p) * p + r;
-                    let chunk = k % p;
-                    debug_assert_eq!(chunk, wf(r, t));
+            // 2. Forward compute: loop l of this rank's microbatches
+            //    meets chunk c on turn t = q + l·g + c.
+            if t >= q {
+                let k = t - q;
+                if k < nl * g {
+                    let mb = (k / g) * p + r;
+                    let chunk = k % g;
+                    debug_assert_eq!(chunk, wf(q, t));
                     let mut op = Op::compute(OpKind::Fwd { mb, chunk }).mem(passes.ctx, 1);
                     if t >= 1 {
                         op = op.needs(fwd_in);
@@ -159,15 +194,15 @@ pub(super) fn build_ring(strategy: Strategy, spec: PipelineSpec) -> (Schedule, u
 
             // 3. Backward compute on the trailing flow.
             let bk = if naive {
-                (t as isize) - (r as isize + ((nl + 1) * p) as isize - 1)
+                (t as isize) - (q as isize + ((nl + 1) * g) as isize - 1)
             } else {
-                (t as isize) - (r as isize + p as isize)
+                (t as isize) - (q as isize + g as isize)
             };
-            if bk >= 0 && (bk as usize) < nl * p {
+            if bk >= 0 && (bk as usize) < nl * g {
                 let k = bk as usize;
-                let mb = (k / p) * p + r;
-                let chunk = p - 1 - (k % p);
-                debug_assert_eq!(chunk, wb(r, t));
+                let mb = (k / g) * p + r;
+                let chunk = g - 1 - (k % g);
+                debug_assert_eq!(chunk, wb(q, t));
                 let (kind, unit, delta) = passes.backward(mb, chunk);
                 stream.push(Op::compute(kind).needs(bwd_in).mem(unit, delta));
                 if passes.split {
@@ -199,60 +234,48 @@ pub(super) fn build_ring(strategy: Strategy, spec: PipelineSpec) -> (Schedule, u
         }
         stream.extend(deferred.flush());
 
-        // Gradient delivery: after hb hops, chunk c's gradients sit at
-        // rank (c - 1) % P; ship them to the updating rank.
-        let holder = |c: usize| wrap(c as isize + offset as isize + hb as isize, p);
-        let updater = |c: usize| {
-            if strategy == Strategy::Wzb2 {
-                p - 1 // WZB2 parks all optimizer state on the last rank
-            } else {
-                wrap(-(c as isize), p)
-            }
-        };
-        let d_at_hb =
-            |c: usize, at: usize| MsgKey::weight_grads(c, hb - 1, wrap(at as isize - 1, p), at);
-        for c in 0..p {
-            if holder(c) == r && updater(c) != r {
-                debug_assert_eq!(holder(c), wrap(c as isize - 1, p));
-                stream.push(
-                    Op::send(MsgKey::weight_grads(c, hb, r, updater(c))).needs(d_at_hb(c, r)),
-                );
+        // Gradient delivery: ship each chunk's gradients from where they
+        // rest to the rank that steps it. With several groups the steps
+        // wait for the groups' gradients to be summed.
+        for c in 0..g {
+            let (holder, updater, grads, _) = update(r - q, c);
+            if holder == r && updater != r {
+                stream.push(Op::send(grads).needs(MsgKey::weight_grads(c, hb - 1, prev, r)));
             }
         }
-        for c in 0..p {
-            if updater(c) != r {
+        for c in 0..g {
+            let (holder, updater, grads, weights) = update(r - q, c);
+            if updater != r {
                 continue;
             }
-            let grads_ready = if holder(c) == r {
-                d_at_hb(c, r)
-            } else {
-                let delivery = MsgKey::weight_grads(c, hb, holder(c), r);
-                stream.push(Op::recv(delivery));
-                delivery
-            };
-            let mut op = Op::compute(OpKind::Update { chunk: c }).needs(grads_ready);
-            if strategy != Strategy::Wzb2 {
-                // The forward flow returned this chunk's weights home on
-                // its final hop; the update mutates that buffer.
-                op = op.needs(MsgKey::weights(c, FLOW_FWD, hf - 1, prev, r));
+            if holder != r {
+                stream.push(Op::recv(grads));
             }
-            stream.push(op);
+            if g == p {
+                let mut op = Op::compute(OpKind::Update { chunk: c }).needs(grads);
+                op.needs.extend(weights);
+                stream.push(op);
+            }
         }
     }
+    if g < p {
+        let updates: Vec<_> = (0..p).map(|i| update(i - i % g, i % g)).collect();
+        hier::reconcile(&mut ops, g, hb, &updates);
+    }
 
-    let schedule = Schedule {
+    Schedule {
         strategy,
         ranks: p,
-        chunks: p,
+        chunks: g,
         microbatches: n,
         ops,
-        initial_holder: (0..p).map(|c| (p - c) % p).collect(),
+        // Group 0's owners; group j's sit j·g ranks on.
+        initial_holder: (0..g).map(|c| (g - c) % g).collect(),
         seeds: (0..p)
-            .map(|r| vec![(wf(r, 0), FLOW_FWD), (wb(r, 0), FLOW_BWD)])
+            .map(|r| vec![(wf(r % g, 0), FLOW_FWD), (wb(r % g, 0), FLOW_BWD)])
             .collect(),
         recompute: passes.recompute,
-    };
-    (schedule, hb)
+    }
 }
 
 #[cfg(test)]

@@ -9,11 +9,10 @@ use crate::ir::Strategy;
 /// The builder skeleton a strategy compiles through.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Family {
-    /// The §4.2 weight ring: weights circulate, microbatches stay put.
+    /// The §4.2 weight ring: weights circulate, microbatches stay put. With
+    /// a group knob, one ring per group of ranks, gradients reconciled
+    /// between groups through bridge ranks.
     Ring,
-    /// One weight ring per group of ranks, gradients reconciled between
-    /// groups through bridge ranks.
-    Hier,
     /// The activation-passing stage pipeline the paper measures against.
     Stage,
     /// Data parallelism over collectives (FSDP, DDP).
@@ -95,7 +94,7 @@ impl Strategy {
             // One group of all `P` ranks is the flat ring.
             Strategy::WeiPipeHier => Shape {
                 knob: Some((Knob::Group, |p| p)),
-                ..fused(Family::Hier)
+                ..fused(Family::Ring)
             },
         }
     }
@@ -109,7 +108,7 @@ pub(crate) fn check(strategy: Strategy, spec: &PipelineSpec) -> Result<(), Strin
     let label = strategy.label();
     let (p, n) = (spec.ranks, spec.microbatches);
     let min_ranks = match shape.family {
-        Family::Ring | Family::Hier => 2,
+        Family::Ring => 2,
         Family::Stage | Family::Collective => 1,
     };
     if p < min_ranks {
