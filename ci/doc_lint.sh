@@ -1,8 +1,8 @@
 #!/usr/bin/env bash
 # The documents name things that exist. In README / DESIGN / EXPERIMENTS /
 # results/README.md / the verify skill, fail on
-#   1. `--bin <name>` with no crates/wp-bench/src/bin/<name>.rs or
-#      examples/<name>.rs;
+#   1. a binary — `--bin <name>`, ``bin `<name>` `` or `` `<name>` binary `` —
+#      with no crates/wp-bench/src/bin/<name>.rs or examples/<name>.rs;
 #   2. a `results/...` or `crates/...` path that is not in the tree (braces
 #      and `*` expand, `<placeholder>` is `*`; every alternative must exist);
 #   3. a backticked `<bench>.<metric>` that is neither a bound a bench
@@ -40,8 +40,9 @@ known_metric() {
 for doc in "${docs[@]}"; do
     while IFS=: read -r line name; do
         [ -f "crates/wp-bench/src/bin/$name.rs" ] || [ -f "examples/$name.rs" ] ||
-            stale "$doc" "$line" "--bin $name: no crates/wp-bench/src/bin/$name.rs or examples/$name.rs"
-    done < <(grep -noE -- '--bin [A-Za-z0-9_-]+' "$doc" | sed 's/--bin //')
+            stale "$doc" "$line" "binary $name: no crates/wp-bench/src/bin/$name.rs or examples/$name.rs"
+    done < <(grep -noE -- '--bin [A-Za-z0-9_-]+|\bbin `[A-Za-z0-9_-]+|`[A-Za-z0-9_-]+` binary' "$doc" |
+        sed -E 's/^([0-9]+:)(--bin |bin `|`)([A-Za-z0-9_-]+).*/\1\3/')
 
     while IFS=: read -r line path; do
         pattern=$(sed -E 's/<[^>]*>/*/g; s/[.,]+$//' <<<"$path")

@@ -10,15 +10,14 @@
 //! allows exits 1 with a `wp-bench tune: FAIL: …` line.
 //!
 //! `--smoke` runs the CI-sized point; the full sweep covers the three paper
-//! clusters. With `--smoke --csv-dir results/csv` it rewrites
-//! `tune_smoke.csv`, which `tests/golden_tables.rs` compares byte for byte:
-//! what the grid finds is a deterministic fact, pinned by a test rather
-//! than bounded here.
+//! clusters. What the grid finds at the smoke point is a deterministic
+//! fact: the `results` binary writes it to `results/csv/tune_smoke.csv`,
+//! and `tests/golden_tables.rs` pins it rather than a bound here.
 
 use std::time::Instant;
 
-use wp_bench::tune::{points, tune_csv, Tuned};
-use wp_bench::{fail, has_flag, write_csv_if_asked};
+use wp_bench::tune::points;
+use wp_bench::{fail, has_flag};
 use wp_sched::{build, validate, PipelineSpec, Strategy};
 use wp_sim::{simulate, ClusterSpec, CostModel, GpuSpec, ModelDims, SimOptions};
 
@@ -67,7 +66,6 @@ fn main() {
         if smoke { "smoke" } else { "full" }
     );
 
-    let mut rows: Vec<Tuned> = Vec::new();
     for pt in &points(smoke) {
         let t = pt.tune().unwrap_or_else(|e| fail(BENCH, &e));
         println!(
@@ -81,10 +79,6 @@ fn main() {
             t.evaluated,
             t.infeasible,
         );
-        rows.push(t);
-    }
-    if smoke {
-        write_csv_if_asked("tune_smoke.csv", &tune_csv(&rows));
     }
 
     fleet_point(2048, if smoke { 128 } else { 256 });

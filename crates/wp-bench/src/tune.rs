@@ -1,9 +1,10 @@
 //! The autotuner's (model, cluster) points and what the grid search makes
-//! of each — shared by the `tune` binary, which prints and writes them, and
-//! the golden test that pins the smoke point (`tests/golden_tables.rs`).
+//! of each — shared by the `tune` binary, which prints them, and
+//! [`crate::results`], which writes the smoke point's CSV.
 
 use wp_sched::tune::{grid, Candidate, CostOracle, TuneSpace};
 use wp_sched::{Strategy, ALL_STRATEGIES};
+use wp_sim::experiments::paper_clusters;
 use wp_sim::tune::DesOracle;
 use wp_sim::{ClusterSpec, GpuSpec, ModelDims};
 
@@ -48,17 +49,9 @@ pub fn points(smoke: bool) -> Vec<Point> {
             32,
         )];
     }
-    let dims16 = ModelDims::paper(4096, 32, 16384, 4);
-    vec![
-        point("nvlink16", ClusterSpec::nvlink_16(), dims16, 64),
-        point("ethernet16", ClusterSpec::ethernet_16(), dims16, 64),
-        point(
-            "nvlink8",
-            ClusterSpec::nvlink_8(),
-            ModelDims::paper(2048, 32, 65536, 1),
-            32,
-        ),
-    ]
+    (paper_clusters().into_iter())
+        .map(|(label, cluster, dims, global_batch)| point(label, cluster, dims, global_batch))
+        .collect()
 }
 
 /// The grid winner at one point beside the default builder schedule —
@@ -107,24 +100,4 @@ impl Point {
             infeasible: out.infeasible,
         })
     }
-}
-
-/// Serialize tuned points as CSV, one row per point, seconds in full
-/// precision: the pinned form of the `tune` binary's table.
-pub fn tune_csv(rows: &[Tuned]) -> String {
-    let mut out =
-        String::from("point,best,best_iter_s,default,default_iter_s,evaluated,infeasible\n");
-    for t in rows {
-        out.push_str(&format!(
-            "{},{},{},{},{},{},{}\n",
-            t.label,
-            t.best.label(),
-            t.best_s,
-            t.default.label(),
-            t.default_s,
-            t.evaluated,
-            t.infeasible
-        ));
-    }
-    out
 }

@@ -1,54 +1,84 @@
-//! The frozen fixtures for the simulator's bits: Tables 2–4, the
-//! flat-vs-grouped ring comparison and the autotuner's smoke point, rebuilt
-//! in memory, must equal the checked-in `results/csv/*.csv` byte for byte.
-//! A refactor of the engine, the cost model, a builder or the grid search
-//! that moves any priced cell — throughput, memory, OOM flag, bubble ratio;
-//! an iteration time by one ulp, a cross-node byte, the tuner's winner or
-//! how many candidates it priced — fails here; an intended change
-//! regenerates the files in the same commit (the three `--csv-dir
-//! results/csv` commands at the top of EXPERIMENTS.md).
+//! The frozen fixtures for the simulator's bits: every artefact
+//! `wp_bench::results::render` produces — Tables 2–4 and Figures 1–9 as text
+//! and SVG, the ablations, the flat-vs-grouped ring comparison and the five
+//! CSVs — must equal the checked-in file under `results/` byte for byte,
+//! and `results/` must hold nothing else besides [`NOT_RENDERED`]. A
+//! refactor of the engine, the cost model, a builder, the grid search or a
+//! formatter that moves any priced cell — throughput, memory, OOM flag,
+//! bubble ratio; an iteration time by one ulp, a cross-node byte, the
+//! tuner's winner or how many candidates it priced — fails here, and so does
+//! an artefact no longer rendered or never registered. An intended change
+//! reruns the `results` binary and commits the diff.
 
-use wp_bench::tune::{points, tune_csv};
-use wp_bench::{hier_csv, table_csv};
-use wp_sim::experiments::{hier_flat_vs_grouped, table2, table3, table4};
+use std::collections::BTreeSet;
+use std::path::Path;
 
-fn assert_matches(file: &str, got: &str, want: &str) {
-    for (n, (g, w)) in got.lines().zip(want.lines()).enumerate() {
-        assert_eq!(g, w, "results/csv/{file} line {}", n + 1);
+use wp_bench::results::render;
+
+/// The files under `results/` that no simulator renders: the index, and
+/// the kernel microbenchmark, which the host measures.
+const NOT_RENDERED: [&str; 2] = ["README.md", "kernels.txt"];
+
+/// Every file under `dir`, as a path relative to `root`.
+fn files_under(root: &Path, dir: &Path, out: &mut BTreeSet<String>) {
+    for entry in std::fs::read_dir(dir).expect("read results/") {
+        let path = entry.expect("a directory entry").path();
+        if path.is_dir() {
+            files_under(root, &path, out);
+        } else {
+            let rel = path.strip_prefix(root).expect("under results/");
+            out.insert(rel.to_str().expect("a UTF-8 path").to_string());
+        }
     }
-    assert_eq!(got, want, "results/csv/{file}");
+}
+
+/// The first line where `got` and `want` differ, if they do.
+fn first_difference(got: &str, want: &str) -> Option<String> {
+    if got == want {
+        return None;
+    }
+    let mismatch = (got.lines().zip(want.lines())).position(|(g, w)| g != w);
+    Some(match mismatch {
+        Some(n) => format!(
+            "line {}: rendered {:?}, checked in {:?}",
+            n + 1,
+            got.lines().nth(n).unwrap_or_default(),
+            want.lines().nth(n).unwrap_or_default()
+        ),
+        None => format!(
+            "rendered {} lines ({} bytes), checked in {} lines ({} bytes)",
+            got.lines().count(),
+            got.len(),
+            want.lines().count(),
+            want.len()
+        ),
+    })
 }
 
 #[test]
-fn tables_2_to_4_match_the_checked_in_csvs_byte_for_byte() {
-    let golden = [
-        (2, table2(), include_str!("../../../results/csv/table2.csv")),
-        (3, table3(), include_str!("../../../results/csv/table3.csv")),
-        (4, table4(), include_str!("../../../results/csv/table4.csv")),
-    ];
-    for (id, rows, want) in golden {
-        assert_matches(&format!("table{id}.csv"), &table_csv(&rows), want);
-    }
-}
+fn every_results_artefact_matches_the_checked_in_file_byte_for_byte() {
+    let root = Path::new(env!("CARGO_MANIFEST_DIR")).join("../../results");
+    let artefacts = render();
 
-#[test]
-fn flat_vs_grouped_rings_match_the_checked_in_csv_byte_for_byte() {
-    let got = hier_csv(&hier_flat_vs_grouped());
-    assert_matches(
-        "hier.csv",
-        &got,
-        include_str!("../../../results/csv/hier.csv"),
+    let rendered: BTreeSet<String> = artefacts.iter().map(|(path, _)| path.clone()).collect();
+    assert_eq!(rendered.len(), artefacts.len(), "a path rendered twice");
+    let mut checked_in = BTreeSet::new();
+    files_under(&root, &root, &mut checked_in);
+    for name in NOT_RENDERED {
+        assert!(checked_in.remove(name), "results/{name} is missing");
+    }
+    let unrendered: Vec<_> = checked_in.difference(&rendered).collect();
+    let missing: Vec<_> = rendered.difference(&checked_in).collect();
+    assert!(
+        unrendered.is_empty() && missing.is_empty(),
+        "under results/ but not rendered: {unrendered:?}; rendered but not under results/: {missing:?}"
     );
-}
 
-#[test]
-fn the_tuner_smoke_point_matches_the_checked_in_csv_byte_for_byte() {
-    let rows: Vec<_> = (points(true).iter())
-        .map(|pt| pt.tune().expect("a feasible candidate"))
+    let mismatches: Vec<String> = (artefacts.iter())
+        .filter_map(|(path, got)| {
+            let want = std::fs::read_to_string(root.join(path)).expect("read a results file");
+            first_difference(got, &want).map(|d| format!("results/{path} {d}"))
+        })
         .collect();
-    assert_matches(
-        "tune_smoke.csv",
-        &tune_csv(&rows),
-        include_str!("../../../results/csv/tune_smoke.csv"),
-    );
+    assert!(mismatches.is_empty(), "{}", mismatches.join("\n"));
 }

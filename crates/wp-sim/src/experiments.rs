@@ -1,5 +1,5 @@
 //! Experiment runners: one function per table/figure of the paper's
-//! evaluation (§5–6). The bench binaries print these; integration tests
+//! evaluation (§5–6). `wp_bench::results` renders these; integration tests
 //! assert the qualitative shape (who wins, where OOMs appear, how scaling
 //! curves bend).
 
@@ -449,6 +449,25 @@ impl HierCell {
     }
 }
 
+/// The paper's three calibrated clusters as `(label, cluster, model, global
+/// batch)`: Tables 3 and 2's 16-GPU clusters at their H = 4096, S = 16384
+/// row, and Table 4's single NVLink island at H = 2048, S = 65536. The
+/// flat-vs-grouped comparison and the autotuner's full sweep both price
+/// these.
+pub fn paper_clusters() -> [(&'static str, ClusterSpec, ModelDims, usize); 3] {
+    let dims16 = ModelDims::paper(4096, 32, 16384, 4);
+    [
+        ("ethernet16", ClusterSpec::ethernet_16(), dims16, 64),
+        ("nvlink16", ClusterSpec::nvlink_16(), dims16, 64),
+        (
+            "nvlink8",
+            ClusterSpec::nvlink_8(),
+            ModelDims::paper(2048, 32, 65536, 1),
+            32,
+        ),
+    ]
+}
+
 /// Flat-vs-grouped WeiPipe across the paper's three calibrated clusters,
 /// the TawPipe-style comparison, at a fixed global batch ([`DesOracle`]):
 /// *flat* is the WeiPipe-interleave default at `N = P`, *grouped* runs one
@@ -460,18 +479,7 @@ impl HierCell {
 /// skips what does not. On the single-island `nvlink8` control, grouping
 /// degenerates to the flat ring and must change nothing.
 pub fn hier_flat_vs_grouped() -> Vec<HierCell> {
-    let dims16 = ModelDims::paper(4096, 32, 16384, 4);
-    let points = [
-        ("ethernet16", ClusterSpec::ethernet_16(), dims16, 64),
-        ("nvlink16", ClusterSpec::nvlink_16(), dims16, 64),
-        (
-            "nvlink8",
-            ClusterSpec::nvlink_8(),
-            ModelDims::paper(2048, 32, 65536, 1),
-            32,
-        ),
-    ];
-    points
+    paper_clusters()
         .into_iter()
         .map(|(label, cluster, dims, global_batch)| {
             let (p, node_size) = (cluster.ranks, cluster.node_size);
