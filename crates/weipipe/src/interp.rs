@@ -18,15 +18,17 @@
 //!   per weight copy the rank holds — a whole chunk (the concatenation of
 //!   its layers' flat buffers), the rank's `1/P` slice of a sharded one,
 //!   the embedding, the head — owning its weights and, once the rank has
-//!   stepped it, its fp32 master and optimizer state. `Recv(Weights)` and
-//!   `AllGatherW` fill entries; compute ops resolve theirs through
+//!   stepped it, its fp32 master and optimizer state. `Recv(Weights)`
+//!   unpacks into its entry's buffer and `AllGatherW` fills one; compute ops resolve theirs through
 //!   [`wp_sched::weight_slot`], as the validator does. Sharded or whole is
 //!   a property of an entry (its flow), not of a strategy.
 //! * **Gradient accumulators**, in the same key space: a whole chunk's `D`
 //!   at `(chunk, RESIDENT)` whichever flow its weights ride, a shard's at
-//!   `(chunk, SHARDED)`. `Recv(WeightGrads)` adds into the accumulator,
-//!   `Send` drains it — which makes the circulating `D_j` accumulation
-//!   (§4.2.1) and local pipelined accumulation the same code path.
+//!   `(chunk, SHARDED)`. A backward adds into the accumulator (starting one
+//!   when there is none), `Recv(WeightGrads)` adds the arriving `D_j`
+//!   straight from the wire payload (or starts it), `Send` drains it —
+//!   which makes the circulating `D_j` accumulation (§4.2.1) and local
+//!   pipelined accumulation the same code path.
 //! * **Per-iteration stores**: boundary activations and their gradients,
 //!   saved forward state (full ctxs, or per-layer checkpoints under
 //!   recomputation), and per-microbatch head state.
@@ -298,8 +300,7 @@ impl RankRuntime {
             }
         }
         for (key, req) in incoming {
-            let fresh = self.comm.wait_recv(req)?;
-            self.put_weights(key, fresh);
+            self.land_weights(key, req)?;
         }
         Ok(())
     }

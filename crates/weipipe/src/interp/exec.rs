@@ -4,7 +4,7 @@
 
 use super::store::{Key, EMBED, HEAD};
 use super::{FwdSaved, HeadSaved, RankRuntime};
-use wp_comm::CommError;
+use wp_comm::{CommError, Landing, Request};
 use wp_nn::block::{
     block_backward_checkpointed, block_backward_data, block_backward_full, block_backward_weight,
     block_forward, BPassCtx,
@@ -314,9 +314,8 @@ impl RankRuntime {
     }
 
     pub(super) fn exec_recv(&mut self, k: &MsgKey) -> Result<(), CommError> {
-        let data = self.comm.recv(k.src, tag_of(k))?;
-        self.store_payload(k, data);
-        Ok(())
+        let req = self.comm.irecv(k.src, tag_of(k));
+        self.land(k, req)
     }
 
     /// Post the receive for a message the schedule will wait on later
@@ -339,23 +338,48 @@ impl RankRuntime {
             .pending_reqs
             .remove(k)
             .unwrap_or_else(|| panic!("rank {}: wait without pre-post for {k:?}", self.rank));
-        let data = self.comm.wait_recv(req)?;
-        self.store_payload(k, data);
-        Ok(())
+        self.land(k, req)
     }
 
-    /// Route a received payload into the store its kind lives in — the
-    /// mirror of the lookup in [`Self::exec_send`].
-    fn store_payload(&mut self, k: &MsgKey, data: Vec<f32>) {
+    /// Redeem `req` into the store its kind lives in — the mirror of the
+    /// lookup in [`Self::exec_send`]. Weights land in their slot's buffer
+    /// and gradients are added into the accumulator the backward made,
+    /// each straight from the wire payload; either becomes its entry when
+    /// the rank has none yet.
+    fn land(&mut self, k: &MsgKey, req: Request) -> Result<(), CommError> {
         match k.kind {
-            MsgKind::Weights => self.put_weights((k.chunk, k.mb), data),
-            MsgKind::WeightGrads => self.accumulate((k.chunk, RESIDENT), data),
+            MsgKind::Weights => self.land_weights((k.chunk, k.mb), req),
+            MsgKind::WeightGrads => match self.grads.get_mut(&(k.chunk, RESIDENT)) {
+                Some(acc) => self.comm.wait_recv_into(req, Landing::Add(acc)),
+                None => {
+                    let data = self.comm.wait_recv(req)?;
+                    self.grads.insert((k.chunk, RESIDENT), data);
+                    Ok(())
+                }
+            },
             MsgKind::Act | MsgKind::ActGrad => {
                 // Copied into the arena, not adopted by it: the sender
                 // allocates every message afresh, so adopting would grow
                 // the receiver's pool by one buffer per message, forever.
+                let data = self.comm.wait_recv(req)?;
                 let buf = self.scratch.take_copy(&data);
                 self.boundary.insert((k.kind, k.mb, k.chunk), buf);
+                Ok(())
+            }
+        }
+    }
+
+    /// Redeem `req`, a weight copy, into entry `key`'s buffer.
+    pub(super) fn land_weights(&mut self, key: Key, req: Request) -> Result<(), CommError> {
+        match self.params.get_mut(&key) {
+            Some(entry) => {
+                let landing = Landing::Replace(&mut entry.weights);
+                self.comm.wait_recv_into(req, landing)
+            }
+            None => {
+                let weights = self.comm.wait_recv(req)?;
+                self.put_weights(key, weights);
+                Ok(())
             }
         }
     }

@@ -20,9 +20,10 @@
 //!
 //! * [`p2p`] — a buffered [`send`](Communicator::send), a receive posted
 //!   early and redeemed later ([`irecv`](Communicator::irecv) →
-//!   [`Request`] → [`wait_recv`](Communicator::wait_recv); `recv` is the
-//!   two back to back), and the timeout, fault-injection and abort
-//!   protocol under both;
+//!   [`Request`] → [`wait_recv`](Communicator::wait_recv), or
+//!   [`wait_recv_into`](Communicator::wait_recv_into) a buffer the payload
+//!   replaces or is added into; `recv` is the post and the wait back to
+//!   back), and the timeout, fault-injection and abort protocol under both;
 //! * [`collectives`] — ring all-reduce / reduce-scatter / all-gather /
 //!   broadcast / barrier built from those two primitives;
 //! * [`world`] — [`World::builder`], which wires one communicator per rank
@@ -65,5 +66,5 @@ pub use membership::{agree_membership, Membership};
 pub use meter::{RankTraffic, TrafficMeter};
 pub use p2p::{CommConfig, Communicator, Request};
 pub use tcp::TcpTransport;
-pub use transport::{AbortCell, Frame, Payload, Transport, TransportKind};
+pub use transport::{AbortCell, Frame, Landing, Payload, Transport, TransportKind};
 pub use world::{World, WorldBuilder};

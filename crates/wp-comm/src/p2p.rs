@@ -41,7 +41,7 @@ use crate::error::CommError;
 use crate::fault::RankInjector;
 use crate::link::LinkModel;
 use crate::meter::TrafficMeter;
-use crate::transport::{AbortCell, Frame, Payload, RecvWait, Transport};
+use crate::transport::{AbortCell, Frame, Landing, Payload, RecvWait, Transport};
 use std::collections::VecDeque;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -369,7 +369,7 @@ impl Communicator {
             self.fail(&e);
             return Err(e);
         }
-        let payload = Payload::pack(data, dtype);
+        let (payload, checksum) = Payload::pack(data, dtype);
         let mut deliver_at = if self.link.is_instant() {
             None
         } else {
@@ -411,7 +411,7 @@ impl Communicator {
         // the receiver must see the mismatch.
         let mut msg = Frame {
             tag,
-            checksum: payload.checksum(),
+            checksum,
             payload,
             deliver_at,
             collective,
@@ -499,30 +499,56 @@ impl Communicator {
         self.wait_recv(req)
     }
 
-    /// Block until the message `req` was posted for arrives; returns its
-    /// payload. One fault-plan operation, then match against the reorder
-    /// buffer and poll the inbox until the receive timeout; frames from the
-    /// same source with other tags are parked and delivered to later
-    /// matching receives in FIFO order.
+    /// Block until the message `req` was posted for arrives and return its
+    /// payload: [`wait_recv_into`](Self::wait_recv_into) a new vector, with
+    /// the same errors.
+    pub fn wait_recv(&mut self, req: Request) -> Result<Vec<f32>, CommError> {
+        let mut data = Vec::new();
+        self.wait_recv_into(req, Landing::Replace(&mut data))?;
+        Ok(data)
+    }
+
+    /// Block until the message `req` was posted for arrives, and land its
+    /// payload in the caller's buffer ([`Payload::land`]): replacing it, or
+    /// added into it. One fault-plan operation, then match against the
+    /// reorder buffer and poll the inbox until the receive timeout; frames
+    /// from the same source with other tags are parked and delivered to
+    /// later matching receives in FIFO order. On error `landing` is left
+    /// untouched: a checksum is verified as its frame arrives.
     ///
     /// # Errors
     /// [`CommError::Timeout`] when [`CommConfig::recv_timeout`] elapses with
     /// no match; [`CommError::PeerDead`] when the source's endpoint closed;
     /// [`CommError::Corrupt`] when an arriving payload fails its checksum; a
     /// propagated abort error when another rank failed first.
-    pub fn wait_recv(&mut self, req: Request) -> Result<Vec<f32>, CommError> {
-        let Request {
-            src,
-            tag,
-            t0,
-            depth,
-        } = req;
+    pub fn wait_recv_into(&mut self, req: Request, landing: Landing<'_>) -> Result<(), CommError> {
+        let msg = self.matched(&req)?;
+        // Count the message and close the blocked-wait span (post → match),
+        // then under the transfer span (match → fully arrived) sleep out the
+        // link model and land the payload.
+        let Request { src, t0, depth, .. } = req;
+        let bytes = msg.payload.wire_bytes();
+        let x0 = self.probe.received(msg.collective, src, depth, bytes, t0);
+        let stall = msg.deliver_at.map_or(Duration::ZERO, |at| {
+            at.saturating_duration_since(Instant::now())
+        });
+        if !stall.is_zero() {
+            std::thread::sleep(stall);
+        }
+        msg.payload.land(landing);
+        self.probe
+            .transferred(src, depth, bytes, x0, stall.as_nanos() as u64);
+        Ok(())
+    }
+
+    /// The frame `req` was posted for, from the reorder buffer or the wire.
+    fn matched(&mut self, req: &Request) -> Result<Frame, CommError> {
+        let (src, tag) = (req.src, req.tag);
         self.precheck()?;
         self.flush_held()?;
         // Check the reorder buffer first.
         if let Some(pos) = self.pending[src].iter().position(|m| m.tag == tag) {
-            let msg = self.pending[src].remove(pos).expect("position just found");
-            return Ok(self.deliver(src, depth, t0, msg));
+            return Ok(self.pending[src].remove(pos).expect("position just found"));
         }
         // One timeout window, polled in small slices so a world abort
         // interrupts the wait within `poll_interval`.
@@ -539,7 +565,7 @@ impl Communicator {
             match self.transport.recv_timeout(src, slice) {
                 RecvWait::Frame(msg) => {
                     if let Some(msg) = self.intake(src, msg, tag)? {
-                        return Ok(self.deliver(src, depth, t0, msg));
+                        return Ok(msg);
                     }
                 }
                 RecvWait::TimedOut => {}
@@ -561,25 +587,6 @@ impl Communicator {
         self.probe.event(Counter::RecvTimeouts);
         self.fail(&e);
         Err(e)
-    }
-
-    /// Consume a matched message: count it and close the blocked-wait span
-    /// (post → match), then under the transfer span (match → fully arrived)
-    /// sleep out the link model and unpack the payload into the values
-    /// handed back — a move for an f32 frame.
-    fn deliver(&mut self, src: usize, depth: usize, t0: u64, msg: Frame) -> Vec<f32> {
-        let bytes = msg.payload.wire_bytes();
-        let x0 = self.probe.received(msg.collective, src, depth, bytes, t0);
-        let stall = msg.deliver_at.map_or(Duration::ZERO, |at| {
-            at.saturating_duration_since(Instant::now())
-        });
-        if !stall.is_zero() {
-            std::thread::sleep(stall);
-        }
-        let data = msg.payload.unpack();
-        self.probe
-            .transferred(src, depth, bytes, x0, stall.as_nanos() as u64);
-        data
     }
 }
 

@@ -549,10 +549,10 @@ mod tests {
         a.instrument(registry.handle(0));
         b.instrument(registry.handle(1));
         let payloads = [
-            Payload::pack(&[1.0, 2.0], DType::F32),
-            Payload::pack(&[3.0; 5], DType::F16),
-            Payload::pack(&[4.0; 3], DType::BF16),
-            Payload::pack(&[], DType::F16),
+            Payload::pack(&[1.0, 2.0], DType::F32).0,
+            Payload::pack(&[3.0; 5], DType::F16).0,
+            Payload::pack(&[4.0; 3], DType::BF16).0,
+            Payload::pack(&[], DType::F16).0,
         ];
         let wire_bytes: u64 = payloads.iter().map(Payload::wire_bytes).sum();
         assert_eq!(wire_bytes, 8 + 10 + 6);

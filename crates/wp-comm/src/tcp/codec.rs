@@ -337,7 +337,7 @@ mod tests {
         let mut out = Vec::new();
         for n in [0, 1, 2, 3, 7] {
             for dtype in [DType::F32, DType::F16, DType::BF16] {
-                out.push(Payload::pack(&xs[..n], dtype));
+                out.push(Payload::pack(&xs[..n], dtype).0);
             }
         }
         out
@@ -483,7 +483,7 @@ mod tests {
         const DTYPE_AT: usize = DATA_HEADER_LEN - 5;
         const COUNT_AT: usize = DATA_HEADER_LEN - 4;
         let buf = data_bytes(
-            &frame_of(1, Payload::pack(&[1.0, 2.0, 3.0], DType::F16)),
+            &frame_of(1, Payload::pack(&[1.0, 2.0, 3.0], DType::F16).0),
             None,
         );
         assert!(read_data(&buf).is_some());

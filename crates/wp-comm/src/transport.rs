@@ -104,23 +104,53 @@ fn absorb(h: u64, word: u64) -> u64 {
 /// result; lanes differ in seed and are folded in a fixed order, so a word
 /// moved to another lane or another round changes it too; the length
 /// separates a payload from the same payload with zeros appended.
-fn checksum_bytes(bytes: &[u8]) -> u64 {
-    let word = |b: &[u8]| u64::from_le_bytes(b.try_into().expect("eight bytes"));
-    let mut lanes = LANE_SEEDS;
-    let mut round = |block: &[u8]| {
-        for (lane, w) in lanes.iter_mut().zip(block.chunks_exact(8)) {
-            *lane = absorb(*lane, word(w));
+///
+/// Fed in pieces, so a packing loop can hash each block while it is in L1:
+/// every piece but the last must be a whole number of 32-byte rounds.
+struct Checksum {
+    lanes: [u64; 4],
+    len: u64,
+}
+
+impl Checksum {
+    fn new() -> Self {
+        Checksum {
+            lanes: LANE_SEEDS,
+            len: 0,
         }
-    };
-    let blocks = bytes.chunks_exact(32);
-    let tail = blocks.remainder();
-    blocks.for_each(&mut round);
-    if !tail.is_empty() {
-        let mut padded = [0u8; 32];
-        padded[..tail.len()].copy_from_slice(tail);
-        round(&padded);
     }
-    lanes.into_iter().fold(bytes.len() as u64, absorb)
+
+    fn absorb(&mut self, bytes: &[u8]) {
+        debug_assert!(
+            self.len.is_multiple_of(32),
+            "only the last piece may be ragged"
+        );
+        let word = |b: &[u8]| u64::from_le_bytes(b.try_into().expect("eight bytes"));
+        let mut round = |block: &[u8]| {
+            for (lane, w) in self.lanes.iter_mut().zip(block.chunks_exact(8)) {
+                *lane = absorb(*lane, word(w));
+            }
+        };
+        let blocks = bytes.chunks_exact(32);
+        let tail = blocks.remainder();
+        blocks.for_each(&mut round);
+        if !tail.is_empty() {
+            let mut padded = [0u8; 32];
+            padded[..tail.len()].copy_from_slice(tail);
+            round(&padded);
+        }
+        self.len += bytes.len() as u64;
+    }
+
+    fn finish(self) -> u64 {
+        self.lanes.into_iter().fold(self.len, absorb)
+    }
+}
+
+fn checksum_bytes(bytes: &[u8]) -> u64 {
+    let mut sum = Checksum::new();
+    sum.absorb(bytes);
+    sum.finish()
 }
 
 /// The [`Frame`] checksum of an f32 payload: [`Payload::checksum`] of
@@ -145,30 +175,100 @@ pub enum Payload {
 /// Elements [`staged`] converts per round.
 const STAGE: usize = 1024;
 
-/// `src` converted into a new vector, a [`STAGE`]-element block at a time
-/// through a buffer on the stack that is then appended: the block stays in
-/// L1 and the result is written once, where converting straight into a
-/// `vec![0; n]` writes it twice (the zero fill costs a third of an unpack at
-/// ring-chunk sizes).
-fn staged<S, D: Copy + Default>(src: &[S], convert: fn(&mut [D], &[S])) -> Vec<D> {
-    let mut out = Vec::with_capacity(src.len());
+/// The one conversion loop between f32 values and wire elements: `src` is
+/// converted a [`STAGE`]-element block at a time into a buffer on the
+/// stack, and `land` consumes each block, at its element offset, while it
+/// is still in L1. Packing appends the block to the payload and hashes it;
+/// unpacking appends it to, overwrites, or adds it into the receiver's
+/// buffer. Converting straight into a `vec![0; n]` instead writes the
+/// result twice (the zero fill costs a third of an unpack at ring-chunk
+/// sizes).
+fn staged<S, D: Copy + Default>(
+    src: &[S],
+    convert: fn(&mut [D], &[S]),
+    mut land: impl FnMut(usize, &[D]),
+) {
     let mut stage = [D::default(); STAGE];
-    for block in src.chunks(STAGE) {
+    for (i, block) in src.chunks(STAGE).enumerate() {
         let stage = &mut stage[..block.len()];
         convert(stage, block);
-        out.extend_from_slice(stage);
+        land(i * STAGE, stage);
     }
-    out
+}
+
+/// `src` packed into a new vector by `convert`, and the checksum of the
+/// result's wire bytes.
+fn pack_staged(src: &[f32], convert: fn(&mut [u16], &[f32])) -> (Vec<u16>, u64) {
+    let mut out = Vec::with_capacity(src.len());
+    let mut sum = Checksum::new();
+    staged(src, convert, |_, block| {
+        out.extend_from_slice(block);
+        sum.absorb(u16_bytes(block));
+    });
+    (out, sum.finish())
+}
+
+/// Where a received payload's values go ([`Payload::land`]).
+#[derive(Debug)]
+pub enum Landing<'a> {
+    /// Become the vector's contents. An f32 payload is moved in; a 16-bit
+    /// one is widened in place when the lengths agree, and otherwise into
+    /// the cleared vector, appended block by block (no zero fill).
+    Replace(&'a mut Vec<f32>),
+    /// Be added elementwise into the slice, which must be as long as the
+    /// payload: `acc[i] += value[i]`.
+    Add(&'a mut [f32]),
+}
+
+/// Land the values [`staged`] converts from `src` as `landing` says.
+fn land_staged<S>(src: &[S], convert: fn(&mut [f32], &[S]), landing: Landing<'_>) {
+    match landing {
+        Landing::Replace(buf) if buf.len() == src.len() => staged(src, convert, |at, block| {
+            buf[at..at + block.len()].copy_from_slice(block)
+        }),
+        Landing::Replace(buf) => {
+            buf.clear();
+            buf.reserve(src.len());
+            staged(src, convert, |_, block| buf.extend_from_slice(block));
+        }
+        Landing::Add(acc) => {
+            assert_eq!(acc.len(), src.len(), "adding a payload of another length");
+            staged(src, convert, |at, block| add(&mut acc[at..], block));
+        }
+    }
+}
+
+/// `acc[i] += xs[i]` over `xs`.
+fn add(acc: &mut [f32], xs: &[f32]) {
+    for (a, x) in acc.iter_mut().zip(xs) {
+        *a += x;
+    }
 }
 
 impl Payload {
-    /// Convert `data` to its `dtype` wire representation: what a GPU casting
-    /// to fp16 for the transfer would do to the values.
-    pub fn pack(data: &[f32], dtype: DType) -> Payload {
+    /// Convert `data` to its `dtype` wire representation — what a GPU
+    /// casting to fp16 for the transfer would do to the values — and
+    /// checksum the wire bytes in the same pass: the [`Frame`] checksum,
+    /// equal to [`checksum`](Self::checksum) of the payload returned.
+    pub fn pack(data: &[f32], dtype: DType) -> (Payload, u64) {
         match dtype {
-            DType::F32 => Payload::F32(data.to_vec()),
-            DType::F16 => Payload::F16(staged(data, pack_f16)),
-            DType::BF16 => Payload::BF16(staged(data, pack_bf16)),
+            DType::F32 => {
+                let mut out = Vec::with_capacity(data.len());
+                let mut sum = Checksum::new();
+                for block in data.chunks(STAGE) {
+                    out.extend_from_slice(block);
+                    sum.absorb(f32_bytes(block));
+                }
+                (Payload::F32(out), sum.finish())
+            }
+            DType::F16 => {
+                let (packed, sum) = pack_staged(data, pack_f16);
+                (Payload::F16(packed), sum)
+            }
+            DType::BF16 => {
+                let (packed, sum) = pack_staged(data, pack_bf16);
+                (Payload::BF16(packed), sum)
+            }
         }
     }
 
@@ -176,10 +276,26 @@ impl Payload {
     /// as is, a 16-bit one widened. `unpack(pack(x, dtype))` is
     /// `quantize_slice(x, dtype)` bit for bit.
     pub fn unpack(self) -> Vec<f32> {
-        match self {
-            Payload::F32(data) => data,
-            Payload::F16(packed) => staged(&packed, unpack_f16),
-            Payload::BF16(packed) => staged(&packed, unpack_bf16),
+        let mut out = Vec::new();
+        self.land(Landing::Replace(&mut out));
+        out
+    }
+
+    /// Put the values the receiver computes with where `landing` says, bit
+    /// for bit what [`unpack`](Self::unpack) returns (plus, for
+    /// [`Landing::Add`], one elementwise add).
+    ///
+    /// # Panics
+    /// When a [`Landing::Add`] slice is not as long as the payload.
+    pub fn land(self, landing: Landing<'_>) {
+        match (self, landing) {
+            (Payload::F32(data), Landing::Replace(buf)) => *buf = data,
+            (Payload::F32(data), Landing::Add(acc)) => {
+                assert_eq!(acc.len(), data.len(), "adding a payload of another length");
+                add(acc, &data);
+            }
+            (Payload::F16(packed), landing) => land_staged(&packed, unpack_f16, landing),
+            (Payload::BF16(packed), landing) => land_staged(&packed, unpack_bf16, landing),
         }
     }
 
@@ -592,7 +708,8 @@ pub(crate) mod tests {
                 .map(|i| edge[i % edge.len()] * (1 + i / 5) as f32)
                 .collect();
             for dtype in [DType::F32, DType::F16, DType::BF16] {
-                let p = Payload::pack(&xs, dtype);
+                let (p, sum) = Payload::pack(&xs, dtype);
+                assert_eq!(sum, p.checksum(), "{dtype} n={n}: fused checksum");
                 assert_eq!(p.dtype(), dtype);
                 assert_eq!(p.wire_bytes(), (n * dtype.size_bytes()) as u64);
                 assert_eq!(p.as_bytes().len() as u64, p.wire_bytes());
@@ -611,6 +728,65 @@ pub(crate) mod tests {
             checksum_of(&[1.0]),
             "checksum_of is the F32 payload's checksum"
         );
+    }
+
+    /// The checksum `pack` hashes block by block is the payload's, for every
+    /// dtype and every ragged length: within a 32-byte round, around one,
+    /// and around the staging block.
+    #[test]
+    fn fused_pack_checksum_is_the_payload_checksum() {
+        let ragged = (0..=40).chain([STAGE - 1, STAGE + 1, 2 * STAGE + 5, 3 * STAGE + 17]);
+        for n in ragged {
+            let xs: Vec<f32> = (0..n).map(|i| i as f32 * -0.731 + 0.5).collect();
+            for dtype in [DType::F32, DType::F16, DType::BF16] {
+                let (p, sum) = Payload::pack(&xs, dtype);
+                assert_eq!(sum, p.checksum(), "{dtype} n={n}");
+            }
+            assert_eq!(Payload::pack(&xs, DType::F32).1, checksum_of(&xs), "n={n}");
+        }
+    }
+
+    /// Every landing is `unpack()`, or `unpack()` and one elementwise add,
+    /// bit for bit, with the values held against their definition
+    /// (`quantize_slice`): per dtype, over lengths around the staging block,
+    /// into buffers as long as the payload and of other lengths.
+    #[test]
+    fn landings_match_unpack_bit_for_bit() {
+        let bits = |xs: &[f32]| xs.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        for n in [0, 1, STAGE, 2 * STAGE + 5] {
+            let xs: Vec<f32> = (0..n).map(|i| (i as f32 * 0.37).sin() * 1e3).collect();
+            let acc: Vec<f32> = (0..n).map(|i| (i as f32 * 0.11).cos() * 1e-3).collect();
+            for dtype in [DType::F32, DType::F16, DType::BF16] {
+                let (payload, _) = Payload::pack(&xs, dtype);
+                let mut values = xs.clone();
+                wp_tensor::dtype::quantize_slice(&mut values, dtype);
+                let unpacked = payload.clone().unpack();
+                assert_eq!(bits(&unpacked), bits(&values), "{dtype} n={n} unpack");
+                for len in [n, 0, n + 3, n / 2] {
+                    let mut buf = vec![-1.5f32; len];
+                    payload.clone().land(Landing::Replace(&mut buf));
+                    assert_eq!(
+                        bits(&buf),
+                        bits(&values),
+                        "{dtype} n={n} replace into {len}"
+                    );
+                }
+                let mut want = acc.clone();
+                for (w, v) in want.iter_mut().zip(&values) {
+                    *w += v;
+                }
+                let mut got = acc.clone();
+                payload.land(Landing::Add(&mut got));
+                assert_eq!(bits(&got), bits(&want), "{dtype} n={n} add");
+            }
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "another length")]
+    fn adding_a_payload_of_another_length_panics() {
+        let (payload, _) = Payload::pack(&[1.0; 3], DType::F16);
+        payload.land(Landing::Add(&mut [0.0; 4]));
     }
 
     #[test]

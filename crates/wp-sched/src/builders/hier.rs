@@ -152,8 +152,9 @@ mod tests {
     /// Group `j` runs the flat interleave of `g` ranks and `N·g/P`
     /// microbatches moved to ranks `j·g ..` and to the global microbatches
     /// those ranks own; only the optimizer steps wait for reconciliation.
-    /// The relocation is the oracle: minus its `Update`, each flat stream
-    /// starts its rank's grouped stream.
+    /// The relocation is the oracle: what each flat stream runs before its
+    /// `Update` starts its rank's grouped stream, and what it runs after
+    /// (the waits on arrivals nothing reads) ends it.
     #[test]
     fn a_grouped_ring_is_the_flat_ring_relocated() {
         for (p, g, n) in [(6, 3, 12), (12, 3, 12), (12, 4, 24), (12, 6, 24)] {
@@ -209,13 +210,14 @@ mod tests {
                             op
                         };
                         for (q, stream) in flat.ops.iter().enumerate() {
-                            let want: Vec<Op> = stream
-                                .iter()
-                                .filter(|op| !matches!(op.kind, OpKind::Update { .. }))
-                                .map(relocate)
-                                .collect();
+                            let step = (stream.iter())
+                                .position(|op| matches!(op.kind, OpKind::Update { .. }))
+                                .expect("every flat rank steps its home chunk");
+                            let [head, tail] = [&stream[..step], &stream[step + 1..]]
+                                .map(|ops| ops.iter().map(relocate).collect::<Vec<Op>>());
                             let r = base + q;
-                            assert!(grouped.ops[r].starts_with(&want), "{at}: rank {r}");
+                            assert!(grouped.ops[r].starts_with(&head), "{at}: rank {r}");
+                            assert!(grouped.ops[r].ends_with(&tail), "{at}: rank {r}");
                             assert_eq!(grouped.seeds[r], flat.seeds[q], "{at}: rank {r}");
                         }
                     }

@@ -14,6 +14,15 @@
 //!   gradient buffer `D` travels alongside and is drained into the ring on
 //!   every hop.
 //!
+//! A rank runs its stream in program order, so a receive placed ahead of
+//! compute that does not read it stalls that compute for the transfer. Each
+//! arrival is therefore redeemed at the first op that names it (§4.3): the
+//! backward on chunk `c` accumulates into a local buffer and does not wait
+//! for `D_c`, which is folded in just before it leaves again; the chunk the
+//! forward flow brings home at turn `hf` is waited on by its `Update`; an
+//! arrival nothing reads is waited on after the rank's last compute op.
+//! `tests/props.rs` checks the rule on every overlap schedule.
+//!
 //! What each rank holds at turn 0 leaves this module as
 //! [`Schedule::seeds`]: the forward seed is the copy its own rank's `Update`
 //! steps, the backward seed sits `offset` ranks off the owner and goes
@@ -67,28 +76,32 @@ pub(super) fn build_ring(strategy: Strategy, spec: PipelineSpec) -> Schedule {
 
     // Chunk c's optimizer step in the ring starting at rank `base`: the
     // rank its gradients rest on after hb hops (one short of the owner),
-    // the rank that steps it, the gradients it waits for, and the weights
-    // the forward flow returned home on its final hop, which it mutates.
+    // the rank that steps it, the gradients it waits for, and — when that
+    // rank is the chunk's home, where the forward flow returned it on its
+    // final hop — those weights, which it mutates.
     let update = |base: usize, c: usize| {
         let holder = base + (c + offset + hb) % g;
         debug_assert_eq!(holder, around(base + c, -1));
+        let home = base + wrap(-(c as isize), g);
         let updater = if strategy == Strategy::Wzb2 {
             base + g - 1 // WZB2 parks all optimizer state on the last rank
         } else {
-            base + wrap(-(c as isize), g)
+            home
         };
         let grads = if holder == updater {
             MsgKey::weight_grads(c, hb - 1, around(holder, -1), holder)
         } else {
             MsgKey::weight_grads(c, hb, holder, updater)
         };
-        let weights = (strategy != Strategy::Wzb2)
-            .then(|| MsgKey::weights(c, FLOW_FWD, hf - 1, around(updater, -1), updater));
+        let weights =
+            (updater == home).then(|| MsgKey::weights(c, FLOW_FWD, hf - 1, around(home, -1), home));
         (holder, updater, grads, weights)
     };
 
     let mut ops: Vec<Vec<Op>> = vec![Vec::new(); p];
-    for (r, stream) in ops.iter_mut().enumerate() {
+    // Per rank: the arrivals no op reads, waited on after its last compute.
+    let mut tails: Vec<Vec<Op>> = vec![Vec::new(); p];
+    for (r, (stream, tail)) in ops.iter_mut().zip(&mut tails).enumerate() {
         let q = r % g;
         let (prev, next) = (around(r, -1), around(r, 1));
         // What rank `r` works on at turn `t` as it moves `src → dst` in
@@ -99,6 +112,15 @@ pub(super) fn build_ring(strategy: Strategy, spec: PipelineSpec) -> Schedule {
                 MsgKey::weights(wb(q, t), FLOW_BWD, round, src, dst),
                 MsgKey::weight_grads(wb(q, t), round, src, dst),
             ]
+        };
+        // Redeeming an arrival: the wait on the request pre-posted a turn
+        // earlier in overlap mode, a blocking receive otherwise.
+        let arrive = |key: MsgKey| {
+            if spec.overlap {
+                Op::wait_req(key)
+            } else {
+                Op::recv(key)
+            }
         };
         // WZB1 bounds in-flight B contexts; WZB2 defers every W pass to the
         // end of the iteration.
@@ -124,15 +146,30 @@ pub(super) fn build_ring(strategy: Strategy, spec: PipelineSpec) -> Schedule {
                     Op::send(out).needs(arrived)
                 }
             };
+            // The backward this turn runs on the trailing flow, if any:
+            // `(mb, chunk)`.
+            let bk = if naive {
+                (t as isize) - (q as isize + ((nl + 1) * g) as isize - 1)
+            } else {
+                (t as isize) - (q as isize + g as isize)
+            };
+            let backward = (bk >= 0 && (bk as usize) < nl * g).then(|| {
+                let k = bk as usize;
+                let chunk = g - 1 - (k % g);
+                debug_assert_eq!(chunk, wb(q, t));
+                ((k / g) * p + r, chunk)
+            });
 
-            // 1. This turn's ring arrivals. Blocking mode receives them
-            //    all here, so each turn pays its transfers in sequence
+            // 1. This turn's weight arrivals. Blocking mode receives both
+            //    flows here, so each turn pays its transfers in sequence
             //    with its compute; overlap mode instead redeems requests
-            //    pre-posted one turn earlier, waiting for each flow only
-            //    at the point its payload is first consumed.
+            //    pre-posted one turn earlier, waiting for each payload only
+            //    at the first op that reads it. The forward-flow chunk that
+            //    comes home at turn hf is read by its `Update` alone and is
+            //    waited on there (below).
             if t >= 1 {
                 if spec.overlap {
-                    if t <= hf {
+                    if t < hf {
                         stream.push(Op::wait_req(fwd_in));
                     }
                 } else {
@@ -140,7 +177,6 @@ pub(super) fn build_ring(strategy: Strategy, spec: PipelineSpec) -> Schedule {
                         stream.push(Op::recv(fwd_in));
                     }
                     stream.push(Op::recv(bwd_in));
-                    stream.push(Op::recv(d_in));
                 }
             }
 
@@ -176,33 +212,29 @@ pub(super) fn build_ring(strategy: Strategy, spec: PipelineSpec) -> Schedule {
                 }
             }
 
-            // 2b. Overlap mode: the backward flow (weights + gradient
-            //     accumulator) is waited on only now, after the forward
-            //     compute it was hiding under, and the weight half
-            //     relays onward before the local backward uses it.
-            //     (The gradient half cannot leave yet — the backward
-            //     below still accumulates into it.)
+            // 2b. Overlap mode: the backward-flow weights are waited on
+            //     only now, after the forward compute they were hiding
+            //     under, and relay onward before the local backward uses
+            //     them. At turn hb nothing relays them, and a rank with no
+            //     backward that turn never reads them: its wait joins the
+            //     tail.
             if spec.overlap {
                 if t >= 1 {
-                    stream.push(Op::wait_req(bwd_in));
-                    stream.push(Op::wait_req(d_in));
+                    if t < hb || backward.is_some() {
+                        stream.push(Op::wait_req(bwd_in));
+                    } else {
+                        tail.push(Op::wait_req(bwd_in));
+                    }
                 }
                 if t < hb {
                     stream.push(relay(w_out, bwd_in));
                 }
             }
 
-            // 3. Backward compute on the trailing flow.
-            let bk = if naive {
-                (t as isize) - (q as isize + ((nl + 1) * g) as isize - 1)
-            } else {
-                (t as isize) - (q as isize + g as isize)
-            };
-            if bk >= 0 && (bk as usize) < nl * g {
-                let k = bk as usize;
-                let mb = (k / g) * p + r;
-                let chunk = g - 1 - (k % g);
-                debug_assert_eq!(chunk, wb(q, t));
+            // 3. Backward compute on the trailing flow. It accumulates into
+            //    a local gradient buffer: the arriving accumulator D is not
+            //    an input of the backward, only of D's departure (step 4).
+            if let Some((mb, chunk)) = backward {
                 let (kind, unit, delta) = passes.backward(mb, chunk);
                 stream.push(Op::compute(kind).needs(bwd_in).mem(unit, delta));
                 if passes.split {
@@ -210,10 +242,17 @@ pub(super) fn build_ring(strategy: Strategy, spec: PipelineSpec) -> Schedule {
                 }
             }
 
-            // 4. Remaining ring departures for this turn: blocking mode's
-            //    weight relays (overlap mode sent them above), and the
-            //    gradient chunk, in both modes, because it must carry the
-            //    local backward's contribution (every variant).
+            // 4. The arriving gradient accumulator D, redeemed only now
+            //    that the backward is done, in both modes, so both fold it
+            //    into the local gradients in the same order (turn hb's is
+            //    redeemed by the op that ships or steps it, below). Then
+            //    the remaining ring departures for this turn: blocking
+            //    mode's weight relays (overlap mode sent them above), and
+            //    the gradient chunk, in both modes, because it must carry
+            //    the local backward's contribution (every variant).
+            if (1..hb).contains(&t) {
+                stream.push(arrive(d_in));
+            }
             if !spec.overlap && t < hf {
                 stream.push(relay(fwd_out, fwd_in));
             }
@@ -234,22 +273,36 @@ pub(super) fn build_ring(strategy: Strategy, spec: PipelineSpec) -> Schedule {
         }
         stream.extend(deferred.flush());
 
-        // Gradient delivery: ship each chunk's gradients from where they
-        // rest to the rank that steps it. With several groups the steps
-        // wait for the groups' gradients to be summed.
-        for c in 0..g {
-            let (holder, updater, grads, _) = update(r - q, c);
-            if holder == r && updater != r {
-                stream.push(Op::send(grads).needs(MsgKey::weight_grads(c, hb - 1, prev, r)));
-            }
+        // Gradient delivery: ship the chunk whose gradients rest here to
+        // the rank that steps it, redeeming turn hb's D first. With several
+        // groups the steps wait for the groups' gradients to be summed.
+        let d_rest = MsgKey::weight_grads(wb(q, hb), hb - 1, prev, r);
+        let (_, updater, grads, _) = update(r - q, wb(q, hb));
+        if updater != r {
+            stream.push(arrive(d_rest));
+            stream.push(Op::send(grads).needs(d_rest));
         }
+        // The optimizer steps, each after the arrivals it reads: the
+        // gradients (delivered, or this rank's own D) and, in overlap mode,
+        // the forward-flow chunk that came home at turn hf. That chunk's
+        // wait joins the tail on a rank that does not step it (WZB2).
+        let mut home = spec
+            .overlap
+            .then(|| MsgKey::weights(wf(q, hf), FLOW_FWD, hf - 1, prev, r));
         for c in 0..g {
             let (holder, updater, grads, weights) = update(r - q, c);
             if updater != r {
                 continue;
             }
-            if holder != r {
-                stream.push(Op::recv(grads));
+            stream.push(if holder == r {
+                debug_assert_eq!(grads, d_rest);
+                arrive(grads)
+            } else {
+                Op::recv(grads)
+            });
+            if weights.is_some() {
+                debug_assert!(home.is_none() || home == weights);
+                stream.extend(home.take().map(Op::wait_req));
             }
             if g == p {
                 let mut op = Op::compute(OpKind::Update { chunk: c }).needs(grads);
@@ -257,10 +310,14 @@ pub(super) fn build_ring(strategy: Strategy, spec: PipelineSpec) -> Schedule {
                 stream.push(op);
             }
         }
+        tail.extend(home.map(Op::wait_req));
     }
     if g < p {
         let updates: Vec<_> = (0..p).map(|i| update(i - i % g, i % g)).collect();
         hier::reconcile(&mut ops, g, hb, &updates);
+    }
+    for (stream, tail) in ops.iter_mut().zip(tails) {
+        stream.extend(tail);
     }
 
     Schedule {

@@ -31,9 +31,9 @@
 //!
 //! | edge | from → to | blocks the runtime thread | priced by the DES |
 //! |---|---|---|---|
-//! | `Program` | op `i − 1` → op `i` of one rank | yes — a rank is one thread running its stream in order | no |
+//! | `Program` | op `i − 1` → op `i` of one rank | yes — a rank is one thread running its stream in order | no — so in an overlap schedule no compute op sits between a `Recv`/`WaitReq` and the first op naming its key, and a receive nothing names sits after the rank's last compute op (`overlap_receives_wait_where_they_are_consumed`, `tests/props.rs`) |
 //! | `AfterCompute` | the rank's latest earlier compute op → a compute op (engine order), or a send / collective entry with `after_compute` (its payload is produced locally) | implied by `Program` | yes |
-//! | `Message(key)` | `Send(key)` → its `Recv`/`WaitReq`, and → every op with `key` in `needs` | a `Recv`/`WaitReq` returns at arrival; `needs` is not consulted (the builder places the receive first) | yes: a receive ends at arrival, an op starts after its needs' arrivals |
+//! | `Message(key)` | `Send(key)` → its `Recv`/`WaitReq`, and → every op with `key` in `needs` | a `Recv`/`WaitReq` returns at arrival; `needs` is not consulted (the builder places the receive first, with no compute op in between; see `Program`) | yes: a receive ends at arrival, an op starts after its needs' arrivals |
 //! | `PrePost(key)` | `PrePost(key)` → `WaitReq(key)` | implied by `Program` | no — posting is free; this edge says which receive may be outstanding |
 //! | `Rendezvous(key)` | each of the `P` entries → every op with the completion key in `needs`, and → the rank's next collective entry (one collective engine per rank) | — | yes |
 //! | `Barrier(key)` | each of the `P` entries → the program successor of the rank's own entry | yes — a collective returns when every rank has entered | only without overlap, where a collective also occupies the compute engine |

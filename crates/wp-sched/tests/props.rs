@@ -6,7 +6,10 @@ mod mutations;
 use proptest::prelude::*;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use wp_sched::analysis::{total_traffic, ByteModel};
-use wp_sched::{build, validate, DepGraph, PipelineSpec, Strategy as Strat, ALL_STRATEGIES};
+use wp_sched::{
+    build, validate, Candidate, DepGraph, MsgKey, OpKind, PipelineSpec, Schedule,
+    Strategy as Strat, ALL_STRATEGIES,
+};
 
 fn arb_strategy() -> impl Strategy<Value = Strat> {
     prop::sample::select(ALL_STRATEGIES.to_vec())
@@ -55,6 +58,95 @@ fn every_mutation_the_graph_rejects_names_its_edge() {
         );
         said
     });
+}
+
+/// `op` in a line's worth of text: `W c0 r3` for a message key (`W`eights,
+/// `D` gradients, `A`ctivations, activation gradients `B`), `BwdFull{mb,c}`
+/// for a compute op.
+fn short(op: &OpKind) -> String {
+    let key = |k: &MsgKey| {
+        let kind = ["W", "D", "A", "B"][k.kind as usize];
+        format!("{kind} c{} r{}", k.chunk, k.round)
+    };
+    match op {
+        OpKind::Send(k) => format!("Send({})", key(k)),
+        OpKind::Recv(k) => format!("Recv({})", key(k)),
+        OpKind::WaitReq(k) => format!("WaitReq({})", key(k)),
+        OpKind::Fwd { mb, chunk } => format!("Fwd{{{mb},{chunk}}}"),
+        OpKind::BwdFull { mb, chunk } => format!("BwdFull{{{mb},{chunk}}}"),
+        OpKind::BwdData { mb, chunk } => format!("BwdData{{{mb},{chunk}}}"),
+        OpKind::BwdWeight { mb, chunk } => format!("BwdWeight{{{mb},{chunk}}}"),
+        other => format!("{other:?}"),
+    }
+}
+
+/// The placement rule of an overlap schedule: a rank runs its stream in
+/// program order, so a receive placed before compute that does not read it
+/// stalls that compute for a transfer it never needed. Every `Recv` /
+/// `WaitReq` therefore sits after the last compute op ahead of its first
+/// consumer (the first later op naming its key in `needs`), or after the
+/// rank's last compute op when nothing consumes it. `Err` names the first
+/// receive that waits too early.
+fn receives_wait_where_consumed(s: &Schedule) -> Result<(), String> {
+    for (r, ops) in s.ops.iter().enumerate() {
+        for (i, op) in ops.iter().enumerate() {
+            let (OpKind::Recv(k) | OpKind::WaitReq(k)) = &op.kind else {
+                continue;
+            };
+            let consumer = (i + 1..ops.len()).find(|&j| ops[j].needs.contains(k));
+            let end = consumer.unwrap_or(ops.len());
+            let Some(c) = (i + 1..end).find(|&j| ops[j].kind.is_compute()) else {
+                continue;
+            };
+            let first = consumer.map_or("no consumer".into(), |j| {
+                format!("first consumer op {j} {}", short(&ops[j].kind))
+            });
+            return Err(format!(
+                "rank {r} op {i} {} waits before {}; {first}",
+                short(&op.kind),
+                short(&ops[c].kind)
+            ));
+        }
+    }
+    Ok(())
+}
+
+/// Every overlap schedule of every strategy obeys the placement rule of
+/// [`receives_wait_where_consumed`], with activation checkpointing on and
+/// off, over flat rings and WeiPipe-Hier's grouped ones alike.
+#[test]
+fn overlap_receives_wait_where_they_are_consumed() {
+    let mut checked = 0;
+    for &strategy in ALL_STRATEGIES {
+        for p in [2usize, 3, 4] {
+            for n in [p, 2 * p] {
+                for knob in [None, Some(2)] {
+                    let cand = Candidate {
+                        knob,
+                        ..Candidate::default_for(strategy, n)
+                    };
+                    if cand.check(p).is_err() {
+                        continue;
+                    }
+                    for recompute in [true, false] {
+                        let spec = PipelineSpec {
+                            recompute,
+                            ..cand.spec(p)
+                        };
+                        let s = build(strategy, spec);
+                        if let Err(e) = receives_wait_where_consumed(&s) {
+                            panic!(
+                                "{} P={p} N={n} knob={knob:?} recompute={recompute}: {e}",
+                                strategy.label()
+                            );
+                        }
+                        checked += 1;
+                    }
+                }
+            }
+        }
+    }
+    assert!(checked >= 60, "only {checked} schedules checked");
 }
 
 #[test]
@@ -206,7 +298,7 @@ proptest! {
         overlap in any::<bool>()
     ) {
         use std::collections::{HashMap, HashSet};
-        use wp_sched::{MsgKey, MsgKind, OpKind};
+        use wp_sched::MsgKind;
 
         let (p, g) = [(4, 2), (6, 3), (8, 2), (8, 4)][shape];
         let n = p * mult;
