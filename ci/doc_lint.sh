@@ -12,7 +12,10 @@
 #   4. a backticked `wp_<crate>::…::item` / `weipipe::…::item` with a segment
 #      that is no `fn|struct|enum|trait|type|const|static|mod` (or
 #      `macro_rules!`) declared under that crate's src/ (the path is read up
-#      to its first `(`, `<`, `{` or space).
+#      to its first `(`, `<`, `{` or space);
+#   5. a backtick-opened multi-hump CamelCase name (`WaitReq`, the head of
+#      `OpKind::Recv`) that occurs as no word under crates/*/src, examples/
+#      or benchmark/src.
 # Run from the repository root. Prints one line per stale name.
 set -u
 shopt -s nullglob
@@ -20,6 +23,8 @@ shopt -s nullglob
 docs=(README.md DESIGN.md EXPERIMENTS.md results/README.md .claude/skills/verify/SKILL.md)
 bounds=$(grep -ohE '"(kernels|tune)\.[a-z0-9_]+"' crates/wp-bench/src/bin/{kernels,tune}.rs | tr -d '"')
 bench_names=$(grep -oE '"name": "[^"]+"' BENCHMARK.json | cut -d'"' -f4)
+camel='[A-Z][a-z0-9]+([A-Z][a-z0-9]*)+'
+code_names=$(grep -rhoE "\b$camel\b" crates/*/src examples benchmark/src | sort -u)
 bad=0
 
 stale() {
@@ -74,5 +79,10 @@ for doc in "${docs[@]}"; do
                 stale "$doc" "$line" "$path: no fn|struct|enum|trait|type|const|static|mod $item under $src"
         done
     done < <(grep -noE '`(wp_[a-z]+|weipipe)::[^`]*`' "$doc" | tr -d '`')
+
+    while IFS=: read -r line name; do
+        grep -qxF "$name" <<<"$code_names" ||
+            stale "$doc" "$line" "$name: no such word under crates/*/src, examples/ or benchmark/src"
+    done < <(grep -noE "\`$camel" "$doc" | tr -d '`')
 done
 exit $bad

@@ -42,13 +42,13 @@ mod store;
 use crate::setup::TrainSetup;
 use std::collections::HashMap;
 use store::{Key, Param, EMBED, HEAD};
-use wp_comm::{CommError, Communicator, Request};
+use wp_comm::{CommError, Communicator};
 use wp_nn::block::{BPassCtx, BlockCkpt, BlockCtx};
 use wp_nn::config::ModelConfig;
 use wp_nn::embed::HeadCtx;
 use wp_nn::params::BlockLayout;
 use wp_nn::scratch::{Scratch, ScratchBuf};
-use wp_sched::{MsgKey, MsgKind, OpKind, Refresh, Schedule, NO_MB};
+use wp_sched::{MsgKind, OpKind, Refresh, Schedule, NO_MB};
 use wp_tensor::ops::RopeTable;
 use wp_trace::SpanKind;
 
@@ -101,11 +101,6 @@ pub struct RankRuntime {
     fwd_saved: HashMap<(usize, usize), FwdSaved>,
     bctx_saved: HashMap<(usize, usize), Vec<BPassCtx>>,
     heads_saved: HashMap<usize, HeadSaved>,
-    /// Outstanding pre-posted receives (the double-buffered ring): a
-    /// `PrePost` op parks the [`Request`] here, the matching `WaitReq`
-    /// redeems it. Empty at every iteration boundary (the validator
-    /// guarantees pairing).
-    pending_reqs: HashMap<MsgKey, Request>,
     loss_sum: f64,
     loss_count: usize,
     iter: usize,
@@ -144,7 +139,6 @@ impl RankRuntime {
             fwd_saved: HashMap::new(),
             bctx_saved: HashMap::new(),
             heads_saved: HashMap::new(),
-            pending_reqs: HashMap::new(),
             loss_sum: 0.0,
             loss_count: 0,
             iter: 0,
@@ -180,7 +174,6 @@ impl RankRuntime {
         self.fwd_saved.clear();
         self.bctx_saved.clear();
         self.heads_saved.clear();
-        self.pending_reqs.clear();
         self.loss_sum = 0.0;
         self.loss_count = 0;
 
@@ -220,8 +213,6 @@ impl RankRuntime {
                 }
                 OpKind::Send(k) => self.exec_send(k)?,
                 OpKind::Recv(k) => self.exec_recv(k)?,
-                OpKind::PrePost(k) => self.exec_prepost(k),
-                OpKind::WaitReq(k) => self.exec_waitreq(k)?,
                 OpKind::AllGatherW { chunk, .. } => self.exec_all_gather(*chunk)?,
                 OpKind::ReduceScatterD { chunk, .. } => self.exec_reduce_scatter(*chunk)?,
                 OpKind::AllReduceD { chunk, .. } => self.exec_all_reduce(*chunk)?,
@@ -281,15 +272,9 @@ impl RankRuntime {
         let wire = self.setup.wire;
         let rank = self.rank;
         let tag = |chunk: usize| (1u64 << 40) | ((iter as u64) << 16) | chunk as u64;
-        // Nonblocking exchange: post every incoming copy first, then ship
-        // outgoing ones, then redeem — so a rank that both sends and
-        // receives never serialises the boundary on its own recv.
-        let incoming: Vec<(Key, Request)> = self
-            .refreshes
-            .iter()
-            .filter(|f| f.dst == rank && f.src != rank)
-            .map(|f| ((f.chunk, f.flow), self.comm.irecv(f.src, tag(f.chunk))))
-            .collect();
+        // Ship every outgoing copy before receiving any (sends are
+        // buffered), so a rank that both sends and receives never
+        // serialises the boundary on its own receive.
         for f in self.refreshes.iter().filter(|f| f.src == rank) {
             let fresh = &self.params[&self.resolve(&[], f.chunk)].weights;
             if f.dst == rank {
@@ -299,8 +284,12 @@ impl RankRuntime {
                 self.comm.send(f.dst, tag(f.chunk), fresh, wire)?;
             }
         }
-        for (key, req) in incoming {
-            self.land_weights(key, req)?;
+        let incoming: Vec<Refresh> = (self.refreshes.iter())
+            .filter(|f| f.dst == rank && f.src != rank)
+            .copied()
+            .collect();
+        for f in incoming {
+            self.recv_weights((f.chunk, f.flow), f.src, tag(f.chunk))?;
         }
         Ok(())
     }

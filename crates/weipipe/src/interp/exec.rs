@@ -4,7 +4,7 @@
 
 use super::store::{Key, EMBED, HEAD};
 use super::{FwdSaved, HeadSaved, RankRuntime};
-use wp_comm::{CommError, Landing, Request};
+use wp_comm::{CommError, Landing};
 use wp_nn::block::{
     block_backward_checkpointed, block_backward_data, block_backward_full, block_backward_weight,
     block_forward, BPassCtx,
@@ -313,46 +313,19 @@ impl RankRuntime {
         self.comm.send(k.dst, tag_of(k), payload, self.setup.wire)
     }
 
-    pub(super) fn exec_recv(&mut self, k: &MsgKey) -> Result<(), CommError> {
-        let req = self.comm.irecv(k.src, tag_of(k));
-        self.land(k, req)
-    }
-
-    /// Post the receive for a message the schedule will wait on later
-    /// (the irecv half of the double-buffered weight ring, §4.3). Never
-    /// fails: faults surface at the matching [`Self::exec_waitreq`].
-    pub(super) fn exec_prepost(&mut self, k: &MsgKey) {
-        let req = self.comm.irecv(k.src, tag_of(k));
-        let prev = self.pending_reqs.insert(*k, req);
-        debug_assert!(
-            prev.is_none(),
-            "rank {}: double pre-post for {k:?}",
-            self.rank
-        );
-    }
-
-    /// Redeem a pre-posted receive and route its payload exactly as a
-    /// blocking recv would.
-    pub(super) fn exec_waitreq(&mut self, k: &MsgKey) -> Result<(), CommError> {
-        let req = self
-            .pending_reqs
-            .remove(k)
-            .unwrap_or_else(|| panic!("rank {}: wait without pre-post for {k:?}", self.rank));
-        self.land(k, req)
-    }
-
-    /// Redeem `req` into the store its kind lives in — the mirror of the
+    /// Receive `k` into the store its kind lives in — the mirror of the
     /// lookup in [`Self::exec_send`]. Weights land in their slot's buffer
     /// and gradients are added into the accumulator the backward made,
     /// each straight from the wire payload; either becomes its entry when
     /// the rank has none yet.
-    fn land(&mut self, k: &MsgKey, req: Request) -> Result<(), CommError> {
+    pub(super) fn exec_recv(&mut self, k: &MsgKey) -> Result<(), CommError> {
+        let (src, tag) = (k.src, tag_of(k));
         match k.kind {
-            MsgKind::Weights => self.land_weights((k.chunk, k.mb), req),
+            MsgKind::Weights => self.recv_weights((k.chunk, k.mb), src, tag),
             MsgKind::WeightGrads => match self.grads.get_mut(&(k.chunk, RESIDENT)) {
-                Some(acc) => self.comm.wait_recv_into(req, Landing::Add(acc)),
+                Some(acc) => self.comm.recv_into(src, tag, Landing::Add(acc)),
                 None => {
-                    let data = self.comm.wait_recv(req)?;
+                    let data = self.comm.recv(src, tag)?;
                     self.grads.insert((k.chunk, RESIDENT), data);
                     Ok(())
                 }
@@ -361,7 +334,7 @@ impl RankRuntime {
                 // Copied into the arena, not adopted by it: the sender
                 // allocates every message afresh, so adopting would grow
                 // the receiver's pool by one buffer per message, forever.
-                let data = self.comm.wait_recv(req)?;
+                let data = self.comm.recv(src, tag)?;
                 let buf = self.scratch.take_copy(&data);
                 self.boundary.insert((k.kind, k.mb, k.chunk), buf);
                 Ok(())
@@ -369,15 +342,16 @@ impl RankRuntime {
         }
     }
 
-    /// Redeem `req`, a weight copy, into entry `key`'s buffer.
-    pub(super) fn land_weights(&mut self, key: Key, req: Request) -> Result<(), CommError> {
+    /// Receive a weight copy with `tag` from `src` into entry `key`'s
+    /// buffer.
+    pub(super) fn recv_weights(&mut self, key: Key, src: usize, tag: u64) -> Result<(), CommError> {
         match self.params.get_mut(&key) {
             Some(entry) => {
                 let landing = Landing::Replace(&mut entry.weights);
-                self.comm.wait_recv_into(req, landing)
+                self.comm.recv_into(src, tag, landing)
             }
             None => {
-                let weights = self.comm.wait_recv(req)?;
+                let weights = self.comm.recv(src, tag)?;
                 self.put_weights(key, weights);
                 Ok(())
             }

@@ -133,10 +133,11 @@ pub struct TrainSetup {
     pub link: LinkModel,
     /// Activation checkpointing in pipelines.
     pub recompute: bool,
-    /// Double-buffered weight ring (§4.3): pre-post next-round receives and
-    /// relay outgoing chunks before compute, waiting only at the round
-    /// boundary. Bit-identical to the blocking path; only wall clock and
-    /// span shapes differ. Ignored by non-weight-passing strategies.
+    /// Overlapped weight ring (§4.3): receive each arrival at the first op
+    /// that reads it and relay a weight chunk the moment it lands; off
+    /// receives a turn's weights at its top and relays them after its
+    /// compute. Bit-identical either way; only wall clock and span shapes
+    /// differ. Ignored by non-weight-passing strategies.
     pub overlap: bool,
     /// Training data.
     pub data: DataSource,
@@ -300,7 +301,7 @@ impl TrainSetup {
         self
     }
 
-    /// Toggle the double-buffered weight ring (on by default).
+    /// Toggle the overlapped weight ring (on by default).
     ///
     /// ```
     /// use weipipe::TrainSetup;

@@ -166,10 +166,9 @@ fn corrupted_weight_chunk_is_detected_not_trained_on() {
 
 #[test]
 fn destructive_chaos_parity_between_overlapped_and_blocking_rings() {
-    // A rank dies while the double-buffered ring has pre-posted requests
-    // outstanding: every rank must surface the same typed error the
-    // blocking ring produces, within the receive budget — no hangs, no
-    // request left dangling.
+    // A rank dies while the overlapped ring has transfers in flight: every
+    // rank must surface the same typed error the blocking ring produces,
+    // within the receive budget — no hangs.
     let victim = 2;
     for overlap in [true, false] {
         let mut setup = TrainSetup::tiny(4, 8).with_overlap(overlap);

@@ -1,6 +1,6 @@
-//! The double-buffered weight ring (§4.3 overlap) is a pure scheduling
-//! change: it moves *when* receives are posted and waited on, never *what*
-//! is sent. These tests pin that down as bit-identity — the overlapped and
+//! The overlapped weight ring (§4.3) is a pure scheduling change: it moves
+//! *where* receives and relays sit in a rank's stream, never *what* is
+//! sent. These tests pin that down as bit-identity — the overlapped and
 //! blocking rings must compute the exact same floats, and both must match
 //! the single-process reference within reduction tolerance.
 

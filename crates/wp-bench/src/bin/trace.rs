@@ -28,7 +28,7 @@ fn main() {
     let microbatches: usize =
         flag_value("--microbatches").map_or(2 * ranks, |v| v.parse().expect("--microbatches"));
     // `--blocking` traces the blocking weight ring instead of the default
-    // double-buffered (overlapped) one, on both the measured and simulated
+    // overlapped one, on both the measured and simulated
     // sides — so the drift report can compare overlap against its ablation.
     let overlap = !has_flag("--blocking");
 

@@ -35,7 +35,7 @@ pub struct WorldOpts {
     pub microbatches: usize,
     /// Training iterations (absolute: a resumed worker runs the remainder).
     pub iters: usize,
-    /// Double-buffered weight ring (`false` = blocking).
+    /// Overlapped weight ring (`false` = blocking).
     pub overlap: bool,
     /// Seeded fault plan, in [`FaultPlan::from_spec`] syntax.
     pub faults: Option<String>,

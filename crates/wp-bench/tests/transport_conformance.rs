@@ -1,6 +1,6 @@
 //! Cross-transport conformance suite.
 //!
-//! Everything above the `Transport` trait — Request handles, tag matching,
+//! Everything above the `Transport` trait — tag matching, landing receives,
 //! collectives, fault injection, timeouts, the abort protocol, traffic
 //! accounting — must behave byte-identically whether frames move over
 //! in-process channels or real TCP sockets. These tests re-run the overlap

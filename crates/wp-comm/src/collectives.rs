@@ -3,15 +3,16 @@
 //! Built on the ring algorithms NCCL uses in the paper's setting ("tree
 //! algorithms were not adopted"): all-reduce is reduce-scatter + all-gather
 //! around the ring, each rank sending `2·(P−1)/P · n` bytes — the byte count
-//! the FSDP cost model charges. Every hop is one
-//! [`irecv`](Communicator::irecv) from the previous rank, one collective-class
-//! send to the next and one [`wait_recv`](Communicator::wait_recv), so the
-//! fault, timeout and abort behaviour of a collective is exactly that of
-//! [`crate::p2p`]; each call is wrapped in one outer span under which its
-//! hops' `Send`/`RecvWait`/`RecvXfer` spans nest.
+//! the FSDP cost model charges. Every hop is one collective-class send to
+//! the next rank and one [`recv_into`](Communicator::recv_into) from the
+//! previous, landing in the caller's buffer, so the fault, timeout and
+//! abort behaviour of a collective is exactly that of [`crate::p2p`]; each
+//! call is wrapped in one outer span under which its hops'
+//! `Send`/`RecvWait`/`RecvXfer` spans nest.
 
 use crate::error::CommError;
 use crate::p2p::{Communicator, COLLECTIVE_TAG_BASE};
+use crate::transport::Landing;
 use wp_tensor::DType;
 use wp_trace::SpanKind;
 
@@ -56,18 +57,10 @@ impl Communicator {
         self.with_coll_span(SpanKind::AllReduce, |c| c.all_reduce_inner(buf, dtype))
     }
 
-    /// One hop of a ring collective: post the receive from the previous
-    /// rank, send `out` to the next, and wait for what the previous rank
-    /// sent under the same tag.
-    fn ring_step(&mut self, tag: u64, out: &[f32], dtype: DType) -> Result<Vec<f32>, CommError> {
-        let req = self.irecv(self.prev_rank(), tag);
-        self.send_internal(self.next_rank(), tag, out, dtype, true)?;
-        self.wait_recv(req)
-    }
-
     /// `P−1` hops over `buf` cut into `P` chunks: hop `s` sends chunk
-    /// `first − s` and folds what arrives into chunk `first − s − 1` —
-    /// summed in when `reduce`, copied over otherwise. Hop `s` uses `tag(s)`.
+    /// `first − s` to the next rank and lands what the previous one sent
+    /// under the same tag in chunk `first − s − 1` — added in when
+    /// `reduce`, copied over otherwise. Hop `s` uses `tag(s)`.
     fn ring_pass(
         &mut self,
         buf: &mut [f32],
@@ -76,17 +69,16 @@ impl Communicator {
         reduce: bool,
         dtype: DType,
     ) -> Result<(), CommError> {
-        let (n, p) = (buf.len(), self.world);
+        let (n, p, prev) = (buf.len(), self.world, self.prev_rank());
         for s in 0..p - 1 {
-            let send_idx = (first + p - s) % p;
+            let (tag, send_idx) = (tag(s as u64), (first + p - s) % p);
             let sr = Self::chunk_range(n, p, send_idx);
-            let incoming = self.ring_step(tag(s as u64), &buf[sr], dtype)?;
+            self.send_internal(self.next_rank(), tag, &buf[sr], dtype, true)?;
             let into = &mut buf[Self::chunk_range(n, p, (send_idx + p - 1) % p)];
             if reduce {
-                for (b, x) in into.iter_mut().zip(&incoming) {
-                    *b += x;
-                }
+                self.recv_into(prev, tag, Landing::Add(into))?;
             } else {
+                let incoming = self.recv(prev, tag)?;
                 assert_eq!(incoming.len(), into.len(), "ring chunks must match");
                 into.copy_from_slice(&incoming);
             }
@@ -183,8 +175,7 @@ impl Communicator {
         let tag = self.next_coll_tag();
         let dist = (self.rank + p - root) % p;
         if dist > 0 {
-            let req = self.irecv(self.prev_rank(), tag);
-            *buf = self.wait_recv(req)?;
+            *buf = self.recv(self.prev_rank(), tag)?;
         }
         if dist < p - 1 {
             self.send_internal(self.next_rank(), tag, buf, dtype, true)?;

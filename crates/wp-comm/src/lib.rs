@@ -18,12 +18,10 @@
 //!
 //! The [`Communicator`] offers what the weight ring runs and no more:
 //!
-//! * [`p2p`] — a buffered [`send`](Communicator::send), a receive posted
-//!   early and redeemed later ([`irecv`](Communicator::irecv) →
-//!   [`Request`] → [`wait_recv`](Communicator::wait_recv), or
-//!   [`wait_recv_into`](Communicator::wait_recv_into) a buffer the payload
-//!   replaces or is added into; `recv` is the post and the wait back to
-//!   back), and the timeout, fault-injection and abort protocol under both;
+//! * [`p2p`] — a buffered [`send`](Communicator::send), a blocking
+//!   [`recv_into`](Communicator::recv_into) a buffer the payload replaces
+//!   or is added into ([`recv`](Communicator::recv) returns a new vector),
+//!   and the timeout, fault-injection and abort protocol under both;
 //! * [`collectives`] — ring all-reduce / reduce-scatter / all-gather /
 //!   broadcast / barrier built from those two primitives;
 //! * [`world`] — [`World::builder`], which wires one communicator per rank
@@ -64,7 +62,7 @@ pub use fault::FaultPlan;
 pub use link::LinkModel;
 pub use membership::{agree_membership, Membership};
 pub use meter::{RankTraffic, TrafficMeter};
-pub use p2p::{CommConfig, Communicator, Request};
+pub use p2p::{CommConfig, Communicator};
 pub use tcp::TcpTransport;
 pub use transport::{AbortCell, Frame, Landing, Payload, Transport, TransportKind};
 pub use world::{World, WorldBuilder};

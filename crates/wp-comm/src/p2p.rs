@@ -1,5 +1,6 @@
-//! The communicator's point-to-point half: one buffered send, one receive
-//! posted early and redeemed later, and the failure protocol under both.
+//! The communicator's point-to-point half: one buffered send, one blocking
+//! receive that lands its payload in the caller's buffer, and the failure
+//! protocol under both.
 //!
 //! One [`Communicator`] per rank, layered over one transport endpoint. The
 //! transport only promises per-source FIFO framed delivery (the guarantee
@@ -129,24 +130,6 @@ pub struct Communicator {
     /// dropped (counted in [`Counter::StaleFramesDropped`]), so traffic
     /// from a pre-reconfiguration world can never match a current receive.
     pub(crate) epoch: u64,
-}
-
-/// A receive in flight, returned by [`Communicator::irecv`] and redeemed
-/// with [`Communicator::wait_recv`]. It records the post mark and the
-/// reorder-buffer depth observed at post time; the match happens at the
-/// wait, so the `RecvWait` trace span covers the full post→complete
-/// interval.
-///
-/// There is no send handle: [`Communicator::send`] follows buffered-isend
-/// semantics — the transport holds the payload, and the meter is charged,
-/// before it returns — so a "send request" would be complete at creation.
-#[derive(Debug)]
-#[must_use = "a request that is never waited on completes nothing"]
-pub struct Request {
-    src: usize,
-    tag: u64,
-    t0: u64,
-    depth: usize,
 }
 
 impl Communicator {
@@ -462,53 +445,16 @@ impl Communicator {
         Ok(())
     }
 
-    /// Post a receive for `(src, tag)` without blocking; redeem with
-    /// [`wait_recv`](Self::wait_recv). This is the prefetch half of the
-    /// paper's §4.3 `batch_isend_irecv`: post the next round's receive, run
-    /// this round's compute, wait at the boundary. Posting is infallible —
-    /// matching, fault checks, and timeouts all surface at the wait, so a
-    /// fault striking while the request is outstanding is reported as the
-    /// same typed [`CommError`] the blocking path returns.
-    ///
-    /// # Panics
-    /// Panics if `src` is out of range or equals this rank (API misuse).
-    pub fn irecv(&self, src: usize, tag: u64) -> Request {
-        assert!(src < self.world, "src {src} out of range");
-        assert_ne!(src, self.rank, "self-recv is not supported");
-        let depth = self.pending[src].len();
-        self.probe.reorder_depth(depth);
-        Request {
-            src,
-            tag,
-            // Trace bookkeeping: the blocked-wait span starts when the
-            // receive is posted, and the queue depth recorded is the
-            // reorder-buffer depth observed at post time.
-            t0: self.probe.now(),
-            depth,
-        }
-    }
-
-    /// Blocking receive of the message with `tag` from `src`:
-    /// [`irecv`](Self::irecv) immediately redeemed, for callers with nothing
-    /// to overlap.
-    ///
-    /// # Errors
-    /// Same as [`wait_recv`](Self::wait_recv).
+    /// Blocking receive of the message with `tag` from `src`, returned as
+    /// a new vector: [`recv_into`](Self::recv_into) one, with the same
+    /// errors and panics.
     pub fn recv(&mut self, src: usize, tag: u64) -> Result<Vec<f32>, CommError> {
-        let req = self.irecv(src, tag);
-        self.wait_recv(req)
-    }
-
-    /// Block until the message `req` was posted for arrives and return its
-    /// payload: [`wait_recv_into`](Self::wait_recv_into) a new vector, with
-    /// the same errors.
-    pub fn wait_recv(&mut self, req: Request) -> Result<Vec<f32>, CommError> {
         let mut data = Vec::new();
-        self.wait_recv_into(req, Landing::Replace(&mut data))?;
+        self.recv_into(src, tag, Landing::Replace(&mut data))?;
         Ok(data)
     }
 
-    /// Block until the message `req` was posted for arrives, and land its
+    /// Block until the message with `tag` from `src` arrives, and land its
     /// payload in the caller's buffer ([`Payload::land`]): replacing it, or
     /// added into it. One fault-plan operation, then match against the
     /// reorder buffer and poll the inbox until the receive timeout; frames
@@ -516,17 +462,34 @@ impl Communicator {
     /// later matching receives in FIFO order. On error `landing` is left
     /// untouched: a checksum is verified as its frame arrives.
     ///
+    /// Both transports deliver a frame whether or not its receive has been
+    /// called yet, so a schedule overlaps a transfer by calling this where
+    /// the payload is consumed; nothing is posted ahead.
+    ///
     /// # Errors
     /// [`CommError::Timeout`] when [`CommConfig::recv_timeout`] elapses with
     /// no match; [`CommError::PeerDead`] when the source's endpoint closed;
     /// [`CommError::Corrupt`] when an arriving payload fails its checksum; a
     /// propagated abort error when another rank failed first.
-    pub fn wait_recv_into(&mut self, req: Request, landing: Landing<'_>) -> Result<(), CommError> {
-        let msg = self.matched(&req)?;
-        // Count the message and close the blocked-wait span (post → match),
-        // then under the transfer span (match → fully arrived) sleep out the
-        // link model and land the payload.
-        let Request { src, t0, depth, .. } = req;
+    ///
+    /// # Panics
+    /// Panics if `src` is out of range or equals this rank (API misuse).
+    pub fn recv_into(
+        &mut self,
+        src: usize,
+        tag: u64,
+        landing: Landing<'_>,
+    ) -> Result<(), CommError> {
+        assert!(src < self.world, "src {src} out of range");
+        assert_ne!(src, self.rank, "self-recv is not supported");
+        // The blocked-wait span runs from this call to the match; the queue
+        // depth recorded is the reorder-buffer depth found on entry.
+        let (t0, depth) = (self.probe.now(), self.pending[src].len());
+        self.probe.reorder_depth(depth);
+        let msg = self.matched(src, tag)?;
+        // Count the message and close the blocked-wait span, then under the
+        // transfer span (match → fully arrived) sleep out the link model
+        // and land the payload.
         let bytes = msg.payload.wire_bytes();
         let x0 = self.probe.received(msg.collective, src, depth, bytes, t0);
         let stall = msg.deliver_at.map_or(Duration::ZERO, |at| {
@@ -541,9 +504,8 @@ impl Communicator {
         Ok(())
     }
 
-    /// The frame `req` was posted for, from the reorder buffer or the wire.
-    fn matched(&mut self, req: &Request) -> Result<Frame, CommError> {
-        let (src, tag) = (req.src, req.tag);
+    /// The frame with `tag` from `src`, from the reorder buffer or the wire.
+    fn matched(&mut self, src: usize, tag: u64) -> Result<Frame, CommError> {
         self.precheck()?;
         self.flush_held()?;
         // Check the reorder buffer first.
@@ -709,21 +671,6 @@ mod tests {
     }
 
     #[test]
-    fn irecv_wait_pairs_with_send() {
-        let (vals, _) = World::run(2, LinkModel::instant(), |mut c| {
-            if c.rank() == 0 {
-                c.send(1, 5, &[8.0], DType::F32).unwrap();
-                0.0
-            } else {
-                let h = c.irecv(0, 5);
-                // ... compute would overlap here ...
-                c.wait_recv(h).unwrap()[0]
-            }
-        });
-        assert_eq!(vals[1], 8.0);
-    }
-
-    #[test]
     fn send_charges_the_sender_when_it_returns() {
         let (vals, _) = World::run(2, LinkModel::instant(), |mut c| {
             if c.rank() == 0 {
@@ -742,51 +689,23 @@ mod tests {
     }
 
     #[test]
-    fn receives_posted_before_any_send_complete_in_both_ring_directions() {
-        // Every rank posts both of its receives, the whole world meets at a
-        // barrier, and only then does anyone send: two payloads per rank,
-        // one each way round the ring. The exchange must neither deadlock
-        // nor hand a payload to the wrong request.
-        let p = 4;
-        let all_posted = std::sync::Barrier::new(p);
-        let (outs, _) = World::run(p, LinkModel::instant(), |mut c| {
-            let r = c.rank() as f32;
-            let (next, prev) = (c.next_rank(), c.prev_rank());
-            let from_prev = c.irecv(prev, 1);
-            let from_next = c.irecv(next, 2);
-            all_posted.wait();
-            c.send(next, 1, &[r], DType::F32).unwrap();
-            c.send(prev, 2, &[r + 100.0], DType::F32).unwrap();
-            (
-                c.wait_recv(from_prev).unwrap()[0],
-                c.wait_recv(from_next).unwrap()[0],
-            )
-        });
-        for (r, &(from_prev, from_next)) in outs.iter().enumerate() {
-            assert_eq!(from_prev, ((r + p - 1) % p) as f32);
-            assert_eq!(from_next, ((r + 1) % p) as f32 + 100.0);
-        }
-    }
-
-    #[test]
-    fn outstanding_request_surfaces_typed_abort() {
-        // Rank 1 has a receive request outstanding when rank 0 dies; the
-        // wait must unwind with the typed PeerDead cause, not hang.
+    fn a_blocked_receive_surfaces_typed_abort() {
+        // Rank 1 is blocked in a receive when rank 0 dies; the receive
+        // must unwind with the typed PeerDead cause, not hang.
         let cfg = CommConfig::fail_fast(Duration::from_secs(5));
         let (results, _) = World::builder(2).config(cfg).try_run(|mut c| {
             if c.rank() == 0 {
                 return Err(CommError::PeerDead { rank: 0 });
             }
-            let req = c.irecv(0, 7);
             let t0 = Instant::now();
-            let r = c.wait_recv(req);
+            let r = c.recv(0, 7);
             assert!(
                 t0.elapsed() < Duration::from_secs(5),
-                "abort must interrupt the wait"
+                "abort must interrupt the receive"
             );
             r
         });
-        // try_run returns rank 0's own error; rank 1's outstanding request
+        // try_run returns rank 0's own error; rank 1's blocked receive
         // observes the same typed cause through the abort cell.
         assert!(results[0].is_err());
         match results[1].as_ref().unwrap_err() {
@@ -796,11 +715,11 @@ mod tests {
     }
 
     #[test]
-    fn irecv_posted_before_fault_reports_corruption_at_wait() {
-        // A corruption injected while the request is outstanding surfaces
-        // as the same typed Corrupt error the blocking path returns —
-        // whatever the wire carries (the flipped bit is a wire bit), an
-        // empty payload included, and over either transport.
+    fn a_corrupt_frame_fails_its_receive_typed() {
+        // A corruption injected on the wire surfaces at the receive as a
+        // typed Corrupt error — whatever the wire carries (the flipped bit
+        // is a wire bit), an empty payload included, and over either
+        // transport.
         for kind in [TransportKind::InProcess, TransportKind::TcpLocalhost] {
             for wire in [DType::F32, DType::F16, DType::BF16] {
                 for data in [&[1.0f32, 2.0][..], &[]] {
@@ -815,14 +734,13 @@ mod tests {
                                 c.send(1, 4, data, wire)?;
                                 Ok(vec![])
                             } else {
-                                let req = c.irecv(0, 4);
-                                c.wait_recv(req)
+                                c.recv(0, 4)
                             }
                         });
                     match results[1].as_ref().unwrap_err() {
                         CommError::Corrupt { src: 0, tag: 4 } => {}
                         other => panic!(
-                            "{kind:?} {wire} {data:?}: expected Corrupt from wait on outstanding request, got {other:?}"
+                            "{kind:?} {wire} {data:?}: expected Corrupt from the receive, got {other:?}"
                         ),
                     }
                 }

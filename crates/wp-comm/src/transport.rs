@@ -3,8 +3,7 @@
 //! deadline-aware blocking receive, and teardown.
 //!
 //! Everything *above* this trait is transport-agnostic and byte-identical
-//! across implementations: posted receives ([`Request`](crate::Request)),
-//! tag matching and the per-source reorder buffer,
+//! across implementations: tag matching and the per-source reorder buffer,
 //! [`FaultPlan`](crate::FaultPlan) injection, the
 //! [`CommConfig`](crate::CommConfig) timeout policy, the poison-pill abort
 //! protocol, link-model pacing, packing into the wire dtype, checksums, and

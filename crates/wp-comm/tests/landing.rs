@@ -1,8 +1,8 @@
-//! Receives that land in the caller's buffer (`wait_recv_into`): over both
+//! Receives that land in the caller's buffer (`recv_into`): over both
 //! transports a payload that replaces a buffer or is added into one carries
-//! the bits `wait_recv` returns, whether its frame was matched on arrival
-//! or parked in the reorder buffer first, and a corrupt frame fails the
-//! wait without touching the buffer.
+//! the bits `recv` returns, whether its frame was matched on arrival or
+//! parked in the reorder buffer first, and a corrupt frame fails the
+//! receive without touching the buffer.
 
 use std::time::Duration;
 use wp_comm::{CommConfig, CommError, FaultPlan, Landing, TransportKind, World};
@@ -21,8 +21,8 @@ fn bits(xs: &[f32]) -> Vec<u32> {
     xs.iter().map(|x| x.to_bits()).collect()
 }
 
-/// Rank 0 sends tags 1, 2, 3 in that order; rank 1 redeems 3 first (1 and
-/// 2 park), then 2 into a buffer it replaces, then 1 added into an
+/// Rank 0 sends tags 1, 2, 3 in that order; rank 1 receives 3 first (1
+/// and 2 park), then 2 into a buffer it replaces, then 1 added into an
 /// accumulator, and returns the three results.
 #[test]
 fn parked_frames_land_the_bits_a_plain_receive_returns() {
@@ -38,14 +38,11 @@ fn parked_frames_land_the_bits_a_plain_receive_returns() {
                     }
                     return Vec::new();
                 }
-                let reqs = [1, 2, 3].map(|tag| c.irecv(0, tag));
-                let [one, two, three] = reqs;
-                let third = c.wait_recv(three).unwrap();
+                let third = c.recv(0, 3).unwrap();
                 let mut second = vec![9.0; 17];
-                c.wait_recv_into(two, Landing::Replace(&mut second))
-                    .unwrap();
+                c.recv_into(0, 2, Landing::Replace(&mut second)).unwrap();
                 let mut first = acc0.clone();
-                c.wait_recv_into(one, Landing::Add(&mut first)).unwrap();
+                c.recv_into(0, 1, Landing::Add(&mut first)).unwrap();
                 vec![first, second, third]
             });
             let at = format!("{kind:?} {wire}");
@@ -73,8 +70,8 @@ fn parked_frames_land_the_bits_a_plain_receive_returns() {
     }
 }
 
-/// A frame corrupted on the wire fails the wait that would land it with
-/// `Corrupt`, at the wait, and the accumulator keeps its bits.
+/// A frame corrupted on the wire fails the receive that would land it with
+/// `Corrupt`, and the accumulator keeps its bits.
 #[test]
 fn a_corrupt_frame_leaves_the_accumulator_untouched() {
     for kind in KINDS {
@@ -91,9 +88,8 @@ fn a_corrupt_frame_leaves_the_accumulator_untouched() {
                         c.send(1, 4, &payload(64, 0.0), wire)?;
                         return Ok(Vec::new());
                     }
-                    let req = c.irecv(0, 4);
                     let mut acc = acc0.clone();
-                    let err = c.wait_recv_into(req, Landing::Add(&mut acc)).unwrap_err();
+                    let err = c.recv_into(0, 4, Landing::Add(&mut acc)).unwrap_err();
                     assert_eq!(
                         err,
                         CommError::Corrupt { src: 0, tag: 4 },

@@ -136,7 +136,7 @@ impl Probe {
         }
     }
 
-    /// The receive posted at `t0` (with `depth` frames parked for `src`)
+    /// The receive called at `t0` (with `depth` frames parked for `src`)
     /// matched a message of `bytes` wire bytes: closes the blocked-wait
     /// span. Returns the start mark of the transfer that follows.
     #[inline]

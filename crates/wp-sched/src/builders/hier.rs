@@ -198,10 +198,7 @@ mod tests {
                                 | OpKind::BwdFull { mb: m, .. }
                                 | OpKind::BwdData { mb: m, .. }
                                 | OpKind::BwdWeight { mb: m, .. } => *m = mb(*m),
-                                OpKind::Send(k)
-                                | OpKind::Recv(k)
-                                | OpKind::PrePost(k)
-                                | OpKind::WaitReq(k) => *k = key(*k),
+                                OpKind::Send(k) | OpKind::Recv(k) => *k = key(*k),
                                 _ => {}
                             }
                             for k in &mut op.needs {

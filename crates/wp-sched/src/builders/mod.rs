@@ -56,12 +56,13 @@ pub struct PipelineSpec {
     /// backward. Split-backward strategies (ZB/WZB) build without it — the
     /// deferred W pass needs the full forward context.
     pub recompute: bool,
-    /// Double-buffered weight movement (paper §4.3): the ring builders emit
-    /// explicit [`OpKind::PrePost`]/[`OpKind::WaitReq`] pairs so round
-    /// `t+1`'s weight/grad transfers are posted before round `t`'s compute
-    /// and waited on only at the round boundary. Off falls back to blocking
-    /// `Recv` ops at the top of each turn. Only affects the weight-passing
-    /// ring schedules; results are bit-identical either way.
+    /// Communication/computation overlap in the weight ring (paper §4.3):
+    /// each arrival is received at the first op that reads it, and a weight
+    /// chunk relays onward the moment it lands. Off receives a turn's
+    /// weights at the top of the turn and relays them after its compute.
+    /// Either way a rank runs the same ops, only in another order; only the
+    /// weight-passing ring schedules are affected, and results are
+    /// bit-identical.
     pub overlap: bool,
     /// The value of the one shape knob the strategy reads — the [`Knob`]
     /// its [`Strategy::shape`] row names: the W-pass lag of a split
@@ -74,8 +75,7 @@ pub struct PipelineSpec {
 
 impl PipelineSpec {
     /// A spec with activation checkpointing on (the paper's long-context
-    /// default), double-buffered weight movement enabled, and the default
-    /// knob.
+    /// default), overlap on, and the default knob.
     pub fn new(ranks: usize, microbatches: usize) -> Self {
         PipelineSpec {
             ranks,
@@ -92,7 +92,7 @@ impl PipelineSpec {
         self
     }
 
-    /// Enable or disable double-buffered weight movement.
+    /// Enable or disable overlap ([`Self::overlap`]).
     pub fn with_overlap(mut self, on: bool) -> Self {
         self.overlap = on;
         self

@@ -15,13 +15,15 @@
 //!   every hop.
 //!
 //! A rank runs its stream in program order, so a receive placed ahead of
-//! compute that does not read it stalls that compute for the transfer. Each
-//! arrival is therefore redeemed at the first op that names it (§4.3): the
-//! backward on chunk `c` accumulates into a local buffer and does not wait
-//! for `D_c`, which is folded in just before it leaves again; the chunk the
-//! forward flow brings home at turn `hf` is waited on by its `Update`; an
-//! arrival nothing reads is waited on after the rank's last compute op.
-//! `tests/props.rs` checks the rule on every overlap schedule.
+//! compute that does not read it stalls that compute for the transfer. In
+//! overlap mode each arrival is therefore received at the first op that
+//! names it (§4.3): the backward on chunk `c` accumulates into a local
+//! buffer and does not wait for `D_c`, which is folded in just before it
+//! leaves again; the chunk the forward flow brings home at turn `hf` is
+//! received by its `Update`; an arrival nothing reads is received after the
+//! rank's last compute op. Blocking mode receives a turn's weights at its
+//! top instead. `tests/props.rs` checks the rule on every overlap schedule,
+//! and that both modes emit the same ops.
 //!
 //! What each rank holds at turn 0 leaves this module as
 //! [`Schedule::seeds`]: the forward seed is the copy its own rank's `Update`
@@ -99,7 +101,7 @@ pub(super) fn build_ring(strategy: Strategy, spec: PipelineSpec) -> Schedule {
     };
 
     let mut ops: Vec<Vec<Op>> = vec![Vec::new(); p];
-    // Per rank: the arrivals no op reads, waited on after its last compute.
+    // Per rank: the arrivals no op reads, received after its last compute.
     let mut tails: Vec<Vec<Op>> = vec![Vec::new(); p];
     for (r, (stream, tail)) in ops.iter_mut().zip(&mut tails).enumerate() {
         let q = r % g;
@@ -113,25 +115,14 @@ pub(super) fn build_ring(strategy: Strategy, spec: PipelineSpec) -> Schedule {
                 MsgKey::weight_grads(wb(q, t), round, src, dst),
             ]
         };
-        // Redeeming an arrival: the wait on the request pre-posted a turn
-        // earlier in overlap mode, a blocking receive otherwise.
-        let arrive = |key: MsgKey| {
-            if spec.overlap {
-                Op::wait_req(key)
-            } else {
-                Op::recv(key)
-            }
-        };
         // WZB1 bounds in-flight B contexts; WZB2 defers every W pass to the
         // end of the iteration.
         let mut deferred = WWindow::of(strategy, &spec);
         for t in 0..=hb {
             // Turn t's chunks arrived in round t−1 (turn 0's are seeded and
-            // these keys unused) and leave in round t; round t also delivers
-            // turn t+1's.
+            // these keys unused) and leave in round t.
             let [fwd_in, bwd_in, d_in] = hop(t, t.wrapping_sub(1), prev, r);
             let [fwd_out, w_out, d_out] = hop(t, t, r, next);
-            let [fwd_next, bwd_next, d_next] = hop(t + 1, t, prev, r);
             // The onward send of a weight chunk. A seeded chunk has nothing
             // to wait for; in overlap mode a chunk forwards the moment it
             // lands; blocking mode relays round-synchronously, after this
@@ -162,15 +153,14 @@ pub(super) fn build_ring(strategy: Strategy, spec: PipelineSpec) -> Schedule {
 
             // 1. This turn's weight arrivals. Blocking mode receives both
             //    flows here, so each turn pays its transfers in sequence
-            //    with its compute; overlap mode instead redeems requests
-            //    pre-posted one turn earlier, waiting for each payload only
+            //    with its compute; overlap mode receives each payload only
             //    at the first op that reads it. The forward-flow chunk that
             //    comes home at turn hf is read by its `Update` alone and is
-            //    waited on there (below).
+            //    received there (below).
             if t >= 1 {
                 if spec.overlap {
                     if t < hf {
-                        stream.push(Op::wait_req(fwd_in));
+                        stream.push(Op::recv(fwd_in));
                     }
                 } else {
                     if t <= hf {
@@ -180,20 +170,11 @@ pub(super) fn build_ring(strategy: Strategy, spec: PipelineSpec) -> Schedule {
                 }
             }
 
-            // 1b. Overlap mode (§4.3 double buffering): the forward-flow
-            //     chunk relays onward the moment it lands — its next hop
-            //     streams while this rank computes — and the receive
-            //     requests for round t+1 are posted before any of round
-            //     t's compute starts.
-            if spec.overlap {
-                if t < hf {
-                    stream.push(relay(fwd_out, fwd_in));
-                    stream.push(Op::pre_post(fwd_next));
-                }
-                if t < hb {
-                    stream.push(Op::pre_post(bwd_next));
-                    stream.push(Op::pre_post(d_next));
-                }
+            // 1b. Overlap mode (§4.3): the forward-flow chunk relays onward
+            //     the moment it lands, so its next hop streams while this
+            //     rank computes.
+            if spec.overlap && t < hf {
+                stream.push(relay(fwd_out, fwd_in));
             }
 
             // 2. Forward compute: loop l of this rank's microbatches
@@ -212,18 +193,18 @@ pub(super) fn build_ring(strategy: Strategy, spec: PipelineSpec) -> Schedule {
                 }
             }
 
-            // 2b. Overlap mode: the backward-flow weights are waited on
+            // 2b. Overlap mode: the backward-flow weights are received
             //     only now, after the forward compute they were hiding
             //     under, and relay onward before the local backward uses
             //     them. At turn hb nothing relays them, and a rank with no
-            //     backward that turn never reads them: its wait joins the
-            //     tail.
+            //     backward that turn never reads them: its receive joins
+            //     the tail.
             if spec.overlap {
                 if t >= 1 {
                     if t < hb || backward.is_some() {
-                        stream.push(Op::wait_req(bwd_in));
+                        stream.push(Op::recv(bwd_in));
                     } else {
-                        tail.push(Op::wait_req(bwd_in));
+                        tail.push(Op::recv(bwd_in));
                     }
                 }
                 if t < hb {
@@ -242,16 +223,16 @@ pub(super) fn build_ring(strategy: Strategy, spec: PipelineSpec) -> Schedule {
                 }
             }
 
-            // 4. The arriving gradient accumulator D, redeemed only now
+            // 4. The arriving gradient accumulator D, received only now
             //    that the backward is done, in both modes, so both fold it
             //    into the local gradients in the same order (turn hb's is
-            //    redeemed by the op that ships or steps it, below). Then
+            //    received by the op that ships or steps it, below). Then
             //    the remaining ring departures for this turn: blocking
             //    mode's weight relays (overlap mode sent them above), and
             //    the gradient chunk, in both modes, because it must carry
             //    the local backward's contribution (every variant).
             if (1..hb).contains(&t) {
-                stream.push(arrive(d_in));
+                stream.push(Op::recv(d_in));
             }
             if !spec.overlap && t < hf {
                 stream.push(relay(fwd_out, fwd_in));
@@ -274,18 +255,18 @@ pub(super) fn build_ring(strategy: Strategy, spec: PipelineSpec) -> Schedule {
         stream.extend(deferred.flush());
 
         // Gradient delivery: ship the chunk whose gradients rest here to
-        // the rank that steps it, redeeming turn hb's D first. With several
+        // the rank that steps it, receiving turn hb's D first. With several
         // groups the steps wait for the groups' gradients to be summed.
         let d_rest = MsgKey::weight_grads(wb(q, hb), hb - 1, prev, r);
         let (_, updater, grads, _) = update(r - q, wb(q, hb));
         if updater != r {
-            stream.push(arrive(d_rest));
+            stream.push(Op::recv(d_rest));
             stream.push(Op::send(grads).needs(d_rest));
         }
         // The optimizer steps, each after the arrivals it reads: the
         // gradients (delivered, or this rank's own D) and, in overlap mode,
         // the forward-flow chunk that came home at turn hf. That chunk's
-        // wait joins the tail on a rank that does not step it (WZB2).
+        // receive joins the tail on a rank that does not step it (WZB2).
         let mut home = spec
             .overlap
             .then(|| MsgKey::weights(wf(q, hf), FLOW_FWD, hf - 1, prev, r));
@@ -294,15 +275,11 @@ pub(super) fn build_ring(strategy: Strategy, spec: PipelineSpec) -> Schedule {
             if updater != r {
                 continue;
             }
-            stream.push(if holder == r {
-                debug_assert_eq!(grads, d_rest);
-                arrive(grads)
-            } else {
-                Op::recv(grads)
-            });
+            debug_assert!(holder != r || grads == d_rest);
+            stream.push(Op::recv(grads));
             if weights.is_some() {
                 debug_assert!(home.is_none() || home == weights);
-                stream.extend(home.take().map(Op::wait_req));
+                stream.extend(home.take().map(Op::recv));
             }
             if g == p {
                 let mut op = Op::compute(OpKind::Update { chunk: c }).needs(grads);
@@ -310,7 +287,7 @@ pub(super) fn build_ring(strategy: Strategy, spec: PipelineSpec) -> Schedule {
                 stream.push(op);
             }
         }
-        tail.extend(home.map(Op::wait_req));
+        tail.extend(home.map(Op::recv));
     }
     if g < p {
         let updates: Vec<_> = (0..p).map(|i| update(i - i % g, i % g)).collect();
@@ -338,7 +315,7 @@ pub(super) fn build_ring(strategy: Strategy, spec: PipelineSpec) -> Schedule {
 #[cfg(test)]
 mod tests {
     use crate::builders::{build, PipelineSpec};
-    use crate::ir::{MsgKey, OpKind, Refresh, Strategy, FLOW_BWD, FLOW_FWD};
+    use crate::ir::{OpKind, Refresh, Schedule, Strategy, FLOW_BWD, FLOW_FWD};
     use std::collections::HashSet;
 
     #[test]
@@ -352,34 +329,23 @@ mod tests {
     }
 
     #[test]
-    fn overlap_emits_prepost_wait_pairs_without_changing_traffic() {
+    fn overlap_moves_receives_without_changing_traffic() {
         for strat in [Strategy::WeiPipeNaive, Strategy::WeiPipeInterleave] {
             let spec = PipelineSpec::new(4, 8);
             let blocking = build(strat, spec.with_overlap(false));
             let overlapped = build(strat, spec.with_overlap(true));
-            let (bs, os) = (blocking.stats(), overlapped.stats());
-            // Same messages on the wire either way; only the posting style
-            // differs (Recv vs PrePost+WaitReq).
-            assert_eq!(bs.sends, os.sends, "{strat:?}");
-            assert_eq!(bs.recvs, os.recvs, "{strat:?}");
-            assert_eq!(bs.waits, 0, "{strat:?}");
-            assert!(os.waits > 0, "{strat:?}");
-            // Every wait redeems a pre-post issued earlier on the same rank.
-            for ops in &overlapped.ops {
-                let mut posted: HashSet<MsgKey> = HashSet::new();
-                for op in ops {
-                    match op.kind {
-                        OpKind::PrePost(k) => {
-                            assert!(posted.insert(k), "{strat:?}: double post {k:?}");
-                        }
-                        OpKind::WaitReq(k) => {
-                            assert!(posted.remove(&k), "{strat:?}: wait before post {k:?}");
-                        }
-                        _ => {}
-                    }
-                }
-                assert!(posted.is_empty(), "{strat:?}: unredeemed pre-posts");
-            }
+            assert_eq!(blocking.stats(), overlapped.stats(), "{strat:?}");
+            // The first receive of a turn-1 weight copy: at the top of the
+            // turn when blocking, after the turn's forward when overlapped.
+            let first_bwd_recv = |s: &Schedule| {
+                (s.ops[0].iter())
+                    .position(|o| matches!(o.kind, OpKind::Recv(k) if k.mb == FLOW_BWD))
+                    .expect("a backward-flow receive")
+            };
+            assert!(
+                first_bwd_recv(&blocking) < first_bwd_recv(&overlapped),
+                "{strat:?}"
+            );
         }
     }
 

@@ -12,15 +12,14 @@
 //! stream. A **message** is what ops wait for, with a dense id:
 //!
 //! * one per `Send` — *made* by that send, delivered to `key.dst`, where
-//!   exactly one `Recv` or `PrePost` posts its receive;
+//!   exactly one `Recv` receives it;
 //! * one per collective rendezvous ([`OpKind::rendezvous`]) — *made* by all
 //!   `P` ranks' entries together, delivered to every rank under that rank's
 //!   own completion key ([`OpKind::collective_key`]).
 //!
 //! A key is only ever visible on the rank it is delivered to: an op that
 //! names a key with another `dst` — as its own key or in `needs` — is
-//! rejected, as is a key sent twice, received twice or never, a `WaitReq`
-//! without an earlier `PrePost` (or a `PrePost` never waited on), and a
+//! rejected, as is a key sent twice, received twice or never, and a
 //! rendezvous entered by fewer than `P` ranks or twice by one.
 //!
 //! ## Edges
@@ -31,10 +30,9 @@
 //!
 //! | edge | from → to | blocks the runtime thread | priced by the DES |
 //! |---|---|---|---|
-//! | `Program` | op `i − 1` → op `i` of one rank | yes — a rank is one thread running its stream in order | no — so in an overlap schedule no compute op sits between a `Recv`/`WaitReq` and the first op naming its key, and a receive nothing names sits after the rank's last compute op (`overlap_receives_wait_where_they_are_consumed`, `tests/props.rs`) |
+//! | `Program` | op `i − 1` → op `i` of one rank | yes — a rank is one thread running its stream in order | no — so in an overlap schedule no compute op sits between a `Recv` and the first op naming its key, and a receive nothing names sits after the rank's last compute op (`overlap_receives_wait_where_they_are_consumed`, `tests/props.rs`) |
 //! | `AfterCompute` | the rank's latest earlier compute op → a compute op (engine order), or a send / collective entry with `after_compute` (its payload is produced locally) | implied by `Program` | yes |
-//! | `Message(key)` | `Send(key)` → its `Recv`/`WaitReq`, and → every op with `key` in `needs` | a `Recv`/`WaitReq` returns at arrival; `needs` is not consulted (the builder places the receive first, with no compute op in between; see `Program`) | yes: a receive ends at arrival, an op starts after its needs' arrivals |
-//! | `PrePost(key)` | `PrePost(key)` → `WaitReq(key)` | implied by `Program` | no — posting is free; this edge says which receive may be outstanding |
+//! | `Message(key)` | `Send(key)` → its `Recv`, and → every op with `key` in `needs` | a `Recv` returns at arrival; `needs` is not consulted (the builder places the receive first, with no compute op in between; see `Program`) | yes: a receive ends at arrival, an op starts after its needs' arrivals |
 //! | `Rendezvous(key)` | each of the `P` entries → every op with the completion key in `needs`, and → the rank's next collective entry (one collective engine per rank) | — | yes |
 //! | `Barrier(key)` | each of the `P` entries → the program successor of the rank's own entry | yes — a collective returns when every rank has entered | only without overlap, where a collective also occupies the compute engine |
 //!
@@ -61,7 +59,6 @@ pub enum EdgeKind {
     Program,
     AfterCompute,
     Message(MsgKey),
-    PrePost(MsgKey),
     Rendezvous(MsgKey),
     Barrier(MsgKey),
 }
@@ -182,15 +179,9 @@ impl<'s> DepGraph<'s> {
             at.ok().map(|at| inbox[r][at].1)
         };
 
-        // Waiters, in each rank's program order. `posted[m]` is the op (on
-        // the rank `m` is delivered to) that posts its receive, until a
-        // `WaitReq` redeems it.
-        const UNPOSTED: usize = usize::MAX;
-        const REDEEMED: usize = usize::MAX - 1;
-        let is_post = |r: usize, i: usize| {
-            matches!(s.ops[r].get(i).map(|o| &o.kind), Some(OpKind::PrePost(_)))
-        };
-        let mut posted = vec![UNPOSTED; g.messages()];
+        // Waiters, in each rank's program order; `received[m]` once a
+        // `Recv` has taken message `m`.
+        let mut received = vec![false; g.messages()];
         for at @ (r, i) in each_op() {
             let (ops, op, id) = (&s.ops[r], &s.ops[r][i], g.id(at));
             g.waits_at.push(g.waits.len() as u32);
@@ -200,37 +191,25 @@ impl<'s> DepGraph<'s> {
                 };
                 g.waits.push(m);
             }
-            if let OpKind::Recv(k) | OpKind::PrePost(k) | OpKind::WaitReq(k) = &op.kind {
+            if let OpKind::Recv(k) = &op.kind {
                 let Some(m) = find(r, k).filter(|_| k.dst == r && k.src != r) else {
                     return err(at, format!("has no matching send to rank {r}"));
                 };
-                let post = &mut posted[m as usize];
-                match (&op.kind, *post) {
-                    (OpKind::WaitReq(_), j) if is_post(r, j) => *post = REDEEMED,
-                    (OpKind::WaitReq(_), _) => {
-                        return err(at, "waits without an earlier pre-post of its own".into());
-                    }
-                    (_, UNPOSTED) => *post = i,
-                    (_, _) => return err(at, "posts a receive already posted".into()),
+                if std::mem::replace(&mut received[m as usize], true) {
+                    return err(at, "receives a message already received".into());
                 }
                 g.msg[id] = m;
-                if !matches!(op.kind, OpKind::PrePost(_)) {
-                    g.waits.push(m);
-                }
+                g.waits.push(m);
             }
             if i > 0 && ops[i - 1].kind.is_collective() {
                 g.waits.push(g.msg[id - 1]);
             }
         }
         g.waits_at.push(g.waits.len() as u32);
-        for (m, &post) in posted.iter().enumerate() {
+        for (m, &taken) in received.iter().enumerate() {
             let sender @ (rank, op) = g.node(g.makers(m)[0]);
-            match (&s.ops[rank][op].kind, post) {
-                (OpKind::Send(_), UNPOSTED) => return err(sender, "has no matching recv".into()),
-                (OpKind::Send(k), post) if is_post(k.dst, post) => {
-                    return err((k.dst, post), "is never waited on".into());
-                }
-                _ => {}
+            if !taken && matches!(s.ops[rank][op].kind, OpKind::Send(_)) {
+                return err(sender, "has no matching recv".into());
             }
         }
         Ok(g)
@@ -251,13 +230,13 @@ impl<'s> DepGraph<'s> {
     }
 
     /// The message `n`'s op makes (`Send`, collective entry) or receives
-    /// (`Recv`, `PrePost`, `WaitReq`); `None` for a compute op.
+    /// (`Recv`); `None` for a compute op.
     pub fn message(&self, n: Node) -> Option<usize> {
         Some(self.msg[self.id(n)] as usize).filter(|&m| m != NONE as usize)
     }
 
     /// The messages that must be complete before `n` may start: its `needs`
-    /// in their order, then its own key if it is a `Recv` or `WaitReq`,
+    /// in their order, then its own key if it is a `Recv`,
     /// then the rendezvous its program predecessor entered.
     pub fn waits(&self, n: Node) -> &[u32] {
         let id = self.id(n);
@@ -291,11 +270,6 @@ impl<'s> DepGraph<'s> {
         via.extend(self.waits(to)[..op.needs.len()].iter().map(|&m| (m, false)));
         match op.kind {
             OpKind::Recv(_) => via.push((own, false)),
-            OpKind::WaitReq(k) => {
-                via.push((own, false));
-                let post = ops[..i].iter().rposition(|o| o.kind == OpKind::PrePost(k));
-                out.push(((rank, post.expect("built")), EdgeKind::PrePost(k)));
-            }
             // One collective engine per rank: behind the previous entry's.
             _ if op.kind.is_collective() => {
                 let before = latest(OpKind::is_collective).map(|e| self.msg[self.id((rank, e))]);
@@ -424,25 +398,24 @@ mod tests {
     }
 
     #[test]
-    fn typed_edges_of_a_double_buffered_ring_turn() {
+    fn typed_edges_of_a_ring_turn() {
         let s = build(Strategy::WeiPipeInterleave, PipelineSpec::new(2, 4));
         let g = DepGraph::build(&s).expect("valid");
         let find = |rank: usize, f: &dyn Fn(&OpKind) -> bool| {
             let op = s.ops[rank].iter().position(|o| f(&o.kind));
             (rank, op.expect("op"))
         };
-        let wait = find(1, &|k| matches!(k, OpKind::WaitReq(_)));
-        let OpKind::WaitReq(key) = s.ops[1][wait.1].kind else {
+        let recv = find(1, &|k| matches!(k, OpKind::Recv(_)));
+        let OpKind::Recv(key) = s.ops[1][recv.1].kind else {
             unreachable!()
         };
-        let preds = g.preds(wait);
-        assert_eq!(preds[0], ((1, wait.1 - 1), EdgeKind::Program));
-        let (post, send) = (preds[1].0, preds[2].0);
-        assert_eq!(preds[2].1, EdgeKind::Message(key));
+        let preds = g.preds(recv);
+        assert_eq!(preds.len(), 2);
+        assert_eq!(preds[0], ((1, recv.1 - 1), EdgeKind::Program));
+        let send = preds[1].0;
+        assert_eq!(preds[1].1, EdgeKind::Message(key));
         assert_eq!(s.ops[send.0][send.1].kind, OpKind::Send(key));
-        assert_eq!(g.message(send), g.message(wait));
-        assert_eq!(preds[1].1, EdgeKind::PrePost(key));
-        assert_eq!(s.ops[post.0][post.1].kind, OpKind::PrePost(key));
+        assert_eq!(g.message(send), g.message(recv));
         // A compute op is behind the rank's previous one, and priced so.
         let bwd = find(0, &|k| matches!(k, OpKind::BwdFull { .. }));
         let engine = g
@@ -451,6 +424,22 @@ mod tests {
             .find(|e| e.1 == EdgeKind::AfterCompute);
         assert!(engine.is_some_and(|((r, i), _)| s.ops[r][i].kind.is_compute()));
         assert!(EdgeKind::AfterCompute.is_priced() && !EdgeKind::Program.is_priced());
+    }
+
+    #[test]
+    fn a_key_received_twice_or_never_is_rejected() {
+        let s = build(Strategy::WeiPipeInterleave, PipelineSpec::new(2, 4));
+        let at = (s.ops[1].iter())
+            .position(|o| matches!(o.kind, OpKind::Recv(_)))
+            .expect("a receive");
+        let mut twice = s.clone();
+        twice.ops[1].insert(at, s.ops[1][at].clone());
+        let err = DepGraph::build(&twice).unwrap_err();
+        assert!(err.0.contains("already received"), "{err}");
+        let mut never = s.clone();
+        never.ops[1].remove(at);
+        let err = DepGraph::build(&never).unwrap_err();
+        assert!(err.0.contains("has no matching recv"), "{err}");
     }
 
     #[test]

@@ -9,12 +9,12 @@
 //!
 //! ## Execution semantics
 //!
-//! Which op waits on which — program order, message delivery,
-//! `PrePost`/`WaitReq` pairing, collective rendezvous, and which of those
-//! waits the simulator prices — is stated once, in [`crate::graph`]. In
-//! short: a rank is one compute stream plus full-duplex DMA (the
-//! `batch_isend_irecv`-style overlap of the paper's §4.3); `Send` does not
-//! block; `Recv` and `WaitReq` return at arrival; `PrePost` is free.
+//! Which op waits on which — program order, message delivery, collective
+//! rendezvous, and which of those waits the simulator prices — is stated
+//! once, in [`crate::graph`]. In short: a rank is one compute stream plus
+//! full-duplex DMA (the `batch_isend_irecv`-style overlap of the paper's
+//! §4.3); `Send` does not block; `Recv` returns at arrival, so where the
+//! builder places it decides what it overlaps.
 
 /// Sentinel microbatch index for ops that aren't tied to a microbatch.
 pub const NO_MB: usize = usize::MAX;
@@ -187,18 +187,9 @@ pub enum OpKind {
     },
     /// Non-blocking point-to-point send (this rank must be `key.src`).
     Send(MsgKey),
-    /// Non-blocking point-to-point receive posting (this rank is `key.dst`).
+    /// Point-to-point receive (this rank is `key.dst`): blocks until the
+    /// message has arrived.
     Recv(MsgKey),
-    /// Post (pre-post) a nonblocking receive request for a message that a
-    /// later [`OpKind::WaitReq`] on the same rank will redeem — the
-    /// `irecv` half of a double-buffered transfer. Posting is free: it
-    /// blocks on nothing and completes immediately.
-    PrePost(MsgKey),
-    /// Redeem the request pre-posted for the same key: blocks until the
-    /// message has arrived — the `wait` half of a double-buffered transfer.
-    /// Every `WaitReq` must be preceded (in the same rank's program order)
-    /// by its matching `PrePost`.
-    WaitReq(MsgKey),
     /// Ring all-gather of a weight chunk (FSDP).
     AllGatherW {
         /// Chunk index.
@@ -323,20 +314,9 @@ impl Op {
         Self::seed_send(key).needs(arrived)
     }
 
-    /// A receive posting.
+    /// A receive.
     pub fn recv(key: MsgKey) -> Self {
         Self::of(OpKind::Recv(key), false)
-    }
-
-    /// Pre-post the receive request for `key` (the `irecv` half of a
-    /// double-buffered transfer).
-    pub fn pre_post(key: MsgKey) -> Self {
-        Self::of(OpKind::PrePost(key), false)
-    }
-
-    /// Redeem the pre-posted request for `key` (the blocking `wait` half).
-    pub fn wait_req(key: MsgKey) -> Self {
-        Self::of(OpKind::WaitReq(key), false)
     }
 
     /// A collective op. It gates on the latest preceding compute op (the
@@ -430,7 +410,7 @@ pub struct Schedule {
     pub initial_holder: Vec<usize>,
     /// `seeds[rank]` — the weight copies `(chunk, flow)` the rank holds when
     /// an iteration starts. Everything else a rank reads arrives by
-    /// `Recv`/`WaitReq`/`AllGatherW`; the validator checks that nothing is
+    /// `Recv`/`AllGatherW`; the validator checks that nothing is
     /// read or sent before it is held. Which copies an iteration leaves
     /// stale follows from these and the `Update` ops ([`Self::refreshes`]).
     pub seeds: Vec<Vec<(usize, usize)>>,
@@ -466,11 +446,8 @@ pub struct ScheduleStats {
     pub updates: usize,
     /// Point-to-point sends.
     pub sends: usize,
-    /// Receive postings (`Recv` and `PrePost` — one per expected message,
-    /// whichever form posts it).
+    /// Point-to-point receives.
     pub recvs: usize,
-    /// Blocking waits on pre-posted requests (`WaitReq`).
-    pub waits: usize,
     /// Collective ops (all kinds).
     pub collectives: usize,
 }
@@ -544,8 +521,7 @@ impl Schedule {
                 OpKind::BwdWeight { .. } => s.bwd_weight += 1,
                 OpKind::Update { .. } => s.updates += 1,
                 OpKind::Send(_) => s.sends += 1,
-                OpKind::Recv(_) | OpKind::PrePost(_) => s.recvs += 1,
-                OpKind::WaitReq(_) => s.waits += 1,
+                OpKind::Recv(_) => s.recvs += 1,
                 OpKind::AllGatherW { .. }
                 | OpKind::ReduceScatterD { .. }
                 | OpKind::AllReduceD { .. } => s.collectives += 1,

@@ -30,7 +30,7 @@ pub struct Candidate {
     pub strategy: Strategy,
     /// Microbatches per iteration `N`.
     pub microbatches: usize,
-    /// Communication/computation overlap (builder double-buffering and
+    /// Communication/computation overlap (builder receive placement and
     /// engine-level overlap together).
     pub overlap: bool,
     /// The strategy's shape knob (`PipelineSpec::knob`): W-pass lag,

@@ -14,7 +14,7 @@
 //!    ([`DepGraph::topological_order`]); a failure prints the cycle.
 //! 5. **Slot availability** — in each rank's program order, every weight
 //!    copy an op reads or sends is one the rank holds by then: a seed
-//!    ([`Schedule::seeds`]) or an earlier `Recv`/`WaitReq`/`AllGatherW`.
+//!    ([`Schedule::seeds`]) or an earlier `Recv`/`AllGatherW`.
 
 use crate::graph::DepGraph;
 use crate::ir::{weight_slot, MemUnit, MsgKind, OpKind, Schedule, RESIDENT, SHARDED};
@@ -121,7 +121,7 @@ fn check_slots(s: &Schedule) -> Result<(), ValidationError> {
         let mut held: HashSet<(usize, usize)> = s.seeds[r].iter().copied().collect();
         for op in ops {
             let found = match op.kind {
-                OpKind::Recv(k) | OpKind::WaitReq(k) if k.kind == MsgKind::Weights => {
+                OpKind::Recv(k) if k.kind == MsgKind::Weights => {
                     held.insert((k.chunk, k.mb));
                     true
                 }
@@ -208,39 +208,6 @@ mod tests {
                 validate(&s).unwrap_or_else(|e| panic!("{strat:?} P={p} blocking: {e}"));
             }
         }
-    }
-
-    #[test]
-    fn detects_wait_without_prepost() {
-        let mut s = build(Strategy::WeiPipeInterleave, PipelineSpec::new(2, 4));
-        // Turn one PrePost into its WaitReq: the wait now precedes any post.
-        'outer: for ops in &mut s.ops {
-            for op in ops.iter_mut() {
-                if let OpKind::PrePost(k) = op.kind {
-                    op.kind = OpKind::WaitReq(k);
-                    break 'outer;
-                }
-            }
-        }
-        let err = validate(&s).unwrap_err();
-        assert!(err.0.contains("pre-post"), "{err}");
-    }
-
-    #[test]
-    fn detects_unredeemed_prepost() {
-        let mut s = build(Strategy::WeiPipeInterleave, PipelineSpec::new(2, 4));
-        // Drop one WaitReq: its PrePost is never redeemed.
-        for ops in &mut s.ops {
-            if let Some(pos) = ops
-                .iter()
-                .position(|o| matches!(o.kind, OpKind::WaitReq(_)))
-            {
-                ops.remove(pos);
-                break;
-            }
-        }
-        let err = validate(&s).unwrap_err();
-        assert!(err.0.contains("never waited"), "{err}");
     }
 
     #[test]

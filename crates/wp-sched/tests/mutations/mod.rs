@@ -8,7 +8,7 @@ use std::fmt::Write as _;
 use wp_sched::{build, MsgKey, MsgKind, OpKind, PipelineSpec, Schedule, ALL_STRATEGIES};
 
 /// Every mutation, by the name its fixture rows carry.
-pub const KINDS: [&str; 9] = [
+pub const KINDS: [&str; 8] = [
     "drop-op",
     "swap-adjacent",
     "retarget-src",
@@ -16,13 +16,12 @@ pub const KINDS: [&str; 9] = [
     "retarget-round",
     "duplicate-send",
     "drop-collective-entry",
-    "wait-before-post",
     "retarget-need",
 ];
 
 fn key_of(kind: &mut OpKind) -> Option<&mut MsgKey> {
     match kind {
-        OpKind::Send(k) | OpKind::Recv(k) | OpKind::PrePost(k) | OpKind::WaitReq(k) => Some(k),
+        OpKind::Send(k) | OpKind::Recv(k) => Some(k),
         _ => None,
     }
 }
@@ -32,7 +31,7 @@ fn is_p2p(kind: &OpKind) -> bool {
 }
 
 /// Apply mutation `kind` at the site `seed` picks; describes the site, or
-/// `None` when the schedule has none (no collective, no pre-post, ...).
+/// `None` when the schedule has none (no collective, ...).
 pub fn mutate(s: &mut Schedule, kind: &str, seed: u64) -> Option<String> {
     let p = s.ranks;
     // Sites are `(rank, op index)` in rank-major program order.
@@ -58,9 +57,6 @@ pub fn mutate(s: &mut Schedule, kind: &str, seed: u64) -> Option<String> {
             matches!(s.ops[r][i].kind, OpKind::Send(_))
         }))?,
         "drop-collective-entry" => pick(sites(s, &|r, i| s.ops[r][i].kind.is_collective()))?,
-        "wait-before-post" => pick(sites(s, &|r, i| {
-            matches!(s.ops[r][i].kind, OpKind::WaitReq(_))
-        }))?,
         // A need of a point-to-point message for which some *other* rank
         // is sent a message the op could name instead (a weight need keeps
         // its chunk: slot resolution asserts on that, not on delivery).
@@ -79,14 +75,6 @@ pub fn mutate(s: &mut Schedule, kind: &str, seed: u64) -> Option<String> {
         "duplicate-send" => {
             let copy = s.ops[r][i].clone();
             s.ops[r].insert(i, copy);
-        }
-        "wait-before-post" => {
-            let wait = s.ops[r].remove(i);
-            let post = (s.ops[r].iter()).position(|o| match (&o.kind, &wait.kind) {
-                (OpKind::PrePost(a), OpKind::WaitReq(b)) => a == b,
-                _ => false,
-            })?;
-            s.ops[r].insert(post, wait);
         }
         "retarget-need" => {
             let other = foreign(s, r, &s.ops[r][i].needs[0])?;

@@ -71,7 +71,6 @@ fn short(op: &OpKind) -> String {
     match op {
         OpKind::Send(k) => format!("Send({})", key(k)),
         OpKind::Recv(k) => format!("Recv({})", key(k)),
-        OpKind::WaitReq(k) => format!("WaitReq({})", key(k)),
         OpKind::Fwd { mb, chunk } => format!("Fwd{{{mb},{chunk}}}"),
         OpKind::BwdFull { mb, chunk } => format!("BwdFull{{{mb},{chunk}}}"),
         OpKind::BwdData { mb, chunk } => format!("BwdData{{{mb},{chunk}}}"),
@@ -82,15 +81,15 @@ fn short(op: &OpKind) -> String {
 
 /// The placement rule of an overlap schedule: a rank runs its stream in
 /// program order, so a receive placed before compute that does not read it
-/// stalls that compute for a transfer it never needed. Every `Recv` /
-/// `WaitReq` therefore sits after the last compute op ahead of its first
+/// stalls that compute for a transfer it never needed. Every `Recv`
+/// therefore sits after the last compute op ahead of its first
 /// consumer (the first later op naming its key in `needs`), or after the
 /// rank's last compute op when nothing consumes it. `Err` names the first
 /// receive that waits too early.
 fn receives_wait_where_consumed(s: &Schedule) -> Result<(), String> {
     for (r, ops) in s.ops.iter().enumerate() {
         for (i, op) in ops.iter().enumerate() {
-            let (OpKind::Recv(k) | OpKind::WaitReq(k)) = &op.kind else {
+            let OpKind::Recv(k) = &op.kind else {
                 continue;
             };
             let consumer = (i + 1..ops.len()).find(|&j| ops[j].needs.contains(k));
@@ -147,6 +146,50 @@ fn overlap_receives_wait_where_they_are_consumed() {
         }
     }
     assert!(checked >= 60, "only {checked} schedules checked");
+}
+
+/// `overlap` only chooses where each op sits: every rank's overlap stream
+/// holds the same ops as its blocking twin, counted with multiplicity.
+#[test]
+fn overlap_only_reorders_receives_waits_and_compute() {
+    let multiset = |ops: &[wp_sched::Op]| {
+        let mut kinds: Vec<String> = ops.iter().map(|op| format!("{:?}", op.kind)).collect();
+        kinds.sort_unstable();
+        kinds
+    };
+    let mut checked = 0;
+    for &strategy in ALL_STRATEGIES {
+        for p in [2usize, 3, 4, 6] {
+            for n in [p, 2 * p] {
+                for knob in [None, Some(2), Some(p / 2)] {
+                    for recompute in [true, false] {
+                        let spec = PipelineSpec {
+                            recompute,
+                            knob,
+                            ..PipelineSpec::new(p, n)
+                        };
+                        let built = |overlap| {
+                            let spec = spec.with_overlap(overlap);
+                            catch_unwind(|| build(strategy, spec)).ok()
+                        };
+                        let (Some(overlap), Some(blocking)) = (built(true), built(false)) else {
+                            continue;
+                        };
+                        for (r, (o, b)) in overlap.ops.iter().zip(&blocking.ops).enumerate() {
+                            assert_eq!(
+                                multiset(o),
+                                multiset(b),
+                                "{} P={p} N={n} knob={knob:?} recompute={recompute} rank {r}",
+                                strategy.label()
+                            );
+                        }
+                        checked += 1;
+                    }
+                }
+            }
+        }
+    }
+    assert_eq!(checked, 504, "configurations that build");
 }
 
 #[test]
@@ -288,7 +331,7 @@ proptest! {
     }
 
     /// Traffic conservation on grouped hierarchical schedules: every send
-    /// has exactly one matching recv posting world-wide, and per-class
+    /// has exactly one matching recv world-wide, and per-class
     /// byte totals balance — nothing is lost or duplicated at the bridge
     /// store-and-forward hops.
     #[test]
@@ -326,9 +369,9 @@ proptest! {
                     *sent.entry(k.kind).or_default() += class_bytes(k);
                     prop_assert!(sent_keys.insert(*k), "duplicate send {:?}", k);
                 }
-                OpKind::Recv(k) | OpKind::PrePost(k) => {
+                OpKind::Recv(k) => {
                     *recvd.entry(k.kind).or_default() += class_bytes(k);
-                    prop_assert!(recv_keys.insert(*k), "duplicate recv posting {:?}", k);
+                    prop_assert!(recv_keys.insert(*k), "duplicate recv {:?}", k);
                 }
                 _ => {}
             }

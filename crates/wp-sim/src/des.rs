@@ -185,17 +185,10 @@ impl<'a> State<'a> {
                 self.arrivals[m] = arrive;
                 end_time = arrive;
             }
-            // A wait on a pre-posted request completes when the
-            // message lands, exactly like a blocking recv — the
-            // overlap win comes from *where the builder places* the
-            // wait, not from a cheaper wait.
-            (OpKind::Recv(_) | OpKind::WaitReq(_), Some(m)) => end_time = self.arrivals[m],
-            (OpKind::PrePost(_), _) => {
-                // Posting the receive buffer is free and gates
-                // nothing; memory for the in-flight slot is already
-                // in the rank's static footprint (cost.rs).
-                end_time = needs_t;
-            }
+            // A receive completes when the message lands — the overlap
+            // win comes from *where the builder places* it, not from a
+            // cheaper receive.
+            (OpKind::Recv(_), Some(m)) => end_time = self.arrivals[m],
             (kind, Some(m)) => {
                 // Collective: record entry; complete at rendezvous.
                 let payload = self.bytes.of(kind.collective_key(r).kind);

@@ -71,8 +71,8 @@ pub fn zb_microbatch(seq: usize) -> usize {
 /// The schedule spec every paper-reproduction cell uses. Pins the
 /// *blocking* weight ring: the paper's measured tables are reproduced by
 /// the engine-level overlap model ([`sim_options`]), which was calibrated
-/// against the published numbers. The schedule-level `PrePost`/`WaitReq`
-/// overlap (the runtime default) would stack on top of that model and
+/// against the published numbers. The schedule-level receive placement
+/// (overlap, the runtime default) would stack on top of that model and
 /// over-predict WeiPipe against the paper's own measurements — it is
 /// measured separately (the repo benchmark's `ether` workload; `wp-bench
 /// trace --blocking` traces the ablation).

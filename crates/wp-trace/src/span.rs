@@ -199,7 +199,7 @@ pub fn send_aux_decode(aux: u64) -> (usize, bool) {
 }
 
 /// `aux` for [`SpanKind::RecvWait`]: source rank and the reorder-buffer
-/// queue depth observed when the receive was posted.
+/// queue depth observed when the receive was called.
 pub fn recv_aux(src: usize, queue_depth: usize) -> u64 {
     ((queue_depth as u64) << 32) | src as u64
 }
