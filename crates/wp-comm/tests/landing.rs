@@ -2,10 +2,12 @@
 //! transports a payload that replaces a buffer or is added into one carries
 //! the bits `recv` returns, whether its frame was matched on arrival or
 //! parked in the reorder buffer first, and a corrupt frame fails the
-//! receive without touching the buffer.
+//! receive without touching the buffer. Packing what a frame unpacks to
+//! gives the frame back, on every frame a sender can produce.
 
 use std::time::Duration;
-use wp_comm::{CommConfig, CommError, FaultPlan, Landing, TransportKind, World};
+use wp_comm::{CommConfig, CommError, FaultPlan, Landing, Payload, TransportKind, World};
+use wp_tensor::ops::gemm::{force_isa, offered_isas};
 use wp_tensor::DType;
 
 const KINDS: [TransportKind; 2] = [TransportKind::InProcess, TransportKind::TcpLocalhost];
@@ -100,5 +102,48 @@ fn a_corrupt_frame_leaves_the_accumulator_untouched() {
             let acc = results[1].as_ref().expect("rank 1 returns its accumulator");
             assert_eq!(bits(acc), bits(&acc0), "{kind:?} {wire}");
         }
+    }
+}
+
+/// A 16-bit pattern that is a signalling NaN in `dtype`: exponent all
+/// ones, mantissa non-zero, quiet bit clear.
+fn signalling_nan(dtype: DType, bits: u16) -> bool {
+    let (exponent, mantissa, quiet) = match dtype {
+        DType::F16 => (0x7c00, 0x03ff, 0x0200),
+        _ => (0x7f80, 0x007f, 0x0040),
+    };
+    bits & exponent == exponent && bits & mantissa != 0 && bits & quiet == 0
+}
+
+/// Re-packing the values a frame lands is the frame again, byte for byte
+/// and checksum for checksum, so a relay may ship a received frame as it
+/// arrived instead of packing its landed values anew. The property holds on
+/// `pack`'s image, which is every frame a sender produces, not on every bit
+/// pattern: `pack` quiets a signalling NaN, so such a pattern `p` comes back
+/// as another one, and for bf16 (whose widening keeps a signalling NaN)
+/// even `unpack(p)` differs from `unpack(q)`. So over all 65 536 patterns
+/// `p` and every instantiation the host offers, `q = pack(unpack(p))` is a
+/// fixed point, and `q == p` except on exactly the signalling NaNs.
+#[test]
+fn packing_what_a_frame_unpacks_to_gives_the_frame_back() {
+    let every: Vec<u16> = (0..=u16::MAX).collect();
+    for isa in offered_isas() {
+        force_isa(isa, || {
+            for (dtype, p) in [
+                (DType::F16, Payload::F16(every.clone())),
+                (DType::BF16, Payload::BF16(every.clone())),
+            ] {
+                let at = format!("{isa:?} {dtype}");
+                let (q, _) = Payload::pack(&p.clone().unpack(), dtype);
+                let (again, sum) = Payload::pack(&q.clone().unpack(), dtype);
+                assert!(again == q, "{at}: pack(unpack(q)) != q");
+                assert_eq!(sum, q.checksum(), "{at}: checksum");
+                let (p, q) = (p.as_bytes(), q.as_bytes());
+                for (i, &bits) in every.iter().enumerate() {
+                    let moved = p[2 * i..2 * i + 2] != q[2 * i..2 * i + 2];
+                    assert_eq!(moved, signalling_nan(dtype, bits), "{at} {bits:#06x}");
+                }
+            }
+        });
     }
 }
