@@ -19,7 +19,10 @@
 //!   its layers' flat buffers), the rank's `1/P` slice of a sharded one,
 //!   the embedding, the head — owning its weights and, once the rank has
 //!   stepped it, its fp32 master and optimizer state. `Recv(Weights)`
-//!   unpacks into its entry's buffer and `AllGatherW` fills one; compute ops resolve theirs through
+//!   unpacks into its entry's buffer and keeps the verified frame beside
+//!   it, which a `Send` of the entry relays as it arrived while the
+//!   weights are unchanged since (any write drops it); `AllGatherW` fills
+//!   an entry; compute ops resolve theirs through
 //!   [`wp_sched::weight_slot`], as the validator does. Sharded or whole is
 //!   a property of an entry (its flow), not of a strategy.
 //! * **Gradient accumulators**, in the same key space: a whole chunk's `D`
@@ -275,11 +278,14 @@ impl RankRuntime {
         // Ship every outgoing copy before receiving any (sends are
         // buffered), so a rank that both sends and receives never
         // serialises the boundary on its own receive.
-        for f in self.refreshes.iter().filter(|f| f.src == rank) {
+        let outgoing: Vec<Refresh> = (self.refreshes.iter())
+            .filter(|f| f.src == rank)
+            .copied()
+            .collect();
+        for f in outgoing {
             let fresh = &self.params[&self.resolve(&[], f.chunk)].weights;
             if f.dst == rank {
-                let fresh = fresh.clone();
-                self.params.entry((f.chunk, f.flow)).or_default().weights = fresh;
+                self.put_weights((f.chunk, f.flow), fresh.clone());
             } else {
                 self.comm.send(f.dst, tag(f.chunk), fresh, wire)?;
             }

@@ -284,18 +284,22 @@ impl RankRuntime {
     // ---- communication ops --------------------------------------------------
 
     pub(super) fn exec_send(&mut self, k: &MsgKey) -> Result<(), CommError> {
-        // Weights stay behind (the slot keeps serving local compute); every
+        // Weights stay behind (the slot keeps serving local compute), and
+        // leave as the frame they arrived in while unchanged since; every
         // other payload leaves its store with the message.
         let (grads, boundary);
         let payload: &[f32] = match k.kind {
             MsgKind::Weights => {
-                let slot = self.params.get(&(k.chunk, k.mb)).unwrap_or_else(|| {
+                let slot = self.params.get_mut(&(k.chunk, k.mb)).unwrap_or_else(|| {
                     panic!(
                         "rank {}: sending unknown weight slot {:?}",
                         self.rank,
                         (k.chunk, k.mb)
                     )
                 });
+                if let Some(wire) = slot.kept.take() {
+                    return self.comm.send_wire(k.dst, tag_of(k), wire, &slot.weights);
+                }
                 &slot.weights
             }
             MsgKind::WeightGrads => {
@@ -314,16 +318,16 @@ impl RankRuntime {
     }
 
     /// Receive `k` into the store its kind lives in — the mirror of the
-    /// lookup in [`Self::exec_send`]. Weights land in their slot's buffer
-    /// and gradients are added into the accumulator the backward made,
-    /// each straight from the wire payload; either becomes its entry when
-    /// the rank has none yet.
+    /// lookup in [`Self::exec_send`]. Weights land in their slot's buffer,
+    /// beside the frame they came in, and gradients are added into the
+    /// accumulator the backward made, each straight from the wire payload;
+    /// either becomes its entry when the rank has none yet.
     pub(super) fn exec_recv(&mut self, k: &MsgKey) -> Result<(), CommError> {
         let (src, tag) = (k.src, tag_of(k));
         match k.kind {
             MsgKind::Weights => self.recv_weights((k.chunk, k.mb), src, tag),
             MsgKind::WeightGrads => match self.grads.get_mut(&(k.chunk, RESIDENT)) {
-                Some(acc) => self.comm.recv_into(src, tag, Landing::Add(acc)),
+                Some(acc) => self.comm.recv_into(src, tag, Landing::Add(acc)).map(drop),
                 None => {
                     let data = self.comm.recv(src, tag)?;
                     self.grads.insert((k.chunk, RESIDENT), data);
@@ -337,22 +341,6 @@ impl RankRuntime {
                 let data = self.comm.recv(src, tag)?;
                 let buf = self.scratch.take_copy(&data);
                 self.boundary.insert((k.kind, k.mb, k.chunk), buf);
-                Ok(())
-            }
-        }
-    }
-
-    /// Receive a weight copy with `tag` from `src` into entry `key`'s
-    /// buffer.
-    pub(super) fn recv_weights(&mut self, key: Key, src: usize, tag: u64) -> Result<(), CommError> {
-        match self.params.get_mut(&key) {
-            Some(entry) => {
-                let landing = Landing::Replace(&mut entry.weights);
-                self.comm.recv_into(src, tag, landing)
-            }
-            None => {
-                let weights = self.comm.recv(src, tag)?;
-                self.put_weights(key, weights);
                 Ok(())
             }
         }

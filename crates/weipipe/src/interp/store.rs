@@ -5,10 +5,12 @@
 //! the `EMBED_HEAD` chunk. An entry is stepped in one place (`step`),
 //! loaded from a snapshot in one (`snapshot_buf`) and made whole on every
 //! rank in one (`whole`). Sharded or whole is read off the entry in two
-//! places, `held_part` and `whole`, which are each other's inverse.
+//! places, `held_part` and `whole`, which are each other's inverse. Its
+//! weights are written in three places, `step`, `put_weights` and
+//! `recv_weights`, and each drops or replaces the wire form a relay ships.
 
 use super::{AssembledModel, RankRuntime};
-use wp_comm::CommError;
+use wp_comm::{CommError, Landing, Wire};
 use wp_nn::params::{init_block, init_embed, init_head};
 use wp_nn::{ComponentState, TrainState};
 use wp_optim::{MasterWeights, Optimizer};
@@ -27,6 +29,9 @@ pub(super) const HEAD: Key = (EMBED_HEAD, 1);
 #[derive(Default)]
 pub(super) struct Param {
     pub(super) weights: Vec<f32>,
+    /// The verified frame `weights` landed from, while they are unchanged
+    /// since: what a `Send` of them relays instead of packing them anew.
+    pub(super) kept: Option<Wire>,
     opt: Option<(MasterWeights, Box<dyn Optimizer + Send>)>,
 }
 
@@ -53,10 +58,25 @@ impl RankRuntime {
         })
     }
 
-    /// Replace an entry's weights (a received or gathered copy), keeping
+    /// Replace an entry's weights (a gathered or copied buffer), keeping
     /// whatever optimizer state the entry owns.
     pub(super) fn put_weights(&mut self, key: Key, weights: Vec<f32>) {
-        self.params.entry(key).or_default().weights = weights;
+        let entry = self.params.entry(key).or_default();
+        entry.weights = weights;
+        entry.kept = None;
+    }
+
+    /// Receive a weight copy with `tag` from `src` into entry `key`'s
+    /// buffer (starting the entry when the rank has none), keeping the
+    /// frame it arrived in.
+    pub(super) fn recv_weights(&mut self, key: Key, src: usize, tag: u64) -> Result<(), CommError> {
+        let entry = self.params.entry(key).or_default();
+        // Dropped before the receive, so the old frame and the new one are
+        // never held at once.
+        entry.kept = None;
+        let landing = Landing::Replace(&mut entry.weights);
+        entry.kept = Some(self.comm.recv_into(src, tag, landing)?);
+        Ok(())
     }
 
     /// What this rank holds of a whole buffer of entry `key`: its `1/P`
@@ -141,7 +161,10 @@ impl RankRuntime {
                 self.held_part(key, whole)
             }
         };
-        Param { weights, opt: None }
+        Param {
+            weights,
+            ..Param::default()
+        }
     }
 
     /// Give entry `key` the fp32 master and optimizer moments the resume
@@ -174,7 +197,9 @@ impl RankRuntime {
         }
         let lr = self.setup.lr_at(self.iter);
         let (optim, wire) = (&self.setup.optim, self.setup.wire);
-        let Param { weights, opt } = self.params.get_mut(&key).expect("stepping a held entry");
+        let Param { weights, kept, opt } =
+            self.params.get_mut(&key).expect("stepping a held entry");
+        *kept = None;
         let (master, opt) = opt.get_or_insert_with(|| {
             (
                 MasterWeights::capture(weights, wire),

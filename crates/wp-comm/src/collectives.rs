@@ -73,7 +73,7 @@ impl Communicator {
         for s in 0..p - 1 {
             let (tag, send_idx) = (tag(s as u64), (first + p - s) % p);
             let sr = Self::chunk_range(n, p, send_idx);
-            self.send_internal(self.next_rank(), tag, &buf[sr], dtype, true)?;
+            self.send_internal(self.next_rank(), tag, &buf[sr], dtype, None, true)?;
             let into = &mut buf[Self::chunk_range(n, p, (send_idx + p - 1) % p)];
             if reduce {
                 self.recv_into(prev, tag, Landing::Add(into))?;
@@ -178,7 +178,7 @@ impl Communicator {
             *buf = self.recv(self.prev_rank(), tag)?;
         }
         if dist < p - 1 {
-            self.send_internal(self.next_rank(), tag, buf, dtype, true)?;
+            self.send_internal(self.next_rank(), tag, buf, dtype, None, true)?;
         }
         Ok(())
     }

@@ -62,7 +62,7 @@ pub use fault::FaultPlan;
 pub use link::LinkModel;
 pub use membership::{agree_membership, Membership};
 pub use meter::{RankTraffic, TrafficMeter};
-pub use p2p::{CommConfig, Communicator};
+pub use p2p::{CommConfig, Communicator, Wire};
 pub use tcp::TcpTransport;
 pub use transport::{AbortCell, Frame, Landing, Payload, Transport, TransportKind};
 pub use world::{World, WorldBuilder};

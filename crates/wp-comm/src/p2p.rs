@@ -1,6 +1,7 @@
 //! The communicator's point-to-point half: one buffered send, one blocking
-//! receive that lands its payload in the caller's buffer, and the failure
-//! protocol under both.
+//! receive that lands its payload in the caller's buffer and hands back the
+//! frame's verified [`Wire`] form, a relay that sends that form on as it
+//! arrived, and the failure protocol under them.
 //!
 //! One [`Communicator`] per rank, layered over one transport endpoint. The
 //! transport only promises per-source FIFO framed delivery (the guarantee
@@ -29,9 +30,9 @@
 //! [`CommError::PeerDead`] propagates verbatim (every survivor learns *who*
 //! died); other causes surface on bystanders as [`CommError::Aborted`]
 //! naming the origin rank. A payload is packed into its wire dtype and
-//! checksummed over those wire bytes at send time, verified on arrival and
-//! unpacked at delivery, turning wire corruption (real or injected) into
-//! [`CommError::Corrupt`].
+//! checksummed over those wire bytes at send time (a relay reuses both as
+//! they arrived), verified on arrival and unpacked at delivery, turning wire
+//! corruption (real or injected) into [`CommError::Corrupt`].
 //!
 //! Faults themselves are injected by an optional
 //! [`FaultPlan`](crate::FaultPlan) attached via
@@ -52,6 +53,34 @@ use wp_trace::{FaultFlags, RankTracer};
 
 /// Tags ≥ this value are reserved for collectives.
 pub(crate) const COLLECTIVE_TAG_BASE: u64 = 1 << 48;
+
+/// A received frame's verified wire form, as
+/// [`recv_into`](Communicator::recv_into) hands it back: the checksum it
+/// arrived with, and its payload unless the landing took it (an f32 payload
+/// moves into a [`Landing::Replace`]). [`send_wire`](Communicator::send_wire)
+/// relays it as it arrived; a caller that does not relay drops it.
+#[derive(Debug)]
+pub struct Wire {
+    payload: Option<Payload>,
+    checksum: u64,
+}
+
+impl Wire {
+    /// The payload as it arrived, unless its landing took it.
+    pub fn payload(&self) -> Option<&Payload> {
+        self.payload.as_ref()
+    }
+
+    /// The checksum the frame arrived with, verified against its payload.
+    pub fn checksum(&self) -> u64 {
+        self.checksum
+    }
+
+    /// The wire dtype: only an f32 payload is ever taken by its landing.
+    fn dtype(&self) -> DType {
+        self.payload.as_ref().map_or(DType::F32, Payload::dtype)
+    }
+}
 
 /// Timeout and polling policy for blocking receives.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -311,25 +340,53 @@ impl Communicator {
         data: &[f32],
         dtype: DType,
     ) -> Result<(), CommError> {
-        if tag >= COLLECTIVE_TAG_BASE {
-            return Err(CommError::InvalidTag { tag });
-        }
-        self.send_internal(dst, tag, data, dtype, false)
+        self.send_internal(dst, tag, data, dtype, None, false)
     }
 
-    /// One send call of either traffic class: on success, counted and
-    /// spanned by the probe with the wire size
-    /// [`send_inner`](Self::send_inner) put on the frame.
+    /// Relay a received frame to `dst` with a user `tag`, as it arrived:
+    /// no packing, no checksum pass and, for a 16-bit wire, no new buffer.
+    /// `values` must be what the frame landed as, unchanged since, for the
+    /// frame to be what [`send`](Self::send) would pack from them:
+    /// packing the values a frame unpacks to gives the frame back, on every
+    /// frame a sender produces. A debug build checks it. Otherwise a send
+    /// like any other, with the same errors and panics, counted as
+    /// relayed too.
+    pub fn send_wire(
+        &mut self,
+        dst: usize,
+        tag: u64,
+        wire: Wire,
+        values: &[f32],
+    ) -> Result<(), CommError> {
+        debug_assert_eq!(
+            Payload::pack(values, wire.dtype()).1,
+            wire.checksum,
+            "relaying a frame its landed values no longer match"
+        );
+        self.send_internal(dst, tag, values, wire.dtype(), Some(wire), false)?;
+        self.probe.relayed();
+        Ok(())
+    }
+
+    /// One send call of either traffic class, of `data` packed into `dtype`
+    /// or, given the [`Wire`] it landed from, relayed: on success, counted
+    /// and spanned by the probe with the wire size
+    /// [`send_inner`](Self::send_inner) put on the frame. A point-to-point
+    /// send may not use a collective tag.
     pub(crate) fn send_internal(
         &mut self,
         dst: usize,
         tag: u64,
         data: &[f32],
         dtype: DType,
+        kept: Option<Wire>,
         collective: bool,
     ) -> Result<(), CommError> {
+        if !collective && tag >= COLLECTIVE_TAG_BASE {
+            return Err(CommError::InvalidTag { tag });
+        }
         let t0 = self.probe.now();
-        let bytes = self.send_inner(dst, tag, data, dtype, collective)?;
+        let bytes = self.send_inner(dst, tag, data, dtype, kept, collective)?;
         self.probe.sent(collective, dst, bytes, t0);
         Ok(())
     }
@@ -340,6 +397,7 @@ impl Communicator {
         tag: u64,
         data: &[f32],
         dtype: DType,
+        kept: Option<Wire>,
         collective: bool,
     ) -> Result<u64, CommError> {
         assert!(dst < self.world, "dst {dst} out of range");
@@ -352,7 +410,15 @@ impl Communicator {
             self.fail(&e);
             return Err(e);
         }
-        let (payload, checksum) = Payload::pack(data, dtype);
+        // A relay ships the frame as it arrived: an f32 payload, which its
+        // landing took, is copied back out of `data` unhashed.
+        let (payload, checksum) = match kept {
+            None => Payload::pack(data, dtype),
+            Some(Wire { payload, checksum }) => (
+                payload.unwrap_or_else(|| Payload::F32(data.to_vec())),
+                checksum,
+            ),
+        };
         let mut deliver_at = if self.link.is_instant() {
             None
         } else {
@@ -446,8 +512,8 @@ impl Communicator {
     }
 
     /// Blocking receive of the message with `tag` from `src`, returned as
-    /// a new vector: [`recv_into`](Self::recv_into) one, with the same
-    /// errors and panics.
+    /// a new vector: [`recv_into`](Self::recv_into) one, its [`Wire`]
+    /// dropped, with the same errors and panics.
     pub fn recv(&mut self, src: usize, tag: u64) -> Result<Vec<f32>, CommError> {
         let mut data = Vec::new();
         self.recv_into(src, tag, Landing::Replace(&mut data))?;
@@ -460,7 +526,9 @@ impl Communicator {
     /// reorder buffer and poll the inbox until the receive timeout; frames
     /// from the same source with other tags are parked and delivered to
     /// later matching receives in FIFO order. On error `landing` is left
-    /// untouched: a checksum is verified as its frame arrives.
+    /// untouched: a checksum is verified as its frame arrives. Returns the
+    /// frame's verified [`Wire`] form, for [`send_wire`](Self::send_wire) to
+    /// relay.
     ///
     /// Both transports deliver a frame whether or not its receive has been
     /// called yet, so a schedule overlaps a transfer by calling this where
@@ -479,7 +547,7 @@ impl Communicator {
         src: usize,
         tag: u64,
         landing: Landing<'_>,
-    ) -> Result<(), CommError> {
+    ) -> Result<Wire, CommError> {
         assert!(src < self.world, "src {src} out of range");
         assert_ne!(src, self.rank, "self-recv is not supported");
         // The blocked-wait span runs from this call to the match; the queue
@@ -498,10 +566,13 @@ impl Communicator {
         if !stall.is_zero() {
             std::thread::sleep(stall);
         }
-        msg.payload.land(landing);
+        let payload = msg.payload.land(landing);
         self.probe
             .transferred(src, depth, bytes, x0, stall.as_nanos() as u64);
-        Ok(())
+        Ok(Wire {
+            payload,
+            checksum: msg.checksum,
+        })
     }
 
     /// The frame with `tag` from `src`, from the reorder buffer or the wire.

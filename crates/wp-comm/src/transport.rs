@@ -282,20 +282,32 @@ impl Payload {
 
     /// Put the values the receiver computes with where `landing` says, bit
     /// for bit what [`unpack`](Self::unpack) returns (plus, for
-    /// [`Landing::Add`], one elementwise add).
+    /// [`Landing::Add`], one elementwise add), and hand the payload back
+    /// unless the landing took it: an f32 payload moves into a
+    /// [`Landing::Replace`], every other landing only reads its payload.
     ///
     /// # Panics
     /// When a [`Landing::Add`] slice is not as long as the payload.
-    pub fn land(self, landing: Landing<'_>) {
-        match (self, landing) {
-            (Payload::F32(data), Landing::Replace(buf)) => *buf = data,
+    pub fn land(self, landing: Landing<'_>) -> Option<Payload> {
+        Some(match (self, landing) {
+            (Payload::F32(data), Landing::Replace(buf)) => {
+                *buf = data;
+                return None;
+            }
             (Payload::F32(data), Landing::Add(acc)) => {
                 assert_eq!(acc.len(), data.len(), "adding a payload of another length");
                 add(acc, &data);
+                Payload::F32(data)
             }
-            (Payload::F16(packed), landing) => land_staged(&packed, unpack_f16, landing),
-            (Payload::BF16(packed), landing) => land_staged(&packed, unpack_bf16, landing),
-        }
+            (Payload::F16(packed), landing) => {
+                land_staged(&packed, unpack_f16, landing);
+                Payload::F16(packed)
+            }
+            (Payload::BF16(packed), landing) => {
+                land_staged(&packed, unpack_bf16, landing);
+                Payload::BF16(packed)
+            }
+        })
     }
 
     /// An all-zero payload of `len` wire bytes for a decoder to fill, or

@@ -3,10 +3,12 @@
 //! the bits `recv` returns, whether its frame was matched on arrival or
 //! parked in the reorder buffer first, and a corrupt frame fails the
 //! receive without touching the buffer. Packing what a frame unpacks to
-//! gives the frame back, on every frame a sender can produce.
+//! gives the frame back, on every frame a sender can produce, so a frame
+//! relayed as it arrived (`send_wire`) is the frame a re-pack would send.
 
 use std::time::Duration;
 use wp_comm::{CommConfig, CommError, FaultPlan, Landing, Payload, TransportKind, World};
+use wp_metrics::Counter;
 use wp_tensor::ops::gemm::{force_isa, offered_isas};
 use wp_tensor::DType;
 
@@ -145,5 +147,65 @@ fn packing_what_a_frame_unpacks_to_gives_the_frame_back() {
                 }
             }
         });
+    }
+}
+
+/// Rank 0 sends values with every awkward class (signed zeros, infinities,
+/// f32 and 16-bit subnormals, quiet NaNs with payloads) to rank 1, which
+/// lands them in a slot and relays the frame they came in to rank 2. The
+/// frame rank 2 receives carries exactly the bytes and the checksum
+/// `Payload::pack` makes of the slot, and rank 1's relay is counted.
+#[test]
+fn a_relayed_frame_is_the_slot_packed_anew() {
+    let mut sent = vec![
+        0.0,
+        -0.0,
+        f32::INFINITY,
+        f32::NEG_INFINITY,
+        1e-40,
+        -1e-41,
+        3e-6,
+        -6e-8,
+        1e-39,
+        f32::NAN,
+        -f32::NAN,
+        f32::from_bits(0x7fc0_1234),
+        f32::from_bits(0xffd5_5555),
+        65504.0,
+        -7e4,
+    ];
+    sent.extend(payload(2500, 4.0));
+    for kind in KINDS {
+        for wire in WIRES {
+            let at = format!("{kind:?} {wire}");
+            let (outs, _) = World::builder(3)
+                .transport(kind)
+                .run(|mut c| match c.rank() {
+                    0 => {
+                        c.send(1, 5, &sent, wire).unwrap();
+                        None
+                    }
+                    1 => {
+                        let mut slot = vec![1.0; 3];
+                        let kept = c.recv_into(0, 5, Landing::Replace(&mut slot)).unwrap();
+                        c.send_wire(2, 6, kept, &slot).unwrap();
+                        let counted = c.probe().registry().snapshot_rank(1);
+                        assert_eq!(counted.counter(Counter::P2pMsgsRelayed), 1, "{at}");
+                        Some(Payload::pack(&slot, wire))
+                    }
+                    _ => {
+                        let mut values = Vec::new();
+                        let arrived = c.recv_into(1, 6, Landing::Replace(&mut values)).unwrap();
+                        let payload = arrived.payload().cloned();
+                        Some((payload.unwrap_or(Payload::F32(values)), arrived.checksum()))
+                    }
+                });
+            let (want, want_sum) = outs[1].as_ref().expect("rank 1 packs its slot");
+            let (got, got_sum) = outs[2].as_ref().expect("rank 2 returns the frame");
+            assert_eq!(got.dtype(), wire, "{at}");
+            assert!(got.as_bytes() == want.as_bytes(), "{at}: bytes");
+            assert_eq!(got_sum, want_sum, "{at}: checksum");
+            assert_eq!(got.checksum(), *want_sum, "{at}: checksum of the bytes");
+        }
     }
 }

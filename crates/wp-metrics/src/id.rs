@@ -59,6 +59,9 @@ metric_enum! {
         P2pBytesSent => "wp_comm_p2p_bytes_sent_total",
         /// Point-to-point messages sent.
         P2pMsgsSent => "wp_comm_p2p_msgs_sent_total",
+        /// Point-to-point messages that relayed a received frame as it
+        /// arrived (counted in `P2pMsgsSent` too).
+        P2pMsgsRelayed => "wp_comm_p2p_msgs_relayed_total",
         /// Bytes sent inside collectives.
         CollBytesSent => "wp_comm_collective_bytes_sent_total",
         /// Collective message hops sent.

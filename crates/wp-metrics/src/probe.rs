@@ -127,6 +127,13 @@ impl Probe {
         );
     }
 
+    /// The point-to-point send just counted relayed a received frame as it
+    /// arrived.
+    #[inline]
+    pub fn relayed(&self) {
+        self.slots.incr(Counter::P2pMsgsRelayed);
+    }
+
     /// The reorder buffer for one source holds `depth` parked frames.
     #[inline]
     pub fn reorder_depth(&self, depth: usize) {
