@@ -397,6 +397,141 @@ mod tests {
         }
     }
 
+    /// The bytes the reader hashes a DATA payload in.
+    const PIECE: usize = 64 << 10;
+
+    /// Payload byte lengths around a 32-byte hash round and around the
+    /// reader's pieces.
+    const ARRIVAL_LENGTHS: [usize; 8] = [0, 2, 30, 32, PIECE - 2, PIECE, PIECE + 2, 3 * PIECE + 6];
+
+    /// The DATA frame at the head of `bytes` and the checksum of its
+    /// payload as it arrived.
+    fn arrival(bytes: &[u8]) -> (Frame, u64) {
+        let f = read_data(bytes).expect("well-formed frame");
+        let arrived = f.payload.checksum();
+        (f, arrived)
+    }
+
+    /// A DATA frame read back carries the checksum `Payload::pack` gave it,
+    /// and the payload hashes to it as it arrives; a byte flipped in the
+    /// first word, on either side of a piece boundary or in the last word
+    /// hashes to something else. Every dtype, at each of
+    /// [`ARRIVAL_LENGTHS`] that is a whole number of its elements (f32
+    /// rounds the length down to one).
+    #[test]
+    fn the_arrival_hash_is_the_senders_checksum() {
+        for dtype in [DType::F32, DType::F16, DType::BF16] {
+            let width = dtype.size_bytes();
+            for len in ARRIVAL_LENGTHS.map(|len| len - len % width) {
+                let xs: Vec<f32> = (0..len / width).map(|i| i as f32 * 0.37 - 9.0).collect();
+                let (payload, sum) = Payload::pack(&xs, dtype);
+                let honest = data_bytes(&frame_of(5, payload), None);
+                let (f, arrived) = arrival(&honest);
+                assert_eq!(f.checksum, sum, "{dtype} {len} B: the sender's checksum");
+                assert_eq!(arrived, sum, "{dtype} {len} B: hashed as it arrived");
+                let last = len.saturating_sub(1);
+                for at in [0, PIECE - 1, PIECE, last] {
+                    if at >= len {
+                        continue;
+                    }
+                    let mut flipped = honest.clone();
+                    flipped[DATA_HEADER_LEN + at] ^= 0x10;
+                    let (f, arrived) = arrival(&flipped);
+                    assert_eq!(f.checksum, sum, "{dtype} {len} B: the envelope is kept");
+                    assert_ne!(arrived, sum, "{dtype} {len} B: byte {at} flipped");
+                }
+            }
+        }
+    }
+
+    /// Over TCP a frame corrupted by a fault plan fails its receive as
+    /// `Corrupt` and leaves an `Add` landing untouched; one that comes from
+    /// a stale epoch is dropped and counted before it is checked, and the
+    /// receive completes with the current frame behind it.
+    #[test]
+    fn over_tcp_corruption_fails_a_current_receive_and_a_stale_one_is_dropped() {
+        use crate::transport::{AbortCell, RecvWait, Transport, TransportClosed};
+        use crate::{CommConfig, CommError, FaultPlan, Landing, World};
+        use std::sync::Arc;
+        use wp_metrics::{Counter, MetricsRegistry};
+
+        /// A TCP endpoint whose first frame leaves stamped with the epoch
+        /// before its own: a straggler from a pre-fault world.
+        #[derive(Debug)]
+        struct Straggling(crate::TcpTransport, bool);
+        impl Transport for Straggling {
+            fn rank(&self) -> usize {
+                self.0.rank()
+            }
+            fn world_size(&self) -> usize {
+                self.0.world_size()
+            }
+            fn abort_cell(&self) -> &Arc<AbortCell> {
+                self.0.abort_cell()
+            }
+            fn send(&mut self, dst: usize, mut frame: Frame) -> Result<(), TransportClosed> {
+                if !std::mem::replace(&mut self.1, true) {
+                    frame.epoch -= 1;
+                }
+                self.0.send(dst, frame)
+            }
+            fn recv_timeout(&mut self, src: usize, timeout: Duration) -> RecvWait {
+                self.0.recv_timeout(src, timeout)
+            }
+        }
+
+        let n = (3 * PIECE + 6) / 2;
+        let xs: Vec<f32> = (0..n).map(|i| (i as f32 * 0.01).sin()).collect();
+        let acc0 = vec![0.25f32; n];
+        let cfg = CommConfig::fail_fast(Duration::from_secs(5));
+        for wire in [DType::F32, DType::F16, DType::BF16] {
+            // A current frame, corrupted on the wire.
+            let (results, _) = World::builder(2)
+                .config(cfg)
+                .transport(crate::TransportKind::TcpLocalhost)
+                .faults(FaultPlan::new(3).with_corruption(0, 1, 0))
+                .try_run(|mut c| {
+                    if c.rank() == 0 {
+                        c.send(1, 4, &xs, wire)?;
+                        return Ok((None, Vec::new()));
+                    }
+                    let mut acc = acc0.to_vec();
+                    let err = c.recv_into(0, 4, Landing::Add(&mut acc)).err();
+                    Ok((err, acc))
+                });
+            let (err, acc) = results[1].as_ref().expect("rank 1 reports");
+            assert_eq!(err, &Some(CommError::Corrupt { src: 0, tag: 4 }), "{wire}");
+            assert!(
+                acc.iter()
+                    .zip(&acc0)
+                    .all(|(a, b)| a.to_bits() == b.to_bits()),
+                "{wire}: the landing is untouched"
+            );
+            // The same corruption on a straggler from the epoch before.
+            let registry = MetricsRegistry::new(2);
+            let mut ends = crate::tcp::local_mesh(2).into_iter();
+            let (a, b) = (ends.next().unwrap(), ends.next().unwrap());
+            let builder = World::builder(2)
+                .epoch(1)
+                .config(cfg)
+                .metrics(registry.clone());
+            let mut tx = builder
+                .clone()
+                .faults(FaultPlan::new(3).with_corruption(0, 1, 0))
+                .endpoint(Box::new(Straggling(a, false)));
+            let mut rx = builder.endpoint(Box::new(b));
+            tx.send(1, 4, &xs, wire).unwrap();
+            tx.send(1, 4, &xs, wire).unwrap();
+            let mut acc = acc0.to_vec();
+            rx.recv_into(0, 4, Landing::Add(&mut acc))
+                .unwrap_or_else(|e| panic!("{wire}: the stale frame failed the receive: {e}"));
+            let stale = registry
+                .snapshot_rank(1)
+                .counter(Counter::StaleFramesDropped);
+            assert_eq!(stale, 1, "{wire}: the straggler is counted");
+        }
+    }
+
     #[test]
     fn delay_crosses_as_remaining_duration() {
         let buf = data_bytes(&frame(0, vec![]), Some(Duration::from_millis(5)));
