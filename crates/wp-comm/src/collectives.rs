@@ -12,7 +12,7 @@
 
 use crate::error::CommError;
 use crate::p2p::{Communicator, COLLECTIVE_TAG_BASE};
-use crate::transport::Landing;
+use crate::payload::Landing;
 use wp_tensor::DType;
 use wp_trace::SpanKind;
 

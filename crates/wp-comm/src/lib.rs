@@ -53,6 +53,7 @@ pub mod link;
 pub mod membership;
 pub mod meter;
 pub mod p2p;
+pub mod payload;
 pub mod tcp;
 pub mod transport;
 pub mod world;
@@ -62,7 +63,8 @@ pub use fault::FaultPlan;
 pub use link::LinkModel;
 pub use membership::{agree_membership, Membership};
 pub use meter::{RankTraffic, TrafficMeter};
-pub use p2p::{CommConfig, Communicator, Wire};
+pub use p2p::{CommConfig, Communicator};
+pub use payload::{Landing, Payload, Wire};
 pub use tcp::TcpTransport;
-pub use transport::{AbortCell, Frame, Landing, Payload, Transport, TransportKind};
+pub use transport::{AbortCell, Frame, Transport, TransportKind};
 pub use world::{World, WorldBuilder};

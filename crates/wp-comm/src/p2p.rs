@@ -43,7 +43,8 @@ use crate::error::CommError;
 use crate::fault::RankInjector;
 use crate::link::LinkModel;
 use crate::meter::TrafficMeter;
-use crate::transport::{AbortCell, Frame, Landing, Payload, RecvWait, Transport};
+use crate::payload::{Landing, Payload, Wire};
+use crate::transport::{AbortCell, Frame, RecvWait, Transport};
 use std::collections::VecDeque;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -53,34 +54,6 @@ use wp_trace::{FaultFlags, RankTracer};
 
 /// Tags ≥ this value are reserved for collectives.
 pub(crate) const COLLECTIVE_TAG_BASE: u64 = 1 << 48;
-
-/// A received frame's verified wire form, as
-/// [`recv_into`](Communicator::recv_into) hands it back: the checksum it
-/// arrived with, and its payload unless the landing took it (an f32 payload
-/// moves into a [`Landing::Replace`]). [`send_wire`](Communicator::send_wire)
-/// relays it as it arrived; a caller that does not relay drops it.
-#[derive(Debug)]
-pub struct Wire {
-    payload: Option<Payload>,
-    checksum: u64,
-}
-
-impl Wire {
-    /// The payload as it arrived, unless its landing took it.
-    pub fn payload(&self) -> Option<&Payload> {
-        self.payload.as_ref()
-    }
-
-    /// The checksum the frame arrived with, verified against its payload.
-    pub fn checksum(&self) -> u64 {
-        self.checksum
-    }
-
-    /// The wire dtype: only an f32 payload is ever taken by its landing.
-    fn dtype(&self) -> DType {
-        self.payload.as_ref().map_or(DType::F32, Payload::dtype)
-    }
-}
 
 /// Timeout and polling policy for blocking receives.
 #[derive(Debug, Clone, Copy, PartialEq)]

@@ -491,8 +491,8 @@ pub fn local_mesh(p: usize) -> Vec<TcpTransport> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::payload::Payload;
     use crate::transport::tests::{frame, frame_of};
-    use crate::transport::Payload;
     use wp_tensor::DType;
 
     #[test]

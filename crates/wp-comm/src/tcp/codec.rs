@@ -28,7 +28,8 @@
 //!   rank that finished from a rank that crashed.
 
 use crate::error::CommError;
-use crate::transport::{Frame, Payload};
+use crate::payload::Payload;
+use crate::transport::Frame;
 use std::io::{self, IoSlice, Read, Write};
 use std::time::{Duration, Instant};
 use wp_tensor::DType;
