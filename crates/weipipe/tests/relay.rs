@@ -4,11 +4,15 @@
 
 use weipipe::interp::RankRuntime;
 use weipipe::{build_schedule, Strategy, TrainSetup};
-use wp_metrics::Counter;
+use wp_comm::TransportKind;
+use wp_metrics::{Counter, MetricsRegistry};
 use wp_tensor::DType;
 
 /// `(sent, relayed)` point-to-point messages.
 type Sends = (u64, u64);
+
+/// `(wire buffers allocated, frames sent and received)`.
+type Buffers = (u64, u64);
 
 /// Per rank and per step of three, the `(iteration, reseed after it)` sends
 /// of `strategy` at `p` ranks, 4 layers and 8 microbatches over an f16
@@ -71,6 +75,96 @@ fn schedules_without_a_weight_ring_relay_nothing() {
         for steps in sends_per_step(strategy, 2) {
             for (iteration, reseed) in steps {
                 assert_eq!((iteration.1, reseed), (0, (0, 0)), "{strategy:?}");
+            }
+        }
+    }
+}
+
+/// Per rank and per step of three, what WeiPipe-Interleave at `p` ranks, 4
+/// layers and 8 microbatches over an f16 wire and `kind` counts in the
+/// `(iteration, reseed after it)`: the buffers its pool allocated and the
+/// frames it sent and received, every frame a 16-bit one.
+fn allocations_per_step(p: usize, kind: TransportKind) -> Vec<Vec<(Buffers, Buffers)>> {
+    let mut setup = TrainSetup::tiny(4, 8);
+    setup.wire = DType::F16;
+    let schedule = build_schedule(Strategy::WeiPipeInterleave, p, &setup);
+    let world = wp_comm::World::builder(p)
+        .link(setup.link)
+        .transport(kind)
+        .metrics(MetricsRegistry::new(p));
+    let (per_rank, _) = world.run(|comm| {
+        let (rank, registry) = (comm.rank(), comm.probe().registry());
+        let mut last = (0, 0);
+        let mut since_last = || {
+            let snap = registry.snapshot_rank(rank);
+            let frames = [
+                Counter::P2pMsgsSent,
+                Counter::CollMsgsSent,
+                Counter::MsgsRecv,
+            ];
+            let now = (
+                snap.counter(Counter::WireBuffersAllocated),
+                frames.into_iter().map(|c| snap.counter(c)).sum::<u64>(),
+            );
+            let delta = (now.0 - last.0, now.1 - last.1);
+            last = now;
+            delta
+        };
+        let mut rt = RankRuntime::new(&setup, &schedule, comm);
+        (0..3)
+            .map(|iter| {
+                rt.run_iteration(&schedule, iter).expect("healthy world");
+                let iteration = since_last();
+                rt.reseed_bwd_flow(&schedule, iter).expect("healthy world");
+                (iteration, since_last())
+            })
+            .collect()
+    });
+    per_rank
+}
+
+/// In process every take and give of a rank's pool runs on the rank's
+/// thread, so the count is exact. Iteration 0 fills the pool; after it,
+/// every step allocates the same few buffers on every rank, each an
+/// all-reduce segment of the replicated embedding or head that the ring's
+/// chunk-sized buffers keep out of a pool of two, and no reseed allocates.
+#[test]
+fn in_process_a_warm_pool_allocates_the_same_few_buffers_every_step() {
+    for (p, first, then) in [(2, 7, 4), (4, 15, 13)] {
+        for (rank, steps) in allocations_per_step(p, TransportKind::InProcess)
+            .into_iter()
+            .enumerate()
+        {
+            let allocated: Vec<(u64, u64)> = steps
+                .iter()
+                .map(|((iteration, _), (reseed, _))| (*iteration, *reseed))
+                .collect();
+            let want: Vec<(u64, u64)> = (0..3)
+                .map(|iter| (if iter == 0 { first } else { then }, 0))
+                .collect();
+            assert_eq!(allocated, want, "P={p} rank {rank}");
+        }
+    }
+}
+
+/// Over TCP a rank's reader threads take from its pool as frames arrive,
+/// so the count varies with timing. A warm step still allocates a buffer
+/// for fewer than two thirds of the frames the rank sends and receives,
+/// where each of them used to allocate one (at most 0.36 of them at P = 2
+/// and 0.46 at P = 4 in eight runs on a 2-vCPU host).
+#[test]
+fn over_tcp_a_warm_pool_allocates_for_fewer_than_two_thirds_of_the_frames() {
+    for p in [2, 4] {
+        for (rank, steps) in allocations_per_step(p, TransportKind::TcpLocalhost)
+            .into_iter()
+            .enumerate()
+        {
+            for (iter, ((a, f), (ra, rf))) in steps.into_iter().enumerate().skip(1) {
+                let (allocated, frames) = (a + ra, f + rf);
+                assert!(
+                    3 * allocated < 2 * frames,
+                    "P={p} rank {rank} step {iter}: {allocated} buffers for {frames} frames"
+                );
             }
         }
     }

@@ -197,19 +197,26 @@ impl Communicator {
         self.probe.metrics()
     }
 
-    /// Admit one frame that arrived from `src`. A frame from another
-    /// configuration epoch is dropped before checksum verification or tag
-    /// matching — a straggler from the pre-fault world must not complete a
-    /// current receive, and its (possibly injected) corruption must not
-    /// fail the new world either. A current-epoch frame that fails its
+    /// Admit one frame that arrived from `src`, its payload hashing to
+    /// `arrived` as it arrived. A frame from another configuration epoch is
+    /// dropped before checksum verification or tag matching — a straggler
+    /// from the pre-fault world must not complete a current receive, and
+    /// its (possibly injected) corruption must not fail the new world
+    /// either. A current-epoch frame whose arrival hash is not its
     /// checksum fails the world. Otherwise the frame is handed back when it
     /// carries the `want`ed tag, and parked in the reorder buffer when not.
-    fn intake(&mut self, src: usize, msg: Frame, want: u64) -> Result<Option<Frame>, CommError> {
+    fn intake(
+        &mut self,
+        src: usize,
+        msg: Frame,
+        arrived: u64,
+        want: u64,
+    ) -> Result<Option<Frame>, CommError> {
         if msg.epoch != self.epoch {
             self.probe.event(Counter::StaleFramesDropped);
             return Ok(None);
         }
-        if !msg.verify() {
+        if !msg.verify(arrived) {
             let e = CommError::Corrupt { src, tag: msg.tag };
             self.fail(&e);
             return Err(e);
@@ -386,10 +393,12 @@ impl Communicator {
         // A relay ships the frame as it arrived: an f32 payload, which its
         // landing took, is copied back out of `data` unhashed.
         let (payload, checksum) = match kept {
-            None => Payload::pack(data, dtype),
-            Some(Wire { payload, checksum }) => (
-                payload.unwrap_or_else(|| Payload::F32(data.to_vec())),
-                checksum,
+            None => self.transport.wire_pool().pack(data, dtype),
+            Some(mut wire) => (
+                wire.payload
+                    .take()
+                    .unwrap_or_else(|| Payload::F32(data.to_vec())),
+                wire.checksum,
             ),
         };
         let mut deliver_at = if self.link.is_instant() {
@@ -545,6 +554,7 @@ impl Communicator {
         Ok(Wire {
             payload,
             checksum: msg.checksum,
+            pool: self.transport.wire_pool().clone(),
         })
     }
 
@@ -569,8 +579,8 @@ impl Communicator {
             };
             let slice = remaining.min(self.config.poll_interval);
             match self.transport.recv_timeout(src, slice) {
-                RecvWait::Frame(msg) => {
-                    if let Some(msg) = self.intake(src, msg, tag)? {
+                RecvWait::Frame(msg, arrived) => {
+                    if let Some(msg) = self.intake(src, msg, arrived, tag)? {
                         return Ok(msg);
                     }
                 }

@@ -3,7 +3,17 @@
 //! [`Landing`]s, the staged conversion loops under both, and the frame
 //! [`checksum_of`] a payload's wire bytes. A received payload's verified
 //! form, [`Wire`], is what a relay ships on as it arrived.
+//!
+//! Each endpoint recycles its 16-bit wire buffers through one bounded
+//! [`WirePool`]: a send packs into one and a TCP reader reads a frame into
+//! one, each of exactly the payload's length; a TCP write that completes
+//! and a [`Wire`] dropped without being relayed give theirs back. So a
+//! steady ring moves the same few buffers, and neither side zero-fills a
+//! fresh buffer or has the kernel map new pages under it. f32 payloads are
+//! not pooled: they move into their [`Landing::Replace`] landings.
 
+use std::sync::{Arc, Mutex, OnceLock};
+use wp_metrics::{Counter, RankMetrics};
 use wp_tensor::dtype::{pack_bf16, pack_f16, unpack_bf16, unpack_f16};
 use wp_tensor::DType;
 
@@ -40,7 +50,7 @@ fn absorb(h: u64, word: u64) -> u64 {
     (h ^ word).wrapping_mul(MULTIPLIER).rotate_left(29)
 }
 
-/// The end-to-end checksum carried by every [`Frame`], over the payload's
+/// The end-to-end checksum carried by every [`Frame`](crate::Frame), over the payload's
 /// wire bytes: little-endian 64-bit word `k` is absorbed by lane `k mod 4`
 /// (four independent multiply chains, so the loop runs at memory speed, not
 /// at one multiply latency per byte as a byte-wise FNV-1a does), a ragged
@@ -51,22 +61,23 @@ fn absorb(h: u64, word: u64) -> u64 {
 /// moved to another lane or another round changes it too; the length
 /// separates a payload from the same payload with zeros appended.
 ///
-/// Fed in pieces, so a packing loop can hash each block while it is in L1:
-/// every piece but the last must be a whole number of 32-byte rounds.
-struct Checksum {
+/// Fed in pieces, so a packing loop can hash each block while it is in L1
+/// and a socket reader each piece while it is in L2: every piece but the
+/// last must be a whole number of 32-byte rounds.
+pub(crate) struct Checksum {
     lanes: [u64; 4],
     len: u64,
 }
 
 impl Checksum {
-    fn new() -> Self {
+    pub(crate) fn new() -> Self {
         Checksum {
             lanes: LANE_SEEDS,
             len: 0,
         }
     }
 
-    fn absorb(&mut self, bytes: &[u8]) {
+    pub(crate) fn absorb(&mut self, bytes: &[u8]) {
         debug_assert!(
             self.len.is_multiple_of(32),
             "only the last piece may be ragged"
@@ -88,7 +99,7 @@ impl Checksum {
         self.len += bytes.len() as u64;
     }
 
-    fn finish(self) -> u64 {
+    pub(crate) fn finish(self) -> u64 {
         self.lanes.into_iter().fold(self.len, absorb)
     }
 }
@@ -142,15 +153,37 @@ fn staged<S, D: Copy + Default>(
     }
 }
 
-/// `src` packed into a new vector by `convert`, and the checksum of the
-/// result's wire bytes.
-fn pack_staged(src: &[f32], convert: fn(&mut [u16], &[f32])) -> (Vec<u16>, u64) {
-    let mut out = Vec::with_capacity(src.len());
+/// `src` packed by `convert` into `reuse`, a recycled buffer as long as
+/// `src` (converted into where it lies), or else into a new vector, and the
+/// checksum of the result's wire bytes.
+fn pack_staged(
+    src: &[f32],
+    convert: fn(&mut [u16], &[f32]),
+    reuse: Option<Vec<u16>>,
+) -> (Vec<u16>, u64) {
     let mut sum = Checksum::new();
-    staged(src, convert, |_, block| {
-        out.extend_from_slice(block);
-        sum.absorb(u16_bytes(block));
-    });
+    let out = match reuse {
+        Some(mut out) => {
+            assert_eq!(
+                out.len(),
+                src.len(),
+                "packing into a buffer of another length"
+            );
+            for (block, values) in out.chunks_mut(STAGE).zip(src.chunks(STAGE)) {
+                convert(block, values);
+                sum.absorb(u16_bytes(block));
+            }
+            out
+        }
+        None => {
+            let mut out = Vec::with_capacity(src.len());
+            staged(src, convert, |_, block| {
+                out.extend_from_slice(block);
+                sum.absorb(u16_bytes(block));
+            });
+            out
+        }
+    };
     (out, sum.finish())
 }
 
@@ -197,6 +230,11 @@ impl Payload {
     /// checksum the wire bytes in the same pass: the [`Frame`](crate::Frame) checksum,
     /// equal to [`checksum`](Self::checksum) of the payload returned.
     pub fn pack(data: &[f32], dtype: DType) -> (Payload, u64) {
+        Self::pack_into(data, dtype, None)
+    }
+
+    /// [`pack`](Self::pack), a 16-bit result written into `reuse` when given.
+    fn pack_into(data: &[f32], dtype: DType, reuse: Option<Vec<u16>>) -> (Payload, u64) {
         match dtype {
             DType::F32 => {
                 let mut out = Vec::with_capacity(data.len());
@@ -208,11 +246,11 @@ impl Payload {
                 (Payload::F32(out), sum.finish())
             }
             DType::F16 => {
-                let (packed, sum) = pack_staged(data, pack_f16);
+                let (packed, sum) = pack_staged(data, pack_f16, reuse);
                 (Payload::F16(packed), sum)
             }
             DType::BF16 => {
-                let (packed, sum) = pack_staged(data, pack_bf16);
+                let (packed, sum) = pack_staged(data, pack_bf16, reuse);
                 (Payload::BF16(packed), sum)
             }
         }
@@ -258,8 +296,9 @@ impl Payload {
     }
 
     /// An all-zero payload of `len` wire bytes for a decoder to fill, or
-    /// `None` when that is not a whole number of `dtype` elements.
-    pub(crate) fn zeroed(dtype: DType, len: usize) -> Option<Payload> {
+    /// `None` when that is not a whole number of `dtype` elements: what
+    /// [`WirePool::for_reader`] hands out when it has no buffer to recycle.
+    fn zeroed(dtype: DType, len: usize) -> Option<Payload> {
         let width = dtype.size_bytes();
         if !len.is_multiple_of(width) {
             return None;
@@ -318,15 +357,126 @@ impl Payload {
     }
 }
 
+/// The most idle buffers one endpoint's [`WirePool`] keeps: two, so a
+/// ring endpoint keeps a chunk-sized buffer for the next frame each way.
+/// Every idle buffer is also held at the step's memory peak — in a world
+/// whose endpoints share a process, beside the buffer another endpoint's
+/// reader is allocating — and on `widecomm` each one past the second added
+/// a ring chunk to the step peak while saving few further allocations.
+pub(crate) const POOL_BOUND: usize = 2;
+
+/// One endpoint's recycled 16-bit wire buffers, shared by its rank thread
+/// and its transport's reader threads (see the module docs). A take matches
+/// a payload's exact length, so a small frame never pins a ring-sized
+/// buffer; past [`POOL_BOUND`] the smallest idle buffer, the cheapest to
+/// allocate again, is dropped. Only a miss allocates, and each is counted
+/// in [`Counter::WireBuffersAllocated`] once the endpoint is metered.
+#[derive(Default)]
+pub struct WirePool {
+    /// Idle buffers, the most recently given back last.
+    idle: Mutex<Vec<Vec<u16>>>,
+    metrics: OnceLock<RankMetrics>,
+}
+
+impl std::fmt::Debug for WirePool {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("WirePool")
+            .field("idle", &self.idle())
+            .finish()
+    }
+}
+
+impl WirePool {
+    /// Count this pool's misses into `metrics` (first attach wins).
+    pub(crate) fn instrument(&self, metrics: RankMetrics) {
+        let _ = self.metrics.set(metrics);
+    }
+
+    /// How many buffers are idle.
+    pub(crate) fn idle(&self) -> usize {
+        self.idle.lock().unwrap_or_else(|e| e.into_inner()).len()
+    }
+
+    /// An idle buffer of exactly `n` elements, holding whatever its last
+    /// frame left in it, or `None` — a miss, counted — when there is none.
+    /// An empty buffer costs nothing and is always a hit.
+    fn take(&self, n: usize) -> Option<Vec<u16>> {
+        if n == 0 {
+            return Some(Vec::new());
+        }
+        let mut idle = self.idle.lock().unwrap_or_else(|e| e.into_inner());
+        if let Some(at) = idle.iter().rposition(|buf| buf.len() == n) {
+            return Some(idle.remove(at));
+        }
+        drop(idle);
+        if let Some(m) = self.metrics.get() {
+            m.incr(Counter::WireBuffersAllocated);
+        }
+        None
+    }
+
+    /// [`Payload::pack`], a 16-bit payload packed into a recycled buffer.
+    pub(crate) fn pack(&self, data: &[f32], dtype: DType) -> (Payload, u64) {
+        let reuse = match dtype {
+            DType::F32 => None,
+            DType::F16 | DType::BF16 => self.take(data.len()),
+        };
+        Payload::pack_into(data, dtype, reuse)
+    }
+
+    /// A payload of `len` wire bytes for a reader to overwrite, or `None`
+    /// when that is not a whole number of `dtype` elements: a recycled
+    /// 16-bit buffer, else — an f32 payload, or a miss — a new zeroed one.
+    pub(crate) fn for_reader(&self, dtype: DType, len: usize) -> Option<Payload> {
+        if dtype != DType::F32 && len.is_multiple_of(2) {
+            match self.take(len / 2) {
+                Some(buf) if dtype == DType::F16 => return Some(Payload::F16(buf)),
+                Some(buf) => return Some(Payload::BF16(buf)),
+                None => {}
+            }
+        }
+        Payload::zeroed(dtype, len)
+    }
+
+    /// Take `payload`'s buffer back for a later take, when it is a
+    /// non-empty 16-bit one.
+    pub(crate) fn give(&self, payload: Payload) {
+        let (Payload::F16(buf) | Payload::BF16(buf)) = payload else {
+            return;
+        };
+        if buf.is_empty() {
+            return;
+        }
+        let mut idle = self.idle.lock().unwrap_or_else(|e| e.into_inner());
+        idle.push(buf);
+        let evicted = (idle.len() > POOL_BOUND).then(|| {
+            let smallest = (0..idle.len()).min_by_key(|&i| idle[i].len());
+            idle.remove(smallest.expect("the pool is not empty"))
+        });
+        drop(idle);
+        drop(evicted);
+    }
+}
+
 /// A received frame's verified wire form, as
 /// [`recv_into`](crate::Communicator::recv_into) hands it back: the checksum it
 /// arrived with, and its payload unless the landing took it (an f32 payload
 /// moves into a [`Landing::Replace`]). [`send_wire`](crate::Communicator::send_wire)
-/// relays it as it arrived; a caller that does not relay drops it.
+/// relays it as it arrived; a caller that does not relay drops it, and its
+/// buffer goes back to the receiving endpoint's [`WirePool`].
 #[derive(Debug)]
 pub struct Wire {
     pub(crate) payload: Option<Payload>,
     pub(crate) checksum: u64,
+    pub(crate) pool: Arc<WirePool>,
+}
+
+impl Drop for Wire {
+    fn drop(&mut self) {
+        if let Some(payload) = self.payload.take() {
+            self.pool.give(payload);
+        }
+    }
 }
 
 impl Wire {
@@ -478,5 +628,63 @@ mod tests {
             }
             assert_ne!(checksum_bytes(&swapped), honest, "words {a} and {b}");
         }
+    }
+
+    /// Packing into a recycled buffer, whatever its last frame left in it,
+    /// gives the payload and checksum a fresh pack gives, in that buffer.
+    #[test]
+    fn a_recycled_buffer_packs_what_a_fresh_one_does() {
+        for n in [1, 31, STAGE, 2 * STAGE + 5] {
+            let xs: Vec<f32> = (0..n).map(|i| (i as f32 * 0.61).cos() * 7e3).collect();
+            for dtype in [DType::F16, DType::BF16] {
+                let pool = WirePool::default();
+                let stale = vec![0xAAAA; n];
+                let at = stale.as_ptr();
+                pool.give(Payload::F16(stale));
+                let (payload, sum) = pool.pack(&xs, dtype);
+                assert_eq!(
+                    (payload.clone(), sum),
+                    Payload::pack(&xs, dtype),
+                    "{dtype} n={n}"
+                );
+                let (Payload::F16(got) | Payload::BF16(got)) = payload else {
+                    panic!("{dtype}: not a 16-bit payload")
+                };
+                assert_eq!(got.as_ptr(), at, "{dtype} n={n}: the idle buffer was taken");
+                assert_eq!(pool.idle(), 0);
+            }
+        }
+    }
+
+    /// A take matches the exact length, f32 payloads and empty buffers are
+    /// never kept, and past its bound the pool drops its smallest buffer.
+    #[test]
+    fn a_pool_matches_lengths_and_keeps_its_bound_and_its_largest_buffers() {
+        let pool = WirePool::default();
+        pool.give(Payload::F32(vec![1.0; 8]));
+        pool.give(Payload::F16(Vec::new()));
+        assert_eq!(pool.idle(), 0);
+        for n in [5, 3, 7, 4] {
+            pool.give(Payload::BF16(vec![0x5555; n]));
+        }
+        assert_eq!(pool.idle(), POOL_BOUND);
+        let lens = |pool: &WirePool| -> Vec<usize> {
+            let idle = pool.idle.lock().unwrap();
+            idle.iter().map(Vec::len).collect()
+        };
+        assert_eq!(lens(&pool), [5, 7]);
+        // No idle buffer is six elements long: a new one is made, and the
+        // idle ones stay.
+        let (payload, _) = pool.pack(&[0.5; 6], DType::F16);
+        assert_eq!(payload.wire_bytes(), 12);
+        assert_eq!(lens(&pool), [5, 7]);
+        assert_eq!(pool.for_reader(DType::BF16, 14).unwrap().wire_bytes(), 14);
+        assert_eq!(lens(&pool), [5]);
+        assert!(
+            pool.for_reader(DType::F16, 9).is_none(),
+            "not whole elements"
+        );
+        assert_eq!(pool.for_reader(DType::F32, 20).unwrap().dtype(), DType::F32);
+        assert_eq!(lens(&pool), [5]);
     }
 }

@@ -36,6 +36,7 @@ mod codec;
 pub use codec::DATA_HEADER_LEN;
 
 use crate::error::CommError;
+use crate::payload::WirePool;
 use crate::transport::{AbortCell, Frame, RecvWait, Transport, TransportClosed};
 use codec::{
     put_u32, read_frame, write_abort, write_data, Cursor, Incoming, GOODBYE_FRAME, MAGIC,
@@ -96,13 +97,16 @@ pub struct TcpTransport {
     abort: Arc<AbortCell>,
     /// `links[peer]`; `None` at this endpoint's own rank.
     links: Vec<Option<PeerLink>>,
-    /// `inbox[src]`: per-source FIFO fed by src's reader thread.
-    inbox: Vec<Receiver<Frame>>,
+    /// `inbox[src]`: per-source FIFO fed by src's reader thread, each frame
+    /// with the checksum of its payload as it arrived.
+    inbox: Vec<Receiver<(Frame, u64)>>,
     /// Set before teardown so reader threads treat the socket shutdown as
     /// deliberate rather than a peer crash.
     closing: Arc<AtomicBool>,
     /// Shared with the reader threads; armed by [`Transport::instrument`].
     metrics: MetricsCell,
+    /// Shared with the reader threads, which read frames into its buffers.
+    pool: Arc<WirePool>,
     shut: bool,
 }
 
@@ -187,6 +191,7 @@ impl TcpTransport {
         let abort = Arc::new(AbortCell::default());
         let closing = Arc::new(AtomicBool::new(false));
         let metrics: MetricsCell = Arc::new(OnceLock::new());
+        let pool = Arc::new(WirePool::default());
         let mut links = Vec::with_capacity(world);
         let mut inbox = Vec::with_capacity(world);
         for (peer, slot) in streams.into_iter().enumerate() {
@@ -199,14 +204,15 @@ impl TcpTransport {
             };
             sock.set_nodelay(true)?;
             sock.set_write_timeout(Some(timeout))?;
-            let (frame_tx, frame_rx) = channel::<Frame>();
+            let (frame_tx, frame_rx) = channel();
             let reader = {
                 let sock = sock.try_clone()?;
                 let abort = abort.clone();
                 let closing = closing.clone();
                 let metrics = metrics.clone();
+                let pool = pool.clone();
                 std::thread::spawn(move || {
-                    reader_loop(sock, peer, frame_tx, abort, closing, metrics)
+                    reader_loop(sock, peer, frame_tx, abort, closing, metrics, &pool)
                 })
             };
             links.push(Some(PeerLink {
@@ -224,6 +230,7 @@ impl TcpTransport {
             inbox,
             closing,
             metrics,
+            pool,
             shut: false,
         })
     }
@@ -300,7 +307,13 @@ impl Transport for TcpTransport {
                 (DATA_HEADER_LEN as u64) + frame.payload.wire_bytes(),
             );
         }
+        // The kernel holds the bytes: the buffer is free for the next frame.
+        self.pool.give(frame.payload);
         Ok(())
+    }
+
+    fn wire_pool(&self) -> &Arc<WirePool> {
+        &self.pool
     }
 
     fn max_payload_bytes(&self) -> u64 {
@@ -309,7 +322,7 @@ impl Transport for TcpTransport {
 
     fn recv_timeout(&mut self, src: usize, timeout: Duration) -> RecvWait {
         match self.inbox[src].recv_timeout(timeout) {
-            Ok(f) => RecvWait::Frame(f),
+            Ok((f, arrived)) => RecvWait::Frame(f, arrived),
             Err(RecvTimeoutError::Timeout) => RecvWait::TimedOut,
             Err(RecvTimeoutError::Disconnected) => RecvWait::Closed,
         }
@@ -346,14 +359,15 @@ impl Drop for TcpTransport {
 fn reader_loop(
     sock: TcpStream,
     src: usize,
-    frame_tx: Sender<Frame>,
+    frame_tx: Sender<(Frame, u64)>,
     abort: Arc<AbortCell>,
     closing: Arc<AtomicBool>,
     metrics: MetricsCell,
+    pool: &WirePool,
 ) {
     loop {
-        match read_frame(&sock) {
-            Some(Incoming::Data(f)) => {
+        match read_frame(&sock, pool) {
+            Some(Incoming::Data(f, arrived)) => {
                 if let Some(m) = metrics.get() {
                     m.incr(Counter::TcpDataFramesRecv);
                     m.add(
@@ -363,7 +377,7 @@ fn reader_loop(
                 }
                 // A receiver gone just means this endpoint stopped
                 // consuming; keep draining so the peer can finish sending.
-                let _ = frame_tx.send(f);
+                let _ = frame_tx.send((f, arrived));
             }
             Some(Incoming::Abort(origin, err)) => {
                 if let Some(m) = metrics.get() {
@@ -503,14 +517,14 @@ mod tests {
         a.send(1, frame(7, vec![1.0, 2.0])).unwrap();
         a.send(1, frame(8, vec![3.0])).unwrap();
         match b.recv_timeout(0, Duration::from_secs(5)) {
-            RecvWait::Frame(f) => {
+            RecvWait::Frame(f, arrived) => {
                 assert_eq!(f.tag, 7);
-                assert!(f.verify());
+                assert!(f.verify(arrived));
             }
             other => panic!("expected first frame, got {other:?}"),
         }
         match b.recv_timeout(0, Duration::from_secs(5)) {
-            RecvWait::Frame(f) => assert_eq!(f.tag, 8, "per-source FIFO"),
+            RecvWait::Frame(f, _) => assert_eq!(f.tag, 8, "per-source FIFO"),
             other => panic!("expected second frame, got {other:?}"),
         }
         drop(a); // clean close: goodbye
@@ -561,10 +575,10 @@ mod tests {
         }
         for (tag, payload) in payloads.iter().enumerate() {
             match b.recv_timeout(0, Duration::from_secs(5)) {
-                RecvWait::Frame(f) => {
+                RecvWait::Frame(f, arrived) => {
                     assert_eq!(f.tag, tag as u64);
                     assert_eq!(&f.payload, payload, "typed payload survives the socket");
-                    assert!(f.verify());
+                    assert!(f.verify(arrived));
                 }
                 other => panic!("expected frame {tag}, got {other:?}"),
             }
@@ -659,6 +673,58 @@ mod tests {
             std::thread::sleep(Duration::from_millis(1));
         }
         assert_eq!(b.abort_cell().cause_for(1), cause);
+    }
+
+    /// The next frame from `src`, with its payload's arrival hash checked.
+    fn next_frame(t: &mut TcpTransport, src: usize) -> Frame {
+        match t.recv_timeout(src, Duration::from_secs(5)) {
+            RecvWait::Frame(f, arrived) => {
+                assert!(f.verify(arrived), "frame {} arrived corrupt", f.tag);
+                f
+            }
+            other => panic!("expected a frame, got {other:?}"),
+        }
+    }
+
+    /// A frame read into a recycled buffer is bit-exact, though the buffer
+    /// held another frame's bits, and a frame of another length gets a
+    /// buffer of its own length while the recycled one stays idle.
+    #[test]
+    fn a_recycled_buffer_carries_nothing_of_its_last_frame() {
+        let n = 40_000;
+        let mut mesh = local_mesh(2);
+        let mut b = mesh.remove(1);
+        let mut a = mesh.remove(0);
+        a.send(1, frame_of(1, Payload::F16(vec![0xAAAA; n])))
+            .unwrap();
+        let first = next_frame(&mut b, 0).payload;
+        let at = first.as_bytes().as_ptr();
+        b.wire_pool().give(first);
+        a.send(1, frame_of(2, Payload::F16(vec![0x5555; n])))
+            .unwrap();
+        let second = next_frame(&mut b, 0).payload;
+        assert_eq!(second.as_bytes().as_ptr(), at, "the buffer was recycled");
+        assert_eq!(second, Payload::F16(vec![0x5555; n]), "bit-exact");
+        b.wire_pool().give(second);
+        a.send(1, frame_of(3, Payload::BF16(vec![0x5555; n + 1])))
+            .unwrap();
+        let third = next_frame(&mut b, 0).payload;
+        assert_eq!(third, Payload::BF16(vec![0x5555; n + 1]));
+        assert_eq!(b.wire_pool().idle(), 1, "the recycled buffer stays idle");
+    }
+
+    /// Every frame a send writes gives its buffer back to the pool, which
+    /// stops at its bound however many frames go out unread.
+    #[test]
+    fn a_burst_of_sends_leaves_the_pool_at_its_bound() {
+        let mut mesh = local_mesh(2);
+        let _b = mesh.remove(1);
+        let mut a = mesh.remove(0);
+        for tag in 0..3 * crate::payload::POOL_BOUND as u64 {
+            let (payload, _) = Payload::pack(&[0.25; 300], DType::F16);
+            a.send(1, frame_of(tag, payload)).unwrap();
+        }
+        assert_eq!(a.wire_pool().idle(), crate::payload::POOL_BOUND);
     }
 
     #[test]

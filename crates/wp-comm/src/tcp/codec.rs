@@ -13,9 +13,9 @@
 //! * `DATA` (kind 1): `tag u64`, `checksum u64`, `flags u8` (bit 0 =
 //!   collective hop, bit 1 = delivery delay present), `delay_ns u64`,
 //!   `epoch u64`, `dtype u8` (0 = f32, 1 = f16, 2 = bf16), `n u32`, then
-//!   the payload's `n` wire bytes — [`Payload::as_bytes`], written from and
-//!   read straight into the typed buffer, so a 16-bit frame costs two bytes
-//!   per element here as on the meter. With the length prefix and kind byte
+//!   the payload's `n` wire bytes — [`Payload::as_bytes`](crate::Payload::as_bytes),
+//!   written from the typed buffer and read straight into one, so a 16-bit
+//!   frame costs two bytes per element here as on the meter. With the length prefix and kind byte
 //!   that is [`DATA_HEADER_LEN`] bytes ahead of every payload. The
 //!   tag/class/epoch envelope of [`Frame`] verbatim; the link-model
 //!   delivery deadline crosses the process boundary as a *remaining* delay,
@@ -28,7 +28,7 @@
 //!   rank that finished from a rank that crashed.
 
 use crate::error::CommError;
-use crate::payload::Payload;
+use crate::payload::{Checksum, WirePool};
 use crate::transport::Frame;
 use std::io::{self, IoSlice, Read, Write};
 use std::time::{Duration, Instant};
@@ -49,6 +49,10 @@ const KIND_GOODBYE: u8 = 3;
 /// Upper bound on one frame's encoded size; anything larger is a framing
 /// error (a desynchronised or hostile stream), treated as an unclean close.
 const MAX_FRAME: u32 = 1 << 30;
+/// The bytes of a DATA payload [`read_frame`] reads at a time, each hashed
+/// right after it lands, while it is still in L2: a whole number of the
+/// checksum's 32-byte rounds, as every piece but the last must be.
+const PIECE: usize = 64 << 10;
 /// The whole GOODBYE wire frame: length 1, the kind byte, no body.
 pub(super) const GOODBYE_FRAME: [u8; 5] = [1, 0, 0, 0, KIND_GOODBYE];
 
@@ -165,21 +169,24 @@ pub(super) fn write_data(
 /// One frame as [`read_frame`] hands it on.
 #[derive(Debug)]
 pub(super) enum Incoming {
-    Data(Frame),
+    /// A frame, and the checksum of its payload as it arrived.
+    Data(Frame, u64),
     /// The rank whose failure poisoned the world, and the failure.
     Abort(usize, CommError),
     Goodbye,
 }
 
 /// Read the next frame off a stream. A DATA payload is read straight into
-/// its typed buffer, allocated once its header is validated; the delivery
-/// deadline is re-anchored to this process's clock. `None` — the unclean
+/// a typed buffer from `pool` once its header is validated, one
+/// [`PIECE`] at a time, and each piece is absorbed into the arrival hash
+/// as it lands; the delivery deadline is re-anchored to this process's
+/// clock. `None` — the unclean
 /// close — for a stream that fails or ends mid-frame and for a frame that
 /// does not parse: an unknown kind or dtype, a count that is not a whole
 /// number of elements, or a length prefix other than exactly what the kind
 /// and its contents take (DATA `39 + n`, GOODBYE 1, ABORT what the error
 /// codec consumes).
-pub(super) fn read_frame(mut r: impl Read) -> Option<Incoming> {
+pub(super) fn read_frame(mut r: impl Read, pool: &WirePool) -> Option<Incoming> {
     let mut prefix = [0u8; 5];
     r.read_exact(&mut prefix).ok()?;
     let mut c = Cursor::new(&prefix);
@@ -202,18 +209,23 @@ pub(super) fn read_frame(mut r: impl Read) -> Option<Incoming> {
             if c.u32()? as usize != n {
                 return None;
             }
-            let mut payload = Payload::zeroed(dtype, n)?;
-            r.read_exact(payload.as_bytes_mut()).ok()?;
+            let mut payload = pool.for_reader(dtype, n)?;
+            let mut arrived = Checksum::new();
+            for piece in payload.as_bytes_mut().chunks_mut(PIECE) {
+                r.read_exact(piece).ok()?;
+                arrived.absorb(piece);
+            }
             let deliver_at = (flags & FLAG_HAS_DELAY != 0)
                 .then(|| Instant::now() + Duration::from_nanos(delay_ns));
-            Some(Incoming::Data(Frame {
+            let frame = Frame {
                 tag,
                 payload,
                 deliver_at,
                 checksum,
                 collective: flags & FLAG_COLLECTIVE != 0,
                 epoch,
-            }))
+            };
+            Some(Incoming::Data(frame, arrived.finish()))
         }
         KIND_ABORT => {
             let mut body = vec![0u8; len as usize - 1];
@@ -329,6 +341,7 @@ pub(super) fn write_abort(mut w: impl Write, origin: usize, err: &CommError) -> 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::payload::Payload;
     use crate::transport::tests::{frame, frame_of};
 
     /// Payloads of every dtype at even and odd element counts, f16 and
@@ -344,6 +357,11 @@ mod tests {
         out
     }
 
+    /// The next frame off `r`, read with a pool of its own.
+    fn read(r: impl Read) -> Option<Incoming> {
+        read_frame(r, &WirePool::default())
+    }
+
     /// `f` as the bytes [`write_data`] puts on a stream.
     fn data_bytes(f: &Frame, delay: Option<Duration>) -> Vec<u8> {
         let mut buf = Vec::new();
@@ -353,8 +371,8 @@ mod tests {
 
     /// The DATA frame at the head of `bytes`, or `None` if it does not read.
     fn read_data(bytes: &[u8]) -> Option<Frame> {
-        match read_frame(bytes)? {
-            Incoming::Data(f) => Some(f),
+        match read(bytes)? {
+            Incoming::Data(f, _) => Some(f),
             other => panic!("expected a DATA frame, got {other:?}"),
         }
     }
@@ -382,7 +400,7 @@ mod tests {
                 DATA_HEADER_LEN + f.payload.as_bytes().len(),
                 "a frame is its header plus exactly the wire bytes"
             );
-            let g = read_data(&buf).expect("well-formed frame");
+            let (g, arrived) = arrival(&buf);
             assert_eq!(g.tag, 42);
             assert_eq!(g.checksum, f.checksum);
             assert_eq!(g.epoch, 3, "epoch must survive the wire");
@@ -394,12 +412,9 @@ mod tests {
                 f.payload.as_bytes(),
                 "payload bits must survive the wire exactly"
             );
-            assert!(g.verify());
+            assert!(g.verify(arrived));
         }
     }
-
-    /// The bytes the reader hashes a DATA payload in.
-    const PIECE: usize = 64 << 10;
 
     /// Payload byte lengths around a 32-byte hash round and around the
     /// reader's pieces.
@@ -408,9 +423,10 @@ mod tests {
     /// The DATA frame at the head of `bytes` and the checksum of its
     /// payload as it arrived.
     fn arrival(bytes: &[u8]) -> (Frame, u64) {
-        let f = read_data(bytes).expect("well-formed frame");
-        let arrived = f.payload.checksum();
-        (f, arrived)
+        match read(bytes) {
+            Some(Incoming::Data(f, arrived)) => (f, arrived),
+            other => panic!("expected a DATA frame, got {other:?}"),
+        }
     }
 
     /// A DATA frame read back carries the checksum `Payload::pack` gave it,
@@ -451,6 +467,7 @@ mod tests {
     /// receive completes with the current frame behind it.
     #[test]
     fn over_tcp_corruption_fails_a_current_receive_and_a_stale_one_is_dropped() {
+        use crate::payload::WirePool;
         use crate::transport::{AbortCell, RecvWait, Transport, TransportClosed};
         use crate::{CommConfig, CommError, FaultPlan, Landing, World};
         use std::sync::Arc;
@@ -475,6 +492,9 @@ mod tests {
                     frame.epoch -= 1;
                 }
                 self.0.send(dst, frame)
+            }
+            fn wire_pool(&self) -> &Arc<WirePool> {
+                self.0.wire_pool()
             }
             fn recv_timeout(&mut self, src: usize, timeout: Duration) -> RecvWait {
                 self.0.recv_timeout(src, timeout)
@@ -533,6 +553,30 @@ mod tests {
         }
     }
 
+    /// A stream that ends inside a payload being read into a recycled
+    /// buffer is an unclean close, not a frame: in the first piece, on
+    /// either side of a piece boundary and one byte short.
+    #[test]
+    fn a_stream_cut_mid_payload_into_a_recycled_buffer_is_an_unclean_close() {
+        let n = PIECE + 6;
+        let honest = data_bytes(&frame_of(1, Payload::F16(vec![0x5555; n / 2])), None);
+        let pool = WirePool::default();
+        for cut in [1, PIECE - 1, PIECE, PIECE + 1, n - 1] {
+            pool.give(Payload::F16(vec![0xAAAA; n / 2]));
+            let read = read_frame(&honest[..DATA_HEADER_LEN + cut], &pool);
+            assert!(read.is_none(), "cut {cut} bytes into the payload");
+        }
+        pool.give(Payload::F16(vec![0xAAAA; n / 2]));
+        match read_frame(&honest[..], &pool) {
+            Some(Incoming::Data(f, arrived)) => {
+                assert!(f.verify(arrived));
+                assert_eq!(f.payload, Payload::F16(vec![0x5555; n / 2]));
+            }
+            other => panic!("expected the whole frame, got {other:?}"),
+        }
+        assert_eq!(pool.idle(), 0, "the recycled buffer was read into");
+    }
+
     #[test]
     fn delay_crosses_as_remaining_duration() {
         let buf = data_bytes(&frame(0, vec![]), Some(Duration::from_millis(5)));
@@ -587,15 +631,12 @@ mod tests {
                 buf.len() - 4
             );
             assert_eq!(buf[4], KIND_ABORT);
-            match read_frame(&buf[..]) {
+            match read(&buf[..]) {
                 Some(Incoming::Abort(origin, got)) => assert_eq!((origin, got), (7, e)),
                 other => panic!("expected an ABORT frame, got {other:?}"),
             }
         }
-        assert!(matches!(
-            read_frame(&GOODBYE_FRAME[..]),
-            Some(Incoming::Goodbye)
-        ));
+        assert!(matches!(read(&GOODBYE_FRAME[..]), Some(Incoming::Goodbye)));
     }
 
     #[test]
@@ -603,12 +644,12 @@ mod tests {
         for payload in payloads() {
             let buf = data_bytes(&frame_of(1, payload), None);
             for cut in 0..buf.len() {
-                assert!(read_frame(&buf[..cut]).is_none(), "cut at {cut}");
+                assert!(read(&buf[..cut]).is_none(), "cut at {cut}");
             }
         }
         let buf = abort_bytes(1, &CommError::PeerDead { rank: 2 });
         for cut in 0..buf.len() {
-            assert!(read_frame(&buf[..cut]).is_none(), "cut at {cut}");
+            assert!(read(&buf[..cut]).is_none(), "cut at {cut}");
         }
     }
 
@@ -652,7 +693,7 @@ mod tests {
                 let mut bad = bytes.clone();
                 bad[0..4].copy_from_slice(&claimed.to_le_bytes());
                 bad.resize(bytes.len() + trailing, 0);
-                assert!(read_frame(&bad[..]).is_none(), "len {len} → {claimed}");
+                assert!(read(&bad[..]).is_none(), "len {len} → {claimed}");
             }
         }
         // A DATA length shorter than its own header is refused before the
@@ -660,16 +701,16 @@ mod tests {
         let mut short = data_bytes(&frame(1, vec![1.0]), None);
         short[0..4].copy_from_slice(&1u32.to_le_bytes());
         let mut rest = &short[..];
-        assert!(read_frame(&mut rest).is_none());
+        assert!(read(&mut rest).is_none());
         assert_eq!(rest.len(), short.len() - 5);
         let mut long_goodbye = GOODBYE_FRAME.to_vec();
         long_goodbye[0] = 2;
         long_goodbye.push(0);
-        assert!(read_frame(&long_goodbye[..]).is_none());
+        assert!(read(&long_goodbye[..]).is_none());
         for len in [0, MAX_FRAME + 1] {
             let mut bad = GOODBYE_FRAME.to_vec();
             bad[0..4].copy_from_slice(&len.to_le_bytes());
-            assert!(read_frame(&bad[..]).is_none(), "len {len}");
+            assert!(read(&bad[..]).is_none(), "len {len}");
         }
     }
 }

@@ -8,8 +8,10 @@
 //! [`CommConfig`](crate::CommConfig) timeout policy, the poison-pill abort
 //! protocol, link-model pacing, packing into the wire dtype, checksums, and
 //! per-class [`TrafficMeter`](crate::TrafficMeter) accounting. A transport
-//! only moves opaque [`Frame`]s — an envelope around a [`Payload`] that is
-//! already the bytes a wire would carry — and promises:
+//! moves [`Frame`]s — an envelope around a [`Payload`] that is already the
+//! bytes a wire would carry — hashes what it delivers and alters nothing.
+//! The wire types themselves, the checksum and the buffer pool live in
+//! [`crate::payload`]. A transport promises:
 //!
 //! 1. **Buffered send** — [`Transport::send`] returns once the substrate
 //!    holds the frame (a channel, or a socket's kernel buffer), without
@@ -29,6 +31,15 @@
 //!    shared).
 //! 5. **Clean teardown** — [`Transport::shutdown`] announces a deliberate
 //!    close, so peers can tell a finished endpoint from a crashed one.
+//! 6. **Arrival hash** — every delivered frame comes with the checksum of
+//!    its payload as it arrived, beside the sender's in the envelope, for
+//!    the layer above to compare. The TCP reader hashes each piece of a
+//!    payload as it lands from the socket; the in-process mesh hashes the
+//!    frame as it is dequeued, on the receiving rank's thread.
+//! 7. **Recycled buffers** — each endpoint has one [`WirePool`]: a send's
+//!    16-bit payload is packed into one of its buffers, and a TCP endpoint
+//!    gives the buffer back once its write completes and reads each frame
+//!    into one.
 //!
 //! Two implementations ship: [`ChannelTransport`] (the original in-process
 //! `mpsc` mesh, one OS thread per rank) and
@@ -37,7 +48,7 @@
 //! full bit-identity battery over both.
 
 use crate::error::CommError;
-use crate::payload::Payload;
+use crate::payload::{Payload, WirePool};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::mpsc::{channel, Receiver, RecvTimeoutError, Sender};
 use std::sync::{Arc, Mutex};
@@ -64,7 +75,7 @@ pub enum TransportKind {
 /// One framed message: the tag/class envelope plus typed wire payload that
 /// every transport carries verbatim. The fields are decided *above* the
 /// trait (packing, checksumming, fault corruption, link pacing) — a
-/// transport never inspects or alters them, it only preserves them.
+/// transport hashes the payload it delivers and alters nothing.
 #[derive(Debug)]
 pub struct Frame {
     /// User or collective tag (matching happens above the transport).
@@ -91,9 +102,11 @@ pub struct Frame {
 }
 
 impl Frame {
-    /// Whether the payload still matches its send-time checksum.
-    pub fn verify(&self) -> bool {
-        self.payload.checksum() == self.checksum
+    /// Whether `arrived`, the checksum of the payload as it arrived (what
+    /// [`RecvWait::Frame`] carries), is the send-time checksum. Never
+    /// re-reads the payload.
+    pub fn verify(&self, arrived: u64) -> bool {
+        arrived == self.checksum
     }
 }
 
@@ -107,8 +120,9 @@ pub struct TransportClosed;
 /// Outcome of a bounded blocking receive ([`Transport::recv_timeout`]).
 #[derive(Debug)]
 pub enum RecvWait {
-    /// The next frame from this source, in per-source FIFO order.
-    Frame(Frame),
+    /// The next frame from this source, in per-source FIFO order, and the
+    /// checksum of its payload as it arrived.
+    Frame(Frame, u64),
     /// The timeout elapsed with nothing buffered; the source is still
     /// connected.
     TimedOut,
@@ -202,6 +216,11 @@ pub trait Transport: Send + std::fmt::Debug {
     /// [`TransportClosed`] when `dst`'s endpoint is gone.
     fn send(&mut self, dst: usize, frame: Frame) -> Result<(), TransportClosed>;
 
+    /// The pool this endpoint's 16-bit wire buffers are recycled through:
+    /// its sends pack into them, and its receives and its transport's
+    /// reader threads give them back and take them.
+    fn wire_pool(&self) -> &Arc<WirePool>;
+
     /// The most payload wire bytes one frame carries; `send` refuses more
     /// with [`CommError::FrameTooLarge`] before packing. Default: no limit.
     fn max_payload_bytes(&self) -> u64 {
@@ -244,6 +263,7 @@ pub struct ChannelTransport {
     /// `inbox[src]` receives frames sent by `src`.
     inbox: Vec<Receiver<Frame>>,
     abort: Arc<AbortCell>,
+    pool: Arc<WirePool>,
 }
 
 impl ChannelTransport {
@@ -286,6 +306,7 @@ impl ChannelTransport {
                         .map(|i| i.unwrap_or_else(|| channel().1))
                         .collect(),
                     abort: abort.clone(),
+                    pool: Arc::default(),
                 }
             })
             .collect()
@@ -309,9 +330,16 @@ impl Transport for ChannelTransport {
         self.outbox[dst].send(frame).map_err(|_| TransportClosed)
     }
 
+    fn wire_pool(&self) -> &Arc<WirePool> {
+        &self.pool
+    }
+
     fn recv_timeout(&mut self, src: usize, timeout: Duration) -> RecvWait {
         match self.inbox[src].recv_timeout(timeout) {
-            Ok(f) => RecvWait::Frame(f),
+            Ok(f) => {
+                let arrived = f.payload.checksum();
+                RecvWait::Frame(f, arrived)
+            }
             Err(RecvTimeoutError::Timeout) => RecvWait::TimedOut,
             Err(RecvTimeoutError::Disconnected) => RecvWait::Closed,
         }
@@ -351,7 +379,10 @@ pub(crate) mod tests {
         // Per-source FIFO: a's frames arrive in order regardless of b's.
         for (src, want) in [(0, 1), (0, 2), (1, 9)] {
             match c.recv_timeout(src, Duration::from_millis(50)) {
-                RecvWait::Frame(f) => assert_eq!(f.tag, want),
+                RecvWait::Frame(f, arrived) => {
+                    assert_eq!(f.tag, want);
+                    assert!(f.verify(arrived));
+                }
                 other => panic!("expected frame, got {other:?}"),
             }
         }
@@ -389,13 +420,9 @@ pub(crate) mod tests {
     #[test]
     fn frame_checksum_round_trips() {
         let f = frame(7, vec![1.0, -0.0, 3.5]);
-        assert!(f.verify());
+        assert!(f.verify(f.payload.checksum()));
         // Same value, different bit pattern.
-        assert!(!Frame {
-            payload: Payload::F32(vec![1.0, 0.0, 3.5]),
-            ..f
-        }
-        .verify());
+        assert!(!f.verify(Payload::F32(vec![1.0, 0.0, 3.5]).checksum()));
     }
 
     #[test]

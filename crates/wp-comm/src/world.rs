@@ -161,6 +161,7 @@ impl WorldBuilder {
         let probe = meter.probe(rank, self.metrics.is_some(), tracer);
         if let Some(metrics) = probe.metrics() {
             transport.instrument(metrics.clone());
+            transport.wire_pool().instrument(metrics.clone());
         }
         Communicator {
             rank,
@@ -419,6 +420,7 @@ mod tests {
 
     #[test]
     fn an_oversize_send_fails_typed_on_the_sender_and_ships_nothing() {
+        use crate::payload::WirePool;
         use crate::transport::{AbortCell, Frame, RecvWait, TransportClosed};
         use std::sync::Arc;
         /// An in-process endpoint whose frames carry at most eight bytes.
@@ -436,6 +438,9 @@ mod tests {
             }
             fn send(&mut self, dst: usize, frame: Frame) -> Result<(), TransportClosed> {
                 self.0.send(dst, frame)
+            }
+            fn wire_pool(&self) -> &Arc<WirePool> {
+                self.0.wire_pool()
             }
             fn max_payload_bytes(&self) -> u64 {
                 8

@@ -113,6 +113,9 @@ metric_enum! {
         /// Elastic recovery epochs this rank has survived into (one per
         /// successful re-form-and-resume after a fault).
         RecoveryEpochs => "wp_elastic_recovery_epochs_total",
+        /// 16-bit wire buffers allocated because the endpoint's pool had
+        /// none of the length to recycle, on a send's pack or a TCP read.
+        WireBuffersAllocated => "wp_comm_wire_buffers_allocated_total",
     }
 }
 
