@@ -28,7 +28,9 @@
 //!   and runs one thread per rank.
 //!
 //! Below them, [`transport`] is the seam a frame-moving substrate
-//! implements (one send, one receive) and [`tcp`] the socket one.
+//! implements (one send, one receive), [`tcp`] the socket one, and
+//! [`payload`] what a frame carries: the wire payload, its checksum and
+//! the pool each endpoint recycles its 16-bit buffers through.
 //!
 //! ```
 //! use wp_comm::{World, LinkModel};

@@ -8,8 +8,8 @@
 //! [`WirePool`]: a send packs into one and a TCP reader reads a frame into
 //! one, each of exactly the payload's length; a TCP write that completes
 //! and a [`Wire`] dropped without being relayed give theirs back. So a
-//! steady ring moves the same few buffers, and neither side zero-fills a
-//! fresh buffer or has the kernel map new pages under it. f32 payloads are
+//! warm ring reuses the same few buffers, and a hit neither zero-fills a
+//! fresh buffer nor has the kernel map new pages under it. f32 payloads are
 //! not pooled: they move into their [`Landing::Replace`] landings.
 
 use std::sync::{Arc, Mutex, OnceLock};

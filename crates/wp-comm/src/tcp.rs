@@ -19,7 +19,9 @@
 //! # Threads
 //!
 //! One per peer: a reader that parses frames into a per-source FIFO
-//! channel (preserving the per-source ordering guarantee). It is the
+//! channel (preserving the per-source ordering guarantee), reading each
+//! payload into a buffer from the endpoint's pool and hashing it piece by
+//! piece as it lands, so the rank thread only compares checksums. It is the
 //! minimum. It drains the peer's writes whatever this rank is doing, and it
 //! notices a dead peer while the rank waits on another one. Everything else
 //! runs on the rank's own thread: a send writes its frame to the socket
@@ -212,7 +214,7 @@ impl TcpTransport {
                 let metrics = metrics.clone();
                 let pool = pool.clone();
                 std::thread::spawn(move || {
-                    reader_loop(sock, peer, frame_tx, abort, closing, metrics, &pool)
+                    reader_loop(sock, peer, frame_tx, abort, closing, metrics, pool)
                 })
             };
             links.push(Some(PeerLink {
@@ -363,10 +365,10 @@ fn reader_loop(
     abort: Arc<AbortCell>,
     closing: Arc<AtomicBool>,
     metrics: MetricsCell,
-    pool: &WirePool,
+    pool: Arc<WirePool>,
 ) {
     loop {
-        match read_frame(&sock, pool) {
+        match read_frame(&sock, &pool) {
             Some(Incoming::Data(f, arrived)) => {
                 if let Some(m) = metrics.get() {
                     m.incr(Counter::TcpDataFramesRecv);
