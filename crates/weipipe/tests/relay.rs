@@ -1,35 +1,39 @@
 //! Ring weights relay as received: a `Send` of a weight chunk unchanged
 //! since it arrived ships the frame it came in instead of packing the
-//! chunk anew. These tests pin how many of a rank's sends that is.
+//! chunk anew. These tests pin how many of a rank's sends that is, and
+//! how many 16-bit wire buffers the rank's pool allocates while the ring
+//! recycles them.
 
 use weipipe::interp::RankRuntime;
 use weipipe::{build_schedule, Strategy, TrainSetup};
 use wp_comm::TransportKind;
-use wp_metrics::{Counter, MetricsRegistry};
+use wp_metrics::{Counter, MetricsRegistry, RankSnapshot};
 use wp_tensor::DType;
 
-/// `(sent, relayed)` point-to-point messages.
-type Sends = (u64, u64);
+/// Two counts of one rank, as `read` takes them from its metrics.
+type Counts = (u64, u64);
 
-/// `(wire buffers allocated, frames sent and received)`.
-type Buffers = (u64, u64);
-
-/// Per rank and per step of three, the `(iteration, reseed after it)` sends
-/// of `strategy` at `p` ranks, 4 layers and 8 microbatches over an f16
-/// wire.
-fn sends_per_step(strategy: Strategy, p: usize) -> Vec<Vec<(Sends, Sends)>> {
+/// Per rank and per step of three, how much `read`'s counts grew in the
+/// `(iteration, reseed after it)` of `strategy` at `p` ranks, 4 layers and
+/// 8 microbatches over an f16 wire and `kind`.
+fn counted_per_step(
+    strategy: Strategy,
+    p: usize,
+    kind: TransportKind,
+    read: impl Fn(&RankSnapshot) -> Counts + Sync,
+) -> Vec<Vec<(Counts, Counts)>> {
     let mut setup = TrainSetup::tiny(4, 8);
     setup.wire = DType::F16;
     let schedule = build_schedule(strategy, p, &setup);
-    let (per_rank, _) = wp_comm::World::run(p, setup.link, |comm| {
+    let world = wp_comm::World::builder(p)
+        .link(setup.link)
+        .transport(kind)
+        .metrics(MetricsRegistry::new(p));
+    let (per_rank, _) = world.run(|comm| {
         let (rank, registry) = (comm.rank(), comm.probe().registry());
         let mut last = (0, 0);
         let mut since_last = || {
-            let snap = registry.snapshot_rank(rank);
-            let now = (
-                snap.counter(Counter::P2pMsgsSent),
-                snap.counter(Counter::P2pMsgsRelayed),
-            );
+            let now = read(&registry.snapshot_rank(rank));
             let delta = (now.0 - last.0, now.1 - last.1);
             last = now;
             delta
@@ -47,6 +51,32 @@ fn sends_per_step(strategy: Strategy, p: usize) -> Vec<Vec<(Sends, Sends)>> {
     per_rank
 }
 
+/// `(sent, relayed)` point-to-point messages per step, in process.
+fn sends_per_step(strategy: Strategy, p: usize) -> Vec<Vec<(Counts, Counts)>> {
+    counted_per_step(strategy, p, TransportKind::InProcess, |snap| {
+        (
+            snap.counter(Counter::P2pMsgsSent),
+            snap.counter(Counter::P2pMsgsRelayed),
+        )
+    })
+}
+
+/// `(wire buffers allocated, frames sent and received)` per step of
+/// WeiPipe-Interleave, every frame a 16-bit one.
+fn allocations_per_step(p: usize, kind: TransportKind) -> Vec<Vec<(Counts, Counts)>> {
+    counted_per_step(Strategy::WeiPipeInterleave, p, kind, |snap| {
+        let frames = [
+            Counter::P2pMsgsSent,
+            Counter::CollMsgsSent,
+            Counter::MsgsRecv,
+        ];
+        (
+            snap.counter(Counter::WireBuffersAllocated),
+            frames.into_iter().map(|c| snap.counter(c)).sum(),
+        )
+    })
+}
+
 /// WeiPipe-Interleave relays every weight send but the chunk each rank
 /// starts a flow with: at P = 2, 18 of iteration 0's 31 sends, then 19 of
 /// 32 per step once the backward-flow seed, received at the reseed, is
@@ -59,7 +89,7 @@ fn interleave_relays_every_weight_send_but_each_flows_first() {
             .into_iter()
             .enumerate()
         {
-            let want: Vec<(Sends, Sends)> = (0..3)
+            let want: Vec<(Counts, Counts)> = (0..3)
                 .map(|iter| ((sent, relayed - u64::from(iter == 0)), (1, 0)))
                 .collect();
             assert_eq!(steps, want, "P={p} rank {rank}");
@@ -78,49 +108,6 @@ fn schedules_without_a_weight_ring_relay_nothing() {
             }
         }
     }
-}
-
-/// Per rank and per step of three, what WeiPipe-Interleave at `p` ranks, 4
-/// layers and 8 microbatches over an f16 wire and `kind` counts in the
-/// `(iteration, reseed after it)`: the buffers its pool allocated and the
-/// frames it sent and received, every frame a 16-bit one.
-fn allocations_per_step(p: usize, kind: TransportKind) -> Vec<Vec<(Buffers, Buffers)>> {
-    let mut setup = TrainSetup::tiny(4, 8);
-    setup.wire = DType::F16;
-    let schedule = build_schedule(Strategy::WeiPipeInterleave, p, &setup);
-    let world = wp_comm::World::builder(p)
-        .link(setup.link)
-        .transport(kind)
-        .metrics(MetricsRegistry::new(p));
-    let (per_rank, _) = world.run(|comm| {
-        let (rank, registry) = (comm.rank(), comm.probe().registry());
-        let mut last = (0, 0);
-        let mut since_last = || {
-            let snap = registry.snapshot_rank(rank);
-            let frames = [
-                Counter::P2pMsgsSent,
-                Counter::CollMsgsSent,
-                Counter::MsgsRecv,
-            ];
-            let now = (
-                snap.counter(Counter::WireBuffersAllocated),
-                frames.into_iter().map(|c| snap.counter(c)).sum::<u64>(),
-            );
-            let delta = (now.0 - last.0, now.1 - last.1);
-            last = now;
-            delta
-        };
-        let mut rt = RankRuntime::new(&setup, &schedule, comm);
-        (0..3)
-            .map(|iter| {
-                rt.run_iteration(&schedule, iter).expect("healthy world");
-                let iteration = since_last();
-                rt.reseed_bwd_flow(&schedule, iter).expect("healthy world");
-                (iteration, since_last())
-            })
-            .collect()
-    });
-    per_rank
 }
 
 /// In process every take and give of a rank's pool runs on the rank's

@@ -13,10 +13,11 @@
 //! * `DATA` (kind 1): `tag u64`, `checksum u64`, `flags u8` (bit 0 =
 //!   collective hop, bit 1 = delivery delay present), `delay_ns u64`,
 //!   `epoch u64`, `dtype u8` (0 = f32, 1 = f16, 2 = bf16), `n u32`, then
-//!   the payload's `n` wire bytes — [`Payload::as_bytes`](crate::Payload::as_bytes),
-//!   written from the typed buffer and read straight into one, so a 16-bit
-//!   frame costs two bytes per element here as on the meter. With the length prefix and kind byte
-//!   that is [`DATA_HEADER_LEN`] bytes ahead of every payload. The
+//!   the payload's `n` wire bytes —
+//!   [`Payload::as_bytes`](crate::Payload::as_bytes), written from the
+//!   typed buffer and read straight into one, so a 16-bit frame costs two
+//!   bytes per element here as on the meter. With the length prefix and
+//!   kind byte that is [`DATA_HEADER_LEN`] bytes ahead of every payload. The
 //!   tag/class/epoch envelope of [`Frame`] verbatim; the link-model
 //!   delivery deadline crosses the process boundary as a *remaining* delay,
 //!   captured when the frame hits the wire and re-anchored to the
@@ -177,15 +178,14 @@ pub(super) enum Incoming {
 }
 
 /// Read the next frame off a stream. A DATA payload is read straight into
-/// a typed buffer from `pool` once its header is validated, one
-/// [`PIECE`] at a time, and each piece is absorbed into the arrival hash
-/// as it lands; the delivery deadline is re-anchored to this process's
-/// clock. `None` — the unclean
-/// close — for a stream that fails or ends mid-frame and for a frame that
-/// does not parse: an unknown kind or dtype, a count that is not a whole
-/// number of elements, or a length prefix other than exactly what the kind
-/// and its contents take (DATA `39 + n`, GOODBYE 1, ABORT what the error
-/// codec consumes).
+/// a typed buffer from `pool` once its header is validated, one [`PIECE`]
+/// at a time, and each piece is absorbed into the arrival hash as it
+/// lands; the delivery deadline is re-anchored to this process's clock.
+/// `None` — the unclean close — for a stream that fails or ends mid-frame
+/// and for a frame that does not parse: an unknown kind or dtype, a count
+/// that is not a whole number of elements, or a length prefix other than
+/// exactly what the kind and its contents take (DATA `39 + n`, GOODBYE 1,
+/// ABORT what the error codec consumes).
 pub(super) fn read_frame(mut r: impl Read, pool: &WirePool) -> Option<Incoming> {
     let mut prefix = [0u8; 5];
     r.read_exact(&mut prefix).ok()?;
