@@ -154,36 +154,26 @@ fn staged<S, D: Copy + Default>(
 }
 
 /// `src` packed by `convert` into `reuse`, a recycled buffer as long as
-/// `src` (converted into where it lies), or else into a new vector, and the
-/// checksum of the result's wire bytes.
+/// `src`, or else into a new vector, and the checksum of the result's wire
+/// bytes. The recycled buffer is cleared and appended to: its capacity
+/// holds `src`, so it is never reallocated.
 fn pack_staged(
     src: &[f32],
     convert: fn(&mut [u16], &[f32]),
     reuse: Option<Vec<u16>>,
 ) -> (Vec<u16>, u64) {
+    let mut out = reuse.map_or_else(
+        || Vec::with_capacity(src.len()),
+        |mut out| {
+            out.clear();
+            out
+        },
+    );
     let mut sum = Checksum::new();
-    let out = match reuse {
-        Some(mut out) => {
-            assert_eq!(
-                out.len(),
-                src.len(),
-                "packing into a buffer of another length"
-            );
-            for (block, values) in out.chunks_mut(STAGE).zip(src.chunks(STAGE)) {
-                convert(block, values);
-                sum.absorb(u16_bytes(block));
-            }
-            out
-        }
-        None => {
-            let mut out = Vec::with_capacity(src.len());
-            staged(src, convert, |_, block| {
-                out.extend_from_slice(block);
-                sum.absorb(u16_bytes(block));
-            });
-            out
-        }
-    };
+    staged(src, convert, |_, block| {
+        out.extend_from_slice(block);
+        sum.absorb(u16_bytes(block));
+    });
     (out, sum.finish())
 }
 
@@ -357,22 +347,16 @@ impl Payload {
     }
 }
 
-/// The most idle buffers one endpoint's [`WirePool`] keeps: two, so a
-/// ring endpoint keeps a chunk-sized buffer for the next frame each way.
-/// Every idle buffer is also held at the step's memory peak — in a world
-/// whose endpoints share a process, beside the buffer another endpoint's
-/// reader is allocating — and on `widecomm` each one past the second added
-/// a ring chunk to the step peak while saving few further allocations.
-pub(crate) const POOL_BOUND: usize = 2;
-
 /// One endpoint's recycled 16-bit wire buffers, shared by its rank thread
 /// and its transport's reader threads (see the module docs). A take matches
 /// a payload's exact length, so a small frame never pins a ring-sized
-/// buffer; past [`POOL_BOUND`] the smallest idle buffer, the cheapest to
-/// allocate again, is dropped. Only a miss allocates, and each is counted
-/// in [`Counter::WireBuffersAllocated`] once the endpoint is metered.
-#[derive(Default)]
+/// buffer; past its bound ([`for_world`](Self::for_world)) the smallest
+/// idle buffer, the cheapest to allocate again, is dropped. Only a miss
+/// allocates, and each is counted in [`Counter::WireBuffersAllocated`] once
+/// the endpoint is metered.
 pub struct WirePool {
+    /// The most idle buffers kept.
+    bound: usize,
     /// Idle buffers, the most recently given back last.
     idle: Mutex<Vec<Vec<u16>>>,
     metrics: OnceLock<RankMetrics>,
@@ -387,6 +371,21 @@ impl std::fmt::Debug for WirePool {
 }
 
 impl WirePool {
+    /// The pool of one endpoint in a world of `world` ranks. It keeps at
+    /// most `world` idle buffers: one for each peer, whose frames are read
+    /// into the pool's buffers as they arrive (over TCP on that peer's
+    /// reader thread, whenever the socket has one), and one for the rank
+    /// thread's next pack. Every idle buffer is also held at the step's
+    /// memory peak, so the pool keeps no more than those takers can use at
+    /// once: at P = 2, a ring chunk each way.
+    pub(crate) fn for_world(world: usize) -> WirePool {
+        WirePool {
+            bound: world,
+            idle: Mutex::default(),
+            metrics: OnceLock::new(),
+        }
+    }
+
     /// Count this pool's misses into `metrics` (first attach wins).
     pub(crate) fn instrument(&self, metrics: RankMetrics) {
         let _ = self.metrics.set(metrics);
@@ -449,7 +448,7 @@ impl WirePool {
         }
         let mut idle = self.idle.lock().unwrap_or_else(|e| e.into_inner());
         idle.push(buf);
-        let evicted = (idle.len() > POOL_BOUND).then(|| {
+        let evicted = (idle.len() > self.bound).then(|| {
             let smallest = (0..idle.len()).min_by_key(|&i| idle[i].len());
             idle.remove(smallest.expect("the pool is not empty"))
         });
@@ -637,7 +636,7 @@ mod tests {
         for n in [1, 31, STAGE, 2 * STAGE + 5] {
             let xs: Vec<f32> = (0..n).map(|i| (i as f32 * 0.61).cos() * 7e3).collect();
             for dtype in [DType::F16, DType::BF16] {
-                let pool = WirePool::default();
+                let pool = WirePool::for_world(2);
                 let stale = vec![0xAAAA; n];
                 let at = stale.as_ptr();
                 pool.give(Payload::F16(stale));
@@ -660,14 +659,14 @@ mod tests {
     /// never kept, and past its bound the pool drops its smallest buffer.
     #[test]
     fn a_pool_matches_lengths_and_keeps_its_bound_and_its_largest_buffers() {
-        let pool = WirePool::default();
+        let pool = WirePool::for_world(2);
         pool.give(Payload::F32(vec![1.0; 8]));
         pool.give(Payload::F16(Vec::new()));
         assert_eq!(pool.idle(), 0);
         for n in [5, 3, 7, 4] {
             pool.give(Payload::BF16(vec![0x5555; n]));
         }
-        assert_eq!(pool.idle(), POOL_BOUND);
+        assert_eq!(pool.idle(), 2);
         let lens = |pool: &WirePool| -> Vec<usize> {
             let idle = pool.idle.lock().unwrap();
             idle.iter().map(Vec::len).collect()

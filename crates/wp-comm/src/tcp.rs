@@ -193,7 +193,7 @@ impl TcpTransport {
         let abort = Arc::new(AbortCell::default());
         let closing = Arc::new(AtomicBool::new(false));
         let metrics: MetricsCell = Arc::new(OnceLock::new());
-        let pool = Arc::new(WirePool::default());
+        let pool = Arc::new(WirePool::for_world(world));
         let mut links = Vec::with_capacity(world);
         let mut inbox = Vec::with_capacity(world);
         for (peer, slot) in streams.into_iter().enumerate() {
@@ -716,17 +716,18 @@ mod tests {
     }
 
     /// Every frame a send writes gives its buffer back to the pool, which
-    /// stops at its bound however many frames go out unread.
+    /// stops at its bound, the world size, however many frames go out
+    /// unread.
     #[test]
     fn a_burst_of_sends_leaves_the_pool_at_its_bound() {
         let mut mesh = local_mesh(2);
         let _b = mesh.remove(1);
         let mut a = mesh.remove(0);
-        for tag in 0..3 * crate::payload::POOL_BOUND as u64 {
+        for tag in 0..3 * a.world_size() as u64 {
             let (payload, _) = Payload::pack(&[0.25; 300], DType::F16);
             a.send(1, frame_of(tag, payload)).unwrap();
         }
-        assert_eq!(a.wire_pool().idle(), crate::payload::POOL_BOUND);
+        assert_eq!(a.wire_pool().idle(), a.world_size());
     }
 
     #[test]

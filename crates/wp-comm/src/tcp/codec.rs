@@ -359,7 +359,7 @@ mod tests {
 
     /// The next frame off `r`, read with a pool of its own.
     fn read(r: impl Read) -> Option<Incoming> {
-        read_frame(r, &WirePool::default())
+        read_frame(r, &WirePool::for_world(2))
     }
 
     /// `f` as the bytes [`write_data`] puts on a stream.
@@ -560,7 +560,7 @@ mod tests {
     fn a_stream_cut_mid_payload_into_a_recycled_buffer_is_an_unclean_close() {
         let n = PIECE + 6;
         let honest = data_bytes(&frame_of(1, Payload::F16(vec![0x5555; n / 2])), None);
-        let pool = WirePool::default();
+        let pool = WirePool::for_world(2);
         for cut in [1, PIECE - 1, PIECE, PIECE + 1, n - 1] {
             pool.give(Payload::F16(vec![0xAAAA; n / 2]));
             let read = read_frame(&honest[..DATA_HEADER_LEN + cut], &pool);

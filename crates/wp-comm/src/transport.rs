@@ -306,7 +306,7 @@ impl ChannelTransport {
                         .map(|i| i.unwrap_or_else(|| channel().1))
                         .collect(),
                     abort: abort.clone(),
-                    pool: Arc::default(),
+                    pool: Arc::new(WirePool::for_world(p)),
                 }
             })
             .collect()
