@@ -11,29 +11,7 @@ use wp_nn::block::{
 };
 use wp_nn::embed::{embed_backward, embed_forward, head_forward, head_loss_backward};
 use wp_nn::scratch::ScratchBuf;
-use wp_sched::{MsgKey, MsgKind, EMBED_HEAD, NO_MB, RESIDENT, SHARDED};
-
-/// Encode a message key as a `wp-comm` tag (src/dst live in the channel).
-fn tag_of(k: &MsgKey) -> u64 {
-    let kind = match k.kind {
-        MsgKind::Weights => 0u64,
-        MsgKind::WeightGrads => 1,
-        MsgKind::Act => 2,
-        MsgKind::ActGrad => 3,
-    };
-    let mb = if k.mb >= NO_MB - 15 {
-        // Sentinel flow tags map into a reserved high band.
-        0xFFFF - (NO_MB - k.mb) as u64
-    } else {
-        assert!(k.mb < 0xFF00, "microbatch index too large for tag encoding");
-        k.mb as u64
-    };
-    let chunk = k.chunk as u64;
-    let round = k.round as u64;
-    assert!(chunk < 1 << 12, "chunk too large for tag encoding");
-    assert!(round < 1 << 18, "round too large for tag encoding");
-    (kind << 46) | (chunk << 34) | (mb << 18) | round
-}
+use wp_sched::{MsgKey, MsgKind, EMBED_HEAD, RESIDENT, SHARDED};
 
 impl RankRuntime {
     // ---- gradient accumulators ----------------------------------------------
@@ -287,6 +265,7 @@ impl RankRuntime {
         // Weights stay behind (the slot keeps serving local compute), and
         // leave as the frame they arrived in while unchanged since; every
         // other payload leaves its store with the message.
+        let tag = k.tag().expect("validate rejects a key with no tag");
         let (grads, boundary);
         let payload: &[f32] = match k.kind {
             MsgKind::Weights => {
@@ -298,7 +277,7 @@ impl RankRuntime {
                     )
                 });
                 if let Some(wire) = slot.kept.take() {
-                    return self.comm.send_wire(k.dst, tag_of(k), wire, &slot.weights);
+                    return self.comm.send_wire(k.dst, tag, wire, &slot.weights);
                 }
                 &slot.weights
             }
@@ -314,7 +293,7 @@ impl RankRuntime {
                 &boundary
             }
         };
-        self.comm.send(k.dst, tag_of(k), payload, self.setup.wire)
+        self.comm.send(k.dst, tag, payload, self.setup.wire)
     }
 
     /// Receive `k` into the store its kind lives in — the mirror of the
@@ -323,7 +302,7 @@ impl RankRuntime {
     /// accumulator the backward made, each straight from the wire payload;
     /// either becomes its entry when the rank has none yet.
     pub(super) fn exec_recv(&mut self, k: &MsgKey) -> Result<(), CommError> {
-        let (src, tag) = (k.src, tag_of(k));
+        let (src, tag) = (k.src, k.tag().expect("validate rejects a key with no tag"));
         match k.kind {
             MsgKind::Weights => self.recv_weights((k.chunk, k.mb), src, tag),
             MsgKind::WeightGrads => match self.grads.get_mut(&(k.chunk, RESIDENT)) {

@@ -105,6 +105,32 @@ impl MsgKey {
     pub fn act_grad(mb: usize, src: usize, dst: usize) -> Self {
         Self::new(MsgKind::ActGrad, dst, mb, 0, src, dst)
     }
+
+    /// This key as a `wp-comm` tag (`src` and `dst` live in the channel):
+    /// `kind` in bits 46–47, `chunk` (< 2¹²) in 34–45, `mb` in 18–33 and
+    /// `round` (< 2¹⁸) in 0–17. A microbatch below `0xFF00` is itself, and
+    /// the sentinel flows within 15 of [`NO_MB`] map into the band above
+    /// it, so every tag is below wp-comm's collective band (`1 << 48`).
+    /// `None` for a key it cannot encode, which
+    /// [`validate`](crate::validate::validate) rejects.
+    pub fn tag(&self) -> Option<u64> {
+        let kind = match self.kind {
+            MsgKind::Weights => 0u64,
+            MsgKind::WeightGrads => 1,
+            MsgKind::Act => 2,
+            MsgKind::ActGrad => 3,
+        };
+        let mb = if self.mb >= NO_MB - 15 {
+            0xFFFF - (NO_MB - self.mb) as u64
+        } else if self.mb < 0xFF00 {
+            self.mb as u64
+        } else {
+            return None;
+        };
+        let (chunk, round) = (self.chunk as u64, self.round as u64);
+        (chunk < 1 << 12 && round < 1 << 18)
+            .then_some((kind << 46) | (chunk << 34) | (mb << 18) | round)
+    }
 }
 
 /// The weight slot `(chunk, flow)` a compute op on `chunk` reads: the one

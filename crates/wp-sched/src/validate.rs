@@ -15,6 +15,11 @@
 //! 5. **Slot availability** — in each rank's program order, every weight
 //!    copy an op reads or sends is one the rank holds by then: a seed
 //!    ([`Schedule::seeds`]) or an earlier `Recv`/`AllGatherW`.
+//!
+//! Ahead of all five, every `Send` and `Recv` key must fit its wire tag
+//! ([`MsgKey::tag`](crate::ir::MsgKey::tag)), so a key the runtime could
+//! not encode fails here, naming its rank, op and key, and not on a rank
+//! thread mid-iteration.
 
 use crate::graph::DepGraph;
 use crate::ir::{weight_slot, MemUnit, MsgKind, OpKind, Schedule, RESIDENT, SHARDED};
@@ -34,11 +39,31 @@ impl std::error::Error for ValidationError {}
 
 /// Validate a schedule. Returns the first problem found.
 pub fn validate(s: &Schedule) -> Result<(), ValidationError> {
+    check_tags(s)?;
     let graph = DepGraph::build(s)?;
     check_coverage(s)?;
     check_memory_balance(s)?;
     graph.topological_order()?;
     check_slots(s)
+}
+
+/// Every point-to-point key must have a wire tag
+/// ([`MsgKey::tag`](crate::ir::MsgKey::tag)), or the runtime could not send it.
+fn check_tags(s: &Schedule) -> Result<(), ValidationError> {
+    for (r, ops) in s.ops.iter().enumerate() {
+        for (i, op) in ops.iter().enumerate() {
+            if let OpKind::Send(k) | OpKind::Recv(k) = op.kind {
+                if k.tag().is_none() {
+                    return Err(ValidationError(format!(
+                        "rank {r} op {i} {:?} has no wire tag (chunk < 4096, \
+                         mb < 65280, round < 262144)",
+                        op.kind
+                    )));
+                }
+            }
+        }
+    }
+    Ok(())
 }
 
 fn check_coverage(s: &Schedule) -> Result<(), ValidationError> {
@@ -161,7 +186,7 @@ fn check_slots(s: &Schedule) -> Result<(), ValidationError> {
 mod tests {
     use super::*;
     use crate::builders::{build, PipelineSpec, ALL_STRATEGIES};
-    use crate::ir::{Op, Strategy};
+    use crate::ir::{MsgKey, Op, Strategy};
 
     #[test]
     fn all_builders_produce_valid_schedules() {
@@ -248,5 +273,44 @@ mod tests {
         s.ops[0].push(Op::compute(OpKind::Update { chunk: 0 }).mem(MemUnit::FwdCtx, 1));
         let err = validate(&s).unwrap_err();
         assert!(err.0.contains("leak"), "{err}");
+    }
+
+    /// Every point-to-point key a builder emits has a wire tag below
+    /// wp-comm's collective band (`1 << 48`), and no two keys from one
+    /// source to one destination share a tag; a key with no tag fails
+    /// `validate` rather than the rank thread that would send it.
+    #[test]
+    fn wire_tags_are_distinct_and_checked() {
+        for &strat in ALL_STRATEGIES {
+            for p in [2usize, 4, 8] {
+                for overlap in [false, true] {
+                    let s = build(strat, PipelineSpec::new(p, 2 * p).with_overlap(overlap));
+                    let mut seen = HashMap::new();
+                    for (_, op) in s.iter_ops() {
+                        let OpKind::Send(k) = op.kind else { continue };
+                        let at = format!("{strat:?} P={p} overlap={overlap} {k:?}");
+                        let tag = k.tag().unwrap_or_else(|| panic!("{at}: no tag"));
+                        assert!(tag < 1 << 48, "{at}: tag {tag:#x} in the collective band");
+                        if let Some(other) = seen.insert((k.src, k.dst, tag), k) {
+                            panic!("{at}: tag {tag:#x} also names {other:?}");
+                        }
+                    }
+                }
+            }
+        }
+
+        let mut s = build(Strategy::GPipe, PipelineSpec::new(2, 2));
+        let far = |k: &mut MsgKey| k.round += 1 << 18;
+        for op in s.ops.iter_mut().flatten() {
+            if let OpKind::Send(k) | OpKind::Recv(k) = &mut op.kind {
+                far(k);
+            }
+            op.needs.iter_mut().filter(|k| k.src != k.dst).for_each(far);
+        }
+        let err = validate(&s).unwrap_err();
+        assert!(
+            err.0.starts_with("rank 0 op ") && err.0.contains("has no wire tag"),
+            "{err}"
+        );
     }
 }
