@@ -39,7 +39,7 @@
 //!
 //! Training is fault-aware: a [`TrainSetup`] can carry a seeded
 //! [`FaultPlan`] for the communication ring and a [`CommConfig`]
-//! timeout/retry policy. Delay-only plans never change the result;
+//! timeout policy. Delay-only plans never change the result;
 //! destructive plans surface as typed [`CommError`]s on every rank instead
 //! of hangs.
 

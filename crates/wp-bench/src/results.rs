@@ -140,7 +140,7 @@ fn figures() -> Vec<Artefact> {
     out
 }
 
-/// The ablations DESIGN.md §5 calls for, one section each.
+/// The ablations DESIGN.md §3 calls for, one section each.
 fn ablations() -> Vec<Artefact> {
     let sections = [
         crossover(),

@@ -3,7 +3,7 @@
 //! Every fallible `Communicator` operation returns a [`CommError`] instead
 //! of panicking, so one stalled or crashed rank surfaces as a diagnosis the
 //! runtime can propagate — not a 120-second hang followed by a process
-//! abort. The taxonomy (documented in DESIGN.md §Fault model):
+//! abort. The taxonomy (the invariants it serves are DESIGN.md §4):
 //!
 //! * [`CommError::PeerDead`] — a peer's endpoint is gone (its thread exited
 //!   or a fault plan killed it).

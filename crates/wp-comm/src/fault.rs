@@ -133,7 +133,9 @@ impl FaultPlan {
         self
     }
 
-    /// Flip one payload bit of message `msg` on link `src → dst`.
+    /// Flip one payload bit of message `msg` on link `src → dst`: bit 0 of
+    /// its first wire byte, after the checksum is taken, or of the checksum
+    /// itself when the payload is empty. Every wire dtype carries that bit.
     pub fn with_corruption(mut self, src: usize, dst: usize, msg: u64) -> Self {
         self.corruptions.push(CorruptSpec { src, dst, msg });
         self

@@ -55,7 +55,8 @@ use wp_trace::{FaultFlags, RankTracer};
 /// Tags ≥ this value are reserved for collectives.
 pub(crate) const COLLECTIVE_TAG_BASE: u64 = 1 << 48;
 
-/// Timeout and polling policy for blocking receives.
+/// Timeout and polling policy for blocking receives. There is no retry
+/// knob: a retry window is only a longer timeout.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct CommConfig {
     /// How long a receive waits before it is declared timed out. Generous by

@@ -350,7 +350,7 @@ impl Payload {
 /// One endpoint's recycled 16-bit wire buffers, shared by its rank thread
 /// and its transport's reader threads (see the module docs). A take matches
 /// a payload's exact length, so a small frame never pins a ring-sized
-/// buffer; past its bound ([`for_world`](Self::for_world)) the smallest
+/// buffer; past its bound (`for_world`) the smallest
 /// idle buffer, the cheapest to allocate again, is dropped. Only a miss
 /// allocates, and each is counted in [`Counter::WireBuffersAllocated`] once
 /// the endpoint is metered.

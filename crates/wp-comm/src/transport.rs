@@ -112,7 +112,7 @@ impl Frame {
 
 /// The destination endpoint is gone: its rank exited, crashed, or tore the
 /// connection down. The layer above maps this to
-/// [`CommError::PeerDead`](crate::CommError::PeerDead) (or the standing
+/// [`CommError::PeerDead`] (or the standing
 /// abort cause when the world is already unwinding).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct TransportClosed;
