@@ -15,7 +15,13 @@
 #      to its first `(`, `<`, `{` or space);
 #   5. a backtick-opened multi-hump CamelCase name (`WaitReq`, the head of
 #      `OpKind::Recv`) that occurs as no word under crates/*/src, examples/
-#      or benchmark/src.
+#      or benchmark/src;
+#   6. a backtick-opened snake_case name (`recv_into`, the head of
+#      `reseed_bwd_flow()`) that occurs as no word under crates/*/src,
+#      crates/*/tests, tests/, examples/ or benchmark/src and is neither a
+#      file stem in the tree nor a BENCHMARK.json name;
+#   7. (also in ROADMAP.md and under crates/) a `DESIGN §N` or
+#      `DESIGN.md §N` whose N is no numbered heading of DESIGN.md.
 # Run from the repository root. Prints one line per stale name.
 set -u
 shopt -s nullglob
@@ -25,6 +31,14 @@ bounds=$(grep -ohE '"(kernels|tune)\.[a-z0-9_]+"' crates/wp-bench/src/bin/{kerne
 bench_names=$(grep -oE '"name": "[^"]+"' BENCHMARK.json | cut -d'"' -f4)
 camel='[A-Z][a-z0-9]+([A-Z][a-z0-9]*)+'
 code_names=$(grep -rhoE "\b$camel\b" crates/*/src examples benchmark/src | sort -u)
+snake='[a-z][a-z0-9]*(_[a-z0-9]+)+'
+snake_names=$(
+    grep -rhoE "\b$snake\b" crates/*/src crates/*/tests tests examples benchmark/src
+    git ls-files | sed -E 's|.*/||; s|\..*||'
+    echo "$bench_names"
+)
+snake_names=$(sort -u <<<"$snake_names")
+design_sections=$(grep -oE '^#+ [0-9]+\.' DESIGN.md | grep -oE '[0-9]+')
 bad=0
 
 stale() {
@@ -84,5 +98,16 @@ for doc in "${docs[@]}"; do
         grep -qxF "$name" <<<"$code_names" ||
             stale "$doc" "$line" "$name: no such word under crates/*/src, examples/ or benchmark/src"
     done < <(grep -noE "\`$camel" "$doc" | tr -d '`')
+
+    while IFS=: read -r line name; do
+        grep -qxF "$name" <<<"$snake_names" ||
+            stale "$doc" "$line" "$name: no such word under crates/*/src, crates/*/tests, tests/, examples/ or benchmark/src, no file stem, no BENCHMARK.json name"
+    done < <(grep -noE "\`$snake\b" "$doc" | tr -d '`')
 done
+
+while IFS=: read -r file line n; do
+    grep -qxF "$n" <<<"$design_sections" ||
+        stale "$file" "$line" "DESIGN §$n: DESIGN.md has no heading numbered $n"
+done < <(grep -rnoE 'DESIGN(\.md)?`? ?§ ?[0-9]+' README.md EXPERIMENTS.md ROADMAP.md crates |
+    sed -E 's/^([^:]+:[0-9]+:).*§ ?([0-9]+)$/\1\2/')
 exit $bad
