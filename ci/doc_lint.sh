@@ -32,12 +32,11 @@ bench_names=$(grep -oE '"name": "[^"]+"' BENCHMARK.json | cut -d'"' -f4)
 camel='[A-Z][a-z0-9]+([A-Z][a-z0-9]*)+'
 code_names=$(grep -rhoE "\b$camel\b" crates/*/src examples benchmark/src | sort -u)
 snake='[a-z][a-z0-9]*(_[a-z0-9]+)+'
-snake_names=$(
+snake_names=$({
     grep -rhoE "\b$snake\b" crates/*/src crates/*/tests tests examples benchmark/src
     git ls-files | sed -E 's|.*/||; s|\..*||'
     echo "$bench_names"
-)
-snake_names=$(sort -u <<<"$snake_names")
+} | sort -u)
 design_sections=$(grep -oE '^#+ [0-9]+\.' DESIGN.md | grep -oE '[0-9]+')
 bad=0
 
