@@ -67,8 +67,11 @@ enum FwdSaved {
     Ckpts(Vec<BlockCkpt>),
 }
 
+/// One microbatch's head, finished at forward time: its loss is recorded,
+/// and the head backward reads the logit gradient the fused cross-entropy
+/// left in the logits' place, plus the head's input and norm state.
 struct HeadSaved {
-    logits: ScratchBuf,
+    dlogits: ScratchBuf,
     ctx: HeadCtx,
 }
 

@@ -9,9 +9,10 @@ use wp_nn::block::{
     block_backward_checkpointed, block_backward_data, block_backward_full, block_backward_weight,
     block_forward, BPassCtx,
 };
-use wp_nn::embed::{embed_backward, embed_forward, head_forward, head_loss_backward};
+use wp_nn::embed::{embed_backward, embed_forward, head_backward, head_forward};
 use wp_nn::scratch::ScratchBuf;
 use wp_sched::{MsgKey, MsgKind, EMBED_HEAD, RESIDENT, SHARDED};
+use wp_tensor::ops::cross_entropy;
 
 impl RankRuntime {
     // ---- gradient accumulators ----------------------------------------------
@@ -83,14 +84,15 @@ impl RankRuntime {
         if chunk + 1 < self.chunks {
             self.boundary.insert((MsgKind::Act, mb, chunk + 1), x);
         } else {
-            // Last chunk: run the head, record the loss.
+            // Last chunk: run the head and its loss, keep the logit gradient.
             let head = &self.params[&HEAD].weights;
-            let (logits, ctx) = head_forward(&self.cfg, head, &x, &self.scratch);
+            let (mut dlogits, ctx) = head_forward(&self.cfg, head, x, &self.scratch);
             let (_, targets) = self.setup.batch_for(self.iter, mb);
-            let loss = wp_tensor::ops::cross_entropy_loss(&logits, &targets, self.cfg.vocab);
+            let scale = self.setup.loss_scale / self.setup.microbatches as f32;
+            let loss = cross_entropy(&mut dlogits, &targets, self.cfg.vocab, scale);
             self.loss_sum += loss as f64;
             self.loss_count += 1;
-            self.heads_saved.insert(mb, HeadSaved { logits, ctx });
+            self.heads_saved.insert(mb, HeadSaved { dlogits, ctx });
         }
     }
 
@@ -102,24 +104,19 @@ impl RankRuntime {
                 .heads_saved
                 .remove(&mb)
                 .unwrap_or_else(|| panic!("rank {}: no head state for mb {mb}", self.rank));
-            let (_, targets) = self.setup.batch_for(self.iter, mb);
-            let scale = self.setup.loss_scale / self.setup.microbatches as f32;
             let head = &self.params[&HEAD].weights;
             let head_grads = self
                 .grads
                 .entry(HEAD)
                 .or_insert_with(|| vec![0.0; head.len()]);
-            let (_, dx) = head_loss_backward(
+            head_backward(
                 &self.cfg,
                 head,
                 &hs.ctx,
-                &hs.logits,
-                &targets,
+                &hs.dlogits,
                 head_grads,
-                scale,
                 &self.scratch,
-            );
-            dx
+            )
         } else {
             self.boundary
                 .remove(&(MsgKind::ActGrad, mb, chunk))

@@ -40,7 +40,7 @@ pub fn run_single(setup: &TrainSetup) -> RunOutput {
         for mb in 0..n {
             let (ids, targets) = setup.batch_for(iter, mb);
             model.forward_into(&ids, setup.microbatch, setup.seq, &mut fwd);
-            let loss = model.backward(&fwd, &targets, &mut grads, scale * setup.loss_scale);
+            let loss = model.backward(&mut fwd, &targets, &mut grads, scale * setup.loss_scale);
             loss_sum += loss as f64;
         }
         losses.push((loss_sum / n as f64) as f32);

@@ -1,17 +1,24 @@
-//! Embedding input layer and the output head (final RMSNorm + projection +
-//! fused cross-entropy).
+//! Embedding input layer and the output head (final RMSNorm + projection).
 //!
 //! In WeiPipe these two are *replicated* on every worker (each worker runs
 //! whole microbatches end to end) with their small gradients all-reduced
 //! once per iteration; in activation-passing pipelines they live on the
 //! first and last stage respectively. Both runtimes use the functions here.
+//!
+//! The head finishes its loss at forward time: the caller runs
+//! [`cross_entropy`](wp_tensor::ops::cross_entropy) over the logits
+//! [`head_forward`] returns, which records the loss and leaves the logit
+//! gradient in their place. What the head backward needs is then that
+//! gradient and the [`HeadCtx`] (the head input, its normalised form and
+//! the inverse RMS), and [`head_backward`] is two matmuls and the norm
+//! backward.
 
 use crate::config::ModelConfig;
 use crate::params::HeadLayout;
 use crate::scratch::{Scratch, ScratchBuf};
 use wp_tensor::ops::{
-    cross_entropy_forward_backward, embedding_backward, embedding_forward, matmul_nn, matmul_nt,
-    matmul_tn, rmsnorm_backward, rmsnorm_forward,
+    embedding_backward, embedding_forward, matmul_nn, matmul_nt, matmul_tn, rmsnorm_backward,
+    rmsnorm_forward,
 };
 
 /// Look up token embeddings: `[tokens] -> [tokens, H]`.
@@ -41,11 +48,6 @@ pub struct HeadCtx {
 }
 
 impl HeadCtx {
-    /// Saved f32 elements.
-    pub fn saved_elems(&self) -> usize {
-        self.x.len() + self.xn.len() + self.inv_rms.len()
-    }
-
     /// Placeholder ctx holding nothing (pre-first-forward state).
     pub fn empty() -> Self {
         HeadCtx {
@@ -57,10 +59,16 @@ impl HeadCtx {
 }
 
 /// Head forward: final RMSNorm then projection to logits `[tokens, vocab]`.
+///
+/// Takes the head input by value: the returned [`HeadCtx`] keeps it, with
+/// the normalised input and the inverse RMS, for [`head_backward`]. A
+/// training caller finishes the loss here, at forward time, by running
+/// [`cross_entropy`](wp_tensor::ops::cross_entropy) over the logits, and
+/// saves the gradient that leaves in their place.
 pub fn head_forward(
     cfg: &ModelConfig,
     head_w: &[f32],
-    x: &[f32],
+    x: ScratchBuf,
     scratch: &Scratch,
 ) -> (ScratchBuf, HeadCtx) {
     let h = cfg.hidden;
@@ -73,7 +81,7 @@ pub fn head_forward(
     rmsnorm_forward(
         &mut xn,
         Some(&mut inv_rms),
-        x,
+        &x,
         &head_w[lay.norm()],
         tokens,
         h,
@@ -81,52 +89,31 @@ pub fn head_forward(
     );
     let mut logits = scratch.take(tokens * cfg.vocab);
     matmul_nt(&mut logits, &xn, &head_w[lay.wout()], tokens, h, cfg.vocab);
-    (
-        logits,
-        HeadCtx {
-            x: scratch.take_copy(x),
-            xn,
-            inv_rms,
-        },
-    )
+    (logits, HeadCtx { x, xn, inv_rms })
 }
 
-/// Fused loss + head backward.
-///
-/// Computes the mean cross-entropy of `logits` against `targets`, then
-/// back-propagates through the projection and final norm. `grad_scale`
-/// multiplies the logits gradient — callers use it for `1/N` microbatch
-/// averaging and for fp16 loss scaling. Gradients accumulate into `dhead`;
-/// returns `(loss, ∂L/∂x)`.
-#[allow(clippy::too_many_arguments)]
-pub fn head_loss_backward(
+/// Head backward from the logit gradient `dlogits` (`[tokens, vocab]`, as
+/// [`cross_entropy`](wp_tensor::ops::cross_entropy) left it, already
+/// scaled): back-propagates through the projection and final norm.
+/// Gradients accumulate into `dhead`; returns `∂L/∂x`.
+pub fn head_backward(
     cfg: &ModelConfig,
     head_w: &[f32],
     ctx: &HeadCtx,
-    logits: &[f32],
-    targets: &[u32],
+    dlogits: &[f32],
     dhead: &mut [f32],
-    grad_scale: f32,
     scratch: &Scratch,
-) -> (f32, ScratchBuf) {
+) -> ScratchBuf {
     let h = cfg.hidden;
     let v = cfg.vocab;
-    let tokens = targets.len();
-    assert_eq!(logits.len(), tokens * v);
+    let tokens = ctx.inv_rms.len();
+    assert_eq!(dlogits.len(), tokens * v);
     let lay = HeadLayout::new(cfg);
     assert_eq!(dhead.len(), lay.len());
 
-    let mut dlogits = scratch.take(tokens * v);
-    let loss = cross_entropy_forward_backward(&mut dlogits, logits, targets, v);
-    if grad_scale != 1.0 {
-        for d in dlogits.iter_mut() {
-            *d *= grad_scale;
-        }
-    }
-
-    matmul_tn(&mut dhead[lay.wout()], &dlogits, &ctx.xn, v, tokens, h);
+    matmul_tn(&mut dhead[lay.wout()], dlogits, &ctx.xn, v, tokens, h);
     let mut dxn = scratch.take(tokens * h);
-    matmul_nn(&mut dxn, &dlogits, &head_w[lay.wout()], tokens, v, h);
+    matmul_nn(&mut dxn, dlogits, &head_w[lay.wout()], tokens, v, h);
 
     let mut dx = scratch.take(tokens * h);
     // Split dhead to satisfy the borrow checker: norm gain grads live at the
@@ -142,18 +129,35 @@ pub fn head_loss_backward(
         tokens,
         h,
     );
-    (loss, dx)
+    dx
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::params::{init_embed, init_head};
-    use wp_tensor::ops::cross_entropy_loss;
+    use wp_tensor::ops::cross_entropy;
     use wp_tensor::Tensor;
 
     fn cfg() -> ModelConfig {
         ModelConfig::tiny(1)
+    }
+
+    /// Head forward, the loss and the head backward at `grad_scale`:
+    /// `(loss, dhead, dx)`.
+    fn head_step(
+        c: &ModelConfig,
+        hw: &[f32],
+        x: &[f32],
+        targets: &[u32],
+        grad_scale: f32,
+        sc: &Scratch,
+    ) -> (f32, Vec<f32>, ScratchBuf) {
+        let (mut dlogits, ctx) = head_forward(c, hw, sc.take_copy(x), sc);
+        let loss = cross_entropy(&mut dlogits, targets, c.vocab, grad_scale);
+        let mut dhead = vec![0.0f32; hw.len()];
+        let dx = head_backward(c, hw, &ctx, &dlogits, &mut dhead, sc);
+        (loss, dhead, dx)
     }
 
     #[test]
@@ -181,14 +185,12 @@ mod tests {
         let targets = [1u32, 5, 9];
 
         let loss_fn = |hw: &[f32], x: &[f32]| -> f32 {
-            let (logits, _) = head_forward(&c, hw, x, &sc);
-            cross_entropy_loss(&logits, &targets, c.vocab)
+            let (mut logits, _) = head_forward(&c, hw, sc.take_copy(x), &sc);
+            cross_entropy(&mut logits, &targets, c.vocab, 1.0)
         };
 
-        let (logits, ctx) = head_forward(&c, &hw, &x, &sc);
-        let mut dhead = vec![0.0f32; hw.len()];
-        let (loss, dx) = head_loss_backward(&c, &hw, &ctx, &logits, &targets, &mut dhead, 1.0, &sc);
-        assert!((loss - loss_fn(&hw, &x)).abs() < 1e-5);
+        let (loss, dhead, dx) = head_step(&c, &hw, &x, &targets, 1.0, &sc);
+        assert_eq!(loss, loss_fn(&hw, &x));
 
         let step = 5e-3;
         for i in (0..hw.len()).step_by(hw.len() / 17) {
@@ -220,11 +222,8 @@ mod tests {
         let hw = init_head(&c, 3);
         let x = Tensor::randn([2 * c.hidden], 0.5, 72).into_vec();
         let targets = [0u32, 4];
-        let (logits, ctx) = head_forward(&c, &hw, &x, &sc);
-        let mut d1 = vec![0.0f32; hw.len()];
-        let (l1, dx1) = head_loss_backward(&c, &hw, &ctx, &logits, &targets, &mut d1, 1.0, &sc);
-        let mut d2 = vec![0.0f32; hw.len()];
-        let (l2, dx2) = head_loss_backward(&c, &hw, &ctx, &logits, &targets, &mut d2, 0.5, &sc);
+        let (l1, d1, dx1) = head_step(&c, &hw, &x, &targets, 1.0, &sc);
+        let (l2, d2, dx2) = head_step(&c, &hw, &x, &targets, 0.5, &sc);
         assert_eq!(l1, l2);
         for i in 0..hw.len() {
             assert!((d2[i] - 0.5 * d1[i]).abs() < 1e-6);

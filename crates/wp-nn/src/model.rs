@@ -7,10 +7,10 @@
 
 use crate::block::{block_backward_full, block_forward, BlockCtx};
 use crate::config::ModelConfig;
-use crate::embed::{embed_backward, embed_forward, head_forward, head_loss_backward, HeadCtx};
+use crate::embed::{embed_backward, embed_forward, head_backward, head_forward, HeadCtx};
 use crate::params::{init_block, init_embed, init_head};
 use crate::scratch::{Scratch, ScratchBuf};
-use wp_tensor::ops::RopeTable;
+use wp_tensor::ops::{cross_entropy, RopeTable};
 
 /// All parameters of a model instance.
 #[derive(Debug, Clone)]
@@ -87,7 +87,8 @@ impl ModelFwdCtx {
         }
     }
 
-    /// The forward pass's output logits, `[batch·seq, vocab]`.
+    /// The forward pass's output logits, `[batch·seq, vocab]`, until
+    /// [`Model::backward`] overwrites them with their gradient.
     pub fn logits(&self) -> &[f32] {
         &self.logits
     }
@@ -181,36 +182,32 @@ impl Model {
             ctx.block_ctxs.push(bctx);
             x = y;
         }
-        let (logits, head_ctx) = head_forward(&self.cfg, &self.head, &x, &self.scratch);
+        let (logits, head_ctx) = head_forward(&self.cfg, &self.head, x, &self.scratch);
         ctx.logits = logits;
         ctx.head_ctx = head_ctx;
     }
 
-    /// Mean cross-entropy of a forward pass against `targets`.
-    pub fn loss(&self, ctx: &ModelFwdCtx, targets: &[u32]) -> f32 {
-        wp_tensor::ops::cross_entropy_loss(&ctx.logits, targets, self.cfg.vocab)
-    }
-
-    /// Backward pass: accumulates into `grads`, returns the loss.
+    /// Backward pass: accumulates into `grads`, returns the mean
+    /// cross-entropy against `targets`.
     ///
     /// `grad_scale` multiplies the loss gradient (microbatch averaging /
-    /// loss scaling).
+    /// loss scaling). The one fused cross-entropy pass turns the ctx's
+    /// logits into their gradient in place.
     pub fn backward(
         &self,
-        ctx: &ModelFwdCtx,
+        ctx: &mut ModelFwdCtx,
         targets: &[u32],
         grads: &mut ModelGrads,
         grad_scale: f32,
     ) -> f32 {
         assert_eq!(targets.len(), ctx.batch * ctx.seq, "targets shape");
-        let (loss, mut dx) = head_loss_backward(
+        let loss = cross_entropy(&mut ctx.logits, targets, self.cfg.vocab, grad_scale);
+        let mut dx = head_backward(
             &self.cfg,
             &self.head,
             &ctx.head_ctx,
             &ctx.logits,
-            targets,
             &mut grads.head,
-            grad_scale,
             &self.scratch,
         );
         for l in (0..self.cfg.layers).rev() {
@@ -240,8 +237,8 @@ impl Model {
         grads: &mut ModelGrads,
         grad_scale: f32,
     ) -> f32 {
-        let ctx = self.forward(ids, batch, seq);
-        self.backward(&ctx, targets, grads, grad_scale)
+        let mut ctx = self.forward(ids, batch, seq);
+        self.backward(&mut ctx, targets, grads, grad_scale)
     }
 }
 
@@ -263,14 +260,12 @@ mod tests {
         let cfg = ModelConfig::tiny(2);
         let m = Model::new(&cfg, 5);
         let (ids, targets) = synthetic_batch(cfg.vocab, 2, 6, 99);
-        let ctx = m.forward(&ids, 2, 6);
+        let mut ctx = m.forward(&ids, 2, 6);
         let mut grads = ModelGrads::zeros_like(&m);
-        let loss = m.backward(&ctx, &targets, &mut grads, 1.0);
+        let loss = m.backward(&mut ctx, &targets, &mut grads, 1.0);
         // Untrained model ≈ uniform predictions.
         assert!((loss - (cfg.vocab as f32).ln()).abs() < 1.0, "loss {loss}");
         assert!(grads.head.iter().any(|&g| g != 0.0));
-        // Fused (−ln p) and eval (lse − logit) paths agree to float noise.
-        assert!((loss - m.loss(&ctx, &targets)).abs() < 1e-5);
     }
 
     #[test]
@@ -292,8 +287,7 @@ mod tests {
         for (w, g) in m.head.iter_mut().zip(&grads.head) {
             *w -= lr * g;
         }
-        let ctx = m.forward(&ids, 2, 8);
-        let loss1 = m.loss(&ctx, &targets);
+        let loss1 = m.train_step(&ids, &targets, 2, 8, &mut grads, 1.0);
         assert!(
             loss1 < loss0,
             "SGD step must reduce loss: {loss0} -> {loss1}"

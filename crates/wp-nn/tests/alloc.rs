@@ -81,7 +81,7 @@ fn warm_train_iteration() {
     let delta = allocs_when_warm(2, 3, || {
         grads.zero();
         model.forward_into(&ids, batch, seq, &mut fwd);
-        let _ = model.backward(&fwd, &targets, &mut grads, 1.0);
+        let _ = model.backward(&mut fwd, &targets, &mut grads, 1.0);
     });
     assert_eq!(
         delta, 0,

@@ -194,7 +194,6 @@ fn gqa_model_trains_end_to_end() {
     for (w, g) in model.head.iter_mut().zip(&grads.head) {
         *w -= 0.5 * g;
     }
-    let ctx = model.forward(&ids, 2, 8);
-    let loss1 = model.loss(&ctx, &tg);
+    let loss1 = model.train_step(&ids, &tg, 2, 8, &mut grads, 1.0);
     assert!(loss1 < loss0, "GQA model must train: {loss0} -> {loss1}");
 }

@@ -13,7 +13,7 @@ pub mod rope;
 
 pub use elementwise::{exp_poly, silu, silu_grad, swiglu_backward, swiglu_forward};
 pub use embedding::{embedding_backward, embedding_forward};
-pub use loss::{cross_entropy_forward_backward, cross_entropy_loss};
+pub use loss::cross_entropy;
 pub use matmul::{dot, matmul_naive, matmul_nn, matmul_nt, matmul_tn};
 pub use norm::{rmsnorm_backward, rmsnorm_forward};
 pub use rope::RopeTable;
