@@ -277,7 +277,6 @@ impl RankRuntime {
     pub fn reseed_bwd_flow(&mut self, _schedule: &Schedule, iter: usize) -> Result<(), CommError> {
         let wire = self.setup.wire;
         let rank = self.rank;
-        let tag = |chunk: usize| (1u64 << 40) | ((iter as u64) << 16) | chunk as u64;
         // Ship every outgoing copy before receiving any (sends are
         // buffered), so a rank that both sends and receives never
         // serialises the boundary on its own receive.
@@ -290,7 +289,7 @@ impl RankRuntime {
             if f.dst == rank {
                 self.put_weights((f.chunk, f.flow), fresh.clone());
             } else {
-                self.comm.send(f.dst, tag(f.chunk), fresh, wire)?;
+                self.comm.send(f.dst, f.tag(iter), fresh, wire)?;
             }
         }
         let incoming: Vec<Refresh> = (self.refreshes.iter())
@@ -298,7 +297,7 @@ impl RankRuntime {
             .copied()
             .collect();
         for f in incoming {
-            self.recv_weights((f.chunk, f.flow), f.src, tag(f.chunk))?;
+            self.recv_weights((f.chunk, f.flow), f.src, f.tag(iter))?;
         }
         Ok(())
     }

@@ -109,8 +109,9 @@ impl MsgKey {
     /// This key as a `wp-comm` tag (`src` and `dst` live in the channel):
     /// `kind` in bits 46–47, `chunk` (< 2¹²) in 34–45, `mb` in 18–33 and
     /// `round` (< 2¹⁸) in 0–17. A microbatch below `0xFF00` is itself, and
-    /// the sentinel flows within 15 of [`NO_MB`] map into the band above
-    /// it, so every tag is below wp-comm's collective band (`1 << 48`).
+    /// the sentinel flows within 15 of [`NO_MB`] map into `0xFFF0`–`0xFFFF`
+    /// (`0xFF00`–`0xFFEF` is [`Refresh::tag`]'s), so every tag is below
+    /// wp-comm's collective band (`1 << 48`).
     /// `None` for a key it cannot encode, which
     /// [`validate`](crate::validate::validate) rejects.
     pub fn tag(&self) -> Option<u64> {
@@ -455,6 +456,19 @@ pub struct Refresh {
     pub src: usize,
     /// Rank that holds the stale copy (`src` itself for its second copy).
     pub dst: usize,
+}
+
+impl Refresh {
+    /// This refresh's `wp-comm` tag in iteration `iter`: [`MsgKey::tag`]'s
+    /// layout for a `Weights` key of `chunk`, with the `mb` field in
+    /// `0xFF00 + (NO_MB − flow)`, a band [`MsgKey::tag`] never emits, and
+    /// `iter` (mod 2¹⁸) as the round. Below wp-comm's collective band, and
+    /// distinct from every schedule tag on the same channel.
+    pub fn tag(&self, iter: usize) -> u64 {
+        let band = NO_MB - self.flow;
+        assert!(band < 0xF0 && self.chunk < 1 << 12, "untaggable {self:?}");
+        ((self.chunk as u64) << 34) | ((0xFF00 + band as u64) << 18) | (iter as u64 & 0x3_FFFF)
+    }
 }
 
 /// Aggregate op counts of a schedule (see [`Schedule::stats`]).

@@ -275,12 +275,14 @@ mod tests {
         assert!(err.0.contains("leak"), "{err}");
     }
 
-    /// Every point-to-point key a builder emits has a wire tag below
-    /// wp-comm's collective band (`1 << 48`), and no two keys from one
-    /// source to one destination share a tag; a key with no tag fails
-    /// `validate` rather than the rank thread that would send it.
+    /// Every point-to-point key a builder emits, and every refresh a ring
+    /// schedule ships between iterations, has a wire tag below wp-comm's
+    /// collective band (`1 << 48`), and no two messages from one source to
+    /// one destination share a tag; a key with no tag fails `validate`
+    /// rather than the rank thread that would send it.
     #[test]
     fn wire_tags_are_distinct_and_checked() {
+        let mut refreshes = 0;
         for &strat in ALL_STRATEGIES {
             for p in [2usize, 4, 8] {
                 for overlap in [false, true] {
@@ -291,13 +293,27 @@ mod tests {
                         let at = format!("{strat:?} P={p} overlap={overlap} {k:?}");
                         let tag = k.tag().unwrap_or_else(|| panic!("{at}: no tag"));
                         assert!(tag < 1 << 48, "{at}: tag {tag:#x} in the collective band");
-                        if let Some(other) = seen.insert((k.src, k.dst, tag), k) {
-                            panic!("{at}: tag {tag:#x} also names {other:?}");
+                        if let Some(other) = seen.insert((k.src, k.dst, tag), format!("{k:?}")) {
+                            panic!("{at}: tag {tag:#x} also names {other}");
+                        }
+                    }
+                    for iter in [0, 1, (1 << 18) - 1] {
+                        for f in s.refreshes().into_iter().filter(|f| f.src != f.dst) {
+                            let at = format!("{strat:?} P={p} overlap={overlap} iter {iter} {f:?}");
+                            let tag = f.tag(iter);
+                            refreshes += 1;
+                            assert!(tag < 1 << 48, "{at}: tag {tag:#x} in the collective band");
+                            let key = (f.src, f.dst, tag);
+                            if let Some(other) = seen.insert(key, format!("{f:?}")) {
+                                panic!("{at}: tag {tag:#x} also names {other}");
+                            }
                         }
                     }
                 }
             }
         }
+
+        assert!(refreshes > 0, "no ring schedule refreshes a copy");
 
         let mut s = build(Strategy::GPipe, PipelineSpec::new(2, 2));
         let far = |k: &mut MsgKey| k.round += 1 << 18;
