@@ -162,16 +162,19 @@ fn hier() -> Vec<Artefact> {
         "## Flat vs grouped weight rings on the paper's three clusters (fixed global batch)\n\n",
     );
     let mut csv = String::from(
-        "cluster,node_size,flat_iter_s,grouped_iter_s,tuned,tuned_iter_s,\
+        "cluster,node_size,flat_iter_s,flat_oom,grouped_iter_s,grouped_oom,tuned,tuned_iter_s,\
          flat_xnode_bytes,tuned_xnode_bytes\n",
     );
+    let oom = |o: bool| if o { " OOM" } else { "    " };
     for c in &cells {
         text += &format!(
-            "{:<12} flat {:>8.2} ms ({:>6.1} MB x-node) | grouped {:>8.2} ms | tuned {:<26} {:>8.2} ms ({:>6.1} MB x-node) | speedup x{:.3} | x-node /{:.1}\n",
+            "{:<12} flat {:>8.2} ms{} ({:>6.1} MB x-node) | grouped {:>8.2} ms{} | tuned {:<26} {:>8.2} ms ({:>6.1} MB x-node) | speedup x{:.3} | x-node /{:.1}\n",
             c.label,
             c.flat_s * 1e3,
+            oom(c.flat_oom),
             c.flat_xnode_bytes as f64 / 1e6,
             c.grouped_s * 1e3,
+            oom(c.grouped_oom),
             c.tuned.label(),
             c.tuned_s * 1e3,
             c.tuned_xnode_bytes as f64 / 1e6,
@@ -179,11 +182,13 @@ fn hier() -> Vec<Artefact> {
             c.xnode_reduction(),
         );
         csv += &format!(
-            "{},{},{},{},{},{},{},{}\n",
+            "{},{},{},{},{},{},{},{},{},{}\n",
             c.label,
             c.node_size,
             c.flat_s,
+            c.flat_oom,
             c.grouped_s,
+            c.grouped_oom,
             c.tuned.label(),
             c.tuned_s,
             c.flat_xnode_bytes,

@@ -419,6 +419,10 @@ pub struct HierCell {
     pub flat_s: f64,
     /// Grouped WeiPipe-Hier (one ring per island) iteration seconds.
     pub grouped_s: f64,
+    /// The flat schedule exceeds the A800's memory (it is priced anyway).
+    pub flat_oom: bool,
+    /// The grouped schedule exceeds the A800's memory (priced anyway).
+    pub grouped_oom: bool,
     /// The best feasible WeiPipe-Hier candidate of the grid.
     pub tuned: Candidate,
     /// Its iteration seconds.
@@ -475,8 +479,8 @@ pub fn paper_clusters() -> [(&'static str, ClusterSpec, ModelDims, usize); 3] {
 /// fast links and only bridge-carried gradient reconciliation crosses
 /// nodes, *tuned* is the best of a grid over group sizes × microbatches ×
 /// overlap (the flat ring stays in the space, should grouping ever lose).
-/// Flat and grouped are priced whether or not they fit in memory; the grid
-/// skips what does not. On the single-island `nvlink8` control, grouping
+/// Flat and grouped are priced whether or not they fit in memory, and
+/// flagged when they do not; the grid skips what does not fit. On the single-island `nvlink8` control, grouping
 /// degenerates to the flat ring and must change nothing.
 pub fn hier_flat_vs_grouped() -> Vec<HierCell> {
     paper_clusters()
@@ -492,6 +496,7 @@ pub fn hier_flat_vs_grouped() -> Vec<HierCell> {
             let flat = run(&Candidate::default_for(Strategy::WeiPipeInterleave, p));
             let mut grouped = Candidate::default_for(Strategy::WeiPipeHier, p);
             grouped.knob = (cluster.groups() > 1).then_some(node_size);
+            let grouped = run(&grouped);
             let space = TuneSpace {
                 ranks: p,
                 strategies: vec![Strategy::WeiPipeHier],
@@ -507,7 +512,9 @@ pub fn hier_flat_vs_grouped() -> Vec<HierCell> {
                 label,
                 node_size,
                 flat_s: flat.makespan,
-                grouped_s: run(&grouped).makespan,
+                grouped_s: grouped.makespan,
+                flat_oom: flat.oom(oracle.gpu.mem_bytes),
+                grouped_oom: grouped.oom(oracle.gpu.mem_bytes),
                 tuned: tuned.best,
                 tuned_s: tuned_r.makespan,
                 flat_xnode_bytes: flat.cross_node_p2p_bytes,
