@@ -133,6 +133,34 @@ pub fn swiglu_backward(dgate: &mut [f32], dup: &mut [f32], dy: &[f32], gate: &[f
     });
 }
 
+/// Backward of [`swiglu_forward`] over the forward's own buffers: `gate`
+/// and `up` come in holding the activations and leave holding their
+/// gradients — the bits [`swiglu_backward`] adds into zeroed buffers
+/// (`0 + x`, kept as an add because it turns a `-0` into `+0`), without the
+/// two gradient buffers beside the activations.
+pub fn swiglu_backward_in_place(gate: &mut [f32], up: &mut [f32], dy: &[f32]) {
+    let n = dy.len();
+    assert_eq!(gate.len(), n);
+    assert_eq!(up.len(), n);
+    let upp = RawMut(up.as_mut_ptr());
+    par_spans(gate, move |s, gs| {
+        // SAFETY: the span of `up` matching this span of `gate`, which no
+        // other span touches.
+        let us = unsafe { upp.slice(s, gs.len()) };
+        let dy = &dy[s..s + gs.len()];
+        with_isa(
+            #[inline(always)]
+            || {
+                for ((g, u), &d) in gs.iter_mut().zip(us.iter_mut()).zip(dy) {
+                    let (gv, uv) = (*g, *u);
+                    *g = 0.0 + d * uv * silu_grad(gv);
+                    *u = 0.0 + d * silu(gv);
+                }
+            },
+        );
+    });
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -223,14 +251,17 @@ mod tests {
         assert!((dup[0] - (-1.0 + 2.0 * silu(1.0))).abs() < 1e-6);
     }
 
-    /// `[out, dgate, dup]` of one forward and one accumulating backward.
-    fn swiglu_fwd_bwd(gate: &[f32], up: &[f32], dy: &[f32]) -> [Vec<f32>; 3] {
+    /// `[out, dgate, dup, dgate₀, dup₀]` of one forward, one backward
+    /// accumulating into nonzero buffers, and one in place.
+    fn swiglu_fwd_bwd(gate: &[f32], up: &[f32], dy: &[f32]) -> [Vec<f32>; 5] {
         let n = gate.len();
         let mut out = vec![0.0; n];
         swiglu_forward(&mut out, gate, up);
         let (mut dgate, mut dup) = (up.to_vec(), gate.to_vec());
         swiglu_backward(&mut dgate, &mut dup, dy, gate, up);
-        [out, dgate, dup]
+        let (mut dgate0, mut dup0) = (gate.to_vec(), up.to_vec());
+        swiglu_backward_in_place(&mut dgate0, &mut dup0, dy);
+        [out, dgate, dup, dgate0, dup0]
     }
 
     /// Equal bits, or NaN on both sides (a NaN's payload may depend on
@@ -274,10 +305,16 @@ mod tests {
                 .map(|&fast| (format!("{fast:?}"), pinned(fast)));
             for (build, got) in builds.chain([("pooled".into(), fwd_bwd())]) {
                 let outputs = got.iter().zip(&portable);
-                for (name, (a, b)) in ["out", "dgate", "dup"].iter().zip(outputs) {
+                let names = ["out", "dgate", "dup", "dgate in place", "dup in place"];
+                for (name, (a, b)) in names.iter().zip(outputs) {
                     assert!(same(a, b), "n={n}: {name} differs, {build} vs portable");
                 }
             }
+            // In place is accumulating into zeroed buffers, bit for bit.
+            let (mut dgate, mut dup) = (vec![0.0; n], vec![0.0; n]);
+            swiglu_backward(&mut dgate, &mut dup, &dy, &gate, &up);
+            assert!(same(&dgate, &portable[3]), "n={n}: dgate in place");
+            assert!(same(&dup, &portable[4]), "n={n}: dup in place");
         }
     }
 }
