@@ -34,7 +34,10 @@
 //!   pipelined accumulation the same code path.
 //! * **Per-iteration stores**: boundary activations and their gradients,
 //!   saved forward state (full ctxs, or per-layer checkpoints under
-//!   recomputation), and per-microbatch head state.
+//!   recomputation), what a B pass parks for its W pass (each context shed
+//!   to the buffers W reads, beside the B pass's gradients), and
+//!   per-microbatch head state. A backward pops each layer's state and
+//!   consumes it.
 //!
 //! This file is the driver; `store` is the parameter store and the snapshot
 //! round trip, `exec` executes single ops.
@@ -51,7 +54,7 @@ use wp_nn::config::ModelConfig;
 use wp_nn::embed::HeadCtx;
 use wp_nn::params::BlockLayout;
 use wp_nn::scratch::{Scratch, ScratchBuf};
-use wp_sched::{MsgKind, OpKind, Refresh, Schedule, NO_MB};
+use wp_sched::{MsgKind, Op, OpKind, Refresh, Schedule, NO_MB};
 use wp_tensor::ops::RopeTable;
 use wp_trace::SpanKind;
 
@@ -105,7 +108,9 @@ pub struct RankRuntime {
     /// `(kind, mb, chunk)`: produced locally or received, consumed once.
     boundary: HashMap<(MsgKind, usize, usize), ScratchBuf>,
     fwd_saved: HashMap<(usize, usize), FwdSaved>,
-    bctx_saved: HashMap<(usize, usize), Vec<BPassCtx>>,
+    /// What a B pass leaves for its W pass, per layer: the context shed
+    /// to the buffers W reads, and the B pass's gradients.
+    w_saved: HashMap<(usize, usize), Vec<(BlockCtx, BPassCtx)>>,
     heads_saved: HashMap<usize, HeadSaved>,
     loss_sum: f64,
     loss_count: usize,
@@ -143,7 +148,7 @@ impl RankRuntime {
             scratch: Scratch::new(),
             boundary: HashMap::new(),
             fwd_saved: HashMap::new(),
-            bctx_saved: HashMap::new(),
+            w_saved: HashMap::new(),
             heads_saved: HashMap::new(),
             loss_sum: 0.0,
             loss_count: 0,
@@ -178,51 +183,14 @@ impl RankRuntime {
         self.iter = iter;
         self.boundary.clear();
         self.fwd_saved.clear();
-        self.bctx_saved.clear();
+        self.w_saved.clear();
         self.heads_saved.clear();
         self.loss_sum = 0.0;
         self.loss_count = 0;
 
         let iter_t0 = self.comm.probe().now();
         for op in &schedule.ops[self.rank] {
-            // Start mark of a compute op: those report to the rank's probe
-            // here, comm ops report inside wp-comm.
-            let t0 = self.comm.probe().now();
-            match &op.kind {
-                OpKind::Fwd { mb, chunk } => {
-                    self.exec_fwd(*mb, *chunk, &op.needs, schedule.recompute);
-                    self.comm.probe().compute(SpanKind::Fwd, *mb, *chunk, t0);
-                }
-                OpKind::BwdFull { mb, chunk } => {
-                    self.exec_bwd_full(*mb, *chunk, &op.needs);
-                    self.comm
-                        .probe()
-                        .compute(SpanKind::BwdFull, *mb, *chunk, t0);
-                }
-                OpKind::BwdData { mb, chunk } => {
-                    self.exec_bwd_data(*mb, *chunk, &op.needs);
-                    self.comm
-                        .probe()
-                        .compute(SpanKind::BwdData, *mb, *chunk, t0);
-                }
-                OpKind::BwdWeight { mb, chunk } => {
-                    self.exec_bwd_weight(*mb, *chunk);
-                    self.comm
-                        .probe()
-                        .compute(SpanKind::BwdWeight, *mb, *chunk, t0);
-                }
-                OpKind::Update { chunk } => {
-                    self.exec_update(*chunk);
-                    self.comm
-                        .probe()
-                        .compute(SpanKind::Update, NO_MB, *chunk, t0);
-                }
-                OpKind::Send(k) => self.exec_send(k)?,
-                OpKind::Recv(k) => self.exec_recv(k)?,
-                OpKind::AllGatherW { chunk, .. } => self.exec_all_gather(*chunk)?,
-                OpKind::ReduceScatterD { chunk, .. } => self.exec_reduce_scatter(*chunk)?,
-                OpKind::AllReduceD { chunk, .. } => self.exec_all_reduce(*chunk)?,
-            }
+            self.exec_op(op, schedule.recompute)?;
         }
 
         // Iteration epilogue: replicated embedding/head — reduce gradients,
@@ -262,6 +230,50 @@ impl RankRuntime {
             .probe()
             .iteration(iter, iter_t0, tokens, mean_loss);
         Ok(mean_loss)
+    }
+
+    /// Execute one op of the rank's stream.
+    fn exec_op(&mut self, op: &Op, recompute: bool) -> Result<(), CommError> {
+        let needs = &op.needs;
+        // Start mark of a compute op: those report to the rank's probe
+        // here, comm ops report inside wp-comm.
+        let t0 = self.comm.probe().now();
+        match &op.kind {
+            OpKind::Fwd { mb, chunk } => {
+                self.exec_fwd(*mb, *chunk, needs, recompute);
+                self.comm.probe().compute(SpanKind::Fwd, *mb, *chunk, t0);
+            }
+            OpKind::BwdFull { mb, chunk } => {
+                self.exec_bwd_full(*mb, *chunk, needs);
+                self.comm
+                    .probe()
+                    .compute(SpanKind::BwdFull, *mb, *chunk, t0);
+            }
+            OpKind::BwdData { mb, chunk } => {
+                self.exec_bwd_data(*mb, *chunk, needs);
+                self.comm
+                    .probe()
+                    .compute(SpanKind::BwdData, *mb, *chunk, t0);
+            }
+            OpKind::BwdWeight { mb, chunk } => {
+                self.exec_bwd_weight(*mb, *chunk);
+                self.comm
+                    .probe()
+                    .compute(SpanKind::BwdWeight, *mb, *chunk, t0);
+            }
+            OpKind::Update { chunk } => {
+                self.exec_update(*chunk);
+                self.comm
+                    .probe()
+                    .compute(SpanKind::Update, NO_MB, *chunk, t0);
+            }
+            OpKind::Send(k) => self.exec_send(k)?,
+            OpKind::Recv(k) => self.exec_recv(k)?,
+            OpKind::AllGatherW { chunk, .. } => self.exec_all_gather(*chunk)?,
+            OpKind::ReduceScatterD { chunk, .. } => self.exec_reduce_scatter(*chunk)?,
+            OpKind::AllReduceD { chunk, .. } => self.exec_all_reduce(*chunk)?,
+        }
+        Ok(())
     }
 
     /// Refresh every seeded weight copy the iteration left stale
@@ -336,5 +348,33 @@ mod tests {
         for pooled in footprints.into_inner().unwrap() {
             assert_eq!(pooled[2], pooled[5], "arena still growing: {pooled:?}");
         }
+    }
+
+    #[test]
+    fn a_context_parked_between_b_and_w_holds_only_what_w_reads() {
+        // After each B pass, every layer it parks for W holds x1, x3, hg
+        // and attn_o: 3·G·S·H + G·S·F floats, not the whole context.
+        let setup = TrainSetup::tiny(2, 4);
+        let schedule = build_schedule(Strat::Zb1, 2, &setup);
+        let cfg = &setup.model;
+        let want = setup.microbatch * setup.seq * (3 * cfg.hidden + cfg.ffn);
+        let parked = Mutex::new(Vec::new());
+        let outs = TrainWorld::new(&setup, 2, 0).run(|comm| {
+            let mut rt = RankRuntime::new(&setup, &schedule, comm);
+            for op in &schedule.ops[rt.rank] {
+                rt.exec_op(op, schedule.recompute)?;
+                if let OpKind::BwdData { mb, chunk } = op.kind {
+                    let held = rt.w_saved[&(mb, chunk)].iter();
+                    let mut parked = parked.lock().unwrap();
+                    parked.extend(held.map(|(ctx, _)| ctx.saved_elems()));
+                }
+            }
+            Ok(RunOutput::default())
+        });
+        assert!(outs.iter().all(Result::is_ok), "{outs:?}");
+        let parked = parked.into_inner().unwrap();
+        // One per layer and microbatch.
+        assert_eq!(parked.len(), cfg.layers * setup.microbatches);
+        assert!(parked.iter().all(|&n| n == want), "{parked:?} != {want}");
     }
 }

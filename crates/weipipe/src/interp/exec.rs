@@ -6,8 +6,8 @@ use super::store::{Key, EMBED, HEAD};
 use super::{FwdSaved, HeadSaved, RankRuntime};
 use wp_comm::{CommError, Landing};
 use wp_nn::block::{
-    block_backward_checkpointed, block_backward_data, block_backward_full, block_backward_weight,
-    block_forward, BPassCtx,
+    block_backward, block_backward_checkpointed, block_backward_data, block_backward_weight,
+    block_forward,
 };
 use wp_nn::embed::{embed_backward, embed_forward, head_backward, head_forward};
 use wp_nn::scratch::ScratchBuf;
@@ -137,6 +137,9 @@ impl RankRuntime {
         }
     }
 
+    /// Fused backward of (mb, chunk), last layer first: each layer's saved
+    /// state is popped and consumed, so it returns to the arena as soon as
+    /// that layer's backward is done with it.
     pub(super) fn exec_bwd_full(&mut self, mb: usize, chunk: usize, needs: &[MsgKey]) {
         let g = self.setup.microbatch;
         let s = self.setup.seq;
@@ -148,37 +151,26 @@ impl RankRuntime {
             .remove(&(mb, chunk))
             .unwrap_or_else(|| panic!("rank {}: no fwd state for Bwd({mb},{chunk})", self.rank));
         for l in (0..self.lpc).rev() {
-            let wl = &w[self.layer_range(l)];
-            let dgl = &mut dgrad[self.layer_range(l)];
+            let (wl, dgl) = (&w[self.layer_range(l)], &mut dgrad[self.layer_range(l)]);
+            let (cfg, rope, scratch) = (&self.cfg, &self.rope, &self.scratch);
             dy = match &mut saved {
-                FwdSaved::Ckpts(ckpts) => block_backward_checkpointed(
-                    &self.cfg,
-                    &self.rope,
-                    wl,
-                    ckpts.pop().expect("one checkpoint per layer"),
-                    &dy,
-                    dgl,
-                    g,
-                    s,
-                    &self.scratch,
-                ),
-                FwdSaved::Ctxs(ctxs) => block_backward_full(
-                    &self.cfg,
-                    &self.rope,
-                    wl,
-                    &ctxs[l],
-                    &dy,
-                    dgl,
-                    g,
-                    s,
-                    &self.scratch,
-                ),
+                FwdSaved::Ckpts(ckpts) => {
+                    let ck = ckpts.pop().expect("one checkpoint per layer");
+                    block_backward_checkpointed(cfg, rope, wl, ck, dy, dgl, g, s, scratch)
+                }
+                FwdSaved::Ctxs(ctxs) => {
+                    let ctx = ctxs.pop().expect("one context per layer");
+                    block_backward(cfg, rope, wl, ctx, dy, dgl, g, s, scratch)
+                }
             };
         }
         self.grads.insert((chunk, RESIDENT), dgrad);
         self.downstream_dx(mb, chunk, dy);
     }
 
+    /// B pass of (mb, chunk), last layer first. Each layer's context is
+    /// popped, read by its B pass, then shed to what its W pass reads and
+    /// parked beside the B pass's gradients.
     pub(super) fn exec_bwd_data(&mut self, mb: usize, chunk: usize, needs: &[MsgKey]) {
         let g = self.setup.microbatch;
         let s = self.setup.seq;
@@ -186,56 +178,39 @@ impl RankRuntime {
         let w = &self.params[&self.resolve(needs, chunk)].weights;
         let saved = self
             .fwd_saved
-            .get(&(mb, chunk))
+            .remove(&(mb, chunk))
             .unwrap_or_else(|| panic!("rank {}: no fwd state for B({mb},{chunk})", self.rank));
-        let ctxs = match saved {
+        let mut ctxs = match saved {
             FwdSaved::Ctxs(c) => c,
             FwdSaved::Ckpts(_) => {
                 panic!("split backward requires saved contexts (no recomputation)")
             }
         };
-        let mut bctxs: Vec<Option<BPassCtx>> = (0..self.lpc).map(|_| None).collect();
+        let mut parked = Vec::with_capacity(self.lpc);
         for l in (0..self.lpc).rev() {
             let wl = &w[self.layer_range(l)];
-            let (dx, bctx) = block_backward_data(
-                &self.cfg,
-                &self.rope,
-                wl,
-                &ctxs[l],
-                &dy,
-                g,
-                s,
-                &self.scratch,
-            );
-            bctxs[l] = Some(bctx);
+            let ctx = ctxs.pop().expect("one context per layer");
+            let (dx, bctx) =
+                block_backward_data(&self.cfg, &self.rope, wl, &ctx, &dy, g, s, &self.scratch);
+            parked.push((ctx.into_weight_inputs(), bctx));
             dy = dx;
         }
-        self.bctx_saved.insert(
-            (mb, chunk),
-            bctxs.into_iter().map(|b| b.expect("filled")).collect(),
-        );
+        parked.reverse();
+        self.w_saved.insert((mb, chunk), parked);
         self.downstream_dx(mb, chunk, dy);
     }
 
     pub(super) fn exec_bwd_weight(&mut self, mb: usize, chunk: usize) {
         let g = self.setup.microbatch;
         let s = self.setup.seq;
-        let saved = self
-            .fwd_saved
+        let parked = self
+            .w_saved
             .remove(&(mb, chunk))
-            .unwrap_or_else(|| panic!("rank {}: no fwd state for W({mb},{chunk})", self.rank));
-        let ctxs = match &saved {
-            FwdSaved::Ctxs(c) => c,
-            FwdSaved::Ckpts(_) => unreachable!("checked in exec_bwd_data"),
-        };
-        let bctxs = self
-            .bctx_saved
-            .remove(&(mb, chunk))
-            .unwrap_or_else(|| panic!("rank {}: no B-ctx for W({mb},{chunk})", self.rank));
+            .unwrap_or_else(|| panic!("rank {}: no B state for W({mb},{chunk})", self.rank));
         let mut dgrad = self.take_grads((chunk, RESIDENT));
-        for l in 0..self.lpc {
+        for (l, (ctx, bctx)) in parked.into_iter().enumerate() {
             let dgl = &mut dgrad[self.layer_range(l)];
-            block_backward_weight(&self.cfg, &ctxs[l], &bctxs[l], dgl, g, s);
+            block_backward_weight(&self.cfg, &ctx, &bctx, dgl, g, s);
         }
         self.grads.insert((chunk, RESIDENT), dgrad);
     }

@@ -1,27 +1,48 @@
 //! One Llama-style transformer block: RMSNorm → attention (+RoPE) →
 //! residual → RMSNorm → SwiGLU FFN → residual.
 //!
-//! The backward pass exists in two forms:
+//! The backward pass exists in three forms, all built from the same stage
+//! helpers (FFN data and weight, attention data and weight), so they
+//! compute the same bits:
 //!
-//! * [`block_backward_full`] — the classic fused backward (data and weight
-//!   gradients together), used by 1F1B, GPipe, FSDP and WeiPipe-Interleave.
+//! * [`block_backward`] — the fused backward (data and weight gradients
+//!   together), which consumes its context; 1F1B, GPipe, FSDP and
+//!   WeiPipe-Interleave run it, and so does the reference model.
 //! * [`block_backward_data`] (*B pass*) + [`block_backward_weight`]
 //!   (*W pass*) — the decoupled backward that zero-bubble schedules
 //!   (ZB-1/ZB-2, WZB-1/WZB-2) interleave. The B pass produces `∂L/∂x` plus a
 //!   [`BPassCtx`] holding exactly the per-linear upstream gradients the W
 //!   pass needs; the W pass is then pure `dYᵀ·X` matmuls into the flat
-//!   gradient buffer. `full ≡ data ∘ weight` is asserted by tests.
+//!   gradient buffer.
+//! * [`block_backward_full`] — `data ∘ weight` over a borrowed context, the
+//!   oracle the consuming form is tested against bit for bit.
+//!
+//! **When each buffer dies.** [`block_backward`] runs each weight
+//! gradient's `dYᵀ·X` as soon as its upstream gradient exists and returns
+//! each buffer to the arena right after its last read: `hg` after the down
+//! projection's weight gradient, before the FFN data path takes anything;
+//! the data path's `∂hg` after the SwiGLU backward, which writes the gate
+//! and up gradients over `gate` and `up`; those two and `x3` after the gate
+//! and up weight gradients; `x2`, `inv_rms2` and `∂x3` after the FFN norm's
+//! backward, whose output is `dy`'s own buffer (and later `∂L/∂x`'s);
+//! attention's upstream gradient after the attention backward, then `q`,
+//! `k`, `v` and `lse`; `attn_o`, `x1` and the q/k/v gradients after their
+//! weight gradients; `x`, `inv_rms1` and `∂x1` last. The split order keeps
+//! what W reads past the B pass: a runtime parks the context shed by
+//! [`BlockCtx::into_weight_inputs`] to `x1`, `x3`, `hg` and `attn_o` beside
+//! the [`BPassCtx`].
 //!
 //! Activation checkpointing — the paper's "recomputation" knob: a caller
 //! turns the [`BlockCtx`] into a [`BlockCkpt`] with
 //! [`BlockCtx::into_checkpoint`], keeping the block input `x` and
 //! attention's output and log-sum-exp (`O(G·S·H)` floats), and
 //! [`block_backward_checkpointed`] rebuilds every other activation from
-//! them before the fused backward. Attention is the one part of the forward
-//! it does not re-run: its cost grows as `S²`, what it saves as `S`. The
-//! rebuilt context holds the same bits the forward's did, so checkpointing
-//! changes no result. [`block_backward_recompute`] re-runs the whole forward
-//! from `x` alone; it is the oracle the checkpointed path is tested against.
+//! them before the consuming backward. Attention is the one part of the
+//! forward it does not re-run: its cost grows as `S²`, what it saves as
+//! `S`. The rebuilt context holds the same bits the forward's did, so
+//! checkpointing changes no result. [`block_backward_recompute`] re-runs the
+//! whole forward from `x` alone; it is the oracle the checkpointed path is
+//! tested against.
 //!
 //! Every temporary and every saved activation comes from the caller's
 //! [`Scratch`] arena; in steady-state training these functions perform no
@@ -32,12 +53,13 @@ use crate::config::ModelConfig;
 use crate::params::BlockLayout;
 use crate::scratch::{Scratch, ScratchBuf};
 use wp_tensor::ops::{
-    matmul_nn, matmul_nt, matmul_tn, rmsnorm_backward, rmsnorm_forward, swiglu_backward,
+    matmul_nn, matmul_nt, matmul_tn, rmsnorm_backward, rmsnorm_forward, swiglu_backward_in_place,
     swiglu_forward, RopeTable,
 };
 
-/// Activations a block saves for its backward pass.
-#[derive(Debug, Clone)]
+/// Activations a block saves for its backward pass. Not `Clone`: a context
+/// moves into the backward that consumes it, or is borrowed.
+#[derive(Debug)]
 pub struct BlockCtx {
     /// Block input `[G·S, H]`.
     pub x: ScratchBuf,
@@ -58,7 +80,9 @@ pub struct BlockCtx {
 }
 
 impl BlockCtx {
-    /// Total saved f32 elements (drives the memory ledger).
+    /// Total saved f32 elements, what the runtime holds per layer (the
+    /// simulator's ledger prices contexts separately, in
+    /// `CostModel::mem_unit_bytes`).
     pub fn saved_elems(&self) -> usize {
         self.x.len()
             + self.inv_rms1.len()
@@ -85,6 +109,30 @@ impl BlockCtx {
             lse: self.lse,
         }
     }
+
+    /// Keep the four buffers [`block_backward_weight`] reads — `x1`, `x3`,
+    /// `hg` and `attn_o`, `3·G·S·H + G·S·F` floats — and return the rest to
+    /// the arena: what a runtime parks between a layer's B and W passes.
+    /// Only the W pass may read the result.
+    pub fn into_weight_inputs(self) -> BlockCtx {
+        let gone = ScratchBuf::empty;
+        BlockCtx {
+            x: gone(),
+            inv_rms1: gone(),
+            x1: self.x1,
+            q: gone(),
+            k: gone(),
+            v: gone(),
+            lse: gone(),
+            attn_o: self.attn_o,
+            x2: gone(),
+            inv_rms2: gone(),
+            x3: self.x3,
+            gate: gone(),
+            up: gone(),
+            hg: self.hg,
+        }
+    }
 }
 
 /// What a checkpointed layer keeps between its forward and its backward:
@@ -105,8 +153,9 @@ impl BlockCkpt {
     }
 }
 
-/// Gradients the *B pass* hands to the *W pass*.
-#[derive(Debug, Clone)]
+/// Gradients the *B pass* hands to the *W pass*. Not `Clone`, like
+/// [`BlockCtx`].
+#[derive(Debug)]
 pub struct BPassCtx {
     /// Upstream gradient at the FFN down-projection output (`= dy`).
     d_down: ScratchBuf,
@@ -125,7 +174,9 @@ pub struct BPassCtx {
 
 impl BPassCtx {
     /// Total saved f32 elements — the `M_B` term in the paper's §3.4 memory
-    /// analysis (≈ one forward's activations).
+    /// analysis: `3·G·S·H + 2·G·S·kv + 2·G·S·F + 2·H`. A runtime parks it
+    /// until W beside its context shed to `3·G·S·H + G·S·F`
+    /// ([`BlockCtx::into_weight_inputs`]).
     pub fn saved_elems(&self) -> usize {
         self.d_down.len()
             + self.dgate.len()
@@ -278,6 +329,123 @@ pub fn block_forward(
     (y, ctx)
 }
 
+/// FFN data path, from the gradient `dy` at the block output to `∂L/∂x3`.
+/// `gate` and `up` come in holding the forward's activations and leave
+/// holding their gradients.
+fn ffn_data(
+    cfg: &ModelConfig,
+    w: &[f32],
+    dy: &[f32],
+    gate: &mut [f32],
+    up: &mut [f32],
+    scratch: &Scratch,
+) -> ScratchBuf {
+    let (h, f, lay) = (cfg.hidden, cfg.ffn, BlockLayout::new(cfg));
+    let tokens = dy.len() / h;
+    // y = x2 + Wd·hg : dy is the down projection's upstream gradient.
+    let mut dhg = scratch.take(tokens * f);
+    matmul_nn(&mut dhg, dy, &w[lay.wd()], tokens, h, f);
+    swiglu_backward_in_place(gate, up, &dhg);
+    drop(dhg);
+    let mut dx3 = scratch.take(tokens * h);
+    matmul_nn(&mut dx3, gate, &w[lay.wg()], tokens, f, h);
+    matmul_nn(&mut dx3, up, &w[lay.wu()], tokens, f, h);
+    dx3
+}
+
+/// Attention data path, from `dx2`, the gradient at the output projection
+/// (x2 = x + Wo·attn_o), to the pre-RoPE `[dq, dk, dv]` and `∂L/∂x1`.
+#[allow(clippy::too_many_arguments)]
+fn attn_data(
+    cfg: &ModelConfig,
+    rope: &RopeTable,
+    w: &[f32],
+    dx2: &[f32],
+    [q, k, v, attn_o, lse]: [&[f32]; 5],
+    batch: usize,
+    seq: usize,
+    scratch: &Scratch,
+) -> ([ScratchBuf; 3], ScratchBuf) {
+    let (h, kv, lay) = (cfg.hidden, cfg.kv_dim(), BlockLayout::new(cfg));
+    let tokens = batch * seq;
+    let mut d_attn_o = scratch.take(tokens * h);
+    matmul_nn(&mut d_attn_o, dx2, &w[lay.wo()], tokens, h, h);
+    let mut dq = scratch.take(tokens * h);
+    let mut dk = scratch.take(tokens * kv);
+    let mut dv = scratch.take(tokens * kv);
+    let dims = attn_dims(cfg, batch, seq);
+    streaming_backward(
+        &mut dq, &mut dk, &mut dv, &d_attn_o, q, k, v, attn_o, lse, dims, scratch,
+    );
+    drop(d_attn_o);
+    // Undo RoPE on the q/k gradients (rotation is orthogonal).
+    for g in 0..batch {
+        let rq = g * seq * h..(g + 1) * seq * h;
+        rope.apply_backward(&mut dq[rq], seq, cfg.heads);
+        let rk = g * seq * kv..(g + 1) * seq * kv;
+        rope.apply_backward(&mut dk[rk], seq, cfg.kv_heads);
+    }
+    let mut dx1 = scratch.take(tokens * h);
+    matmul_nn(&mut dx1, &dq, &w[lay.wq()], tokens, h, h);
+    matmul_nn(&mut dx1, &dk, &w[lay.wk()], tokens, kv, h);
+    matmul_nn(&mut dx1, &dv, &w[lay.wv()], tokens, kv, h);
+    ([dq, dk, dv], dx1)
+}
+
+/// RMSNorm backward added into `dx`, which holds the residual's share of
+/// the gradient; returns the gain gradient.
+fn norm_data(
+    dx: &mut [f32],
+    dnormed: &[f32],
+    [x, gain, inv_rms]: [&[f32]; 3],
+    scratch: &Scratch,
+) -> ScratchBuf {
+    let h = gain.len();
+    let mut dgain = scratch.take(h);
+    rmsnorm_backward(dx, &mut dgain, dnormed, x, gain, inv_rms, inv_rms.len(), h);
+    dgain
+}
+
+/// `dW += dYᵀ·X` for the down projection; `d_down` is the gradient at the
+/// block output.
+fn down_weight(cfg: &ModelConfig, dw: &mut [f32], d_down: &[f32], hg: &[f32]) {
+    let (h, f, lay) = (cfg.hidden, cfg.ffn, BlockLayout::new(cfg));
+    matmul_tn(&mut dw[lay.wd()], d_down, hg, h, d_down.len() / h, f);
+}
+
+/// `dW += dYᵀ·X` for the gate and up projections.
+fn gate_up_weight(cfg: &ModelConfig, dw: &mut [f32], [dgate, dup]: [&[f32]; 2], x3: &[f32]) {
+    let (h, f, lay) = (cfg.hidden, cfg.ffn, BlockLayout::new(cfg));
+    let tokens = x3.len() / h;
+    matmul_tn(&mut dw[lay.wg()], dgate, x3, f, tokens, h);
+    matmul_tn(&mut dw[lay.wu()], dup, x3, f, tokens, h);
+}
+
+/// `dW += dYᵀ·X` for the output projection (upstream `d_attn_out`, the
+/// gradient at x2) and for q/k/v.
+fn attn_weight(
+    cfg: &ModelConfig,
+    dw: &mut [f32],
+    d_attn_out: &[f32],
+    attn_o: &[f32],
+    [dq, dk, dv]: [&[f32]; 3],
+    x1: &[f32],
+) {
+    let (h, kv, lay) = (cfg.hidden, cfg.kv_dim(), BlockLayout::new(cfg));
+    let tokens = x1.len() / h;
+    matmul_tn(&mut dw[lay.wo()], d_attn_out, attn_o, h, tokens, h);
+    matmul_tn(&mut dw[lay.wq()], dq, x1, h, tokens, h);
+    matmul_tn(&mut dw[lay.wk()], dk, x1, kv, tokens, h);
+    matmul_tn(&mut dw[lay.wv()], dv, x1, kv, tokens, h);
+}
+
+/// `dw[range] += d`, a norm's gain gradient.
+fn add_gain(dw: &mut [f32], range: std::ops::Range<usize>, d: &[f32]) {
+    for (g, d) in dw[range].iter_mut().zip(d) {
+        *g += d;
+    }
+}
+
 /// *B pass*: data gradient only. Returns `∂L/∂x` and the [`BPassCtx`] the
 /// W pass will consume.
 #[allow(clippy::too_many_arguments)]
@@ -291,89 +459,26 @@ pub fn block_backward_data(
     seq: usize,
     scratch: &Scratch,
 ) -> (ScratchBuf, BPassCtx) {
-    let h = cfg.hidden;
-    let f = cfg.ffn;
-    let tokens = batch * seq;
-    assert_eq!(dy.len(), tokens * h, "dy shape");
+    assert_eq!(dy.len(), batch * seq * cfg.hidden, "dy shape");
     let lay = BlockLayout::new(cfg);
+    let (gain1, gain2) = (&w[lay.attn_norm()], &w[lay.ffn_norm()]);
 
-    // --- FFN half, data path ---
-    // y = x2 + Wd·hg : d_down = dy, and dy also flows straight into dx2.
-    let d_down = scratch.take_copy(dy);
-    let mut dhg = scratch.take(tokens * f);
-    matmul_nn(&mut dhg, &d_down, &w[lay.wd()], tokens, h, f);
-    let mut dgate = scratch.take(tokens * f);
-    let mut dup = scratch.take(tokens * f);
-    swiglu_backward(&mut dgate, &mut dup, &dhg, &ctx.gate, &ctx.up);
-    let mut dx3 = scratch.take(tokens * h);
-    matmul_nn(&mut dx3, &dgate, &w[lay.wg()], tokens, f, h);
-    matmul_nn(&mut dx3, &dup, &w[lay.wu()], tokens, f, h);
-
+    // The context is borrowed, so the gate and up gradients get buffers
+    // of their own, and the upstream gradients W reads are copies.
+    let (mut dgate, mut dup) = (scratch.take_copy(&ctx.gate), scratch.take_copy(&ctx.up));
+    let dx3 = ffn_data(cfg, w, dy, &mut dgate, &mut dup, scratch);
     let mut dx2 = scratch.take_copy(dy);
-    let mut dgain2 = scratch.take(h);
-    rmsnorm_backward(
-        &mut dx2,
-        &mut dgain2,
-        &dx3,
-        &ctx.x2,
-        &w[lay.ffn_norm()],
-        &ctx.inv_rms2,
-        tokens,
-        h,
-    );
+    let dgain2 = norm_data(&mut dx2, &dx3, [&ctx.x2, gain2, &ctx.inv_rms2], scratch);
+    drop(dx3);
 
-    // --- attention half, data path ---
-    // x2 = x + Wo·attn_o : upstream at the projection output is dx2.
-    let d_attn_out = dx2.clone();
-    let mut d_attn_o = scratch.take(tokens * h);
-    matmul_nn(&mut d_attn_o, &d_attn_out, &w[lay.wo()], tokens, h, h);
-
-    let kv = cfg.kv_dim();
-    let dims = attn_dims(cfg, batch, seq);
-    let mut dq = scratch.take(tokens * h);
-    let mut dk = scratch.take(tokens * kv);
-    let mut dv = scratch.take(tokens * kv);
-    streaming_backward(
-        &mut dq,
-        &mut dk,
-        &mut dv,
-        &d_attn_o,
-        &ctx.q,
-        &ctx.k,
-        &ctx.v,
-        &ctx.attn_o,
-        &ctx.lse,
-        dims,
-        scratch,
-    );
-    // Undo RoPE on the q/k gradients (rotation is orthogonal).
-    for g in 0..batch {
-        let rq = g * seq * h..(g + 1) * seq * h;
-        rope.apply_backward(&mut dq[rq], seq, cfg.heads);
-        let rk = g * seq * kv..(g + 1) * seq * kv;
-        rope.apply_backward(&mut dk[rk], seq, cfg.kv_heads);
-    }
-
-    let mut dx1 = scratch.take(tokens * h);
-    matmul_nn(&mut dx1, &dq, &w[lay.wq()], tokens, h, h);
-    matmul_nn(&mut dx1, &dk, &w[lay.wk()], tokens, kv, h);
-    matmul_nn(&mut dx1, &dv, &w[lay.wv()], tokens, kv, h);
-
+    let saved = [&ctx.q[..], &ctx.k, &ctx.v, &ctx.attn_o, &ctx.lse];
+    let ([dq, dk, dv], dx1) = attn_data(cfg, rope, w, &dx2, saved, batch, seq, scratch);
+    let d_attn_out = scratch.take_copy(&dx2);
     let mut dx = dx2; // residual through x2 = x + …
-    let mut dgain1 = scratch.take(h);
-    rmsnorm_backward(
-        &mut dx,
-        &mut dgain1,
-        &dx1,
-        &ctx.x,
-        &w[lay.attn_norm()],
-        &ctx.inv_rms1,
-        tokens,
-        h,
-    );
+    let dgain1 = norm_data(&mut dx, &dx1, [&ctx.x, gain1, &ctx.inv_rms1], scratch);
 
     let bctx = BPassCtx {
-        d_down,
+        d_down: scratch.take_copy(dy),
         dgate,
         dup,
         d_attn_out,
@@ -387,7 +492,9 @@ pub fn block_backward_data(
 }
 
 /// *W pass*: weight gradients only, accumulated into the flat `dw` buffer
-/// (layout identical to the weights). Pure `dYᵀ·X` matmuls.
+/// (layout identical to the weights). Pure `dYᵀ·X` matmuls. Reads only
+/// `x1`, `x3`, `hg` and `attn_o` of `ctx`, so a context shed by
+/// [`BlockCtx::into_weight_inputs`] will do.
 pub fn block_backward_weight(
     cfg: &ModelConfig,
     ctx: &BlockCtx,
@@ -396,36 +503,20 @@ pub fn block_backward_weight(
     batch: usize,
     seq: usize,
 ) {
-    let h = cfg.hidden;
-    let f = cfg.ffn;
-    let tokens = batch * seq;
     let lay = BlockLayout::new(cfg);
     assert_eq!(dw.len(), lay.len(), "gradient buffer length");
-
-    matmul_tn(&mut dw[lay.wd()], &bctx.d_down, &ctx.hg, h, tokens, f);
-    matmul_tn(&mut dw[lay.wg()], &bctx.dgate, &ctx.x3, f, tokens, h);
-    matmul_tn(&mut dw[lay.wu()], &bctx.dup, &ctx.x3, f, tokens, h);
-    matmul_tn(
-        &mut dw[lay.wo()],
-        &bctx.d_attn_out,
-        &ctx.attn_o,
-        h,
-        tokens,
-        h,
-    );
-    let kv = cfg.kv_dim();
-    matmul_tn(&mut dw[lay.wq()], &bctx.dq_pre, &ctx.x1, h, tokens, h);
-    matmul_tn(&mut dw[lay.wk()], &bctx.dk_pre, &ctx.x1, kv, tokens, h);
-    matmul_tn(&mut dw[lay.wv()], &bctx.dv, &ctx.x1, kv, tokens, h);
-    for (g, d) in dw[lay.attn_norm()].iter_mut().zip(&bctx.dgain1[..]) {
-        *g += d;
-    }
-    for (g, d) in dw[lay.ffn_norm()].iter_mut().zip(&bctx.dgain2[..]) {
-        *g += d;
-    }
+    assert_eq!(ctx.x1.len(), batch * seq * cfg.hidden, "context shape");
+    down_weight(cfg, dw, &bctx.d_down, &ctx.hg);
+    gate_up_weight(cfg, dw, [&bctx.dgate, &bctx.dup], &ctx.x3);
+    let dqkv = [&bctx.dq_pre[..], &bctx.dk_pre, &bctx.dv];
+    attn_weight(cfg, dw, &bctx.d_attn_out, &ctx.attn_o, dqkv, &ctx.x1);
+    add_gain(dw, lay.attn_norm(), &bctx.dgain1);
+    add_gain(dw, lay.ffn_norm(), &bctx.dgain2);
 }
 
-/// Fused backward: B pass immediately followed by W pass. Returns `∂L/∂x`.
+/// Fused backward over a borrowed context: B pass immediately followed by
+/// W pass. Returns `∂L/∂x`. The oracle [`block_backward`] is tested
+/// against; a runtime consumes its contexts instead.
 #[allow(clippy::too_many_arguments)]
 pub fn block_backward_full(
     cfg: &ModelConfig,
@@ -443,17 +534,78 @@ pub fn block_backward_full(
     dx
 }
 
+/// Fused backward that consumes its context and the upstream gradient
+/// `dy`, whose buffer becomes `∂L/∂x` (returned). Each weight gradient runs
+/// as soon as its upstream gradient exists, and each activation and
+/// gradient returns to the arena after its last read (see the module doc);
+/// the bits are [`block_backward_full`]'s.
+#[allow(clippy::too_many_arguments)]
+pub fn block_backward(
+    cfg: &ModelConfig,
+    rope: &RopeTable,
+    w: &[f32],
+    ctx: BlockCtx,
+    dy: ScratchBuf,
+    dw: &mut [f32],
+    batch: usize,
+    seq: usize,
+    scratch: &Scratch,
+) -> ScratchBuf {
+    assert_eq!(dy.len(), batch * seq * cfg.hidden, "dy shape");
+    let lay = BlockLayout::new(cfg);
+    assert_eq!(dw.len(), lay.len(), "gradient buffer length");
+    let (gain1, gain2) = (&w[lay.attn_norm()], &w[lay.ffn_norm()]);
+    let BlockCtx {
+        x,
+        inv_rms1,
+        x1,
+        q,
+        k,
+        v,
+        lse,
+        attn_o,
+        x2,
+        inv_rms2,
+        x3,
+        mut gate,
+        mut up,
+        hg,
+    } = ctx;
+    // The residual's gradient accumulates in `dy`'s own buffer: dy → dx2 → dx.
+    let mut dx = dy;
+
+    // --- FFN half ---
+    down_weight(cfg, dw, &dx, &hg);
+    drop(hg);
+    let dx3 = ffn_data(cfg, w, &dx, &mut gate, &mut up, scratch);
+    gate_up_weight(cfg, dw, [&gate, &up], &x3);
+    drop((gate, up, x3));
+    let dgain2 = norm_data(&mut dx, &dx3, [&x2, gain2, &inv_rms2], scratch);
+    add_gain(dw, lay.ffn_norm(), &dgain2);
+    drop((dgain2, dx3, x2, inv_rms2));
+
+    // --- attention half ---
+    let saved = [&q[..], &k, &v, &attn_o, &lse];
+    let ([dq, dk, dv], dx1) = attn_data(cfg, rope, w, &dx, saved, batch, seq, scratch);
+    drop((q, k, v, lse));
+    attn_weight(cfg, dw, &dx, &attn_o, [&dq, &dk, &dv], &x1);
+    drop((attn_o, dq, dk, dv, x1));
+    let dgain1 = norm_data(&mut dx, &dx1, [&x, gain1, &inv_rms1], scratch);
+    add_gain(dw, lay.attn_norm(), &dgain1);
+    dx
+}
+
 /// Checkpointed backward: rebuild the context from `ck` — attention's saved
 /// output and log-sum-exp moved in, not copied, and not recomputed — then
-/// run the fused backward. The "recomputation" configuration of the
-/// paper's §4.3.
+/// run the consuming fused backward. The "recomputation" configuration of
+/// the paper's §4.3.
 #[allow(clippy::too_many_arguments)]
 pub fn block_backward_checkpointed(
     cfg: &ModelConfig,
     rope: &RopeTable,
     w: &[f32],
     ck: BlockCkpt,
-    dy: &[f32],
+    dy: ScratchBuf,
     dw: &mut [f32],
     batch: usize,
     seq: usize,
@@ -461,7 +613,7 @@ pub fn block_backward_checkpointed(
 ) -> ScratchBuf {
     let BlockCkpt { x, attn_o, lse } = ck;
     let ctx = block_ctx(cfg, rope, w, x, Some((attn_o, lse)), batch, seq, scratch);
-    block_backward_full(cfg, rope, w, &ctx, dy, dw, batch, seq, scratch)
+    block_backward(cfg, rope, w, ctx, dy, dw, batch, seq, scratch)
 }
 
 /// Full-recompute backward: re-run the whole forward, attention included,
@@ -566,31 +718,6 @@ mod tests {
         }
     }
 
-    #[test]
-    fn split_backward_equals_full() {
-        let (cfg, rope, w) = setup();
-        let sc = Scratch::new();
-        let (batch, seq) = (2, 4);
-        let n = batch * seq * cfg.hidden;
-        let x = Tensor::randn([n], 0.5, 64).into_vec();
-        let dy = Tensor::randn([n], 1.0, 65).into_vec();
-        let (_, ctx) = block_forward(&cfg, &rope, &w, &x, batch, seq, &sc);
-
-        let mut dw_full = vec![0.0f32; w.len()];
-        let dx_full =
-            block_backward_full(&cfg, &rope, &w, &ctx, &dy, &mut dw_full, batch, seq, &sc);
-
-        let (dx_split, bctx) = block_backward_data(&cfg, &rope, &w, &ctx, &dy, batch, seq, &sc);
-        let mut dw_split = vec![0.0f32; w.len()];
-        block_backward_weight(&cfg, &ctx, &bctx, &mut dw_split, batch, seq);
-
-        assert_eq!(dx_full, dx_split, "B pass dx must equal fused dx");
-        assert_eq!(dw_full, dw_split, "W pass dw must equal fused dw");
-        // The paper's memory claim: B-pass state is the same order as the
-        // forward activations.
-        assert!(bctx.saved_elems() > 0);
-    }
-
     /// Multi-head and grouped-query configs long enough for a sequence on
     /// each side of attention's 64-query tile.
     fn long_cfgs() -> [ModelConfig; 2] {
@@ -599,17 +726,69 @@ mod tests {
         [mha, gqa]
     }
 
-    #[test]
-    fn recompute_equals_saved_backward() {
-        // The checkpointed backward, the backward from the saved context and
-        // the full recompute all compute the same bits.
-        let sc = Scratch::new();
-        let cases = [(ModelConfig::tiny(1), 2, 3)].into_iter().chain(
+    /// `(config, batch, seq)`: the tiny config, then each long one at one
+    /// sequence below and one above a query tile.
+    fn cases() -> impl Iterator<Item = (ModelConfig, usize, usize)> {
+        [(ModelConfig::tiny(1), 2, 3)].into_iter().chain(
             long_cfgs()
                 .into_iter()
                 .flat_map(|c| [(c.clone(), 1, 63), (c, 2, 65)]),
-        );
-        for (cfg, batch, seq) in cases {
+        )
+    }
+
+    #[test]
+    fn split_backward_equals_full() {
+        // The B pass, then the W pass over the context shed to what W
+        // reads, and the consuming fused backward all compute the borrowed
+        // fused backward's bits.
+        let sc = Scratch::new();
+        for (cfg, batch, seq) in cases() {
+            let rope = cfg.rope_table();
+            let w = init_block(&cfg, 3, 0);
+            let (h, tokens) = (cfg.hidden, batch * seq);
+            let x = Tensor::randn([tokens * h], 0.5, 64).into_vec();
+            let dy = Tensor::randn([tokens * h], 1.0, 65).into_vec();
+            let what = format!("kv_heads={} S={seq}", cfg.kv_heads);
+            let (_, ctx) = block_forward(&cfg, &rope, &w, &x, batch, seq, &sc);
+
+            let mut dw_full = vec![0.0f32; w.len()];
+            let dx_full =
+                block_backward_full(&cfg, &rope, &w, &ctx, &dy, &mut dw_full, batch, seq, &sc);
+
+            let (dx_split, bctx) = block_backward_data(&cfg, &rope, &w, &ctx, &dy, batch, seq, &sc);
+            let shed = ctx.into_weight_inputs();
+            assert_eq!(
+                shed.saved_elems(),
+                tokens * (3 * h + cfg.ffn),
+                "{what}: a shed context is x1 + x3 + hg + attn_o"
+            );
+            let kv = cfg.kv_dim();
+            assert_eq!(
+                bctx.saved_elems(),
+                tokens * (3 * h + 2 * kv + 2 * cfg.ffn) + 2 * h
+            );
+            let mut dw_split = vec![0.0f32; w.len()];
+            block_backward_weight(&cfg, &shed, &bctx, &mut dw_split, batch, seq);
+
+            let (_, ctx) = block_forward(&cfg, &rope, &w, &x, batch, seq, &sc);
+            let mut dw_own = vec![0.0f32; w.len()];
+            let dy_own = sc.take_copy(&dy);
+            let dx_own = block_backward(&cfg, &rope, &w, ctx, dy_own, &mut dw_own, batch, seq, &sc);
+
+            assert_eq!(dx_full, dx_split, "{what}: B pass dx");
+            assert_eq!(dw_full, dw_split, "{what}: W pass dw");
+            assert_eq!(dx_full, dx_own, "{what}: consuming dx");
+            assert_eq!(dw_full, dw_own, "{what}: consuming dw");
+        }
+    }
+
+    #[test]
+    fn recompute_equals_saved_backward() {
+        // The checkpointed backward, the backward from the saved context
+        // (borrowed or consumed) and the full recompute all compute the
+        // same bits.
+        let sc = Scratch::new();
+        for (cfg, batch, seq) in cases() {
             let rope = cfg.rope_table();
             let w = init_block(&cfg, 3, 0);
             let n = batch * seq * cfg.hidden;
@@ -623,17 +802,54 @@ mod tests {
 
             let ck = ctx.into_checkpoint();
             let mut dw2 = vec![0.0f32; w.len()];
+            let dy2 = sc.take_copy(&dy);
             let dx2 =
-                block_backward_checkpointed(&cfg, &rope, &w, ck, &dy, &mut dw2, batch, seq, &sc);
+                block_backward_checkpointed(&cfg, &rope, &w, ck, dy2, &mut dw2, batch, seq, &sc);
 
             let mut dw3 = vec![0.0f32; w.len()];
             let dx3 = block_backward_recompute(&cfg, &rope, &w, &x, &dy, &mut dw3, batch, seq, &sc);
+
+            let (_, ctx) = block_forward(&cfg, &rope, &w, &x, batch, seq, &sc);
+            let mut dw4 = vec![0.0f32; w.len()];
+            let dy4 = sc.take_copy(&dy);
+            let dx4 = block_backward(&cfg, &rope, &w, ctx, dy4, &mut dw4, batch, seq, &sc);
 
             assert_eq!(dx1, dx2, "{what}: checkpointed dx");
             assert_eq!(dw1, dw2, "{what}: checkpointed dw");
             assert_eq!(dx1, dx3, "{what}: recomputed dx");
             assert_eq!(dw1, dw3, "{what}: recomputed dw");
+            assert_eq!(dx1, dx4, "{what}: consuming dx");
+            assert_eq!(dw1, dw4, "{what}: consuming dw");
         }
+    }
+
+    #[test]
+    fn a_warm_checkpointed_step_pools_its_live_high_water() {
+        // H = F = 64, attention's query-tile width, at one sequence short
+        // enough for one attention lane: every large buffer (activation,
+        // gradient, score tile) has length S·64, so the arena pools exactly
+        // the most of them ever alive at once. The forward and the FFN
+        // backward peak at 12; the attention backward at 13: x, x1, q, k,
+        // v, attn_o, the residual gradient, attention's upstream gradient,
+        // dq, dk, dv and its two score tiles. Beside them: two inv-RMS rows
+        // and the log-sum-exp (S each), and one gain gradient (H).
+        let mut cfg = ModelConfig::llama_like(64, 1, 1, 11, 15);
+        cfg.ffn = cfg.hidden;
+        let rope = cfg.rope_table();
+        let w = init_block(&cfg, 3, 0);
+        let seq = 15;
+        let big = seq * cfg.hidden;
+        let x = Tensor::randn([big], 0.5, 72).into_vec();
+        let dy = Tensor::randn([big], 1.0, 73).into_vec();
+        let mut dw = vec![0.0f32; w.len()];
+        let sc = Scratch::new();
+        for _ in 0..2 {
+            let (_, ctx) = block_forward(&cfg, &rope, &w, &x, 1, seq, &sc);
+            let ck = ctx.into_checkpoint();
+            let dy = sc.take_copy(&dy);
+            block_backward_checkpointed(&cfg, &rope, &w, ck, dy, &mut dw, 1, seq, &sc);
+        }
+        assert_eq!(sc.pooled_elems(), 13 * big + 3 * seq + cfg.hidden);
     }
 
     #[test]

@@ -5,7 +5,7 @@
 //! strategy is verified against: same seed, same batch → identical (f32)
 //! gradients, whatever the schedule.
 
-use crate::block::{block_backward_full, block_forward, BlockCtx};
+use crate::block::{block_backward, block_forward, BlockCtx};
 use crate::config::ModelConfig;
 use crate::embed::{embed_backward, embed_forward, head_backward, head_forward, HeadCtx};
 use crate::params::{init_block, init_embed, init_head};
@@ -192,7 +192,8 @@ impl Model {
     ///
     /// `grad_scale` multiplies the loss gradient (microbatch averaging /
     /// loss scaling). The one fused cross-entropy pass turns the ctx's
-    /// logits into their gradient in place.
+    /// logits into their gradient in place, and each layer's backward
+    /// consumes its saved context, so one forward feeds one backward.
     pub fn backward(
         &self,
         ctx: &mut ModelFwdCtx,
@@ -211,12 +212,12 @@ impl Model {
             &self.scratch,
         );
         for l in (0..self.cfg.layers).rev() {
-            dx = block_backward_full(
+            dx = block_backward(
                 &self.cfg,
                 &self.rope,
                 &self.blocks[l],
-                &ctx.block_ctxs[l],
-                &dx,
+                ctx.block_ctxs.pop().expect("one context per layer"),
+                dx,
                 &mut grads.blocks[l],
                 ctx.batch,
                 ctx.seq,

@@ -7,15 +7,16 @@
 //! forward context), snapshots the allocation counter, runs more
 //! iterations, and asserts the counter did not move — at a shape that stays
 //! on the calling thread, and at one whose kernels run on the pool's
-//! threads, backward from the saved context and from a checkpoint.
+//! threads, backward from the saved context (borrowed, consumed, or split
+//! into B and a W pass over the shed context) and from a checkpoint.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Barrier;
 
 use wp_nn::block::{
-    block_backward_checkpointed, block_backward_data, block_backward_full, block_backward_weight,
-    block_forward,
+    block_backward, block_backward_checkpointed, block_backward_data, block_backward_full,
+    block_backward_weight, block_forward,
 };
 use wp_nn::config::ModelConfig;
 use wp_nn::data::synthetic_batch;
@@ -91,8 +92,9 @@ fn warm_train_iteration() {
 
 fn warm_split_bw_pass() {
     // The WeiPipe runtime splits backward into a B pass (data gradients,
-    // saves per-layer contexts) and a W pass (weight gradients). Both must
-    // stay off the heap once the arena is warm.
+    // saves per-layer contexts) and a W pass (weight gradients) over the
+    // context shed to what W reads. Both must stay off the heap once the
+    // arena is warm.
     let cfg = ModelConfig::tiny(1);
     let rope = cfg.rope_table();
     let w = init_block(&cfg, 3, 0);
@@ -106,6 +108,7 @@ fn warm_split_bw_pass() {
     let delta = allocs_when_warm(2, 3, || {
         let (_, ctx) = block_forward(&cfg, &rope, &w, &x, batch, seq, &sc);
         let (_dx, bctx) = block_backward_data(&cfg, &rope, &w, &ctx, &dy, batch, seq, &sc);
+        let ctx = ctx.into_weight_inputs();
         dw.fill(0.0);
         block_backward_weight(&cfg, &ctx, &bctx, &mut dw, batch, seq);
     });
@@ -132,16 +135,43 @@ fn warm_parallel_block() {
     let x: Vec<f32> = (0..n).map(|i| ((i % 17) as f32 - 8.0) * 0.05).collect();
     let dy: Vec<f32> = (0..n).map(|i| ((i % 5) as f32 - 2.0) * 0.13).collect();
     let mut dw = vec![0.0f32; w.len()];
-    // Forward then backward, from the saved context or (`ckpt`) from the
-    // layer's checkpoint, as the runtime runs a recomputing layer.
-    let mut iterate = |ckpt: bool| {
+    // Forward then backward: from the saved context, borrowed (the oracle)
+    // or consumed as the runtime does, from the layer's checkpoint, or
+    // split into B and a W pass over the shed context.
+    #[derive(Clone, Copy, Debug)]
+    enum Path {
+        Borrowed,
+        Consumed,
+        Checkpointed,
+        Split,
+    }
+    const PATHS: [Path; 4] = [
+        Path::Borrowed,
+        Path::Consumed,
+        Path::Checkpointed,
+        Path::Split,
+    ];
+    let mut iterate = |path: Path| {
         let (_, ctx) = block_forward(&cfg, &rope, &w, &x, batch, seq, &sc);
         dw.fill(0.0);
-        let _ = if ckpt {
-            let ck = ctx.into_checkpoint();
-            block_backward_checkpointed(&cfg, &rope, &w, ck, &dy, &mut dw, batch, seq, &sc)
-        } else {
-            block_backward_full(&cfg, &rope, &w, &ctx, &dy, &mut dw, batch, seq, &sc)
+        let _ = match path {
+            Path::Borrowed => {
+                block_backward_full(&cfg, &rope, &w, &ctx, &dy, &mut dw, batch, seq, &sc)
+            }
+            Path::Consumed => {
+                let dy = sc.take_copy(&dy);
+                block_backward(&cfg, &rope, &w, ctx, dy, &mut dw, batch, seq, &sc)
+            }
+            Path::Checkpointed => {
+                let (ck, dy) = (ctx.into_checkpoint(), sc.take_copy(&dy));
+                block_backward_checkpointed(&cfg, &rope, &w, ck, dy, &mut dw, batch, seq, &sc)
+            }
+            Path::Split => {
+                let (dx, bctx) = block_backward_data(&cfg, &rope, &w, &ctx, &dy, batch, seq, &sc);
+                let ctx = ctx.into_weight_inputs();
+                block_backward_weight(&cfg, &ctx, &bctx, &mut dw, batch, seq);
+                dx
+            }
         };
     };
 
@@ -159,16 +189,16 @@ fn warm_parallel_block() {
     // buffers), so what the measured parallel iterations allocate is what
     // the pool's threads would.
     rayon::force_sequential(|| {
-        for ckpt in [false, true] {
-            iterate(ckpt);
-            iterate(ckpt);
+        for path in PATHS {
+            iterate(path);
+            iterate(path);
         }
     });
-    for ckpt in [false, true] {
-        let delta = allocs_when_warm(0, 3, || iterate(ckpt));
+    for path in PATHS {
+        let delta = allocs_when_warm(0, 3, || iterate(path));
         assert_eq!(
             delta, 0,
-            "warm parallel block fwd+bwd (checkpointed: {ckpt}) performed {delta} heap allocations"
+            "warm parallel block fwd+bwd ({path:?}) performed {delta} heap allocations"
         );
     }
 }

@@ -8,7 +8,7 @@ use proptest::prelude::*;
 use proptest::sample::select;
 use wp_nn::attention::{streaming_backward, streaming_forward, AttnDims};
 use wp_nn::block::{
-    block_backward_checkpointed, block_backward_data, block_backward_full,
+    block_backward, block_backward_checkpointed, block_backward_data, block_backward_full,
     block_backward_recompute, block_backward_weight, block_forward,
 };
 use wp_nn::config::ModelConfig;
@@ -82,11 +82,20 @@ proptest! {
         let dx_full =
             block_backward_full(&cfg, &rope, &w, &ctx, &dy, &mut dw_full, batch, seq, &sc);
         let (dx_split, bctx) = block_backward_data(&cfg, &rope, &w, &ctx, &dy, batch, seq, &sc);
+        let shed = ctx.into_weight_inputs();
         let mut dw_split = vec![0.0; w.len()];
-        block_backward_weight(&cfg, &ctx, &bctx, &mut dw_split, batch, seq);
+        block_backward_weight(&cfg, &shed, &bctx, &mut dw_split, batch, seq);
+        // The consuming fused backward, on a context of its own.
+        let (_, ctx) = block_forward(&cfg, &rope, &w, &x, batch, seq, &sc);
+        let mut dw_own = vec![0.0; w.len()];
+        let dx_own = block_backward(
+            &cfg, &rope, &w, ctx, sc.take_copy(&dy), &mut dw_own, batch, seq, &sc,
+        );
 
-        prop_assert_eq!(dx_full, dx_split);
-        prop_assert_eq!(dw_full, dw_split);
+        prop_assert_eq!(&dx_full, &dx_split);
+        prop_assert_eq!(&dw_full, &dw_split);
+        prop_assert_eq!(dx_full, dx_own);
+        prop_assert_eq!(dw_full, dw_own);
     }
 
     #[test]
@@ -113,7 +122,7 @@ proptest! {
         let dx1 = block_backward_full(&cfg, &rope, &w, &ctx, &dy, &mut dw1, batch, seq, &sc);
         let mut dw2 = vec![0.0; w.len()];
         let dx2 = block_backward_checkpointed(
-            &cfg, &rope, &w, ctx.into_checkpoint(), &dy, &mut dw2, batch, seq, &sc,
+            &cfg, &rope, &w, ctx.into_checkpoint(), sc.take_copy(&dy), &mut dw2, batch, seq, &sc,
         );
         let mut dw3 = vec![0.0; w.len()];
         let dx3 =

@@ -325,10 +325,11 @@ impl CostModel {
         }
     }
 
-    /// Transient bytes a checkpointed backward materialises: the full
-    /// forward ctx of the chunk exists between the recompute and the end of
-    /// the backward. Charged by the engine for the duration of `BwdFull`
-    /// ops when `recompute` is on.
+    /// Transient bytes a checkpointed backward materialises, priced as the
+    /// chunk's whole forward ctx for the duration of `BwdFull` ops when
+    /// `recompute` is on. An upper bound: the runtime rebuilds one layer's
+    /// context at a time, and that layer's backward returns each buffer to
+    /// the arena after its last read.
     pub fn recompute_transient_bytes(&self) -> u64 {
         let saved = self.mem_unit_bytes(MemUnit::FwdCtx);
         // The ckpt input itself is already charged; avoid double counting.
