@@ -17,9 +17,10 @@
 //!
 //! The pointwise and per-byte kernels get the same treatment against a
 //! different ceiling, an in-process `copy_from_slice` of as many floats:
-//! SwiGLU forward + backward at the same shape's FFN activation (S × F),
-//! and `pack_f16`, `unpack_f16` and the frame checksum over one `widecomm`
-//! ring chunk (1.58 M elements), the last three in GB/s of f32 bytes.
+//! SwiGLU forward + in-place backward at the same shape's FFN activation
+//! (S × F), as a block runs them, and `pack_f16`, `unpack_f16` and the
+//! frame checksum over one `widecomm` ring chunk (1.58 M elements), the
+//! last three in GB/s of f32 bytes.
 //! `swiglu_copy_share`, `pack_f16_copy_share` and `checksum_copy_share` have
 //! floors too: a libm `exp` per element, a SwiGLU body left outside the
 //! ISA wrapper, a scalar converter or a byte-at-a-time hash fails them.
@@ -42,7 +43,7 @@ use wp_nn::params::BlockLayout;
 use wp_nn::scratch::Scratch;
 use wp_tensor::dtype::{pack_f16, unpack_f16};
 use wp_tensor::ops::gemm::{self, Isa};
-use wp_tensor::ops::{matmul_nn, matmul_nt, matmul_tn, swiglu_backward, swiglu_forward};
+use wp_tensor::ops::{matmul_nn, matmul_nt, matmul_tn, swiglu_backward_in_place, swiglu_forward};
 use wp_tensor::Tensor;
 
 /// Wall time of one run of `f` on one core.
@@ -214,18 +215,25 @@ fn bench_attention(cfg: &ModelConfig, seq: usize, peak: &Ceiling, reps: usize) -
     [fwd, bwd]
 }
 
-/// SwiGLU forward then backward over one `S × F` FFN activation, and a
-/// `copy_from_slice` of as many floats: `(swiglu, copy)` median seconds.
+/// SwiGLU forward then its in-place backward over one `S × F` FFN
+/// activation, as a block runs them, and a `copy_from_slice` of as many
+/// floats: `(swiglu, copy)` median seconds. Each sample starts from fresh
+/// copies of `gate` and `up`, made outside the timed region.
 fn bench_swiglu(cfg: &ModelConfig, seq: usize, reps: usize) -> (f64, f64) {
     let n = seq * cfg.ffn;
     let (gate, up, dy) = (rand(n, 10), rand(n, 11), rand(n, 12));
-    let (mut out, mut dgate, mut dup) = (vec![0.0f32; n], vec![0.0f32; n], vec![0.0f32; n]);
-    let swiglu = median_secs(reps, || {
-        swiglu_forward(&mut out, black_box(&gate), black_box(&up));
-        swiglu_backward(&mut dgate, &mut dup, black_box(&dy), &gate, &up);
+    let (mut out, mut g, mut u) = (vec![0.0f32; n], gate.clone(), up.clone());
+    let samples = (0..reps).map(|_| {
+        g.copy_from_slice(&gate);
+        u.copy_from_slice(&up);
+        secs(|| {
+            swiglu_forward(&mut out, black_box(&g), black_box(&u));
+            swiglu_backward_in_place(&mut g, &mut u, black_box(&dy));
+        })
     });
+    let swiglu = median(samples.collect());
     let copy = median_secs(reps, || out.copy_from_slice(black_box(&gate)));
-    black_box((&out, &dgate, &dup));
+    black_box((&out, &g, &u));
     (swiglu, copy)
 }
 

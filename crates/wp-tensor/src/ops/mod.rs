@@ -11,9 +11,7 @@ pub mod norm;
 pub mod par;
 pub mod rope;
 
-pub use elementwise::{
-    exp_poly, silu, silu_grad, swiglu_backward, swiglu_backward_in_place, swiglu_forward,
-};
+pub use elementwise::{exp_poly, silu, silu_grad, swiglu_backward_in_place, swiglu_forward};
 pub use embedding::{embedding_backward, embedding_forward};
 pub use loss::cross_entropy;
 pub use matmul::{dot, matmul_naive, matmul_nn, matmul_nt, matmul_tn};
