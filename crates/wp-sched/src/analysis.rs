@@ -1,7 +1,9 @@
 //! Communication analysis: byte counting from schedules, plus the paper's
 //! §3 closed-form comparisons.
 
-use crate::ir::{MsgKind, OpKind, Schedule, FLOW_BWD, FLOW_FWD, RESIDENT, SHARDED};
+use crate::ir::{
+    MemUnit, MsgKind, Op, OpKind, Schedule, FLOW_BWD, FLOW_FWD, NO_MB, RESIDENT, SHARDED,
+};
 
 /// Wire sizes of the four message payloads plus collective parameters, for
 /// a concrete model/batch configuration. All in bytes.
@@ -112,6 +114,98 @@ pub fn resident(s: &Schedule, rank: usize) -> Resident {
         }
     }
     held
+}
+
+/// Every op's memory deltas, `[rank][op]`, applied when the op completes,
+/// derived from the op streams. A forward saves its context (`FwdCtx`, or
+/// `CkptInput` under [`Schedule::recompute`]) and a fused backward frees
+/// it; a B pass parks a `BCtx`, and its W pass frees both. A received
+/// boundary buffer, or a gathered chunk, lives until the op that names it
+/// in `needs`. A boundary buffer a rank sends, or a gradient chunk it
+/// reduce-scatters, lives from the pass that made it until it leaves: the
+/// latest pass before the send that makes that buffer, found by identity,
+/// not by position — the forward of the chunk before an `Act`, the
+/// backward of the chunk after an `ActGrad`, a fused backward or W pass of
+/// the scattered chunk.
+/// Within an op: a forward's context, then what it reads — received
+/// buffers, a backward's context, gathered chunks — then what it makes.
+pub fn mem_deltas(s: &Schedule) -> Vec<Vec<Vec<(MemUnit, i64)>>> {
+    let ctx = if s.recompute {
+        MemUnit::CkptInput
+    } else {
+        MemUnit::FwdCtx
+    };
+    let boundary = |kind| match kind {
+        MsgKind::Act => Some(MemUnit::ActBoundary),
+        MsgKind::ActGrad => Some(MemUnit::ActGradBoundary),
+        _ => None,
+    };
+    let rank = |ops: &Vec<Op>| -> Vec<_> {
+        // Walked backwards: what later ops send away, not yet matched to
+        // the pass that makes it.
+        let mut pending: Vec<Buffer> = Vec::new();
+        let deltas = ops.iter().rev().map(|op| {
+            let mut d = Vec::new();
+            if let OpKind::Fwd { .. } = op.kind {
+                d.push((ctx, 1));
+            }
+            let received = op.needs.iter().filter_map(|k| boundary(k.kind));
+            d.extend(received.map(|u| (u, -1)));
+            match op.kind {
+                OpKind::BwdFull { .. } => d.push((ctx, -1)),
+                OpKind::BwdData { .. } => d.push((MemUnit::BCtx, 1)),
+                OpKind::BwdWeight { .. } => d.extend([(MemUnit::FwdCtx, -1), (MemUnit::BCtx, -1)]),
+                OpKind::Recv(k) => d.extend(boundary(k.kind).map(|u| (u, 1))),
+                OpKind::AllGatherW { .. } => d.push((MemUnit::WeightChunk, 1)),
+                _ => d.extend(taken(&op.kind).map(|(u, ..)| (u, -1))),
+            }
+            let gathered = op.needs.iter().filter(|k| k.src == k.dst);
+            let gathered = gathered.filter(|k| k.kind == MsgKind::Weights);
+            d.extend(gathered.map(|_| (MemUnit::WeightChunk, -1)));
+            for buffer in made(&op.kind) {
+                if let Some(at) = pending.iter().position(|b| *b == buffer) {
+                    pending.swap_remove(at);
+                    d.push((buffer.0, 1));
+                }
+            }
+            pending.extend(taken(&op.kind));
+            d
+        });
+        let mut deltas: Vec<_> = deltas.collect();
+        deltas.reverse();
+        deltas
+    };
+    s.ops.iter().map(rank).collect()
+}
+
+/// A buffer a rank sends away, named by the pass that makes it:
+/// `(unit, mb, chunk)`, with [`NO_MB`] for a gradient chunk.
+type Buffer = (MemUnit, usize, usize);
+
+/// The buffer a send or a reduce-scatter takes away.
+fn taken(kind: &OpKind) -> Option<Buffer> {
+    use MemUnit::{ActBoundary, ActGradBoundary, GradChunk};
+    use MsgKind::{Act, ActGrad};
+    match *kind {
+        OpKind::Send(k) if k.kind == Act => Some((ActBoundary, k.mb, k.chunk.wrapping_sub(1))),
+        OpKind::Send(k) if k.kind == ActGrad => Some((ActGradBoundary, k.mb, k.chunk + 1)),
+        OpKind::ReduceScatterD { chunk, .. } => Some((GradChunk, NO_MB, chunk)),
+        _ => None,
+    }
+}
+
+/// The buffers a pass makes that a send may take ([`taken`]).
+fn made(kind: &OpKind) -> impl Iterator<Item = Buffer> {
+    use MemUnit::{ActBoundary, ActGradBoundary, GradChunk};
+    let (boundary, grads) = match *kind {
+        OpKind::Fwd { mb, chunk } => (Some((ActBoundary, mb, chunk)), None),
+        OpKind::BwdFull { mb, chunk } => (Some((ActGradBoundary, mb, chunk)), Some(chunk)),
+        OpKind::BwdData { mb, chunk } => (Some((ActGradBoundary, mb, chunk)), None),
+        OpKind::BwdWeight { chunk, .. } => (None, Some(chunk)),
+        _ => (None, None),
+    };
+    let grads = grads.map(|chunk| (GradChunk, NO_MB, chunk));
+    boundary.into_iter().chain(grads)
 }
 
 /// Total bytes sent by all ranks over the iteration.
