@@ -372,6 +372,133 @@ mod tests {
         assert_eq!(held(Strategy::Ddp, 1), [p * p, p * p, p * p]);
     }
 
+    /// One rank's derived ledger, one `op: deltas` line per op.
+    fn ledger(s: &Schedule, rank: usize) -> Vec<String> {
+        let deltas = &mem_deltas(s)[rank];
+        let lines = s.ops[rank].iter().zip(deltas).map(|(op, deltas)| {
+            let mut line = match op.kind {
+                OpKind::Fwd { mb, chunk } => format!("F{mb}.{chunk}"),
+                OpKind::BwdFull { mb, chunk } => format!("B{mb}.{chunk}"),
+                OpKind::BwdData { mb, chunk } => format!("b{mb}.{chunk}"),
+                OpKind::BwdWeight { mb, chunk } => format!("W{mb}.{chunk}"),
+                OpKind::Update { chunk } => format!("U{chunk}"),
+                OpKind::Send(k) => format!("send {:?}{}", k.kind, k.mb),
+                OpKind::Recv(k) => format!("recv {:?}{}", k.kind, k.mb),
+                OpKind::AllGatherW { chunk, .. } => format!("gather{chunk}"),
+                OpKind::ReduceScatterD { chunk, .. } => format!("scatter{chunk}"),
+                OpKind::AllReduceD { chunk, .. } => format!("reduce{chunk}"),
+            };
+            for (unit, delta) in deltas {
+                line += &format!(" {}{unit:?}", if *delta > 0 { '+' } else { '-' });
+            }
+            line
+        });
+        lines.collect()
+    }
+
+    /// The derived ledger, pinned by hand. A stage forward saves its
+    /// checkpoint, frees the activation it received and makes the one it
+    /// sends; its backward likewise for activation gradients.
+    #[test]
+    fn a_middle_gpipe_stage_holds_each_boundary_buffer_from_maker_to_taker() {
+        let s = build(Strategy::GPipe, PipelineSpec::new(3, 4));
+        let want = [
+            "recv Act0 +ActBoundary",
+            "F0.1 +CkptInput -ActBoundary +ActBoundary",
+            "send Act0 -ActBoundary",
+            "recv Act1 +ActBoundary",
+            "F1.1 +CkptInput -ActBoundary +ActBoundary",
+            "send Act1 -ActBoundary",
+            "recv Act2 +ActBoundary",
+            "F2.1 +CkptInput -ActBoundary +ActBoundary",
+            "send Act2 -ActBoundary",
+            "recv Act3 +ActBoundary",
+            "F3.1 +CkptInput -ActBoundary +ActBoundary",
+            "send Act3 -ActBoundary",
+            "recv ActGrad0 +ActGradBoundary",
+            "B0.1 -ActGradBoundary -CkptInput +ActGradBoundary",
+            "send ActGrad0 -ActGradBoundary",
+            "recv ActGrad1 +ActGradBoundary",
+            "B1.1 -ActGradBoundary -CkptInput +ActGradBoundary",
+            "send ActGrad1 -ActGradBoundary",
+            "recv ActGrad2 +ActGradBoundary",
+            "B2.1 -ActGradBoundary -CkptInput +ActGradBoundary",
+            "send ActGrad2 -ActGradBoundary",
+            "recv ActGrad3 +ActGradBoundary",
+            "B3.1 -ActGradBoundary -CkptInput +ActGradBoundary",
+            "send ActGrad3 -ActGradBoundary",
+            "U1",
+        ];
+        assert_eq!(ledger(&s, 1), want);
+    }
+
+    /// A B pass parks its context beside the forward's, and the W pass
+    /// frees both; a split backward never checkpoints.
+    #[test]
+    fn a_zb1_w_pass_frees_both_contexts() {
+        let s = build(Strategy::Zb1, PipelineSpec::new(2, 2).with_knob(0));
+        let first = [
+            "F0.0 +FwdCtx +ActBoundary",
+            "send Act0 -ActBoundary",
+            "F1.0 +FwdCtx +ActBoundary",
+            "send Act1 -ActBoundary",
+            "recv ActGrad0 +ActGradBoundary",
+            "b0.0 -ActGradBoundary +BCtx",
+            "W0.0 -FwdCtx -BCtx",
+            "recv ActGrad1 +ActGradBoundary",
+            "b1.0 -ActGradBoundary +BCtx",
+            "W1.0 -FwdCtx -BCtx",
+            "U0",
+        ];
+        let last = [
+            "recv Act0 +ActBoundary",
+            "F0.1 +FwdCtx -ActBoundary",
+            "b0.1 +BCtx +ActGradBoundary",
+            "send ActGrad0 -ActGradBoundary",
+            "W0.1 -FwdCtx -BCtx",
+            "recv Act1 +ActBoundary",
+            "F1.1 +FwdCtx -ActBoundary",
+            "b1.1 +BCtx +ActGradBoundary",
+            "send ActGrad1 -ActGradBoundary",
+            "W1.1 -FwdCtx -BCtx",
+            "U1",
+        ];
+        assert_eq!(ledger(&s, 0), first);
+        assert_eq!(ledger(&s, 1), last);
+    }
+
+    /// A gathered chunk lives until the pass that names it; the n-th
+    /// reduce-scatter of a chunk takes the n-th backward's gradients.
+    #[test]
+    fn fsdp_frees_each_gathered_chunk_at_its_pass_and_each_gradient_at_its_scatter() {
+        let s = build(Strategy::Fsdp, PipelineSpec::new(2, 4).with_knob(2));
+        let want = [
+            "gather0 +WeightChunk",
+            "F0.0 +CkptInput -WeightChunk",
+            "gather1 +WeightChunk",
+            "F0.1 +CkptInput -WeightChunk",
+            "gather1 +WeightChunk",
+            "B0.1 -CkptInput -WeightChunk +GradChunk",
+            "scatter1 -GradChunk",
+            "gather0 +WeightChunk",
+            "B0.0 -CkptInput -WeightChunk +GradChunk",
+            "scatter0 -GradChunk",
+            "gather0 +WeightChunk",
+            "F2.0 +CkptInput -WeightChunk",
+            "gather1 +WeightChunk",
+            "F2.1 +CkptInput -WeightChunk",
+            "gather1 +WeightChunk",
+            "B2.1 -CkptInput -WeightChunk +GradChunk",
+            "scatter1 -GradChunk",
+            "gather0 +WeightChunk",
+            "B2.0 -CkptInput -WeightChunk +GradChunk",
+            "scatter0 -GradChunk",
+            "U0",
+            "U1",
+        ];
+        assert_eq!(ledger(&s, 0), want);
+    }
+
     #[test]
     fn crossover_matches_paper_examples() {
         // H=1024, S=4096, G=16: GS/(12H) = 65536/12288 ≈ 5.3 ≫ 1: weights win.

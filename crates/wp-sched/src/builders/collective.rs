@@ -2,18 +2,17 @@
 //! `N/P` microbatches through the whole model, in `chunks` pieces.
 
 use super::{Knob, Passes, PipelineSpec};
-use crate::ir::{MemUnit, Op, OpKind, Schedule, Strategy, RESIDENT, SHARDED};
+use crate::ir::{Op, OpKind, Schedule, Strategy, RESIDENT, SHARDED};
 
 pub(super) fn build_collective(strategy: Strategy, spec: PipelineSpec) -> Schedule {
     let p = spec.ranks;
     let Some((Knob::Chunks, chunks)) = spec.knob(strategy) else {
         unreachable!("{strategy:?} reads the chunk knob");
     };
-    let passes = Passes::of(strategy, &spec);
     let (ops, flow) = if strategy == Strategy::Fsdp {
-        (fsdp_ops(spec, chunks, passes.ctx), SHARDED)
+        (fsdp_ops(spec, chunks), SHARDED)
     } else {
-        (ddp_ops(spec, chunks, passes.ctx), RESIDENT)
+        (ddp_ops(spec, chunks), RESIDENT)
     };
     Schedule {
         strategy,
@@ -23,7 +22,7 @@ pub(super) fn build_collective(strategy: Strategy, spec: PipelineSpec) -> Schedu
         ops,
         initial_holder: (0..chunks).map(|c| c % p).collect(),
         seeds: vec![(0..chunks).map(|c| (c, flow)).collect(); p],
-        recompute: passes.recompute,
+        recompute: Passes::of(strategy, &spec).recompute,
     }
 }
 
@@ -35,45 +34,27 @@ pub(super) fn build_collective(strategy: Strategy, spec: PipelineSpec) -> Schedu
 /// re-gather is what keeps sharded memory flat and what multiplies ZeRO-3's
 /// communication volume by the gradient-accumulation depth — the cost the
 /// paper's slow-interconnect columns expose (§6.1).
-fn fsdp_ops(spec: PipelineSpec, chunks: usize, ctx: MemUnit) -> Vec<Vec<Op>> {
+fn fsdp_ops(spec: PipelineSpec, chunks: usize) -> Vec<Vec<Op>> {
     let p = spec.ranks;
     let local = spec.microbatches / p;
     let mut ops: Vec<Vec<Op>> = vec![Vec::new(); p];
     for (r, stream) in ops.iter_mut().enumerate() {
         for i in 0..local {
             let mb = i * p + r;
+            // Each pass runs on its chunk gathered just for it.
+            let gathered = |stream: &mut Vec<Op>, pass, chunk, round| {
+                let gather = OpKind::AllGatherW { chunk, round };
+                let key = gather.collective_key(r);
+                stream.push(Op::compute_collective(gather));
+                stream.push(Op::compute(pass).needs(key));
+            };
             for c in 0..chunks {
-                let gather = OpKind::AllGatherW {
-                    chunk: c,
-                    round: 2 * i,
-                };
-                let gathered = gather.collective_key(r);
-                stream.push(Op::compute_collective(gather).mem(MemUnit::WeightChunk, 1));
-                stream.push(
-                    Op::compute(OpKind::Fwd { mb, chunk: c })
-                        .needs(gathered)
-                        .mem(ctx, 1)
-                        .mem(MemUnit::WeightChunk, -1),
-                );
+                gathered(stream, OpKind::Fwd { mb, chunk: c }, c, 2 * i);
             }
             for c in (0..chunks).rev() {
-                let gather = OpKind::AllGatherW {
-                    chunk: c,
-                    round: 2 * i + 1,
-                };
-                let gathered = gather.collective_key(r);
-                stream.push(Op::compute_collective(gather).mem(MemUnit::WeightChunk, 1));
-                stream.push(
-                    Op::compute(OpKind::BwdFull { mb, chunk: c })
-                        .needs(gathered)
-                        .mem(ctx, -1)
-                        .mem(MemUnit::WeightChunk, -1)
-                        .mem(MemUnit::GradChunk, 1),
-                );
-                stream.push(
-                    Op::compute_collective(OpKind::ReduceScatterD { chunk: c, round: i })
-                        .mem(MemUnit::GradChunk, -1),
-                );
+                gathered(stream, OpKind::BwdFull { mb, chunk: c }, c, 2 * i + 1);
+                let scatter = OpKind::ReduceScatterD { chunk: c, round: i };
+                stream.push(Op::compute_collective(scatter));
             }
         }
         for c in 0..chunks {
@@ -91,16 +72,16 @@ fn fsdp_ops(spec: PipelineSpec, chunks: usize, ctx: MemUnit) -> Vec<Vec<Op>> {
 /// DDP: the model is replicated; each rank trains its 1/P of the
 /// microbatches locally and all-reduces gradients before a replicated
 /// update.
-fn ddp_ops(spec: PipelineSpec, chunks: usize, ctx: MemUnit) -> Vec<Vec<Op>> {
+fn ddp_ops(spec: PipelineSpec, chunks: usize) -> Vec<Vec<Op>> {
     let p = spec.ranks;
     let mut ops: Vec<Vec<Op>> = vec![Vec::new(); p];
     for (r, stream) in ops.iter_mut().enumerate() {
         for mb in (r..spec.microbatches).step_by(p) {
             for c in 0..chunks {
-                stream.push(Op::compute(OpKind::Fwd { mb, chunk: c }).mem(ctx, 1));
+                stream.push(Op::compute(OpKind::Fwd { mb, chunk: c }));
             }
             for c in (0..chunks).rev() {
-                stream.push(Op::compute(OpKind::BwdFull { mb, chunk: c }).mem(ctx, -1));
+                stream.push(Op::compute(OpKind::BwdFull { mb, chunk: c }));
             }
         }
         let reduce = |c| OpKind::AllReduceD { chunk: c, round: 0 };

@@ -18,7 +18,7 @@
 
 use std::collections::VecDeque;
 
-use crate::ir::{MemUnit, Op, OpKind, Schedule, Strategy};
+use crate::ir::{Op, OpKind, Schedule, Strategy};
 
 mod collective;
 mod hier;
@@ -143,8 +143,6 @@ struct Passes {
     /// Whether the schedule checkpoints: what the spec asks for, unless the
     /// backward is split. The one place that decides it.
     recompute: bool,
-    /// What a forward pass therefore leaves behind for its backward.
-    ctx: MemUnit,
     split: bool,
 }
 
@@ -152,26 +150,16 @@ impl Passes {
     fn of(strategy: Strategy, spec: &PipelineSpec) -> Self {
         let split = strategy.shape().split_backward;
         let recompute = spec.recompute && !split;
-        let ctx = if recompute {
-            MemUnit::CkptInput
-        } else {
-            MemUnit::FwdCtx
-        };
-        Passes {
-            recompute,
-            ctx,
-            split,
-        }
+        Passes { recompute, split }
     }
 
-    /// The backward of `(mb, chunk)` and its effect on the saved contexts:
-    /// a fused pass frees the forward's, a B pass parks one more for the W
-    /// pass ([`WWindow`]) to free with it.
-    fn backward(&self, mb: usize, chunk: usize) -> (OpKind, MemUnit, i64) {
+    /// The backward of `(mb, chunk)`: fused, or a B pass whose W pass a
+    /// [`WWindow`] places.
+    fn backward(&self, mb: usize, chunk: usize) -> OpKind {
         if self.split {
-            (OpKind::BwdData { mb, chunk }, MemUnit::BCtx, 1)
+            OpKind::BwdData { mb, chunk }
         } else {
-            (OpKind::BwdFull { mb, chunk }, self.ctx, -1)
+            OpKind::BwdFull { mb, chunk }
         }
     }
 }
@@ -204,8 +192,6 @@ impl WWindow {
 
     fn w_pass((mb, chunk): (usize, usize)) -> Op {
         Op::compute(OpKind::BwdWeight { mb, chunk })
-            .mem(MemUnit::FwdCtx, -1)
-            .mem(MemUnit::BCtx, -1)
     }
 
     /// The B pass of `(mb, chunk)` just ran: the W pass that falls out of

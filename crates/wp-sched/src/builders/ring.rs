@@ -185,10 +185,8 @@ pub(super) fn build_ring(strategy: Strategy, spec: PipelineSpec) -> Schedule {
                     let mb = (k / g) * p + r;
                     let chunk = k % g;
                     debug_assert_eq!(chunk, wf(q, t));
-                    let mut op = Op::compute(OpKind::Fwd { mb, chunk }).mem(passes.ctx, 1);
-                    if t >= 1 {
-                        op = op.needs(fwd_in);
-                    }
+                    let mut op = Op::compute(OpKind::Fwd { mb, chunk });
+                    op.needs.extend((t >= 1).then_some(fwd_in));
                     stream.push(op);
                 }
             }
@@ -216,8 +214,7 @@ pub(super) fn build_ring(strategy: Strategy, spec: PipelineSpec) -> Schedule {
             //    a local gradient buffer: the arriving accumulator D is not
             //    an input of the backward, only of D's departure (step 4).
             if let Some((mb, chunk)) = backward {
-                let (kind, unit, delta) = passes.backward(mb, chunk);
-                stream.push(Op::compute(kind).needs(bwd_in).mem(unit, delta));
+                stream.push(Op::compute(passes.backward(mb, chunk)).needs(bwd_in));
                 if passes.split {
                     stream.extend(deferred.after_b(mb, chunk));
                 }
@@ -246,9 +243,7 @@ pub(super) fn build_ring(strategy: Strategy, spec: PipelineSpec) -> Schedule {
                     stream.push(relay(w_out, bwd_in));
                 }
                 let mut op = Op::send(d_out);
-                if t >= 1 {
-                    op = op.needs(d_in);
-                }
+                op.needs.extend((t >= 1).then_some(d_in));
                 stream.push(op);
             }
         }

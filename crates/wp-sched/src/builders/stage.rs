@@ -8,7 +8,7 @@
 //! [`WWindow`] that decides how far a W pass trails its B pass.
 
 use super::{Passes, PipelineSpec, WWindow};
-use crate::ir::{MemUnit, MsgKey, Op, OpKind, Schedule, Strategy, RESIDENT};
+use crate::ir::{MsgKey, Op, OpKind, Schedule, Strategy, RESIDENT};
 
 /// How many forwards rank `r` runs before its first backward.
 fn warmup(strategy: Strategy, p: usize, r: usize, n: usize) -> usize {
@@ -30,18 +30,13 @@ pub(super) fn build_stage_pipe(strategy: Strategy, spec: PipelineSpec) -> Schedu
     for (r, stream) in ops.iter_mut().enumerate() {
         let (first, last) = (r == 0, r == p - 1);
         let push_fwd = |stream: &mut Vec<Op>, mb: usize| {
-            let mut op = Op::compute(OpKind::Fwd { mb, chunk: r }).mem(passes.ctx, 1);
-            if !first {
-                let act_in = MsgKey::act(mb, r - 1, r);
-                stream.push(Op::recv(act_in).mem(MemUnit::ActBoundary, 1));
-                op = op.needs(act_in).mem(MemUnit::ActBoundary, -1);
-            }
-            if !last {
-                op = op.mem(MemUnit::ActBoundary, 1);
-            }
+            let act_in = (!first).then(|| MsgKey::act(mb, r - 1, r));
+            stream.extend(act_in.map(Op::recv));
+            let mut op = Op::compute(OpKind::Fwd { mb, chunk: r });
+            op.needs.extend(act_in);
             stream.push(op);
             if !last {
-                stream.push(Op::send(MsgKey::act(mb, r, r + 1)).mem(MemUnit::ActBoundary, -1));
+                stream.push(Op::send(MsgKey::act(mb, r, r + 1)));
             }
         };
         // ZB1's W passes lag their B passes by a couple of slots (ZB-H1):
@@ -52,22 +47,13 @@ pub(super) fn build_stage_pipe(strategy: Strategy, spec: PipelineSpec) -> Schedu
         // defers every W pass to the end of the iteration.
         let mut deferred = WWindow::of(strategy, &spec);
         let mut push_bwd = |stream: &mut Vec<Op>, mb: usize| {
-            let (kind, unit, delta) = passes.backward(mb, r);
-            let mut op = Op::compute(kind);
-            if !last {
-                let grad_in = MsgKey::act_grad(mb, r + 1, r);
-                stream.push(Op::recv(grad_in).mem(MemUnit::ActGradBoundary, 1));
-                op = op.needs(grad_in).mem(MemUnit::ActGradBoundary, -1);
-            }
-            op = op.mem(unit, delta);
-            if !first {
-                op = op.mem(MemUnit::ActGradBoundary, 1);
-            }
+            let grad_in = (!last).then(|| MsgKey::act_grad(mb, r + 1, r));
+            stream.extend(grad_in.map(Op::recv));
+            let mut op = Op::compute(passes.backward(mb, r));
+            op.needs.extend(grad_in);
             stream.push(op);
             if !first {
-                stream.push(
-                    Op::send(MsgKey::act_grad(mb, r, r - 1)).mem(MemUnit::ActGradBoundary, -1),
-                );
+                stream.push(Op::send(MsgKey::act_grad(mb, r, r - 1)));
             }
             if passes.split {
                 stream.extend(deferred.after_b(mb, r));

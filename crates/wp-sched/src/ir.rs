@@ -155,8 +155,10 @@ pub fn weight_slot(
         .find(held)
 }
 
-/// Memory pools the ledger tracks. Ops carry signed deltas in these units;
-/// the cost model converts a unit to bytes for a concrete (H, S, G, …).
+/// Memory pools the ledger tracks. No op declares them:
+/// [`mem_deltas`](crate::analysis::mem_deltas) derives each op's signed
+/// deltas in these units from the op streams, and the cost model converts a
+/// unit to bytes for a concrete (H, S, G, …).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum MemUnit {
     /// Saved forward activations of (one microbatch × one chunk).
@@ -290,7 +292,8 @@ impl OpKind {
     }
 }
 
-/// One scheduled instruction with its dependencies and memory effects.
+/// One scheduled instruction with its dependencies. What it does to memory
+/// follows from the streams ([`mem_deltas`](crate::analysis::mem_deltas)).
 #[derive(Debug, Clone, PartialEq)]
 pub struct Op {
     /// The instruction.
@@ -303,8 +306,6 @@ pub struct Op {
     /// `AfterCompute` edge). Pure forwarding sends (ring weight hops) clear
     /// this so forwarding overlaps local compute.
     pub after_compute: bool,
-    /// Rank-local memory deltas applied when the op completes.
-    pub mem: Vec<(MemUnit, i64)>,
 }
 
 impl Op {
@@ -313,7 +314,6 @@ impl Op {
             kind,
             needs: Vec::new(),
             after_compute,
-            mem: Vec::new(),
         }
     }
 
@@ -357,12 +357,6 @@ impl Op {
     /// Add a message dependency.
     pub fn needs(mut self, key: MsgKey) -> Self {
         self.needs.push(key);
-        self
-    }
-
-    /// Add a memory delta.
-    pub fn mem(mut self, unit: MemUnit, delta: i64) -> Self {
-        self.mem.push((unit, delta));
         self
     }
 }
@@ -441,7 +435,8 @@ pub struct Schedule {
     /// read or sent before it is held. Which copies an iteration leaves
     /// stale follows from these and the `Update` ops ([`Self::refreshes`]).
     pub seeds: Vec<Vec<(usize, usize)>>,
-    /// Whether activation checkpointing is assumed by the memory deltas.
+    /// Whether a forward saves only its chunk's input (`CkptInput`) for a
+    /// backward that recomputes the rest, instead of its whole context.
     pub recompute: bool,
 }
 
@@ -613,14 +608,6 @@ mod tests {
         let r = Op::recv(key());
         assert!(!r.kind.is_compute());
         assert!(matches!(r.kind, OpKind::Recv(_)));
-    }
-
-    #[test]
-    fn mem_deltas_chain() {
-        let op = Op::compute(OpKind::Fwd { mb: 0, chunk: 0 })
-            .mem(MemUnit::FwdCtx, 1)
-            .mem(MemUnit::ActBoundary, -1);
-        assert_eq!(op.mem.len(), 2);
     }
 
     #[test]

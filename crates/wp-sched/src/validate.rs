@@ -8,8 +8,10 @@
 //! 2. **Compute coverage** — every (microbatch × chunk) is forwarded exactly
 //!    once and backwarded exactly once (fused, or B-then-W on one rank);
 //!    every chunk is updated at least once.
-//! 3. **Memory balance** — per rank, every tracked [`MemUnit`] running sum
-//!    returns to zero over the iteration (no leaked activation buffers).
+//! 3. **Memory balance** — per rank, the running sum of every [`MemUnit`]
+//!    the op streams imply ([`mem_deltas`]) never goes negative and returns
+//!    to zero over the iteration: no buffer is freed before the pass that
+//!    makes it, or leaked.
 //! 4. **Deadlock freedom** — that graph is acyclic
 //!    ([`DepGraph::topological_order`]); a failure prints the cycle.
 //! 5. **Slot availability** — in each rank's program order, every weight
@@ -21,6 +23,7 @@
 //! not encode fails here, naming its rank, op and key, and not on a rank
 //! thread mid-iteration.
 
+use crate::analysis::mem_deltas;
 use crate::graph::DepGraph;
 use crate::ir::{weight_slot, MemUnit, MsgKind, OpKind, Schedule, RESIDENT, SHARDED};
 use std::collections::{HashMap, HashSet};
@@ -115,10 +118,10 @@ fn check_coverage(s: &Schedule) -> Result<(), ValidationError> {
 }
 
 fn check_memory_balance(s: &Schedule) -> Result<(), ValidationError> {
-    for (r, ops) in s.ops.iter().enumerate() {
+    for (r, (ops, deltas)) in s.ops.iter().zip(mem_deltas(s)).enumerate() {
         let mut sums: HashMap<MemUnit, i64> = HashMap::new();
-        for op in ops {
-            for &(u, d) in &op.mem {
+        for (op, deltas) in ops.iter().zip(deltas) {
+            for (u, d) in deltas {
                 let e = sums.entry(u).or_insert(0);
                 *e += d;
                 if *e < 0 {
@@ -186,7 +189,7 @@ fn check_slots(s: &Schedule) -> Result<(), ValidationError> {
 mod tests {
     use super::*;
     use crate::builders::{build, PipelineSpec, ALL_STRATEGIES};
-    use crate::ir::{MsgKey, Op, Strategy};
+    use crate::ir::{MsgKey, Strategy};
 
     #[test]
     fn all_builders_produce_valid_schedules() {
@@ -267,12 +270,37 @@ mod tests {
         );
     }
 
+    /// A forward that stops naming its input activation leaves the received
+    /// buffer alive past the end of the iteration.
     #[test]
     fn detects_memory_leak() {
         let mut s = build(Strategy::GPipe, PipelineSpec::new(2, 2));
-        s.ops[0].push(Op::compute(OpKind::Update { chunk: 0 }).mem(MemUnit::FwdCtx, 1));
+        let fwd = (s.ops[1].iter_mut())
+            .find(|o| matches!(o.kind, OpKind::Fwd { .. }))
+            .expect("rank 1 forwards");
+        assert!(matches!(fwd.needs[..], [k] if k.kind == MsgKind::Act));
+        fwd.needs.clear();
         let err = validate(&s).unwrap_err();
-        assert!(err.0.contains("leak"), "{err}");
+        assert!(err.0.contains("ActBoundary leaks 1 units"), "{err}");
+    }
+
+    /// A boundary buffer is made by its own forward, not by whichever
+    /// compute op ran last: a send moved ahead of the forward that makes it
+    /// cannot borrow the previous forward's output.
+    #[test]
+    fn a_send_ahead_of_the_pass_that_makes_it_is_rejected() {
+        let mut s = build(Strategy::GPipe, PipelineSpec::new(2, 2));
+        let fwd = (s.ops[0].iter())
+            .position(|o| o.kind == OpKind::Fwd { mb: 1, chunk: 0 })
+            .expect("rank 0 forwards microbatch 1");
+        assert_eq!(s.ops[0][fwd + 1].kind, OpKind::Send(MsgKey::act(1, 0, 1)));
+        s.ops[0].swap(fwd, fwd + 1);
+        let err = validate(&s).unwrap_err();
+        assert!(
+            err.0
+                .contains("rank 0: ActBoundary balance went negative at Send"),
+            "{err}"
+        );
     }
 
     /// Every point-to-point key a builder emits, and every refresh a ring

@@ -16,7 +16,6 @@ use std::panic::{catch_unwind, set_hook, take_hook};
 use std::path::PathBuf;
 use std::sync::Mutex;
 
-use wp_sched::analysis::mem_deltas;
 use wp_sched::builders::Knob;
 use wp_sched::tune::Candidate;
 use wp_sched::{build, PipelineSpec, Strategy, ALL_STRATEGIES};
@@ -72,9 +71,9 @@ fn show(knob: Option<usize>) -> String {
     knob.map_or("-".to_string(), |v| v.to_string())
 }
 
-/// Every configuration of the grid, in a fixed order, with the label of its
-/// fixture row.
-fn grid(mut visit: impl FnMut(String, Strategy, PipelineSpec)) {
+/// One line per configuration, in a fixed order.
+fn sweep() -> String {
+    let mut out = String::new();
     for &strategy in ALL_STRATEGIES {
         for p in [2usize, 3, 4, 8] {
             let kind = strategy.shape().knob.map(|(kind, _)| kind);
@@ -98,72 +97,38 @@ fn grid(mut visit: impl FnMut(String, Strategy, PipelineSpec)) {
                                 ..PipelineSpec::new(p, n)
                             };
                             let column = |k| show(knob.filter(|_| kind == Some(k)));
-                            let row = format!(
-                                "{} P={p} N={n} overlap={} recompute={} w_lag={} chunks={} group={}",
+                            writeln!(
+                                out,
+                                "{} P={p} N={n} overlap={} recompute={} w_lag={} chunks={} group={} : {}",
                                 strategy.label(),
                                 u8::from(overlap),
                                 u8::from(recompute),
                                 column(Knob::WLag),
                                 column(Knob::Chunks),
                                 column(Knob::Group),
-                            );
-                            visit(row, strategy, spec);
+                                fingerprint(strategy, spec),
+                            )
+                            .expect("writing to a String");
                         }
                     }
                 }
             }
         }
     }
-}
-
-/// One line per configuration, in a fixed order.
-fn sweep() -> String {
-    let mut out = String::new();
-    grid(|row, strategy, spec| {
-        writeln!(out, "{row} : {}", fingerprint(strategy, spec)).expect("writing to a String");
-    });
     out
 }
 
-/// `f` with the panic hook silenced: a builder that rejects a
+/// [`sweep`] with the panic hook silenced: a builder that rejects a
 /// configuration is an expected row here, not a message on stderr. The hook
-/// is process-wide, so the tests take turns at it.
-fn quietly<T>(f: impl FnOnce() -> T) -> T {
+/// is process-wide, so the two tests take turns at it.
+fn quiet_sweep() -> String {
     static HOOK: Mutex<()> = Mutex::new(());
     let _turn = HOOK.lock().expect("no sweep panics outside catch_unwind");
     let hook = take_hook();
     set_hook(Box::new(|_| {}));
-    let out = f();
+    let out = sweep();
     set_hook(hook);
     out
-}
-
-/// [`sweep`], quietly.
-fn quiet_sweep() -> String {
-    quietly(sweep)
-}
-
-/// The fold derives, on every buildable row of the grid, the memory
-/// deltas the builders declare: same units, signs and order, op by op.
-#[test]
-fn derived_memory_deltas_equal_the_declared_ones() {
-    let (mut built, mut differ) = (0, Vec::new());
-    quietly(|| {
-        grid(|row, strategy, spec| {
-            let Ok(s) = catch_unwind(|| build(strategy, spec)) else {
-                return;
-            };
-            built += 1;
-            let declared: Vec<Vec<_>> = (s.ops.iter())
-                .map(|ops| ops.iter().map(|op| op.mem.clone()).collect())
-                .collect();
-            if mem_deltas(&s) != declared {
-                differ.push(row);
-            }
-        })
-    });
-    assert_eq!(differ, Vec::<String>::new());
-    assert_eq!(built, 1284);
 }
 
 fn fixture_path() -> PathBuf {

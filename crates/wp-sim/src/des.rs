@@ -8,12 +8,14 @@
 //! [`State`] holds everything pricing reads or writes — one arrival time
 //! per message (a `Vec` indexed by the graph's dense message ids),
 //! per-rank compute/collective engine clocks, per-directed-link occupancy,
-//! open collective rendezvous, and the output accumulators (timeline, busy
-//! seconds, byte counters, memory events, makespan). [`State::price`]
-//! takes one node: if every message on its wait list has an arrival time
-//! the op is priced (semantics in [`crate::engine`]'s module docs) and its
-//! memory deltas are logged; otherwise nothing changes and it returns
-//! `false`. [`State::finish`] folds the accumulators into a [`SimResult`].
+//! open collective rendezvous, every op's memory deltas (derived from the
+//! op streams once, by [`wp_sched::analysis::mem_deltas`]), and the output
+//! accumulators (timeline, busy seconds, byte counters, memory events,
+//! makespan). [`State::price`] takes one node: if every message on its
+//! wait list has an arrival time the op is priced (semantics in
+//! [`crate::engine`]'s module docs) and its memory deltas are logged at
+//! its end; otherwise nothing changes and it returns `false`.
+//! [`State::finish`] folds the accumulators into a [`SimResult`].
 //!
 //! Why the order nodes are priced in cannot change a bit, as long as it is
 //! consistent with the graph:
@@ -41,9 +43,9 @@ use crate::cluster::ClusterSpec;
 use crate::cost::CostModel;
 use crate::engine::{SimError, SimOptions, SimResult, TimedOp};
 use std::collections::HashMap;
-use wp_sched::analysis::ByteModel;
+use wp_sched::analysis::{mem_deltas, ByteModel};
 use wp_sched::graph::{DepGraph, Node};
-use wp_sched::{MsgKey, OpKind};
+use wp_sched::{MemUnit, MsgKey, OpKind};
 
 /// Everything pricing reads or writes; see the module docs.
 pub(crate) struct State<'a> {
@@ -69,6 +71,8 @@ pub(crate) struct State<'a> {
     /// Open collective rendezvous by message id: how many ranks have
     /// entered and the latest of their ready times.
     coll_groups: HashMap<usize, (usize, f64)>,
+    /// Every op's memory deltas, `[rank][op]`.
+    deltas: Vec<Vec<Vec<(MemUnit, i64)>>>,
     /// Per-rank compute-engine busy seconds.
     busy: Vec<f64>,
     /// Per-rank timed compute ops.
@@ -105,6 +109,7 @@ impl<'a> State<'a> {
             last_compute_end: vec![0.0; p],
             coll_free: 0.0,
             coll_groups: HashMap::new(),
+            deltas: mem_deltas(graph.schedule),
             busy: vec![0.0; p],
             timeline: vec![Vec::new(); p],
             mem_events: vec![Vec::new(); p],
@@ -215,7 +220,7 @@ impl<'a> State<'a> {
             }
         }
 
-        for &(unit, delta) in &op.mem {
+        for &(unit, delta) in &self.deltas[r][i] {
             self.mem_events[r].push((end_time, delta * cost.mem_unit_bytes(unit) as i64));
         }
         self.makespan = self.makespan.max(end_time);
