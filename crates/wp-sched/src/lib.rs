@@ -6,8 +6,8 @@
 //! and every baseline it compares against — compiles to the same typed
 //! instruction streams ([`ir::Schedule`]): per-rank sequences of forward /
 //! backward / update compute ops, point-to-point messages and collectives,
-//! each annotated with explicit data dependencies and symbolic memory
-//! deltas. Downstream:
+//! each annotated with its explicit data dependencies. What each op does to
+//! memory follows from the streams ([`analysis::mem_deltas`]). Downstream:
 //!
 //! * `wp-sim` executes the IR against a hardware cost model (throughput,
 //!   bubble ratio, peak memory, per-link traffic → the paper's tables and
@@ -18,8 +18,9 @@
 //! * [`validate::validate`] proves schedules physically consistent
 //!   (the graph builds and is acyclic, full compute coverage, balanced
 //!   buffers, weight slots held);
-//! * [`analysis`] counts bytes and carries the paper's §3 closed forms
-//!   (crossover ratio, 36H² per turn, 2·M_A per microbatch);
+//! * [`analysis`] counts bytes, derives every op's memory deltas, and
+//!   carries the paper's §3 closed forms (crossover ratio, 36H² per turn,
+//!   2·M_A per microbatch);
 //! * [`tune`] frames the builder knobs (strategy, microbatches, W-lag,
 //!   overlap, chunking, grouping) as a search space and provides a grid
 //!   search over a pluggable cost oracle (`wp-sim` supplies the DES-backed

@@ -344,7 +344,8 @@ impl CostModel {
     /// What `rank` holds for the whole iteration under `s` — weight copies,
     /// gradient accumulators, optimizer state (fp32 master + Adam moments =
     /// 12 B/param), all counted by [`wp_sched::analysis::resident`] — plus
-    /// the framework floor. Everything transient is an op's `MemUnit` delta.
+    /// the framework floor. Everything transient is a `MemUnit` delta the op
+    /// streams imply ([`wp_sched::analysis::mem_deltas`]).
     pub fn static_mem_bytes(&self, s: &Schedule, rank: usize) -> u64 {
         let held = wp_sched::analysis::resident(s, rank);
         let slices = held.weights * self.weight_chunk_bytes()
