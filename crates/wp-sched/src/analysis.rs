@@ -126,9 +126,9 @@ pub fn resident(s: &Schedule, rank: usize) -> Resident {
 /// latest pass before the send that makes that buffer, found by identity,
 /// not by position — the forward of the chunk before an `Act`, the
 /// backward of the chunk after an `ActGrad`, a fused backward or W pass of
-/// the scattered chunk.
-/// Within an op: a forward's context, then what it reads — received
-/// buffers, a backward's context, gathered chunks — then what it makes.
+/// the scattered chunk. Within an op: a forward's context, then what it
+/// reads — received buffers, a backward's context, gathered chunks — then
+/// what it makes.
 pub fn mem_deltas(s: &Schedule) -> Vec<Vec<Vec<(MemUnit, i64)>>> {
     let ctx = if s.recompute {
         MemUnit::CkptInput

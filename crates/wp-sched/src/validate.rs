@@ -296,11 +296,8 @@ mod tests {
         assert_eq!(s.ops[0][fwd + 1].kind, OpKind::Send(MsgKey::act(1, 0, 1)));
         s.ops[0].swap(fwd, fwd + 1);
         let err = validate(&s).unwrap_err();
-        assert!(
-            err.0
-                .contains("rank 0: ActBoundary balance went negative at Send"),
-            "{err}"
-        );
+        let want = "rank 0: ActBoundary balance went negative at Send";
+        assert!(err.0.contains(want), "{err}");
     }
 
     /// Every point-to-point key a builder emits, and every refresh a ring
