@@ -187,8 +187,10 @@ fn taken(kind: &OpKind) -> Option<Buffer> {
     use MemUnit::{ActBoundary, ActGradBoundary, GradChunk};
     use MsgKind::{Act, ActGrad};
     match *kind {
-        OpKind::Send(k) if k.kind == Act => Some((ActBoundary, k.mb, k.chunk.wrapping_sub(1))),
-        OpKind::Send(k) if k.kind == ActGrad => Some((ActGradBoundary, k.mb, k.chunk + 1)),
+        OpKind::Send(k) if k.kind == Act => Some((ActBoundary, k.mb, k.chunk.checked_sub(1)?)),
+        OpKind::Send(k) if k.kind == ActGrad => {
+            Some((ActGradBoundary, k.mb, k.chunk.checked_add(1)?))
+        }
         OpKind::ReduceScatterD { chunk, .. } => Some((GradChunk, NO_MB, chunk)),
         _ => None,
     }

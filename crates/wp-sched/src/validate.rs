@@ -9,9 +9,9 @@
 //!    once and backwarded exactly once (fused, or B-then-W on one rank);
 //!    every chunk is updated at least once.
 //! 3. **Memory balance** — per rank, the running sum of every [`MemUnit`]
-//!    the op streams imply ([`mem_deltas`]) never goes negative and returns
-//!    to zero over the iteration: no buffer is freed before the pass that
-//!    makes it, or leaked.
+//!    the op streams imply ([`mem_deltas`](crate::analysis::mem_deltas))
+//!    never goes negative and returns to zero over the iteration: no
+//!    buffer is freed before the pass that makes it, or leaked.
 //! 4. **Deadlock freedom** — that graph is acyclic
 //!    ([`DepGraph::topological_order`]); a failure prints the cycle.
 //! 5. **Slot availability** — in each rank's program order, every weight
@@ -23,7 +23,6 @@
 //! not encode fails here, naming its rank, op and key, and not on a rank
 //! thread mid-iteration.
 
-use crate::analysis::mem_deltas;
 use crate::graph::DepGraph;
 use crate::ir::{weight_slot, MemUnit, MsgKind, OpKind, Schedule, RESIDENT, SHARDED};
 use std::collections::{HashMap, HashSet};
@@ -118,7 +117,7 @@ fn check_coverage(s: &Schedule) -> Result<(), ValidationError> {
 }
 
 fn check_memory_balance(s: &Schedule) -> Result<(), ValidationError> {
-    for (r, (ops, deltas)) in s.ops.iter().zip(mem_deltas(s)).enumerate() {
+    for (r, (ops, deltas)) in s.ops.iter().zip(crate::analysis::mem_deltas(s)).enumerate() {
         let mut sums: HashMap<MemUnit, i64> = HashMap::new();
         for (op, deltas) in ops.iter().zip(deltas) {
             for (u, d) in deltas {
