@@ -9,6 +9,7 @@ pub(super) fn build_collective(strategy: Strategy, spec: PipelineSpec) -> Schedu
     let Some((Knob::Chunks, chunks)) = spec.knob(strategy) else {
         unreachable!("{strategy:?} reads the chunk knob");
     };
+    let passes = Passes::of(strategy, &spec);
     let (ops, flow) = if strategy == Strategy::Fsdp {
         (fsdp_ops(spec, chunks), SHARDED)
     } else {
@@ -22,7 +23,7 @@ pub(super) fn build_collective(strategy: Strategy, spec: PipelineSpec) -> Schedu
         ops,
         initial_holder: (0..chunks).map(|c| c % p).collect(),
         seeds: vec![(0..chunks).map(|c| (c, flow)).collect(); p],
-        recompute: Passes::of(strategy, &spec).recompute,
+        recompute: passes.recompute,
     }
 }
 
@@ -41,20 +42,27 @@ fn fsdp_ops(spec: PipelineSpec, chunks: usize) -> Vec<Vec<Op>> {
     for (r, stream) in ops.iter_mut().enumerate() {
         for i in 0..local {
             let mb = i * p + r;
-            // Each pass runs on its chunk gathered just for it.
-            let gathered = |stream: &mut Vec<Op>, pass, chunk, round| {
-                let gather = OpKind::AllGatherW { chunk, round };
-                let key = gather.collective_key(r);
-                stream.push(Op::compute_collective(gather));
-                stream.push(Op::compute(pass).needs(key));
-            };
             for c in 0..chunks {
-                gathered(stream, OpKind::Fwd { mb, chunk: c }, c, 2 * i);
+                let gather = OpKind::AllGatherW {
+                    chunk: c,
+                    round: 2 * i,
+                };
+                let gathered = gather.collective_key(r);
+                stream.push(Op::compute_collective(gather));
+                stream.push(Op::compute(OpKind::Fwd { mb, chunk: c }).needs(gathered));
             }
             for c in (0..chunks).rev() {
-                gathered(stream, OpKind::BwdFull { mb, chunk: c }, c, 2 * i + 1);
-                let scatter = OpKind::ReduceScatterD { chunk: c, round: i };
-                stream.push(Op::compute_collective(scatter));
+                let gather = OpKind::AllGatherW {
+                    chunk: c,
+                    round: 2 * i + 1,
+                };
+                let gathered = gather.collective_key(r);
+                stream.push(Op::compute_collective(gather));
+                stream.push(Op::compute(OpKind::BwdFull { mb, chunk: c }).needs(gathered));
+                stream.push(Op::compute_collective(OpKind::ReduceScatterD {
+                    chunk: c,
+                    round: i,
+                }));
             }
         }
         for c in 0..chunks {

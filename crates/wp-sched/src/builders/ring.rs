@@ -186,7 +186,9 @@ pub(super) fn build_ring(strategy: Strategy, spec: PipelineSpec) -> Schedule {
                     let chunk = k % g;
                     debug_assert_eq!(chunk, wf(q, t));
                     let mut op = Op::compute(OpKind::Fwd { mb, chunk });
-                    op.needs.extend((t >= 1).then_some(fwd_in));
+                    if t >= 1 {
+                        op = op.needs(fwd_in);
+                    }
                     stream.push(op);
                 }
             }
@@ -243,7 +245,9 @@ pub(super) fn build_ring(strategy: Strategy, spec: PipelineSpec) -> Schedule {
                     stream.push(relay(w_out, bwd_in));
                 }
                 let mut op = Op::send(d_out);
-                op.needs.extend((t >= 1).then_some(d_in));
+                if t >= 1 {
+                    op = op.needs(d_in);
+                }
                 stream.push(op);
             }
         }

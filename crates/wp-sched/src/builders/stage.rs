@@ -30,10 +30,12 @@ pub(super) fn build_stage_pipe(strategy: Strategy, spec: PipelineSpec) -> Schedu
     for (r, stream) in ops.iter_mut().enumerate() {
         let (first, last) = (r == 0, r == p - 1);
         let push_fwd = |stream: &mut Vec<Op>, mb: usize| {
-            let act_in = (!first).then(|| MsgKey::act(mb, r - 1, r));
-            stream.extend(act_in.map(Op::recv));
             let mut op = Op::compute(OpKind::Fwd { mb, chunk: r });
-            op.needs.extend(act_in);
+            if !first {
+                let act_in = MsgKey::act(mb, r - 1, r);
+                stream.push(Op::recv(act_in));
+                op = op.needs(act_in);
+            }
             stream.push(op);
             if !last {
                 stream.push(Op::send(MsgKey::act(mb, r, r + 1)));
@@ -47,10 +49,12 @@ pub(super) fn build_stage_pipe(strategy: Strategy, spec: PipelineSpec) -> Schedu
         // defers every W pass to the end of the iteration.
         let mut deferred = WWindow::of(strategy, &spec);
         let mut push_bwd = |stream: &mut Vec<Op>, mb: usize| {
-            let grad_in = (!last).then(|| MsgKey::act_grad(mb, r + 1, r));
-            stream.extend(grad_in.map(Op::recv));
             let mut op = Op::compute(passes.backward(mb, r));
-            op.needs.extend(grad_in);
+            if !last {
+                let grad_in = MsgKey::act_grad(mb, r + 1, r);
+                stream.push(Op::recv(grad_in));
+                op = op.needs(grad_in);
+            }
             stream.push(op);
             if !first {
                 stream.push(Op::send(MsgKey::act_grad(mb, r, r - 1)));
