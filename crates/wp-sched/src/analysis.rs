@@ -116,20 +116,19 @@ pub fn resident(s: &Schedule, rank: usize) -> Resident {
     held
 }
 
-/// Every op's memory deltas, `[rank][op]`, applied when the op completes,
-/// derived from the op streams. A forward saves its context (`FwdCtx`, or
-/// `CkptInput` under [`Schedule::recompute`]) and a fused backward frees
-/// it; a B pass parks a `BCtx`, and its W pass frees both. A received
-/// boundary buffer, or a gathered chunk, lives until the op that names it
-/// in `needs`. A boundary buffer a rank sends, or a gradient chunk it
-/// reduce-scatters, lives from the pass that made it until it leaves: the
-/// latest pass before the send that makes that buffer, found by identity,
-/// not by position — the forward of the chunk before an `Act`, the
-/// backward of the chunk after an `ActGrad`, a fused backward or W pass of
-/// the scattered chunk. Within an op: a forward's context, then what it
-/// reads — received buffers, a backward's context, gathered chunks — then
-/// what it makes.
-pub fn mem_deltas(s: &Schedule) -> Vec<Vec<Vec<(MemUnit, i64)>>> {
+/// Every rank's memory ledger, derived from the op streams. A forward
+/// saves its context (`FwdCtx`, or `CkptInput` under
+/// [`Schedule::recompute`]) and a fused backward frees it; a B pass parks a
+/// `BCtx`, and its W pass frees both. A received boundary buffer, or a
+/// gathered chunk, lives until the op that names it in `needs`. A boundary
+/// buffer a rank sends, or a gradient chunk it reduce-scatters, lives from
+/// the pass that made it until it leaves: the latest pass before the send
+/// that makes that buffer, found by identity, not by position — the forward
+/// of the chunk before an `Act`, the backward of the chunk after an
+/// `ActGrad`, a fused backward or W pass of the scattered chunk. Within an
+/// op: a forward's context, then what it reads — received buffers, a
+/// backward's context, gathered chunks — then what it makes.
+pub fn mem_deltas(s: &Schedule) -> Vec<Ledger> {
     let ctx = if s.recompute {
         MemUnit::CkptInput
     } else {
@@ -140,12 +139,16 @@ pub fn mem_deltas(s: &Schedule) -> Vec<Vec<Vec<(MemUnit, i64)>>> {
         MsgKind::ActGrad => Some(MemUnit::ActGradBoundary),
         _ => None,
     };
-    let rank = |ops: &Vec<Op>| -> Vec<_> {
-        // Walked backwards: what later ops send away, not yet matched to
-        // the pass that makes it.
+    let rank = |ops: &Vec<Op>| {
+        // Walked backwards, so that a pass knows whether a later op sends
+        // what it makes: `pending` is what later ops send away, not yet
+        // matched to its maker. Each op's run is written reversed, `ends`
+        // counts from the last op, and both are flipped at the end.
         let mut pending: Vec<Buffer> = Vec::new();
-        let deltas = ops.iter().rev().map(|op| {
-            let mut d = Vec::new();
+        let mut d = Vec::with_capacity(2 * ops.len());
+        let mut ends = vec![0];
+        for op in ops.iter().rev() {
+            let start = d.len();
             if let OpKind::Fwd { .. } = op.kind {
                 d.push((ctx, 1));
             }
@@ -169,13 +172,31 @@ pub fn mem_deltas(s: &Schedule) -> Vec<Vec<Vec<(MemUnit, i64)>>> {
                 }
             }
             pending.extend(taken(&op.kind));
-            d
-        });
-        let mut deltas: Vec<_> = deltas.collect();
-        deltas.reverse();
-        deltas
+            d[start..].reverse();
+            ends.push(d.len() as u32);
+        }
+        d.reverse();
+        let starts = ends.iter().rev().map(|end| d.len() as u32 - end).collect();
+        Ledger { deltas: d, starts }
     };
     s.ops.iter().map(rank).collect()
+}
+
+/// One rank's memory deltas ([`mem_deltas`]), every op's in one run: a
+/// fold allocates per rank, not per op, and a simulator reads them in
+/// program order without touching the ops again. Every delta is one unit.
+pub struct Ledger {
+    deltas: Vec<(MemUnit, i8)>,
+    /// Where each op's deltas start in `deltas`, then where the last ends.
+    starts: Vec<u32>,
+}
+
+impl Ledger {
+    /// The deltas of the rank's op `i`, applied when it completes, in order.
+    pub fn of(&self, i: usize) -> impl Iterator<Item = (MemUnit, i64)> + '_ {
+        let run = &self.deltas[self.starts[i] as usize..self.starts[i + 1] as usize];
+        run.iter().map(|&(unit, delta)| (unit, i64::from(delta)))
+    }
 }
 
 /// A buffer a rank sends away, named by the pass that makes it:
@@ -376,8 +397,8 @@ mod tests {
 
     /// One rank's derived ledger, one `op: deltas` line per op.
     fn ledger(s: &Schedule, rank: usize) -> Vec<String> {
-        let deltas = &mem_deltas(s)[rank];
-        let lines = s.ops[rank].iter().zip(deltas).map(|(op, deltas)| {
+        let ledger = &mem_deltas(s)[rank];
+        let lines = s.ops[rank].iter().enumerate().map(|(i, op)| {
             let mut line = match op.kind {
                 OpKind::Fwd { mb, chunk } => format!("F{mb}.{chunk}"),
                 OpKind::BwdFull { mb, chunk } => format!("B{mb}.{chunk}"),
@@ -390,8 +411,8 @@ mod tests {
                 OpKind::ReduceScatterD { chunk, .. } => format!("scatter{chunk}"),
                 OpKind::AllReduceD { chunk, .. } => format!("reduce{chunk}"),
             };
-            for (unit, delta) in deltas {
-                line += &format!(" {}{unit:?}", if *delta > 0 { '+' } else { '-' });
+            for (unit, delta) in ledger.of(i) {
+                line += &format!(" {}{unit:?}", if delta > 0 { '+' } else { '-' });
             }
             line
         });

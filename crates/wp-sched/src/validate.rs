@@ -117,10 +117,10 @@ fn check_coverage(s: &Schedule) -> Result<(), ValidationError> {
 }
 
 fn check_memory_balance(s: &Schedule) -> Result<(), ValidationError> {
-    for (r, (ops, deltas)) in s.ops.iter().zip(crate::analysis::mem_deltas(s)).enumerate() {
+    for (r, (ops, ledger)) in s.ops.iter().zip(crate::analysis::mem_deltas(s)).enumerate() {
         let mut sums: HashMap<MemUnit, i64> = HashMap::new();
-        for (op, deltas) in ops.iter().zip(deltas) {
-            for (u, d) in deltas {
+        for (i, op) in ops.iter().enumerate() {
+            for (u, d) in ledger.of(i) {
                 let e = sums.entry(u).or_insert(0);
                 *e += d;
                 if *e < 0 {

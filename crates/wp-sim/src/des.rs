@@ -43,9 +43,9 @@ use crate::cluster::ClusterSpec;
 use crate::cost::CostModel;
 use crate::engine::{SimError, SimOptions, SimResult, TimedOp};
 use std::collections::HashMap;
-use wp_sched::analysis::{mem_deltas, ByteModel};
+use wp_sched::analysis::{mem_deltas, ByteModel, Ledger};
 use wp_sched::graph::{DepGraph, Node};
-use wp_sched::{MemUnit, MsgKey, OpKind};
+use wp_sched::{MsgKey, OpKind};
 
 /// Everything pricing reads or writes; see the module docs.
 pub(crate) struct State<'a> {
@@ -71,8 +71,8 @@ pub(crate) struct State<'a> {
     /// Open collective rendezvous by message id: how many ranks have
     /// entered and the latest of their ready times.
     coll_groups: HashMap<usize, (usize, f64)>,
-    /// Every op's memory deltas, `[rank][op]`.
-    deltas: Vec<Vec<Vec<(MemUnit, i64)>>>,
+    /// Every rank's memory deltas, by op.
+    deltas: Vec<Ledger>,
     /// Per-rank compute-engine busy seconds.
     busy: Vec<f64>,
     /// Per-rank timed compute ops.
@@ -220,7 +220,7 @@ impl<'a> State<'a> {
             }
         }
 
-        for &(unit, delta) in &self.deltas[r][i] {
+        for (unit, delta) in self.deltas[r].of(i) {
             self.mem_events[r].push((end_time, delta * cost.mem_unit_bytes(unit) as i64));
         }
         self.makespan = self.makespan.max(end_time);
