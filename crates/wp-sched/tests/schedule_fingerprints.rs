@@ -1,8 +1,9 @@
 //! The frozen fixture for the builders' bits: every strategy over a grid of
 //! `(P, N, overlap, recompute)` and every knob value its `Candidate::check`
 //! admits (printed under the column of the knob kind the strategy reads)
-//! must build the op streams, seeds, holders, recompute flag and chunk
-//! count whose hash is checked in at
+//! must build the op streams, the memory ledger they imply
+//! ([`wp_sched::analysis::mem_deltas`]), seeds, holders, recompute flag and
+//! chunk count whose hash is checked in at
 //! `tests/fixtures/schedule_fingerprints.txt`, or panic where the fixture
 //! says `panic`. A builder refactor leaves the file byte-identical; a change
 //! that is meant to move a schedule regenerates it in the same commit:
@@ -16,6 +17,7 @@ use std::panic::{catch_unwind, set_hook, take_hook};
 use std::path::PathBuf;
 use std::sync::Mutex;
 
+use wp_sched::analysis::mem_deltas;
 use wp_sched::builders::Knob;
 use wp_sched::tune::Candidate;
 use wp_sched::{build, PipelineSpec, Strategy, ALL_STRATEGIES};
@@ -30,9 +32,20 @@ fn fnv1a(bytes: &[u8]) -> u64 {
 fn fingerprint(strategy: Strategy, spec: PipelineSpec) -> String {
     match catch_unwind(|| build(strategy, spec)) {
         Ok(s) => {
+            let ledger = mem_deltas(&s);
+            let ledger: Vec<Vec<Vec<_>>> = (s.ops.iter().zip(&ledger))
+                .map(|(ops, ledger)| (0..ops.len()).map(|i| ledger.of(i).collect()).collect())
+                .collect();
             let text = format!(
                 "{:?}",
-                (&s.ops, &s.seeds, &s.initial_holder, s.recompute, s.chunks)
+                (
+                    &s.ops,
+                    &ledger,
+                    &s.seeds,
+                    &s.initial_holder,
+                    s.recompute,
+                    s.chunks
+                )
             );
             format!("{:016x}", fnv1a(text.as_bytes()))
         }
