@@ -43,13 +43,14 @@ use wp_nn::params::BlockLayout;
 use wp_nn::scratch::Scratch;
 use wp_tensor::dtype::{pack_f16, unpack_f16};
 use wp_tensor::ops::gemm::{self, Isa};
+use wp_tensor::ops::par;
 use wp_tensor::ops::{matmul_nn, matmul_nt, matmul_tn, swiglu_backward_in_place, swiglu_forward};
 use wp_tensor::Tensor;
 
 /// Wall time of one run of `f` on one core.
 fn secs(f: impl FnOnce()) -> f64 {
     let t0 = Instant::now();
-    rayon::force_sequential(f);
+    par::force_sequential(f);
     t0.elapsed().as_secs_f64()
 }
 
@@ -266,7 +267,7 @@ fn main() {
         cfg.hidden,
         cfg.ffn,
         cfg.heads,
-        rayon::current_num_threads(),
+        par::current_num_threads(),
         gemm::isa(),
         gemm::isa() != Isa::Portable,
     );

@@ -38,7 +38,7 @@
 
 use crate::scratch::{Scratch, ScratchBuf};
 use wp_tensor::ops::gemm::{gemm, with_isa, MatRef};
-use wp_tensor::ops::par::{par_tasks, RawMut, PAR_MIN_WORK};
+use wp_tensor::ops::par::{current_num_threads, par_indices, RawMut, PAR_MIN_WORK};
 use wp_tensor::ops::{dot, exp_poly};
 
 /// Queries per streaming tile: wide enough that packing the tile's keys is
@@ -130,7 +130,7 @@ fn attn_lanes(ntasks: usize, work: usize) -> usize {
     if work < PAR_MIN_WORK {
         1
     } else {
-        ntasks.clamp(1, rayon::current_num_threads())
+        ntasks.clamp(1, current_num_threads())
     }
 }
 
@@ -140,7 +140,7 @@ fn attn_lanes(ntasks: usize, work: usize) -> usize {
 /// a buffer per task. Whatever the lane count, each task runs the same
 /// closure once, so the split is bit-transparent.
 fn run_attn_tasks(ntasks: usize, lanes: usize, task: &(impl Fn(usize, usize) + Sync)) {
-    par_tasks(lanes, |lane| {
+    par_indices(lanes, |lane| {
         for t in (lane..ntasks).step_by(lanes) {
             task(lane, t);
         }
@@ -396,6 +396,7 @@ pub fn streaming_backward(
 mod tests {
     use super::*;
     use wp_tensor::ops::gemm::{force_isa, offered_isas, Isa};
+    use wp_tensor::ops::par::force_sequential;
     use wp_tensor::Tensor;
 
     /// Sequence lengths on both sides of every tile boundary.
@@ -537,7 +538,7 @@ mod tests {
         // length but the first crosses the dispatch threshold.
         for d in SEQS.map(gqa) {
             let pooled = forward_backward(d);
-            let serial = rayon::force_sequential(|| forward_backward(d));
+            let serial = force_sequential(|| forward_backward(d));
             for ((a, b), name) in pooled.iter().zip(&serial).zip(NAMES) {
                 assert!(a == b, "S={}: {name} must be bit-identical", d.seq);
             }
@@ -547,7 +548,7 @@ mod tests {
     #[test]
     fn every_instantiation_agrees_on_attention_bit_for_bit() {
         // Sequential, so the whole kernel runs on the thread the scopes pin.
-        rayon::force_sequential(|| {
+        force_sequential(|| {
             for fast in offered_isas().filter(|&which| which != Isa::Portable) {
                 for d in SEQS.map(gqa) {
                     let wide = force_isa(fast, || forward_backward(d));

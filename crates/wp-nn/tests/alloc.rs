@@ -24,7 +24,7 @@ use wp_nn::model::{Model, ModelFwdCtx, ModelGrads};
 use wp_nn::params::init_block;
 use wp_nn::scratch::Scratch;
 use wp_tensor::ops::matmul_nn;
-use wp_tensor::ops::par::PAR_MIN_WORK;
+use wp_tensor::ops::par::{current_num_threads, force_sequential, par_indices, PAR_MIN_WORK};
 
 struct CountingAlloc;
 
@@ -179,16 +179,16 @@ fn warm_parallel_block() {
     // product. Which threads claim a band is up to the pool, so run a 1×1
     // product on every one of them first: `T` tasks that each wait for all
     // `T` to have started can only be running on `T` distinct threads.
-    let threads = rayon::current_num_threads();
+    let threads = current_num_threads();
     let all_started = Barrier::new(threads);
-    rayon::par_indices(threads, |_| {
+    par_indices(threads, |_| {
         all_started.wait();
         matmul_nn(&mut [0.0], &[1.0], &[1.0], 1, 1, 1);
     });
     // Warm the arena on the calling thread alone (same task geometry, same
     // buffers), so what the measured parallel iterations allocate is what
     // the pool's threads would.
-    rayon::force_sequential(|| {
+    force_sequential(|| {
         for path in PATHS {
             iterate(path);
             iterate(path);

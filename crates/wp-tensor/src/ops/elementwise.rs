@@ -9,18 +9,14 @@
 //! instantiation computes the same bits.
 
 use super::gemm::with_isa;
-use super::par::{par_row_bands, RawMut, PAR_MIN_WORK};
+use super::par::{par_row_bands, RawMut};
 
 /// Run `f(span_start, out_span)` over disjoint contiguous spans of `out`,
 /// in parallel when the buffer is large enough to pay for dispatch.
 fn par_spans(out: &mut [f32], f: impl Fn(usize, &mut [f32]) + Sync) {
-    if out.len() < PAR_MIN_WORK {
-        f(0, out);
-        return;
-    }
     let n = out.len();
     let op = RawMut(out.as_mut_ptr());
-    par_row_bands(n, move |s, e| {
+    par_row_bands(n, n, move |s, e| {
         f(s, unsafe { op.slice(s, e - s) });
     });
 }
@@ -139,6 +135,7 @@ pub fn swiglu_backward_in_place(gate: &mut [f32], up: &mut [f32], dy: &[f32]) {
 mod tests {
     use super::*;
     use crate::ops::gemm::{force_isa, offered_isas, Isa};
+    use crate::ops::par::force_sequential;
 
     fn numeric_grad(f: impl Fn(f32) -> f32, x: f32) -> f32 {
         let h = 1e-3;
@@ -286,7 +283,7 @@ mod tests {
             let (gate, up, dy) = (values(n, 0), values(n, 5), values(n, 11));
             let fwd_bwd = || swiglu_fwd_bwd(&gate, &up, &dy);
             // Sequential, so the whole kernel runs on the thread the scope pins.
-            let pinned = |cap| rayon::force_sequential(|| force_isa(cap, fwd_bwd));
+            let pinned = |cap| force_sequential(|| force_isa(cap, fwd_bwd));
             let portable = pinned(Isa::Portable);
             let builds = offered
                 .iter()

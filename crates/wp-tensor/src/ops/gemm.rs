@@ -133,8 +133,8 @@ thread_local! {
 /// Run `f` with this thread's [`isa`] capped at `cap` (or an enclosing
 /// scope's lower cap), which caps [`gemm`], [`with_isa`] and the slice
 /// conversions of [`crate::dtype`] alike. Exists so tests can compare
-/// instantiations in one process, as `rayon::force_sequential` lets them
-/// compare threads.
+/// instantiations in one process, as [`super::par::force_sequential`] lets
+/// them compare threads.
 #[doc(hidden)]
 pub fn force_isa<R>(cap: Isa, f: impl FnOnce() -> R) -> R {
     let outer = CAP.replace(cap.min(CAP.get()));

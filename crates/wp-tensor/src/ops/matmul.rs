@@ -16,7 +16,7 @@
 //! depend on where a band starts.
 
 use super::gemm::{gemm, MatRef, MR};
-use super::par::{par_row_bands, RawMut, PAR_MIN_WORK};
+use super::par::{current_num_threads, par_row_bands, RawMut, PAR_MIN_WORK};
 
 /// Fewest rows in a parallel band: a multiple of the kernel's `MR`, and
 /// tall enough that packing `B` is a small part of the band's arithmetic.
@@ -64,15 +64,18 @@ fn matmul(c: &mut [f32], a: MatRef, b: MatRef, m: usize, k: usize, n: usize) {
         // SAFETY: rows `r0..r1 <= m` of `c`, which no other band touches.
         unsafe { gemm(cp.ptr().add(r0 * n), n, a.rows_from(r0), b, r1 - r0, n, k) }
     };
-    if m * n * k < PAR_MIN_WORK {
+    // The band height reads the pool width, so a small product returns
+    // before it would start the pool.
+    let work = m * n * k;
+    if work < PAR_MIN_WORK {
         return band(0, m);
     }
     // One band per pool thread: every band packs all of `B` for itself, so
     // more bands than threads would only multiply that cost.
     let rows = m
-        .div_ceil(rayon::current_num_threads())
+        .div_ceil(current_num_threads())
         .next_multiple_of(MIN_BAND_ROWS);
-    par_row_bands(m.div_ceil(rows), |b0, b1| {
+    par_row_bands(m.div_ceil(rows), work, |b0, b1| {
         band(b0 * rows, (b1 * rows).min(m))
     });
 }
@@ -126,6 +129,7 @@ pub fn matmul_naive(c: &mut [f32], a: &[f32], b: &[f32], m: usize, k: usize, n: 
 #[cfg(test)]
 pub(crate) mod tests {
     use super::super::gemm::{force_isa, isa, offered_isas, Isa, KC, MR};
+    use super::super::par::force_sequential;
     use super::*;
     use crate::tensor::Tensor;
 
@@ -200,7 +204,7 @@ pub(crate) mod tests {
                         let mut pooled = c0.clone();
                         run(&mut pooled, &a, &b, m, k, n);
                         let mut serial = c0.clone();
-                        rayon::force_sequential(|| run(&mut serial, &a, &b, m, k, n));
+                        force_sequential(|| run(&mut serial, &a, &b, m, k, n));
                         assert!(pooled == want, "{name} ({m},{k},{n}) on the pool");
                         assert!(serial == want, "{name} ({m},{k},{n}) sequential");
                     }
@@ -246,7 +250,7 @@ pub(crate) mod tests {
                     let (a, b) = (rand(m * k, 7), rand(k * n, 8));
                     let mut wide = rand(m * n, 9);
                     let mut narrow = wide.clone();
-                    rayon::force_sequential(|| {
+                    force_sequential(|| {
                         force_isa(fast, || run(&mut wide, &a, &b, m, k, n));
                         force_isa(Isa::Portable, || {
                             assert_eq!(isa(), Isa::Portable);

@@ -10,7 +10,7 @@
 //! accumulates **across** rows and stays a single serial pass in the
 //! original row order.
 
-use super::par::{par_row_bands, RawMut, PAR_MIN_WORK};
+use super::par::{par_row_bands, RawMut};
 
 /// Forward RMSNorm over each row of an `[rows, h]` matrix.
 ///
@@ -41,19 +41,9 @@ pub fn rmsnorm_forward(
         }
         inv
     };
-    if out.len() < PAR_MIN_WORK {
-        let mut inv_rms = inv_rms;
-        for r in 0..rows {
-            let inv = one_row(&mut out[r * h..(r + 1) * h], r);
-            if let Some(ir) = inv_rms.as_deref_mut() {
-                ir[r] = inv;
-            }
-        }
-        return;
-    }
     let op = RawMut(out.as_mut_ptr());
     let ip = inv_rms.map(|ir| RawMut(ir.as_mut_ptr()));
-    par_row_bands(rows, move |r0, r1| {
+    par_row_bands(rows, out.len(), move |r0, r1| {
         for r in r0..r1 {
             let or = unsafe { op.slice(r * h, h) };
             let inv = one_row(or, r);
@@ -105,18 +95,12 @@ pub fn rmsnorm_backward(
             dxr[i] += inv * gain[i] * dyr[i] - (coef as f32) * xr[i];
         }
     };
-    if dx.len() < PAR_MIN_WORK {
-        for r in 0..rows {
-            dx_row(&mut dx[r * h..(r + 1) * h], r);
+    let dxp = RawMut(dx.as_mut_ptr());
+    par_row_bands(rows, dx.len(), move |r0, r1| {
+        for r in r0..r1 {
+            dx_row(unsafe { dxp.slice(r * h, h) }, r);
         }
-    } else {
-        let dxp = RawMut(dx.as_mut_ptr());
-        par_row_bands(rows, move |r0, r1| {
-            for r in r0..r1 {
-                dx_row(unsafe { dxp.slice(r * h, h) }, r);
-            }
-        });
-    }
+    });
     // dgain accumulates across rows: keep it a serial pass in the original
     // row order so results stay bit-identical whatever the pool width.
     for r in 0..rows {

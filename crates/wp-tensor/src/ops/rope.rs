@@ -87,15 +87,9 @@ impl RopeTable {
                 self.rotate(&mut row[o..o + self.head_dim], p, dir);
             }
         };
-        if x.len() < super::par::PAR_MIN_WORK {
-            for (p, row) in x.chunks_mut(stride).enumerate() {
-                one_pos(row, p);
-            }
-            return;
-        }
         // Positions are independent: split the sequence across the pool.
         let xp = super::par::RawMut(x.as_mut_ptr());
-        super::par::par_row_bands(seq, move |p0, p1| {
+        super::par::par_row_bands(seq, x.len(), move |p0, p1| {
             for p in p0..p1 {
                 one_pos(unsafe { xp.slice(p * stride, stride) }, p);
             }
