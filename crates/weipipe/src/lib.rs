@@ -55,7 +55,7 @@ pub use elastic::{
     next_epoch, run_elastic, ElasticOptions, ElasticReport, EpochOutcome, NextEpoch,
 };
 pub use runner::{
-    build_schedule, run, run_distributed, run_distributed_per_rank, run_rank, run_rank_elastic,
+    build_schedule, run_distributed, run_distributed_per_rank, run_rank, run_rank_elastic,
     runtime_strategies, TrainWorld,
 };
 pub use setup::{DataSource, OptimKind, RunOutput, TrainSetup};

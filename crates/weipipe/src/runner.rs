@@ -3,7 +3,6 @@
 
 use crate::interp::RankRuntime;
 use crate::setup::{RunOutput, TrainSetup};
-use crate::single::run_single;
 use wp_comm::{agree_membership, CommError, Communicator, Membership, World, WorldBuilder};
 use wp_metrics::MetricsRegistry;
 use wp_nn::TrainState;
@@ -232,7 +231,7 @@ pub fn run_rank_elastic(
 /// Train `setup` under `strategy` across `ranks` worker threads.
 ///
 /// Returns the per-iteration mean losses and the final parameters (from
-/// rank 0), which must match [`run_single`] on the same setup — the
+/// rank 0), which must match [`crate::run_single`] on the same setup — the
 /// equivalence the test suite enforces, including under delay-only fault
 /// plans.
 ///
@@ -256,21 +255,10 @@ pub fn run_distributed(
     Ok(results.swap_remove(0).expect("checked above"))
 }
 
-/// Run a strategy, or the single-process reference when `ranks == 1`.
-///
-/// # Errors
-/// Same as [`run_distributed`] (the single-process path cannot fail).
-pub fn run(strategy: Strategy, ranks: usize, setup: &TrainSetup) -> Result<RunOutput, CommError> {
-    if ranks == 1 {
-        Ok(run_single(setup))
-    } else {
-        run_distributed(strategy, ranks, setup)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::single::run_single;
 
     /// One list decides what runs: a strategy is either in
     /// `runtime_strategies()` (and builds), or `build_schedule` refuses it

@@ -141,11 +141,6 @@ impl FaultPlan {
         self
     }
 
-    /// The plan's determinism seed.
-    pub fn seed(&self) -> u64 {
-        self.seed
-    }
-
     /// True when the plan can only delay or reorder deliveries — the class
     /// of plans under which training must be bit-identical to a fault-free
     /// run.
