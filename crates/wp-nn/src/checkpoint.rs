@@ -121,13 +121,19 @@ impl From<io::Error> for CheckpointError {
     }
 }
 
+/// The FNV-1a state of no bytes (its offset basis).
+const FNV_BASIS: u64 = 0xcbf2_9ce4_8422_2325;
+
+/// Fold `bytes` into the FNV-1a state `h`: the one hash step, which the
+/// reader's [`fnv1a`] and the writer's running hash share.
+fn fnv1a_fold(h: u64, bytes: &[u8]) -> u64 {
+    bytes
+        .iter()
+        .fold(h, |h, &b| (h ^ b as u64).wrapping_mul(0x1000_0000_01b3))
+}
+
 fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut h = 0xcbf2_9ce4_8422_2325u64;
-    for &b in bytes {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x1000_0000_01b3);
-    }
-    h
+    fnv1a_fold(FNV_BASIS, bytes)
 }
 
 struct CountingHashWriter<W: Write> {
@@ -139,7 +145,7 @@ impl<W: Write> CountingHashWriter<W> {
     fn new(inner: W) -> Self {
         CountingHashWriter {
             inner,
-            hash: 0xcbf2_9ce4_8422_2325,
+            hash: FNV_BASIS,
         }
     }
 }
@@ -147,10 +153,7 @@ impl<W: Write> CountingHashWriter<W> {
 impl<W: Write> Write for CountingHashWriter<W> {
     fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
         let n = self.inner.write(buf)?;
-        for &b in &buf[..n] {
-            self.hash ^= b as u64;
-            self.hash = self.hash.wrapping_mul(0x1000_0000_01b3);
-        }
+        self.hash = fnv1a_fold(self.hash, &buf[..n]);
         Ok(n)
     }
 
