@@ -5,7 +5,6 @@ use wp_comm::{CommConfig, FaultPlan, LinkModel, TransportKind};
 use wp_metrics::{MetricsConfig, MetricsSnapshot};
 use wp_nn::{ModelConfig, TrainState};
 use wp_optim::{AdamConfig, AdamW, LrSchedule, Optimizer, Sgd, SgdConfig};
-use wp_sched::tune::Candidate;
 use wp_tensor::DType;
 use wp_trace::{Trace, TraceConfig};
 
@@ -201,32 +200,6 @@ impl TrainSetup {
             knob: None,
             resume: None,
         }
-    }
-
-    /// Build a runnable setup straight from an autotuner [`Candidate`] —
-    /// the winning point of a `wp-bench tune` sweep becomes a training
-    /// configuration without hand-copying knobs. Every schedule-shaping
-    /// field the candidate carries (microbatches, overlap, knob) lands on
-    /// the setup, with checkpointing on as in [`Candidate::spec`], so
-    /// [`build_schedule`](crate::build_schedule) reconstructs exactly that
-    /// spec. The candidate's strategy is *not* stored here — pass it to
-    /// [`run_distributed`](crate::run_distributed) alongside.
-    ///
-    /// ```
-    /// use weipipe::TrainSetup;
-    /// use wp_sched::tune::Candidate;
-    /// use wp_sched::Strategy;
-    ///
-    /// let winner = Candidate { knob: Some(2), ..Candidate::default_for(Strategy::Zb1, 8) };
-    /// let setup = TrainSetup::from_candidate(&winner);
-    /// assert_eq!(setup.microbatches, 8);
-    /// assert_eq!(setup.knob, Some(2));
-    /// ```
-    pub fn from_candidate(c: &Candidate) -> Self {
-        let mut s = TrainSetup::tiny(12, c.microbatches).with_overlap(c.overlap);
-        s.recompute = true;
-        s.knob = c.knob;
-        s
     }
 
     /// Set the communication policy (timeouts, retry budget).

@@ -315,10 +315,19 @@ fn second_fault_during_recovery_fails_typed_never_hangs() {
     assert!(report.checkpoint.is_some());
 }
 
-/// The tuner bridge: `TrainSetup::from_candidate` must reconstruct the
-/// candidate's schedule op-for-op and train it end-to-end to the reference.
+/// The setup a tuner candidate describes: its microbatches, overlap and
+/// knob, with checkpointing on as in `Candidate::spec`.
+fn setup_of(c: &Candidate) -> TrainSetup {
+    let mut s = TrainSetup::tiny(12, c.microbatches).with_overlap(c.overlap);
+    s.recompute = true;
+    s.knob = c.knob;
+    s
+}
+
+/// A tuned candidate's setup rebuilds the candidate's schedule op-for-op
+/// and trains it end-to-end to the reference.
 #[test]
-fn from_candidate_matches_tuner_spec_and_trains() {
+fn tuned_candidates_rebuild_their_spec_and_train() {
     let p = 4;
     // What the tuner hands over in practice: the DES-priced grid winner
     // over everything the runtime executes.
@@ -352,13 +361,13 @@ fn from_candidate_matches_tuner_spec_and_trains() {
     ];
     for c in &candidates {
         c.check(p).expect("candidate valid at P=4");
-        let setup = TrainSetup::from_candidate(c);
+        let setup = setup_of(c);
         let from_setup = build_schedule(c.strategy, p, &setup);
         let from_tuner = wp_sched::build(c.strategy, c.spec(p));
         assert_eq!(
             format!("{:?}", from_setup.ops),
             format!("{:?}", from_tuner.ops),
-            "{}: TrainSetup::from_candidate must rebuild the tuned schedule",
+            "{}: the setup must rebuild the tuned schedule",
             c.label()
         );
 

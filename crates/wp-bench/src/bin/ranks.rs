@@ -4,8 +4,8 @@
 //! The launcher (default mode) spawns one worker process per rank, wires
 //! the mesh up (each worker binds an ephemeral listener, reports its port
 //! on stdout, and receives the full port list on stdin), collects every
-//! worker's [`RankReport`], merges the per-process traffic meters, and
-//! checks the run's invariants. With `--compare-inprocess` it reruns the
+//! worker's [`RankReport`](wp_bench::ranks::RankReport), merges the
+//! per-process traffic meters, and checks the run's invariants. With `--compare-inprocess` it reruns the
 //! identical setup on in-process channels in its own address space and
 //! asserts the results are bit-identical — the cross-transport conformance
 //! guarantee, proven over genuinely separate processes.

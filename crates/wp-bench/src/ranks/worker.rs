@@ -157,8 +157,12 @@ pub fn worker(world: &WorldOpts, opts: &WorkerOpts) -> i32 {
         (stop, handle)
     });
 
-    let transport = TcpTransport::establish(rank, &addrs, listener, LOCAL_ESTABLISH_TIMEOUT)
-        .expect("establish TCP mesh");
+    // Metered from the first frame: peers may send before this rank has
+    // built its schedule and wrapped the endpoint.
+    let metrics = assembled.registry.as_ref().map(|reg| reg.handle(rank));
+    let transport =
+        TcpTransport::establish(rank, &addrs, listener, LOCAL_ESTABLISH_TIMEOUT, metrics)
+            .expect("establish TCP mesh");
     let schedule = build_schedule(world.strategy, world.ranks, &setup);
     let comm = assembled.builder.endpoint(Box::new(transport));
     // The slots this rank counts into — the metered registry when there is

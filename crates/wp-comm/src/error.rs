@@ -119,6 +119,21 @@ impl CommError {
     pub fn is_fatal(&self) -> bool {
         !matches!(self, CommError::InvalidTag { .. })
     }
+
+    /// What every rank but `origin` unwinds with when `origin` fails with
+    /// this error: `PeerDead` and `Aborted` as they are, so every survivor
+    /// learns who died and a relayed abort keeps its first origin; anything
+    /// else as an `Aborted` naming `origin`. Idempotent. The shared
+    /// in-process cell and the TCP transport's ABORT frame both decide here.
+    pub fn seen_by_peers(&self, origin: usize) -> CommError {
+        match self {
+            CommError::PeerDead { .. } | CommError::Aborted { .. } => self.clone(),
+            e => CommError::Aborted {
+                origin,
+                reason: e.to_string(),
+            },
+        }
+    }
 }
 
 #[cfg(test)]

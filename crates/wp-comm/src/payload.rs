@@ -12,7 +12,7 @@
 //! fresh buffer nor has the kernel map new pages under it. f32 payloads are
 //! not pooled: they move into their [`Landing::Replace`] landings.
 
-use std::sync::{Arc, Mutex, OnceLock};
+use std::sync::{Arc, Mutex};
 use wp_metrics::{Counter, RankMetrics};
 use wp_tensor::dtype::{pack_bf16, pack_f16, unpack_bf16, unpack_f16};
 use wp_tensor::DType;
@@ -352,14 +352,14 @@ impl Payload {
 /// a payload's exact length, so a small frame never pins a ring-sized
 /// buffer; past its bound (`for_world`) the smallest
 /// idle buffer, the cheapest to allocate again, is dropped. Only a miss
-/// allocates, and each is counted in [`Counter::WireBuffersAllocated`] once
+/// allocates, and each is counted in [`Counter::WireBuffersAllocated`] when
 /// the endpoint is metered.
 pub struct WirePool {
     /// The most idle buffers kept.
     bound: usize,
     /// Idle buffers, the most recently given back last.
     idle: Mutex<Vec<Vec<u16>>>,
-    metrics: OnceLock<RankMetrics>,
+    metrics: Option<RankMetrics>,
 }
 
 impl std::fmt::Debug for WirePool {
@@ -377,18 +377,14 @@ impl WirePool {
     /// reader thread, whenever the socket has one), and one for the rank
     /// thread's next pack. Every idle buffer is also held at the step's
     /// memory peak, so the pool keeps no more than those takers can use at
-    /// once: at P = 2, a ring chunk each way.
-    pub(crate) fn for_world(world: usize) -> WirePool {
+    /// once: at P = 2, a ring chunk each way. Misses are counted into
+    /// `metrics`, when given.
+    pub(crate) fn for_world(world: usize, metrics: Option<RankMetrics>) -> WirePool {
         WirePool {
             bound: world,
             idle: Mutex::default(),
-            metrics: OnceLock::new(),
+            metrics,
         }
-    }
-
-    /// Count this pool's misses into `metrics` (first attach wins).
-    pub(crate) fn instrument(&self, metrics: RankMetrics) {
-        let _ = self.metrics.set(metrics);
     }
 
     /// How many buffers are idle.
@@ -408,7 +404,7 @@ impl WirePool {
             return Some(idle.remove(at));
         }
         drop(idle);
-        if let Some(m) = self.metrics.get() {
+        if let Some(m) = &self.metrics {
             m.incr(Counter::WireBuffersAllocated);
         }
         None
@@ -636,7 +632,7 @@ mod tests {
         for n in [1, 31, STAGE, 2 * STAGE + 5] {
             let xs: Vec<f32> = (0..n).map(|i| (i as f32 * 0.61).cos() * 7e3).collect();
             for dtype in [DType::F16, DType::BF16] {
-                let pool = WirePool::for_world(2);
+                let pool = WirePool::for_world(2, None);
                 let stale = vec![0xAAAA; n];
                 let at = stale.as_ptr();
                 pool.give(Payload::F16(stale));
@@ -659,7 +655,7 @@ mod tests {
     /// never kept, and past its bound the pool drops its smallest buffer.
     #[test]
     fn a_pool_matches_lengths_and_keeps_its_bound_and_its_largest_buffers() {
-        let pool = WirePool::for_world(2);
+        let pool = WirePool::for_world(2, None);
         pool.give(Payload::F32(vec![1.0; 8]));
         pool.give(Payload::F16(Vec::new()));
         assert_eq!(pool.idle(), 0);

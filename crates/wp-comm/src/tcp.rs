@@ -48,16 +48,10 @@ use std::io::{Read, Write};
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::mpsc::{channel, Receiver, RecvTimeoutError, Sender};
-use std::sync::{Arc, OnceLock};
+use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
-use wp_metrics::{Counter, RankMetrics};
-
-/// Metrics handle shared with the per-peer reader threads. The readers
-/// spawn at establish time, before any `instrument` call, so they watch a
-/// `OnceLock` instead of owning the handle directly; until (unless) a
-/// handle is attached, every probe is one relaxed load.
-type MetricsCell = Arc<OnceLock<RankMetrics>>;
+use wp_metrics::{Counter, MetricsRegistry, RankMetrics};
 
 #[derive(Debug)]
 struct PeerLink {
@@ -105,8 +99,9 @@ pub struct TcpTransport {
     /// Set before teardown so reader threads treat the socket shutdown as
     /// deliberate rather than a peer crash.
     closing: Arc<AtomicBool>,
-    /// Shared with the reader threads; armed by [`Transport::instrument`].
-    metrics: MetricsCell,
+    /// Where this endpoint and its reader threads count wire frames, from
+    /// the first one; `None` when unmetered.
+    metrics: Option<RankMetrics>,
     /// Shared with the reader threads, which read frames into its buffers.
     pool: Arc<WirePool>,
     shut: bool,
@@ -131,7 +126,8 @@ impl TcpTransport {
     /// listener address; `listener` is this rank's own (already bound, so
     /// peers can connect the moment they learn the address). Every rank
     /// must be establishing concurrently; `timeout` bounds the whole
-    /// procedure, and then every write that makes no progress.
+    /// procedure, and then every write that makes no progress. `metrics`,
+    /// when given, counts every wire frame and pool miss, from the first.
     ///
     /// # Errors
     /// Connection, handshake, or timeout failures.
@@ -140,6 +136,7 @@ impl TcpTransport {
         addrs: &[SocketAddr],
         listener: TcpListener,
         timeout: Duration,
+        metrics: Option<RankMetrics>,
     ) -> std::io::Result<TcpTransport> {
         let world = addrs.len();
         assert!(rank < world, "rank {rank} out of range for world {world}");
@@ -192,8 +189,7 @@ impl TcpTransport {
 
         let abort = Arc::new(AbortCell::default());
         let closing = Arc::new(AtomicBool::new(false));
-        let metrics: MetricsCell = Arc::new(OnceLock::new());
-        let pool = Arc::new(WirePool::for_world(world));
+        let pool = Arc::new(WirePool::for_world(world, metrics.clone()));
         let mut links = Vec::with_capacity(world);
         let mut inbox = Vec::with_capacity(world);
         for (peer, slot) in streams.into_iter().enumerate() {
@@ -245,9 +241,8 @@ impl TcpTransport {
                 relays += 1;
             }
         }
-        if let Some(m) = self.metrics.get() {
+        if let Some(m) = &self.metrics {
             m.add(Counter::TcpAbortFramesSent, relays);
-            m.add(Counter::TcpAbortRelays, relays);
         }
     }
 
@@ -265,7 +260,7 @@ impl TcpTransport {
         }
         for link in self.links.iter_mut().flatten() {
             if link.write(|mut s| s.write_all(&GOODBYE_FRAME)).is_ok() {
-                if let Some(m) = self.metrics.get() {
+                if let Some(m) = &self.metrics {
                     m.incr(Counter::TcpGoodbyeFramesSent);
                 }
             }
@@ -302,7 +297,7 @@ impl Transport for TcpTransport {
             .deliver_at
             .map(|at| at.saturating_duration_since(Instant::now()));
         link.write(|s| write_data(s, &frame, delay))?;
-        if let Some(m) = self.metrics.get() {
+        if let Some(m) = &self.metrics {
             m.incr(Counter::TcpDataFramesSent);
             m.add(
                 Counter::TcpDataBytesSent,
@@ -334,12 +329,6 @@ impl Transport for TcpTransport {
         self.relay_abort(origin, cause);
     }
 
-    fn instrument(&mut self, metrics: RankMetrics) {
-        // First attach wins; the readers pick the handle up on their next
-        // frame.
-        let _ = self.metrics.set(metrics);
-    }
-
     fn shutdown(&mut self) {
         // A teardown during a panic unwind is a crash, not a clean close:
         // tell the peers why, so they surface a typed Aborted instead of
@@ -364,13 +353,13 @@ fn reader_loop(
     frame_tx: Sender<(Frame, u64)>,
     abort: Arc<AbortCell>,
     closing: Arc<AtomicBool>,
-    metrics: MetricsCell,
+    metrics: Option<RankMetrics>,
     pool: Arc<WirePool>,
 ) {
     loop {
         match read_frame(&sock, &pool) {
             Some(Incoming::Data(f, arrived)) => {
-                if let Some(m) = metrics.get() {
+                if let Some(m) = &metrics {
                     m.incr(Counter::TcpDataFramesRecv);
                     m.add(
                         Counter::TcpDataBytesRecv,
@@ -382,7 +371,7 @@ fn reader_loop(
                 let _ = frame_tx.send((f, arrived));
             }
             Some(Incoming::Abort(origin, err)) => {
-                if let Some(m) = metrics.get() {
+                if let Some(m) = &metrics {
                     m.incr(Counter::TcpAbortFramesRecv);
                 }
                 // Keep reading: data queued behind the abort is dropped by
@@ -393,7 +382,7 @@ fn reader_loop(
                 // Clean close: dropping frame_tx makes further receives
                 // from this source read as Closed (→ PeerDead upstream,
                 // matching the in-process disconnect semantics).
-                if let Some(m) = metrics.get() {
+                if let Some(m) = &metrics {
                     m.incr(Counter::TcpGoodbyeFramesRecv);
                 }
                 return;
@@ -468,9 +457,9 @@ pub const LOCAL_ESTABLISH_TIMEOUT: Duration = Duration::from_secs(20);
 
 /// Wire up a full localhost mesh of `p` endpoints inside this process (one
 /// thread per rank once handed to a runner, but every byte crosses a real
-/// socket). Panics on socket errors — local test plumbing, not a serving
-/// path.
-pub fn local_mesh(p: usize) -> Vec<TcpTransport> {
+/// socket), rank r counting into `metrics`'s handle for r when given.
+/// Panics on socket errors — local test plumbing, not a serving path.
+pub fn local_mesh(p: usize, metrics: Option<&MetricsRegistry>) -> Vec<TcpTransport> {
     assert!(p >= 1, "world size must be at least 1");
     let listeners: Vec<TcpListener> = (0..p)
         .map(|r| bind_localhost().unwrap_or_else(|e| panic!("rank {r}: bind failed: {e}")))
@@ -486,8 +475,9 @@ pub fn local_mesh(p: usize) -> Vec<TcpTransport> {
             .enumerate()
             .map(|(rank, listener)| {
                 let addrs = &addrs;
+                let metrics = metrics.map(|m| m.handle(rank));
                 s.spawn(move || {
-                    TcpTransport::establish(rank, addrs, listener, LOCAL_ESTABLISH_TIMEOUT)
+                    TcpTransport::establish(rank, addrs, listener, LOCAL_ESTABLISH_TIMEOUT, metrics)
                 })
             })
             .collect();
@@ -513,7 +503,7 @@ mod tests {
 
     #[test]
     fn local_mesh_moves_frames_over_real_sockets() {
-        let mut mesh = local_mesh(2);
+        let mut mesh = local_mesh(2, None);
         let mut b = mesh.remove(1);
         let mut a = mesh.remove(0);
         a.send(1, frame(7, vec![1.0, 2.0])).unwrap();
@@ -542,7 +532,7 @@ mod tests {
 
     #[test]
     fn abort_frame_trips_the_remote_cell() {
-        let mut mesh = local_mesh(2);
+        let mut mesh = local_mesh(2, None);
         let b = mesh.remove(1);
         let mut a = mesh.remove(0);
         let cause = CommError::Corrupt { src: 1, tag: 9 };
@@ -552,18 +542,16 @@ mod tests {
             assert!(Instant::now() < deadline, "abort frame never arrived");
             std::thread::sleep(Duration::from_millis(1));
         }
-        assert_eq!(b.abort_cell().cause_for(0), cause);
+        assert_eq!(b.abort_cell().cause_for(1), cause.seen_by_peers(0));
     }
 
     #[test]
     fn instrumented_endpoints_count_wire_frames_and_their_bytes() {
         use wp_metrics::MetricsRegistry;
         let registry = MetricsRegistry::new(2);
-        let mut mesh = local_mesh(2);
+        let mut mesh = local_mesh(2, Some(&registry));
         let mut b = mesh.remove(1);
         let mut a = mesh.remove(0);
-        a.instrument(registry.handle(0));
-        b.instrument(registry.handle(1));
         let payloads = [
             Payload::pack(&[1.0, 2.0], DType::F32).0,
             Payload::pack(&[3.0; 5], DType::F16).0,
@@ -600,7 +588,32 @@ mod tests {
         assert_eq!(snap.ranks[1].counter(Counter::TcpDataBytesRecv), on_socket);
         assert_eq!(snap.ranks[0].counter(Counter::TcpGoodbyeFramesSent), 1);
         assert_eq!(snap.ranks[1].counter(Counter::TcpGoodbyeFramesRecv), 1);
-        assert_eq!(snap.ranks[0].counter(Counter::TcpAbortRelays), 0);
+        assert_eq!(snap.ranks[0].counter(Counter::TcpAbortFramesSent), 0);
+    }
+
+    /// A frame read before the endpoint is wrapped in a communicator is
+    /// counted: the `ranks` worker builds its schedule between the two, and
+    /// a peer's first frames can land then.
+    #[test]
+    fn a_frame_received_before_the_endpoint_is_wrapped_is_counted() {
+        use crate::World;
+        use wp_metrics::MetricsRegistry;
+        let registry = MetricsRegistry::new(2);
+        let mut mesh = local_mesh(2, Some(&registry));
+        let mut b = mesh.remove(1);
+        let a = mesh.remove(0);
+        let builder = World::builder(2).metrics(registry.clone());
+        let mut tx = builder.clone().endpoint(Box::new(a));
+        tx.send(1, 1, &[1.0, 2.0], DType::F32).unwrap();
+        next_frame(&mut b, 0);
+        drop(tx);
+        drop(builder.endpoint(Box::new(b)));
+        let snap = registry.snapshot();
+        let on_socket = 8 + DATA_HEADER_LEN as u64;
+        assert_eq!(snap.ranks[0].counter(Counter::TcpDataFramesSent), 1);
+        assert_eq!(snap.ranks[1].counter(Counter::TcpDataFramesRecv), 1);
+        assert_eq!(snap.ranks[0].counter(Counter::TcpDataBytesSent), on_socket);
+        assert_eq!(snap.ranks[1].counter(Counter::TcpDataBytesRecv), on_socket);
     }
 
     #[test]
@@ -619,7 +632,7 @@ mod tests {
             sock.write_all(&hello).unwrap();
             sock
         });
-        let err = TcpTransport::establish(0, &[addr, addr], listener, Duration::from_secs(5))
+        let err = TcpTransport::establish(0, &[addr, addr], listener, Duration::from_secs(5), None)
             .expect_err("a mixed-version mesh must not establish");
         assert_eq!(
             err.to_string(),
@@ -635,17 +648,16 @@ mod tests {
         let b = mesh_pair_b_only(&registry);
         drop(b);
         let snap = registry.snapshot();
-        assert_eq!(snap.ranks[0].counter(Counter::TcpAbortRelays), 1);
+        assert_eq!(snap.ranks[0].counter(Counter::TcpAbortFramesSent), 1);
     }
 
-    /// Build a 2-mesh, instrument rank 0, fire `propagate_abort` from it,
-    /// wait for the cell to trip on rank 1, and return rank 1's endpoint
-    /// (rank 0 is dropped cleanly here).
+    /// Build a metered 2-mesh, fire `propagate_abort` from rank 0, wait for
+    /// the cell to trip on rank 1, and return rank 1's endpoint (rank 0 is
+    /// dropped cleanly here).
     fn mesh_pair_b_only(registry: &wp_metrics::MetricsRegistry) -> TcpTransport {
-        let mut mesh = local_mesh(2);
+        let mut mesh = local_mesh(2, Some(registry));
         let b = mesh.remove(1);
         let mut a = mesh.remove(0);
-        a.instrument(registry.handle(0));
         a.propagate_abort(0, &CommError::Corrupt { src: 1, tag: 9 });
         let deadline = Instant::now() + Duration::from_secs(5);
         while !b.abort_cell().is_tripped() {
@@ -659,7 +671,7 @@ mod tests {
     /// its ABORT reaches the peer.
     #[test]
     fn abort_announcing_teardown_terminates_and_reaches_the_peer() {
-        let mut mesh = local_mesh(2);
+        let mut mesh = local_mesh(2, None);
         let b = mesh.remove(1);
         let mut a = mesh.remove(0);
         let cause = CommError::Aborted {
@@ -694,7 +706,7 @@ mod tests {
     #[test]
     fn a_recycled_buffer_carries_nothing_of_its_last_frame() {
         let n = 40_000;
-        let mut mesh = local_mesh(2);
+        let mut mesh = local_mesh(2, None);
         let mut b = mesh.remove(1);
         let mut a = mesh.remove(0);
         a.send(1, frame_of(1, Payload::F16(vec![0xAAAA; n])))
@@ -720,7 +732,7 @@ mod tests {
     /// unread.
     #[test]
     fn a_burst_of_sends_leaves_the_pool_at_its_bound() {
-        let mut mesh = local_mesh(2);
+        let mut mesh = local_mesh(2, None);
         let _b = mesh.remove(1);
         let mut a = mesh.remove(0);
         for tag in 0..3 * a.world_size() as u64 {
@@ -744,8 +756,9 @@ mod tests {
         // Everything runs on a helper thread, so a sender that hangs fails
         // this test at the deadline below instead of hanging the binary.
         let sender = std::thread::spawn(move || {
-            let mut a = TcpTransport::establish(0, &[addr, addr], listener, Duration::from_secs(1))
-                .unwrap();
+            let mut a =
+                TcpTransport::establish(0, &[addr, addr], listener, Duration::from_secs(1), None)
+                    .unwrap();
             let payload = Payload::F32(vec![0.0; CHUNK]);
             let sent: Vec<_> = (0..FRAMES)
                 .map(|tag| a.send(1, frame_of(tag, payload.clone())))

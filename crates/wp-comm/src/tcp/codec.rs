@@ -23,8 +23,12 @@
 //!   captured when the frame hits the wire and re-anchored to the
 //!   receiver's clock on arrival (wall clocks of different processes never
 //!   compare).
-//! * `ABORT` (kind 2): origin rank `u32` plus an encoded
-//!   [`CommError`] — the poison pill crossing a process boundary.
+//! * `ABORT` (kind 2): origin rank `u32`, then what every other rank
+//!   unwinds with ([`CommError::seen_by_peers`]) in one of two forms, a
+//!   form byte and its fields: 0 = `PeerDead` (`rank u64`), 1 = `Aborted`
+//!   (`origin u64`, `n u32`, `n` bytes of UTF-8 reason). The poison pill
+//!   crossing a process boundary: a peer's cell holds exactly what the
+//!   shared in-process cell would give that peer.
 //! * `GOODBYE` (kind 3): empty body. A deliberate close; distinguishes a
 //!   rank that finished from a rank that crashed.
 
@@ -38,12 +42,12 @@ use wp_tensor::DType;
 /// Handshake magic: "WPTR".
 pub(super) const MAGIC: u32 = 0x5750_5452;
 /// Version 2 added the per-frame configuration epoch to the DATA body and
-/// the MembershipMismatch error variant; version 3 replaced the DATA
-/// body's `wire_bytes` field and f32-widened payload with a dtype byte and
-/// the packed wire bytes; version 4 added the FrameTooLarge error variant.
-/// Mixed-version meshes are rejected at HELLO time rather than mis-parsed
-/// mid-stream.
-pub(super) const PROTO_VERSION: u8 = 4;
+/// the membership-mismatch error; version 3 replaced the DATA body's
+/// `wire_bytes` field and f32-widened payload with a dtype byte and the
+/// packed wire bytes; version 4 added the frame-too-large error; version 5
+/// cut the ABORT body to the two forms a peer unwinds with. Mixed-version
+/// meshes are rejected at HELLO time rather than mis-parsed mid-stream.
+pub(super) const PROTO_VERSION: u8 = 5;
 const KIND_DATA: u8 = 1;
 const KIND_ABORT: u8 = 2;
 const KIND_GOODBYE: u8 = 3;
@@ -240,51 +244,21 @@ pub(super) fn read_frame(mut r: impl Read, pool: &WirePool) -> Option<Incoming> 
     }
 }
 
-/// Serialize a [`CommError`] for an ABORT frame: variant byte + fields,
-/// strings length-prefixed UTF-8.
+/// Serialize what a peer unwinds with for an ABORT frame: form byte +
+/// fields, the reason length-prefixed UTF-8.
 fn encode_err(e: &CommError, buf: &mut Vec<u8>) {
     match e {
         CommError::PeerDead { rank } => {
             buf.push(0);
             put_u64(buf, *rank as u64);
         }
-        CommError::Timeout {
-            src,
-            tag,
-            waited_ms,
-        } => {
-            buf.push(1);
-            put_u64(buf, *src as u64);
-            put_u64(buf, *tag);
-            put_u64(buf, *waited_ms);
-        }
-        CommError::Corrupt { src, tag } => {
-            buf.push(2);
-            put_u64(buf, *src as u64);
-            put_u64(buf, *tag);
-        }
         CommError::Aborted { origin, reason } => {
-            buf.push(3);
+            buf.push(1);
             put_u64(buf, *origin as u64);
             put_u32(buf, reason.len() as u32);
             buf.extend_from_slice(reason.as_bytes());
         }
-        CommError::InvalidTag { tag } => {
-            buf.push(4);
-            put_u64(buf, *tag);
-        }
-        CommError::MembershipMismatch { rank, detail } => {
-            buf.push(5);
-            put_u64(buf, *rank as u64);
-            put_u32(buf, detail.len() as u32);
-            buf.extend_from_slice(detail.as_bytes());
-        }
-        CommError::FrameTooLarge { dst, bytes, limit } => {
-            buf.push(6);
-            put_u64(buf, *dst as u64);
-            put_u64(buf, *bytes);
-            put_u64(buf, *limit);
-        }
+        other => unreachable!("no peer unwinds with {other:?}"),
     }
 }
 
@@ -294,45 +268,24 @@ fn decode_err(c: &mut Cursor<'_>) -> Option<CommError> {
         0 => CommError::PeerDead {
             rank: c.u64()? as usize,
         },
-        1 => CommError::Timeout {
-            src: c.u64()? as usize,
-            tag: c.u64()?,
-            waited_ms: c.u64()?,
-        },
-        2 => CommError::Corrupt {
-            src: c.u64()? as usize,
-            tag: c.u64()?,
-        },
-        3 => {
+        1 => {
             let origin = c.u64()? as usize;
             let n = c.u32()? as usize;
             let reason = String::from_utf8(c.bytes(n)?.to_vec()).ok()?;
             CommError::Aborted { origin, reason }
         }
-        4 => CommError::InvalidTag { tag: c.u64()? },
-        5 => {
-            let rank = c.u64()? as usize;
-            let n = c.u32()? as usize;
-            let detail = String::from_utf8(c.bytes(n)?.to_vec()).ok()?;
-            CommError::MembershipMismatch { rank, detail }
-        }
-        6 => CommError::FrameTooLarge {
-            dst: c.u64()? as usize,
-            bytes: c.u64()?,
-            limit: c.u64()?,
-        },
         _ => return None,
     })
 }
 
 /// Write one ABORT wire frame: the rank whose failure poisoned the world,
-/// then the failure itself.
+/// then what every other rank unwinds with.
 pub(super) fn write_abort(mut w: impl Write, origin: usize, err: &CommError) -> io::Result<()> {
     let mut buf = Vec::new();
     put_u32(&mut buf, 0); // length back-patched below
     buf.push(KIND_ABORT);
     put_u32(&mut buf, origin as u32);
-    encode_err(err, &mut buf);
+    encode_err(&err.seen_by_peers(origin), &mut buf);
     let len = (buf.len() - 4) as u32;
     buf[0..4].copy_from_slice(&len.to_le_bytes());
     w.write_all(&buf)
@@ -359,7 +312,7 @@ mod tests {
 
     /// The next frame off `r`, read with a pool of its own.
     fn read(r: impl Read) -> Option<Incoming> {
-        read_frame(r, &WirePool::for_world(2))
+        read_frame(r, &WirePool::for_world(2, None))
     }
 
     /// `f` as the bytes [`write_data`] puts on a stream.
@@ -530,7 +483,7 @@ mod tests {
             );
             // The same corruption on a straggler from the epoch before.
             let registry = MetricsRegistry::new(2);
-            let mut ends = crate::tcp::local_mesh(2).into_iter();
+            let mut ends = crate::tcp::local_mesh(2, Some(&registry)).into_iter();
             let (a, b) = (ends.next().unwrap(), ends.next().unwrap());
             let builder = World::builder(2)
                 .epoch(1)
@@ -560,7 +513,7 @@ mod tests {
     fn a_stream_cut_mid_payload_into_a_recycled_buffer_is_an_unclean_close() {
         let n = PIECE + 6;
         let honest = data_bytes(&frame_of(1, Payload::F16(vec![0x5555; n / 2])), None);
-        let pool = WirePool::for_world(2);
+        let pool = WirePool::for_world(2, None);
         for cut in [1, PIECE - 1, PIECE, PIECE + 1, n - 1] {
             pool.give(Payload::F16(vec![0xAAAA; n / 2]));
             let read = read_frame(&honest[..DATA_HEADER_LEN + cut], &pool);
@@ -599,8 +552,14 @@ mod tests {
         }
     }
 
+    /// An ABORT frame carries what the shared in-process cell gives a
+    /// peer: for every error variant, decoding `write_abort(7, e)` gives
+    /// the origin and exactly what a cell tripped with `(7, e)` hands any
+    /// rank but 7, and a cell tripped with the decoded pair hands it the
+    /// same.
     #[test]
-    fn abort_frame_round_trips_every_error_variant() {
+    fn abort_frame_carries_what_a_peer_unwinds_with() {
+        use crate::transport::AbortCell;
         let errs = [
             CommError::PeerDead { rank: 3 },
             CommError::Timeout {
@@ -631,9 +590,17 @@ mod tests {
                 buf.len() - 4
             );
             assert_eq!(buf[4], KIND_ABORT);
-            match read(&buf[..]) {
-                Some(Incoming::Abort(origin, got)) => assert_eq!((origin, got), (7, e)),
+            let shared = AbortCell::default();
+            shared.trip(7, e.clone());
+            let (origin, got) = match read(&buf[..]) {
+                Some(Incoming::Abort(origin, got)) => (origin, got),
                 other => panic!("expected an ABORT frame, got {other:?}"),
+            };
+            let remote = AbortCell::default();
+            remote.trip(origin, got.clone());
+            for peer in [0, 3] {
+                assert_eq!((origin, &got), (7, &shared.cause_for(peer)), "{e:?}");
+                assert_eq!(remote.cause_for(peer), shared.cause_for(peer), "{e:?}");
             }
         }
         assert!(matches!(read(&GOODBYE_FRAME[..]), Some(Incoming::Goodbye)));

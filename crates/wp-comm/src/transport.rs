@@ -53,6 +53,7 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::mpsc::{channel, Receiver, RecvTimeoutError, Sender};
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
+use wp_metrics::MetricsRegistry;
 
 pub use crate::payload::checksum_of;
 
@@ -170,18 +171,13 @@ impl AbortCell {
     }
 
     /// The error rank `me` should unwind with. The origin rank gets its own
-    /// error back; `PeerDead` propagates verbatim so every survivor learns
-    /// who died; anything else surfaces as `Aborted` naming the origin.
+    /// error back; every other rank what [`CommError::seen_by_peers`] makes
+    /// of it.
     pub fn cause_for(&self, me: usize) -> CommError {
         let guard = self.cause.lock().unwrap_or_else(|e| e.into_inner());
         match &*guard {
             Some((origin, e)) if *origin == me => e.clone(),
-            Some((_, e @ CommError::PeerDead { .. })) => e.clone(),
-            Some((_, e @ CommError::Aborted { .. })) => e.clone(),
-            Some((origin, e)) => CommError::Aborted {
-                origin: *origin,
-                reason: e.to_string(),
-            },
+            Some((origin, e)) => e.seen_by_peers(*origin),
             None => CommError::Aborted {
                 origin: me,
                 reason: "world aborted".into(),
@@ -237,13 +233,6 @@ pub trait Transport: Send + std::fmt::Debug {
     /// TCP transport forwards an abort control frame to each peer.
     fn propagate_abort(&mut self, _origin: usize, _cause: &CommError) {}
 
-    /// Attach a metrics handle for transport-*internal* accounting the
-    /// layers above cannot see (wire frames and bytes by type, abort
-    /// relays). Default no-op: the in-process mesh has no
-    /// internal machinery worth counting — payload traffic is already
-    /// metered above the trait.
-    fn instrument(&mut self, _metrics: wp_metrics::RankMetrics) {}
-
     /// Deliberate teardown: announce a clean close to every peer so they
     /// can distinguish a finished endpoint (quiescent disconnect) from a
     /// crashed one (abort). Idempotent; also invoked on drop.
@@ -267,8 +256,10 @@ pub struct ChannelTransport {
 }
 
 impl ChannelTransport {
-    /// Wire up a full mesh of `p` endpoints sharing one abort cell.
-    pub fn mesh(p: usize) -> Vec<ChannelTransport> {
+    /// Wire up a full mesh of `p` endpoints sharing one abort cell, rank
+    /// r's pool counting its misses into `metrics`'s handle for r when
+    /// given.
+    pub fn mesh(p: usize, metrics: Option<&MetricsRegistry>) -> Vec<ChannelTransport> {
         assert!(p >= 1, "world size must be at least 1");
         let abort = Arc::new(AbortCell::default());
         // channels[src][dst]
@@ -306,7 +297,7 @@ impl ChannelTransport {
                         .map(|i| i.unwrap_or_else(|| channel().1))
                         .collect(),
                     abort: abort.clone(),
-                    pool: Arc::new(WirePool::for_world(p)),
+                    pool: Arc::new(WirePool::for_world(p, metrics.map(|m| m.handle(rank)))),
                 }
             })
             .collect()
@@ -369,7 +360,7 @@ pub(crate) mod tests {
 
     #[test]
     fn mesh_routes_per_source_fifo() {
-        let mut m = ChannelTransport::mesh(3);
+        let mut m = ChannelTransport::mesh(3, None);
         let mut c = m.remove(2);
         let mut a = m.remove(0);
         let mut b = m.remove(0);
@@ -394,7 +385,7 @@ pub(crate) mod tests {
 
     #[test]
     fn dropped_endpoint_reads_as_closed() {
-        let mut m = ChannelTransport::mesh(2);
+        let mut m = ChannelTransport::mesh(2, None);
         let mut b = m.remove(1);
         drop(m); // rank 0's endpoint gone
         assert!(matches!(
@@ -406,7 +397,7 @@ pub(crate) mod tests {
 
     #[test]
     fn mesh_shares_one_abort_cell() {
-        let m = ChannelTransport::mesh(3);
+        let m = ChannelTransport::mesh(3, None);
         m[0].abort_cell().trip(0, CommError::PeerDead { rank: 0 });
         for t in &m {
             assert!(t.abort_cell().is_tripped());

@@ -121,9 +121,11 @@ impl WorldBuilder {
     /// cover at least `p` ranks). Each rank writes its own slots; the caller
     /// keeps the registry and snapshots it after the run. The world's
     /// [`TrafficMeter`] then reads the registry's own traffic counters, and
-    /// the transport endpoint is instrumented too, so transport-internal
-    /// accounting (wire frames and bytes, abort relays) lands in the same
-    /// slots.
+    /// the transports this builder wires count into it too, so
+    /// transport-internal accounting (wire frames and bytes, pool misses)
+    /// lands in the same slots. An endpoint established elsewhere (see
+    /// [`endpoint`](Self::endpoint)) counts into the handle it was
+    /// established with.
     pub fn metrics(mut self, registry: MetricsRegistry) -> Self {
         self.metrics = Some(registry);
         self
@@ -149,20 +151,12 @@ impl WorldBuilder {
     /// Wrap one transport endpoint in a [`Communicator`] carrying this
     /// builder's link, timeout, fault, trace, and metrics policy, counting
     /// into `meter`.
-    fn make_endpoint(
-        &self,
-        mut transport: Box<dyn Transport>,
-        meter: &TrafficMeter,
-    ) -> Communicator {
+    fn make_endpoint(&self, transport: Box<dyn Transport>, meter: &TrafficMeter) -> Communicator {
         let rank = transport.rank();
         let p = transport.world_size();
         let abort = transport.abort_cell().clone();
         let tracer = self.trace.as_ref().map(|tc| tc.tracer(rank));
         let probe = meter.probe(rank, self.metrics.is_some(), tracer);
-        if let Some(metrics) = probe.metrics() {
-            transport.instrument(metrics.clone());
-            transport.wire_pool().instrument(metrics.clone());
-        }
         Communicator {
             rank,
             world: p,
@@ -208,11 +202,11 @@ impl WorldBuilder {
         assert!(p >= 1, "world size must be at least 1");
         let meter = self.meter();
         let transports: Vec<Box<dyn Transport>> = match self.transport {
-            TransportKind::InProcess => ChannelTransport::mesh(p)
+            TransportKind::InProcess => ChannelTransport::mesh(p, self.metrics.as_ref())
                 .into_iter()
                 .map(|t| Box::new(t) as Box<dyn Transport>)
                 .collect(),
-            TransportKind::TcpLocalhost => crate::tcp::local_mesh(p)
+            TransportKind::TcpLocalhost => crate::tcp::local_mesh(p, self.metrics.as_ref())
                 .into_iter()
                 .map(|t| Box::new(t) as Box<dyn Transport>)
                 .collect(),
@@ -381,7 +375,7 @@ mod tests {
         // configuration epochs: the receiver must silently drop the
         // straggler frame (counting it) and time out, never deliver it.
         let registry = MetricsRegistry::new(2);
-        let mut ts = ChannelTransport::mesh(2).into_iter();
+        let mut ts = ChannelTransport::mesh(2, None).into_iter();
         let t0 = Box::new(ts.next().unwrap()) as Box<dyn Transport>;
         let t1 = Box::new(ts.next().unwrap()) as Box<dyn Transport>;
         let mut old = World::builder(2).epoch(0).endpoint(t0);
@@ -449,7 +443,7 @@ mod tests {
                 self.0.recv_timeout(src, timeout)
             }
         }
-        let mut ends = ChannelTransport::mesh(2).into_iter();
+        let mut ends = ChannelTransport::mesh(2, None).into_iter();
         let mut tx = World::builder(2).endpoint(Box::new(Capped(ends.next().unwrap())));
         let mut rx = World::builder(2)
             .config(CommConfig::fail_fast(Duration::from_millis(200)))

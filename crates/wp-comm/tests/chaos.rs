@@ -433,7 +433,7 @@ fn error_poisons_subsequent_operations() {
 fn standing_abort_is_relayed_before_clean_teardown_over_tcp() {
     use wp_comm::Transport;
 
-    let mut mesh = wp_comm::tcp::local_mesh(3);
+    let mut mesh = wp_comm::tcp::local_mesh(3, None);
     let t2 = mesh.pop().unwrap();
     let t1 = mesh.pop().unwrap();
     let t0 = mesh.pop().unwrap();

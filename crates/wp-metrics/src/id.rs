@@ -99,8 +99,6 @@ metric_enum! {
         TcpAbortFramesRecv => "wp_tcp_abort_frames_recv_total",
         /// TCP GOODBYE frames read from peers.
         TcpGoodbyeFramesRecv => "wp_tcp_goodbye_frames_recv_total",
-        /// Standing aborts relayed to peers at teardown.
-        TcpAbortRelays => "wp_tcp_abort_relays_total",
         /// Training iterations completed by this rank.
         StepsCompleted => "wp_train_steps_total",
         /// Microbatch forward passes executed.

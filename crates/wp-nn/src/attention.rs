@@ -9,7 +9,7 @@
 //! that lets the paper run large microbatches and makes FFN activations
 //! (not attention) the dominant term in its §3.4 memory analysis.
 //!
-//! **Streaming tiles.** A tile is [`QTILE`] consecutive queries of one head
+//! **Streaming tiles.** A tile is `QTILE` consecutive queries of one head
 //! against every key they can see, held *transposed*: row `j` of the tile
 //! is key `j`'s score against each query of the tile. Every product —
 //! `Sᵀ = K·Q_tᵀ`, `O_t = P·V`, and in backward `dPᵀ = V·dO_tᵀ`,

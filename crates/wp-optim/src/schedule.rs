@@ -5,30 +5,28 @@
 pub enum LrSchedule {
     /// Constant multiplier 1.
     Constant,
-    /// Linear warmup over `warmup` steps, then constant.
-    Warmup {
-        /// Steps of linear ramp from 0 to 1.
-        warmup: u64,
-    },
-    /// Linear warmup then cosine decay to `min_ratio` at `total` steps.
-    WarmupCosine {
-        /// Steps of linear ramp.
-        warmup: u64,
-        /// Total steps of the schedule.
-        total: u64,
-        /// Final multiplier.
-        min_ratio: f32,
-    },
+    /// Linear warmup then cosine decay; built by
+    /// [`LrSchedule::warmup_cosine`], the one place its shape is checked.
+    WarmupCosine(WarmupCosine),
+}
+
+/// The shape of an [`LrSchedule::WarmupCosine`]: linear warmup over
+/// `warmup` steps, then cosine decay to `min_ratio` at `total > warmup`.
+/// Its fields are private, so every value has passed
+/// [`LrSchedule::warmup_cosine`].
+#[derive(Debug, Clone, Copy)]
+pub struct WarmupCosine {
+    warmup: u64,
+    total: u64,
+    min_ratio: f32,
 }
 
 impl LrSchedule {
-    /// Validated [`LrSchedule::WarmupCosine`] constructor.
+    /// Linear warmup over `warmup` steps, then cosine decay to `min_ratio`
+    /// at step `total`.
     ///
     /// Rejects `total <= warmup` (the decay phase would be empty) and a
-    /// `min_ratio` outside `[0, 1]` or NaN. The old code silently rewrote
-    /// `total` to `warmup + 1` inside [`multiplier`](Self::multiplier),
-    /// which turned a mis-specified schedule into an instant drop to
-    /// `min_ratio` right after warmup instead of an error.
+    /// `min_ratio` outside `[0, 1]` or NaN.
     pub fn warmup_cosine(warmup: u64, total: u64, min_ratio: f32) -> Result<Self, String> {
         if total <= warmup {
             return Err(format!(
@@ -40,45 +38,26 @@ impl LrSchedule {
                 "WarmupCosine min_ratio must be in [0, 1], got {min_ratio}"
             ));
         }
-        Ok(LrSchedule::WarmupCosine {
+        Ok(LrSchedule::WarmupCosine(WarmupCosine {
             warmup,
             total,
             min_ratio,
-        })
+        }))
     }
 
     /// Multiplier at `step` (0-based).
-    ///
-    /// For a `WarmupCosine` built directly with `total <= warmup` (bypassing
-    /// [`warmup_cosine`](Self::warmup_cosine)) this debug-asserts; in release
-    /// it saturates to `min_ratio` after warmup rather than producing NaN.
     pub fn multiplier(&self, step: u64) -> f32 {
         match *self {
             LrSchedule::Constant => 1.0,
-            LrSchedule::Warmup { warmup } => {
-                if warmup == 0 || step >= warmup {
-                    1.0
-                } else {
-                    (step + 1) as f32 / warmup as f32
-                }
-            }
-            LrSchedule::WarmupCosine {
+            LrSchedule::WarmupCosine(WarmupCosine {
                 warmup,
                 total,
                 min_ratio,
-            } => {
-                if warmup > 0 && step < warmup {
+            }) => {
+                if step < warmup {
                     return (step + 1) as f32 / warmup as f32;
                 }
-                debug_assert!(
-                    total > warmup,
-                    "WarmupCosine needs total > warmup (use LrSchedule::warmup_cosine), \
-                     got total = {total}, warmup = {warmup}"
-                );
-                if total <= warmup {
-                    return min_ratio;
-                }
-                let progress = ((step - warmup) as f32 / (total - warmup) as f32).clamp(0.0, 1.0);
+                let progress = ((step - warmup) as f32 / (total - warmup) as f32).min(1.0);
                 let cos = 0.5 * (1.0 + (std::f32::consts::PI * progress).cos());
                 min_ratio + (1.0 - min_ratio) * cos
             }
@@ -103,20 +82,19 @@ mod tests {
 
     #[test]
     fn warmup_ramps_linearly() {
-        let s = LrSchedule::Warmup { warmup: 4 };
+        let s = LrSchedule::warmup_cosine(4, 100, 0.1).unwrap();
         assert_eq!(s.multiplier(0), 0.25);
         assert_eq!(s.multiplier(1), 0.5);
         assert_eq!(s.multiplier(3), 1.0);
-        assert_eq!(s.multiplier(100), 1.0);
+        assert!((s.multiplier(4) - 1.0).abs() < 1e-6);
+        // No warmup: the decay starts at the peak.
+        let s = LrSchedule::warmup_cosine(0, 10, 0.1).unwrap();
+        assert!((s.multiplier(0) - 1.0).abs() < 1e-6);
     }
 
     #[test]
     fn cosine_decays_to_min() {
-        let s = LrSchedule::WarmupCosine {
-            warmup: 2,
-            total: 12,
-            min_ratio: 0.1,
-        };
+        let s = LrSchedule::warmup_cosine(2, 12, 0.1).unwrap();
         assert!(s.multiplier(0) < s.multiplier(1));
         let peak = s.multiplier(2);
         assert!((peak - 1.0).abs() < 1e-6);
@@ -135,7 +113,7 @@ mod tests {
 
     #[test]
     fn lr_at_scales_base() {
-        let s = LrSchedule::Warmup { warmup: 2 };
+        let s = LrSchedule::warmup_cosine(2, 12, 0.1).unwrap();
         assert_eq!(s.lr_at(0.2, 0), 0.1);
     }
 
@@ -149,34 +127,5 @@ mod tests {
         assert!(LrSchedule::warmup_cosine(2, 12, -0.1).is_err());
         assert!(LrSchedule::warmup_cosine(2, 12, 1.5).is_err());
         assert!(LrSchedule::warmup_cosine(2, 12, f32::NAN).is_err());
-    }
-
-    #[test]
-    #[should_panic(expected = "total > warmup")]
-    #[cfg(debug_assertions)]
-    fn degenerate_warmup_cosine_debug_asserts() {
-        // Built directly, bypassing the validated constructor.
-        let s = LrSchedule::WarmupCosine {
-            warmup: 10,
-            total: 5,
-            min_ratio: 0.1,
-        };
-        let _ = s.multiplier(10);
-    }
-
-    #[test]
-    fn degenerate_warmup_cosine_never_yields_nan() {
-        let s = LrSchedule::WarmupCosine {
-            warmup: 10,
-            total: 5,
-            min_ratio: 0.1,
-        };
-        // Warmup steps are unaffected by the degenerate decay phase.
-        assert_eq!(s.multiplier(0), 0.1);
-        if !cfg!(debug_assertions) {
-            // Release saturates to min_ratio instead of 0/0 = NaN.
-            assert_eq!(s.multiplier(10), 0.1);
-            assert_eq!(s.multiplier(100), 0.1);
-        }
     }
 }

@@ -75,11 +75,7 @@ fn main() {
     setup.seq = 48;
     setup.iters = 60;
     setup.optim = OptimKind::AdamW { lr: 6e-3 };
-    setup.lr_schedule = LrSchedule::WarmupCosine {
-        warmup: 5,
-        total: 60,
-        min_ratio: 0.1,
-    };
+    setup.lr_schedule = LrSchedule::warmup_cosine(5, 60, 0.1).expect("valid schedule");
     setup.data = DataSource::Corpus(tokens.clone());
 
     println!(

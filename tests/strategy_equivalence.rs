@@ -243,11 +243,7 @@ fn loss_scaling_is_numerically_transparent_in_f32() {
 #[test]
 fn lr_schedules_apply_identically_everywhere() {
     let mut setup = TrainSetup::tiny(2, 4);
-    setup.lr_schedule = wp_optim::LrSchedule::WarmupCosine {
-        warmup: 2,
-        total: 6,
-        min_ratio: 0.1,
-    };
+    setup.lr_schedule = wp_optim::LrSchedule::warmup_cosine(2, 6, 0.1).unwrap();
     setup.iters = 5;
     check(Strategy::WeiPipeInterleave, 2, &setup, 2e-4, 2e-3);
     check(Strategy::Ddp, 2, &setup, 2e-4, 2e-3);
