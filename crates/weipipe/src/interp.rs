@@ -17,14 +17,26 @@
 //! * **The parameter store** (`store`), keyed `(chunk, flow)`: one entry
 //!   per weight copy the rank holds — a whole chunk (the concatenation of
 //!   its layers' flat buffers), the rank's `1/P` slice of a sharded one,
-//!   the embedding, the head — owning its weights and, once the rank has
-//!   stepped it, its fp32 master and optimizer state. `Recv(Weights)`
-//!   unpacks into its entry's buffer and keeps the verified frame beside
-//!   it, which a `Send` of the entry relays as it arrived while the
-//!   weights are unchanged since (any write drops it); `AllGatherW` fills
-//!   an entry; compute ops resolve theirs through
-//!   [`wp_sched::weight_slot`], as the validator does. Sharded or whole is
-//!   a property of an entry (its flow), not of a strategy.
+//!   the embedding, the head. A block copy lives from the op that writes
+//!   it to its last read before the next write, which
+//!   [`wp_sched::analysis::weight_lives`] derives once per rank over the
+//!   cyclic op stream and the boundary's refreshes; there its buffer joins
+//!   the rank's chunk pool, where the next copy to land takes it from. So
+//!   a ring rank holds two chunk buffers at any `P`, not `2P`.
+//!   `Recv(Weights)` unpacks into a pooled buffer and keeps the verified
+//!   frame beside it, which a `Send` of the entry relays as it arrived
+//!   while the weights are unchanged since (any write drops it); a landing
+//!   no compute op reads — a relay-only hop, an arrival the refresh
+//!   overwrites, a home arrival whose `Update` steps from its master —
+//!   keeps only the frame, never widened. `AllGatherW` fills an entry;
+//!   compute ops resolve theirs through [`wp_sched::weight_slot`], as the
+//!   validator does. Sharded or whole is a property of an entry (its
+//!   flow), not of a strategy.
+//! * **Optimizer state**, under the key an `Update` steps: the fp32 master
+//!   and the optimizer's moments, which outlive the copies they step.
+//!   The stepped copy itself is read by the iteration boundary (what a
+//!   refresh ships, a snapshot captures and the next iteration starts
+//!   from), so it stays live across it.
 //! * **Gradient accumulators**, in the same key space: a whole chunk's `D`
 //!   at `(chunk, RESIDENT)` whichever flow its weights ride, a shard's at
 //!   `(chunk, SHARDED)`. A backward adds into the accumulator (starting one
@@ -47,13 +59,14 @@ mod store;
 
 use crate::setup::TrainSetup;
 use std::collections::HashMap;
-use store::{Key, Param, EMBED, HEAD};
+use store::{Key, Param, Stepper, EMBED, HEAD};
 use wp_comm::{CommError, Communicator};
 use wp_nn::block::{BPassCtx, BlockCkpt, BlockCtx};
 use wp_nn::config::ModelConfig;
 use wp_nn::embed::HeadCtx;
 use wp_nn::params::BlockLayout;
 use wp_nn::scratch::{Scratch, ScratchBuf};
+use wp_sched::analysis::{weight_lives, WeightLives};
 use wp_sched::{MsgKind, Op, OpKind, Refresh, Schedule, NO_MB};
 use wp_tensor::ops::RopeTable;
 use wp_trace::SpanKind;
@@ -92,8 +105,14 @@ pub struct RankRuntime {
     setup: TrainSetup,
     comm: Communicator,
 
-    /// The parameter store.
+    /// The parameter store: the weight copies alive after the last op.
     params: HashMap<Key, Param>,
+    /// Buffers of block copies that died, for the next copies to land in.
+    pool: Vec<Vec<f32>>,
+    /// Where each block copy dies, and whether a landing is read.
+    lives: WeightLives,
+    /// Fp32 masters and optimizer state, under the keys they step.
+    optim: HashMap<Key, Stepper>,
     /// Gradient accumulators, in the store's key space.
     grads: HashMap<Key, Vec<f32>>,
     /// The schedule's [`Refresh`]es that start or end on this rank.
@@ -143,6 +162,9 @@ impl RankRuntime {
             setup: setup.clone(),
             comm,
             params: HashMap::new(),
+            pool: Vec::new(),
+            lives: weight_lives(schedule, rank),
+            optim: HashMap::new(),
             grads: HashMap::new(),
             refreshes: schedule.refreshes(),
             scratch: Scratch::new(),
@@ -180,6 +202,15 @@ impl RankRuntime {
     /// Propagates the first [`CommError`] hit by any communication op; the
     /// iteration's state is then unusable and the caller should unwind.
     pub fn run_iteration(&mut self, schedule: &Schedule, iter: usize) -> Result<f32, CommError> {
+        let iter_t0 = self.start_iteration(iter);
+        for (i, op) in schedule.ops[self.rank].iter().enumerate() {
+            self.exec_op(i, op, schedule.recompute)?;
+        }
+        self.finish_iteration(iter, iter_t0)
+    }
+
+    /// Clear the per-iteration stores; the iteration's start mark.
+    fn start_iteration(&mut self, iter: usize) -> u64 {
         self.iter = iter;
         self.boundary.clear();
         self.fwd_saved.clear();
@@ -187,14 +218,13 @@ impl RankRuntime {
         self.heads_saved.clear();
         self.loss_sum = 0.0;
         self.loss_count = 0;
+        self.comm.probe().now()
+    }
 
-        let iter_t0 = self.comm.probe().now();
-        for op in &schedule.ops[self.rank] {
-            self.exec_op(op, schedule.recompute)?;
-        }
-
-        // Iteration epilogue: replicated embedding/head — reduce gradients,
-        // update identically everywhere.
+    /// The epilogue after the op stream: the replicated embedding and head
+    /// reduce their gradients and step identically everywhere, and the
+    /// ranks agree on the mean loss.
+    fn finish_iteration(&mut self, iter: usize, iter_t0: u64) -> Result<f32, CommError> {
         let wire = self.setup.wire;
         let mut eg = self.take_grads(EMBED);
         let mut hg = self.take_grads(HEAD);
@@ -232,8 +262,9 @@ impl RankRuntime {
         Ok(mean_loss)
     }
 
-    /// Execute one op of the rank's stream.
-    fn exec_op(&mut self, op: &Op, recompute: bool) -> Result<(), CommError> {
+    /// Execute op `i` of the rank's stream, then retire the copies it read
+    /// last.
+    fn exec_op(&mut self, i: usize, op: &Op, recompute: bool) -> Result<(), CommError> {
         let needs = &op.needs;
         // Start mark of a compute op: those report to the rank's probe
         // here, comm ops report inside wp-comm.
@@ -262,16 +293,19 @@ impl RankRuntime {
                     .compute(SpanKind::BwdWeight, *mb, *chunk, t0);
             }
             OpKind::Update { chunk } => {
-                self.exec_update(*chunk);
+                self.exec_update(*chunk, needs);
                 self.comm
                     .probe()
                     .compute(SpanKind::Update, NO_MB, *chunk, t0);
             }
             OpKind::Send(k) => self.exec_send(k)?,
-            OpKind::Recv(k) => self.exec_recv(k)?,
+            OpKind::Recv(k) => self.exec_recv(i, k)?,
             OpKind::AllGatherW { chunk, .. } => self.exec_all_gather(*chunk)?,
             OpKind::ReduceScatterD { chunk, .. } => self.exec_reduce_scatter(*chunk)?,
             OpKind::AllReduceD { chunk, .. } => self.exec_all_reduce(*chunk)?,
+        }
+        for n in 0..self.lives.dies_after(i).len() {
+            self.retire(self.lives.dies_after(i)[n]);
         }
         Ok(())
     }
@@ -297,10 +331,20 @@ impl RankRuntime {
             .copied()
             .collect();
         for f in outgoing {
-            let fresh = &self.params[&self.resolve(&[], f.chunk)].weights;
+            let stepped = self.resolve(&[], f.chunk);
             if f.dst == rank {
-                self.put_weights((f.chunk, f.flow), fresh.clone());
+                let mut copy = self.pooled();
+                copy.clone_from(&self.params[&stepped].weights);
+                self.retire((f.chunk, f.flow));
+                self.params.insert(
+                    (f.chunk, f.flow),
+                    Param {
+                        weights: copy,
+                        kept: None,
+                    },
+                );
             } else {
+                let fresh = &self.params[&stepped].weights;
                 self.comm.send(f.dst, f.tag(iter), fresh, wire)?;
             }
         }
@@ -309,7 +353,8 @@ impl RankRuntime {
             .copied()
             .collect();
         for f in incoming {
-            self.recv_weights((f.chunk, f.flow), f.src, f.tag(iter))?;
+            let (key, tag) = ((f.chunk, f.flow), f.tag(iter));
+            self.recv_weights(key, f.src, tag, self.lives.refreshed(key))?;
         }
         Ok(())
     }
@@ -350,6 +395,57 @@ mod tests {
         }
     }
 
+    /// Block weight buffers a rank holds: its copies that landed, plus the
+    /// chunk pool.
+    fn chunk_buffers(rt: &RankRuntime) -> usize {
+        let landed = rt
+            .params
+            .iter()
+            .filter(|(key, copy)| key.0 != wp_sched::EMBED_HEAD && copy.weights.capacity() > 0);
+        landed.count() + rt.pool.len()
+    }
+
+    #[test]
+    fn a_weipipe_rank_holds_two_chunk_buffers_at_any_p() {
+        // The store used to keep every (chunk, flow) copy a rank had
+        // received, 2P chunk buffers. A copy dies at its last read, so a
+        // rank holds the liveness high-water: 2, within the two circulating
+        // seeds `resident` prices.
+        for strategy in [Strat::WeiPipeNaive, Strat::WeiPipeInterleave] {
+            for (p, overlap) in [(2, true), (2, false), (4, true), (4, false)] {
+                let mut setup = TrainSetup::tiny(p, 2 * p);
+                setup.overlap = overlap;
+                let schedule = build_schedule(strategy, p, &setup);
+                let held = Mutex::new(Vec::new());
+                let outs = TrainWorld::new(&setup, p, 0).run(|comm| {
+                    let mut rt = RankRuntime::new(&setup, &schedule, comm);
+                    let resident = wp_sched::analysis::resident(&schedule, rt.rank);
+                    let high_water = rt.lives.high_water;
+                    assert!(high_water as u64 <= resident.weights / p as u64);
+                    let mut most = chunk_buffers(&rt);
+                    for iter in 0..3 {
+                        let t0 = rt.start_iteration(iter);
+                        for (i, op) in schedule.ops[rt.rank].iter().enumerate() {
+                            rt.exec_op(i, op, schedule.recompute)?;
+                            most = most.max(chunk_buffers(&rt));
+                        }
+                        rt.finish_iteration(iter, t0)?;
+                        rt.reseed_bwd_flow(&schedule, iter)?;
+                        most = most.max(chunk_buffers(&rt));
+                    }
+                    held.lock().unwrap().push((most, high_water));
+                    Ok(RunOutput::default())
+                });
+                assert!(outs.iter().all(Result::is_ok), "{outs:?}");
+                for (most, high_water) in held.into_inner().unwrap() {
+                    let at = format!("{strategy:?} P={p} overlap={overlap}");
+                    assert_eq!(high_water, 2, "{at}");
+                    assert!(most <= high_water, "{at}: {most} chunk buffers");
+                }
+            }
+        }
+    }
+
     #[test]
     fn a_context_parked_between_b_and_w_holds_only_what_w_reads() {
         // After each B pass, every layer it parks for W holds x1, x3, hg
@@ -361,8 +457,8 @@ mod tests {
         let parked = Mutex::new(Vec::new());
         let outs = TrainWorld::new(&setup, 2, 0).run(|comm| {
             let mut rt = RankRuntime::new(&setup, &schedule, comm);
-            for op in &schedule.ops[rt.rank] {
-                rt.exec_op(op, schedule.recompute)?;
+            for (i, op) in schedule.ops[rt.rank].iter().enumerate() {
+                rt.exec_op(i, op, schedule.recompute)?;
                 if let OpKind::BwdData { mb, chunk } = op.kind {
                     let held = rt.w_saved[&(mb, chunk)].iter();
                     let mut parked = parked.lock().unwrap();

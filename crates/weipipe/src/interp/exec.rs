@@ -215,8 +215,8 @@ impl RankRuntime {
         self.grads.insert((chunk, RESIDENT), dgrad);
     }
 
-    pub(super) fn exec_update(&mut self, chunk: usize) {
-        let key = self.resolve(&[], chunk);
+    pub(super) fn exec_update(&mut self, chunk: usize, needs: &[MsgKey]) {
+        let key = self.resolve(needs, chunk);
         // A chunk has one whole-length accumulator whichever flow its
         // weights ride; a shard steps on the scattered one.
         let grads_at = if key.1 == SHARDED {
@@ -273,10 +273,10 @@ impl RankRuntime {
     /// beside the frame they came in, and gradients are added into the
     /// accumulator the backward made, each straight from the wire payload;
     /// either becomes its entry when the rank has none yet.
-    pub(super) fn exec_recv(&mut self, k: &MsgKey) -> Result<(), CommError> {
+    pub(super) fn exec_recv(&mut self, i: usize, k: &MsgKey) -> Result<(), CommError> {
         let (src, tag) = (k.src, k.tag().expect("validate rejects a key with no tag"));
         match k.kind {
-            MsgKind::Weights => self.recv_weights((k.chunk, k.mb), src, tag),
+            MsgKind::Weights => self.recv_weights((k.chunk, k.mb), src, tag, self.lives.fate(i)),
             MsgKind::WeightGrads => match self.grads.get_mut(&(k.chunk, RESIDENT)) {
                 Some(acc) => self.comm.recv_into(src, tag, Landing::Add(acc)).map(drop),
                 None => {
@@ -313,9 +313,6 @@ impl RankRuntime {
         grads.resize(self.shard_len * self.comm.world_size(), 0.0);
         let own = self.comm.reduce_scatter_sum(&grads, self.setup.wire)?;
         self.accumulate((chunk, SHARDED), own);
-        // The gathered full-weight buffer is stale after updates; drop it so
-        // the next iteration re-gathers.
-        self.params.remove(&(chunk, RESIDENT));
         Ok(())
     }
 

@@ -2,18 +2,26 @@
 //!
 //! Every weight copy a rank holds is one [`Param`] under a [`Key`]
 //! `(chunk, flow)`; the embedding and the head are two more entries under
-//! the `EMBED_HEAD` chunk. An entry is stepped in one place (`step`),
-//! loaded from a snapshot in one (`snapshot_buf`) and made whole on every
-//! rank in one (`whole`). Sharded or whole is read off the entry in two
-//! places, `held_part` and `whole`, which are each other's inverse. Its
-//! weights are written in three places, `step`, `put_weights` and
-//! `recv_weights`, and each drops or replaces the wire form a relay ships.
+//! the `EMBED_HEAD` chunk. A block copy lives from the op that writes it to
+//! its last read before the next write
+//! ([`wp_sched::analysis::weight_lives`]): then `retire` puts its buffer in
+//! the rank's chunk pool, and every copy made later takes its buffer from
+//! there. A copy whose values nothing reads before it is relayed or
+//! overwritten holds only the verified frame it arrived in. The fp32
+//! master and optimizer state of an entry outlive its copies, under the
+//! key it is stepped at. An entry is stepped in one place (`step`), loaded
+//! from a snapshot in one (`snapshot_buf`) and made whole on every rank in
+//! one (`whole`). Sharded or whole is read off the entry in two places,
+//! `held_part` and `whole`, which are each other's inverse. Its weights are
+//! written in three places, `step`, `put_weights` and `recv_weights`, and
+//! each drops or replaces the wire form a relay ships.
 
 use super::{AssembledModel, RankRuntime};
 use wp_comm::{CommError, Landing, Wire};
 use wp_nn::params::{init_block, init_embed, init_head};
 use wp_nn::{ComponentState, TrainState};
 use wp_optim::{MasterWeights, Optimizer};
+use wp_sched::analysis::Fate;
 use wp_sched::{weight_slot, MsgKey, Schedule, EMBED_HEAD, SHARDED};
 use wp_tensor::DType;
 
@@ -24,16 +32,19 @@ pub(super) const EMBED: Key = (EMBED_HEAD, 0);
 /// The replicated output head.
 pub(super) const HEAD: Key = (EMBED_HEAD, 1);
 
-/// One weight copy: the working values, plus the fp32 master and optimizer
-/// state once this rank has stepped it (or restored them).
+/// One weight copy: the working values, and the frame they arrived in.
 #[derive(Default)]
 pub(super) struct Param {
+    /// Empty when nothing reads the values before the copy dies: the frame
+    /// in `kept` is then all the rank holds of it.
     pub(super) weights: Vec<f32>,
     /// The verified frame `weights` landed from, while they are unchanged
     /// since: what a `Send` of them relays instead of packing them anew.
     pub(super) kept: Option<Wire>,
-    opt: Option<(MasterWeights, Box<dyn Optimizer + Send>)>,
 }
+
+/// An entry's fp32 master and optimizer, from its first step (or restore).
+pub(super) type Stepper = (MasterWeights, Box<dyn Optimizer + Send>);
 
 /// `[weights, master, optimizer buffers..]` as a [`ComponentState`].
 fn component(opt_t: u64, bufs: impl IntoIterator<Item = Vec<f32>>) -> ComponentState {
@@ -58,24 +69,71 @@ impl RankRuntime {
         })
     }
 
-    /// Replace an entry's weights (a gathered or copied buffer), keeping
-    /// whatever optimizer state the entry owns.
-    pub(super) fn put_weights(&mut self, key: Key, weights: Vec<f32>) {
-        let entry = self.params.entry(key).or_default();
-        entry.weights = weights;
-        entry.kept = None;
+    /// The copy in `key` dies: its buffer joins the chunk pool and its
+    /// frame goes back to the endpoint's wire pool.
+    pub(super) fn retire(&mut self, key: Key) {
+        if let Some(copy) = self.params.remove(&key) {
+            self.pool_buffer(copy.weights);
+        }
     }
 
-    /// Receive a weight copy with `tag` from `src` into entry `key`'s
-    /// buffer (starting the entry when the rank has none), keeping the
-    /// frame it arrived in.
-    pub(super) fn recv_weights(&mut self, key: Key, src: usize, tag: u64) -> Result<(), CommError> {
-        let entry = self.params.entry(key).or_default();
+    fn pool_buffer(&mut self, buf: Vec<f32>) {
+        if buf.capacity() > 0 {
+            self.pool.push(buf);
+        }
+    }
+
+    /// A buffer from the chunk pool, or an empty one when it has none.
+    pub(super) fn pooled(&mut self) -> Vec<f32> {
+        self.pool.pop().unwrap_or_default()
+    }
+
+    /// Make `weights`, a buffer from outside the pool (a gathered chunk),
+    /// the copy in `key`. It takes the place of a pooled buffer, so the
+    /// buffers held stay within the high-water.
+    pub(super) fn put_weights(&mut self, key: Key, weights: Vec<f32>) {
+        self.pool.pop();
+        self.retire(key);
+        let copy = Param {
+            weights,
+            kept: None,
+        };
+        self.params.insert(key, copy);
+    }
+
+    /// Receive a weight copy with `tag` from `src` into `key`, keeping the
+    /// frame it arrived in. It lands in the slot's buffer, or one from the
+    /// chunk pool, when `fate` says something reads its values: always for
+    /// [`Fate::Read`], for [`Fate::Stepped`] until the entry has a master.
+    /// Otherwise the frame is verified and kept as it arrived, and the
+    /// slot's buffer, if any, goes back to the pool.
+    pub(super) fn recv_weights(
+        &mut self,
+        key: Key,
+        src: usize,
+        tag: u64,
+        fate: Fate,
+    ) -> Result<(), CommError> {
+        let lands = match fate {
+            Fate::Read => true,
+            Fate::Stepped => !self.optim.contains_key(&key),
+            Fate::Passed => false,
+        };
         // Dropped before the receive, so the old frame and the new one are
         // never held at once.
-        entry.kept = None;
-        let landing = Landing::Replace(&mut entry.weights);
-        entry.kept = Some(self.comm.recv_into(src, tag, landing)?);
+        let old = self.params.remove(&key);
+        let mut weights = old.map(|copy| copy.weights).unwrap_or_default();
+        if !lands {
+            self.pool_buffer(std::mem::take(&mut weights));
+        } else if weights.capacity() == 0 {
+            weights = self.pooled();
+        }
+        let landing = match lands {
+            true => Landing::Replace(&mut weights),
+            false => Landing::Keep,
+        };
+        let kept = Some(self.comm.recv_into(src, tag, landing)?);
+        self.params.insert(key, Param { weights, kept });
         Ok(())
     }
 
@@ -163,7 +221,7 @@ impl RankRuntime {
         };
         Param {
             weights,
-            ..Param::default()
+            kept: None,
         }
     }
 
@@ -180,14 +238,13 @@ impl RankRuntime {
         opt.import_state(first.opt_t, &bufs)
             .expect("snapshot optimizer state must fit the configured optimizer");
         let master = MasterWeights::from_master(master, self.setup.wire);
-        self.params
-            .get_mut(&key)
-            .expect("restoring a held entry")
-            .opt = Some((master, opt));
+        self.optim.insert(key, (master, opt));
     }
 
     /// The one optimizer step: unscale `grads` in place, then step entry
-    /// `key` through its fp32 master (captured on the entry's first step).
+    /// `key` through its fp32 master (captured on the entry's first step)
+    /// into its copy, which takes a pooled buffer when the values it
+    /// arrived with were not landed.
     pub(super) fn step(&mut self, key: Key, grads: &mut [f32]) {
         if self.setup.loss_scale != 1.0 {
             let inv = 1.0 / self.setup.loss_scale;
@@ -197,30 +254,35 @@ impl RankRuntime {
         }
         let lr = self.setup.lr_at(self.iter);
         let (optim, wire) = (&self.setup.optim, self.setup.wire);
-        let Param { weights, kept, opt } =
-            self.params.get_mut(&key).expect("stepping a held entry");
-        *kept = None;
-        let (master, opt) = opt.get_or_insert_with(|| {
+        let copy = self.params.get_mut(&key).expect("stepping a held entry");
+        copy.kept = None;
+        let (master, opt) = self.optim.entry(key).or_insert_with(|| {
             (
-                MasterWeights::capture(weights, wire),
-                optim.build(weights.len()),
+                MasterWeights::capture(&copy.weights, wire),
+                optim.build(copy.weights.len()),
             )
         });
-        master.step_observed(opt.as_mut(), weights, grads, lr, self.comm.probe());
+        if copy.weights.is_empty() {
+            copy.weights = self.pool.pop().unwrap_or_default();
+            copy.weights.resize(master.master().len(), 0.0);
+        }
+        master.step_observed(
+            opt.as_mut(),
+            &mut copy.weights,
+            grads,
+            lr,
+            self.comm.probe(),
+        );
     }
 
     /// Where `chunk` is stepped: the root rank, whether the stepped entries
     /// are shards, and this rank's one (every rank holds a slice of a
     /// sharded chunk; only the root holds the stepped copy of any other).
-    fn stepped(&self, schedule: &Schedule, chunk: usize) -> (usize, bool, Option<&Param>) {
+    fn stepped(&self, schedule: &Schedule, chunk: usize) -> (usize, bool, Option<Key>) {
         let root = schedule.updater_of(chunk);
         let sharded = schedule.seeds[root].contains(&(chunk, SHARDED));
         let mine = sharded || self.rank == root;
-        (
-            root,
-            sharded,
-            mine.then(|| &self.params[&self.resolve(&[], chunk)]),
-        )
+        (root, sharded, mine.then(|| self.resolve(&[], chunk)))
     }
 
     /// Range of layer `l` within a whole chunk buffer.
@@ -238,7 +300,7 @@ impl RankRuntime {
         let mut blocks = Vec::with_capacity(self.cfg.layers);
         for chunk in 0..self.chunks {
             let (root, sharded, mine) = self.stepped(schedule, chunk);
-            let part = mine.map_or(Vec::new(), |entry| entry.weights.clone());
+            let part = mine.map_or(Vec::new(), |key| self.params[&key].weights.clone());
             let full = self.whole(sharded, root, part)?;
             blocks.extend((0..self.lpc).map(|l| full[self.layer_range(l)].to_vec()));
         }
@@ -270,13 +332,11 @@ impl RankRuntime {
         next_iter: u64,
     ) -> Result<TrainState, CommError> {
         // An entry as `(step count, [weights, master, optimizer buffers..])`.
-        let local = |entry: &Param| -> (u64, Vec<Vec<f32>>) {
-            let (master, opt) = entry
-                .opt
-                .as_ref()
-                .expect("capture requires a completed iteration");
+        let local = |rt: &Self, key: Key| -> (u64, Vec<Vec<f32>>) {
+            let (master, opt) =
+                (rt.optim.get(&key)).expect("capture requires a completed iteration");
             let (opt_t, opt_bufs) = opt.export_state();
-            let mut bufs = vec![entry.weights.clone(), master.master().to_vec()];
+            let mut bufs = vec![rt.params[&key].weights.clone(), master.master().to_vec()];
             bufs.extend(opt_bufs);
             (opt_t, bufs)
         };
@@ -286,7 +346,10 @@ impl RankRuntime {
         let mut blocks: Vec<ComponentState> = Vec::with_capacity(self.cfg.layers);
         for chunk in 0..self.chunks {
             let (root, sharded, mine) = self.stepped(schedule, chunk);
-            let (mut opt_t, mut bufs) = mine.map_or((0, vec![Vec::new(); 2 + shape.len()]), local);
+            let (mut opt_t, mut bufs) = mine.map_or_else(
+                || (0, vec![Vec::new(); 2 + shape.len()]),
+                |key| local(self, key),
+            );
             for (i, buf) in bufs.iter_mut().enumerate() {
                 if i < 2 || !shape[i - 2].is_empty() {
                     *buf = self.whole(sharded, root, std::mem::take(buf))?;
@@ -312,7 +375,7 @@ impl RankRuntime {
         }
         // Embed and head are whole, and stepped identically, on every rank.
         let whole_local = |key: Key| {
-            let (opt_t, bufs) = local(&self.params[&key]);
+            let (opt_t, bufs) = local(self, key);
             component(opt_t, bufs)
         };
         let state = TrainState {

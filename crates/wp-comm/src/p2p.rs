@@ -325,13 +325,14 @@ impl Communicator {
     }
 
     /// Relay a received frame to `dst` with a user `tag`, as it arrived:
-    /// no packing, no checksum pass and, for a 16-bit wire, no new buffer.
-    /// `values` must be what the frame landed as, unchanged since, for the
-    /// frame to be what [`send`](Self::send) would pack from them:
-    /// packing the values a frame unpacks to gives the frame back, on every
-    /// frame a sender produces. A debug build checks it. Otherwise a send
-    /// like any other, with the same errors and panics, counted as
-    /// relayed too.
+    /// no packing, no checksum pass and no new buffer, but for an f32
+    /// frame its landing took. `values` must be what the frame landed as,
+    /// unchanged since, for the frame to be what [`send`](Self::send) would
+    /// pack from them: packing the values a frame unpacks to gives the
+    /// frame back, on every frame a sender produces. A debug build checks
+    /// it. A frame its landing kept ([`Landing::Keep`]) landed as nothing
+    /// and relays with `values` empty. Otherwise a send like any other,
+    /// with the same errors and panics, counted as relayed too.
     pub fn send_wire(
         &mut self,
         dst: usize,
@@ -339,9 +340,9 @@ impl Communicator {
         wire: Wire,
         values: &[f32],
     ) -> Result<(), CommError> {
-        debug_assert_eq!(
-            Payload::pack(values, wire.dtype()).1,
-            wire.checksum,
+        debug_assert!(
+            values.is_empty() && wire.payload.is_some()
+                || Payload::pack(values, wire.dtype()).1 == wire.checksum,
             "relaying a frame its landed values no longer match"
         );
         self.send_internal(dst, tag, values, wire.dtype(), Some(wire), false)?;
@@ -384,7 +385,10 @@ impl Communicator {
         assert!(dst < self.world, "dst {dst} out of range");
         assert_ne!(dst, self.rank, "self-send is not supported");
         self.precheck()?;
-        let bytes = (data.len() * dtype.size_bytes()) as u64;
+        let bytes = match kept.as_ref().and_then(Wire::payload) {
+            Some(payload) => payload.wire_bytes(),
+            None => (data.len() * dtype.size_bytes()) as u64,
+        };
         let limit = self.transport.max_payload_bytes();
         if bytes > limit {
             let e = CommError::FrameTooLarge { dst, bytes, limit };

@@ -187,6 +187,9 @@ pub enum Landing<'a> {
     /// Be added elementwise into the slice, which must be as long as the
     /// payload: `acc[i] += value[i]`.
     Add(&'a mut [f32]),
+    /// Go nowhere: the verified payload stays as it arrived, in the
+    /// returned [`Wire`], for a relay or to be dropped.
+    Keep,
 }
 
 /// Land the values [`staged`] converts from `src` as `landing` says.
@@ -204,6 +207,7 @@ fn land_staged<S>(src: &[S], convert: fn(&mut [f32], &[S]), landing: Landing<'_>
             assert_eq!(acc.len(), src.len(), "adding a payload of another length");
             staged(src, convert, |at, block| add(&mut acc[at..], block));
         }
+        Landing::Keep => {}
     }
 }
 
@@ -259,12 +263,14 @@ impl Payload {
     /// for bit what [`unpack`](Self::unpack) returns (plus, for
     /// [`Landing::Add`], one elementwise add), and hand the payload back
     /// unless the landing took it: an f32 payload moves into a
-    /// [`Landing::Replace`], every other landing only reads its payload.
+    /// [`Landing::Replace`], every other landing only reads its payload
+    /// ([`Landing::Keep`] not even that).
     ///
     /// # Panics
     /// When a [`Landing::Add`] slice is not as long as the payload.
     pub fn land(self, landing: Landing<'_>) -> Option<Payload> {
         Some(match (self, landing) {
+            (payload, Landing::Keep) => payload,
             (Payload::F32(data), Landing::Replace(buf)) => {
                 *buf = data;
                 return None;

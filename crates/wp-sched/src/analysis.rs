@@ -2,8 +2,10 @@
 //! §3 closed-form comparisons.
 
 use crate::ir::{
-    MemUnit, MsgKind, Op, OpKind, Schedule, FLOW_BWD, FLOW_FWD, NO_MB, RESIDENT, SHARDED,
+    weight_slot, MemUnit, MsgKind, Op, OpKind, Schedule, FLOW_BWD, FLOW_FWD, NO_MB, RESIDENT,
+    SHARDED,
 };
+use std::collections::{HashMap, HashSet};
 
 /// Wire sizes of the four message payloads plus collective parameters, for
 /// a concrete model/batch configuration. All in bytes.
@@ -114,6 +116,195 @@ pub fn resident(s: &Schedule, rank: usize) -> Resident {
         }
     }
     held
+}
+
+/// A weight slot `(chunk, flow)`, as [`weight_slot`] resolves it.
+type Slot = (usize, usize);
+
+/// What reads a weight copy a `Recv` or a refresh lands, before the slot's
+/// next write ([`weight_lives`]): whether the copy needs its values.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
+pub enum Fate {
+    /// Nothing reads its values: it is relayed as it arrived, or nothing
+    /// reads it at all before it is overwritten.
+    Passed,
+    /// Only an `Update` reads it, which needs its values only to capture
+    /// an fp32 master on the entry's first step.
+    Stepped,
+    /// A compute op, an all-gather or the iteration boundary reads them.
+    Read,
+}
+
+/// Where each of one rank's weight copies dies ([`weight_lives`]), and what
+/// each copy that lands off the wire is read by.
+#[derive(Debug, Clone)]
+pub struct WeightLives {
+    /// Per op, the slots whose copy dies when it completes.
+    dies: Vec<Vec<Slot>>,
+    /// Per op, the fate of the copy a weight `Recv` lands.
+    fates: Vec<Option<Fate>>,
+    /// The fate of each copy a refresh from another rank lands.
+    refreshed: Vec<(Slot, Fate)>,
+    /// The most copies with a buffer the rank holds at one op boundary:
+    /// every copy but a [`Fate::Passed`] landing, from the seeds of its
+    /// first iteration on.
+    pub high_water: usize,
+}
+
+impl WeightLives {
+    /// The slots whose copy dies when the rank's op `i` completes.
+    pub fn dies_after(&self, i: usize) -> &[Slot] {
+        &self.dies[i]
+    }
+
+    /// What reads the copy the rank's op `i`, a weight `Recv`, lands.
+    /// Panics on any other op.
+    pub fn fate(&self, i: usize) -> Fate {
+        self.fates[i].expect("a weight receive")
+    }
+
+    /// What reads the copy a refresh lands in `slot` on this rank.
+    /// Panics when no refresh from another rank lands there.
+    pub fn refreshed(&self, slot: Slot) -> Fate {
+        let found = self.refreshed.iter().find(|(s, _)| *s == slot);
+        found.expect("a refreshed slot").1
+    }
+}
+
+/// One access to a weight slot in [`weight_lives`]' walk.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Access {
+    /// A read of the copy, needing its values as [`Fate`] says.
+    Read(Fate),
+    /// A new copy: off the wire (`true`), or made on the rank.
+    Write(bool),
+}
+
+/// Where `rank`'s weight copies are last read before their next write, over
+/// the cyclic op stream plus the iteration boundary. Each op reads the slot
+/// [`weight_slot`] resolves over what the rank holds, as the validator
+/// walks it. A `Send` of a copy relays it ([`Fate::Passed`]); an `Update`
+/// steps it ([`Fate::Stepped`]) and writes it; every other reader needs its
+/// values ([`Fate::Read`]). The boundary reads each copy an `Update` of the
+/// rank stepped — what a refresh ships, a snapshot captures and the next
+/// iteration starts from — then lands the rank's [`Schedule::refreshes`].
+///
+/// A copy dies at its last read, or as it lands when nothing reads it. One
+/// whose last read is the boundary, or the op that writes the slot anew, is
+/// instead replaced by that write.
+pub fn weight_lives(s: &Schedule, rank: usize) -> WeightLives {
+    let ops = &s.ops[rank];
+    let n = ops.len();
+    let mut held: HashSet<Slot> = s.seeds[rank].iter().copied().collect();
+    let mut stepped: Vec<Slot> = Vec::new();
+    // Every access in program order, the boundary at position `n`.
+    let mut accesses: Vec<(usize, Slot, Access)> = Vec::new();
+    for (i, op) in ops.iter().enumerate() {
+        let mut read = |slot, fate| accesses.push((i, slot, Access::Read(fate)));
+        match op.kind {
+            OpKind::Recv(k) if k.kind == MsgKind::Weights => {
+                held.insert((k.chunk, k.mb));
+                accesses.push((i, (k.chunk, k.mb), Access::Write(true)));
+            }
+            OpKind::Send(k) if k.kind == MsgKind::Weights => read((k.chunk, k.mb), Fate::Passed),
+            OpKind::AllGatherW { chunk, .. } => {
+                read((chunk, SHARDED), Fate::Read);
+                held.insert((chunk, RESIDENT));
+                accesses.push((i, (chunk, RESIDENT), Access::Write(false)));
+            }
+            OpKind::ReduceScatterD { chunk, .. } => {
+                held.remove(&(chunk, RESIDENT));
+            }
+            OpKind::Fwd { chunk, .. }
+            | OpKind::BwdFull { chunk, .. }
+            | OpKind::BwdData { chunk, .. }
+            | OpKind::Update { chunk } => {
+                let slot = weight_slot(&op.needs, chunk, |slot| held.contains(slot))
+                    .expect("validate rejects a read of a slot the rank does not hold");
+                if let OpKind::Update { .. } = op.kind {
+                    read(slot, Fate::Stepped);
+                    accesses.push((i, slot, Access::Write(false)));
+                    if !stepped.contains(&slot) {
+                        stepped.push(slot);
+                    }
+                } else {
+                    read(slot, Fate::Read);
+                }
+            }
+            _ => {}
+        }
+    }
+    accesses.extend(
+        stepped
+            .iter()
+            .map(|&slot| (n, slot, Access::Read(Fate::Read))),
+    );
+    let refreshes = s.refreshes().into_iter().filter(|f| f.dst == rank);
+    accesses.extend(refreshes.map(|f| (n, (f.chunk, f.flow), Access::Write(f.src != rank))));
+
+    let mut lives = WeightLives {
+        dies: vec![Vec::new(); n],
+        fates: vec![None; n],
+        refreshed: Vec::new(),
+        high_water: 0,
+    };
+    // Per position, the copies written there and whether each holds a
+    // buffer: for the high-water walk below.
+    let mut made: Vec<Vec<(Slot, bool)>> = vec![Vec::new(); n + 1];
+    let mut slots: Vec<Slot> = accesses.iter().map(|a| a.1).collect();
+    slots.sort_unstable();
+    slots.dedup();
+    for slot in slots {
+        let seq: Vec<(usize, Access)> = (accesses.iter())
+            .filter(|a| a.1 == slot)
+            .map(|a| (a.0, a.2))
+            .collect();
+        let writes: Vec<usize> = (0..seq.len())
+            .filter(|&j| matches!(seq[j].1, Access::Write(_)))
+            .collect();
+        // A copy lives from its write up to the next, round the cycle; a
+        // slot never written holds its seed for good.
+        for (w, &at) in writes.iter().enumerate() {
+            let next = writes[(w + 1) % writes.len()];
+            let between = (next + seq.len() - at - 1) % seq.len();
+            let (mut fate, mut last) = (Fate::Passed, None);
+            for (pos, access) in (1..=between).map(|d| seq[(at + d) % seq.len()]) {
+                if let Access::Read(f) = access {
+                    fate = fate.max(f);
+                    last = Some(pos);
+                }
+            }
+            let (pos, Access::Write(wire)) = seq[at] else {
+                unreachable!("a write")
+            };
+            if wire && pos < n {
+                lives.fates[pos] = Some(fate);
+            } else if wire {
+                lives.refreshed.push((slot, fate));
+            }
+            made[pos].push((slot, !wire || fate != Fate::Passed));
+            let dies = last.unwrap_or(pos);
+            if dies != n && dies != seq[next].0 {
+                lives.dies[dies].push(slot);
+            }
+        }
+    }
+
+    // Two laps from the seeds, each a buffer: the first iteration, then
+    // one that starts from what the first leaves.
+    let mut live: HashMap<Slot, bool> = s.seeds[rank].iter().map(|&slot| (slot, true)).collect();
+    let buffers = |live: &HashMap<Slot, bool>| live.values().filter(|&&b| b).count();
+    lives.high_water = buffers(&live);
+    for _ in 0..2 {
+        for (pos, made) in made.iter().enumerate() {
+            live.extend(made.iter().copied());
+            for slot in lives.dies.get(pos).into_iter().flatten() {
+                live.remove(slot);
+            }
+            lives.high_water = lives.high_water.max(buffers(&live));
+        }
+    }
+    lives
 }
 
 /// Every rank's memory ledger, derived from the op streams. A forward
@@ -393,6 +584,46 @@ mod tests {
         // A slice of each of the P chunks vs. all of every one.
         assert_eq!(held(Strategy::Fsdp, 1), [p, p, p]);
         assert_eq!(held(Strategy::Ddp, 1), [p * p, p * p, p * p]);
+    }
+
+    /// Rank 0 of the interleaved ring at P = 2, N = 8: each copy a compute
+    /// op reads dies within three ops of landing, and five landings are
+    /// read by no compute op — the relay-only hops, the tail the refresh
+    /// overwrites, the home arrival its `Update` steps — nor is the
+    /// backward-flow seed the refresh lands, which only relays at turn 0.
+    #[test]
+    fn a_ring_copy_dies_at_its_last_read_and_lands_only_when_read() {
+        let s = build(Strategy::WeiPipeInterleave, PipelineSpec::new(2, 8));
+        let lives = weight_lives(&s, 0);
+        let landings = (s.ops[0].iter().enumerate())
+            .filter(|(_, op)| matches!(op.kind, OpKind::Recv(k) if k.kind == MsgKind::Weights));
+        let mut unread = Vec::new();
+        for (i, op) in landings {
+            let OpKind::Recv(k) = op.kind else {
+                unreachable!()
+            };
+            match lives.fate(i) {
+                Fate::Read => {
+                    let dies =
+                        (i + 1..=i + 3).find(|&j| lives.dies_after(j).contains(&(k.chunk, k.mb)));
+                    assert!(dies.is_some(), "op {i}: {k:?} outlives three ops");
+                }
+                fate => unread.push((i, fate)),
+            }
+        }
+        use Fate::{Passed, Stepped};
+        assert_eq!(
+            unread,
+            [
+                (7, Passed),
+                (59, Passed),
+                (66, Passed),
+                (76, Stepped),
+                (78, Passed)
+            ]
+        );
+        assert_eq!(lives.refreshed((1, FLOW_BWD)), Passed);
+        assert_eq!(lives.high_water, 2);
     }
 
     /// One rank's derived ledger, one `op: deltas` line per op.
