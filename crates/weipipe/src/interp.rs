@@ -447,6 +447,43 @@ mod tests {
     }
 
     #[test]
+    fn every_pass_of_a_first_iteration_reads_a_chunk_in_the_wire_precision() {
+        // Seeds used to start as exact f32 init: over a 16-bit wire, the
+        // seed holder's forward read exact weights while every other rank,
+        // and the same microbatch's backward, read the rounded copy.
+        for strategy in [Strat::WeiPipeInterleave, Strat::WeiPipeNaive, Strat::Fsdp] {
+            for wire in [wp_tensor::DType::F16, wp_tensor::DType::BF16] {
+                let mut setup = TrainSetup::tiny(2, 4);
+                setup.wire = wire;
+                let schedule = build_schedule(strategy, 2, &setup);
+                let read = Mutex::new(HashMap::<usize, Vec<Vec<u32>>>::new());
+                let outs = TrainWorld::new(&setup, 2, 0).run(|comm| {
+                    let mut rt = RankRuntime::new(&setup, &schedule, comm);
+                    let t0 = rt.start_iteration(0);
+                    for (i, op) in schedule.ops[rt.rank].iter().enumerate() {
+                        if let OpKind::Fwd { chunk, .. }
+                        | OpKind::BwdFull { chunk, .. }
+                        | OpKind::BwdData { chunk, .. } = op.kind
+                        {
+                            let w = &rt.params[&rt.resolve(&op.needs, chunk)].weights;
+                            let bits = w.iter().map(|x| x.to_bits()).collect();
+                            read.lock().unwrap().entry(chunk).or_default().push(bits);
+                        }
+                        rt.exec_op(i, op, schedule.recompute)?;
+                    }
+                    rt.finish_iteration(0, t0)?;
+                    Ok(RunOutput::default())
+                });
+                assert!(outs.iter().all(Result::is_ok), "{outs:?}");
+                for (chunk, reads) in read.into_inner().unwrap() {
+                    let at = format!("{strategy:?} {wire:?} chunk {chunk}");
+                    assert!(reads.iter().all(|r| *r == reads[0]), "{at}");
+                }
+            }
+        }
+    }
+
+    #[test]
     fn a_context_parked_between_b_and_w_holds_only_what_w_reads() {
         // After each B pass, every layer it parks for W holds x1, x3, hg
         // and attn_o: 3·G·S·H + G·S·F floats, not the whole context.

@@ -22,7 +22,8 @@ use wp_nn::params::{init_block, init_embed, init_head};
 use wp_nn::{ComponentState, TrainState};
 use wp_optim::{MasterWeights, Optimizer};
 use wp_sched::analysis::Fate;
-use wp_sched::{weight_slot, MsgKey, Schedule, EMBED_HEAD, SHARDED};
+use wp_sched::{weight_slot, MsgKey, Schedule, EMBED_HEAD, FLOW_BWD, FLOW_FWD, SHARDED};
+use wp_tensor::dtype::quantize_slice;
 use wp_tensor::DType;
 
 /// Store key: `(chunk, flow)`.
@@ -199,7 +200,10 @@ impl RankRuntime {
     }
 
     /// The entry `key` starts an epoch with: the snapshot's weights when
-    /// resuming, deterministic initial weights otherwise.
+    /// resuming, deterministic initial weights otherwise — in the wire's
+    /// precision when copies of the entry travel (a ring flow, a shard),
+    /// so that the seed holder computes on the values every other rank
+    /// receives.
     pub(super) fn initial(&self, key: Key) -> Param {
         let weights = match self.setup.resume.as_deref() {
             Some(st) => self.snapshot_buf(key, st, |l| &l.weights),
@@ -216,7 +220,11 @@ impl RankRuntime {
                         whole
                     }
                 };
-                self.held_part(key, whole)
+                let mut part = self.held_part(key, whole);
+                if matches!(key.1, FLOW_FWD | FLOW_BWD | SHARDED) {
+                    quantize_slice(&mut part, self.setup.wire);
+                }
+                part
             }
         };
         Param {
