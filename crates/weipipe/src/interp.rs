@@ -331,20 +331,10 @@ impl RankRuntime {
             .copied()
             .collect();
         for f in outgoing {
-            let stepped = self.resolve(&[], f.chunk);
+            let fresh = &self.params[&self.resolve(&[], f.chunk)].weights;
             if f.dst == rank {
-                let mut copy = self.pooled();
-                copy.clone_from(&self.params[&stepped].weights);
-                self.retire((f.chunk, f.flow));
-                self.params.insert(
-                    (f.chunk, f.flow),
-                    Param {
-                        weights: copy,
-                        kept: None,
-                    },
-                );
+                self.put_weights((f.chunk, f.flow), fresh.clone());
             } else {
-                let fresh = &self.params[&stepped].weights;
                 self.comm.send(f.dst, f.tag(iter), fresh, wire)?;
             }
         }

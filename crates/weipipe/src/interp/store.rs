@@ -84,14 +84,9 @@ impl RankRuntime {
         }
     }
 
-    /// A buffer from the chunk pool, or an empty one when it has none.
-    pub(super) fn pooled(&mut self) -> Vec<f32> {
-        self.pool.pop().unwrap_or_default()
-    }
-
-    /// Make `weights`, a buffer from outside the pool (a gathered chunk),
-    /// the copy in `key`. It takes the place of a pooled buffer, so the
-    /// buffers held stay within the high-water.
+    /// Make `weights`, a buffer from outside the pool (a gathered chunk, a
+    /// local refresh), the copy in `key`. It takes the place of a pooled
+    /// buffer, so the buffers held stay within the high-water.
     pub(super) fn put_weights(&mut self, key: Key, weights: Vec<f32>) {
         self.pool.pop();
         self.retire(key);
@@ -127,7 +122,7 @@ impl RankRuntime {
         if !lands {
             self.pool_buffer(std::mem::take(&mut weights));
         } else if weights.capacity() == 0 {
-            weights = self.pooled();
+            weights = self.pool.pop().unwrap_or_default();
         }
         let landing = match lands {
             true => Landing::Replace(&mut weights),
