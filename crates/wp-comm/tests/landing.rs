@@ -4,7 +4,8 @@
 //! parked in the reorder buffer first, and a corrupt frame fails the
 //! receive without touching the buffer. Packing what a frame unpacks to
 //! gives the frame back, on every frame a sender can produce, so a frame
-//! relayed as it arrived (`send_wire`) is the frame a re-pack would send.
+//! relayed as it arrived (`send_wire`) is the frame a re-pack would send;
+//! a frame kept unlanded relays unchanged.
 
 use std::time::Duration;
 use wp_comm::{CommConfig, CommError, FaultPlan, Landing, Payload, TransportKind, World};
@@ -206,6 +207,44 @@ fn a_relayed_frame_is_the_slot_packed_anew() {
             assert!(got.as_bytes() == want.as_bytes(), "{at}: bytes");
             assert_eq!(got_sum, want_sum, "{at}: checksum");
             assert_eq!(got.checksum(), *want_sum, "{at}: checksum of the bytes");
+        }
+    }
+}
+
+/// A frame its landing keeps (`Landing::Keep`) is verified but never
+/// widened: relayed with no values, it reaches the next rank as it was
+/// packed, and the relay is charged the frame's wire bytes.
+#[test]
+fn a_kept_frame_relays_as_it_arrived() {
+    let sent = payload(2500, 5.0);
+    for kind in KINDS {
+        for wire in WIRES {
+            let at = format!("{kind:?} {wire}");
+            let (outs, meter) = World::builder(3)
+                .transport(kind)
+                .run(|mut c| match c.rank() {
+                    0 => {
+                        c.send(1, 5, &sent, wire).unwrap();
+                        None
+                    }
+                    1 => {
+                        let kept = c.recv_into(0, 5, Landing::Keep).unwrap();
+                        let held = kept.payload().map(|p| p.as_bytes().to_vec());
+                        c.send_wire(2, 6, kept, &[]).unwrap();
+                        held
+                    }
+                    _ => {
+                        let arrived = c.recv_into(1, 6, Landing::Keep).unwrap();
+                        arrived.payload().map(|p| p.as_bytes().to_vec())
+                    }
+                });
+            let packed = Payload::pack(&sent, wire).0;
+            for rank in [1, 2] {
+                let held = outs[rank].as_deref().expect("a kept payload");
+                assert!(held == packed.as_bytes(), "{at}: rank {rank}'s frame");
+            }
+            let wire_bytes = (sent.len() * wire.size_bytes()) as u64;
+            assert_eq!(meter.rank(1).p2p_bytes, wire_bytes, "{at}");
         }
     }
 }
