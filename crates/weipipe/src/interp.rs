@@ -15,13 +15,14 @@
 //! State model (per rank):
 //!
 //! * **The parameter store** (`store`), keyed `(chunk, flow)`: one entry
-//!   per weight copy the rank holds — a whole chunk (the concatenation of
+//!   per weight slot the rank holds — a whole chunk (the concatenation of
 //!   its layers' flat buffers), the rank's `1/P` slice of a sharded one,
 //!   the embedding, the head. A block copy lives from the op that writes
 //!   it to its last read before the next write, which
 //!   [`wp_sched::analysis::weight_lives`] derives once per rank over the
 //!   cyclic op stream and the boundary's refreshes; there its buffer joins
-//!   the rank's chunk pool, where the next copy to land takes it from. So
+//!   the rank's chunk pool, where the next copy to land takes it from, and
+//!   its slot keeps only the frame it arrived in until the next write. So
 //!   a ring rank holds two chunk buffers at any `P`, not `2P`.
 //!   `Recv(Weights)` unpacks into a pooled buffer and keeps the verified
 //!   frame beside it, which a `Send` of the entry relays as it arrived
@@ -105,7 +106,8 @@ pub struct RankRuntime {
     setup: TrainSetup,
     comm: Communicator,
 
-    /// The parameter store: the weight copies alive after the last op.
+    /// The parameter store: every weight slot the rank holds, a dead
+    /// copy's without its buffer.
     params: HashMap<Key, Param>,
     /// Buffers of block copies that died, for the next copies to land in.
     pool: Vec<Vec<f32>>,
@@ -184,9 +186,7 @@ impl RankRuntime {
         // Optimizer state goes where the rank's updates will find it, so
         // the first post-resume step continues the snapshot's moment history.
         if setup.resume.is_some() {
-            let stepped: Vec<Key> = (0..chunks)
-                .filter(|&c| schedule.runs_update(rank, c))
-                .map(|c| rt.resolve(&[], c))
+            let stepped: Vec<Key> = (rt.lives.stepped().iter().copied())
                 .chain([EMBED, HEAD])
                 .collect();
             for key in stepped {
@@ -304,8 +304,8 @@ impl RankRuntime {
             OpKind::ReduceScatterD { chunk, .. } => self.exec_reduce_scatter(*chunk)?,
             OpKind::AllReduceD { chunk, .. } => self.exec_all_reduce(*chunk)?,
         }
-        for n in 0..self.lives.dies_after(i).len() {
-            self.retire(self.lives.dies_after(i)[n]);
+        for key in self.lives.dies_after(i).to_vec() {
+            self.retire(key);
         }
         Ok(())
     }
@@ -399,8 +399,7 @@ mod tests {
     fn a_weipipe_rank_holds_two_chunk_buffers_at_any_p() {
         // The store used to keep every (chunk, flow) copy a rank had
         // received, 2P chunk buffers. A copy dies at its last read, so a
-        // rank holds the liveness high-water: 2, within the two circulating
-        // seeds `resident` prices.
+        // rank holds 2, within the two circulating seeds `resident` prices.
         for strategy in [Strat::WeiPipeNaive, Strat::WeiPipeInterleave] {
             for (p, overlap) in [(2, true), (2, false), (4, true), (4, false)] {
                 let mut setup = TrainSetup::tiny(p, 2 * p);
@@ -410,8 +409,7 @@ mod tests {
                 let outs = TrainWorld::new(&setup, p, 0).run(|comm| {
                     let mut rt = RankRuntime::new(&setup, &schedule, comm);
                     let resident = wp_sched::analysis::resident(&schedule, rt.rank);
-                    let high_water = rt.lives.high_water;
-                    assert!(high_water as u64 <= resident.weights / p as u64);
+                    let priced = resident.weights / p as u64;
                     let mut most = chunk_buffers(&rt);
                     for iter in 0..3 {
                         let t0 = rt.start_iteration(iter);
@@ -423,14 +421,14 @@ mod tests {
                         rt.reseed_bwd_flow(&schedule, iter)?;
                         most = most.max(chunk_buffers(&rt));
                     }
-                    held.lock().unwrap().push((most, high_water));
+                    held.lock().unwrap().push((most, priced));
                     Ok(RunOutput::default())
                 });
                 assert!(outs.iter().all(Result::is_ok), "{outs:?}");
-                for (most, high_water) in held.into_inner().unwrap() {
+                for (most, priced) in held.into_inner().unwrap() {
                     let at = format!("{strategy:?} P={p} overlap={overlap}");
-                    assert_eq!(high_water, 2, "{at}");
-                    assert!(most <= high_water, "{at}: {most} chunk buffers");
+                    assert!(most <= 2, "{at}: {most} chunk buffers");
+                    assert!(most as u64 <= priced, "{at}: {most} of {priced} priced");
                 }
             }
         }

@@ -217,6 +217,11 @@ impl RankRuntime {
 
     pub(super) fn exec_update(&mut self, chunk: usize, needs: &[MsgKey]) {
         let key = self.resolve(needs, chunk);
+        assert!(
+            self.lives.stepped().contains(&key),
+            "rank {}: Update({chunk}) steps {key:?}, where no resume restores state",
+            self.rank
+        );
         // A chunk has one whole-length accumulator whichever flow its
         // weights ride; a shard steps on the scattered one.
         let grads_at = if key.1 == SHARDED {
@@ -313,6 +318,9 @@ impl RankRuntime {
         grads.resize(self.shard_len * self.comm.world_size(), 0.0);
         let own = self.comm.reduce_scatter_sum(&grads, self.setup.wire)?;
         self.accumulate((chunk, SHARDED), own);
+        // The rank no longer holds the gathered slot, as the validator
+        // walks it: the next use gathers again.
+        self.params.remove(&(chunk, RESIDENT));
         Ok(())
     }
 

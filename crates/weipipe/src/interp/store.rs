@@ -1,20 +1,21 @@
 //! The parameter store and its snapshot round trip.
 //!
-//! Every weight copy a rank holds is one [`Param`] under a [`Key`]
-//! `(chunk, flow)`; the embedding and the head are two more entries under
-//! the `EMBED_HEAD` chunk. A block copy lives from the op that writes it to
-//! its last read before the next write
+//! Every weight slot a rank holds is one [`Param`] under a [`Key`]
+//! `(chunk, flow)`, the slots the validator's walk holds; the embedding and
+//! the head are two more entries under the `EMBED_HEAD` chunk. A block copy
+//! lives from the op that writes it to its last read before the next write
 //! ([`wp_sched::analysis::weight_lives`]): then `retire` puts its buffer in
 //! the rank's chunk pool, and every copy made later takes its buffer from
-//! there. A copy whose values nothing reads before it is relayed or
-//! overwritten holds only the verified frame it arrived in. The fp32
-//! master and optimizer state of an entry outlive its copies, under the
-//! key it is stepped at. An entry is stepped in one place (`step`), loaded
-//! from a snapshot in one (`snapshot_buf`) and made whole on every rank in
-//! one (`whole`). Sharded or whole is read off the entry in two places,
-//! `held_part` and `whole`, which are each other's inverse. Its weights are
-//! written in three places, `step`, `put_weights` and `recv_weights`, and
-//! each drops or replaces the wire form a relay ships.
+//! there. The slot keeps the frame the copy arrived in until the slot's
+//! next write. A copy whose values nothing reads before it is relayed or
+//! overwritten holds only that frame. The fp32 master and optimizer state
+//! of an entry outlive its copies, under the key it is stepped at. An
+//! entry is stepped in one place (`step`), loaded from a snapshot in one
+//! (`snapshot_buf`) and made whole on every rank in one (`whole`). Sharded
+//! or whole is read off the entry in two places, `held_part` and `whole`,
+//! which are each other's inverse. Its weights are written in three
+//! places, `step`, `put_weights` and `recv_weights`, and each drops or
+//! replaces the wire form a relay ships.
 
 use super::{AssembledModel, RankRuntime};
 use wp_comm::{CommError, Landing, Wire};
@@ -36,8 +37,8 @@ pub(super) const HEAD: Key = (EMBED_HEAD, 1);
 /// One weight copy: the working values, and the frame they arrived in.
 #[derive(Default)]
 pub(super) struct Param {
-    /// Empty when nothing reads the values before the copy dies: the frame
-    /// in `kept` is then all the rank holds of it.
+    /// Empty once the copy has died, or when nothing reads the values
+    /// before it does: the frame in `kept` is then all the rank holds.
     pub(super) weights: Vec<f32>,
     /// The verified frame `weights` landed from, while they are unchanged
     /// since: what a `Send` of them relays instead of packing them anew.
@@ -70,11 +71,14 @@ impl RankRuntime {
         })
     }
 
-    /// The copy in `key` dies: its buffer joins the chunk pool and its
-    /// frame goes back to the endpoint's wire pool.
+    /// The copy in `key` dies: its buffer joins the chunk pool. Its frame
+    /// stays in the slot until the slot's next write: the endpoint's wire
+    /// pool keeps P idle buffers, enough for frames that come back then,
+    /// and at P = 2 one handed back at the copy's death finds it full.
     pub(super) fn retire(&mut self, key: Key) {
-        if let Some(copy) = self.params.remove(&key) {
-            self.pool_buffer(copy.weights);
+        if let Some(copy) = self.params.get_mut(&key) {
+            let buf = std::mem::take(&mut copy.weights);
+            self.pool_buffer(buf);
         }
     }
 

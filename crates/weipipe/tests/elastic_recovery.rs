@@ -86,6 +86,9 @@ fn same_world_resume_is_bit_identical() {
     s.optim = OptimKind::AdamW { lr: 0.01 };
     assert_same_world_resume(Strategy::WeiPipeInterleave, 2, &s);
     assert_same_world_resume(Strategy::Fsdp, 2, &s);
+    s.recompute = true;
+    assert_same_world_resume(Strategy::WeiPipeInterleave, 2, &s);
+    assert_same_world_resume(Strategy::Fsdp, 2, &s);
     let mut sgd = TrainSetup::tiny(2, 4);
     sgd.iters = 4;
     assert_same_world_resume(Strategy::WeiPipeNaive, 2, &sgd);

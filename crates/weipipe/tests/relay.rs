@@ -113,15 +113,12 @@ fn schedules_without_a_weight_ring_relay_nothing() {
 /// In process every take and give of a rank's pool runs on the rank's
 /// thread, so the count is exact. Iteration 0 fills the pool; after it, a
 /// step allocates a few buffers on every rank and no reseed allocates.
-/// Most are all-reduce segments of the replicated embedding or head whose
+/// Each is an all-reduce segment of the replicated embedding or head whose
 /// length no idle buffer matches: a pool of P buffers keeps the ring's
-/// chunk-sized ones and, at P = 4, a segment beside them. At P = 2 one is a
-/// chunk: a frame goes back to the pool when its copy dies, not when its
-/// slot is next written, so one give finds the pool full and a later pack
-/// allocates the chunk again.
+/// chunk-sized ones and, at P = 4, a segment beside them.
 #[test]
 fn in_process_a_warm_pool_allocates_a_pinned_few_buffers_per_step() {
-    for (p, want) in [(2, [7, 5, 5]), (4, [5, 6, 6])] {
+    for (p, want) in [(2, [7, 4, 4]), (4, [5, 7, 6])] {
         for (rank, steps) in allocations_per_step(p, TransportKind::InProcess)
             .into_iter()
             .enumerate()

@@ -5,7 +5,7 @@ use crate::ir::{
     weight_slot, MemUnit, MsgKind, Op, OpKind, Schedule, FLOW_BWD, FLOW_FWD, NO_MB, RESIDENT,
     SHARDED,
 };
-use std::collections::{HashMap, HashSet};
+use std::collections::HashSet;
 
 /// Wire sizes of the four message payloads plus collective parameters, for
 /// a concrete model/batch configuration. All in bytes.
@@ -145,10 +145,8 @@ pub struct WeightLives {
     fates: Vec<Option<Fate>>,
     /// The fate of each copy a refresh from another rank lands.
     refreshed: Vec<(Slot, Fate)>,
-    /// The most copies with a buffer the rank holds at one op boundary:
-    /// every copy but a [`Fate::Passed`] landing, from the seeds of its
-    /// first iteration on.
-    pub high_water: usize,
+    /// The slots the rank's `Update`s step.
+    stepped: Vec<Slot>,
 }
 
 impl WeightLives {
@@ -168,6 +166,12 @@ impl WeightLives {
     pub fn refreshed(&self, slot: Slot) -> Fate {
         let found = self.refreshed.iter().find(|(s, _)| *s == slot);
         found.expect("a refreshed slot").1
+    }
+
+    /// The slots the rank's `Update`s step, as their `needs` resolve: where
+    /// the fp32 master and optimizer state of each live.
+    pub fn stepped(&self) -> &[Slot] {
+        &self.stepped
     }
 }
 
@@ -246,11 +250,8 @@ pub fn weight_lives(s: &Schedule, rank: usize) -> WeightLives {
         dies: vec![Vec::new(); n],
         fates: vec![None; n],
         refreshed: Vec::new(),
-        high_water: 0,
+        stepped: Vec::new(),
     };
-    // Per position, the copies written there and whether each holds a
-    // buffer: for the high-water walk below.
-    let mut made: Vec<Vec<(Slot, bool)>> = vec![Vec::new(); n + 1];
     let mut slots: Vec<Slot> = accesses.iter().map(|a| a.1).collect();
     slots.sort_unstable();
     slots.dedup();
@@ -282,28 +283,13 @@ pub fn weight_lives(s: &Schedule, rank: usize) -> WeightLives {
             } else if wire {
                 lives.refreshed.push((slot, fate));
             }
-            made[pos].push((slot, !wire || fate != Fate::Passed));
             let dies = last.unwrap_or(pos);
             if dies != n && dies != seq[next].0 {
                 lives.dies[dies].push(slot);
             }
         }
     }
-
-    // Two laps from the seeds, each a buffer: the first iteration, then
-    // one that starts from what the first leaves.
-    let mut live: HashMap<Slot, bool> = s.seeds[rank].iter().map(|&slot| (slot, true)).collect();
-    let buffers = |live: &HashMap<Slot, bool>| live.values().filter(|&&b| b).count();
-    lives.high_water = buffers(&live);
-    for _ in 0..2 {
-        for (pos, made) in made.iter().enumerate() {
-            live.extend(made.iter().copied());
-            for slot in lives.dies.get(pos).into_iter().flatten() {
-                live.remove(slot);
-            }
-            lives.high_water = lives.high_water.max(buffers(&live));
-        }
-    }
+    lives.stepped = stepped;
     lives
 }
 
@@ -623,7 +609,6 @@ mod tests {
             ]
         );
         assert_eq!(lives.refreshed((1, FLOW_BWD)), Passed);
-        assert_eq!(lives.high_water, 2);
     }
 
     /// One rank's derived ledger, one `op: deltas` line per op.
