@@ -4,7 +4,7 @@
 
 use super::store::{Key, EMBED, HEAD};
 use super::{FwdSaved, HeadSaved, RankRuntime};
-use wp_comm::{CommError, Landing};
+use wp_comm::CommError;
 use wp_nn::block::{
     block_backward, block_backward_checkpointed, block_backward_data, block_backward_weight,
     block_forward,
@@ -32,15 +32,19 @@ impl RankRuntime {
     }
 
     /// Take the accumulator at `key` out of the store — zeros, as long as
-    /// the weights it is the gradient of, if nothing has accumulated yet.
+    /// the weights it is the gradient of, if nothing has accumulated yet: a
+    /// block's start in a buffer from the chunk pool.
     pub(super) fn take_grads(&mut self, key: Key) -> Vec<f32> {
-        self.grads.remove(&key).unwrap_or_else(|| {
-            let n = match key.0 {
-                EMBED_HEAD => self.params[&key].weights.len(),
-                _ => self.lpc * self.block_len,
-            };
-            vec![0.0; n]
-        })
+        if let Some(acc) = self.grads.remove(&key) {
+            return acc;
+        }
+        if key.0 == EMBED_HEAD {
+            return vec![0.0; self.params[&key].weights.len()];
+        }
+        let mut acc = self.pool.pop().unwrap_or_default();
+        acc.clear();
+        acc.resize(self.lpc * self.block_len, 0.0);
+        acc
     }
 
     // ---- compute ops -------------------------------------------------------
@@ -241,9 +245,10 @@ impl RankRuntime {
     pub(super) fn exec_send(&mut self, k: &MsgKey) -> Result<(), CommError> {
         // Weights stay behind (the slot keeps serving local compute), and
         // leave as the frame they arrived in while unchanged since; every
-        // other payload leaves its store with the message.
+        // other payload leaves its store with the message, a drained
+        // accumulator's buffer for the chunk pool once packed.
         let tag = k.tag().expect("validate rejects a key with no tag");
-        let (grads, boundary);
+        let boundary;
         let payload: &[f32] = match k.kind {
             MsgKind::Weights => {
                 let slot = self.params.get_mut(&(k.chunk, k.mb)).unwrap_or_else(|| {
@@ -259,8 +264,10 @@ impl RankRuntime {
                 &slot.weights
             }
             MsgKind::WeightGrads => {
-                grads = self.take_grads((k.chunk, RESIDENT));
-                &grads
+                let grads = self.take_grads((k.chunk, RESIDENT));
+                let sent = self.comm.send(k.dst, tag, &grads, self.setup.wire);
+                self.pool_buffer(grads);
+                return sent;
             }
             MsgKind::Act | MsgKind::ActGrad => {
                 boundary = self
@@ -277,19 +284,12 @@ impl RankRuntime {
     /// lookup in [`Self::exec_send`]. Weights land in their slot's buffer,
     /// beside the frame they came in, and gradients are added into the
     /// accumulator the backward made, each straight from the wire payload;
-    /// either becomes its entry when the rank has none yet.
+    /// either lands in a pooled buffer when the rank has no entry yet.
     pub(super) fn exec_recv(&mut self, i: usize, k: &MsgKey) -> Result<(), CommError> {
         let (src, tag) = (k.src, k.tag().expect("validate rejects a key with no tag"));
         match k.kind {
             MsgKind::Weights => self.recv_weights((k.chunk, k.mb), src, tag, self.lives.fate(i)),
-            MsgKind::WeightGrads => match self.grads.get_mut(&(k.chunk, RESIDENT)) {
-                Some(acc) => self.comm.recv_into(src, tag, Landing::Add(acc)).map(drop),
-                None => {
-                    let data = self.comm.recv(src, tag)?;
-                    self.grads.insert((k.chunk, RESIDENT), data);
-                    Ok(())
-                }
-            },
+            MsgKind::WeightGrads => self.recv_grads((k.chunk, RESIDENT), src, tag),
             MsgKind::Act | MsgKind::ActGrad => {
                 // Copied into the arena, not adopted by it: the sender
                 // allocates every message afresh, so adopting would grow
@@ -317,6 +317,7 @@ impl RankRuntime {
             .unwrap_or_else(|| panic!("rank {}: no grads to reduce-scatter", self.rank));
         grads.resize(self.shard_len * self.comm.world_size(), 0.0);
         let own = self.comm.reduce_scatter_sum(&grads, self.setup.wire)?;
+        self.pool_buffer(grads);
         self.accumulate((chunk, SHARDED), own);
         // The rank no longer holds the gathered slot, as the validator
         // walks it: the next use gathers again.

@@ -82,7 +82,8 @@ impl RankRuntime {
         }
     }
 
-    fn pool_buffer(&mut self, buf: Vec<f32>) {
+    /// Put `buf` in the chunk pool, unless it holds no allocation.
+    pub(super) fn pool_buffer(&mut self, buf: Vec<f32>) {
         if buf.capacity() > 0 {
             self.pool.push(buf);
         }
@@ -134,6 +135,19 @@ impl RankRuntime {
         };
         let kept = Some(self.comm.recv_into(src, tag, landing)?);
         self.params.insert(key, Param { weights, kept });
+        Ok(())
+    }
+
+    /// Receive a `D` with `tag` from `src` into the accumulator at `key`:
+    /// added in when the rank has one, else landed bit for bit in a buffer
+    /// from the chunk pool, which becomes the accumulator.
+    pub(super) fn recv_grads(&mut self, key: Key, src: usize, tag: u64) -> Result<(), CommError> {
+        if let Some(acc) = self.grads.get_mut(&key) {
+            return self.comm.recv_into(src, tag, Landing::Add(acc)).map(drop);
+        }
+        let mut acc = self.pool.pop().unwrap_or_default();
+        self.comm.recv_into(src, tag, Landing::Replace(&mut acc))?;
+        self.grads.insert(key, acc);
         Ok(())
     }
 
