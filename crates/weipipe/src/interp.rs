@@ -508,6 +508,47 @@ mod tests {
     }
 
     #[test]
+    fn every_rank_captures_the_same_embed_and_head_bits_over_a_16_bit_wire() {
+        // The replicated embedding and head step on all-reduced gradients.
+        // Each rank used to keep its own reduced segment in f32 while the
+        // others received it rounded, so their weights drifted apart while
+        // `capture_state` claims a bit-identical state on every rank.
+        for wire in [wp_tensor::DType::F16, wp_tensor::DType::BF16] {
+            for p in [2, 4] {
+                let mut setup = TrainSetup::tiny(4, 8);
+                setup.wire = wire;
+                setup.optim = crate::OptimKind::AdamW { lr: 0.01 };
+                let schedule = build_schedule(Strat::WeiPipeInterleave, p, &setup);
+                let captured = Mutex::new(Vec::new());
+                let outs = TrainWorld::new(&setup, p, 0).run(|comm| {
+                    let mut rt = RankRuntime::new(&setup, &schedule, comm);
+                    for iter in 0..2 {
+                        rt.run_iteration(&schedule, iter)?;
+                        rt.reseed_bwd_flow(&schedule, iter)?;
+                    }
+                    let st = rt.capture_state(&schedule, 2)?;
+                    let bits = |c: &wp_nn::ComponentState| {
+                        let bufs = [&c.weights, &c.master].into_iter().chain(&c.opt_bufs);
+                        bufs.map(|b| b.iter().map(|x| x.to_bits()).collect::<Vec<_>>())
+                            .collect::<Vec<_>>()
+                    };
+                    captured
+                        .lock()
+                        .unwrap()
+                        .push((bits(&st.embed), bits(&st.head)));
+                    Ok(RunOutput::default())
+                });
+                assert!(outs.iter().all(Result::is_ok), "{outs:?}");
+                let captured = captured.into_inner().unwrap();
+                assert_eq!(captured.len(), p);
+                for c in &captured {
+                    assert!(*c == captured[0], "{wire:?} P={p}: embed or head differs");
+                }
+            }
+        }
+    }
+
+    #[test]
     fn a_context_parked_between_b_and_w_holds_only_what_w_reads() {
         // After each B pass, every layer it parks for W holds x1, x3, hg
         // and attn_o: 3·G·S·H + G·S·F floats, not the whole context.

@@ -13,6 +13,7 @@
 use crate::error::CommError;
 use crate::p2p::{Communicator, COLLECTIVE_TAG_BASE};
 use crate::payload::Landing;
+use wp_tensor::dtype::quantize_slice;
 use wp_tensor::DType;
 use wp_trace::SpanKind;
 
@@ -91,8 +92,12 @@ impl Communicator {
             return Ok(());
         }
         let tag = self.next_coll_tag();
-        // Reduce-scatter, then all-gather the fully reduced chunks.
+        // Reduce-scatter, then all-gather the fully reduced chunks. The
+        // chunk this rank reduced goes out rounded to the wire, so it keeps
+        // the same rounded values: every rank ends bit-identical.
+        let own = Self::chunk_range(buf.len(), self.world, (self.rank + 1) % self.world);
         self.ring_pass(buf, self.rank, |s| tag + s * 2, true, dtype)?;
+        quantize_slice(&mut buf[own], dtype);
         self.ring_pass(buf, self.rank + 1, |s| tag + s * 2 + 1, false, dtype)
     }
 
@@ -230,6 +235,26 @@ mod tests {
         });
         for v in &vals {
             assert_eq!(v, &vec![10.0; n]);
+        }
+    }
+
+    #[test]
+    fn a_16_bit_all_reduce_leaves_every_rank_the_same_bits() {
+        // Each rank used to keep the chunk it reduced in f32 while every
+        // other rank received it rounded to the wire.
+        for dtype in [DType::F16, DType::BF16] {
+            for p in [2usize, 3, 4] {
+                let (vals, _) = World::run(p, LinkModel::instant(), |mut c| {
+                    let r = c.rank() as f32;
+                    let mut buf: Vec<f32> =
+                        (0..13).map(|i| 0.1 + r / 3.0 + i as f32 / 7.0).collect();
+                    c.all_reduce_sum(&mut buf, dtype).unwrap();
+                    buf.iter().map(|x| x.to_bits()).collect::<Vec<_>>()
+                });
+                for (r, v) in vals.iter().enumerate() {
+                    assert_eq!(v, &vals[0], "{dtype:?} p={p} rank {r}");
+                }
+            }
         }
     }
 
