@@ -21,9 +21,11 @@
 //!   it to its last read before the next write, which
 //!   [`wp_sched::analysis::weight_lives`] derives once per rank over the
 //!   cyclic op stream and the boundary's refreshes; there its buffer joins
-//!   the rank's chunk pool, where the next copy to land takes it from, and
-//!   its slot keeps only the frame it arrived in until the next write. So
-//!   a ring rank holds two chunk buffers at any `P`, not `2P`.
+//!   the rank's chunk pool, where the next copy to land or the next
+//!   gradient accumulator to start takes it from, and its slot keeps only
+//!   the frame it arrived in until the next write. So an overlapped ring
+//!   rank holds two whole-chunk f32 buffers at any `P`, accumulators
+//!   included, where it held `2P` copies and an accumulator beside them.
 //!   `Recv(Weights)` unpacks into a pooled buffer and keeps the verified
 //!   frame beside it, which a `Send` of the entry relays as it arrived
 //!   while the weights are unchanged since (any write drops it); a landing
@@ -41,10 +43,13 @@
 //! * **Gradient accumulators**, in the same key space: a whole chunk's `D`
 //!   at `(chunk, RESIDENT)` whichever flow its weights ride, a shard's at
 //!   `(chunk, SHARDED)`. A backward adds into the accumulator (starting one
-//!   when there is none), `Recv(WeightGrads)` adds the arriving `D_j`
-//!   straight from the wire payload (or starts it), `Send` drains it —
-//!   which makes the circulating `D_j` accumulation (§4.2.1) and local
-//!   pipelined accumulation the same code path.
+//!   when there is none, zeroed, in a buffer from the chunk pool),
+//!   `Recv(WeightGrads)` adds the arriving `D_j` straight from the wire
+//!   payload (or lands it bit for bit in a pooled buffer), `Send` drains
+//!   it and hands its buffer back to the pool — which makes the
+//!   circulating `D_j` accumulation (§4.2.1) and local pipelined
+//!   accumulation the same code path. The accumulator an `Update` steps
+//!   on is freed, not pooled.
 //! * **Per-iteration stores**: boundary activations and their gradients,
 //!   saved forward state (full ctxs, or per-layer checkpoints under
 //!   recomputation), what a B pass parks for its W pass (each context shed
@@ -109,7 +114,8 @@ pub struct RankRuntime {
     /// The parameter store: every weight slot the rank holds, a dead
     /// copy's without its buffer.
     params: HashMap<Key, Param>,
-    /// Buffers of block copies that died, for the next copies to land in.
+    /// Whole-chunk buffers of copies that died and accumulators that were
+    /// sent, for the next copies to land in and accumulators to start in.
     pool: Vec<Vec<f32>>,
     /// Where each block copy dies, and whether a landing is read.
     lives: WeightLives,

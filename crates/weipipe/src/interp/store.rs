@@ -5,17 +5,23 @@
 //! the head are two more entries under the `EMBED_HEAD` chunk. A block copy
 //! lives from the op that writes it to its last read before the next write
 //! ([`wp_sched::analysis::weight_lives`]): then `retire` puts its buffer in
-//! the rank's chunk pool, and every copy made later takes its buffer from
-//! there. The slot keeps the frame the copy arrived in until the slot's
-//! next write. A copy whose values nothing reads before it is relayed or
-//! overwritten holds only that frame. The fp32 master and optimizer state
-//! of an entry outlive its copies, under the key it is stepped at. An
-//! entry is stepped in one place (`step`), loaded from a snapshot in one
-//! (`snapshot_buf`) and made whole on every rank in one (`whole`). Sharded
-//! or whole is read off the entry in two places, `held_part` and `whole`,
-//! which are each other's inverse. Its weights are written in three
-//! places, `step`, `put_weights` and `recv_weights`, and each drops or
-//! replaces the wire form a relay ships.
+//! the rank's chunk pool. Every whole-chunk f32 buffer a rank holds comes
+//! from that pool, or takes a pooled buffer's place (`put_weights`): each
+//! copy that lands later, each block gradient accumulator a backward
+//! starts (`take_grads`) and each one a `D` lands in when it arrives
+//! first (`recv_grads`). A sent accumulator and FSDP's padded reduce-scatter
+//! input go back to the pool; the accumulator an `Update` consumes is
+//! freed, so no buffer idles there through the forward passes before the
+//! next backward. The slot keeps the frame a copy arrived in until the
+//! slot's next write. A copy whose values nothing reads before it is
+//! relayed or overwritten holds only that frame. The fp32 master and
+//! optimizer state of an entry outlive its copies, under the key it is
+//! stepped at. An entry is stepped in one place (`step`), loaded from a
+//! snapshot in one (`snapshot_buf`) and made whole on every rank in one
+//! (`whole`). Sharded or whole is read off the entry in two places,
+//! `held_part` and `whole`, which are each other's inverse. Its weights
+//! are written in three places, `step`, `put_weights` and `recv_weights`,
+//! and each drops or replaces the wire form a relay ships.
 
 use super::{AssembledModel, RankRuntime};
 use wp_comm::{CommError, Landing, Wire};
