@@ -4,6 +4,8 @@
 //! `results` binary writes them; `tests/golden_tables.rs` compares each with
 //! the checked-in file byte for byte, and their paths with the files there.
 
+use std::collections::{BTreeMap, BTreeSet};
+
 use wp_comm::LinkModel;
 use wp_sched::{analysis, build, PipelineSpec, Strategy};
 use wp_sim::experiments::{
@@ -59,12 +61,139 @@ fn tables() -> Vec<Artefact> {
     ];
     let mut text = String::new();
     let mut out = Vec::new();
-    for (name, rows, title, with_memory) in tables {
-        text += &format!("{}\n", format_table(title, &rows, with_memory));
-        out.push((format!("csv/{name}.csv"), table_csv(&rows)));
+    for (name, rows, title, with_memory) in &tables {
+        text += &format!("{}\n", format_table(title, rows, *with_memory));
+        out.push((format!("csv/{name}.csv"), table_csv(rows)));
     }
     out.push(("tables.txt".into(), text));
+    let simulated: Vec<_> = (tables.iter())
+        .map(|(name, rows, ..)| (*name, &rows[..]))
+        .collect();
+    // The paper's cells, each typed once with its source: an input, not a render.
+    let paper_cells = include_str!("../../../results/paper_cells.csv");
+    out.extend(scoreboard(paper_cells, &simulated));
     out
+}
+
+/// One table's simulated rows, under the name its cell ids start with.
+type Simulated<'a> = (&'a str, &'a [(RowConfig, Vec<CellResult>)]);
+
+/// A paper cell beside its simulated twin; `at` splits `id` into table,
+/// `H…-S…-G…` row, strategy and quantity (`tok_s`, `mem_gib` or `oom`).
+struct Cell<'a> {
+    id: &'a str,
+    unit: &'a str,
+    at: Vec<&'a str>,
+    paper: f64,
+    sim: f64,
+}
+
+/// What the scoreboard counts per table: strategy pairs paper and sim order
+/// alike within a row, by throughput and by memory, and OOM flags alike.
+const TALLIES: [&str; 3] = [
+    "throughput pairs ordered alike",
+    "memory pairs ordered alike",
+    "OOM flags alike",
+];
+
+/// The paper's cells (`cell,value,unit,source` lines) joined to the
+/// simulated rows: paper → sim per cell, the WeiPipe/1F1B and WeiPipe/FSDP
+/// ratios derived from both, and the [`TALLIES`] per table and in all. A
+/// cell id that names no simulated cell, or a cell given twice, panics
+/// naming the id.
+fn scoreboard(paper_csv: &str, tables: &[Simulated]) -> Vec<Artefact> {
+    let mut sim = BTreeMap::new();
+    for (name, rows) in tables {
+        for (row, cells) in rows.iter() {
+            for c in cells {
+                let (h, s, g) = (row.hidden, row.seq, row.microbatch);
+                let at = format!("{name}/H{h}-S{s}-G{g}/{}", c.strategy.label());
+                sim.insert(format!("{at}/tok_s"), c.throughput);
+                sim.insert(format!("{at}/mem_gib"), c.mem_gib);
+                sim.insert(format!("{at}/oom"), f64::from(u8::from(c.oom)));
+            }
+        }
+    }
+    let mut seen = BTreeSet::new();
+    let cells: Vec<Cell> = (paper_csv.lines().skip(1))
+        .map(|line| {
+            let mut field = line.splitn(4, ',');
+            let id = field.next().unwrap_or_default();
+            let paper = field.next().and_then(|v| v.parse().ok());
+            let sim =
+                *(sim.get(id)).unwrap_or_else(|| panic!("paper cell {id} names no simulated cell"));
+            assert!(seen.insert(id), "paper cell {id} appears twice");
+            Cell {
+                id,
+                unit: field.next().unwrap_or_default(),
+                at: id.split('/').collect(),
+                paper: paper.unwrap_or_else(|| panic!("paper cell {id} has no value")),
+                sim,
+            }
+        })
+        .collect();
+    let tally = |counts: &[(usize, usize); 3]| -> String {
+        (TALLIES.iter().zip(counts))
+            .filter(|(_, (_, of))| *of > 0)
+            .map(|(what, (n, of))| format!("{what}: {n}/{of}\n"))
+            .collect()
+    };
+
+    let mut text = String::from(
+        "# Paper fidelity: the paper's Table 2–4 cells beside the simulator's\n\n\
+         Paper values are results/paper_cells.csv, each with its source; sim values are\n\
+         the rows of tables.txt. A pair is ordered alike when paper and sim put its two\n\
+         strategies in the same order within a row.\n\n",
+    );
+    let mut csv = String::from("cell,unit,paper,sim,sim_over_paper\n");
+    let mut totals = [(0, 0); 3];
+    for (name, _) in tables {
+        let mine: Vec<&Cell> = cells.iter().filter(|c| c.at[0] == *name).collect();
+        let mut counts = [(0, 0); 3];
+        text += &format!("## {name}\n\n{:<38}    paper      sim sim/paper\n", "cell");
+        for (i, a) in mine.iter().enumerate() {
+            let (id, unit, paper, sim) = (a.id, a.unit, a.paper, a.sim);
+            if a.at[3] == "oom" {
+                let flag = |f: f64| if f == 1.0 { "OOM" } else { "fits" };
+                let alike = if paper == sim { "alike" } else { "differs" };
+                text += &format!("{id:<38} {:>8} {:>8} {alike:>9}\n", flag(paper), flag(sim));
+                csv += &format!("{id},{unit},{paper},{sim},\n");
+                counts[2] = (counts[2].0 + usize::from(paper == sim), counts[2].1 + 1);
+                continue;
+            }
+            text += &format!("{id:<38} {paper:>8} {sim:>8.1} {:>9.2}\n", sim / paper);
+            csv += &format!("{id},{unit},{paper},{sim},{}\n", sim / paper);
+            let k = usize::from(a.at[3] == "mem_gib");
+            let twins = mine[i + 1..].iter().filter(|b| b.at[1] == a.at[1]);
+            for b in twins.filter(|b| b.at[3] == a.at[3]) {
+                let alike = paper.partial_cmp(&b.paper) == sim.partial_cmp(&b.sim);
+                counts[k] = (counts[k].0 + usize::from(alike), counts[k].1 + 1);
+            }
+        }
+        text.push('\n');
+        let tok_s = |c: &&&Cell| c.at[3] == "tok_s";
+        let wei_pipe = Strategy::WeiPipeInterleave.label();
+        let bases = [Strategy::OneFOneB, Strategy::Fsdp].map(|s| s.label());
+        for wp in mine.iter().filter(tok_s).filter(|c| c.at[2] == wei_pipe) {
+            let row = mine.iter().filter(tok_s).filter(|b| b.at[1] == wp.at[1]);
+            for b in row.filter(|b| bases.contains(&b.at[2])) {
+                let (paper, sim) = (wp.paper / b.paper, wp.sim / b.sim);
+                text += &format!(
+                    "{wei_pipe}/{:<5} {:<16} paper {paper:.2} → sim {sim:.2}\n",
+                    b.at[2], b.at[1]
+                );
+            }
+        }
+        text += &format!("\n{}\n", tally(&counts));
+        for (total, (n, of)) in totals.iter_mut().zip(counts) {
+            *total = (total.0 + n, total.1 + of);
+        }
+    }
+    text += &format!("## All tables\n\n{}", tally(&totals));
+    vec![
+        ("scoreboard.txt".into(), text),
+        ("csv/scoreboard.csv".into(), csv),
+    ]
 }
 
 /// Figures 6–9.
@@ -537,5 +666,41 @@ mod tests {
         assert!(txt.contains("WeiPipe"));
         assert!(txt.contains("1024"));
         assert!(txt.contains("Memory"));
+    }
+
+    /// Scores `paper_csv` against one made-up Table 2 row holding a WeiPipe
+    /// cell.
+    fn score(paper_csv: &str) -> Vec<Artefact> {
+        let row = RowConfig {
+            hidden: 1024,
+            seq: 4096,
+            microbatch: 16,
+        };
+        let cell = CellResult {
+            strategy: Strategy::WeiPipeInterleave,
+            throughput: 2.0,
+            mem_gib: 1.0,
+            oom: false,
+            bubble_ratio: 0.0,
+        };
+        scoreboard(paper_csv, &[("table2", &[(row, vec![cell])])])
+    }
+
+    #[test]
+    #[should_panic(
+        expected = "paper cell table2/H1024-S4096-G16/FSDP/tok_s names no simulated cell"
+    )]
+    fn a_paper_cell_naming_no_simulated_cell_panics_naming_it() {
+        score("cell,value,unit,source\ntable2/H1024-S4096-G16/FSDP/tok_s,4,tok/s/GPU,T\n");
+    }
+
+    #[test]
+    #[should_panic(expected = "paper cell table2/H1024-S4096-G16/WeiPipe/oom appears twice")]
+    fn a_paper_cell_given_twice_panics_naming_it() {
+        score(
+            "cell,value,unit,source\n\
+             table2/H1024-S4096-G16/WeiPipe/oom,0,flag,T\n\
+             table2/H1024-S4096-G16/WeiPipe/oom,1,flag,T\n",
+        );
     }
 }

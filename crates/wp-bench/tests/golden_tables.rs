@@ -1,8 +1,9 @@
 //! The frozen fixtures for the simulator's bits: every artefact
 //! `wp_bench::results::render` produces — Tables 2–4 and Figures 1–9 as text
-//! and SVG, the ablations, the flat-vs-grouped ring comparison and the five
-//! CSVs — must equal the checked-in file under `results/` byte for byte,
-//! and `results/` must hold nothing else besides [`NOT_RENDERED`]. A
+//! and SVG, the paper-fidelity scoreboard, the ablations, the flat-vs-grouped
+//! ring comparison and the CSVs — must equal the checked-in file under
+//! `results/` byte for byte, and `results/` must hold nothing else besides
+//! [`NOT_RENDERED`]. A
 //! refactor of the engine, the cost model, a builder, the grid search or a
 //! formatter that moves any priced cell — throughput, memory, OOM flag,
 //! bubble ratio; an iteration time by one ulp, a cross-node byte, the
@@ -15,9 +16,10 @@ use std::path::Path;
 
 use wp_bench::results::render;
 
-/// The files under `results/` that no simulator renders: the index, and
-/// the kernel microbenchmark, which the host measures.
-const NOT_RENDERED: [&str; 2] = ["README.md", "kernels.txt"];
+/// The files under `results/` that no simulator renders: the index, the
+/// kernel microbenchmark, which the host measures, and the paper's cells,
+/// the scoreboard's hand-entered input.
+const NOT_RENDERED: [&str; 3] = ["README.md", "kernels.txt", "paper_cells.csv"];
 
 /// Every file under `dir`, as a path relative to `root`.
 fn files_under(root: &Path, dir: &Path, out: &mut BTreeSet<String>) {

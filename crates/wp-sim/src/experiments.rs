@@ -23,8 +23,6 @@ pub struct CellResult {
     pub oom: bool,
     /// Compute-idle fraction.
     pub bubble_ratio: f64,
-    /// Mean bytes each rank sent (P2P + collective), for TBW analysis.
-    pub bytes_per_rank: f64,
 }
 
 impl CellResult {
@@ -128,20 +126,12 @@ pub fn run_cell(
 
 fn summarize(strategy: Strategy, r: &SimResult, cost: &CostModel, n: usize) -> CellResult {
     let peak = *r.peak_mem.iter().max().expect("ranks") as f64;
-    let bytes: f64 = r
-        .p2p_bytes
-        .iter()
-        .zip(&r.collective_bytes)
-        .map(|(a, b)| (a + b) as f64)
-        .sum::<f64>()
-        / r.busy.len() as f64;
     CellResult {
         strategy,
         throughput: r.throughput_tokens_per_gpu(cost, n),
         mem_gib: peak / (1u64 << 30) as f64,
         oom: r.oom(cost.gpu.mem_bytes),
         bubble_ratio: r.bubble_ratio,
-        bytes_per_rank: bytes,
     }
 }
 

@@ -21,8 +21,8 @@ fn cell(
 #[test]
 fn table2_weipipe_wins_every_row() {
     // Paper §6.1: "WeiPipe consistently demonstrates higher throughput
-    // across almost all configurations" on the 16-GPU environment 1 —
-    // 22–80% over the best baseline depending on the row.
+    // across almost all configurations" on the 16-GPU environment 1: the
+    // `table2/*/tok_s` cells of results/paper_cells.csv.
     for (row, cells) in table2() {
         let wp = cell(&cells, Strategy::WeiPipeInterleave);
         assert!(!wp.oom, "WeiPipe must fit at {row:?}");
@@ -47,9 +47,10 @@ fn table2_weipipe_wins_every_row() {
 
 #[test]
 fn table2_headline_factors() {
-    // Spot-check the paper's two headline ratios. H=2048/S=4096: paper has
-    // WeiPipe 1.56× over 1F1B and FSDP; H=4096/S=16384: 1.22× over 1F1B,
-    // 1.78× over FSDP. Require the same direction within generous bands.
+    // Spot-check two of the paper's ratios, which results/scoreboard.txt
+    // derives from the cells of results/paper_cells.csv: WeiPipe/1F1B in row
+    // `table2/H2048-S4096-G16` and WeiPipe/FSDP in `table2/H4096-S16384-G4`.
+    // Require the same direction within generous bands.
     let rows = table2();
     let r2048 = rows
         .iter()
@@ -101,8 +102,8 @@ fn table2_zb_memory_blowup_and_oom_pattern() {
 
 #[test]
 fn weipipe_memory_is_close_to_1f1b_and_fsdp() {
-    // Paper Table 2: WeiPipe 9.4 GiB vs FSDP 8.6 vs 1F1B 13 at H=1024 —
-    // same class, slightly above FSDP (bigger send/recv buffers).
+    // Paper Table 2 (`table2/H1024-S4096-G16/*/mem_gib`): WeiPipe in FSDP's
+    // class, slightly above it (bigger send/recv buffers).
     for (row, cells) in table2() {
         let wp = cell(&cells, Strategy::WeiPipeInterleave).mem_gib;
         let fsdp = cell(&cells, Strategy::Fsdp).mem_gib;
